@@ -287,7 +287,8 @@ def build_index(docs_ds, index_dir: str, *, id_col: str = "doc_id",
     _write_tables(index_dir, corpus, digests, bands, None, id_col,
                   num_partitions, shard_index=0)
 
-    max_id = int(docs_ds.max(id_col) or -1)
+    max_id = docs_ds.max(id_col)
+    max_id = -1 if max_id is None else int(max_id)
     _write_meta(index_dir, {**p, "id_col": id_col,
                             "max_seen_id": max_id,
                             "num_partitions": num_partitions,
@@ -565,7 +566,9 @@ def append_shard(shard_ds, index_dir: str, shard_id: str | None = None,
                   remap_df, id_col, num_partitions,
                   shard_index=len(meta["shards"]), fail_after=fail_after)
 
-    meta["max_seen_id"] = int(shard_ds.max(id_col) or meta["max_seen_id"])
+    shard_max = shard_ds.max(id_col)
+    if shard_max is not None:
+        meta["max_seen_id"] = int(shard_max)
     meta["shards"] = meta["shards"] + [shard_id]
     _write_meta(index_dir, meta)
     stage_wall["write_s"] = round(time.perf_counter() - t3, 3)

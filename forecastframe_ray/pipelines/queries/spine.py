@@ -119,7 +119,7 @@ def q_tier_incremental_1d_events(sf_dir: str) -> pd.DataFrame:
                 ["event_type", "bucket_us"], rollup.TIER_PLAN,
                 delta_id="odd-days", num_partitions=4,
                 sort_cols=["event_type", "bucket_us"],
-                finalize_fn=lambda d: rollup.finalize_tier_batch(d, "1d"))
+                finalize_fn=rollup.finalize_tier_batch)
         return _tier_output(checkpoint.read_tier(out, "1d"), "1d")
     finally:
         shutil.rmtree(out, ignore_errors=True)

@@ -6,18 +6,22 @@
 rollup columns + the datetime, aggregate each measure with a named op,
 keeping the measure's own column name.
 
-The tier cascade computes the finest tier (1h) from raw rows with a
-per-batch **combiner** (``map_batches`` pre-reduce: a hot host's rows leave
-each batch as ≤ one row per bucket before any data moves), then ONE
-coarse-hash shuffle merges partials with pure-Arrow ``Table.group_by``
-(:mod:`forecastframe_ray.stages.agg` — the coarse-hash plan measured ~200×
-faster than ``Dataset.groupby().aggregate`` at high group cardinality, and
-the Arrow kernels another ~2× over pandas with far less allocation, which
-is what CPU scaling is bound by). 1d derives from
-1h and 7d from 1d using only algebraic stats carried as
-(count, sum, min, max, Σx²) so every coarser tier is exact. Non-algebraic
-stats (median/quantiles) must recompute from the finest retained tier —
-enforced here by simply not cascading them.
+The tier cascade is ONE exchange. A per-batch **combiner**
+(:func:`partial_bucket_aggregate`, a ``map_batches`` pre-reduce) turns raw
+rows into ≤ one 1h partial row per (series, hour) per batch, so a hot
+series' rows leave each batch already reduced. The partials are shuffled
+once on ``hash(series_keys)`` — every partial of a series lands in one
+partition — and :func:`cascade_partition` then does the rest locally with
+pure-Arrow ``Table.group_by``: merge the partials into exact 1h rows,
+re-bucket and merge 1h → 1d, then 1d → 7d. Only algebraic stats are
+carried, as (count, sum, min, max, Σx²), so every coarser tier is exact.
+Non-algebraic stats (median/quantiles) must recompute from the finest
+retained tier — enforced here by simply not cascading them.
+
+The same kernel serves :func:`rollup_tiers` and the tier store's build and
+append jobs (:mod:`forecastframe_ray.pipelines.web`), which shuffle the
+partials on the store's own partition id and write every tier of a
+partition from that one exchange.
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ def hopping_window_aggregate(ds, series_keys: list[str], ts_col: str,
     of the tumbling tier cascade: every window ``[k*slide, k*slide+window)``
     on the slide grid, each row contributing to ``⌈window/slide⌉`` windows.
 
-    Physical plan mirrors :func:`build_tier`: a per-batch Arrow/numpy
+    Physical plan mirrors the tier combiner: a per-batch Arrow/numpy
     combiner fans each row out to its windows with ``np.repeat`` (vectorized,
     no Python loop) and pre-reduces to ≤ one partial row per (series, window)
     per batch, so the single coarse-hash merge shuffle moves window-partials,
@@ -97,8 +101,6 @@ def hopping_window_aggregate(ds, series_keys: list[str], ts_col: str,
 # ---------------------------------------------------------------------------
 
 #: carried stats per (series, bucket): algebraic only, so tiers compose.
-TIER_STATS = ("pages", "bytes", "sum_val", "min_val", "max_val", "sum_sq")
-
 _TIER_PLAN = {
     "pages": ("pages", "sum"), "bytes": ("bytes", "sum"),
     "sum_val": ("sum_val", "sum"), "min_val": ("min_val", "min"),
@@ -107,6 +109,13 @@ _TIER_PLAN = {
 #: public name for the algebraic merge plan — also the incremental-append
 #: contract used by ``state.checkpoint.merge_partitioned``
 TIER_PLAN = _TIER_PLAN
+
+
+def _merge_stats(tbl, by: list[str]):
+    """Merge algebraic stat rows to one row per ``by`` tuple (Arrow)."""
+    agg = tbl.group_by(by, use_threads=False).aggregate(
+        [(c, op) for _, (c, op) in _TIER_PLAN.items()])
+    return agg.rename_columns(by + list(_TIER_PLAN.keys()))
 
 
 def partial_bucket_aggregate(series_keys: list[str], ts_col: str, value_col: str,
@@ -143,53 +152,33 @@ def partial_bucket_aggregate(series_keys: list[str], ts_col: str, value_col: str
         cols["min_val"] = val
         cols["max_val"] = val
         cols["sum_sq"] = pc.multiply(val, val)
-        by = series_keys + ["bucket_us"]
-        agg = pa.table(cols).group_by(by, use_threads=False).aggregate(
-            [(c, op) for _, (c, op) in _TIER_PLAN.items()])
-        return agg.rename_columns(by + list(_TIER_PLAN.keys()))
+        return _merge_stats(pa.table(cols), series_keys + ["bucket_us"])
 
     return fn
 
 
-def build_tier(ds, series_keys: list[str], ts_col: str, value_col: str | None,
-               size_col: str | None, tier: str, num_partitions: int = 64):
-    """Raw rows → exact (series, bucket) stat rows for ``tier``: per-batch
-    Arrow combiner (no shuffle) → one coarse-hash Arrow merge
-    (``Table.group_by`` inside each of ``num_partitions`` partitions)."""
-    from forecastframe_ray.stages.agg import hash_aggregate_arrow
-
-    fn = partial_bucket_aggregate(series_keys, ts_col, value_col, size_col, tier)
-    partials = ds.map_batches(fn, batch_format="pyarrow")
-    by = series_keys + ["bucket_us"]
-    return hash_aggregate_arrow(partials, by, _TIER_PLAN, num_partitions)
-
-
-def cascade_tier(finer, series_keys: list[str], finer_tier: str, coarser_tier: str,
-                 num_partitions: int = 32):
-    """Exact coarser tier from a finer tier: re-bucket + merge the algebraic
-    stats (sum/count/min/max/Σx² compose; mean & std derive at read time)."""
+def cascade_partition(partials, series_keys: list[str],
+                      tiers: tuple = K.TIERS) -> dict:
+    """The tier cascade on one partition holding EVERY 1h partial of its
+    series: merge the partials into exact 1h stat rows, then re-bucket and
+    merge 1h → 1d → 7d locally. ``partials`` is a ``pyarrow.Table`` of
+    combiner rows (:func:`partial_bucket_aggregate`); returns
+    ``{tier: pyarrow.Table}`` of algebraic (unfinalized) rows for ``tiers``
+    — a coarser tier implies computing its finer inputs."""
     import pyarrow as pa
-    import pyarrow.compute as pc
 
-    from forecastframe_ray.stages.agg import hash_aggregate_arrow
-
-    width = K.TIER_US[coarser_tier]
-    keep = list(series_keys) + list(TIER_STATS)
-
-    def rebucket(batch: pa.Table) -> pa.Table:
-        b = batch["bucket_us"]
-        if isinstance(b, pa.ChunkedArray):
-            b = b.combine_chunks()
-        bn = b.cast(pa.int64()).to_numpy(zero_copy_only=False)
-        nb = pa.array((bn // width) * width, type=pa.int64())
-        cols = {"bucket_us": nb}
-        for c in keep:  # drops derived cols if input is finalized
-            cols[c] = batch[c]
-        return pa.table(cols)
-
-    by = series_keys + ["bucket_us"]
-    return hash_aggregate_arrow(finer.map_batches(rebucket, batch_format="pyarrow"),
-                                by, _TIER_PLAN, num_partitions)
+    by = list(series_keys) + ["bucket_us"]
+    cur = _merge_stats(partials, by)
+    out = {"1h": cur}
+    last = max(K.TIERS.index(t) for t in tiers)
+    for coarser in K.TIERS[1:last + 1]:
+        width = K.TIER_US[coarser]
+        b = cur["bucket_us"].to_numpy()
+        cur = _merge_stats(cur.set_column(
+            cur.schema.get_field_index("bucket_us"), "bucket_us",
+            pa.array((b // width) * width, type=pa.int64())), by)
+        out[coarser] = cur
+    return {t: out[t] for t in tiers}
 
 
 def finalize_tier_batch(batch: pd.DataFrame, tier: str) -> pd.DataFrame:
@@ -212,39 +201,39 @@ def rollup_tiers(ds, series_keys: list[str], ts_col: str, value_col: str | None 
                  size_col: str | None = None, num_salts: int = 16,
                  num_partitions: int = 64,
                  tiers: tuple = ("1h", "1d", "7d")) -> dict:
-    """The 1h → 1d → 7d cascade. Returns {tier: Dataset} of finalized tier
-    tables for the requested ``tiers`` (coarser tiers imply their finer
-    inputs; each execution is skipped when its tier isn't needed).
+    """The 1h → 1d → 7d cascade in one exchange. Returns {tier: Dataset} of
+    finalized tier tables for the requested ``tiers``, each materialized
+    (row counts are block-metadata lookups).
 
     ``num_salts`` is kept for API stability; hot-key splitting is inherent
-    in the combiner + coarse-hash plan (see :mod:`stages.agg` skew note).
+    in the combiner: a hot series reaches its partition as ≤ one partial
+    row per hour per batch.
     """
-    # materialize each FINALIZED tier exactly once: 1h feeds its own output
-    # and the 1d cascade (which drops the derived cols), 1d feeds 7d; tier
-    # row counts become block-metadata lookups (no re-execution), and the
-    # compression stage reads the materialized 1h blocks directly.
-    def fin(t, tier):
-        return t.map_batches(
-            lambda b, tier=tier: finalize_tier_batch(b, tier),
-            batch_format="pandas",
-        ).materialize()
+    import pyarrow as pa
+    import pyarrow.compute as pc
 
-    out = {}
-    t1h = fin(build_tier(ds, series_keys, ts_col, value_col, size_col, "1h",
-                         num_partitions), "1h")
-    if "1h" in tiers:
-        out["1h"] = t1h
-    # coarser tiers are orders of magnitude smaller — fewer partitions keeps
-    # the per-task floor from dominating these short execs
-    np_c = min(16, num_partitions)
-    if "1d" in tiers or "7d" in tiers:
-        t1d = fin(cascade_tier(t1h, series_keys, "1h", "1d", np_c), "1d")
-        if "1d" in tiers:
-            out["1d"] = t1d
-        if "7d" in tiers:
-            out["7d"] = fin(cascade_tier(t1d, series_keys, "1d", "7d", np_c),
-                            "7d")
-    return out
+    from forecastframe_ray.stages.agg import keyed_map_partitions_arrow
+
+    keys = list(series_keys)
+    tiers = tuple(t for t in K.TIERS if t in tiers)
+    partials = ds.map_batches(
+        partial_bucket_aggregate(keys, ts_col, value_col, size_col, "1h"),
+        batch_format="pyarrow")
+
+    def kernel(part: pa.Table) -> pd.DataFrame:
+        return pd.concat(
+            [finalize_tier_batch(tbl.to_pandas(), t)
+             for t, tbl in cascade_partition(part, keys, tiers).items()],
+            ignore_index=True)
+
+    every = keyed_map_partitions_arrow(partials, keys, kernel,
+                                       num_partitions).materialize()
+    if len(tiers) == 1:
+        return {tiers[0]: every}
+    return {t: every.map_batches(
+                lambda b, t=t: b.filter(pc.equal(b["tier"], t)),
+                batch_format="pyarrow").materialize()
+            for t in tiers}
 
 
 def grouping_sets_rollup(ds, key_a: str, key_b: str, value_col: str,

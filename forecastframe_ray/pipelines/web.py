@@ -3,8 +3,17 @@ deterministic text extraction → url-hierarchy keys → per-host crawl-rate
 series → exact 1h/1d/7d retention tiers → gap-filled feature series →
 Gorilla-compressed chunks, with partition-granular checkpoint/resume.
 
-Every stage is a lazy Ray Data transform; the only materializations are the
-(small) tier tables and the driver-side manifest."""
+The tier store is laid out as ``tier=<t>/part=<hash(host) % N>.parquet``
+for t in 1h, 1d, 7d and ``chunks_1h``, and the cascade derives 1d from 1h
+and 7d from 1d — so once a host's 1h partials reach its partition every
+tier and its Gorilla chunks can be computed there. Building
+(:func:`run` with ``out_dir``) and appending (:func:`append_tiers`) are
+therefore ONE exchange each: the fused extract + key + 1h combiner map,
+one shuffle on the store's own partition id
+(``checkpoint.write_partitioned`` / ``merge_partitioned``), and a
+per-partition kernel that cascades, finalizes, encodes and writes every
+tier of that partition. Without ``out_dir`` the tiers come from
+:func:`rollup.rollup_tiers`, the same cascade kernel behind one exchange."""
 
 from __future__ import annotations
 
@@ -55,15 +64,29 @@ def prepare_series(pages_ds, extract_html: bool = True):
     return pages_ds.map_batches(fn, batch_format="pyarrow")
 
 
-def build_tiers(prepared, series_keys=("host",), num_salts: int = 16) -> dict:
+def _prepare(pages_ds, series_keys):
+    return (prepare_series(pages_ds) if tuple(series_keys) == ("host",)
+            else prepare_pages(pages_ds))
+
+
+def _tier_partials(prepared, series_keys=("host",)):
+    """The 1h combiner over the prepared spine: ≤ one partial stat row per
+    (series, hour) per batch, fused into the upstream map — the rows the
+    tier jobs' one exchange moves."""
+    return prepared.map_batches(
+        rollup.partial_bucket_aggregate(list(series_keys), "warc_ts",
+                                        "text_bytes", "text_bytes", "1h"),
+        batch_format="pyarrow")
+
+
+def build_tiers(prepared, series_keys=("host",), num_salts: int = 16,
+                num_partitions: int = 32) -> dict:
     """Exact per-(host, bucket) tier tables: pages count, bytes, and value
     stats over ``text_bytes`` (the per-bucket crawl-rate series)."""
-    cols = set(prepared.schema().names)
-    need = list(series_keys) + ["warc_ts", "text_bytes"]
-    slim = prepared.select_columns(need) if set(need) < cols else prepared
     return rollup.rollup_tiers(
-        slim, list(series_keys), "warc_ts",
+        prepared, list(series_keys), "warc_ts",
         value_col="text_bytes", size_col="text_bytes", num_salts=num_salts,
+        num_partitions=num_partitions,
     )
 
 
@@ -84,16 +107,55 @@ def write_tiers(tiers: dict, out_dir: str, series_keys=("host",),
     return rows
 
 
+def _encode_chunks(tier_df: pd.DataFrame, series_keys=("host",),
+                  tier: str = "1h", value_col: str = "pages") -> pd.DataFrame:
+    """One partition's chunk rows: each series of ``tier_df`` (a tier
+    partition holding whole series) Gorilla-encoded, ordered by key."""
+    keys = list(series_keys)
+    packed = gorilla.pack_series(tier_df[keys + ["bucket_us", value_col]],
+                                 keys, "bucket_us", value_col)
+    return gorilla.GorillaEncoder(tier=tier)(packed) \
+        .sort_values(keys, kind="mergesort").reset_index(drop=True)
+
+
+def _cascade_frames(partials: pd.DataFrame, keys: list[str]) -> dict:
+    """One store partition's 1h partials → algebraic 1h/1d/7d frames."""
+    tiers = rollup.cascade_partition(
+        pa.Table.from_pandas(partials, preserve_index=False), keys)
+    return {t: tbl.to_pandas() for t, tbl in tiers.items()}
+
+
+def _store_partition(series_keys=("host",), value_col: str = "pages",
+                    compress: bool = True):
+    """The build kernel (a ``write_partitioned`` hook): one partition's 1h
+    partials → its finalized 1h/1d/7d frames, sorted by (keys, bucket), and
+    with ``compress`` the Gorilla chunks of its 1h series."""
+    keys = list(series_keys)
+
+    def kernel(partials: pd.DataFrame) -> dict[str, pd.DataFrame]:
+        frames = {
+            t: rollup.finalize_tier_batch(f, t)
+            .sort_values(keys + ["bucket_us"], kind="mergesort")
+            .reset_index(drop=True)
+            for t, f in _cascade_frames(partials, keys).items()}
+        if compress:
+            frames["chunks_1h"] = _encode_chunks(frames["1h"], keys, "1h",
+                                                value_col)
+        return frames
+
+    return kernel
+
+
 def refresh_chunks(out_dir: str, parts: set, series_keys=("host",),
                    tier: str = "1h", value_col: str = "pages",
                    num_partitions: int = 32) -> list[dict]:
-    """Re-encode the Gorilla chunk tier for the PARTITIONS whose source
-    tier files changed (an incremental append's return value names them).
-    Chunk rows derive wholly from their own tier partition's content and
-    both layouts hash the same ``series_keys`` into the same
-    ``num_partitions``, so rewriting exactly those chunk partitions
-    (``overwrite_parts``) restores chunks == encode(full tier) without
-    touching — or reading — any other partition."""
+    """Re-encode the Gorilla chunk tier for the given PARTITIONS of
+    ``tier`` from the stored files, in one exchange. Chunk rows derive
+    wholly from their own tier partition and both layouts hash the same
+    ``series_keys`` into the same ``num_partitions``, so rewriting exactly
+    those chunk partitions (``overwrite_parts``) restores
+    chunks == encode(full tier) without reading any other partition.
+    (:func:`append_tiers` re-encodes its partitions itself.)"""
     import os
 
     import ray.data
@@ -103,51 +165,48 @@ def refresh_chunks(out_dir: str, parts: set, series_keys=("host",),
     files = [f for f in files if os.path.exists(f)]
     if not files:
         return []
-    subset = ray.data.read_parquet(files)
-    chunks = compress_tier(subset, series_keys, tier, value_col,
-                           num_partitions)
+    chunk_tier = f"chunks_{tier}"
     return checkpoint.write_partitioned(
-        chunks, out_dir, f"chunks_{tier}", list(series_keys),
-        num_partitions=num_partitions, sort_cols=list(series_keys),
-        overwrite_parts=set(parts))
+        ray.data.read_parquet(files), out_dir, chunk_tier, list(series_keys),
+        num_partitions=num_partitions, overwrite_parts=set(parts),
+        part_fn=lambda df: {chunk_tier: _encode_chunks(
+            df, series_keys, tier, value_col)})
 
 
 def append_tiers(pages_ds, out_dir: str, delta_id: str,
                  series_keys=("host",), num_salts: int = 16,
                  num_partitions: int = 32,
                  refresh_compressed: bool = False,
-                 value_col: str = "pages") -> list[dict]:
+                 value_col: str = "pages",
+                 fail_after: int | None = None) -> list[dict]:
     """Continuous-aggregate maintenance: fold a NEW batch of pages (e.g.
     today's crawl) into an existing checkpointed tier store without
-    rebuilding it. The delta's own 1h/1d/7d tier tables are built with the
-    normal cascade (tiny relative to the corpus), then merged into the
-    stored tiers partition-granularly via the algebraic
-    (count, sum, min, max, Σx²) carry — the result is EXACTLY the tiers a
-    full rebuild over old+new pages would produce (pinned by
+    rebuilding it, in one exchange. The delta's 1h partials are shuffled on
+    the store's partition id; per partition, the delta's own 1h/1d/7d rows
+    are cascaded locally and merged into the stored files via the
+    algebraic (count, sum, min, max, Σx²) carry — the result is EXACTLY the
+    tiers a full rebuild over old+new pages would produce (pinned by
     ``tests/test_incremental_tiers.py`` and the
     ``tier_incremental_1d_events`` driver oracle).
 
     ``delta_id`` names the batch for idempotence: re-running the same
     append after a crash skips partitions already merged for it.
-    ``refresh_compressed`` additionally re-encodes the Gorilla chunk tier
-    for exactly the 1h partitions this append rewrote."""
-    prepared = (prepare_series(pages_ds) if tuple(series_keys) == ("host",)
-                else prepare_pages(pages_ds))
-    delta = build_tiers(prepared, series_keys, num_salts)
-    rows = []
-    for tier, ds in delta.items():
-        rows += checkpoint.merge_partitioned(
-            ds, out_dir, tier, list(series_keys),
-            list(series_keys) + ["bucket_us"], rollup.TIER_PLAN,
-            delta_id=delta_id, num_partitions=num_partitions,
-            sort_cols=list(series_keys) + ["bucket_us"],
-            finalize_fn=lambda df, tier=tier:
-                rollup.finalize_tier_batch(df, tier))
+    ``refresh_compressed`` additionally re-encodes the Gorilla chunks of
+    every partition whose 1h file this append rewrote. ``fail_after`` is
+    the crash test hook of :func:`checkpoint.merge_partitioned`."""
+    keys = list(series_keys)
+    derive = None
     if refresh_compressed:
-        touched = {r["part"] for r in rows if r["tier"] == "1h"}
-        rows += refresh_chunks(out_dir, touched, series_keys, "1h",
-                               value_col, num_partitions)
-    return rows
+        def derive(merged):
+            return {"chunks_1h": _encode_chunks(merged["1h"], keys, "1h",
+                                               value_col)}
+    return checkpoint.merge_partitioned(
+        _tier_partials(_prepare(pages_ds, series_keys), keys), out_dir, "1h",
+        keys, keys + ["bucket_us"], rollup.TIER_PLAN, delta_id=delta_id,
+        num_partitions=num_partitions, sort_cols=keys + ["bucket_us"],
+        finalize_fn=rollup.finalize_tier_batch,
+        fail_after=fail_after,
+        part_fn=lambda df: _cascade_frames(df, keys), derive_fn=derive)
 
 
 def compress_tier(tier_ds, series_keys=("host",), tier: str = "1h",
@@ -168,30 +227,39 @@ def compress_tier(tier_ds, series_keys=("host",), tier: str = "1h",
 
 def run(pages_ds, out_dir: str | None = None, series_keys=("host",),
         num_salts: int = 16, num_partitions: int = 32,
-        compress: bool = True) -> dict:
+        compress: bool = True, fail_after: int | None = None) -> dict:
     """End-to-end flagship run. Returns metrics incl. the north-star
-    rolled-up points/sec across tiers."""
+    rolled-up points/sec across tiers.
+
+    With ``out_dir`` the whole store — 1h/1d/7d and, with ``compress``,
+    ``chunks_1h`` — is built by one exchange (see the module docstring);
+    a rerun resumes, skipping partitions whose 1h file is recorded, and the
+    points are those the manifest records. ``fail_after`` is the crash
+    test hook of :func:`checkpoint.write_partitioned`."""
     t_start = time.perf_counter()
-    prepared = (prepare_series(pages_ds) if tuple(series_keys) == ("host",)
-                else prepare_pages(pages_ds))
-    tiers = build_tiers(prepared, series_keys, num_salts)
-    points = tier_points(tiers)
-
-    if out_dir:
-        write_tiers(tiers, out_dir, series_keys, num_partitions)
-
+    keys = list(series_keys)
+    prepared = _prepare(pages_ds, series_keys)
     chunk_stats = None
-    if compress:
-        chunks = compress_tier(tiers["1h"], series_keys, "1h", "pages", num_partitions)
-        if out_dir:
-            chunk_rows = checkpoint.write_partitioned(
-                chunks, out_dir, "chunks_1h", list(series_keys),
-                num_partitions=num_partitions, sort_cols=list(series_keys),
-            )
-            chunk_stats = {"chunks": int(sum(r["rows"] for r in chunk_rows))}
-        else:
-            cdf = chunks.to_pandas()
-            payload = int(cdf["ts_payload"].map(len).sum() + cdf["val_payload"].map(len).sum())
+    if out_dir:
+        checkpoint.write_partitioned(
+            _tier_partials(prepared, keys), out_dir, "1h", keys,
+            num_partitions=num_partitions, fail_after=fail_after,
+            part_fn=_store_partition(keys, "pages", compress))
+        stored = checkpoint.load_done(out_dir)
+        points = {t: int(sum(r["rows"] for (tt, _), r in stored.items()
+                             if tt == t)) for t in K.TIERS}
+        if compress:
+            chunk_stats = {"chunks": int(sum(
+                r["rows"] for (t, _), r in stored.items()
+                if t == "chunks_1h"))}
+    else:
+        tiers = build_tiers(prepared, series_keys, num_salts, num_partitions)
+        points = tier_points(tiers)
+        if compress:
+            cdf = compress_tier(tiers["1h"], series_keys, "1h", "pages",
+                                num_partitions).to_pandas()
+            payload = int(cdf["ts_payload"].map(len).sum()
+                          + cdf["val_payload"].map(len).sum())
             chunk_stats = {
                 "chunks": len(cdf),
                 "payload_bytes": payload,

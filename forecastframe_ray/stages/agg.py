@@ -126,20 +126,10 @@ def hash_aggregate_arrow(ds, keys: list[str],
     out_names = list(named_aggs.keys())
     need_ones = any(c == "__ones" for c, _ in plan)
 
-    def assign(batch: pa.Table) -> pa.Table:
-        part = K.partition_ids_arrow(batch, hk, num_partitions)
-        if need_ones:
-            batch = batch.append_column(
-                "__ones", pa.array(np.ones(len(batch), dtype=np.int64)))
-        batch = batch.append_column(PART_COL, pa.array(part, type=pa.int32()))
-        # drop inherited schema metadata (parquet writers attach a b'pandas'
-        # blob): pa.Schema with metadata is unhashable (pyarrow 16), which
-        # breaks Ray's schema dedup in the sort exchange and spams "Failed
-        # to hash the schemas" from every reduce task
-        return batch.replace_schema_metadata(None)
-
     def merge(part: pa.Table) -> pa.Table:
-        part = part.drop_columns([PART_COL])
+        if need_ones:  # rows are raw input rows: count(*) = Σ 1
+            part = part.append_column(
+                "__ones", pa.array(np.ones(len(part), dtype=np.int64)))
         agg = part.group_by(keys, use_threads=False).aggregate(plan)
         # arrow names results "<col>_<op>" in plan order, after the keys —
         # rename positionally to the requested output names; check the
@@ -161,11 +151,7 @@ def hash_aggregate_arrow(ds, keys: list[str],
                         col.combine_chunks().fill_null(0))
         return agg
 
-    return (
-        ds.map_batches(assign, batch_format="pyarrow")
-        .groupby(PART_COL)
-        .map_groups(merge, batch_format="pyarrow")
-    )
+    return keyed_map_partitions_arrow(ds, hk, merge, num_partitions)
 
 
 def hash_count(ds, keys: list[str], out_col: str = "n",
@@ -237,6 +223,33 @@ def keyed_map_partitions(ds, keys: list[str], fn, num_partitions: int = 64):
     return (ds.map_batches(assign, batch_format="pandas")
             .groupby(PART_COL)
             .map_groups(run, batch_format="pandas"))
+
+
+def keyed_map_partitions_arrow(ds, keys: list[str], fn,
+                               num_partitions: int = 64):
+    """Arrow twin of :func:`keyed_map_partitions`: batches stay
+    ``pyarrow.Table`` through the exchange (partition ids from
+    :func:`keys.partition_ids_arrow`), and ``fn(partition_table)`` may
+    return an Arrow table or a DataFrame."""
+    import pyarrow as pa
+
+    keys = list(keys)
+
+    def assign(batch: pa.Table) -> pa.Table:
+        part = K.partition_ids_arrow(batch, keys, num_partitions)
+        # drop inherited schema metadata (parquet writers attach a b'pandas'
+        # blob): pa.Schema with metadata is unhashable (pyarrow 16), which
+        # breaks Ray's schema dedup in the sort exchange and spams "Failed
+        # to hash the schemas" from every reduce task
+        return batch.append_column(PART_COL, pa.array(part, type=pa.int32())) \
+            .replace_schema_metadata(None)
+
+    def run(part: pa.Table):
+        return fn(part.drop_columns([PART_COL]))
+
+    return (ds.map_batches(assign, batch_format="pyarrow")
+            .groupby(PART_COL)
+            .map_groups(run, batch_format="pyarrow"))
 
 
 def compact_latest(ds, keys: list[str], order_by: list[str],

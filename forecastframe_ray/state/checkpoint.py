@@ -1,13 +1,26 @@
-"""Partition-granular checkpoint manifest: lineage + metrics + resume
-(SURVEY.md §4 "Checkpoint / resume"; replaces the reference's whole-object
-pickle, ``/root/reference/forecastframe/io.py:9-40``).
+"""Partition-granular tier store: atomic part files, a lineage manifest,
+resume and crash-retry (SURVEY.md §4 "Checkpoint / resume"; replaces the
+reference's whole-object pickle in its ``forecastframe/io.py:9-40``).
 
-Output layout: ``out/tier=<1h|1d|7d|chunks>/part=<k>.parquet`` — one file per
-hash-bucket partition, written atomically (temp file + rename). A JSON-lines
-manifest at ``out/manifest.jsonl`` records one row per completed partition:
-``(tier, part, rows, points, checksum, wall_s, fingerprint)``. On resume,
-completed ``(tier, part)`` pairs are filtered from the input *before* any
-compute, so a rerun only pays for missing partitions.
+Layout: ``out/tier=<name>/part=<p>.parquet``, one file per partition
+``p = hash(partition_keys) % num_partitions`` (:func:`keys.partition_ids`),
+each written atomically (temp file + rename). ``out/manifest.jsonl`` holds
+one JSON row per written file — ``(tier, part, rows, points, checksum,
+wall_s, fingerprint, gen)``, plus ``delta_id`` for merges and
+``expired_before`` for retention sweeps; the latest row per (tier, part)
+wins and ``gen`` chains the rewrites.
+
+:func:`write_partitioned` and :func:`merge_partitioned` share one skeleton
+(:func:`_exchange`): tag each row with its partition id, drop the rows of
+partitions the manifest already records as finished (resume is a filter,
+not a replay), ONE shuffle on the partition id, a per-partition kernel that
+writes files and returns their manifest rows, then one manifest append by
+the calling process. With ``part_fn`` the kernel writes several tiers from one partition
+— the tier store's build and append each produce 1h/1d/7d and the Gorilla
+chunks in a single exchange (:mod:`forecastframe_ray.pipelines.web`). A
+partition's manifest rows list the primary ``tier`` last, and only that row
+decides whether the partition is finished, so a partition counts as done
+only once every file it wrote is recorded.
 
 Single-node note: files land on the local filesystem; on a real cluster the
 same layout goes to shared storage (s3/nfs) — the atomic-rename is then a
@@ -51,14 +64,26 @@ def append_manifest(out_dir: str, rows: list[dict]):
             f.write(json.dumps(row, sort_keys=True) + "\n")
 
 
+def _cell_bytes(x) -> bytes:
+    """One list/array cell as a dtype tag + its raw bytes. Cells numpy
+    cannot lay out flat (None, ragged or mixed lists) fold in their repr."""
+    if x is None:
+        return b"none:"
+    a = np.asarray(x)
+    if a.dtype == object:
+        return b"object:" + repr(a.tolist()).encode()
+    return a.dtype.str.encode() + b":" + a.tobytes()
+
+
 def _partition_checksum(df: pd.DataFrame) -> int:
     # list/array columns (e.g. an ANN index's embedding vectors) are
-    # unhashable for hash_pandas_object — fold them in as raw bytes
+    # unhashable for hash_pandas_object — any cell holding one makes the
+    # column an array column, folded in cell by cell
     plain, arrays = [], []
     for c in df.columns:
         v = df[c]
-        first = v.iloc[0] if len(v) else None
-        if v.dtype == object and isinstance(first, (np.ndarray, list)):
+        if v.dtype == object and any(isinstance(x, (np.ndarray, list))
+                                     for x in v):
             arrays.append(v)
         else:
             plain.append(c)
@@ -69,8 +94,92 @@ def _partition_checksum(df: pd.DataFrame) -> int:
         crc = zlib.crc32(h.tobytes(), crc)
     for v in arrays:
         for x in v:
-            crc = zlib.crc32(np.asarray(x, dtype=np.float64).tobytes(), crc)
+            crc = zlib.crc32(_cell_bytes(x), crc)
     return int(crc)
+
+
+def _typed_empty(batch: pd.DataFrame) -> pa.Table:
+    """A zero-row pandas batch as a typed Arrow block. Ray's pandas block
+    size sampler trips on zero-row string columns (np.vectorize on empty
+    input) and logs a spurious error per empty block — the common case on a
+    resume pass where every row filters out. Zero-row object columns infer
+    as Arrow null: cast them to string so the exchange can union this block
+    with non-empty ones."""
+    tbl = pa.Table.from_pandas(batch, preserve_index=False)
+    return tbl.cast(pa.schema(
+        [pa.field(f.name, pa.string()) if pa.types.is_null(f.type) else f
+         for f in tbl.schema]))
+
+
+def _manifest_row(tier: str, part: int, df: pd.DataFrame, t0: float,
+                  fingerprint: str, gen: int, **extra) -> dict:
+    return {"tier": tier, "part": part, "rows": len(df), "points": len(df),
+            "checksum": _partition_checksum(df),
+            "wall_s": round(time.perf_counter() - t0, 4),
+            "fingerprint": fingerprint, "gen": gen, **extra}
+
+
+def _part_path(out_dir: str, tier: str, part: int) -> str:
+    return os.path.join(out_dir, f"tier={tier}", f"part={part}.parquet")
+
+
+def _write_file(df: pd.DataFrame, path: str, metadata: dict | None = None):
+    """Atomic part-file write. Dictionary-encode everything (key strings
+    are low-cardinality per partition — reference transform.py:30-33
+    parity) + zstd: ~2× file shrink vs snappy at negligible write cost.
+    ``metadata`` entries are added to the parquet footer."""
+    tbl = pa.Table.from_pandas(df, preserve_index=False)
+    if metadata:
+        tbl = tbl.replace_schema_metadata(
+            {**(tbl.schema.metadata or {}), **metadata})
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    tmp = path + f".tmp.{os.getpid()}"
+    pq.write_table(tbl, tmp, use_dictionary=True, compression="zstd")
+    os.replace(tmp, path)  # atomic on one filesystem
+
+
+def _primary_last(frames: dict, tier: str) -> list[str]:
+    return [t for t in frames if t != tier] + [tier]
+
+
+def _exchange(ds, out_dir: str, partition_keys: list[str],
+              num_partitions: int, skip: set, kernel,
+              fail_after: int | None, part_offset: int = 0,
+              direct_part_col: str | None = None) -> list[dict]:
+    """The store's one exchange: tag rows with their partition id, drop
+    partitions in ``skip``, shuffle on the id, run
+    ``kernel(part, part_df) -> [manifest row, ...]`` once per partition,
+    and append the rows to the manifest. ``fail_after`` (test hook)
+    records only the first N partitions' rows, then raises — the files of
+    the others are already replaced, as after a crash between a file
+    rename and its manifest append."""
+
+    def assign(batch: pd.DataFrame):
+        batch = batch.copy()  # upstream fused map may hand us a slice view
+        batch[PART_COL] = part_offset + (
+            batch[direct_part_col].to_numpy().astype(np.int64)
+            if direct_part_col else
+            K.partition_ids(batch, partition_keys, num_partitions))
+        if skip:
+            batch = batch[~batch[PART_COL].isin(list(skip))]
+        return _typed_empty(batch) if len(batch) == 0 else batch
+
+    def run(part_df: pd.DataFrame) -> pd.DataFrame:
+        part = int(part_df[PART_COL].iloc[0])
+        return pd.DataFrame(kernel(part, part_df.drop(columns=[PART_COL])))
+
+    rows = (
+        ds.map_batches(assign, batch_format="pandas")
+        .groupby(PART_COL)
+        .map_groups(run, batch_format="pandas")
+    ).to_pandas().to_dict("records")
+    if fail_after is not None:
+        kept = set(list(dict.fromkeys(r["part"] for r in rows))[:fail_after])
+        rows = [r for r in rows if r["part"] in kept]
+    append_manifest(out_dir, rows)
+    if fail_after is not None:
+        raise RuntimeError(f"simulated crash after {fail_after} partitions")
+    return rows
 
 
 def write_partitioned(ds, out_dir: str, tier: str, partition_keys: list[str],
@@ -78,15 +187,22 @@ def write_partitioned(ds, out_dir: str, tier: str, partition_keys: list[str],
                       fail_after: int | None = None,
                       overwrite_parts: set | None = None,
                       part_offset: int = 0,
-                      direct_part_col: str | None = None) -> list[dict]:
+                      direct_part_col: str | None = None,
+                      part_fn=None) -> list[dict]:
     """Write ``ds`` as hash-partitioned parquet with per-partition lineage.
 
     Skips partitions already in the manifest (resume = a filter, not replay),
     EXCEPT those in ``overwrite_parts`` — the refresh path for derived
-    tiers (e.g. Gorilla chunks whose source tier partitions were rewritten
-    by an incremental append); their manifest rows chain ``gen``.
+    tiers; their manifest rows chain ``gen``.
     ``fail_after`` is a test hook: raise after N partitions to simulate a
     mid-job crash.
+
+    ``part_fn(part_df) -> {tier: frame}`` is the per-partition hook: it
+    turns one partition's rows into the frames of every tier it derives
+    (``tier`` among them), each written to its own
+    ``tier=<t>/part=<p>.parquet`` as returned — the hook owns their order.
+    Without it the partition is written to ``tier`` sorted by
+    ``sort_cols`` (deterministic file contents across runs/parallelism).
 
     ``part_offset`` shifts the partition ids (part = offset + hash % N) —
     the APPEND-ONLY delta layout: each shard of an insert-only table
@@ -103,69 +219,39 @@ def write_partitioned(ds, out_dir: str, tier: str, partition_keys: list[str],
     coarse-quantizer centroid: a query opens only its probed centroids'
     files).
     """
-    tier_dir = os.path.join(out_dir, f"tier={tier}")
-    os.makedirs(tier_dir, exist_ok=True)
+    os.makedirs(os.path.join(out_dir, f"tier={tier}"), exist_ok=True)
     prior = load_done(out_dir)
     done = {p for (t, p) in prior if t == tier} - set(overwrite_parts or ())
-    gens = {p: int(row.get("gen", 0))
-            for (t, p), row in prior.items() if t == tier}
+    gens = {k: int(row.get("gen", 0)) for k, row in prior.items()}
 
-    def assign(batch: pd.DataFrame):
-        batch = batch.copy()  # upstream fused map may hand us a slice view
-        batch[PART_COL] = part_offset + (
-            batch[direct_part_col].to_numpy().astype(np.int64)
-            if direct_part_col else
-            K.partition_ids(batch, partition_keys, num_partitions))
-        if done:
-            batch = batch[~batch[PART_COL].isin(list(done))]
-        if len(batch) == 0:
-            # hand back an Arrow empty (typed) block: Ray's pandas block
-            # size sampler trips on zero-row string columns (np.vectorize
-            # on empty input) and logs a spurious error per empty block —
-            # the common case on a resume pass where every row filters out.
-            # Zero-row object columns infer as Arrow null — cast to string
-            # so the exchange can union this block with non-empty ones.
-            tbl = pa.Table.from_pandas(batch, preserve_index=False)
-            return tbl.cast(pa.schema(
-                [pa.field(f.name, pa.string())
-                 if pa.types.is_null(f.type) else f for f in tbl.schema]))
-        return batch
-
-    def write_part(part_df: pd.DataFrame) -> pd.DataFrame:
+    def kernel(part: int, df: pd.DataFrame) -> list[dict]:
         t0 = time.perf_counter()
-        part = int(part_df[PART_COL].iloc[0])
-        df = part_df.drop(columns=[PART_COL])
-        if sort_cols:  # deterministic file contents across runs/parallelism
-            df = df.sort_values(sort_cols, kind="mergesort").reset_index(drop=True)
-        final = os.path.join(tier_dir, f"part={part}.parquet")
-        tmp = final + f".tmp.{os.getpid()}"
-        # dictionary-encode everything (key strings are low-cardinality per
-        # partition — reference transform.py:30-33 parity) + zstd: ~2× file
-        # shrink vs snappy at negligible write cost; read-back is unchanged
-        pq.write_table(pa.Table.from_pandas(df, preserve_index=False), tmp,
-                       use_dictionary=True, compression="zstd")
-        os.replace(tmp, final)  # atomic on one filesystem
-        return pd.DataFrame([{
-            "tier": tier, "part": part, "rows": len(df),
-            "points": len(df), "checksum": _partition_checksum(df),
-            "wall_s": round(time.perf_counter() - t0, 4),
-            "fingerprint": f"{tier}/{part}/{num_partitions}",
-            "gen": gens.get(part, 0) + 1,
-        }])
+        if part_fn is not None:
+            frames = part_fn(df)
+        elif sort_cols:
+            frames = {tier: df.sort_values(sort_cols, kind="mergesort")
+                      .reset_index(drop=True)}
+        else:
+            frames = {tier: df}
+        rows = []
+        for t in _primary_last(frames, tier):
+            _write_file(frames[t], _part_path(out_dir, t, part))
+            rows.append(_manifest_row(
+                t, part, frames[t], t0, f"{t}/{part}/{num_partitions}",
+                gens.get((t, part), 0) + 1))
+        return rows
 
-    results = (
-        ds.map_batches(assign, batch_format="pandas")
-        .groupby(PART_COL)
-        .map_groups(write_part, batch_format="pandas")
-    ).to_pandas()
+    return _exchange(ds, out_dir, partition_keys, num_partitions, done,
+                     kernel, fail_after, part_offset, direct_part_col)
 
-    rows = results.to_dict("records")
-    if fail_after is not None:
-        rows = rows[:fail_after]
-    append_manifest(out_dir, rows)
-    if fail_after is not None:
-        raise RuntimeError(f"simulated crash after {fail_after} partitions")
-    return rows
+
+def _read_stored(path: str) -> tuple[pd.DataFrame | None, list[str]]:
+    """A stored part file and the ``delta_ids`` its footer says it holds."""
+    if not os.path.exists(path):
+        return None, []
+    old = pq.read_table(path)
+    meta = (old.schema.metadata or {}).get(b"delta_ids")
+    return old.to_pandas(), (json.loads(meta) if meta else [])
 
 
 def merge_partitioned(delta_ds, out_dir: str, tier: str,
@@ -174,7 +260,8 @@ def merge_partitioned(delta_ds, out_dir: str, tier: str,
                       num_partitions: int = 32,
                       sort_cols: list[str] | None = None,
                       finalize_fn=None,
-                      fail_after: int | None = None) -> list[dict]:
+                      fail_after: int | None = None,
+                      part_fn=None, derive_fn=None) -> list[dict]:
     """Continuous-aggregate maintenance: merge a DELTA of algebraic stat
     rows (e.g. a new crawl batch's tier table) into the checkpointed tier,
     rewriting ONLY the partitions the delta lands in — the incremental form
@@ -184,11 +271,18 @@ def merge_partitioned(delta_ds, out_dir: str, tier: str,
 
     - ``merge_plan``: ``{col: (col, op)}`` over the algebraic columns; any
       derived columns (mean/std/labels) in the delta or the stored files
-      are dropped before merging and rebuilt by ``finalize_fn``.
+      are dropped before merging and rebuilt by ``finalize_fn(df, tier)``.
+    - ``part_fn(part_df) -> {tier: delta frame}``: per-partition hook that
+      derives several tiers' deltas (``tier`` among them) from one
+      partition's rows; each is merged into its own stored file.
+      ``derive_fn(merged) -> {tier: frame}`` rebuilds further tiers whole
+      from the merged frames (e.g. Gorilla chunks of the merged 1h tier).
     - **Idempotent per** ``delta_id``: each rewritten partition's manifest
-      row records ``delta_id`` and a bumped ``gen``; re-applying the same
+      rows record ``delta_id`` and a bumped ``gen``; re-applying the same
       delta (crash-retry of an append job) skips partitions whose latest
-      manifest row already carries it, so stats are never double-counted.
+      ``tier`` row already carries it, so stats are never double-counted.
+      A file whose footer already lists ``delta_id`` (the crash landed
+      between its rename and the manifest append) is kept as is.
     - Untouched partitions keep their files and manifest rows; lineage
       stays partition-granular (`gen` chains the rewrites).
     - ``fail_after``: test hook, as in :func:`write_partitioned`.
@@ -197,88 +291,48 @@ def merge_partitioned(delta_ds, out_dir: str, tier: str,
     orders of magnitude smaller than the stored tiers, and the merge cost
     is proportional to the AFFECTED partitions, not the corpus.
     """
-    tier_dir = os.path.join(out_dir, f"tier={tier}")
-    os.makedirs(tier_dir, exist_ok=True)
-    done = load_done(out_dir)
-    skip = {p for (t, p), row in done.items()
+    os.makedirs(os.path.join(out_dir, f"tier={tier}"), exist_ok=True)
+    prior = load_done(out_dir)
+    skip = {p for (t, p), row in prior.items()
             if t == tier and row.get("delta_id") == delta_id}
-    gens = {p: int(row.get("gen", 0))
-            for (t, p), row in done.items() if t == tier}
+    gens = {k: int(row.get("gen", 0)) for k, row in prior.items()}
     merge_cols = list(group_keys) + list(merge_plan)
+    named = {c: (src, op) for c, (src, op) in merge_plan.items()}
 
-    def assign(batch: pd.DataFrame):
-        batch = batch.copy()
-        batch[PART_COL] = K.partition_ids(batch, partition_keys, num_partitions)
-        if skip:
-            batch = batch[~batch[PART_COL].isin(list(skip))]
-        if len(batch) == 0:  # typed empty block (see write_partitioned)
-            tbl = pa.Table.from_pandas(batch, preserve_index=False)
-            return tbl.cast(pa.schema(
-                [pa.field(f.name, pa.string())
-                 if pa.types.is_null(f.type) else f for f in tbl.schema]))
-        return batch
-
-    def merge_part(part_df: pd.DataFrame) -> pd.DataFrame:
-        t0 = time.perf_counter()
-        part = int(part_df[PART_COL].iloc[0])
-        frames = [part_df[merge_cols]]
-        final = os.path.join(tier_dir, f"part={part}.parquet")
-        applied: list[str] = []
-        if os.path.exists(final):
-            old = pq.read_table(final)
-            meta = (old.schema.metadata or {}).get(b"delta_ids")
-            applied = json.loads(meta) if meta else []
-            if delta_id in applied:
-                # crash landed between this partition's atomic file replace
-                # and its manifest append — the FILE already carries this
-                # delta (metadata backstop); just re-emit the lineage row
-                df_old = old.to_pandas()
-                return pd.DataFrame([{
-                    "tier": tier, "part": part, "rows": len(df_old),
-                    "points": len(df_old),
-                    "checksum": _partition_checksum(df_old),
-                    "wall_s": round(time.perf_counter() - t0, 4),
-                    "fingerprint": f"{tier}/{part}/{num_partitions}",
-                    "gen": gens.get(part, 0) + 1, "delta_id": delta_id,
-                }])
-            frames.append(old.to_pandas()[merge_cols])
-        allf = pd.concat(frames, ignore_index=True)
-        df = allf.groupby(list(group_keys), as_index=False, sort=False,
-                          observed=True) \
-            .agg(**{c: (src, op) for c, (src, op) in merge_plan.items()})
+    def merge(t: str, part: int, delta: pd.DataFrame) -> pd.DataFrame:
+        path = _part_path(out_dir, t, part)
+        old, applied = _read_stored(path)
+        if delta_id in applied:
+            return old  # metadata backstop: the file already holds it
+        frames = [delta[merge_cols]]
+        if old is not None:
+            frames.append(old[merge_cols])
+        df = pd.concat(frames, ignore_index=True) \
+            .groupby(list(group_keys), as_index=False, sort=False,
+                     observed=True).agg(**named)
         if finalize_fn is not None:
-            df = finalize_fn(df)
+            df = finalize_fn(df, t)
         if sort_cols:
             df = df.sort_values(sort_cols, kind="mergesort").reset_index(drop=True)
-        tbl = pa.Table.from_pandas(df, preserve_index=False)
-        tbl = tbl.replace_schema_metadata({
-            **{k: v for k, v in (tbl.schema.metadata or {}).items()},
-            b"delta_ids": json.dumps(applied + [delta_id]).encode(),
-        })
-        tmp = final + f".tmp.{os.getpid()}"
-        pq.write_table(tbl, tmp, use_dictionary=True, compression="zstd")
-        os.replace(tmp, final)
-        return pd.DataFrame([{
-            "tier": tier, "part": part, "rows": len(df), "points": len(df),
-            "checksum": _partition_checksum(df),
-            "wall_s": round(time.perf_counter() - t0, 4),
-            "fingerprint": f"{tier}/{part}/{num_partitions}",
-            "gen": gens.get(part, 0) + 1, "delta_id": delta_id,
-        }])
+        _write_file(df, path,
+                    {b"delta_ids": json.dumps(applied + [delta_id]).encode()})
+        return df
 
-    results = (
-        delta_ds.map_batches(assign, batch_format="pandas")
-        .groupby(PART_COL)
-        .map_groups(merge_part, batch_format="pandas")
-    ).to_pandas()
+    def kernel(part: int, df: pd.DataFrame) -> list[dict]:
+        t0 = time.perf_counter()
+        deltas = part_fn(df) if part_fn is not None else {tier: df}
+        frames = {t: merge(t, part, d) for t, d in deltas.items()}
+        if derive_fn is not None:
+            for t, f in derive_fn(frames).items():
+                _write_file(f, _part_path(out_dir, t, part))
+                frames[t] = f
+        return [_manifest_row(t, part, frames[t], t0,
+                              f"{t}/{part}/{num_partitions}",
+                              gens.get((t, part), 0) + 1, delta_id=delta_id)
+                for t in _primary_last(frames, tier)]
 
-    rows = results.to_dict("records")
-    if fail_after is not None:
-        rows = rows[:fail_after]
-    append_manifest(out_dir, rows)
-    if fail_after is not None:
-        raise RuntimeError(f"simulated crash after {fail_after} partitions")
-    return rows
+    return _exchange(delta_ds, out_dir, partition_keys, num_partitions, skip,
+                     kernel, fail_after)
 
 
 def expire_tier(out_dir: str, tier: str, cutoff_us: int,
@@ -318,26 +372,17 @@ def expire_tier(out_dir: str, tier: str, cutoff_us: int,
         if mins and min(mins) >= cutoff_us:
             continue  # nothing to expire — metadata-only skip
         df = pf.read().to_pandas()
-        meta = pf.schema_arrow.metadata or {}
         kept = df[df[bucket_col] >= cutoff_us].reset_index(drop=True)
         if len(kept) == len(df):
             continue
         if len(kept) == 0:
             os.remove(path)
-        else:
-            tbl = pa.Table.from_pandas(kept, preserve_index=False)
-            tbl = tbl.replace_schema_metadata(
-                {**{k: v for k, v in meta.items()}})
-            tmp = path + f".tmp.{os.getpid()}"
-            pq.write_table(tbl, tmp, use_dictionary=True, compression="zstd")
-            os.replace(tmp, path)
-        rows.append({
-            "tier": tier, "part": part, "rows": len(kept),
-            "points": len(kept), "checksum": _partition_checksum(kept),
-            "wall_s": round(time.perf_counter() - t0, 4),
-            "fingerprint": f"{tier}/{part}/expire",
-            "gen": gens.get(part, 0) + 1, "expired_before": int(cutoff_us),
-        })
+        else:  # keep the footer (pandas schema, delta_ids) as it was
+            _write_file(kept, path, pf.schema_arrow.metadata)
+        rows.append(_manifest_row(tier, part, kept, t0,
+                                  f"{tier}/{part}/expire",
+                                  gens.get(part, 0) + 1,
+                                  expired_before=int(cutoff_us)))
     append_manifest(out_dir, rows)
     return rows
 

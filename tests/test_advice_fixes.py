@@ -81,3 +81,27 @@ def test_hash_aggregate_arrow_rejects_unknown_op():
     ds = ray.data.from_pandas(pd.DataFrame({"k": [1], "v": [1.0]}))
     with pytest.raises(ValueError, match="not Arrow-supported"):
         agg.hash_aggregate_arrow(ds, ["k"], {"m": ("v", "median")})
+
+
+@pytest.mark.parametrize("first", [None, []], ids=["none", "empty"])
+def test_partition_checksum_list_column_first_cell_empty(first):
+    # ADVICE (low): array columns were spotted from the first row only and
+    # cast to float64 — a None first cell sent the column to
+    # hash_pandas_object (unhashable list), an empty one cast strings to float
+    import zlib
+
+    from forecastframe_ray.state.checkpoint import _partition_checksum
+
+    df = pd.DataFrame({"id": [1, 2, 3],
+                       "tags": [first, ["a", "bc"], ["d"]]})
+    crc = _partition_checksum(df)
+    assert crc == _partition_checksum(df.copy())
+    changed = df.copy()
+    changed.at[2, "tags"] = ["e"]
+    assert _partition_checksum(changed) != crc
+
+    # plain columns keep their checksum
+    plain = df[["id"]]
+    assert _partition_checksum(plain) == zlib.crc32(
+        pd.util.hash_pandas_object(plain, index=False)
+        .to_numpy(dtype=np.uint64).tobytes())

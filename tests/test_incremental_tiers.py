@@ -56,7 +56,7 @@ def test_incremental_equals_full_rebuild(tmp_path):
         delta, out, "1d", ["event_type"], ["event_type", "bucket_us"],
         rollup.TIER_PLAN, delta_id="batch-2",
         num_partitions=4, sort_cols=["event_type", "bucket_us"],
-        finalize_fn=lambda d: rollup.finalize_tier_batch(d, "1d"))
+        finalize_fn=rollup.finalize_tier_batch)
     assert rows and all(r["delta_id"] == "batch-2" for r in rows)
 
     merged = _tier_frame(checkpoint.read_tier(out, "1d"))
@@ -68,7 +68,7 @@ def test_incremental_equals_full_rebuild(tmp_path):
         delta, out, "1d", ["event_type"], ["event_type", "bucket_us"],
         rollup.TIER_PLAN, delta_id="batch-2",
         num_partitions=4, sort_cols=["event_type", "bucket_us"],
-        finalize_fn=lambda d: rollup.finalize_tier_batch(d, "1d"))
+        finalize_fn=rollup.finalize_tier_batch)
     assert again == []
     pd.testing.assert_frame_equal(
         _tier_frame(checkpoint.read_tier(out, "1d")), full)
@@ -92,7 +92,7 @@ def test_crash_retry_does_not_double_count(tmp_path):
               group_keys=["event_type", "bucket_us"],
               merge_plan=rollup.TIER_PLAN, delta_id="batch-2",
               num_partitions=4, sort_cols=["event_type", "bucket_us"],
-              finalize_fn=lambda d: rollup.finalize_tier_batch(d, "1d"))
+              finalize_fn=rollup.finalize_tier_batch)
     with pytest.raises(RuntimeError, match="simulated crash"):
         checkpoint.merge_partitioned(delta, out, "1d", fail_after=2, **kw)
     # retry completes only the unmerged partitions; totals stay exact
@@ -115,7 +115,7 @@ def test_merge_edge_cases(tmp_path):
               group_keys=["event_type", "bucket_us"],
               merge_plan=rollup.TIER_PLAN, num_partitions=4,
               sort_cols=["event_type", "bucket_us"],
-              finalize_fn=lambda d: rollup.finalize_tier_batch(d, "1d"))
+              finalize_fn=rollup.finalize_tier_batch)
 
     empty = _build_1d(df.head(0)).materialize()
     assert checkpoint.merge_partitioned(
@@ -161,7 +161,7 @@ def test_expire_tier_retention(tmp_path):
         _build_1d(extra).materialize(), out, "1d", ["event_type"],
         ["event_type", "bucket_us"], rollup.TIER_PLAN, delta_id="late",
         num_partitions=4, sort_cols=["event_type", "bucket_us"],
-        finalize_fn=lambda d: rollup.finalize_tier_batch(d, "1d"))
+        finalize_fn=rollup.finalize_tier_batch)
     want = _tier_frame(_build_1d(
         pd.concat([df[pd.to_datetime(df["ts"]) >= pd.Timestamp("2024-02-08")],
                    extra], ignore_index=True)))
@@ -207,3 +207,64 @@ def test_append_tiers_pages_end_to_end(tmp_path):
         got = got[cols].sort_values(["host", "bucket_us"]).reset_index(drop=True)
         want = want[cols].sort_values(["host", "bucket_us"]).reset_index(drop=True)
         pd.testing.assert_frame_equal(got, want, rtol=1e-9, atol=1e-9)
+
+
+def test_append_crash_retry_equals_rebuild(tmp_path):
+    """A fused append that crashes and is retried with the same delta_id
+    leaves the store equal, file by file, to a full rebuild over base +
+    delta: no partition counts the delta twice. The crash is taken after
+    every touched partition's files were replaced but only 2 partitions'
+    manifest rows were written; one unrecorded partition is further rolled
+    back to a crash inside its kernel (1h replaced, 1d/7d/chunks not)."""
+    import glob
+    import json
+    import os
+    import shutil
+
+    import pyarrow.parquet as pq
+
+    base_dir, delta_dir = str(tmp_path / "p1"), str(tmp_path / "p2")
+    synth.write_pages_corpus(base_dir, 1500, seed=42)
+    synth.write_pages_corpus(delta_dir, 600, seed=43)
+    out, before = str(tmp_path / "tiers"), str(tmp_path / "before")
+    kw = dict(num_partitions=8, refresh_compressed=True)
+
+    web.run(ray.data.read_parquet(base_dir), out_dir=out, num_partitions=8)
+    shutil.copytree(out, before)
+    with pytest.raises(RuntimeError, match="simulated crash"):
+        web.append_tiers(ray.data.read_parquet(delta_dir), out, "crawl-43",
+                         fail_after=2, **kw)
+
+    def holds_delta(path):
+        meta = pq.read_schema(path).metadata or {}
+        return "crawl-43" in json.loads(meta.get(b"delta_ids", b"[]"))
+
+    recorded = {p for (t, p), row in checkpoint.load_done(out).items()
+                if row.get("delta_id") == "crawl-43"}
+    replaced = {int(f.rsplit("=", 1)[1].split(".")[0])
+                for f in glob.glob(os.path.join(out, "tier=1h", "*.parquet"))
+                if holds_delta(f)}
+    assert len(recorded) == 2 and len(replaced - recorded) >= 2
+    p = min(replaced - recorded)
+    for tier in ("1d", "7d", "chunks_1h"):
+        rel = os.path.join(f"tier={tier}", f"part={p}.parquet")
+        shutil.copy(os.path.join(before, rel), os.path.join(out, rel))
+
+    rows = web.append_tiers(ray.data.read_parquet(delta_dir), out,
+                            "crawl-43", **kw)
+    assert {r["part"] for r in rows} == replaced - recorded
+    assert web.append_tiers(ray.data.read_parquet(delta_dir), out,
+                            "crawl-43", **kw) == []
+
+    full = str(tmp_path / "full")
+    web.run(ray.data.read_parquet(base_dir).union(
+        ray.data.read_parquet(delta_dir)), out_dir=full, num_partitions=8)
+
+    def tables(d):
+        return {os.path.relpath(f, d): pq.read_table(f) for f in
+                sorted(glob.glob(os.path.join(d, "tier=*", "*.parquet")))}
+
+    got, want = tables(out), tables(full)
+    assert got.keys() == want.keys()
+    for f in want:
+        assert got[f].equals(want[f]), f

@@ -155,3 +155,24 @@ def test_compact_then_append(tmp_path, shards):
     LI.build_index(ray.data.from_pandas(
         pd.concat([sh1, sh2, sh3], ignore_index=True)), full_dir, **KW)
     pd.testing.assert_frame_equal(_corpus(full_dir), _corpus(dst))
+
+
+def test_max_seen_id_zero_is_not_missing(tmp_path):
+    # ADVICE (low): ``int(ds.max(id_col) or -1)`` read a max doc id of 0 as
+    # "no docs", so a later shard could reuse id 0 past the monotonic guard
+    words = ["zero%04dword" % i for i in range(300)]
+    doc = pd.DataFrame({"doc_id": [0], "text": [" ".join(words[:60])]})
+    first = str(tmp_path / "first")
+    LI.build_index(ray.data.from_pandas(doc), first, **KW)
+    assert LI._load_meta(first)["max_seen_id"] == 0
+    with pytest.raises(ValueError, match="append-monotonic"):
+        LI.append_shard(ray.data.from_pandas(doc), first)
+
+    # the same on append: a shard whose max id is 0
+    neg = pd.DataFrame({"doc_id": [-2, -1],
+                        "text": [" ".join(words[100:160]),
+                                 " ".join(words[200:260])]})
+    later = str(tmp_path / "later")
+    LI.build_index(ray.data.from_pandas(neg), later, **KW)
+    LI.append_shard(ray.data.from_pandas(doc), later)
+    assert LI._load_meta(later)["max_seen_id"] == 0

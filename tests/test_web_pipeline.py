@@ -1,7 +1,10 @@
 """Flagship web pipeline: exact tier-value match vs the pandas oracle,
 cascade exactness (1d from 1h, 7d from 1d), checkpoint/resume byte-identity."""
 
+import glob
+import logging
 import os
+from contextlib import contextmanager
 
 import numpy as np
 import pandas as pd
@@ -84,6 +87,123 @@ def test_checkpoint_resume_byte_identical(ray_session, tmp_path):
     crash_manifest = checkpoint.load_done(crash_dir)
     assert {k: v["checksum"] for k, v in full_manifest.items()} == \
            {k: v["checksum"] for k, v in crash_manifest.items()}
+
+
+def _tables(out_dir: str) -> dict:
+    """{path under out_dir: Arrow table} of every stored part file."""
+    return {os.path.relpath(f, out_dir): pq.read_table(f) for f in
+            sorted(glob.glob(os.path.join(out_dir, "tier=*", "*.parquet")))}
+
+
+def _bytes(out_dir: str) -> dict:
+    return {os.path.relpath(f, out_dir): open(f, "rb").read() for f in
+            sorted(glob.glob(os.path.join(out_dir, "tier=*", "*.parquet")))}
+
+
+def _checksums(out_dir: str) -> dict:
+    return {k: v["checksum"] for k, v in checkpoint.load_done(out_dir).items()}
+
+
+def test_fused_build_equals_staged_writes(ray_session, tmp_path):
+    """web.run(out_dir) builds the store in one exchange; its files are the
+    ones the staged jobs write: build_tiers + write_tiers, then the Gorilla
+    chunks through compress_tier + write_partitioned."""
+    pages = synth.pages_dataset(1200, seed=42, num_domains=30,
+                                override_num_blocks=4)
+    fused, staged = str(tmp_path / "fused"), str(tmp_path / "staged")
+    metrics = web.run(pages, out_dir=fused, compress=True, num_partitions=8)
+
+    tiers = web.build_tiers(web.prepare_series(pages), num_partitions=8)
+    web.write_tiers(tiers, staged, num_partitions=8)
+    checkpoint.write_partitioned(
+        web.compress_tier(tiers["1h"], num_partitions=8), staged,
+        "chunks_1h", ["host"], num_partitions=8, sort_cols=["host"])
+
+    got, want = _tables(fused), _tables(staged)
+    assert got.keys() == want.keys()
+    assert {f.split(os.sep)[0] for f in got} == {
+        "tier=1h", "tier=1d", "tier=7d", "tier=chunks_1h"}
+    for f in want:
+        assert got[f].equals(want[f]), f
+    assert _checksums(fused) == _checksums(staged)
+    assert metrics["tier_points"] == web.tier_points(tiers)
+    assert metrics["chunk_stats"]["chunks"] == sum(
+        t.num_rows for f, t in got.items() if f.startswith("tier=chunks_1h"))
+
+
+def test_fused_build_crash_resume_byte_identical(ray_session, tmp_path):
+    """A build that crashes after 3 of 8 partitions are recorded resumes to
+    the uninterrupted run's bytes, recording each (tier, part) once."""
+    pages = synth.pages_dataset(1200, seed=42, num_domains=30,
+                                override_num_blocks=4)
+    full, crash = str(tmp_path / "full"), str(tmp_path / "crash")
+    web.run(pages, out_dir=full, compress=True, num_partitions=8)
+
+    with pytest.raises(RuntimeError, match="simulated crash"):
+        web.run(pages, out_dir=crash, compress=True, num_partitions=8,
+                fail_after=3)
+    done = checkpoint.load_done(crash)
+    assert len({p for (_, p) in done}) == 3
+    assert {t for (t, _) in done} == {"1h", "1d", "7d", "chunks_1h"}
+    assert len(done) == 12  # every tier of each recorded partition
+
+    web.run(pages, out_dir=crash, compress=True, num_partitions=8)
+    assert _bytes(crash) == _bytes(full)
+    assert _checksums(crash) == _checksums(full)
+    with open(os.path.join(crash, checkpoint.MANIFEST)) as f:
+        assert sum(1 for line in f if line.strip()) == len(_bytes(full))
+
+    # a lost chunk file is re-encoded from its stored 1h partition
+    os.remove(os.path.join(crash, "tier=chunks_1h", "part=0.parquet"))
+    rows = web.refresh_chunks(crash, {0}, num_partitions=8)
+    assert [(r["tier"], r["part"], r["gen"]) for r in rows] == \
+        [("chunks_1h", 0, 2)]
+    assert _bytes(crash) == _bytes(full)
+
+
+class _ShuffleCounter(logging.Handler):
+    """Counts the all-to-all operators in the plans Ray Data logs."""
+
+    def __init__(self):
+        super().__init__(level=logging.INFO)
+        self.shuffles = 0
+
+    def emit(self, record: logging.LogRecord):
+        msg = record.getMessage()
+        if msg.startswith("Execution plan of Dataset"):
+            self.shuffles += msg.count("AllToAllOperator") \
+                + msg.count("HashShuffle") + msg.count("HashAggregate")
+
+
+@contextmanager
+def _count_shuffles():
+    logger = logging.getLogger("ray.data")
+    counter, level = _ShuffleCounter(), logger.level
+    logger.addHandler(counter)
+    if logger.getEffectiveLevel() > logging.INFO:
+        logger.setLevel(logging.INFO)
+    try:
+        yield counter
+    finally:
+        logger.removeHandler(counter)
+        logger.setLevel(level)
+
+
+def test_tier_jobs_run_one_exchange_each(ray_session, tmp_path):
+    """The store's build and its append each run exactly one all-to-all
+    operator: the partials' shuffle on the store partition id."""
+    pages = synth.pages_dataset(800, seed=42, num_domains=20,
+                                override_num_blocks=4)
+    delta = synth.pages_dataset(200, seed=43, num_domains=20,
+                                override_num_blocks=2)
+    out = str(tmp_path / "store")
+    with _count_shuffles() as counter:
+        web.run(pages, out_dir=out, compress=True, num_partitions=8)
+    assert counter.shuffles == 1
+    with _count_shuffles() as counter:
+        web.append_tiers(delta, out, "d-1", num_partitions=8,
+                         refresh_compressed=True)
+    assert counter.shuffles == 1
 
 
 def test_full_run_with_compression(ray_session, tmp_path):
