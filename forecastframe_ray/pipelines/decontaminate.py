@@ -37,7 +37,7 @@ import pandas as pd
 
 import ray
 
-from forecastframe_ray.stages.agg import hash_aggregate
+from forecastframe_ray.stages.agg import PART_COL, exchange, hash_aggregate
 
 #: above this many distinct eval grams the broadcast set (8 B/gram) stops
 #: being "small side" and the distributed pair-join plan takes over.
@@ -128,6 +128,16 @@ def _doc_gram_pairs(batch: pd.DataFrame, text_col: str, id_col: str,
     return pairs.drop_duplicates()
 
 
+def _gram_part(num_partitions: int):
+    """Exchange tag: a (key, gram) row's partition is ``gram % P`` — the
+    gram hash is already uniform, so it needs no rehash."""
+    def tag(b: pd.DataFrame) -> pd.DataFrame:
+        b[PART_COL] = (b["__gram"].to_numpy(dtype=np.uint64)
+                       % np.uint64(num_partitions)).astype(np.int64)
+        return b
+    return tag
+
+
 def eval_gram_set(eval_ds, text_col: str = "text", n: int = 8) -> np.ndarray:
     """Distinct n-gram hashes of the whole eval side, as a SORTED uint64
     array (driver-side — eval benchmarks are small by contract; callers on
@@ -189,13 +199,7 @@ def decontaminate(train_ds, eval_ds, text_col: str = "text",
             {"__gram": np.unique(batch_ngram_hashes(b[text_col], n)[1])}),
         batch_format="pandas")
 
-    def key_part(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["__p"] = (b["__gram"].to_numpy() % np.uint64(num_partitions)
-                    ).astype(np.int64)
-        return b
-
-    def match_part(part: pd.DataFrame) -> pd.DataFrame:
+    def match_part(_, part: pd.DataFrame) -> pd.DataFrame:
         ev = part.loc[part[id_col].isna(), "__gram"].unique()
         tr = part.loc[part[id_col].notna()]
         hit = tr[tr["__gram"].isin(ev)]
@@ -209,10 +213,8 @@ def decontaminate(train_ds, eval_ds, text_col: str = "text",
         lambda b: b.assign(**{id_col: np.full(len(b), np.nan)})
                    [[id_col, "__gram"]],  # match train_pairs' column order
         batch_format="pandas")
-    both = train_pairs.union(tagged_eval).map_batches(
-        key_part, batch_format="pandas")
-    overlaps = (both.groupby("__p")
-                    .map_groups(match_part, batch_format="pandas"))
+    overlaps = exchange(train_pairs.union(tagged_eval),
+                        _gram_part(num_partitions), match_part)
     # a doc's matched grams scatter across gram-hash partitions, so
     # match_part emits PARTIAL counts (one row per doc per partition) —
     # sum them (each distinct gram lives in exactly one partition, so the
@@ -304,13 +306,7 @@ def self_overlap(ds, text_col: str = "text", id_col: str = "doc_id",
     # distributed plan: co-partition the (doc, gram) pairs with the shared
     # gram set by gram hash, count matches per doc in-partition, left-join
     # the zero-overlap docs back — the shared set never lands on the driver.
-    def key_part(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["__p"] = (b["__gram"].to_numpy(dtype=np.uint64)
-                    % np.uint64(num_partitions)).astype(np.int64)
-        return b
-
-    def match_part(part: pd.DataFrame) -> pd.DataFrame:
+    def match_part(_, part: pd.DataFrame) -> pd.DataFrame:
         sh = part.loc[part[id_col].isna(), "__gram"].unique()
         dc = part.loc[part[id_col].notna()]
         hit = dc[dc["__gram"].isin(sh)]
@@ -324,9 +320,8 @@ def self_overlap(ds, text_col: str = "text", id_col: str = "doc_id",
         lambda b: b.assign(**{id_col: np.full(len(b), np.nan)})
                    [[id_col, "__gram"]],
         batch_format="pandas")
-    both = pairs.union(tagged).map_batches(key_part, batch_format="pandas")
-    overlaps = (both.groupby("__p")
-                    .map_groups(match_part, batch_format="pandas"))
+    overlaps = exchange(pairs.union(tagged), _gram_part(num_partitions),
+                        match_part)
     # sum the per-partition partial counts (see decontaminate above) and
     # consolidate empty blocks before the join exchange
     overlaps = hash_aggregate(overlaps, [id_col],

@@ -668,7 +668,8 @@ def minhash_lsh_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
     (intermediates are freed between waves); pairs are already deduped
     across bands by the final aggregate, so results are identical.
     """
-    from forecastframe_ray.stages.agg import PART_COL, hash_aggregate
+    from forecastframe_ray.stages.agg import (PART_COL, exchange, hash_aggregate,
+                                              keyed_map_partitions)
     from forecastframe_ray.stages.join import hash_join
 
     sigs = ds.map_batches(
@@ -693,12 +694,6 @@ def minhash_lsh_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
                                            rows_per_part=2_000_000,
                                            floor_rows=50_000)
 
-    def assign(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch.copy()
-        batch[PART_COL] = K.partition_ids(batch, ["band", "bucket"],
-                                          prune_parts)
-        return batch
-
     def keep_colliding(part: pd.DataFrame) -> pd.DataFrame:
         # singleton buckets can never pair; buckets beyond ``bucket_cap``
         # rows are common-shingle-argmin artifacts, not similarity evidence
@@ -709,12 +704,10 @@ def minhash_lsh_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
         sizes = part.groupby(["band", "bucket"], sort=False)[id_col] \
             .transform("size")
         keep = (sizes >= 2) & (sizes <= bucket_cap)
-        return part[keep.to_numpy()].drop(columns=[PART_COL])
+        return part[keep.to_numpy()]
 
-    cand_meta = (sigs.map_batches(assign, batch_format="pandas")
-                 .groupby(PART_COL)
-                 .map_groups(keep_colliding, batch_format="pandas")
-                 .materialize())
+    cand_meta = keyed_map_partitions(sigs, ["band", "bucket"], keep_colliding,
+                                     prune_parts).materialize()
 
     # Below ``driver_meta_limit`` rows this INT-ONLY metadata is collected
     # and broadcast (document text never reaches the driver — that was the
@@ -759,7 +752,7 @@ def minhash_lsh_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
         out[text_col] = out[text_col].astype("string")
         return out[_cols]
 
-    def run_verify(part: pd.DataFrame) -> pd.DataFrame:
+    def run_verify(_, part: pd.DataFrame) -> pd.DataFrame:
         is_text = part["band"].to_numpy() == -1
         texts = part.loc[is_text, [id_col, text_col]].drop_duplicates(id_col)
         meta = part.loc[~is_text, [id_col, "band", "bucket"]]
@@ -865,28 +858,23 @@ def minhash_lsh_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
             # aggregators, so its fan-out (~500k rows/task) can scale
             # freely.
             jp = max(8, int(np.ceil(n_rows / 500_000)))
-            JPART = "__jpart"
             dp_ds = hash_aggregate(meta_p, [id_col, VPART],
                                    {"__m": (id_col, "size")}) \
                 .select_columns([id_col, VPART]).materialize()
 
             def _map_rows(b: pd.DataFrame) -> pd.DataFrame:
-                out = pd.DataFrame({
+                return pd.DataFrame({
                     id_col: b[id_col].to_numpy(),
                     VPART: b[VPART].to_numpy().astype(np.int32),
                     text_col: pd.Series([""] * len(b), dtype="string"),
                 })
-                out[JPART] = K.partition_ids(out, [id_col], jp)
-                return out
 
             def _corpus_rows(b: pd.DataFrame) -> pd.DataFrame:
-                out = pd.DataFrame({
+                return pd.DataFrame({
                     id_col: b[id_col].to_numpy(),
                     VPART: np.full(len(b), -1, dtype=np.int32),
                     text_col: b[text_col].astype("string"),
                 })
-                out[JPART] = K.partition_ids(out, [id_col], jp)
-                return out
 
             def _attach(part: pd.DataFrame) -> pd.DataFrame:
                 is_map = part[VPART].to_numpy() >= 0
@@ -900,16 +888,17 @@ def minhash_lsh_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
                 out[VPART] = out[VPART].to_numpy().astype(np.int32)
                 return out[_cols]
 
-            textrows = (dp_ds.map_batches(_map_rows, batch_format="pandas")
-                        .union(ds.select_columns([id_col, text_col])
-                               .map_batches(_corpus_rows,
-                                            batch_format="pandas"))
-                        .groupby(JPART)
-                        .map_groups(_attach, batch_format="pandas"))
+            textrows = keyed_map_partitions(
+                [dp_ds.map_batches(_map_rows, batch_format="pandas"),
+                 ds.select_columns([id_col, text_col])
+                 .map_batches(_corpus_rows, batch_format="pandas")],
+                [id_col], _attach, jp)
 
-        return (meta_p.union(textrows)
-                .groupby(VPART)
-                .map_groups(run_verify, batch_format="pandas"))
+        # the verify partition id is the VPART column itself
+        return exchange(
+            [meta_p, textrows],
+            lambda b: b.rename(columns={VPART: PART_COL}, copy=False),
+            run_verify)
 
     waves = min(num_bands, max(1, int(np.ceil(n_cand / wave_cand_limit))))
     if waves <= 1:

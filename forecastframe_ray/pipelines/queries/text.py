@@ -1006,21 +1006,14 @@ def q_user_entropy_events(sf_dir: str) -> pd.DataFrame:
     in one combiner'd aggregate; the per-user −Σ p·ln p finishes in a
     vectorized per-partition kernel (two grouped transforms, no per-user
     Python loop)."""
-    from forecastframe_ray.stages.agg import hash_aggregate
-    from forecastframe_ray.keys import partition_ids
+    from forecastframe_ray.stages.agg import hash_aggregate, keyed_map_partitions
 
     ev = _read(sf_dir, "events", ["user_id", "event_type"])
     counts = hash_aggregate(ev, ["user_id", "event_type"],
                             {"n": ("event_type", "size")},
                             num_partitions=_NP)
 
-    def assign(bt: pd.DataFrame) -> pd.DataFrame:
-        bt = bt.copy()
-        bt["__part"] = partition_ids(bt, ["user_id"], _NP)
-        return bt
-
     def entropy(part: pd.DataFrame) -> pd.DataFrame:
-        part = part.drop(columns=["__part"])
         n = part["n"].to_numpy(np.float64)
         g = part.groupby("user_id", sort=False)
         tot = g["n"].transform("sum").to_numpy(np.float64)
@@ -1033,8 +1026,7 @@ def q_user_entropy_events(sf_dir: str) -> pd.DataFrame:
         out["entropy"] = np.round(out["entropy"].to_numpy(np.float64), 6) + 0.0
         return out
 
-    out = (counts.map_batches(assign, batch_format="pandas")
-           .groupby("__part").map_groups(entropy, batch_format="pandas"))
+    out = keyed_map_partitions(counts, ["user_id"], entropy, _NP)
     df = out.to_pandas().astype({"user_id": "int64"})
     return df.sort_values("user_id").reset_index(drop=True)
 
@@ -1447,14 +1439,9 @@ def q_transition_counts_events(sf_dir: str) -> pd.DataFrame:
     total): pairs form inside a partition-id shuffle kernel (whole user
     streams per partition, vectorized grouped shift), counts pre-reduce in
     the kernel before one tiny merge aggregate."""
-    from forecastframe_ray.keys import partition_ids
+    from forecastframe_ray.stages.agg import keyed_map_partitions
 
     ev = _read(sf_dir, "events", ["user_id", "event_type", "ts"])
-
-    def assign(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["__part"] = partition_ids(b, ["user_id"], _NP)
-        return b
 
     def pairs(part: pd.DataFrame) -> pd.DataFrame:
         part = part.sort_values(["user_id", "ts"], kind="mergesort")
@@ -1467,8 +1454,7 @@ def q_transition_counts_events(sf_dir: str) -> pd.DataFrame:
         out["n"] = out["n"].astype("int64")
         return out
 
-    partial = (ev.map_batches(assign, batch_format="pandas")
-               .groupby("__part").map_groups(pairs, batch_format="pandas"))
+    partial = keyed_map_partitions(ev, ["user_id"], pairs, _NP)
     out = hash_aggregate(partial, ["prev_type", "next_type"],
                          {"n": ("n", "sum")}, num_partitions=4).to_pandas()
     out["n"] = out["n"].astype("int64")
@@ -1853,14 +1839,9 @@ def q_interevent_gaps_events(sf_dir: str) -> pd.DataFrame:
     events in ts order): whole user streams per partition, vectorized
     grouped diff, in-kernel pre-reduce before one tiny merge. Users with a
     single event emit no row (no gaps), matching the SQL twin."""
-    from forecastframe_ray.keys import partition_ids
+    from forecastframe_ray.stages.agg import keyed_map_partitions
 
     ev = _read(sf_dir, "events", ["user_id", "ts"])
-
-    def assign(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["__part"] = partition_ids(b, ["user_id"], _NP)
-        return b
 
     def gaps(part: pd.DataFrame) -> pd.DataFrame:
         part = part.sort_values(["user_id", "ts"], kind="mergesort")
@@ -1877,8 +1858,7 @@ def q_interevent_gaps_events(sf_dir: str) -> pd.DataFrame:
         out["n_gaps"] = out["n_gaps"].astype("int64")
         return out
 
-    partial = (ev.map_batches(assign, batch_format="pandas")
-               .groupby("__part").map_groups(gaps, batch_format="pandas"))
+    partial = keyed_map_partitions(ev, ["user_id"], gaps, _NP)
     df = partial.to_pandas()
     out = pd.DataFrame({
         "user_id": df["user_id"].astype("int64"),

@@ -1704,14 +1704,9 @@ def q_pagerank_types_events(sf_dir: str) -> pd.DataFrame:
     bounded by the vocabulary, never the corpus. Precondition (checked):
     every node has out-weight > 0; the oracle unrolls the same 3
     iterations as nested CTEs."""
-    from forecastframe_ray.keys import partition_ids
+    from forecastframe_ray.stages.agg import keyed_map_partitions
 
     ev = _read(sf_dir, "events", ["user_id", "event_type", "ts"])
-
-    def assign(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["__part"] = partition_ids(b, ["user_id"], _NP)
-        return b
 
     def pairs(part: pd.DataFrame) -> pd.DataFrame:
         part = part.sort_values(["user_id", "ts"], kind="mergesort")
@@ -1722,8 +1717,7 @@ def q_pagerank_types_events(sf_dir: str) -> pd.DataFrame:
         out["n"] = out["n"].astype("int64")
         return out
 
-    partial = (ev.map_batches(assign, batch_format="pandas")
-               .groupby("__part").map_groups(pairs, batch_format="pandas"))
+    partial = keyed_map_partitions(ev, ["user_id"], pairs, _NP)
     edges = hash_aggregate(partial, ["p", "q"], {"n": ("n", "sum")},
                            num_partitions=4).to_pandas()
 
@@ -1950,14 +1944,9 @@ def q_state_dwell_time_events(sf_dir: str) -> pd.DataFrame:
     partition-id shuffle kernel with a vectorized grouped shift — the same
     co-location contract the transition matrix uses — then one tiny merge
     aggregate per state."""
-    from forecastframe_ray.keys import partition_ids
+    from forecastframe_ray.stages.agg import keyed_map_partitions
 
     ev = _read(sf_dir, "events", ["user_id", "event_type", "ts"])
-
-    def assign(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["__part"] = partition_ids(b, ["user_id"], _NP)
-        return b
 
     def dwell(part: pd.DataFrame) -> pd.DataFrame:
         part = part.sort_values(["user_id", "ts"], kind="mergesort").copy()
@@ -1973,8 +1962,7 @@ def q_state_dwell_time_events(sf_dir: str) -> pd.DataFrame:
                 .agg(n=("one", "sum"), sum_dw=("dw", "sum"),
                      max_dw=("dw", "max")).reset_index())
 
-    partial = (ev.map_batches(assign, batch_format="pandas")
-               .groupby("__part").map_groups(dwell, batch_format="pandas"))
+    partial = keyed_map_partitions(ev, ["user_id"], dwell, _NP)
     out = hash_aggregate(partial, ["event_type"],
                          {"n": ("n", "sum"), "sum_dw": ("sum_dw", "sum"),
                           "max_dw": ("max_dw", "max")},

@@ -30,7 +30,7 @@ import numpy as np
 import pandas as pd
 
 from forecastframe_ray import keys as K
-from forecastframe_ray.stages.agg import hash_aggregate
+from forecastframe_ray.stages.agg import hash_aggregate, keyed_map_partitions
 
 
 def aggregate_features(ds, features: list[str], by: list[str], op: str,
@@ -212,8 +212,6 @@ def rollup_tiers(ds, series_keys: list[str], ts_col: str, value_col: str | None 
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from forecastframe_ray.stages.agg import keyed_map_partitions_arrow
-
     keys = list(series_keys)
     tiers = tuple(t for t in K.TIERS if t in tiers)
     partials = ds.map_batches(
@@ -226,8 +224,8 @@ def rollup_tiers(ds, series_keys: list[str], ts_col: str, value_col: str | None 
              for t, tbl in cascade_partition(part, keys, tiers).items()],
             ignore_index=True)
 
-    every = keyed_map_partitions_arrow(partials, keys, kernel,
-                                       num_partitions).materialize()
+    every = keyed_map_partitions(partials, keys, kernel, num_partitions,
+                                 batch_format="pyarrow").materialize()
     if len(tiers) == 1:
         return {tiers[0]: every}
     return {t: every.map_batches(
@@ -288,9 +286,6 @@ def ohlc_aggregate(ds, keys: list[str], ts_col: str, value_col: str,
     Callers must pre-aggregate to UNIQUE ``ts`` per key (e.g. sum values at
     identical stamps) so arg-min/max ties cannot differ across engines.
     Returns ``[*keys, bucket_us, open, high, low, close, n]``."""
-    from forecastframe_ray.stages.agg import PART_COL
-    from forecastframe_ray import keys as K
-
     keys = list(keys)
     gk = keys + ["bucket_us"]
 
@@ -310,13 +305,7 @@ def ohlc_aggregate(ds, keys: list[str], ts_col: str, value_col: str,
         out["n"] = out["n"].astype("int64")
         return out
 
-    def assign(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b[PART_COL] = K.partition_ids(b, gk, num_partitions)
-        return b
-
     def merge(part: pd.DataFrame) -> pd.DataFrame:
-        part = part.drop(columns=[PART_COL])
         p1 = part.sort_values("open_ts", kind="mergesort")
         out = p1.groupby(gk, sort=False, observed=True).agg(
             open=("open_v", "first"), high=("high", "max"),
@@ -328,9 +317,5 @@ def ohlc_aggregate(ds, keys: list[str], ts_col: str, value_col: str,
         out["n"] = out["n"].astype("int64")
         return out[gk + ["open", "high", "low", "close", "n"]]
 
-    return (
-        ds.map_batches(partial, batch_format="pandas")
-        .map_batches(assign, batch_format="pandas")
-        .groupby(PART_COL)
-        .map_groups(merge, batch_format="pandas")
-    )
+    return keyed_map_partitions(ds.map_batches(partial, batch_format="pandas"),
+                                gk, merge, num_partitions)

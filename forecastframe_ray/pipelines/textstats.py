@@ -364,8 +364,7 @@ def _strip_boilerplate_distributed(ds, freq_ds, text_col: str, id_col: str,
        lines → original text, removed = n_lines - n_kept);
     3. extra columns (if any) join back via ``hash_join`` on ``id_col``.
     """
-    from forecastframe_ray import keys as K
-    from forecastframe_ray.stages.agg import PART_COL
+    from forecastframe_ray.stages.agg import keyed_map_partitions
 
     POS_FREQ, POS_BASE = -1, -2
     _cols = [id_col, "pos", "line", "line_hash", "n_lines"]
@@ -398,12 +397,6 @@ def _strip_boilerplate_distributed(ds, freq_ds, text_col: str, id_col: str,
             "n_lines": np.full(n, -1, dtype=np.int64),
         })[_cols]
 
-    def assign_hash(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch.copy()
-        batch[PART_COL] = K.partition_ids(batch, ["line_hash"],
-                                          num_partitions)
-        return batch
-
     def mark(part: pd.DataFrame) -> pd.DataFrame:
         is_freq = part["pos"].to_numpy() == POS_FREQ
         bad = np.unique(part.loc[is_freq, "line_hash"].to_numpy(np.uint64))
@@ -411,12 +404,11 @@ def _strip_boilerplate_distributed(ds, freq_ds, text_col: str, id_col: str,
         good = ~np.isin(rows["line_hash"].to_numpy(np.uint64), bad)
         return rows[good][_cols]
 
-    marked = (ds.select_columns([id_col, text_col])
-              .map_batches(line_rows, batch_format="pandas")
-              .union(freq_ds.map_batches(freq_rows, batch_format="pandas"))
-              .map_batches(assign_hash, batch_format="pandas")
-              .groupby(PART_COL)
-              .map_groups(mark, batch_format="pandas"))
+    marked = keyed_map_partitions(
+        ds.select_columns([id_col, text_col])
+        .map_batches(line_rows, batch_format="pandas")
+        .union(freq_ds.map_batches(freq_rows, batch_format="pandas")),
+        ["line_hash"], mark, num_partitions)
 
     def base_rows(batch: pd.DataFrame) -> pd.DataFrame:
         b = batch.reset_index(drop=True)
@@ -431,11 +423,6 @@ def _strip_boilerplate_distributed(ds, freq_ds, text_col: str, id_col: str,
             "line_hash": np.zeros(len(b), dtype=np.uint64),
             "n_lines": nb.to_numpy(np.int64),
         })[_cols]
-
-    def assign_id(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch.copy()
-        batch[PART_COL] = K.partition_ids(batch, [id_col], num_partitions)
-        return batch
 
     def reassemble(part: pd.DataFrame) -> pd.DataFrame:
         is_base = part["pos"].to_numpy() == POS_BASE
@@ -455,11 +442,10 @@ def _strip_boilerplate_distributed(ds, freq_ds, text_col: str, id_col: str,
             "n_boilerplate_removed": (n_lines - nkv).astype(np.int64),
         })
 
-    result = (marked.union(ds.select_columns([id_col, text_col])
-                           .map_batches(base_rows, batch_format="pandas"))
-              .map_batches(assign_id, batch_format="pandas")
-              .groupby(PART_COL)
-              .map_groups(reassemble, batch_format="pandas"))
+    result = keyed_map_partitions(
+        marked.union(ds.select_columns([id_col, text_col])
+                     .map_batches(base_rows, batch_format="pandas")),
+        [id_col], reassemble, num_partitions)
 
     extra = [c for c in ds.schema().names if c not in (id_col, text_col)]
     if not extra:

@@ -213,15 +213,12 @@ def compress_tier(tier_ds, series_keys=("host",), tier: str = "1h",
                   value_col: str = "pages", num_partitions: int = 32):
     """Gorilla-encode one tier's (host → bucket series) into chunk rows."""
     slim = tier_ds.map_batches(
-        lambda b: b[list(series_keys) + ["bucket_us", value_col]].copy(),
+        lambda b: b[list(series_keys) + ["bucket_us", value_col]],
         batch_format="pandas",
     )
-    # small pool (sized by encode_series_dataset to leave CPU headroom):
-    # chunk rows ≈ #series, so encode work per tier is tiny relative to the
-    # spine — a large autoscaling pool only pays startup.
     return gorilla.encode_series_dataset(
         slim, list(series_keys), "bucket_us", value_col,
-        tier=tier, num_partitions=min(32, num_partitions), concurrency=None,
+        tier=tier, num_partitions=min(32, num_partitions),
     )
 
 

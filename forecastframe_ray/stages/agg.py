@@ -1,16 +1,19 @@
-"""Coarse-hash vectorized aggregation — the engine's groupby physical plan.
+"""Coarse-hash vectorized aggregation — the engine's groupby physical plan,
+and :func:`exchange`, the one wide step under every shuffle in the engine.
 
 ``Dataset.groupby(keys).aggregate(...)`` pays a per-group cost that is
 catastrophic at high group cardinality (measured: ~80 s for a 100 k-row /
 95 k-group merge that the plan below does in 0.4 s). The engine therefore
-always aggregates as:
+always shuffles through :func:`exchange`:
 
-1. stateless ``map_batches`` appends ``__part = hash(keys) % P`` (stable
-   deterministic hash, :func:`forecastframe_ray.keys.partition_ids`);
+1. a stateless ``map_batches`` tags each row with a partition id
+   ``__part`` (:data:`PART_COL`) — for keyed stages ``hash(keys) % P``, a
+   stable deterministic hash (:func:`forecastframe_ray.keys.partition_ids`);
 2. ONE shuffle on the P coarse partitions
    (``groupby("__part").map_groups``);
-3. inside each partition, a single **vectorized pandas groupby** over the
-   real keys (C-speed, no per-group Python).
+3. inside each partition, one vectorized kernel over the whole partition
+   (for aggregation: a single pandas/Arrow groupby over the real keys —
+   C-speed, no per-group Python).
 
 Skew note (SURVEY.md §4): a hot key's rows all land in one partition, but
 they arrive pre-reduced by any upstream per-batch combiner and are
@@ -23,10 +26,93 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
 from forecastframe_ray import keys as K
 
+#: the partition-id column every exchange tags its rows with
 PART_COL = "__part"
+
+
+def _typed_empty(batch: pd.DataFrame) -> pa.Table:
+    """A zero-row pandas batch as a typed Arrow block. Ray's pandas block
+    size sampler trips on zero-row string columns (np.vectorize on empty
+    input) and logs a spurious error per empty block. Zero-row object
+    columns infer as Arrow null: cast them to string so the exchange can
+    union this block with non-empty ones."""
+    tbl = pa.Table.from_pandas(batch, preserve_index=False)
+    return tbl.cast(pa.schema(
+        [pa.field(f.name, pa.string()) if pa.types.is_null(f.type) else f
+         for f in tbl.schema]))
+
+
+def exchange(ds, tag, fn, batch_format: str = "pandas"):
+    """The engine's one shuffle: ``map_batches(tag)`` then
+    ``groupby(PART_COL).map_groups`` — every wide step goes through here.
+
+    ``tag(batch)`` returns the batch with :data:`PART_COL` appended (an
+    integer partition id); it may drop rows (e.g. a resume filter). It gets
+    a shallow copy of a pandas batch, so adding the column never touches an
+    upstream view. ``fn(part_id, frame)`` runs once per partition with
+    every row tagged ``part_id``; ``frame`` never contains ``PART_COL``.
+    ``batch_format`` ("pandas" or "pyarrow") is the format both ``tag`` and
+    ``fn`` see. ``ds`` may be a list of Datasets: each is tagged, then they
+    are unioned — so ``tag`` fuses into each input's last map.
+
+    Zero-row pandas batches leave ``tag`` as typed Arrow blocks (see
+    :func:`_typed_empty`); Arrow batches leave it without schema metadata —
+    parquet writers attach a ``b"pandas"`` blob, and a ``pa.Schema`` with
+    metadata is unhashable (pyarrow 16), which breaks Ray's schema dedup in
+    the sort exchange ("Failed to hash the schemas" from every reduce task).
+    """
+    arrow = batch_format == "pyarrow"
+
+    def tagged(batch):
+        if arrow:
+            return tag(batch).replace_schema_metadata(None)
+        batch = tag(batch.copy(deep=False))
+        return _typed_empty(batch) if len(batch) == 0 else batch
+
+    def run(part):
+        if arrow:
+            return fn(part[PART_COL][0].as_py(), part.drop_columns([PART_COL]))
+        return fn(int(part[PART_COL].iloc[0]), part.drop(columns=[PART_COL]))
+
+    first, *rest = [d.map_batches(tagged, batch_format=batch_format)
+                    for d in (ds if isinstance(ds, (list, tuple)) else [ds])]
+    return ((first.union(*rest) if rest else first)
+            .groupby(PART_COL)
+            .map_groups(run, batch_format=batch_format))
+
+
+def keyed_map_partitions(ds, keys: list[str], fn, num_partitions: int = 64,
+                         batch_format: str = "pandas"):
+    """Key-co-located PARTITION-level kernel: one :func:`exchange` on
+    ``hash(keys) % num_partitions``, then ``fn(partition) -> frame`` runs
+    once per partition with every row of each key guaranteed co-resident.
+    Unlike :func:`bucketed_map_groups` the kernel sees the WHOLE partition,
+    so it can stay vectorized across groups (pandas ``groupby().transform``
+    etc.) instead of paying a Python loop per key — use this when per-key
+    frames are tiny and keys are many (e.g. per-user reductions over
+    millions of users). Per-task heap scales with partition size: scale
+    ``num_partitions`` with the data, not the CPU count.
+
+    ``batch_format="pyarrow"`` keeps batches ``pyarrow.Table`` through the
+    exchange (partition ids from :func:`keys.partition_ids_arrow`; ``fn``
+    may return an Arrow table or a DataFrame)."""
+    keys = list(keys)
+
+    if batch_format == "pyarrow":
+        def tag(batch: pa.Table) -> pa.Table:
+            return batch.append_column(PART_COL, pa.array(
+                K.partition_ids_arrow(batch, keys, num_partitions),
+                type=pa.int32()))
+    else:
+        def tag(batch: pd.DataFrame) -> pd.DataFrame:
+            batch[PART_COL] = K.partition_ids(batch, keys, num_partitions)
+            return batch
+
+    return exchange(ds, tag, lambda _, part: fn(part), batch_format)
 
 
 def ensure_columns(df: pd.DataFrame, dtypes: dict[str, str]) -> pd.DataFrame:
@@ -63,11 +149,6 @@ def hash_aggregate(ds, keys: list[str], named_aggs: dict[str, tuple[str, str]],
         return hash_aggregate_arrow(ds, keys, named_aggs, num_partitions,
                                     hash_keys, pandas_null_semantics=True)
 
-    def assign(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch.copy()
-        batch[PART_COL] = K.partition_ids(batch, hk, num_partitions)
-        return batch
-
     def merge(part: pd.DataFrame) -> pd.DataFrame:
         # observed=True: with categorical keys (compress() converts strings
         # to category) the pandas-2.x observed=False default emits a row for
@@ -80,11 +161,7 @@ def hash_aggregate(ds, keys: list[str], named_aggs: dict[str, tuple[str, str]],
             .reset_index()
         )
 
-    return (
-        ds.map_batches(assign, batch_format="pandas")
-        .groupby(PART_COL)
-        .map_groups(merge, batch_format="pandas")
-    )
+    return keyed_map_partitions(ds, hk, merge, num_partitions)
 
 
 #: pyarrow group_by function names usable in the pure-Arrow path
@@ -107,8 +184,6 @@ def hash_aggregate_arrow(ds, keys: list[str],
     ``pandas_null_semantics=True`` additionally matches pandas groupby on
     all-null groups (``sum`` → 0 rather than Arrow's null).
     """
-    import pyarrow as pa
-
     keys = list(keys)
     hk = list(hash_keys) if hash_keys else keys
     plan, sum_like = [], []
@@ -151,7 +226,8 @@ def hash_aggregate_arrow(ds, keys: list[str],
                         col.combine_chunks().fill_null(0))
         return agg
 
-    return keyed_map_partitions_arrow(ds, hk, merge, num_partitions)
+    return keyed_map_partitions(ds, hk, merge, num_partitions,
+                                batch_format="pyarrow")
 
 
 def hash_count(ds, keys: list[str], out_col: str = "n",
@@ -175,11 +251,6 @@ def bucketed_map_groups(ds, bucket_keys: list[str], fn,
     """
     bucket_keys = list(bucket_keys)
 
-    def assign(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch.copy()
-        batch[PART_COL] = K.partition_ids(batch, bucket_keys, num_partitions)
-        return batch
-
     def run(part: pd.DataFrame) -> pd.DataFrame:
         if min_size > 1:
             part = part[part.duplicated(subset=bucket_keys, keep=False)]
@@ -193,63 +264,7 @@ def bucketed_map_groups(ds, bucket_keys: list[str], fn,
             return fn(part.iloc[0:0])  # empty frame with the output schema
         return pd.concat(outs, ignore_index=True)
 
-    return (
-        ds.map_batches(assign, batch_format="pandas")
-        .groupby(PART_COL)
-        .map_groups(run, batch_format="pandas")
-    )
-
-
-def keyed_map_partitions(ds, keys: list[str], fn, num_partitions: int = 64):
-    """Key-co-located PARTITION-level kernel: one coarse shuffle on
-    ``hash(keys)``, then ``fn(partition_df) -> DataFrame`` runs once per
-    partition with every row of each key guaranteed co-resident. Unlike
-    :func:`bucketed_map_groups` the kernel sees the WHOLE partition, so it
-    can stay vectorized across groups (pandas ``groupby().transform`` etc.)
-    instead of paying a Python loop per key — use this when per-key frames
-    are tiny and keys are many (e.g. per-user reductions over millions of
-    users). Per-task heap scales with partition size: scale
-    ``num_partitions`` with the data, not the CPU count."""
-    keys = list(keys)
-
-    def assign(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch.copy()
-        batch[PART_COL] = K.partition_ids(batch, keys, num_partitions)
-        return batch
-
-    def run(part: pd.DataFrame) -> pd.DataFrame:
-        return fn(part.drop(columns=[PART_COL]))
-
-    return (ds.map_batches(assign, batch_format="pandas")
-            .groupby(PART_COL)
-            .map_groups(run, batch_format="pandas"))
-
-
-def keyed_map_partitions_arrow(ds, keys: list[str], fn,
-                               num_partitions: int = 64):
-    """Arrow twin of :func:`keyed_map_partitions`: batches stay
-    ``pyarrow.Table`` through the exchange (partition ids from
-    :func:`keys.partition_ids_arrow`), and ``fn(partition_table)`` may
-    return an Arrow table or a DataFrame."""
-    import pyarrow as pa
-
-    keys = list(keys)
-
-    def assign(batch: pa.Table) -> pa.Table:
-        part = K.partition_ids_arrow(batch, keys, num_partitions)
-        # drop inherited schema metadata (parquet writers attach a b'pandas'
-        # blob): pa.Schema with metadata is unhashable (pyarrow 16), which
-        # breaks Ray's schema dedup in the sort exchange and spams "Failed
-        # to hash the schemas" from every reduce task
-        return batch.append_column(PART_COL, pa.array(part, type=pa.int32())) \
-            .replace_schema_metadata(None)
-
-    def run(part: pa.Table):
-        return fn(part.drop_columns([PART_COL]))
-
-    return (ds.map_batches(assign, batch_format="pyarrow")
-            .groupby(PART_COL)
-            .map_groups(run, batch_format="pyarrow"))
+    return keyed_map_partitions(ds, bucket_keys, run, num_partitions)
 
 
 def compact_latest(ds, keys: list[str], order_by: list[str],
@@ -272,18 +287,5 @@ def compact_latest(ds, keys: list[str], order_by: list[str],
         b = b.sort_values(order_by, kind="mergesort", na_position="first")
         return b.drop_duplicates(subset=keys, keep="last")
 
-    pre = ds.map_batches(local, batch_format="pandas")
-
-    def assign(batch: pd.DataFrame) -> pd.DataFrame:
-        batch = batch.copy()
-        batch[PART_COL] = K.partition_ids(batch, keys, num_partitions)
-        return batch
-
-    def run(part: pd.DataFrame) -> pd.DataFrame:
-        return local(part.drop(columns=[PART_COL]))
-
-    return (
-        pre.map_batches(assign, batch_format="pandas")
-        .groupby(PART_COL)
-        .map_groups(run, batch_format="pandas")
-    )
+    return keyed_map_partitions(ds.map_batches(local, batch_format="pandas"),
+                                keys, local, num_partitions)

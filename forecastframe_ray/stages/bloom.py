@@ -33,6 +33,7 @@ import numpy as np
 import pandas as pd
 
 from forecastframe_ray import keys as K
+from forecastframe_ray.stages.agg import PART_COL, exchange
 
 _H2_SALT = np.uint64(0xA076_1D64_78BD_642F)  # public constant (xxh64 prime)
 
@@ -80,15 +81,15 @@ def build_bloom(ds, key_cols: list[str], num_bits: int, num_hashes: int,
     slice_bits = words_per_slice * 64
 
     def to_indices(batch: pd.DataFrame) -> pd.DataFrame:
+        # the partition id is the bitmap slice the index falls in
         h = np.unique(K.hash_key_columns(batch, gk))
         idx = np.unique(_probe_indices(h, num_bits, num_hashes).ravel())
         return pd.DataFrame({
-            "__slice": (idx // np.uint64(slice_bits)).astype(np.int32),
             "__idx": idx,
+            PART_COL: (idx // np.uint64(slice_bits)).astype(np.int32),
         })
 
-    def build_slice(part: pd.DataFrame) -> pd.DataFrame:
-        s = int(part["__slice"].iloc[0])
+    def build_slice(s: int, part: pd.DataFrame) -> pd.DataFrame:
         local = part["__idx"].to_numpy(dtype=np.uint64) \
             - np.uint64(s * slice_bits)
         n_words = min(words_per_slice, words_total - s * words_per_slice)
@@ -96,10 +97,7 @@ def build_bloom(ds, key_cols: list[str], num_bits: int, num_hashes: int,
         _set_bits(bits, local)
         return pd.DataFrame({"__slice": [s], "__bits": [bits.tobytes()]})
 
-    parts = (ds.map_batches(to_indices, batch_format="pandas")
-             .groupby("__slice").map_groups(build_slice,
-                                            batch_format="pandas")
-             .to_pandas())
+    parts = exchange(ds, to_indices, build_slice).to_pandas()
     bits = np.zeros(words_total, dtype=np.uint64)
     for s, blob in zip(parts["__slice"], parts["__bits"]):
         w = np.frombuffer(blob, dtype=np.uint64)

@@ -23,9 +23,9 @@ NaN/±0/inf/denormals):
   (meaningful length - 1) + meaningful bits
 
 Chunks are one row per (series, tier): ``(…keys, tier, t0, n_points,
-ts_payload:binary, val_payload:binary, checksum:int64)``. Encode/decode run
-in **actor pools** (``map_batches(cls, concurrency=…)``) so scratch buffers
-are allocated once per actor, not per batch.
+ts_payload:binary, val_payload:binary, checksum:int64)``. Encode runs
+inside the pack exchange's per-partition kernel and decode is a plain
+``map_batches``; each reuses one scratch bit writer per kernel instance.
 """
 
 from __future__ import annotations
@@ -34,6 +34,8 @@ import zlib
 
 import numpy as np
 import pandas as pd
+
+from forecastframe_ray.stages.agg import keyed_map_partitions
 
 
 class BitWriter:
@@ -383,8 +385,8 @@ def pack_series(part_df: pd.DataFrame, series_keys: list[str], ts_col: str,
 
 
 class GorillaEncoder:
-    """Actor-pool stage: series rows → compressed chunk rows. The bit
-    writer is allocated once per actor (``__init__``), reused per series."""
+    """Series rows → compressed chunk rows. The bit writer is allocated
+    once per instance (``__init__``), reused per series."""
 
     def __init__(self, tier: str = ""):
         self.w = BitWriter()
@@ -415,7 +417,7 @@ class GorillaEncoder:
 
 
 class GorillaDecoder:
-    """Actor-pool stage mirroring the encoder: chunk rows → exploded
+    """Mirror of the encoder: chunk rows → exploded
     (keys, ts, value) rows, verifying the checksum per chunk."""
 
     def __init__(self, series_keys: list[str], ts_col: str = "bucket_ts",
@@ -447,71 +449,21 @@ class GorillaDecoder:
 
 
 def encode_series_dataset(ds, series_keys: list[str], ts_col: str, value_col: str,
-                          tier: str, num_partitions: int = 32,
-                          concurrency=None, fused: bool = True):
-    """series-point Dataset → chunk Dataset.
-
-    ``fused=True`` (default): ONE shuffle on the series key hash whose
-    per-partition kernel packs AND encodes — encode work per point is tiny
-    relative to the shuffle, so a separate encoder operator (and its actor
-    pool spin-up, ~1-2 s) only adds a serial floor. ``fused=False`` keeps the
-    two-stage form with the :class:`GorillaEncoder` actor pool — the layout
-    for heavyweight stateful codecs (model-based, hardware-assisted) whose
-    per-actor setup is worth amortizing."""
-    from forecastframe_ray.stages.keyed import PART_COL
-    from forecastframe_ray import keys as K
-
-    def assign(batch: pd.DataFrame) -> pd.DataFrame:
-        batch[PART_COL] = K.partition_ids(batch, series_keys, num_partitions)
-        return batch
-
-    if fused:
-        enc = GorillaEncoder(tier=tier)
-
-        def pack_encode(part_df: pd.DataFrame) -> pd.DataFrame:
-            packed = pack_series(part_df.drop(columns=[PART_COL]),
-                                 series_keys, ts_col, value_col)
-            return enc(packed)
-
-        return (
-            ds.map_batches(assign, batch_format="pandas")
-            .groupby(PART_COL)
-            .map_groups(pack_encode, batch_format="pandas")
-        )
-
-    if concurrency is None:
-        import ray
-        ncpu = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-        # min 1 and max < cluster CPUs: the pool must never reserve every
-        # slot or the surrounding map/shuffle tasks starve on small clusters
-        concurrency = (1, max(1, min(ncpu - 1, 8)))
-
-    def pack(part_df: pd.DataFrame) -> pd.DataFrame:
-        return pack_series(part_df.drop(columns=[PART_COL]), series_keys, ts_col, value_col)
-
-    packed = (
-        ds.map_batches(assign, batch_format="pandas")
-        .groupby(PART_COL)
-        .map_groups(pack, batch_format="pandas")
-    )
-    return packed.map_batches(
-        GorillaEncoder, fn_constructor_kwargs={"tier": tier},
-        batch_format="pandas", concurrency=concurrency,
-    )
+                          tier: str, num_partitions: int = 32):
+    """series-point Dataset → chunk Dataset: ONE exchange on the series key
+    hash whose per-partition kernel packs AND encodes — encode work per
+    point is tiny relative to the shuffle, so a separate encoder operator
+    (and its actor pool spin-up, ~1-2 s) would only add a serial floor."""
+    enc = GorillaEncoder(tier=tier)
+    return keyed_map_partitions(
+        ds, series_keys,
+        lambda df: enc(pack_series(df, series_keys, ts_col, value_col)),
+        num_partitions)
 
 
 def decode_chunk_dataset(chunks, series_keys: list[str], ts_col: str = "bucket_ts",
-                         value_col: str = "value", concurrency=None):
-    """Chunk rows → decoded point rows. Plain tasks by default — the decoder
-    holds no real state, so an actor pool would only add ~1-2 s spin-up;
-    pass ``concurrency`` to get the actor-pool form (the layout for decoders
-    with heavyweight per-actor state)."""
-    if concurrency is None:
-        dec = GorillaDecoder(list(series_keys), ts_col, value_col)
-        return chunks.map_batches(dec, batch_format="pandas")
-    return chunks.map_batches(
-        GorillaDecoder,
-        fn_constructor_kwargs={"series_keys": list(series_keys),
-                               "ts_col": ts_col, "value_col": value_col},
-        batch_format="pandas", concurrency=concurrency,
-    )
+                         value_col: str = "value"):
+    """Chunk rows → decoded point rows, in plain tasks: the decoder holds no
+    real state, so an actor pool would only add ~1-2 s spin-up."""
+    dec = GorillaDecoder(list(series_keys), ts_col, value_col)
+    return chunks.map_batches(dec, batch_format="pandas")

@@ -285,13 +285,12 @@ def _keyed_cogroup(left, right, on: list[str], plan: dict, frame_kernel,
     import pyarrow as pa
     import pyarrow.compute as pc
 
-    from forecastframe_ray import keys as K
-    from forecastframe_ray.stages.agg import PART_COL
+    from forecastframe_ray.stages.agg import keyed_map_partitions
 
     union_fields, out_schema = plan["union_fields"], plan["out_schema"]
     lcols, rcols = plan["lcols"], plan["rcols"]
 
-    def tag(side: int, names_map: dict):
+    def side_rows(side: int, names_map: dict):
         def fn(t: pa.Table) -> pa.Table:
             t = t.rename_columns([names_map.get(c, c)
                                   for c in t.column_names])
@@ -300,14 +299,12 @@ def _keyed_cogroup(left, right, on: list[str], plan: dict, frame_kernel,
                            else pa.nulls(n, type=typ))
                     for name, typ in union_fields}
             cols["__side"] = pa.array(np.full(n, side, dtype=np.int8))
-            out = pa.table(cols)
-            return out.append_column(
-                PART_COL, pa.array(K.partition_ids_arrow(
-                    out, list(on), num_partitions)))
+            return pa.table(cols)
         return fn
 
-    tagged = left.map_batches(tag(0, {}), batch_format="pyarrow").union(
-        right.map_batches(tag(1, plan["renames"]), batch_format="pyarrow"))
+    sides = [left.map_batches(side_rows(0, {}), batch_format="pyarrow"),
+             right.map_batches(side_rows(1, plan["renames"]),
+                               batch_format="pyarrow")]
 
     # Ray's groupby shuffle can retype an ALL-NULL column inside a
     # one-sided partition (e.g. a left-only key group: every right-side
@@ -339,8 +336,8 @@ def _keyed_cogroup(left, right, on: list[str], plan: dict, frame_kernel,
         # shuffles need hashable (metadata-free) schemas (pyarrow 16)
         return out.replace_schema_metadata(None)
 
-    return tagged.groupby(PART_COL).map_groups(kernel,
-                                               batch_format="pyarrow")
+    return keyed_map_partitions(sides, on, kernel, num_partitions,
+                                batch_format="pyarrow")
 
 
 def _merge_asof_frames(lf: pd.DataFrame, rf: pd.DataFrame, on: list[str],

@@ -3,18 +3,12 @@ group-local operator (SURVEY.md §2 legend, §7.3): lags, differencing, rolling
 time-window stats, EWMA, pct-change, threshold-percent, gap-fill, ffill/bfill/
 interpolate, days-since-release.
 
-Physical shape (one shuffle, many operators):
-
-1. ``map_batches`` appends a deterministic partition id
-   ``__part = hash(group keys) % P`` (stable across processes — see
-   :func:`forecastframe_ray.keys.partition_ids`).
-2. ``groupby("__part").map_groups(kernel)`` — Ray Data hash-shuffles once on
-   the *partition id* (P coarse groups, so tiny per-series groups don't pay a
-   per-group task) and hands each partition to the kernel whole; every series
-   (full group) is guaranteed to be wholly inside one kernel call.
-3. The kernel sorts its partition once by ``keys + [ts]`` (stable mergesort →
-   deterministic) and then applies *all* requested ops in sequence with
-   vectorized pandas/numpy group kernels.
+Physical shape (one shuffle, many operators): one
+:func:`forecastframe_ray.stages.agg.keyed_map_partitions` exchange on the
+group keys, so every series (full group) is wholly inside one kernel call.
+The kernel sorts its partition once by ``keys + [ts]`` (stable mergesort →
+deterministic) and then applies *all* requested ops in sequence with
+vectorized pandas/numpy group kernels.
 
 This fuses what the reference does in k separate pandas passes
 (``/root/reference/forecastframe/feature_engineering.py`` passim) into one
@@ -29,10 +23,8 @@ from typing import Callable
 
 import pandas as pd
 
-from forecastframe_ray import keys as K
 from forecastframe_ray.stages import window_ops
-
-PART_COL = "__part"
+from forecastframe_ray.stages.agg import keyed_map_partitions
 
 # op name → kernel fn(df_sorted, keys, ts_col, **params) -> df
 OP_REGISTRY: dict[str, Callable] = {}
@@ -70,23 +62,9 @@ def keyed_window_stage(ds, group_keys: list[str], ts_col: str, ops: list[dict],
     ``ops``: list of ``{"op": name, **params}`` descriptors (see
     :mod:`forecastframe_ray.stages.window_ops` for registered ops).
     """
-    gk = list(group_keys)
-
-    def assign(batch: pd.DataFrame) -> pd.DataFrame:
-        batch[PART_COL] = K.partition_ids(batch, gk, num_partitions)
-        return batch
-
-    kernel = WindowKernel(gk, ts_col, ops)
-
-    def run(part_df: pd.DataFrame) -> pd.DataFrame:
-        return kernel(part_df.drop(columns=[PART_COL]))
-
-    out = (
-        ds.map_batches(assign, batch_format="pandas")
-        .groupby(PART_COL)
-        .map_groups(run, batch_format="pandas")
-    )
-    return out
+    return keyed_map_partitions(ds, group_keys,
+                                WindowKernel(group_keys, ts_col, ops),
+                                num_partitions)
 
 
 # Import registers the ops into OP_REGISTRY (window_ops imports register_op

@@ -7,7 +7,8 @@ Physical plan (combiner-first, same shape as the tier cascade):
    inside ``map_batches``: each batch emits at most k rows per group it saw,
    so the shuffle moves ≤ batches × groups-per-batch × k partial rows, never
    the raw data;
-2. one coarse-hash partition shuffle co-locates each group's partials;
+2. one :func:`forecastframe_ray.stages.agg.keyed_map_partitions` exchange
+   co-locates each group's partials;
 3. the SAME kernel re-applied per partition yields exactly the per-group
    top-k (top-k is idempotent over unions of partial top-ks: any row in the
    true top-k is in its batch's top-k).
@@ -22,9 +23,7 @@ from __future__ import annotations
 
 import pandas as pd
 
-from forecastframe_ray import keys as K
-
-PART_COL = "__part"
+from forecastframe_ray.stages.agg import keyed_map_partitions
 
 
 def _topk_kernel(keys: list[str], order_col: str, k: int, descending: bool,
@@ -52,15 +51,5 @@ def grouped_topk(ds, keys: list[str], order_col: str, k: int,
     tb = list(tiebreak or [])
     kernel = _topk_kernel(gk, order_col, k, descending, tb)
 
-    def combine(batch: pd.DataFrame) -> pd.DataFrame:
-        out = kernel(batch)
-        out = out.copy()
-        out[PART_COL] = K.partition_ids(out, gk, num_partitions)
-        return out
-
-    def merge(part: pd.DataFrame) -> pd.DataFrame:
-        return kernel(part.drop(columns=[PART_COL]))
-
-    return (ds.map_batches(combine, batch_format="pandas")
-            .groupby(PART_COL)
-            .map_groups(merge, batch_format="pandas"))
+    return keyed_map_partitions(ds.map_batches(kernel, batch_format="pandas"),
+                                gk, kernel, num_partitions)

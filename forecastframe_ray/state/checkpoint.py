@@ -40,7 +40,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from forecastframe_ray import keys as K
-from forecastframe_ray.stages.keyed import PART_COL
+from forecastframe_ray.stages.agg import PART_COL, exchange
 
 MANIFEST = "manifest.jsonl"
 
@@ -98,19 +98,6 @@ def _partition_checksum(df: pd.DataFrame) -> int:
     return int(crc)
 
 
-def _typed_empty(batch: pd.DataFrame) -> pa.Table:
-    """A zero-row pandas batch as a typed Arrow block. Ray's pandas block
-    size sampler trips on zero-row string columns (np.vectorize on empty
-    input) and logs a spurious error per empty block — the common case on a
-    resume pass where every row filters out. Zero-row object columns infer
-    as Arrow null: cast them to string so the exchange can union this block
-    with non-empty ones."""
-    tbl = pa.Table.from_pandas(batch, preserve_index=False)
-    return tbl.cast(pa.schema(
-        [pa.field(f.name, pa.string()) if pa.types.is_null(f.type) else f
-         for f in tbl.schema]))
-
-
 def _manifest_row(tier: str, part: int, df: pd.DataFrame, t0: float,
                   fingerprint: str, gen: int, **extra) -> dict:
     return {"tier": tier, "part": part, "rows": len(df), "points": len(df),
@@ -154,25 +141,17 @@ def _exchange(ds, out_dir: str, partition_keys: list[str],
     the others are already replaced, as after a crash between a file
     rename and its manifest append."""
 
-    def assign(batch: pd.DataFrame):
-        batch = batch.copy()  # upstream fused map may hand us a slice view
+    def tag(batch: pd.DataFrame) -> pd.DataFrame:
         batch[PART_COL] = part_offset + (
             batch[direct_part_col].to_numpy().astype(np.int64)
             if direct_part_col else
             K.partition_ids(batch, partition_keys, num_partitions))
         if skip:
             batch = batch[~batch[PART_COL].isin(list(skip))]
-        return _typed_empty(batch) if len(batch) == 0 else batch
+        return batch
 
-    def run(part_df: pd.DataFrame) -> pd.DataFrame:
-        part = int(part_df[PART_COL].iloc[0])
-        return pd.DataFrame(kernel(part, part_df.drop(columns=[PART_COL])))
-
-    rows = (
-        ds.map_batches(assign, batch_format="pandas")
-        .groupby(PART_COL)
-        .map_groups(run, batch_format="pandas")
-    ).to_pandas().to_dict("records")
+    rows = exchange(ds, tag, lambda part, df: pd.DataFrame(kernel(part, df))
+                    ).to_pandas().to_dict("records")
     if fail_after is not None:
         kept = set(list(dict.fromkeys(r["part"] for r in rows))[:fail_after])
         rows = [r for r in rows if r["part"] in kept]

@@ -89,7 +89,7 @@ def test_encode_decode_dataset_roundtrip(ray_session):
     src = pd.concat(frames, ignore_index=True)
     ds = ray.data.from_pandas(src)
     chunks = G.encode_series_dataset(ds, ["host"], "bucket_ts", "value",
-                                     tier="1h", num_partitions=4, concurrency=2)
+                                     tier="1h", num_partitions=4)
     cdf = chunks.to_pandas()
     assert set(cdf["host"]) == set(src["host"])
     assert cdf["n_points"].sum() == len(src)
