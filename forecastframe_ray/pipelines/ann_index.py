@@ -46,7 +46,6 @@ from forecastframe_ray.pipelines.similarity import (
     _stack,
     train_centroids,
 )
-from forecastframe_ray.stages import pq as PQ
 from forecastframe_ray.state import checkpoint
 
 META_FILE = "index_meta.json"
@@ -56,8 +55,6 @@ def _load_meta(index_dir: str) -> dict:
     with open(os.path.join(index_dir, META_FILE)) as f:
         m = json.load(f)
     m["centroids"] = np.asarray(m["centroids"], dtype=np.float64)
-    if m.get("pq_books") is not None:
-        m["pq_books"] = np.asarray(m["pq_books"], dtype=np.float64)
     return m
 
 
@@ -65,8 +62,6 @@ def _write_meta(index_dir: str, meta: dict) -> None:
     os.makedirs(index_dir, exist_ok=True)
     out = dict(meta)
     out["centroids"] = np.asarray(meta["centroids"]).tolist()
-    if out.get("pq_books") is not None:
-        out["pq_books"] = np.asarray(out["pq_books"]).tolist()
     path = os.path.join(index_dir, META_FILE)
     tmp = path + f".tmp.{os.getpid()}"
     with open(tmp, "w") as f:
@@ -76,25 +71,16 @@ def _write_meta(index_dir: str, meta: dict) -> None:
 
 def _assign_and_write(emb_ds, index_dir: str, C: np.ndarray, vec_col: str,
                       id_col: str, shard_index: int,
-                      fail_after: int | None = None,
-                      books: np.ndarray | None = None) -> None:
+                      fail_after: int | None = None) -> None:
     import ray
 
-    ref = ray.put((C, books))
+    ref = ray.put(C)
     k = len(C)
 
     def assign(b: pd.DataFrame) -> pd.DataFrame:
-        Cm, bks = ray.get(ref)
+        Cm = ray.get(ref)
         M = _normalize(_stack(b[vec_col]))
         cent = (M @ Cm.T).argmax(axis=1).astype(np.int32)
-        if bks is not None:
-            # PQ layout: m uint8 codes per vector replace the float
-            # payload (64-dim float64 → 8 bytes, 64× smaller files)
-            codes = PQ.pq_encode(M, bks)
-            out = pd.DataFrame({id_col: b[id_col].to_numpy(),
-                                "pq_code": [c.tobytes() for c in codes]})
-            out["centroid"] = cent
-            return out
         out = b[[id_col, vec_col]].copy()
         out["centroid"] = cent
         return out
@@ -109,32 +95,19 @@ def _assign_and_write(emb_ds, index_dir: str, C: np.ndarray, vec_col: str,
 def build_ann_index(emb_ds, index_dir: str, num_centroids: int = 16,
                     vec_col: str = "embedding", id_col: str = "vec_id",
                     seed: int = 5, shard_id: str = "shard-000",
-                    centroids: np.ndarray | None = None,
-                    pq_m: int | None = None) -> dict:
+                    centroids: np.ndarray | None = None) -> dict:
     """Train the coarse quantizer on a sample (deterministic seed), assign
     every vector, write the centroid-partitioned files. Pass ``centroids``
     to build against an EXISTING quantizer (the appended == rebuilt
     equality gate rebuilds with the incremental index's frozen
-    centroids). ``pq_m`` turns on product-quantized storage: vectors are
-    stored as ``pq_m`` uint8 codes (``stages/pq.py`` — 64-dim float64 →
-    pq_m bytes) and search scores by asymmetric distance; the PQ
-    codebooks train on the same id-sorted sample and freeze with the
-    centroids."""
+    centroids)."""
     t0 = time.perf_counter()
     C = centroids if centroids is not None else \
         train_centroids(emb_ds, num_centroids, vec_col, seed=seed,
                         sort_col=id_col)
-    books = None
-    if pq_m:
-        sample = emb_ds.limit(4096).to_pandas() \
-            .sort_values(id_col).reset_index(drop=True)
-        books = PQ.train_pq(_normalize(_stack(sample[vec_col])), m=pq_m,
-                            seed=seed)
-    _assign_and_write(emb_ds, index_dir, C, vec_col, id_col, 0,
-                      books=books)
+    _assign_and_write(emb_ds, index_dir, C, vec_col, id_col, 0)
     _write_meta(index_dir, {"centroids": C, "num_centroids": len(C),
                             "vec_col": vec_col, "id_col": id_col,
-                            "pq_books": books, "pq_m": pq_m,
                             "shards": [shard_id]})
     return {"vectors": int(emb_ds.count()), "num_centroids": len(C),
             "wall_s": round(time.perf_counter() - t0, 3)}
@@ -151,7 +124,7 @@ def append_ann(emb_ds, index_dir: str, shard_id: str | None = None,
     _assign_and_write(emb_ds, index_dir, meta["centroids"],
                       meta["vec_col"], meta["id_col"],
                       shard_index=len(meta["shards"]),
-                      fail_after=fail_after, books=meta.get("pq_books"))
+                      fail_after=fail_after)
     meta["shards"] = meta["shards"] + [shard_id]
     _write_meta(index_dir, meta)
     return {"vectors": int(emb_ds.count()),
@@ -188,19 +161,12 @@ def search_ann(index_dir: str, queries: np.ndarray, k: int = 10,
                              id_col: pd.Series([], dtype="int64"),
                              "cos_sim": pd.Series([], dtype="float64")})
 
-    books = meta.get("pq_books")
-    state = ray.put((Q, probe, books))
+    state = ray.put((Q, probe))
     nq = len(Q)
 
     def local_topk(batch: pd.DataFrame) -> pd.DataFrame:
-        Qm, P, bks = ray.get(state)
-        if bks is not None:  # PQ layout: uint8 codes, asymmetric scores
-            codes = np.frombuffer(b"".join(batch["pq_code"]),
-                                  dtype=np.uint8) \
-                .reshape(len(batch), bks.shape[0])
-            M = None
-        else:
-            M = _normalize(_stack(batch[meta["vec_col"]]))
+        Qm, P = ray.get(state)
+        M = _normalize(_stack(batch[meta["vec_col"]]))
         ids = batch[id_col].to_numpy()
         cent = batch["centroid"].to_numpy()
         frames = []
@@ -208,8 +174,7 @@ def search_ann(index_dir: str, queries: np.ndarray, k: int = 10,
             mask = np.isin(cent, P[qi])
             if not mask.any():
                 continue
-            sims = (PQ.adc_scores(Qm[qi], codes[mask], bks)
-                    if bks is not None else M[mask] @ Qm[qi])
+            sims = M[mask] @ Qm[qi]
             sub = ids[mask]
             kk = min(k, len(sub))
             part = np.argpartition(-sims, kk - 1)[:kk]

@@ -1,1239 +1,53 @@
-"""Oracled query catalog (package form of the former 33k-line
-queries.py monolith). Every public ``q_*`` callable, ``SQL_*``
-oracle string and helper is re-exported here so existing imports
-(``from forecastframe_ray.pipelines import queries as Q``) and the
-``__ray_entry__`` catalog order keep working unchanged."""
+"""Oracled query catalog.
 
-from forecastframe_ray.pipelines.queries.spine import (  # noqa: F401
-    NULLF,
-    HOUR_US,
-    DAY_US,
-    _NP,
-    _read,
-    _round,
-    _fill,
-    _tier_output,
-    _event_tiers,
-    q_tier_1h_events,
-    q_tier_1d_events,
-    q_tier_7d_events,
-    q_tier_incremental_1d_events,
-    _RETENTION_CUTOFF_US,
-    q_tier_retention_1h_events,
-    _tier_sql,
-    TIER_SQL,
-    _bucket_series,
-    _DAILY_SQL,
-    _HOURLY_SQL,
-    _daily_frame,
-    q_lag_daily_events,
-    SQL_LAG_DAILY,
-    q_diff_daily_events,
-    SQL_DIFF_DAILY,
-    q_pct_change_daily_events,
-    SQL_PCT_CHANGE_DAILY,
-    _ROLL_COLS,
-    q_rolling7_daily_events,
-    SQL_ROLLING7_DAILY,
-    _MEDSTD_COLS,
-    q_rolling_median_daily,
-    SQL_ROLLING_MEDIAN_DAILY,
-    q_threshold_daily_events,
-    SQL_THRESHOLD_DAILY,
-    q_days_since_release_events,
-    SQL_DAYS_SINCE,
-    q_gapfill_ffill_hourly_events,
-    SQL_GAPFILL_FFILL_HOURLY,
-    q_ewma_daily_events,
-    q_calendar_daily_events,
-    SQL_CALENDAR_DAILY,
-    q_rollup_q1_lineitem,
-    SQL_ROLLUP_Q1,
-    q_standardize_lineitem,
-    SQL_STANDARDIZE_LINEITEM,
-    q_normalize_events,
-    SQL_NORMALIZE_EVENTS,
-    q_log1p_lineitem,
-    SQL_LOG1P_LINEITEM,
-    q_correct_negatives_events,
-    SQL_CORRECT_NEGATIVES,
-    q_encode_priority_orders,
-    SQL_ENCODE_PRIORITY,
-    q_join_orders_customer,
-    SQL_JOIN_ORDERS_CUSTOMER,
-    q_semi_join_orders,
-    SQL_SEMI_JOIN_ORDERS,
-    q_topk_orders,
-    SQL_TOPK_ORDERS,
-    q_distinct_event_types,
-    SQL_DISTINCT_EVENT_TYPES,
-    q_error_metrics_naive,
-    SQL_ERROR_METRICS_NAIVE,
-    q_error_metrics_by_type,
-    q_sample_orders,
-    SQL_SAMPLE_ORDERS,
-    SQL_ERROR_METRICS_BY_TYPE,
-    q_exact_dedup_documents,
-    SQL_EXACT_DEDUP_DOCS,
-    q_dup_counts_documents,
-    SQL_DUP_COUNTS_DOCS,
-    q_token_counts_documents,
-    SQL_TOKEN_COUNTS_DOCS,
-    q_text_analysis_documents,
-    q_minhash_pairs_documents,
-    q_simhash_pairs_documents,
-    q_embedding_near_dup,
-    _query_vectors,
-    q_ann_bruteforce_embeddings,
-    SQL_ANN_BRUTEFORCE,
-    q_ann_ivf_embeddings,
-    q_gorilla_roundtrip_events,
-    SQL_GORILLA_ROUNDTRIP,
-    q_multimodal_decode,
-    SQL_MULTIMODAL_DECODE,
-    q_rollup_grouper_stats_events,
-    SQL_ROLLUP_GROUPER_STATS,
-    q_interpolate_hourly_events,
-    SQL_INTERPOLATE_HOURLY,
-    _MOM_COLS,
-    q_momentum_daily_events,
-    SQL_MOMENTUM_DAILY,
-    q_minhash_clusters_documents,
-    q_c4_boilerplate_documents,
-    SQL_C4_BOILERPLATE,
-    q_descale_roundtrip_lineitem,
-    SQL_DESCALE_ROUNDTRIP,
-    q_decode_priority_orders,
-    SQL_DECODE_PRIORITY,
-    q_compress_lineitem,
-    SQL_COMPRESS_LINEITEM,
-    q_remove_min_lags_daily,
-    SQL_REMOVE_MIN_LAGS,
-    q_merge_actuals_daily,
-    SQL_MERGE_ACTUALS,
-    q_update_values_daily,
-    SQL_UPDATE_VALUES,
-    q_future_frame_daily,
-    SQL_FUTURE_FRAME,
-    q_save_load_roundtrip_events,
-    SQL_SAVE_LOAD,
-    q_missing_percentages_hourly,
-    SQL_MISSING_PCT,
-    q_cv_folds_daily,
-    SQL_CV_FOLDS,
-    SQL_EWMA_DAILY,
-    q_text_ratios_documents,
-    _STOP_SQL,
-    SQL_TEXT_RATIOS,
-    q_embedding_neardup_exact,
-    SQL_EMBEDDING_NEARDUP_EXACT,
-    q_ann_ivf_recall,
-    SQL_ANN_IVF_RECALL,
-    q_ngram_jaccard_pairs,
-    SQL_NGRAM_JACCARD,
-    q_lang_id_documents,
-    _lang_list_sql,
-    SQL_LANG_ID,
-    q_doc_fingerprint_documents,
-    _fp_terms,
-    SQL_DOC_FINGERPRINT,
-    q_minhash_recall,
-    SQL_MINHASH_RECALL,
-    q_simhash_recall,
-    SQL_SIMHASH_RECALL,
-    q_multimodal_resize,
-    SQL_MULTIMODAL_RESIZE,
-    q_csv_roundtrip_events,
-    SQL_CSV_ROUNDTRIP,
-    q_anti_join_orders,
-    SQL_ANTI_JOIN_ORDERS,
-    q_ensemble_pred_daily,
-    SQL_ENSEMBLE_PRED,
-    q_fourier_dow_fit_daily,
-    SQL_FOURIER_DOW_FIT,
-    q_search_cv_daily,
-    SQL_SEARCH_CV,
-    q_llm_exact_funnel_documents,
-    SQL_LLM_EXACT_FUNNEL,
-    q_llm_pipeline_documents,
-    _DESCRIBE_DIGITS,
-    q_errors_describe_daily,
-    SQL_ERRORS_DESCRIBE,
-    q_cv_fit_summary_daily,
-    SQL_CV_FIT_SUMMARY,
-    q_perm_importance_daily,
-    SQL_PERM_IMPORTANCE,
-    q_linear_shap_daily,
-    SQL_LINEAR_SHAP,
-    q_predict_future_daily,
-    SQL_PREDICT_FUTURE,
-    _IMP_FEATURES,
-    q_importance_summary_daily,
-    SQL_IMPORTANCE_SUMMARY,
-    q_quantile_loss_naive,
-    SQL_QUANTILE_LOSS_NAIVE,
-    q_distinct_users_daily_kmv,
-    SQL_DISTINCT_USERS_DAILY,
-    q_distinct_users_kmv_gate,
-    SQL_DISTINCT_USERS_KMV_GATE,
-    q_distinct_users_daily_cascade,
-    q_quantile_sketch_gate_daily,
-    SQL_QUANTILE_SKETCH_GATE,
-    q_top_users_sketch_daily,
-    SQL_TOP_USERS_SKETCH,
-    q_predict_linear_daily,
-    SQL_PREDICT_LINEAR,
-    q_asof_join_events,
-    SQL_ASOF_JOIN_EVENTS,
-    q_range_join_events,
-    SQL_RANGE_JOIN_EVENTS,
-    _SESSION_GAP_S,
-    _sessionized_events,
-    q_sessionize_events,
-    SQL_SESSIONIZE_EVENTS,
-    q_session_stats_events,
-    SQL_SESSION_STATS_EVENTS,
-    q_expanding_daily_events,
-    SQL_EXPANDING_DAILY,
-    _HOP_WINDOW_US,
-    _HOP_SLIDE_US,
-    q_hopping_3h1h_events,
-    SQL_HOPPING_3H1H_EVENTS,
-    _EVENT_TYPES,
-    q_pivot_daily_events,
-    SQL_PIVOT_DAILY,
-    q_melt_roundtrip_daily,
-    SQL_MELT_ROUNDTRIP_DAILY,
-    q_topk_per_type_events,
-    SQL_TOPK_PER_TYPE_EVENTS,
-    q_winsorize_events,
-    SQL_WINSORIZE_EVENTS,
-    q_bloom_semi_join_orders,
-    SQL_BLOOM_SEMI_JOIN_ORDERS,
-    q_rolling_corr_daily,
-    SQL_ROLLING_CORR_DAILY,
-    _augment_pii,
-    q_pii_redaction_documents,
-    _PII_EMAIL,
-    _PII_IP,
-    _PII_PHONE,
-    SQL_PII_REDACTION,
-    q_decontaminate_documents,
-    SQL_DECONTAMINATE,
-    q_repetition_documents,
-    SQL_REPETITION_DOCS,
-    q_vocabulary_documents,
-    SQL_VOCABULARY_DOCS,
-    q_chunk_documents,
-    SQL_CHUNK_DOCS,
-    q_gopher_filter_documents,
-    SQL_GOPHER_FILTER,
-    q_tfidf_topterms_documents,
-    SQL_TFIDF_TOPTERMS,
-    q_unigram_logprob_documents,
-    SQL_UNIGRAM_LOGPROB,
-    q_stratified_sample_orders,
-    SQL_STRATIFIED_SAMPLE_ORDERS,
-    q_anomaly_daily_events,
-    SQL_ANOMALY_DAILY,
-    q_quality_buckets_documents,
-    SQL_QUALITY_BUCKETS,
-    q_dup_spans_documents,
-    SQL_DUP_SPANS,
-    q_percent_rank_daily,
-    SQL_PERCENT_RANK_DAILY,
-    q_pmi_bigrams_documents,
-    SQL_PMI_BIGRAMS,
-)
-from forecastframe_ray.pipelines.queries.text import (  # noqa: F401
-    q_json_props_events,
-    SQL_JSON_PROPS_EVENTS,
-    q_label_centroids_embeddings,
-    SQL_LABEL_CENTROIDS,
-    q_cusum_daily_events,
-    SQL_CUSUM_DAILY,
-    q_seasonal_decompose_daily,
-    SQL_SEASONAL_DECOMPOSE_DAILY,
-    _lag_corr_table,
-    q_holt_forecast_gate_daily,
-    SQL_HOLT_FORECAST_GATE,
-    q_smape_wape_naive_daily,
-    SQL_SMAPE_WAPE_NAIVE,
-    q_croston_gate_daily,
-    SQL_CROSTON_GATE,
-    q_pushdown_filter_events,
-    SQL_PUSHDOWN_FILTER,
-    q_spearman_daily_events,
-    SQL_SPEARMAN_DAILY,
-    q_mann_kendall_daily_events,
-    SQL_MANN_KENDALL_DAILY,
-    q_acf_daily_events,
-    SQL_ACF_DAILY,
-    q_pacf_daily_events,
-    SQL_PACF_DAILY,
-    q_periodogram_daily_events,
-    SQL_PERIODOGRAM_DAILY,
-    q_containment_pairs_documents,
-    SQL_CONTAINMENT_PAIRS,
-    q_decomposition_strength_daily,
-    SQL_DECOMP_STRENGTH,
-    q_latest_order_per_customer,
-    SQL_LATEST_ORDER,
-    q_grouping_sets_daily_events,
-    SQL_GROUPING_SETS_DAILY,
-    _BM25_TERMS,
-    q_bm25_search_documents,
-    SQL_BM25_SEARCH,
-    q_user_entropy_events,
-    SQL_USER_ENTROPY,
-    q_value_histogram_events,
-    SQL_VALUE_HISTOGRAM,
-    q_ohlc_daily_events,
-    SQL_OHLC_DAILY,
-    q_rate_hourly_events,
-    SQL_RATE_HOURLY,
-    _Q3_CUT,
-    q_shipping_priority,
-    SQL_SHIPPING_PRIORITY,
-    q_cohort_retention_events,
-    SQL_COHORT_RETENTION,
-    q_mase_daily_events,
-    SQL_MASE_DAILY,
-    q_funnel_conversion_events,
-    SQL_FUNNEL_CONVERSION,
-    q_transition_counts_events,
-    SQL_TRANSITION_COUNTS,
-    q_value_percentiles_events,
-    SQL_VALUE_PERCENTILES,
-    q_jsonl_roundtrip_events,
-    SQL_JSONL_ROUNDTRIP,
-    q_theilsen_daily_events,
-    SQL_THEILSEN_DAILY,
-    q_fk_violations,
-    SQL_FK_VIOLATIONS,
-    q_edit1_pairs_documents,
-    SQL_EDIT1_PAIRS,
-    q_dispersion_daily_events,
-    SQL_DISPERSION_DAILY,
-    q_ntile_cume_daily,
-    SQL_NTILE_CUME_DAILY,
-    q_vocab_growth_documents,
-    SQL_VOCAB_GROWTH,
-    q_interevent_gaps_events,
-    SQL_INTEREVENT_GAPS,
-    _KMEANS_K,
-    q_kmeans_assign_embeddings,
-    SQL_KMEANS_ASSIGN,
-    q_cross_corr_daily_events,
-    SQL_CROSS_CORR_DAILY,
-    q_rolling_p90_daily,
-    SQL_ROLLING_P90_DAILY,
-    q_wow_growth_daily,
-    SQL_WOW_GROWTH_DAILY,
-    q_median_impute_hourly,
-    SQL_MEDIAN_IMPUTE_HOURLY,
-    q_source_profile_documents,
-    SQL_SOURCE_PROFILE,
-    q_lang_confusion_documents,
-    _LANG_CONFUSION_TEMPLATE,
-    SQL_LANG_CONFUSION,
-    q_robust_zscore_daily,
-    SQL_ROBUST_ZSCORE,
-    q_favorite_type_per_user,
-    SQL_FAVORITE_TYPE,
-    q_lttb_daily_events,
-    q_daily_share_events,
-    SQL_DAILY_SHARE,
-    q_dataset_split_orders,
-    SQL_DATASET_SPLIT,
-    _CI_Z,
-    _FLOOR,
-    q_forecast_postprocess_daily,
-    SQL_FORECAST_POSTPROCESS,
-    q_asymmetric_loss_naive,
-    SQL_ASYMMETRIC_LOSS_NAIVE,
-    _PACK_L,
-    _PACK_BKT,
-    _PACK_SQL,
-    q_pack_spans_documents,
-    SQL_PACK_SPANS,
-    q_pack_chunk_stats_documents,
-    SQL_PACK_CHUNK_STATS,
-    _MIX_T,
-    _MIX_BUDGET,
-    _MIX_SQL,
-    q_mixture_plan_lang,
-    SQL_MIXTURE_PLAN,
-    q_mixture_sample_lang,
-    SQL_MIXTURE_SAMPLE,
-    _DF_CRIT_5PCT,
-    q_dickey_fuller_daily,
-    SQL_DICKEY_FULLER_DAILY,
-    _LB_CHI2_3DOF_5PCT,
-    q_ljung_box_daily,
-    SQL_LJUNG_BOX_DAILY,
-    q_ts_strength_daily,
-    SQL_TS_STRENGTH_DAILY,
-    q_demand_classification_users,
-    SQL_DEMAND_CLASSIFICATION,
-    q_theta_forecast_gate_daily,
-    SQL_THETA_FORECAST_GATE,
-    q_exact_dedup_keep_best_documents,
-    SQL_EXACT_DEDUP_KEEP_BEST,
-    q_croston_sba_gate_daily,
-    SQL_CROSTON_SBA_GATE,
-    q_seasonal_naive_forecast_daily,
-    SQL_SEASONAL_NAIVE_FORECAST,
-    q_drift_forecast_daily,
-    SQL_DRIFT_FORECAST,
-    q_zipf_fit_documents,
-    SQL_ZIPF_FIT,
-    q_baseline_leaderboard_daily,
-    SQL_BASELINE_LEADERBOARD,
-    q_ses_naive_gate_daily,
-    SQL_SES_NAIVE_GATE,
-    q_heaps_fit_documents,
-    SQL_HEAPS_FIT,
-    q_trimmed_mean_events,
-    SQL_TRIMMED_MEAN_EVENTS,
-    q_rolling_skew_daily,
-    SQL_ROLLING_SKEW_DAILY,
-    q_rolling_corr_market_daily,
-    SQL_ROLLING_CORR_MARKET,
-    q_geo_harmonic_mean_lineitem,
-    SQL_GEO_HARMONIC_MEAN,
-    q_twap_daily_events,
-    SQL_TWAP_DAILY,
-    q_counter_increase_users,
-)
-from forecastframe_ray.pipelines.queries.corpus import (  # noqa: F401
-    SQL_COUNTER_INCREASE,
-    q_bollinger_daily_events,
-    SQL_BOLLINGER_DAILY,
-    q_drawdown_daily_events,
-    SQL_DRAWDOWN_DAILY,
-    q_records_streaks_daily,
-    SQL_RECORDS_STREAKS_DAILY,
-    q_atr_daily_events,
-    SQL_ATR_DAILY,
-    q_benford_lineitem,
-    SQL_BENFORD_LINEITEM,
-    q_gini_users_events,
-    SQL_GINI_USERS,
-    q_hampel_daily_events,
-    SQL_HAMPEL_DAILY,
-    q_dow_profile_daily,
-    SQL_DOW_PROFILE_DAILY,
-    q_macd_daily_events,
-    SQL_MACD_DAILY,
-    q_audience_overlap_events,
-    SQL_AUDIENCE_OVERLAP,
-    q_normalized_dedup_documents,
-    SQL_NORMALIZED_DEDUP,
-    q_holt_winters_gate_daily,
-    SQL_HOLT_WINTERS_GATE,
-    q_rolling_distinct_users_daily,
-    SQL_ROLLING_DISTINCT_USERS,
-    q_burstiness_users_events,
-    SQL_BURSTINESS_USERS,
-    q_transition_entropy_events,
-    SQL_TRANSITION_ENTROPY,
-    q_cms_user_counts_gate,
-    SQL_CMS_USER_COUNTS_GATE,
-    q_scd2_history_events,
-    SQL_SCD2_HISTORY,
-    q_skew_profile_events,
-    SQL_SKEW_PROFILE,
-    q_count_windows_users,
-    SQL_COUNT_WINDOWS_USERS,
-    q_welch_ttest_events,
-    SQL_WELCH_TTEST,
-    q_chisq_type_dow_events,
-    SQL_CHISQ_TYPE_DOW,
-    q_ks_two_sample_events,
-    SQL_KS_TWO_SAMPLE,
-    q_vwap_daily_events,
-    SQL_VWAP_DAILY,
-    _char_shingles,
-    q_blocking_dedup_documents,
-    SQL_BLOCKING_DEDUP,
-    q_control_chart_daily,
-    SQL_CONTROL_CHART_DAILY,
-    q_pareto_share_events,
-    SQL_PARETO_SHARE,
-    q_readability_documents,
-    SQL_READABILITY_DOCS,
-    _levenshtein,
-    q_levenshtein_pairs_documents,
-    SQL_LEVENSHTEIN_PAIRS,
-    q_cuped_adjusted_users,
-    SQL_CUPED_ADJUSTED,
-    q_weighted_sample_orders,
-    SQL_WEIGHTED_SAMPLE_ORDERS,
-    q_conversion_latency_events,
-    SQL_CONVERSION_LATENCY,
-    _ntile_from_pos,
-    q_rfm_segments_users,
-    SQL_RFM_SEGMENTS,
-    q_lorenz_deciles_users,
-    SQL_LORENZ_DECILES,
-    q_availability_islands_daily,
-    SQL_AVAILABILITY_ISLANDS,
-    q_new_vs_returning_daily,
-    SQL_NEW_VS_RETURNING,
-    q_dau_wau_stickiness,
-    SQL_DAU_WAU_STICKINESS,
-    q_weekly_calendar_rollup,
-    SQL_WEEKLY_CALENDAR_ROLLUP,
-    q_mtd_cumsum_daily,
-    SQL_MTD_CUMSUM_DAILY,
-    q_bowley_skew_events,
-    SQL_BOWLEY_SKEW,
-    q_char_trigram_score_documents,
-    SQL_CHAR_TRIGRAM_SCORE,
-    q_dup_class_histogram_documents,
-    SQL_DUP_CLASS_HISTOGRAM,
-    q_ttr_documents,
-    SQL_TTR_DOCUMENTS,
-    q_lead_lag_xcorr_daily,
-    SQL_LEAD_LAG_XCORR,
-    q_mannwhitney_events,
-    SQL_MANNWHITNEY,
-    q_dow_anova_daily,
-    SQL_DOW_ANOVA,
-    q_runs_test_daily,
-    SQL_RUNS_TEST,
-    q_local_supplier_volume,
-    SQL_LOCAL_SUPPLIER_VOLUME,
-    q_conversion_within_7d,
-    SQL_CONVERSION_WITHIN_7D,
-    q_power_users_division,
-    SQL_POWER_USERS_DIVISION,
-    q_basket_lift_lineitem,
-    SQL_BASKET_LIFT,
-    q_hhi_suppliers_lineitem,
-    SQL_HHI_SUPPLIERS,
-    _rounded_centroids,
-    q_label_centroid_distances,
-    SQL_LABEL_CENTROID_DISTANCES,
-    q_silhouette_embeddings,
-    SQL_SILHOUETTE_EMBEDDINGS,
-    q_quantization_error_embeddings,
-    SQL_QUANTIZATION_ERROR,
-    q_best_f1_threshold_documents,
-    SQL_BEST_F1_THRESHOLD,
-    q_asof_forward_events,
-    SQL_ASOF_FORWARD,
-    q_late_events_watermark,
-    SQL_LATE_EVENTS_WATERMARK,
-    q_weighted_median_events,
-    SQL_WEIGHTED_MEDIAN,
-    q_hour_dow_heatmap_events,
-    SQL_HOUR_DOW_HEATMAP,
-    q_covariance_embeddings,
-    SQL_COVARIANCE_EMBEDDINGS,
-    q_debounce_events,
-    SQL_DEBOUNCE_EVENTS,
-    q_point_in_time_user_state,
-    SQL_POINT_IN_TIME_STATE,
-    q_corpus_checksum_documents,
-    SQL_CORPUS_CHECKSUM,
-    q_profile_orders,
-    SQL_PROFILE_ORDERS,
-    q_grubbs_daily_events,
-    SQL_GRUBBS_DAILY,
-    q_reconciliation_orders_lineitem,
-    SQL_RECONCILIATION,
-    q_bounce_rate_daily,
-    SQL_BOUNCE_RATE_DAILY,
-    q_naive2_forecast_daily,
-)
-from forecastframe_ray.pipelines.queries.windows import (  # noqa: F401
-    SQL_NAIVE2_FORECAST,
-    q_kmv_set_ops_gate,
-    SQL_KMV_SET_OPS_GATE,
-    q_combo_forecast_daily,
-    SQL_COMBO_FORECAST,
-    q_lmoments_events,
-    SQL_LMOMENTS,
-    q_expected_shortfall_events,
-    SQL_EXPECTED_SHORTFALL,
-    q_winkler_interval_daily,
-    SQL_WINKLER_INTERVAL,
-    q_theil_u_daily,
-    SQL_THEIL_U,
-    q_psi_orders_priority,
-    SQL_PSI_ORDERS,
-    q_js_divergence_sources,
-    SQL_JS_DIVERGENCE_SOURCES,
-    q_cohen_kappa_lang,
-    SQL_COHEN_KAPPA_LANG,
-    SQL_COHEN_KAPPA_LANG,
-    q_blocking_recall_documents,
-    SQL_BLOCKING_RECALL,
-    q_changepoint_sse_daily,
-    SQL_CHANGEPOINT_SSE,
-    q_local_maxima_daily,
-    SQL_LOCAL_MAXIMA,
-    q_holt_damped_gate_daily,
-    SQL_HOLT_DAMPED_GATE,
-    q_activation_latency_users,
-    SQL_ACTIVATION_LATENCY,
-    _Q6_LO,
-    _Q6_HI,
-    q_q6_revenue_filter,
-    SQL_Q6_REVENUE,
-    q_q4_priority_exists,
-    SQL_Q4_PRIORITY,
-    q_q12_returnflag_priority,
-    SQL_Q12_PRIORITY,
-    q_rsi_daily_events,
-    SQL_RSI_DAILY,
-    q_stochastic_daily_events,
-    SQL_STOCHASTIC_DAILY,
-    q_obv_daily_events,
-    SQL_OBV_DAILY,
-    q_rolling_kurt_daily,
-    SQL_ROLLING_KURT_DAILY,
-    q_kendall_tau_market_daily,
-    SQL_KENDALL_TAU_MARKET,
-    q_max_concurrency_events,
-    SQL_MAX_CONCURRENCY,
-    q_cosine_histogram_embeddings,
-    SQL_COSINE_HISTOGRAM,
-    q_norm_stats_embeddings,
-    SQL_NORM_STATS,
-    q_pca_spectrum_gate_embeddings,
-    SQL_PCA_SPECTRUM_GATE,
-    q_schema_evolution_union,
-    SQL_SCHEMA_EVOLUTION_UNION,
-    q_normalize_text_documents,
-    SQL_NORMALIZE_TEXT,
-    q_pagerank_types_events,
-    SQL_PAGERANK_TYPES,
-    q_business_days_to_ship,
-    SQL_BUSINESS_DAYS,
-    q_heavy_hitters_users_events,
-    SQL_HEAVY_HITTERS_USERS,
-    q_quantile_normalize_daily,
-    SQL_QUANTILE_NORMALIZE_DAILY,
-    q_state_dwell_time_events,
-    SQL_STATE_DWELL_TIME,
-    q_ols_price_quantity_brand,
-    SQL_OLS_PRICE_QUANTITY,
-    q_kaplan_meier_users,
-    SQL_KAPLAN_MEIER,
-    q_sharpe_daily_events,
-    SQL_SHARPE_DAILY,
-    q_id_gaps_events,
-    SQL_ID_GAPS,
-    q_quadratic_trend_daily,
-    SQL_QUADRATIC_TREND,
-    q_stock_balance_daily,
-    SQL_STOCK_BALANCE,
-    q_weekday_adjust_daily,
-    SQL_WEEKDAY_ADJUST,
-    q_ar1_forecast_daily,
-    SQL_AR1_FORECAST,
-    q_pooled_shrinkage_daily,
-    SQL_POOLED_SHRINKAGE,
-    q_interarrival_expfit_events,
-    SQL_INTERARRIVAL_EXPFIT,
-    q_lexical_richness_documents,
-    SQL_LEXICAL_RICHNESS,
-    q_good_turing_documents,
-    SQL_GOOD_TURING,
-    q_word_entropy_documents,
-    SQL_WORD_ENTROPY,
-    q_hll_distinct_gate,
-    SQL_HLL_DISTINCT_GATE,
-    q_variance_ftest_daily,
-    SQL_VARIANCE_FTEST,
-    q_cross_sectional_zscore_daily,
-    SQL_CROSS_SECTIONAL_ZSCORE,
-    q_bigram_perplexity_documents,
-    SQL_BIGRAM_PERPLEXITY,
-    q_dominant_period_daily,
-    SQL_DOMINANT_PERIOD,
-    _HOLIDAYS,
-    q_holiday_distance_daily,
-    _HOLIDAY_VALUES,
-    SQL_HOLIDAY_DISTANCE,
-    q_tsb_gate_daily,
-    SQL_TSB_GATE,
-    q_hurst_rs_daily,
-    SQL_HURST_RS,
-    q_peak_stats_daily,
-    SQL_PEAK_STATS,
-    _PAGE_EPOCH_US,
-    _PAGE_STRIDE,
-    _PAGE_SPAN_US,
-    q_host_tier_1d_pages,
-    SQL_HOST_TIER_1D_PAGES,
-    q_funnel3_strict_events,
-    SQL_FUNNEL3_STRICT,
-    q_circular_hour_events,
-    SQL_CIRCULAR_HOUR,
-    q_motif_daily_events,
-    SQL_MOTIF_DAILY,
-    q_pareto_frontier_orders,
-    SQL_PARETO_FRONTIER,
-    q_attribution_events,
-    SQL_ATTRIBUTION,
-    q_topdown_forecast_daily,
-    SQL_TOPDOWN_FORECAST,
-    q_jl_projection_gate_embeddings,
-    SQL_JL_PROJECTION_GATE,
-)
-from forecastframe_ray.pipelines.queries.stats import (  # noqa: F401
-    q_sentence_stats_documents,
-    SQL_SENTENCE_STATS,
-    q_days_since_peak_daily,
-    SQL_DAYS_SINCE_PEAK,
-    q_page_hinkley_daily,
-    SQL_PAGE_HINKLEY,
-    q_hill_tail_events,
-    SQL_HILL_TAIL,
-    q_customer_order_gaps,
-    SQL_CUSTOMER_ORDER_GAPS,
-    q_hourly_envelope_events,
-    SQL_HOURLY_ENVELOPE,
-    q_nb_fit_users_events,
-    SQL_NB_FIT_USERS,
-    q_copurchase_degree_lineitem,
-    SQL_COPURCHASE_DEGREE,
-    q_horizon_error_profile_daily,
-    SQL_HORIZON_ERROR_PROFILE,
-    q_p_chart_hourly_events,
-    SQL_P_CHART_HOURLY,
-    q_srm_check_orders,
-    SQL_SRM_CHECK,
-    q_dupsize_quality_corr_documents,
-    SQL_DUPSIZE_QUALITY_CORR,
-    q_conversion_odds_users,
-    SQL_CONVERSION_ODDS,
-    q_triangle_count_copurchase,
-    SQL_TRIANGLE_COUNT,
-    q_haar_energy_daily,
-    SQL_HAAR_ENERGY,
-    q_sax_words_daily,
-    SQL_SAX_WORDS,
-    _dtw_band,
-    q_dtw_band_pairs_daily,
-    SQL_DTW_BAND_PAIRS,
-    q_newsvendor_daily,
-    SQL_NEWSVENDOR,
-    q_pot_gpd_events,
-    SQL_POT_GPD,
-    q_mincost_supplier_parts,
-    SQL_MINCOST_SUPPLIER,
-    _KL_SOURCES,
-    q_kl_token_sources,
-    SQL_KL_TOKEN_SOURCES,
-    q_markov_top1_accuracy_events,
-    SQL_MARKOV_TOP1_ACCURACY,
-    q_gev_pwm_daily_max_events,
-    SQL_GEV_PWM,
-    q_sample_entropy_daily,
-    SQL_SAMPLE_ENTROPY,
-    q_von_neumann_daily,
-    SQL_VON_NEUMANN,
-    q_turning_points_daily,
-    SQL_TURNING_POINTS,
-    q_acf_whiteness_daily,
-    SQL_ACF_WHITENESS,
-    q_pairwise_mean_diff_events,
-    SQL_PAIRWISE_MEAN_DIFF,
-    q_dau_halflife_events,
-    SQL_DAU_HALFLIFE,
-    q_weekend_effect_daily,
-    SQL_WEEKEND_EFFECT,
-    q_chapman_estimate_users,
-    SQL_CHAPMAN_ESTIMATE,
-    q_burrows_delta_sources,
-    SQL_BURROWS_DELTA,
-    q_abc_classification_parts,
-    SQL_ABC_CLASSIFICATION,
-    q_calibration_users,
-    SQL_CALIBRATION_USERS,
-    q_brier_decomposition_users,
-    SQL_BRIER_DECOMPOSITION,
-    q_crawl_gaps_pages,
-    SQL_CRAWL_GAPS,
-    q_partial_corr_daily,
-    SQL_PARTIAL_CORR,
-    q_keyness_g2_src0,
-    SQL_KEYNESS_G2,
-    q_vocab_coverage_documents,
-    SQL_VOCAB_COVERAGE,
-    q_wilcoxon_paired_daily,
-    SQL_WILCOXON_PAIRED,
-    q_piecewise_trend_daily,
-    SQL_PIECEWISE_TREND,
-    q_activity_streaks_users,
-    SQL_ACTIVITY_STREAKS,
-    q_mix_entropy_daily,
-    SQL_MIX_ENTROPY,
-    q_kendall_w_daily,
-    SQL_KENDALL_W,
-    q_discount_response_lineitem,
-    SQL_DISCOUNT_RESPONSE,
-    q_rbo_top_users,
-    SQL_RBO_TOP_USERS,
-    q_degree_assortativity_copurchase,
-    SQL_DEGREE_ASSORTATIVITY,
-    q_basket_dispersion_orders,
-    SQL_BASKET_DISPERSION,
-    q_jarque_bera_daily,
-    SQL_JARQUE_BERA,
-    q_adstock_daily,
-    SQL_ADSTOCK,
-    q_cohort_value_curve,
-    SQL_COHORT_VALUE_CURVE,
-    q_ewma_chart_daily,
-    SQL_EWMA_CHART,
-    q_knn_outlier_embeddings,
-    SQL_KNN_OUTLIER,
-    q_price_index_lineitem,
-    SQL_PRICE_INDEX,
-    q_theil_inequality_documents,
-    SQL_THEIL_INEQUALITY,
-    q_mutual_info_type_hour,
-    SQL_MUTUAL_INFO,
-    q_spectral_flatness_daily,
-    SQL_SPECTRAL_FLATNESS,
-    _phi_as,
-    q_bh_fdr_pairs_events,
-)
-from forecastframe_ray.pipelines.queries.stats2 import (  # noqa: F401
-    SQL_BH_FDR_PAIRS,
-    q_fulfillment_span_orders,
-    SQL_FULFILLMENT_SPAN,
-    q_ppcc_expfit_events,
-    SQL_PPCC_EXPFIT,
-    q_shamos_scale_daily,
-    SQL_SHAMOS_SCALE,
-    q_auc_dupness_documents,
-    SQL_AUC_DUPNESS,
-    q_beta_shrunk_daily_share,
-    SQL_BETA_SHRUNK_SHARE,
-    q_bimodality_daily,
-    SQL_BIMODALITY,
-    q_ndcg_blocking_documents,
-    SQL_NDCG_BLOCKING,
-    q_youden_threshold_documents,
-    SQL_YOUDEN_THRESHOLD,
-    q_allan_variance_daily,
-    SQL_ALLAN_VARIANCE,
-    q_logloss_users,
-    SQL_LOGLOSS_USERS,
-    q_cramers_v_orders,
-    SQL_CRAMERS_V,
-    q_tenure_activity_corr_users,
-    SQL_TENURE_ACTIVITY_CORR,
-    q_markov_entropy_rate_events,
-    SQL_MARKOV_ENTROPY_RATE,
-    q_sinkhorn2_transitions,
-    SQL_SINKHORN2,
-    q_rmst_users,
-    SQL_RMST_USERS,
-    q_two_means_split_daily,
-    SQL_TWO_MEANS_SPLIT,
-    q_ccdf_doclen_documents,
-    SQL_CCDF_DOCLEN,
-    q_ruzicka_sources,
-    SQL_RUZICKA_SOURCES,
-    q_biweight_location_daily,
-    SQL_BIWEIGHT_LOCATION,
-    q_term_rank_corr_sources,
-    SQL_TERM_RANK_CORR,
-    q_inverse_vol_weights_daily,
-    SQL_INVERSE_VOL_WEIGHTS,
-    q_tabular_cusum_daily,
-    SQL_TABULAR_CUSUM,
-    q_rate_ratio_events,
-    SQL_RATE_RATIO,
-    q_diurnal_harmonic_events,
-    SQL_DIURNAL_HARMONIC,
-    q_gamma_fit_events,
-    SQL_GAMMA_FIT,
-    q_lognormal_tail_events,
-    SQL_LOGNORMAL_TAIL,
-    q_variance_ratio_daily,
-    SQL_VARIANCE_RATIO,
-    q_shock_halflife_daily,
-    SQL_SHOCK_HALFLIFE,
-    q_mean_excess_events,
-    SQL_MEAN_EXCESS,
-    q_kpss_daily,
-    SQL_KPSS_DAILY,
-    q_dominance_matrix_daily,
-    SQL_DOMINANCE_MATRIX,
-    q_newey_west_daily,
-    SQL_NEWEY_WEST,
-    q_nelson_aalen_users,
-    SQL_NELSON_AALEN,
-    q_fixed_effects_trend_daily,
-    SQL_FIXED_EFFECTS_TREND,
-    q_juilland_d_documents,
-    SQL_JUILLAND_D,
-    q_eta_squared_dow_daily,
-    SQL_ETA_SQUARED_DOW,
-    q_blomqvist_beta_daily,
-    SQL_BLOMQVIST_BETA,
-    q_tscore_bigrams_documents,
-    SQL_TSCORE_BIGRAMS,
-    q_daily_mix_divergence,
-    SQL_DAILY_MIX_DIVERGENCE,
-    q_its_level_shift_daily,
-    SQL_ITS_LEVEL_SHIFT,
-    q_first_touch_conversion,
-    SQL_FIRST_TOUCH_CONVERSION,
-    q_peak_concentration_events,
-    SQL_PEAK_CONCENTRATION,
-    q_wilson_interval_daily,
-    SQL_WILSON_INTERVAL,
-    q_weekly_coherence_pairs,
-    SQL_WEEKLY_COHERENCE,
-    q_holiday_lift_daily,
-    SQL_HOLIDAY_LIFT,
-    q_icc_weekly_daily,
-    SQL_ICC_WEEKLY,
-    q_share_trend_daily,
-    SQL_SHARE_TREND,
-    q_friedman_dow_daily,
-    SQL_FRIEDMAN_DOW,
-    q_cochran_q_users,
-    SQL_COCHRAN_Q,
-    q_zipf_abbreviation_documents,
-    SQL_ZIPF_ABBREVIATION,
-    q_repeat_tendency_events,
-    SQL_REPEAT_TENDENCY,
-    q_rank1_power_dow,
-    SQL_RANK1_POWER_DOW,
-    q_hod_entropy_events,
-    SQL_HOD_ENTROPY,
-    q_intraday_concentration_daily,
-    SQL_INTRADAY_CONCENTRATION,
-    q_siegel_slope_daily,
-    SQL_SIEGEL_SLOPE,
-    q_source_vocab_entropy,
-    SQL_SOURCE_VOCAB_ENTROPY,
-    q_weekend_share_ztest_events,
-    SQL_WEEKEND_SHARE_ZTEST,
-    q_permutation_entropy_daily,
-    SQL_PERMUTATION_ENTROPY,
-    q_seasonality_drift_daily,
-)
-from forecastframe_ray.pipelines.queries.stats3 import (  # noqa: F401
-    SQL_SEASONALITY_DRIFT,
-    q_memoryless_check_events,
-    SQL_MEMORYLESS_CHECK,
-    q_trigram_sequences_events,
-    SQL_TRIGRAM_SEQUENCES,
-    q_median_residual_life_users,
-    SQL_MEDIAN_RESIDUAL_LIFE,
-    q_median_ci_daily,
-    SQL_MEDIAN_CI,
-    q_crps_climatology_daily,
-    SQL_CRPS_CLIMATOLOGY,
-    q_ece_users,
-    SQL_ECE_USERS,
-    q_same_day_multiorders,
-    SQL_SAME_DAY_MULTIORDERS,
-    q_ess_daily,
-    SQL_ESS_DAILY,
-    q_flow_imbalance_events,
-    SQL_FLOW_IMBALANCE,
-    q_hourly_acf24_events,
-    SQL_HOURLY_ACF24,
-    q_diebold_mariano_daily,
-    SQL_DIEBOLD_MARIANO,
-    q_gini_mean_diff_daily,
-    SQL_GINI_MEAN_DIFF,
-    q_down_days_daily,
-    SQL_DOWN_DAYS,
-    q_diversification_ratio_daily,
-    SQL_DIVERSIFICATION_RATIO,
-    q_qte_weekend_daily,
-    SQL_QTE_WEEKEND,
-    q_cointegration_lite_daily,
-    SQL_COINTEGRATION_LITE,
-    q_trend_ttest_daily,
-    SQL_TREND_TTEST,
-    q_pit_naive_daily,
-    SQL_PIT_NAIVE,
-    q_priority_migration_customers,
-    SQL_PRIORITY_MIGRATION,
-    q_durbin_watson_daily,
-    SQL_DURBIN_WATSON,
-    q_yule_k_documents,
-    SQL_YULE_K,
-    q_logrank_users,
-    SQL_LOGRANK_USERS,
-    q_granger_lag1_daily,
-    SQL_GRANGER_LAG1,
-    q_arch_lm_daily,
-    SQL_ARCH_LM,
-    q_weibull_fit_gaps,
-    SQL_WEIBULL_GAPS,
-    q_mcnemar_users,
-    SQL_MCNEMAR_USERS,
-    q_davies_bouldin_embeddings,
-    SQL_DAVIES_BOULDIN,
-    q_conformal_naive_daily,
-    SQL_CONFORMAL_NAIVE,
-    q_goodman_kruskal_gamma,
-    SQL_GK_GAMMA,
-    q_ols_influence_daily,
-    SQL_OLS_INFLUENCE,
-    q_jackknife_cv_daily,
-    SQL_JACKKNIFE_CV,
-    q_bhattacharyya_sources,
-    SQL_BHATTACHARYYA,
-    q_seasonal_mann_kendall_daily,
-    SQL_SEASONAL_MK,
-    q_price_cents_uniformity,
-    SQL_PRICE_CENTS,
-    q_calinski_harabasz_embeddings,
-    SQL_CALINSKI_HARABASZ,
-    q_breusch_pagan_daily,
-    SQL_BREUSCH_PAGAN,
-    q_chow_break_daily,
-    SQL_CHOW_BREAK,
-    q_brand_return_rate,
-    SQL_BRAND_RETURN_RATE,
-    q_brown_forsythe_dow,
-    SQL_BROWN_FORSYTHE,
-    q_kruskal_wallis_dow,
-    SQL_KRUSKAL_WALLIS,
-    q_cochran_armitage_lineitem,
-    SQL_COCHRAN_ARMITAGE,
-    q_iqr_outliers_lineitem,
-    SQL_IQR_OUTLIERS,
-    q_decile_lift_users,
-    SQL_DECILE_LIFT,
-    q_mood_median_dow,
-    SQL_MOOD_MEDIAN,
-    q_hodges_lehmann_weekend,
-    SQL_HODGES_LEHMANN,
-    q_jonckheere_weeks,
-    SQL_JONCKHEERE,
-    q_welch_anova_dow,
-    SQL_WELCH_ANOVA,
-    q_winsorized_corr_market_daily,
-    SQL_WINSORIZED_CORR,
-    q_crosstab_residuals_type_dow,
-    SQL_CROSSTAB_RESIDUALS,
-    q_dixon_q_daily,
-    SQL_DIXON_Q,
-    q_bartels_rank_daily,
-    SQL_BARTELS_RANK,
-    q_pettitt_daily,
-    SQL_PETTITT,
-)
-from forecastframe_ray.pipelines.queries.stats4 import (  # noqa: F401
-    q_cox_stuart_daily,
-    SQL_COX_STUART,
-    q_snht_daily,
-    SQL_SNHT,
-    q_katz_fd_daily,
-    SQL_KATZ_FD,
-    q_xbar_r_chart_weekly,
-    SQL_XBAR_R,
-    q_monthly_seasonal_index_orders,
-    SQL_MONTHLY_SEASONAL,
-    q_benford_second_digit_lineitem,
-    SQL_BENFORD_SECOND,
-    q_volume_shipping_nations,
-    SQL_VOLUME_SHIPPING,
-    q_returned_items_customers,
-    SQL_RETURNED_ITEMS,
-    q_customer_order_distribution,
-    SQL_CUSTOMER_ORDER_DIST,
-    q_promo_revenue_share,
-    SQL_PROMO_REVENUE,
-    q_small_qty_revenue_brand,
-    SQL_SMALL_QTY_REVENUE,
-    q_large_volume_customers,
-    SQL_LARGE_VOLUME_CUSTOMERS,
-    q_market_share_nation,
-    SQL_MARKET_SHARE,
-    q_disjunctive_predicate_revenue,
-    SQL_DISJUNCTIVE_REVENUE,
-    q_idle_customer_balance,
-    SQL_IDLE_CUSTOMER_BALANCE,
-    q_priority_late_orders,
-    SQL_PRIORITY_LATE_ORDERS,
-    q_linestatus_priority_counts,
-    SQL_LINESTATUS_PRIORITY,
-    q_top_revenue_supplier,
-    SQL_TOP_REVENUE_SUPPLIER,
-    q_suppliers_kept_waiting,
-    SQL_SUPPLIERS_KEPT_WAITING,
-    q_nation_profit,
-    SQL_NATION_PROFIT,
-    q_matrix_profile_daily,
-    SQL_MATRIX_PROFILE_DAILY,
-    q_ccnet_perplexity_documents,
-    SQL_CCNET_PERPLEXITY,
-    q_dsir_weights_documents,
-    SQL_DSIR_WEIGHTS,
-    q_ols_reconciliation_daily,
-    SQL_OLS_RECONCILIATION,
-    q_supplier_part_diversity,
-    SQL_SUPPLIER_PART_DIVERSITY,
-    q_important_nation_stock,
-    SQL_IMPORTANT_NATION_STOCK,
-    q_heavy_small_part_suppliers,
-    SQL_HEAVY_SMALL_PART_SUPPLIERS,
-    q_best_balance_supplier_per_class,
-    SQL_BEST_BALANCE_SUPPLIER,
-    q_burstiness_fano_events,
-    SQL_BURSTINESS_FANO,
-    q_hurst_rs_daily,
-    SQL_HURST_RS_DAILY,
-    q_nonlinear_signal_daily,
-    SQL_NONLINEAR_SIGNAL,
-    q_higuchi_fd_daily,
-    SQL_HIGUCHI_FD_DAILY,
-    q_hjorth_params_daily,
-    SQL_HJORTH_PARAMS,
-    q_anderson_darling_daily,
-    SQL_ANDERSON_DARLING,
-    q_energy_distance_weekend,
-    SQL_ENERGY_DISTANCE_WEEKEND,
-    q_wasserstein_weekend,
-    SQL_WASSERSTEIN_WEEKEND,
-    q_dagostino_k2_daily,
-    SQL_DAGOSTINO_K2,
-    q_watson_u2_events,
-    SQL_WATSON_U2,
-    q_dfa_daily,
-    SQL_DFA_DAILY,
-    q_hopkins_embeddings,
-    SQL_HOPKINS_EMBEDDINGS,
-    q_mmd_rbf_labels,
-    SQL_MMD_RBF_LABELS,
-    q_hits_authorities_events,
-    SQL_HITS_AUTHORITIES,
-    q_transfer_entropy_daily,
-    SQL_TRANSFER_ENTROPY,
-    q_lepage_weekend_daily,
-    SQL_LEPAGE_WEEKEND,
-    q_morans_i_hour_dow,
-    SQL_MORANS_I_HOUR_DOW,
-    q_bootstrap_ci_daily,
-    SQL_BOOTSTRAP_CI,
-    q_kde_grid_daily,
-    SQL_KDE_GRID,
-    q_poisson_glm_trend_daily,
-    SQL_POISSON_GLM_TREND,
-    q_chao1_vocab_documents,
-    SQL_CHAO1_VOCAB,
-    q_dcor_daily_pairs,
-    SQL_DCOR_DAILY_PAIRS,
-    q_bfs_hops_copurchase,
-    SQL_BFS_HOPS_COPURCHASE,
-    q_logistic_priority_orders,
-)
-from forecastframe_ray.pipelines.queries.stats5 import (  # noqa: F401
-    SQL_LOGISTIC_PRIORITY,
-    _pairwise_d2_rounded,
-    q_lof_embeddings,
-    SQL_LOF_EMBEDDINGS,
-    q_dbscan_core_embeddings,
-    SQL_DBSCAN_CORE,
-    q_fisher_exact_weekend,
-    SQL_FISHER_EXACT_WEEKEND,
-    q_ledoit_wolf_embeddings,
-    SQL_LEDOIT_WOLF,
-    q_ari_nmi_embeddings,
-    SQL_ARI_NMI,
-    q_sprt_purchase_daily,
-    SQL_SPRT_PURCHASE,
-    q_kneser_ney_ppl_documents,
-    SQL_KNESER_NEY_PPL,
-    q_tail_dependence_daily,
-    SQL_TAIL_DEPENDENCE,
-    q_extremal_index_daily,
-    SQL_EXTREMAL_INDEX,
-    q_bayes_ab_weekend,
-    SQL_BAYES_AB_WEEKEND,
-    q_did_purchase_daily,
-    SQL_DID_PURCHASE,
-    q_breslow_day_types,
-    SQL_BRESLOW_DAY,
-    q_lomb_scargle_daily,
-    SQL_LOMB_SCARGLE,
-    q_cochrane_orcutt_daily,
-    SQL_COCHRANE_ORCUTT,
-    q_iv_wald_lineitem,
-    SQL_IV_WALD,
-    q_gmm_em_daily,
-    SQL_GMM_EM_DAILY,
-    q_modularity_knn_embeddings,
-    SQL_MODULARITY_KNN,
-    q_lm_dirichlet_documents,
-    SQL_LM_DIRICHLET,
-    q_ipf_type_dow,
-    SQL_IPF_TYPE_DOW,
-    q_var_backtest_daily,
-    SQL_VAR_BACKTEST,
-    q_hoeffding_d_daily,
-    SQL_HOEFFDING_D,
-    q_hash_collision_audit,
-    SQL_HASH_COLLISION_AUDIT,
-    q_rle_layout_events,
-    SQL_RLE_LAYOUT,
-    q_lad_trend_daily,
-    SQL_LAD_TREND,
-    q_kalman_level_daily,
-    SQL_KALMAN_LEVEL,
-    q_deming_purchase_click,
-    SQL_DEMING_PURCHASE_CLICK,
-    q_bland_altman_purchase_click,
-    SQL_BLAND_ALTMAN,
-    q_isotonic_fit_daily,
-    SQL_ISOTONIC_FIT,
-    q_savgol_daily,
-    SQL_SAVGOL_DAILY,
-    q_irreversibility_events,
-    SQL_IRREVERSIBILITY,
-    q_viterbi_hmm_daily,
-    SQL_VITERBI_HMM,
-    q_german_tank_orders,
-    SQL_GERMAN_TANK,
-    q_lindley_wait_users,
-    SQL_LINDLEY_WAIT,
-    q_huber_location_daily,
-    _huber_iter_sql,
-    SQL_HUBER_LOCATION,
-    q_geary_c_hour_dow,
-    SQL_GEARY_C_HOUR_DOW,
-    _jaro_winkler_bytes,
-    q_jaro_winkler_pairs_documents,
-    SQL_JARO_WINKLER_PAIRS,
-)
-from forecastframe_ray.pipelines.queries.incremental import (  # noqa: F401
-    SQL_LLM_INCREMENTAL_FUNNEL,
-    SQL_LLM_INCREMENTAL_NEARDUP_GATE,
-    q_llm_incremental_funnel_documents,
-    q_llm_incremental_neardup_gate,
-)
-from forecastframe_ray.pipelines.queries.gbm import (  # noqa: F401
-    SQL_GBM_CV,
-    SQL_GBM_SHAP,
-    q_gbm_cv_daily,
-    q_gbm_shap_daily,
-)
-from forecastframe_ray.pipelines.queries.quality import (  # noqa: F401
-    SQL_QUALITY_CLASSIFIER,
-    q_quality_classifier_documents,
-)
-from forecastframe_ray.pipelines.queries.annidx import (  # noqa: F401
-    SQL_ANN_INDEX_GATE,
-    SQL_ANN_INDEX_SEARCH,
-    q_ann_index_incremental_gate,
-    q_ann_index_search_embeddings,
-)
+Each catalog entry is declared once, where it is defined, by the
+``@entry`` decorator::
+
+    @entry("german_tank_orders", sql=lambda: SQL_GERMAN_TANK)
+    def q_german_tank_orders(sf_dir: str) -> pd.DataFrame: ...
+
+``name`` is the catalog key (it may differ from the function name).
+``sql`` is a zero-argument callable that returns the entry's DuckDB
+oracle; it is called lazily, so the oracle may be defined below the
+function or built from an expression such as ``TIER_SQL["1d"]``. An entry
+without ``sql`` is rows-only. ``CATALOG`` maps each name to its
+``(fn, sql)`` pair in registration order (submodule import order below,
+then definition order). Registering a name twice raises ``ValueError``.
+
+Every submodule name stays reachable on the package (``Q.q_lag_daily_events``,
+``from forecastframe_ray.pipelines.queries import _read``) through the
+module ``__getattr__`` below.
+"""
+
+from __future__ import annotations
+
+import importlib
+from collections.abc import Callable
+from typing import Any
+
+CATALOG: dict[str, tuple[Callable[[str], Any], Callable[[], str] | None]] = {}
+
+
+def entry(name: str, sql: Callable[[], str] | None = None):
+    """Register the decorated function as catalog entry ``name``."""
+    def register(fn):
+        if name in CATALOG:
+            raise ValueError(f"catalog entry {name!r} is already registered "
+                             f"(by {CATALOG[name][0].__qualname__})")
+        CATALOG[name] = (fn, sql)
+        return fn
+    return register
+
+
+# submodules import ``entry`` from this package, so they load after it
+_PARTS = tuple(importlib.import_module(f"{__name__}.{part}") for part in (
+    "spine", "text", "corpus", "windows", "stats", "stats2", "stats3",
+    "stats4", "stats5", "incremental", "gbm", "quality", "annidx"))
+
+
+def __getattr__(name: str) -> Any:
+    if not name.startswith("__"):
+        for part in _PARTS:
+            if name in vars(part):
+                return vars(part)[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

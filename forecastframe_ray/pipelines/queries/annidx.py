@@ -30,6 +30,7 @@ from forecastframe_ray.pipelines.queries.spine import (
     _query_vectors,
     _read,
 )
+from forecastframe_ray.pipelines.queries import entry
 
 SQL_ANN_INDEX_SEARCH = SQL_ANN_BRUTEFORCE
 
@@ -47,6 +48,7 @@ def _split(sf_dir: str):
     return emb, sh1, sh2
 
 
+@entry("ann_index_search_embeddings", sql=lambda: SQL_ANN_INDEX_SEARCH)
 def q_ann_index_search_embeddings(sf_dir: str) -> pd.DataFrame:
     from forecastframe_ray.pipelines import ann_index as AI
 
@@ -63,6 +65,7 @@ def q_ann_index_search_embeddings(sf_dir: str) -> pd.DataFrame:
     return top[["query_ix", "rank", "vec_id"]].reset_index(drop=True)
 
 
+@entry("ann_index_incremental_gate", sql=lambda: SQL_ANN_INDEX_GATE)
 def q_ann_index_incremental_gate(sf_dir: str) -> pd.DataFrame:
     from forecastframe_ray.pipelines import ann_index as AI
 

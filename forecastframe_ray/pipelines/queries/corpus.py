@@ -33,30 +33,15 @@ from forecastframe_ray.pipelines.queries.text import (  # noqa: F401
     q_ohlc_daily_events,
     q_transition_counts_events,
 )
+from forecastframe_ray.pipelines.queries import entry
 
-
-
-SQL_COUNTER_INCREASE = """
-    WITH l AS (
-        SELECT user_id, value,
-               LAG(value) OVER (PARTITION BY user_id
-                                ORDER BY ts, value) AS pv
-        FROM events
-    )
-    SELECT user_id, CAST(count(*) AS BIGINT) AS n,
-           round(COALESCE(sum(CASE WHEN pv IS NULL THEN 0
-                                   WHEN value >= pv THEN value - pv
-                                   ELSE value END), 0), 6) AS increase,
-           CAST(COALESCE(sum(CASE WHEN value < pv THEN 1 END), 0)
-                AS BIGINT) AS n_resets
-    FROM l GROUP BY 1
-"""
 
 
 # ---------------------------------------------------------------------------
 # band / drawdown / record-run features on the daily spine (W1 family)
 # ---------------------------------------------------------------------------
 
+@entry("bollinger_daily_events", sql=lambda: SQL_BOLLINGER_DAILY)
 def q_bollinger_daily_events(sf_dir: str) -> pd.DataFrame:
     """Bollinger bands (Bollinger 1980s — public) on the daily spine,
     leakage-safe form: band = trailing LAG-1 7-row mean ± 2·std (ddof=1,
@@ -118,6 +103,7 @@ SQL_BOLLINGER_DAILY = f"""
 """
 
 
+@entry("drawdown_daily_events", sql=lambda: SQL_DRAWDOWN_DAILY)
 def q_drawdown_daily_events(sf_dir: str) -> pd.DataFrame:
     """Maximum drawdown per daily series: the largest peak-to-trough drop
     ``max(running_max(v) − v)`` in time order (absolute units — the daily
@@ -160,6 +146,7 @@ SQL_DRAWDOWN_DAILY = f"""
 """
 
 
+@entry("records_streaks_daily", sql=lambda: SQL_RECORDS_STREAKS_DAILY)
 def q_records_streaks_daily(sf_dir: str) -> pd.DataFrame:
     """Record-high days and the longest up-streak per daily series — the
     two classic run statistics (records: v strictly above every prior
@@ -222,6 +209,7 @@ SQL_RECORDS_STREAKS_DAILY = f"""
 """
 
 
+@entry("atr_daily_events", sql=lambda: SQL_ATR_DAILY)
 def q_atr_daily_events(sf_dir: str) -> pd.DataFrame:
     """Average True Range (Wilder 1978 — public) over the daily OHLC bars:
     ``TR = max(high−low, |high−prev_close|, |low−prev_close|)`` (first bar:
@@ -272,6 +260,7 @@ SQL_ATR_DAILY = f"""
 # distribution audits: Benford first-digit, Gini concentration
 # ---------------------------------------------------------------------------
 
+@entry("benford_lineitem", sql=lambda: SQL_BENFORD_LINEITEM)
 def q_benford_lineitem(sf_dir: str) -> pd.DataFrame:
     """Benford first-significant-digit audit (Benford 1938 — public) of
     ``l_extendedprice``: digits are taken from the integer cents via string
@@ -313,6 +302,7 @@ SQL_BENFORD_LINEITEM = """
 """
 
 
+@entry("gini_users_events", sql=lambda: SQL_GINI_USERS)
 def q_gini_users_events(sf_dir: str) -> pd.DataFrame:
     """Gini concentration of per-user total event value (Gini 1912 —
     public; the activity-inequality dashboard number). Per-user totals
@@ -352,6 +342,7 @@ SQL_GINI_USERS = """
 # robust filtering / seasonal profiles / momentum (W1 family, batch 2)
 # ---------------------------------------------------------------------------
 
+@entry("hampel_daily_events", sql=lambda: SQL_HAMPEL_DAILY)
 def q_hampel_daily_events(sf_dir: str) -> pd.DataFrame:
     """Hampel filter (Hampel 1974 — public; the robust despiking standard)
     on the daily spine: centered 7-row window (3 each side, shrinking at
@@ -418,6 +409,7 @@ SQL_HAMPEL_DAILY = f"""
 """
 
 
+@entry("dow_profile_daily", sql=lambda: SQL_DOW_PROFILE_DAILY)
 def q_dow_profile_daily(sf_dir: str) -> pd.DataFrame:
     """Day-of-week seasonal profile per series: n / median / p25 / p75 of
     the daily value by ISO weekday (Mon=1..Sun=7) — the box-plot row behind
@@ -460,6 +452,7 @@ SQL_DOW_PROFILE_DAILY = f"""
 """
 
 
+@entry("macd_daily_events", sql=lambda: SQL_MACD_DAILY)
 def q_macd_daily_events(sf_dir: str) -> pd.DataFrame:
     """MACD (Appel 1970s — public): ``ewm12(v) − ewm26(v)`` per daily
     series (adjust=True, min_periods=1), the span-9 signal line over the
@@ -530,6 +523,7 @@ SQL_MACD_DAILY = f"""
 # audience overlap / normalized dedup (webtext curation, batch 2)
 # ---------------------------------------------------------------------------
 
+@entry("audience_overlap_events", sql=lambda: SQL_AUDIENCE_OVERLAP)
 def q_audience_overlap_events(sf_dir: str) -> pd.DataFrame:
     """Audience-overlap Jaccard between event types: for every co-occurring
     type pair, ``|users(a) ∩ users(b)| / |users(a) ∪ users(b)|``. The
@@ -597,6 +591,7 @@ SQL_AUDIENCE_OVERLAP = """
 """
 
 
+@entry("normalized_dedup_documents", sql=lambda: SQL_NORMALIZED_DEDUP)
 def q_normalized_dedup_documents(sf_dir: str) -> pd.DataFrame:
     """Fuzzy-exact dedup on NORMALIZED text (the C4/CCNet pre-pass —
     public): lowercase, strip non-[a-z0-9 ], collapse runs of spaces, trim;
@@ -643,6 +638,7 @@ SQL_NORMALIZED_DEDUP = """
 # Holt-Winters gate / rolling distinct / burstiness / transition entropy
 # ---------------------------------------------------------------------------
 
+@entry("holt_winters_gate_daily", sql=lambda: SQL_HOLT_WINTERS_GATE)
 def q_holt_winters_gate_daily(sf_dir: str) -> pd.DataFrame:
     """Holt-Winters additive forecast, oracle-GATED through the degenerate
     closed form (the holt/ses/croston gate pattern): at α=1, β=0, γ=0 the
@@ -702,6 +698,7 @@ SQL_HOLT_WINTERS_GATE = f"""
 """
 
 
+@entry("rolling_distinct_users_daily", sql=lambda: SQL_ROLLING_DISTINCT_USERS)
 def q_rolling_distinct_users_daily(sf_dir: str) -> pd.DataFrame:
     """Trailing 7-day distinct active users per event type (the WAU-style
     rolling-cardinality dashboard number). The distributed plan never
@@ -762,6 +759,7 @@ SQL_ROLLING_DISTINCT_USERS = """
 """
 
 
+@entry("burstiness_users_events", sql=lambda: SQL_BURSTINESS_USERS)
 def q_burstiness_users_events(sf_dir: str) -> pd.DataFrame:
     """Burstiness index (Goh & Barabási 2008 — public)
     ``B = (σ − μ) / (σ + μ)`` over each user's inter-event gap seconds
@@ -820,6 +818,7 @@ SQL_BURSTINESS_USERS = f"""
 """
 
 
+@entry("transition_entropy_events", sql=lambda: SQL_TRANSITION_ENTROPY)
 def q_transition_entropy_events(sf_dir: str) -> pd.DataFrame:
     """Conditional next-event entropy per source type (the Markov-chain
     entropy-rate row): H(next | prev=i) = −Σ_j p(j|i)·ln p(j|i) in nats
@@ -862,6 +861,7 @@ SQL_TRANSITION_ENTROPY = """
 # Count-Min gate / SCD2 history / skew profile
 # ---------------------------------------------------------------------------
 
+@entry("cms_user_counts_gate", sql=lambda: SQL_CMS_USER_COUNTS_GATE)
 def q_cms_user_counts_gate(sf_dir: str) -> pd.DataFrame:
     """Count-Min sketch gate (ann_ivf_recall pattern): a per-event-type
     (d=4, w=512) CMS over the user_id stream must satisfy BOTH published
@@ -908,6 +908,7 @@ SQL_CMS_USER_COUNTS_GATE = """
 """
 
 
+@entry("scd2_history_events", sql=lambda: SQL_SCD2_HISTORY)
 def q_scd2_history_events(sf_dir: str) -> pd.DataFrame:
     """SCD Type-2 dimension history (Kimball — public) built from the
     event stream: each user's event_type sequence is compacted to its
@@ -971,6 +972,7 @@ SQL_SCD2_HISTORY = """
 """
 
 
+@entry("skew_profile_events", sql=lambda: SQL_SKEW_PROFILE)
 def q_skew_profile_events(sf_dir: str) -> pd.DataFrame:
     """Key-skew diagnostic over the user_id key space (the number the
     north_rule's salted-repartition decision reads): rows reduce once to
@@ -1005,6 +1007,7 @@ SQL_SKEW_PROFILE = """
 # count-based windows / two-sample tests (batch 5)
 # ---------------------------------------------------------------------------
 
+@entry("count_windows_users", sql=lambda: SQL_COUNT_WINDOWS_USERS)
 def q_count_windows_users(sf_dir: str) -> pd.DataFrame:
     """Tumbling COUNT-based windows (every 5 events) per user — the
     Flink-style count-window shape the time-based hopping/tumbling entries
@@ -1051,6 +1054,7 @@ SQL_COUNT_WINDOWS_USERS = """
 """
 
 
+@entry("welch_ttest_events", sql=lambda: SQL_WELCH_TTEST)
 def q_welch_ttest_events(sf_dir: str) -> pd.DataFrame:
     """Welch's unequal-variance t-test (Welch 1947 — public) between the
     'click' and 'view' value distributions: t statistic and the
@@ -1114,6 +1118,7 @@ SQL_WELCH_TTEST = """
 """
 
 
+@entry("chisq_type_dow_events", sql=lambda: SQL_CHISQ_TYPE_DOW)
 def q_chisq_type_dow_events(sf_dir: str) -> pd.DataFrame:
     """Pearson chi-square independence test (Pearson 1900 — public) of the
     event_type × ISO-weekday contingency table: χ² = Σ (O−E)²/E with
@@ -1161,6 +1166,7 @@ SQL_CHISQ_TYPE_DOW = """
 """
 
 
+@entry("ks_two_sample_events", sql=lambda: SQL_KS_TWO_SAMPLE)
 def q_ks_two_sample_events(sf_dir: str) -> pd.DataFrame:
     """Two-sample Kolmogorov–Smirnov statistic (public) between the
     'click' and 'view' value distributions: D = max |F_a(v) − F_b(v)|.
@@ -1222,6 +1228,7 @@ SQL_KS_TWO_SAMPLE = """
 # VWAP / sorted-blocking dedup (batch 6)
 # ---------------------------------------------------------------------------
 
+@entry("vwap_daily_events", sql=lambda: SQL_VWAP_DAILY)
 def q_vwap_daily_events(sf_dir: str) -> pd.DataFrame:
     """Volume-weighted average price per (series, day) — the market twin of
     the TWAP entry, weighting each observation by the integer ``k`` field
@@ -1278,6 +1285,7 @@ def _char_shingles(nt: str, width: int = 5) -> set:
     return {nt[i:i + width] for i in range(n)}
 
 
+@entry("blocking_dedup_documents", sql=lambda: SQL_BLOCKING_DEDUP)
 def q_blocking_dedup_documents(sf_dir: str) -> pd.DataFrame:
     """Sorted-key BLOCKING dedup (Fellegi–Sunter-era entity-resolution
     blocking — public; the non-LSH classical baseline): documents sharing
@@ -1355,6 +1363,7 @@ SQL_BLOCKING_DEDUP = """
 # SPC chart / Pareto / readability / edit distance / CUPED (batch 7)
 # ---------------------------------------------------------------------------
 
+@entry("control_chart_daily", sql=lambda: SQL_CONTROL_CHART_DAILY)
 def q_control_chart_daily(sf_dir: str) -> pd.DataFrame:
     """Shewhart individuals X-MR control chart (public SPC — the 2.66·MR̄
     rule): per daily series, moving range MR = |v − v_prev|, center = mean
@@ -1412,6 +1421,7 @@ SQL_CONTROL_CHART_DAILY = f"""
 """
 
 
+@entry("pareto_share_events", sql=lambda: SQL_PARETO_SHARE)
 def q_pareto_share_events(sf_dir: str) -> pd.DataFrame:
     """Pareto 80/20 check: the share of total event value held by the top
     20% of users (by their 6dp-rounded totals; ties broken by user_id so
@@ -1451,6 +1461,7 @@ SQL_PARETO_SHARE = """
 """
 
 
+@entry("readability_documents", sql=lambda: SQL_READABILITY_DOCS)
 def q_readability_documents(sf_dir: str) -> pd.DataFrame:
     """Flesch-Kincaid grade level (Kincaid 1975 — public) with the
     vowel-run syllable heuristic: words = whitespace tokens, sentences =
@@ -1525,6 +1536,7 @@ def _levenshtein(a: str, b: str) -> int:
     return int(prev[-1])
 
 
+@entry("levenshtein_pairs_documents", sql=lambda: SQL_LEVENSHTEIN_PAIRS)
 def q_levenshtein_pairs_documents(sf_dir: str) -> pd.DataFrame:
     """Unit-cost Levenshtein distance for the fixed (2i, 2i+1) pair list
     (the ngram_jaccard_pairs convention) over 200-char prefixes, plus the
@@ -1583,6 +1595,7 @@ SQL_LEVENSHTEIN_PAIRS = """
 """
 
 
+@entry("cuped_adjusted_users", sql=lambda: SQL_CUPED_ADJUSTED)
 def q_cuped_adjusted_users(sf_dir: str) -> pd.DataFrame:
     """CUPED variance reduction (Deng et al. 2013 — public, the A/B-test
     pre-period adjustment): split the stream at the midpoint timestamp,
@@ -1645,6 +1658,7 @@ SQL_CUPED_ADJUSTED = """
 # weighted sampling / conversion latency (batch 8)
 # ---------------------------------------------------------------------------
 
+@entry("weighted_sample_orders", sql=lambda: SQL_WEIGHTED_SAMPLE_ORDERS)
 def q_weighted_sample_orders(sf_dir: str) -> pd.DataFrame:
     """Deterministic weighted sampling WITHOUT replacement (Efraimidis &
     Spirakis 2006 — public): each order draws u from the md5-bucket
@@ -1685,6 +1699,7 @@ SQL_WEIGHTED_SAMPLE_ORDERS = """
 """
 
 
+@entry("conversion_latency_events", sql=lambda: SQL_CONVERSION_LATENCY)
 def q_conversion_latency_events(sf_dir: str) -> pd.DataFrame:
     """Time-to-convert: for each user whose first 'purchase' follows their
     first 'view', the latency seconds between the two firsts; summarized
@@ -1757,6 +1772,7 @@ def _ntile_from_pos(pos: np.ndarray, n: int, k: int) -> np.ndarray:
                     (r + (pos - big) // q + 1) if q else k).astype(np.int64)
 
 
+@entry("rfm_segments_users", sql=lambda: SQL_RFM_SEGMENTS)
 def q_rfm_segments_users(sf_dir: str) -> pd.DataFrame:
     """Classic RFM segmentation (Hughes 1994 — public): per user, recency
     = days from the user's last active DAY to the global max day,
@@ -1819,6 +1835,7 @@ SQL_RFM_SEGMENTS = """
 """
 
 
+@entry("lorenz_deciles_users", sql=lambda: SQL_LORENZ_DECILES)
 def q_lorenz_deciles_users(sf_dir: str) -> pd.DataFrame:
     """Lorenz curve in decile form (the Gini entry's visual twin): users
     ntile(10)-bucketed by ascending 6dp value total, each decile's share
@@ -1864,6 +1881,7 @@ SQL_LORENZ_DECILES = """
 """
 
 
+@entry("availability_islands_daily", sql=lambda: SQL_AVAILABILITY_ISLANDS)
 def q_availability_islands_daily(sf_dir: str) -> pd.DataFrame:
     """Calendar gaps-and-islands per daily series: contiguous-day runs
     (islands) over the observed days — island count, longest island, and
@@ -1924,6 +1942,7 @@ SQL_AVAILABILITY_ISLANDS = f"""
 """
 
 
+@entry("new_vs_returning_daily", sql=lambda: SQL_NEW_VS_RETURNING)
 def q_new_vs_returning_daily(sf_dir: str) -> pd.DataFrame:
     """Growth-accounting split per day: users active that day whose
     FIRST-ever active day it is (new) vs the rest (returning). Distinct
@@ -1977,6 +1996,7 @@ SQL_NEW_VS_RETURNING = """
 # stickiness / calendar rollups / MTD / robust shape (batch 10)
 # ---------------------------------------------------------------------------
 
+@entry("dau_wau_stickiness", sql=lambda: SQL_DAU_WAU_STICKINESS)
 def q_dau_wau_stickiness(sf_dir: str) -> pd.DataFrame:
     """DAU/WAU stickiness per day (the engagement dashboard headline):
     daily distinct users over trailing-7-day distinct users. WAU reuses
@@ -2037,6 +2057,7 @@ SQL_DAU_WAU_STICKINESS = """
 """
 
 
+@entry("weekly_calendar_rollup", sql=lambda: SQL_WEEKLY_CALENDAR_ROLLUP)
 def q_weekly_calendar_rollup(sf_dir: str) -> pd.DataFrame:
     """Calendar-week rollup (Monday-anchored, ``date_trunc('week')``
     semantics) per series — the CALENDAR-aligned retention-tier variant
@@ -2074,6 +2095,7 @@ SQL_WEEKLY_CALENDAR_ROLLUP = """
 """
 
 
+@entry("mtd_cumsum_daily", sql=lambda: SQL_MTD_CUMSUM_DAILY)
 def q_mtd_cumsum_daily(sf_dir: str) -> pd.DataFrame:
     """Month-to-date running total per daily series — the expanding sum
     with CALENDAR-RESET semantics (restarts at each month boundary), the
@@ -2113,6 +2135,7 @@ SQL_MTD_CUMSUM_DAILY = f"""
 """
 
 
+@entry("bowley_skew_events", sql=lambda: SQL_BOWLEY_SKEW)
 def q_bowley_skew_events(sf_dir: str) -> pd.DataFrame:
     """Bowley quartile skewness (Bowley 1901 — public, the robust shape
     twin of the moment skew): ``(Q3 + Q1 − 2·Q2) / (Q3 − Q1)`` of value
@@ -2161,6 +2184,7 @@ SQL_BOWLEY_SKEW = f"""
 # char-LM score / dup histogram / TTR / lead-lag discovery (batch 11)
 # ---------------------------------------------------------------------------
 
+@entry("char_trigram_score_documents", sql=lambda: SQL_CHAR_TRIGRAM_SCORE)
 def q_char_trigram_score_documents(sf_dir: str) -> pd.DataFrame:
     """Character-trigram corpus-LM quality score (the char-level CCNet
     twin of ``unigram_logprob``): corpus trigram frequencies over the
@@ -2223,6 +2247,7 @@ SQL_CHAR_TRIGRAM_SCORE = """
 """
 
 
+@entry("dup_class_histogram_documents", sql=lambda: SQL_DUP_CLASS_HISTOGRAM)
 def q_dup_class_histogram_documents(sf_dir: str) -> pd.DataFrame:
     """Duplicate-class size histogram (the curation diagnostic behind the
     dedup funnel's yield estimate): exact-duplicate classes by text
@@ -2251,6 +2276,7 @@ SQL_DUP_CLASS_HISTOGRAM = """
 """
 
 
+@entry("ttr_documents", sql=lambda: SQL_TTR_DOCUMENTS)
 def q_ttr_documents(sf_dir: str) -> pd.DataFrame:
     """Type-token ratio per document (the lexical-richness quality
     signal): distinct whitespace tokens over total tokens; zero-token
@@ -2290,6 +2316,7 @@ SQL_TTR_DOCUMENTS = rf"""
 """
 
 
+@entry("lead_lag_xcorr_daily", sql=lambda: SQL_LEAD_LAG_XCORR)
 def q_lead_lag_xcorr_daily(sf_dir: str) -> pd.DataFrame:
     """Lead-lag discovery between every two daily series: Pearson
     correlation of (a_t, b_{t+lag}) for lag ∈ [−3, 3] over common days,
@@ -2361,6 +2388,7 @@ SQL_LEAD_LAG_XCORR = f"""
 # Mann-Whitney / dow ANOVA / runs test (batch 12)
 # ---------------------------------------------------------------------------
 
+@entry("mannwhitney_events", sql=lambda: SQL_MANNWHITNEY)
 def q_mannwhitney_events(sf_dir: str) -> pd.DataFrame:
     """Mann-Whitney U (Mann & Whitney 1947 — public) between the 'click'
     and 'view' value samples with tie-corrected AVERAGE ranks, plus the
@@ -2424,6 +2452,7 @@ SQL_MANNWHITNEY = """
 """
 
 
+@entry("dow_anova_daily", sql=lambda: SQL_DOW_ANOVA)
 def q_dow_anova_daily(sf_dir: str) -> pd.DataFrame:
     """One-way ANOVA F of the daily value by ISO weekday per series (the
     'is the weekly seasonality significant' test): F = (SSB/(k−1)) /
@@ -2487,6 +2516,7 @@ SQL_DOW_ANOVA = f"""
 """
 
 
+@entry("runs_test_daily", sql=lambda: SQL_RUNS_TEST)
 def q_runs_test_daily(sf_dir: str) -> pd.DataFrame:
     """Wald–Wolfowitz runs test (1940 — public) per daily series: drop
     days equal to the series median, count sign runs above/below, and
@@ -2570,6 +2600,7 @@ SQL_RUNS_TEST = f"""
 # TPC-H Q5 / windowed conversion / relational division (batch 13)
 # ---------------------------------------------------------------------------
 
+@entry("local_supplier_volume", sql=lambda: SQL_LOCAL_SUPPLIER_VOLUME)
 def q_local_supplier_volume(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q5 shape (public spec): per-nation revenue
     ``Σ l_extendedprice·(1−l_discount)`` for ASIA-region nations over one
@@ -2658,6 +2689,7 @@ SQL_LOCAL_SUPPLIER_VOLUME = """
 """
 
 
+@entry("conversion_within_7d", sql=lambda: SQL_CONVERSION_WITHIN_7D)
 def q_conversion_within_7d(sf_dir: str) -> pd.DataFrame:
     """Windowed conversion rate: among users with a 'view', the share
     whose first 'purchase' lands within 7 days AFTER their first view —
@@ -2719,6 +2751,7 @@ SQL_CONVERSION_WITHIN_7D = f"""
 """
 
 
+@entry("power_users_division", sql=lambda: SQL_POWER_USERS_DIVISION)
 def q_power_users_division(sf_dir: str) -> pd.DataFrame:
     """Relational DIVISION (Codd — public; the 'for all' join family the
     semi/anti entries don't cover): users active in EVERY event type the
@@ -2753,6 +2786,7 @@ SQL_POWER_USERS_DIVISION = """
 # market-basket lift / HHI / centroid geometry (batch 14)
 # ---------------------------------------------------------------------------
 
+@entry("basket_lift_lineitem", sql=lambda: SQL_BASKET_LIFT)
 def q_basket_lift_lineitem(sf_dir: str) -> pd.DataFrame:
     """Market-basket association (Agrawal 1993 — public): among the
     top-50 parts by order frequency (count desc, partkey asc — a
@@ -2840,6 +2874,7 @@ SQL_BASKET_LIFT = """
 """
 
 
+@entry("hhi_suppliers_lineitem", sql=lambda: SQL_HHI_SUPPLIERS)
 def q_hhi_suppliers_lineitem(sf_dir: str) -> pd.DataFrame:
     """Herfindahl–Hirschman concentration index (public antitrust
     convention, ×10000) of supplier revenue shares
@@ -2888,6 +2923,7 @@ def _rounded_centroids(sf_dir: str) -> pd.DataFrame:
     return np.round(piv, 6)
 
 
+@entry("label_centroid_distances", sql=lambda: SQL_LABEL_CENTROID_DISTANCES)
 def q_label_centroid_distances(sf_dir: str) -> pd.DataFrame:
     """Pairwise Euclidean distances between the per-label centroid
     vectors (the cluster-geometry dashboard): computed from the
@@ -2921,6 +2957,7 @@ SQL_LABEL_CENTROID_DISTANCES = """
 """
 
 
+@entry("silhouette_embeddings", sql=lambda: SQL_SILHOUETTE_EMBEDDINGS)
 def q_silhouette_embeddings(sf_dir: str) -> pd.DataFrame:
     """Simplified (centroid-based) silhouette per label: for each vector,
     a = distance to its OWN label centroid, b = min distance to any other
@@ -2997,6 +3034,7 @@ SQL_SILHOUETTE_EMBEDDINGS = """
 # quantization error / F1 threshold sweep / forward as-of (batch 15)
 # ---------------------------------------------------------------------------
 
+@entry("quantization_error_embeddings", sql=lambda: SQL_QUANTIZATION_ERROR)
 def q_quantization_error_embeddings(sf_dir: str) -> pd.DataFrame:
     """Symmetric int8 quantization audit (the embedding-compression
     decision input for ANN at scale): per vector, scale = max|x|/127,
@@ -3046,6 +3084,7 @@ SQL_QUANTIZATION_ERROR = """
 """
 
 
+@entry("best_f1_threshold_documents", sql=lambda: SQL_BEST_F1_THRESHOLD)
 def q_best_f1_threshold_documents(sf_dir: str) -> pd.DataFrame:
     """Threshold sweep maximizing F1 (the standard classifier-calibration
     fold) — score = n_chars, positive class = lang 'en' (the SCORE is
@@ -3110,6 +3149,7 @@ SQL_BEST_F1_THRESHOLD = """
 """
 
 
+@entry("asof_forward_events", sql=lambda: SQL_ASOF_FORWARD)
 def q_asof_forward_events(sf_dir: str) -> pd.DataFrame:
     """FORWARD as-of join (the existing as-of entry runs backward): each
     'purchase' picks the same user's NEXT 'click' at or after it —
@@ -3167,6 +3207,7 @@ SQL_ASOF_FORWARD = f"""
 # watermark late-arrival scan / weighted median (batch 16)
 # ---------------------------------------------------------------------------
 
+@entry("late_events_watermark", sql=lambda: SQL_LATE_EVENTS_WATERMARK)
 def q_late_events_watermark(sf_dir: str) -> pd.DataFrame:
     """Streaming late-arrival audit: reading events in ARRIVAL order
     (event_id), the watermark is the running max event time seen so far;
@@ -3255,6 +3296,7 @@ SQL_LATE_EVENTS_WATERMARK = """
 """
 
 
+@entry("weighted_median_events", sql=lambda: SQL_WEIGHTED_MEDIAN)
 def q_weighted_median_events(sf_dir: str) -> pd.DataFrame:
     """Weighted median (lower weighted median — the smallest value whose
     cumulative weight reaches half the total) of event value per type,
@@ -3311,6 +3353,7 @@ SQL_WEIGHTED_MEDIAN = """
 # calendar heatmap / embedding covariance (batch 17)
 # ---------------------------------------------------------------------------
 
+@entry("hour_dow_heatmap_events", sql=lambda: SQL_HOUR_DOW_HEATMAP)
 def q_hour_dow_heatmap_events(sf_dir: str) -> pd.DataFrame:
     """Hour-of-day × ISO-weekday activity heatmap (count + mean value per
     cell) — the classic traffic-pattern matrix, one narrow two-key
@@ -3346,6 +3389,7 @@ SQL_HOUR_DOW_HEATMAP = """
 """
 
 
+@entry("covariance_embeddings", sql=lambda: SQL_COVARIANCE_EMBEDDINGS)
 def q_covariance_embeddings(sf_dir: str) -> pd.DataFrame:
     """Sample covariance matrix of the embedding dimensions (the PCA /
     whitening input) via the one-pass distributed moment plan: each batch
@@ -3399,6 +3443,7 @@ SQL_COVARIANCE_EMBEDDINGS = """
 # debounce / point-in-time state (batch 18)
 # ---------------------------------------------------------------------------
 
+@entry("debounce_events", sql=lambda: SQL_DEBOUNCE_EVENTS)
 def q_debounce_events(sf_dir: str) -> pd.DataFrame:
     """Burst compaction (debounce): per (user, type) stream, events
     within 5 minutes of their predecessor chain into one burst
@@ -3452,6 +3497,7 @@ SQL_DEBOUNCE_EVENTS = """
 """
 
 
+@entry("point_in_time_user_state", sql=lambda: SQL_POINT_IN_TIME_STATE)
 def q_point_in_time_user_state(sf_dir: str) -> pd.DataFrame:
     """Point-in-time dimension lookup (the SCD2 entry's 'AS OF T' query):
     at the stream's integer-epoch-us midpoint, each user's then-active
@@ -3500,6 +3546,7 @@ SQL_POINT_IN_TIME_STATE = """
 # corpus checksum / column profile (batch 19)
 # ---------------------------------------------------------------------------
 
+@entry("corpus_checksum_documents", sql=lambda: SQL_CORPUS_CHECKSUM)
 def q_corpus_checksum_documents(sf_dir: str) -> pd.DataFrame:
     """Order-insensitive corpus checksum (the integrity stamp a resume /
     replication check compares): per-row 60-bit md5 prefix of the text,
@@ -3537,6 +3584,7 @@ SQL_CORPUS_CHECKSUM = """
 """
 
 
+@entry("profile_orders", sql=lambda: SQL_PROFILE_ORDERS)
 def q_profile_orders(sf_dir: str) -> pd.DataFrame:
     """Generic column profiler over orders (the data-quality first-look):
     per column — row count, null count, distinct count, min and max
@@ -3642,6 +3690,7 @@ SQL_PROFILE_ORDERS = """
 # Grubbs outlier / order reconciliation / bounce rate (batch 20)
 # ---------------------------------------------------------------------------
 
+@entry("grubbs_daily_events", sql=lambda: SQL_GRUBBS_DAILY)
 def q_grubbs_daily_events(sf_dir: str) -> pd.DataFrame:
     """Grubbs single-outlier statistic (Grubbs 1950 — public) per daily
     series: ``G = max|v − mean| / sd`` (ddof=1), with the offending day.
@@ -3695,6 +3744,7 @@ SQL_GRUBBS_DAILY = f"""
 """
 
 
+@entry("reconciliation_orders_lineitem", sql=lambda: SQL_RECONCILIATION)
 def q_reconciliation_orders_lineitem(sf_dir: str) -> pd.DataFrame:
     """Cross-table reconciliation (the warehouse trust check): each
     order's header ``o_totalprice`` against its lineitems' gross
@@ -3754,6 +3804,7 @@ SQL_RECONCILIATION = """
 """
 
 
+@entry("bounce_rate_daily", sql=lambda: SQL_BOUNCE_RATE_DAILY)
 def q_bounce_rate_daily(sf_dir: str) -> pd.DataFrame:
     """Bounce rate per day (classic web analytics): share of sessions
     starting that day with exactly ONE event. Sessions come from the
@@ -3816,6 +3867,7 @@ SQL_BOUNCE_RATE_DAILY = f"""
 # Naive2 forecast / KMV set operations (batch 21)
 # ---------------------------------------------------------------------------
 
+@entry("naive2_forecast_daily", sql=lambda: SQL_NAIVE2_FORECAST)
 def q_naive2_forecast_daily(sf_dir: str) -> pd.DataFrame:
     """Naive2 forecast (the M-competition deseasonalized-naive benchmark)
     per daily series — EXACT oracle, no degenerate gate: multiplicative
@@ -3828,3 +3880,41 @@ def q_naive2_forecast_daily(sf_dir: str) -> pd.DataFrame:
     df = preds.to_pandas()[["event_type", "d", "predicted_v"]]
     df = _round(df, ["predicted_v"], 6)
     return df.sort_values(["event_type", "d"]).reset_index(drop=True)
+
+
+SQL_NAIVE2_FORECAST = f"""
+    WITH daily AS ({_DAILY_SQL}),
+    r AS (
+        SELECT event_type, d, v,
+               row_number() OVER (PARTITION BY event_type ORDER BY d) AS rn
+        FROM daily
+    ),
+    gm AS (
+        SELECT event_type, avg(v) AS g, count(*) AS n,
+               max(d) AS d_last, arg_max(v, rn) AS y_last
+        FROM r GROUP BY 1
+    ),
+    seas AS (
+        SELECT r.event_type, (rn - 1) % 7 AS six,
+               CASE WHEN gm.g = 0 OR avg(r.v) / gm.g = 0 THEN 1.0
+                    ELSE avg(r.v) / gm.g END AS s
+        FROM r JOIN gm USING (event_type)
+        GROUP BY 1, 2, gm.g
+    ),
+    f AS (
+        SELECT gm.*, fd.d, datediff('day', gm.d_last, fd.d) AS h
+        FROM gm CROSS JOIN (
+            SELECT unnest(generate_series(maxd + INTERVAL 1 DAY,
+                                          maxd + INTERVAL 7 DAY,
+                                          INTERVAL 1 DAY)) AS d
+            FROM (SELECT max(d) AS maxd FROM daily)
+        ) fd
+    )
+    SELECT f.event_type, f.d,
+           round(f.y_last / sl.s * COALESCE(sf2.s, 1.0), 6) AS predicted_v
+    FROM f
+    JOIN seas sl ON sl.event_type = f.event_type
+                AND sl.six = (f.n - 1) % 7
+    LEFT JOIN seas sf2 ON sf2.event_type = f.event_type
+                      AND sf2.six = (f.n - 1 + f.h) % 7
+"""

@@ -23,8 +23,10 @@ from forecastframe_ray.pipelines.queries.spine import (
     _daily_frame,
     _round,
 )
+from forecastframe_ray.pipelines.queries import entry
 
 
+@entry("gbm_cv_daily", sql=lambda: SQL_GBM_CV)
 def q_gbm_cv_daily(sf_dir: str) -> pd.DataFrame:
     from forecastframe_ray.pipelines import search
 
@@ -143,6 +145,7 @@ SQL_GBM_CV = f"""
 """
 
 
+@entry("gbm_shap_daily", sql=lambda: SQL_GBM_SHAP)
 def q_gbm_shap_daily(sf_dir: str) -> pd.DataFrame:
     """Exact TreeSHAP over the fitted GBM (pipelines/interpret.gbm_shap):
     two boosted stumps on (dow, dom) fit on the FULL daily series, then

@@ -30,6 +30,7 @@ import pyarrow.parquet as pq
 import ray.data
 
 from forecastframe_ray.pipelines.queries.spine import _read
+from forecastframe_ray.pipelines.queries import entry
 
 
 def _shards(sf_dir: str):
@@ -46,6 +47,8 @@ def _shards(sf_dir: str):
     return sh1, sh2
 
 
+@entry("llm_incremental_funnel_documents",
+       sql=lambda: SQL_LLM_INCREMENTAL_FUNNEL)
 def q_llm_incremental_funnel_documents(sf_dir: str) -> pd.DataFrame:
     from forecastframe_ray.pipelines import llm_incremental as LI
 
@@ -100,6 +103,8 @@ SQL_LLM_INCREMENTAL_FUNNEL = r"""
 """
 
 
+@entry("llm_incremental_neardup_gate",
+       sql=lambda: SQL_LLM_INCREMENTAL_NEARDUP_GATE)
 def q_llm_incremental_neardup_gate(sf_dir: str) -> pd.DataFrame:
     from forecastframe_ray.pipelines import llm_incremental as LI
 

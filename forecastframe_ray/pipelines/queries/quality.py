@@ -26,8 +26,10 @@ from forecastframe_ray.pipelines.queries.spine import (
     _read,
     _round,
 )
+from forecastframe_ray.pipelines.queries import entry
 
 
+@entry("quality_classifier_documents", sql=lambda: SQL_QUALITY_CLASSIFIER)
 def q_quality_classifier_documents(sf_dir: str) -> pd.DataFrame:
     docs = _read(sf_dir, "documents", ["doc_id", "text", "lang"])
     state = textstats.fit_quality_logistic(

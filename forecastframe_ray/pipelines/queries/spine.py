@@ -15,6 +15,7 @@ from forecastframe_ray.functions import encoding, metrics, scalers
 from forecastframe_ray.pipelines import dedup, rollup, similarity, textstats
 from forecastframe_ray.stages import gorilla
 from forecastframe_ray.stages.join import broadcast_semi_join
+from forecastframe_ray.pipelines.queries import entry
 
 
 NULLF = -999.0
@@ -67,20 +68,24 @@ def _event_tiers(sf_dir: str, tiers=("1h", "1d", "7d")) -> dict:
                                size_col=None, num_salts=8, tiers=tiers)
 
 
+@entry("tier_1h_events", sql=lambda: TIER_SQL["1h"])
 def q_tier_1h_events(sf_dir: str) -> pd.DataFrame:
     return _tier_output(_event_tiers(sf_dir, ("1h",))["1h"], "1h")
 
 
+@entry("tier_1d_events", sql=lambda: TIER_SQL["1d"])
 def q_tier_1d_events(sf_dir: str) -> pd.DataFrame:
     """1d tier produced by CASCADE from 1h (exactness of the algebraic
     (count,sum,min,max,Σx²) carry is what the oracle checks)."""
     return _tier_output(_event_tiers(sf_dir, ("1d",))["1d"], "1d")
 
 
+@entry("tier_7d_events", sql=lambda: TIER_SQL["7d"])
 def q_tier_7d_events(sf_dir: str) -> pd.DataFrame:
     return _tier_output(_event_tiers(sf_dir, ("7d",))["7d"], "7d")
 
 
+@entry("tier_incremental_1d_events", sql=lambda: TIER_SQL["1d"])
 def q_tier_incremental_1d_events(sf_dir: str) -> pd.DataFrame:
     """Continuous-aggregate maintenance (north_rule retention tiers,
     incremental form): build the 1d tier from the even-epoch-day half of
@@ -130,6 +135,9 @@ def q_tier_incremental_1d_events(sf_dir: str) -> pd.DataFrame:
 _RETENTION_CUTOFF_US = 1_705_363_200_000_000
 
 
+@entry("tier_retention_1h_events",
+       sql=lambda: f"SELECT * FROM ({TIER_SQL['1h']}) "
+                   f"WHERE bucket_us >= {_RETENTION_CUTOFF_US}")
 def q_tier_retention_1h_events(sf_dir: str) -> pd.DataFrame:
     """Retention expiry (north_rule retention tiers): checkpoint the 1h
     tier, sweep buckets older than the cutoff with
@@ -214,6 +222,7 @@ def _daily_frame(sf_dir: str) -> RayForecastFrame:
                             hierarchy=["event_type"], num_partitions=_NP)
 
 
+@entry("lag_daily_events", sql=lambda: SQL_LAG_DAILY)
 def q_lag_daily_events(sf_dir: str) -> pd.DataFrame:
     fr = _daily_frame(sf_dir).lag_features("v", [1, 2])
     df = fr.to_pandas()[["event_type", "d", "v", "v_lag1", "v_lag2"]]
@@ -229,6 +238,7 @@ SQL_LAG_DAILY = f"""
 """
 
 
+@entry("diff_daily_events", sql=lambda: SQL_DIFF_DAILY)
 def q_diff_daily_events(sf_dir: str) -> pd.DataFrame:
     fr = _daily_frame(sf_dir).difference_features("v", periods=1)
     df = fr.to_pandas()[["event_type", "d", "v", "v_differenced_1"]]
@@ -243,6 +253,7 @@ SQL_DIFF_DAILY = f"""
 """
 
 
+@entry("pct_change_daily_events", sql=lambda: SQL_PCT_CHANGE_DAILY)
 def q_pct_change_daily_events(sf_dir: str) -> pd.DataFrame:
     fr = _daily_frame(sf_dir).calc_percent_change("v", lag=1)
     df = fr.to_pandas()[["event_type", "d", "v", "v_pct_change_lag1"]]
@@ -262,6 +273,7 @@ SQL_PCT_CHANGE_DAILY = f"""
 _ROLL_COLS = [f"v_{a}_roll7_lag1" for a in ("mean", "sum", "min", "max")]
 
 
+@entry("rolling7_daily_events", sql=lambda: SQL_ROLLING7_DAILY)
 def q_rolling7_daily_events(sf_dir: str) -> pd.DataFrame:
     fr = _daily_frame(sf_dir).calc_statistical_features(
         "v", windows=7, aggregations=["mean", "sum", "min", "max"],
@@ -292,6 +304,7 @@ SQL_ROLLING7_DAILY = f"""
 _MEDSTD_COLS = ["v_median_roll7_lag1", "v_std_roll7_lag1"]
 
 
+@entry("rolling_median_daily", sql=lambda: SQL_ROLLING_MEDIAN_DAILY)
 def q_rolling_median_daily(sf_dir: str) -> pd.DataFrame:
     """W1 NON-algebraic rolling aggs (median + ddof=1 std) — the aggs the
     tier cascade refuses to compose, computed from the finest grain."""
@@ -319,6 +332,7 @@ SQL_ROLLING_MEDIAN_DAILY = f"""
 """
 
 
+@entry("threshold_daily_events", sql=lambda: SQL_THRESHOLD_DAILY)
 def q_threshold_daily_events(sf_dir: str) -> pd.DataFrame:
     fr = _daily_frame(sf_dir).calc_percent_relative_to_threshold(
         features="v", windows=7, lag=1, min_periods=1,
@@ -344,6 +358,7 @@ SQL_THRESHOLD_DAILY = f"""
 """
 
 
+@entry("days_since_release_events", sql=lambda: SQL_DAYS_SINCE)
 def q_days_since_release_events(sf_dir: str) -> pd.DataFrame:
     fr = _daily_frame(sf_dir).calc_days_since_release(ignore_leading_zeroes=True)
     df = fr.to_pandas()[["event_type", "d", "days_since_release"]]
@@ -361,6 +376,7 @@ SQL_DAYS_SINCE = f"""
 """
 
 
+@entry("gapfill_ffill_hourly_events", sql=lambda: SQL_GAPFILL_FFILL_HOURLY)
 def q_gapfill_ffill_hourly_events(sf_dir: str) -> pd.DataFrame:
     """W8 gap-fill to each type's own [min,max] hourly grid + W9 ffill."""
     hourly = _bucket_series(sf_dir, HOUR_US, "h")
@@ -386,6 +402,7 @@ SQL_GAPFILL_FFILL_HOURLY = f"""
 """
 
 
+@entry("ewma_daily_events", sql=lambda: SQL_EWMA_DAILY)
 def q_ewma_daily_events(sf_dir: str) -> pd.DataFrame:
     """W4 EWMA + crossovers — not SQL-expressible (row-sequential state);
     rows-only driver check, exact values pinned by the ported golden tests."""
@@ -397,6 +414,7 @@ def q_ewma_daily_events(sf_dir: str) -> pd.DataFrame:
     return _fill(_round(df, cols[3:], 6), cols[3:])
 
 
+@entry("calendar_daily_events", sql=lambda: SQL_CALENDAR_DAILY)
 def q_calendar_daily_events(sf_dir: str) -> pd.DataFrame:
     daily = _bucket_series(sf_dir, DAY_US, "d")
     fr = RayForecastFrame(daily, datetime_column="d", target="v",
@@ -434,6 +452,7 @@ SQL_CALENDAR_DAILY = f"""
 # ---------------------------------------------------------------------------
 
 
+@entry("rollup_q1_lineitem", sql=lambda: SQL_ROLLUP_Q1)
 def q_rollup_q1_lineitem(sf_dir: str) -> pd.DataFrame:
     """A1 hierarchy rollup in TPC-H q1 shape: salted-combiner groupby."""
     li = _read(sf_dir, "lineitem",
@@ -471,6 +490,7 @@ SQL_ROLLUP_Q1 = """
 """
 
 
+@entry("standardize_lineitem", sql=lambda: SQL_STANDARDIZE_LINEITEM)
 def q_standardize_lineitem(sf_dir: str) -> pd.DataFrame:
     """M3 two-phase standardize (ddof=1), applied distributed."""
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_linenumber", "l_quantity"])
@@ -490,6 +510,7 @@ SQL_STANDARDIZE_LINEITEM = """
 """
 
 
+@entry("normalize_events", sql=lambda: SQL_NORMALIZE_EVENTS)
 def q_normalize_events(sf_dir: str) -> pd.DataFrame:
     ev = _read(sf_dir, "events", ["event_id", "value"]).materialize()
     params = scalers.fit_normalize(ev, ["value"])
@@ -507,6 +528,7 @@ SQL_NORMALIZE_EVENTS = """
 """
 
 
+@entry("log1p_lineitem", sql=lambda: SQL_LOG1P_LINEITEM)
 def q_log1p_lineitem(sf_dir: str) -> pd.DataFrame:
     li = _read(sf_dir, "lineitem", ["l_orderkey", "l_linenumber", "l_quantity"])
     out = li.map_batches(lambda b: scalers.apply_log1p(b, ["l_quantity"]),
@@ -521,6 +543,7 @@ SQL_LOG1P_LINEITEM = """
 """
 
 
+@entry("correct_negatives_events", sql=lambda: SQL_CORRECT_NEGATIVES)
 def q_correct_negatives_events(sf_dir: str) -> pd.DataFrame:
     """M1 clamp, on a centered copy so negatives actually occur."""
     from forecastframe_ray.functions import scalar
@@ -545,6 +568,7 @@ SQL_CORRECT_NEGATIVES = """
 """
 
 
+@entry("encode_priority_orders", sql=lambda: SQL_ENCODE_PRIORITY)
 def q_encode_priority_orders(sf_dir: str) -> pd.DataFrame:
     """M6 globally-consistent ordinal encoding (code = rank in sorted
     distinct values)."""
@@ -565,6 +589,7 @@ SQL_ENCODE_PRIORITY = """
 """
 
 
+@entry("join_orders_customer", sql=lambda: SQL_JOIN_ORDERS_CUSTOMER)
 def q_join_orders_customer(sf_dir: str) -> pd.DataFrame:
     """J2 broadcast small-side join + rollup: per-nation order totals."""
     od = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
@@ -590,6 +615,7 @@ SQL_JOIN_ORDERS_CUSTOMER = """
 """
 
 
+@entry("semi_join_orders", sql=lambda: SQL_SEMI_JOIN_ORDERS)
 def q_semi_join_orders(sf_dir: str) -> pd.DataFrame:
     """J6 broadcast semi-join: orders from high-balance customers, counted
     per status."""
@@ -612,6 +638,7 @@ SQL_SEMI_JOIN_ORDERS = """
 """
 
 
+@entry("topk_orders", sql=lambda: SQL_TOPK_ORDERS)
 def q_topk_orders(sf_dir: str) -> pd.DataFrame:
     """O4 top-k: distributed sort (range shuffle) + limit."""
     od = _read(sf_dir, "orders", ["o_orderkey", "o_totalprice"])
@@ -625,6 +652,7 @@ SQL_TOPK_ORDERS = """
 """
 
 
+@entry("distinct_event_types", sql=lambda: SQL_DISTINCT_EVENT_TYPES)
 def q_distinct_event_types(sf_dir: str) -> pd.DataFrame:
     """A5/O5: distinct + counts."""
     ev = _read(sf_dir, "events", ["event_type"])
@@ -636,6 +664,7 @@ def q_distinct_event_types(sf_dir: str) -> pd.DataFrame:
 SQL_DISTINCT_EVENT_TYPES = "SELECT event_type, count(*) AS n FROM events GROUP BY 1"
 
 
+@entry("error_metrics_naive", sql=lambda: SQL_ERROR_METRICS_NAIVE)
 def q_error_metrics_naive(sf_dir: str) -> pd.DataFrame:
     """A6 error metrics of the naive lag-1 daily forecast (partial+final
     distributed aggregation, never materializing the error table)."""
@@ -666,6 +695,7 @@ SQL_ERROR_METRICS_NAIVE = f"""
 """
 
 
+@entry("error_metrics_by_type", sql=lambda: SQL_ERROR_METRICS_BY_TYPE)
 def q_error_metrics_by_type(sf_dir: str) -> pd.DataFrame:
     """A6 grouped error metrics (reference per-group scoring,
     ``interpret.py:104-115`` with ``groupers``): the same naive lag-1
@@ -685,6 +715,7 @@ def q_error_metrics_by_type(sf_dir: str) -> pd.DataFrame:
     return _round(out, ["RMSE"], 4)
 
 
+@entry("sample_orders_deterministic", sql=lambda: SQL_SAMPLE_ORDERS)
 def q_sample_orders(sf_dir: str) -> pd.DataFrame:
     """O7 sampling, production form: deterministic md5-bucket sample
     (expected 12.5%) — reproducible across any cluster shape / resume,
@@ -725,6 +756,7 @@ SQL_ERROR_METRICS_BY_TYPE = f"""
 # ---------------------------------------------------------------------------
 
 
+@entry("exact_dedup_documents", sql=lambda: SQL_EXACT_DEDUP_DOCS)
 def q_exact_dedup_documents(sf_dir: str) -> pd.DataFrame:
     """Exact dedup: surviving doc_ids (min id per distinct text)."""
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
@@ -735,6 +767,7 @@ def q_exact_dedup_documents(sf_dir: str) -> pd.DataFrame:
 SQL_EXACT_DEDUP_DOCS = "SELECT min(doc_id) AS doc_id FROM documents GROUP BY text"
 
 
+@entry("dup_counts_documents", sql=lambda: SQL_DUP_COUNTS_DOCS)
 def q_dup_counts_documents(sf_dir: str) -> pd.DataFrame:
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
     out = dedup.duplicate_counts(docs).to_pandas()
@@ -748,6 +781,7 @@ SQL_DUP_COUNTS_DOCS = """
 """
 
 
+@entry("token_counts_documents", sql=lambda: SQL_TOKEN_COUNTS_DOCS)
 def q_token_counts_documents(sf_dir: str) -> pd.DataFrame:
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
     out = docs.map_batches(textstats.token_counts_batch,
@@ -763,6 +797,7 @@ SQL_TOKEN_COUNTS_DOCS = r"""
 """
 
 
+@entry("text_analysis_documents")
 def q_text_analysis_documents(sf_dir: str) -> pd.DataFrame:
     """Lang-ID + quality + fingerprint (heuristic stages — rows-only check)."""
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
@@ -773,6 +808,7 @@ def q_text_analysis_documents(sf_dir: str) -> pd.DataFrame:
     return out[["doc_id", "lang_pred"] + cols + ["doc_fingerprint"]]
 
 
+@entry("minhash_pairs_documents")
 def q_minhash_pairs_documents(sf_dir: str) -> pd.DataFrame:
     """MinHash+LSH near-dup candidate pairs, n-gram-Jaccard-verified
     (rows-only: the banding itself is not SQL-expressible)."""
@@ -781,6 +817,7 @@ def q_minhash_pairs_documents(sf_dir: str) -> pd.DataFrame:
     return _round(pairs[["id_a", "id_b", "jaccard"]], ["jaccard"], 6)
 
 
+@entry("simhash_pairs_documents")
 def q_simhash_pairs_documents(sf_dir: str) -> pd.DataFrame:
     docs = _read(sf_dir, "documents", ["doc_id", "text"])
     pairs = dedup.simhash_near_dup_pairs(docs, max_hamming=3).to_pandas()
@@ -788,6 +825,7 @@ def q_simhash_pairs_documents(sf_dir: str) -> pd.DataFrame:
     return pairs[["id_a", "id_b", "hamming"]]
 
 
+@entry("embedding_near_dup")
 def q_embedding_near_dup(sf_dir: str) -> pd.DataFrame:
     emb = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
     from forecastframe_ray.stages.agg import ensure_columns
@@ -807,6 +845,7 @@ def _query_vectors(sf_dir: str, ids=(0, 1)) -> np.ndarray:
                      for i in ids])
 
 
+@entry("ann_bruteforce_embeddings", sql=lambda: SQL_ANN_BRUTEFORCE)
 def q_ann_bruteforce_embeddings(sf_dir: str) -> pd.DataFrame:
     """Exact cosine top-10 for query vectors vec_id 0 and 1 (ids-only output
     so the oracle compares integer ranks, not float paths)."""
@@ -830,6 +869,7 @@ SQL_ANN_BRUTEFORCE = """
 """
 
 
+@entry("ann_ivf_embeddings")
 def q_ann_ivf_embeddings(sf_dir: str) -> pd.DataFrame:
     """IVF approximate top-10 (rows-only: approximate by construction)."""
     emb = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
@@ -839,6 +879,7 @@ def q_ann_ivf_embeddings(sf_dir: str) -> pd.DataFrame:
     return top[["query_ix", "rank", "vec_id"]]
 
 
+@entry("gorilla_roundtrip_events", sql=lambda: SQL_GORILLA_ROUNDTRIP)
 def q_gorilla_roundtrip_events(sf_dir: str) -> pd.DataFrame:
     """Gorilla XOR + delta-of-delta codec over the daily series, decoded back
     and re-aggregated — proves bit-exact roundtrip distributed (rows-only)."""
@@ -867,6 +908,7 @@ SQL_GORILLA_ROUNDTRIP = f"""
 """
 
 
+@entry("multimodal_decode", sql=lambda: SQL_MULTIMODAL_DECODE)
 def q_multimodal_decode(sf_dir: str) -> pd.DataFrame:
     """Actor-pool media decode plumbing over a media table derived from the
     documents corpus (payload = UTF-8 text bytes). Metadata columns are
@@ -902,6 +944,7 @@ SQL_MULTIMODAL_DECODE = """
 """
 
 
+@entry("rollup_grouper_stats_events", sql=lambda: SQL_ROLLUP_GROUPER_STATS)
 def q_rollup_grouper_stats_events(sf_dir: str) -> pd.DataFrame:
     """W1 with ``groupers`` (A1 aggregate → window at rollup grain → J1
     broadcast join back): base grain (event_type, seg, day), rolling mean
@@ -962,6 +1005,7 @@ SQL_ROLLUP_GROUPER_STATS = f"""
 """
 
 
+@entry("interpolate_hourly_events", sql=lambda: SQL_INTERPOLATE_HOURLY)
 def q_interpolate_hourly_events(sf_dir: str) -> pd.DataFrame:
     """W8 gap-fill + W9 LINEAR-in-time interpolation (north_rule addition;
     interior gaps only, edges stay null → sentinel)."""
@@ -1016,6 +1060,7 @@ _MOM_COLS = ["v_mean_roll7_lag1", "v_sum_roll7_lag1",
              "v_mean_roll7_lag1_momentum", "v_sum_roll7_lag1_perc"]
 
 
+@entry("momentum_daily_events", sql=lambda: SQL_MOMENTUM_DAILY)
 def q_momentum_daily_events(sf_dir: str) -> pd.DataFrame:
     """W1 momentums + percentages: shift(lag) over rolling mean / rolling
     sum (feature_engineering.py:400-422, grouped-shift form)."""
@@ -1049,6 +1094,7 @@ SQL_MOMENTUM_DAILY = f"""
 """
 
 
+@entry("minhash_clusters_documents")
 def q_minhash_clusters_documents(sf_dir: str) -> pd.DataFrame:
     """Near-dup cluster assignment: LSH pairs → driver union-find →
     (doc_id, rep_id) for every doc in a cluster (rows-only)."""
@@ -1061,6 +1107,7 @@ def q_minhash_clusters_documents(sf_dir: str) -> pd.DataFrame:
     return out
 
 
+@entry("c4_boilerplate_documents", sql=lambda: SQL_C4_BOILERPLATE)
 def q_c4_boilerplate_documents(sf_dir: str) -> pd.DataFrame:
     """C4-style line cleaning + corpus-level boilerplate-line removal
     (two-pass distributed). The oracle recomputes both passes in SQL over
@@ -1118,6 +1165,7 @@ SQL_C4_BOILERPLATE = r"""
 # ---------------------------------------------------------------------------
 
 
+@entry("descale_roundtrip_lineitem", sql=lambda: SQL_DESCALE_ROUNDTRIP)
 def q_descale_roundtrip_lineitem(sf_dir: str) -> pd.DataFrame:
     """M5 descale roundtrip: log1p(l_quantity) + standardize(l_extendedprice)
     then ``descale_features`` — the inverse formulas must restore the
@@ -1143,6 +1191,7 @@ SQL_DESCALE_ROUNDTRIP = """
 """
 
 
+@entry("decode_priority_orders", sql=lambda: SQL_DECODE_PRIORITY)
 def q_decode_priority_orders(sf_dir: str) -> pd.DataFrame:
     """M7 decode roundtrip: globally-consistent ordinal encode then decode
     via the stored code→value dictionary restores the original strings."""
@@ -1156,6 +1205,7 @@ def q_decode_priority_orders(sf_dir: str) -> pd.DataFrame:
 SQL_DECODE_PRIORITY = "SELECT o_orderkey, o_orderpriority FROM orders"
 
 
+@entry("compress_lineitem", sql=lambda: SQL_COMPRESS_LINEITEM)
 def q_compress_lineitem(sf_dir: str) -> pd.DataFrame:
     """M10 compress: global-stat lossless integer downcast; the oracle
     verifies every value survives the narrowing."""
@@ -1176,6 +1226,7 @@ SQL_COMPRESS_LINEITEM = """
 """
 
 
+@entry("remove_min_lags_daily", sql=lambda: SQL_REMOVE_MIN_LAGS)
 def q_remove_min_lags_daily(sf_dir: str) -> pd.DataFrame:
     """M11 remove_min_lags: lags 1-3 built, minimum lag 2 → the lag-1 column
     is dropped (schema check is the point; model.py:631-651)."""
@@ -1196,6 +1247,7 @@ SQL_REMOVE_MIN_LAGS = f"""
 """
 
 
+@entry("merge_actuals_daily", sql=lambda: SQL_MERGE_ACTUALS)
 def q_merge_actuals_daily(sf_dir: str) -> pd.DataFrame:
     """J3 merge_actuals: predictions for even days FULL-OUTER-joined with the
     actuals on hierarchy + datetime (distributed hash join)."""
@@ -1225,6 +1277,7 @@ SQL_MERGE_ACTUALS = f"""
 """
 
 
+@entry("update_values_daily", sql=lambda: SQL_UPDATE_VALUES)
 def q_update_values_daily(sf_dir: str) -> pd.DataFrame:
     """J4 update_values: every 5th day patched with v+1000 via the broadcast
     non-NA coalesce (utilities.py:189-211 semantics)."""
@@ -1249,6 +1302,7 @@ SQL_UPDATE_VALUES = f"""
 """
 
 
+@entry("future_frame_daily", sql=lambda: SQL_FUTURE_FRAME)
 def q_future_frame_daily(sf_dir: str) -> pd.DataFrame:
     """W10 future frame: distinct hierarchy × the next 7 days after the
     global max date, NaN target, unioned with history (model.py:717-791)."""
@@ -1275,6 +1329,7 @@ SQL_FUTURE_FRAME = f"""
 """
 
 
+@entry("save_load_roundtrip_events", sql=lambda: SQL_SAVE_LOAD)
 def q_save_load_roundtrip_events(sf_dir: str) -> pd.DataFrame:
     """S2/S3 save/load: parquet + JSON-manifest persistence roundtrip — the
     reloaded frame (data AND fitted scaler state) matches the source."""
@@ -1296,6 +1351,7 @@ SQL_SAVE_LOAD = f"""
 """
 
 
+@entry("missing_percentages_hourly", sql=lambda: SQL_MISSING_PCT)
 def q_missing_percentages_hourly(sf_dir: str) -> pd.DataFrame:
     """A7 missing-percentage profile over the gap-filled hourly series: one
     partial+final aggregate pass, never materializing the table."""
@@ -1326,6 +1382,7 @@ SQL_MISSING_PCT = f"""
 """
 
 
+@entry("cv_folds_daily", sql=lambda: SQL_CV_FOLDS)
 def q_cv_folds_daily(sf_dir: str) -> pd.DataFrame:
     """§3.4 leakage-safe CV: 3 expanding-window folds with gap=1 over the
     distinct dates; per (fold, series, role) row counts and value sums — the
@@ -1407,6 +1464,7 @@ SQL_EWMA_DAILY = f"""
 """
 
 
+@entry("text_ratios_documents", sql=lambda: SQL_TEXT_RATIOS)
 def q_text_ratios_documents(sf_dir: str) -> pd.DataFrame:
     """Quality-scoring character/stopword ratios (the SQL-expressible subset
     of the text-analysis stage; quality_batch definitions)."""
@@ -1449,6 +1507,7 @@ SQL_TEXT_RATIOS = rf"""
 """
 
 
+@entry("embedding_neardup_exact", sql=lambda: SQL_EMBEDDING_NEARDUP_EXACT)
 def q_embedding_neardup_exact(sf_dir: str) -> pd.DataFrame:
     """Exact embedding-cosine near-dup pairs (the verification baseline the
     LSH variant approximates): per-batch matmul against the full normalized
@@ -1508,6 +1567,7 @@ SQL_EMBEDDING_NEARDUP_EXACT = """
 """
 
 
+@entry("ann_ivf_recall", sql=lambda: SQL_ANN_IVF_RECALL)
 def q_ann_ivf_recall(sf_dir: str) -> pd.DataFrame:
     """IVF recall@10 gate vs the exact brute-force top-k: the driver-visible
     oracle row asserts recall ≥ 0.9 per query (nprobe=8 of 16 centroids)."""
@@ -1530,6 +1590,7 @@ SQL_ANN_IVF_RECALL = """
 """
 
 
+@entry("ngram_jaccard_pairs", sql=lambda: SQL_NGRAM_JACCARD)
 def q_ngram_jaccard_pairs(sf_dir: str) -> pd.DataFrame:
     """Exact n-gram (5-byte shingle) Jaccard for the fixed pair list
     (2i, 2i+1) — the dedup verification primitive with its own value oracle
@@ -1583,6 +1644,7 @@ SQL_NGRAM_JACCARD = """
 """
 
 
+@entry("lang_id_documents", sql=lambda: SQL_LANG_ID)
 def q_lang_id_documents(sf_dir: str) -> pd.DataFrame:
     """Language-ID heuristic (stopword-profile argmax over {de,en,es,fr},
     ``und`` when no profile hits) — previously only rows-only inside
@@ -1627,6 +1689,7 @@ SQL_LANG_ID = rf"""
 """
 
 
+@entry("doc_fingerprint_documents", sql=lambda: SQL_DOC_FINGERPRINT)
 def q_doc_fingerprint_documents(sf_dir: str) -> pd.DataFrame:
     """Document fingerprint (rolling-hash min ⊕ byte length) — the last
     heuristic column of ``text_analysis_documents`` promoted to a full SQL
@@ -1683,6 +1746,7 @@ SQL_DOC_FINGERPRINT = f"""
 """
 
 
+@entry("minhash_recall", sql=lambda: SQL_MINHASH_RECALL)
 def q_minhash_recall(sf_dir: str) -> pd.DataFrame:
     """MinHash+LSH recall gate (VERDICT r3 #6): the LSH pair output at
     threshold 0.7 must contain ≥90% of ALL true pairs with exact Jaccard ≥
@@ -1751,6 +1815,7 @@ SQL_MINHASH_RECALL = """
 """
 
 
+@entry("simhash_recall", sql=lambda: SQL_SIMHASH_RECALL)
 def q_simhash_recall(sf_dir: str) -> pd.DataFrame:
     """SimHash banding completeness gate (VERDICT r3 #6, ann_ivf_recall
     style): every pair within Hamming distance ≤3 of the 64-bit SimHash
@@ -1789,6 +1854,7 @@ SQL_SIMHASH_RECALL = """
 """
 
 
+@entry("multimodal_resize", sql=lambda: SQL_MULTIMODAL_RESIZE)
 def q_multimodal_resize(sf_dir: str) -> pd.DataFrame:
     """Multimodal resize/frame-sample stage (actor pool): deterministic
     metadata math (scale to max side 256) and the payload-shrink contract,
@@ -1826,6 +1892,7 @@ SQL_MULTIMODAL_RESIZE = """
 """
 
 
+@entry("csv_roundtrip_events", sql=lambda: SQL_CSV_ROUNDTRIP)
 def q_csv_roundtrip_events(sf_dir: str) -> pd.DataFrame:
     """S1 CSV source: events written to CSV (shortest-roundtrip floats) and
     read back via ``ray.data.read_csv``, aggregated distributed."""
@@ -1854,6 +1921,7 @@ SQL_CSV_ROUNDTRIP = """
 """
 
 
+@entry("anti_join_orders", sql=lambda: SQL_ANTI_JOIN_ORDERS)
 def q_anti_join_orders(sf_dir: str) -> pd.DataFrame:
     """J6 anti-join: orders from customers NOT in the high-balance key set,
     counted per status (broadcast key-set filter, ``anti=True``)."""
@@ -1877,6 +1945,7 @@ SQL_ANTI_JOIN_ORDERS = """
 """
 
 
+@entry("ensemble_pred_daily", sql=lambda: SQL_ENSEMBLE_PRED)
 def q_ensemble_pred_daily(sf_dir: str) -> pd.DataFrame:
     """§2.8 ensemble-feature hook (``calc_prophet_predictions`` engine path):
     per-(series, day-of-week) seasonal-mean model fit distributed, broadcast,
@@ -1896,6 +1965,7 @@ SQL_ENSEMBLE_PRED = f"""
 """
 
 
+@entry("fourier_dow_fit_daily", sql=lambda: SQL_FOURIER_DOW_FIT)
 def q_fourier_dow_fit_daily(sf_dir: str) -> pd.DataFrame:
     """Prophet-style Fourier regression, oracle-EXACT: fit the weekly
     harmonic model (order=3, no trend, l2=0) per series by distributed
@@ -1937,6 +2007,7 @@ SQL_FOURIER_DOW_FIT = f"""
 """
 
 
+@entry("search_cv_daily", sql=lambda: SQL_SEARCH_CV)
 def q_search_cv_daily(sf_dir: str) -> pd.DataFrame:
     """Grid-search cross-validation driver (reference grid/random search,
     ``model.py:319-513`` + ``cross_validate``, ``model.py:1313-1417``): the
@@ -2018,6 +2089,7 @@ SQL_SEARCH_CV = f"""
 # ---------------------------------------------------------------------------
 
 
+@entry("llm_exact_funnel_documents", sql=lambda: SQL_LLM_EXACT_FUNNEL)
 def q_llm_exact_funnel_documents(sf_dir: str) -> pd.DataFrame:
     """The LLM pipeline's exact (non-approximate) funnel end-to-end:
     corpus-level boilerplate removal → C4 line cleaning → exact dedup
@@ -2078,6 +2150,7 @@ SQL_LLM_EXACT_FUNNEL = r"""
 """
 
 
+@entry("llm_pipeline_documents")
 def q_llm_pipeline_documents(sf_dir: str) -> pd.DataFrame:
     """Full LLM flagship chain including MinHash near-dup clustering and
     representative selection (LSH candidate generation is approximate by
@@ -2107,6 +2180,7 @@ _DESCRIBE_DIGITS = {"AE": 4, "APE": 6, "SE": 2,
                     "actuals": 4, "predictions": 4}
 
 
+@entry("errors_describe_daily", sql=lambda: SQL_ERRORS_DESCRIBE)
 def q_errors_describe_daily(sf_dir: str) -> pd.DataFrame:
     """``get_errors(describe=True)`` (reference interpret.py:128-208) over
     the naive lag-1 daily forecast: count/mean/std/min/quartiles/max for
@@ -2154,6 +2228,7 @@ SQL_ERRORS_DESCRIBE = f"""
 """
 
 
+@entry("cv_fit_summary_daily", sql=lambda: SQL_CV_FIT_SUMMARY)
 def q_cv_fit_summary_daily(sf_dir: str) -> pd.DataFrame:
     """``summarize_cv`` key stats (reference interpret.py:446-653) on the
     last expanding-window fold: per sample the null-masked median APE, the
@@ -2223,6 +2298,7 @@ SQL_CV_FIT_SUMMARY = f"""
 """
 
 
+@entry("perm_importance_daily", sql=lambda: SQL_PERM_IMPORTANCE)
 def q_perm_importance_daily(sf_dir: str) -> pd.DataFrame:
     """Permutation feature importance (the SHAP-importance stand-in,
     reference interpret.py:211-347 intent): distributed OLS of daily v on
@@ -2306,6 +2382,7 @@ SQL_PERM_IMPORTANCE = f"""
 """
 
 
+@entry("linear_shap_daily", sql=lambda: SQL_LINEAR_SHAP)
 def q_linear_shap_daily(sf_dir: str) -> pd.DataFrame:
     """Exact Linear-SHAP attributions (reference interpret.py:282-286
     ``calc_shap_values``, engine path): distributed OLS of daily v on
@@ -2364,6 +2441,7 @@ SQL_LINEAR_SHAP = f"""
 """
 
 
+@entry("predict_future_daily", sql=lambda: SQL_PREDICT_FUTURE)
 def q_predict_future_daily(sf_dir: str) -> pd.DataFrame:
     """The predict driver (reference model.py:1313-1417 data side): fit the
     stand-in seasonal-mean estimator on ALL history, score the next-7-day
@@ -2403,6 +2481,7 @@ _IMP_FEATURES = ["v_lag1", "v_lag2", "v_mean_roll7_lag1", "v_sum_roll7_lag1",
                  "v_min_roll7_lag1", "v_max_roll7_lag1", "day_of_week"]
 
 
+@entry("importance_summary_daily", sql=lambda: SQL_IMPORTANCE_SUMMARY)
 def q_importance_summary_daily(sf_dir: str) -> pd.DataFrame:
     """The reference's SHAP narrative + alert, data side (reference
     interpret.py:196-255 ``summarize_shap`` → ``self.alerts["shap"]``):
@@ -2478,6 +2557,7 @@ SQL_IMPORTANCE_SUMMARY = f"""
 """
 
 
+@entry("quantile_loss_naive", sql=lambda: SQL_QUANTILE_LOSS_NAIVE)
 def q_quantile_loss_naive(sf_dir: str) -> pd.DataFrame:
     """The reference's M5 quantile (pinball) scoring metric
     (model.py:136-149) over the naive lag-1 daily forecast, at the three
@@ -2506,6 +2586,7 @@ SQL_QUANTILE_LOSS_NAIVE = f"""
 """
 
 
+@entry("distinct_users_daily_kmv", sql=lambda: SQL_DISTINCT_USERS_DAILY)
 def q_distinct_users_daily_kmv(sf_dir: str) -> pd.DataFrame:
     """Mergeable KMV distinct-count sketch per (event_type, day) — the
     continuous-aggregate COUNT(DISTINCT) the exact tier cascade cannot
@@ -2539,6 +2620,7 @@ SQL_DISTINCT_USERS_DAILY = """
 """
 
 
+@entry("distinct_users_kmv_gate", sql=lambda: SQL_DISTINCT_USERS_KMV_GATE)
 def q_distinct_users_kmv_gate(sf_dir: str) -> pd.DataFrame:
     """KMV estimation-regime gate (ann_ivf_recall pattern): a k=64 sketch
     per event_type over the full span (distinct users > k → the
@@ -2568,6 +2650,7 @@ SQL_DISTINCT_USERS_KMV_GATE = """
 """
 
 
+@entry("distinct_users_daily_cascade", sql=lambda: SQL_DISTINCT_USERS_DAILY)
 def q_distinct_users_daily_cascade(sf_dir: str) -> pd.DataFrame:
     """The CASCADE path of the distinct-count continuous aggregate: per-1h
     KMV sketches of user_id merged up to daily buckets by pure sketch
@@ -2587,6 +2670,7 @@ def q_distinct_users_daily_cascade(sf_dir: str) -> pd.DataFrame:
     return df[["event_type", "d", "distinct_users"]]
 
 
+@entry("quantile_sketch_gate_daily", sql=lambda: SQL_QUANTILE_SKETCH_GATE)
 def q_quantile_sketch_gate_daily(sf_dir: str) -> pd.DataFrame:
     """Mergeable quantile-histogram gate (DDSketch/HdrHistogram bucket
     family, stages/sketch.py): the ε=1% log-bucketed histogram's p50/p90
@@ -2625,6 +2709,7 @@ SQL_QUANTILE_SKETCH_GATE = f"""
 """
 
 
+@entry("top_users_sketch_daily", sql=lambda: SQL_TOP_USERS_SKETCH)
 def q_top_users_sketch_daily(sf_dir: str) -> pd.DataFrame:
     """Heavy-hitters continuous aggregate (Misra–Gries, stages/sketch.py):
     top-3 users per event_type by event count. k=512 exceeds this table's
@@ -2667,6 +2752,7 @@ SQL_TOP_USERS_SKETCH = """
 # real fitted estimator: per-series linear trend (OLS / ridge)
 # ---------------------------------------------------------------------------
 
+@entry("predict_linear_daily", sql=lambda: SQL_PREDICT_LINEAR)
 def q_predict_linear_daily(sf_dir: str) -> pd.DataFrame:
     """The predict driver with a REAL fitted estimator (reference
     model.py:802-953 fit + model.py:1313-1417 predict, engine-native): fit a
@@ -2725,6 +2811,7 @@ SQL_PREDICT_LINEAR = f"""
 # as-of join (nearest-prior-timestamp attach; stages/join.py asof_join)
 # ---------------------------------------------------------------------------
 
+@entry("asof_join_events", sql=lambda: SQL_ASOF_JOIN_EVENTS)
 def q_asof_join_events(sf_dir: str) -> pd.DataFrame:
     """Distributed as-of join: attach to every ``purchase`` event the user's
     most recent PRIOR ``click`` activity (summed per (user, ts) so ties are
@@ -2775,6 +2862,7 @@ SQL_ASOF_JOIN_EVENTS = f"""
 # range (interval) join — purchases inside 7-day signup windows
 # ---------------------------------------------------------------------------
 
+@entry("range_join_events", sql=lambda: SQL_RANGE_JOIN_EVENTS)
 def q_range_join_events(sf_dir: str) -> pd.DataFrame:
     """Distributed range join (stages/join.py range_join): attach every
     ``purchase`` event to each 7-day window opened by the same user's
@@ -2839,6 +2927,7 @@ def _sessionized_events(sf_dir: str):
         num_partitions=_NP)
 
 
+@entry("sessionize_events", sql=lambda: SQL_SESSIONIZE_EVENTS)
 def q_sessionize_events(sf_dir: str) -> pd.DataFrame:
     """Row-level session assignment: (event_id, user_id, ts, session_id)
     where session_id is 1-based per user and increments whenever the gap to
@@ -2864,6 +2953,7 @@ SQL_SESSIONIZE_EVENTS = f"""
 """
 
 
+@entry("session_stats_events", sql=lambda: SQL_SESSION_STATS_EVENTS)
 def q_session_stats_events(sf_dir: str) -> pd.DataFrame:
     """Per-session aggregates over the sessionized stream: event count,
     start/end, duration in seconds. One extra coarse-hash aggregate on the
@@ -2902,6 +2992,7 @@ SQL_SESSION_STATS_EVENTS = f"""
 # expanding (cumulative) stats + per-series row numbers
 # ---------------------------------------------------------------------------
 
+@entry("expanding_daily_events", sql=lambda: SQL_EXPANDING_DAILY)
 def q_expanding_daily_events(sf_dir: str) -> pd.DataFrame:
     """Expanding sum/mean/max of the daily value series plus the 1-based
     row number, all fused into ONE keyed window stage pass (one shuffle)."""
@@ -2943,6 +3034,7 @@ _HOP_WINDOW_US = 3 * HOUR_US
 _HOP_SLIDE_US = HOUR_US
 
 
+@entry("hopping_3h1h_events", sql=lambda: SQL_HOPPING_3H1H_EVENTS)
 def q_hopping_3h1h_events(sf_dir: str) -> pd.DataFrame:
     """3-hour windows hopping hourly over the event stream, per event_type:
     each event lands in exactly 3 overlapping windows."""
@@ -2979,6 +3071,7 @@ SQL_HOPPING_3H1H_EVENTS = f"""
 _EVENT_TYPES = ["click", "error", "purchase", "signup", "view"]
 
 
+@entry("pivot_daily_events", sql=lambda: SQL_PIVOT_DAILY)
 def q_pivot_daily_events(sf_dir: str) -> pd.DataFrame:
     """Daily value series pivoted wide: one row per day, one column per
     event_type (null-sentinel where a type had no events that day)."""
@@ -3007,6 +3100,7 @@ SQL_PIVOT_DAILY = f"""
 """
 
 
+@entry("melt_roundtrip_daily", sql=lambda: SQL_MELT_ROUNDTRIP_DAILY)
 def q_melt_roundtrip_daily(sf_dir: str) -> pd.DataFrame:
     """Pivot wide then melt back to long (dropping the null cells): the
     roundtrip must reproduce the daily series exactly."""
@@ -3035,6 +3129,7 @@ SQL_MELT_ROUNDTRIP_DAILY = f"""
 # grouped top-k (stages/topk.py) — k best rows per group, no global sort
 # ---------------------------------------------------------------------------
 
+@entry("topk_per_type_events", sql=lambda: SQL_TOPK_PER_TYPE_EVENTS)
 def q_topk_per_type_events(sf_dir: str) -> pd.DataFrame:
     """Top-3 events by value within each event_type (event_id tiebreak →
     deterministic across any block layout)."""
@@ -3063,6 +3158,7 @@ SQL_TOPK_PER_TYPE_EVENTS = """
 # winsorize (per-group quantile clip) — functions/scalers.winsorize_clip
 # ---------------------------------------------------------------------------
 
+@entry("winsorize_events", sql=lambda: SQL_WINSORIZE_EVENTS)
 def q_winsorize_events(sf_dir: str) -> pd.DataFrame:
     """Clip event values to each type's exact [p5, p95] quantile band."""
     ev = _read(sf_dir, "events", ["event_id", "event_type", "value"])
@@ -3090,6 +3186,7 @@ SQL_WINSORIZE_EVENTS = """
 # bloom-prefiltered semi-join (stages/bloom.py) — exact result, scale path
 # ---------------------------------------------------------------------------
 
+@entry("bloom_semi_join_orders", sql=lambda: SQL_BLOOM_SEMI_JOIN_ORDERS)
 def q_bloom_semi_join_orders(sf_dir: str) -> pd.DataFrame:
     """Orders from customers with acctbal > 7000, via the Bloom prefilter +
     exact verify path — result must equal the plain semi-join."""
@@ -3129,6 +3226,7 @@ SQL_BLOOM_SEMI_JOIN_ORDERS = """
 # rolling correlation between two series features (op_rolling_corr)
 # ---------------------------------------------------------------------------
 
+@entry("rolling_corr_daily", sql=lambda: SQL_ROLLING_CORR_DAILY)
 def q_rolling_corr_daily(sf_dir: str) -> pd.DataFrame:
     """7-row rolling Pearson correlation between each event_type's daily
     value sum and daily event count."""
@@ -3199,6 +3297,7 @@ def _augment_pii(b: pd.DataFrame) -> pd.DataFrame:
     return b
 
 
+@entry("pii_redaction_documents", sql=lambda: SQL_PII_REDACTION)
 def q_pii_redaction_documents(sf_dir: str) -> pd.DataFrame:
     """Email/IPv4/phone redaction with per-class match counts; byte-exact
     vs the DuckDB ``regexp_replace`` oracle (patterns are RE2∩re-safe)."""
@@ -3250,6 +3349,7 @@ SQL_PII_REDACTION = f"""
 # train/eval n-gram decontamination (pipelines/decontaminate.py)
 # ---------------------------------------------------------------------------
 
+@entry("decontaminate_documents", sql=lambda: SQL_DECONTAMINATE)
 def q_decontaminate_documents(sf_dir: str) -> pd.DataFrame:
     """GPT-3-style 8-gram decontamination: eval side = every 10th doc,
     train side = the rest; per train doc the count of DISTINCT 8-grams
@@ -3295,6 +3395,7 @@ SQL_DECONTAMINATE = r"""
 # Gopher repetition signals (pipelines/textstats.repetition_batch)
 # ---------------------------------------------------------------------------
 
+@entry("repetition_documents", sql=lambda: SQL_REPETITION_DOCS)
 def q_repetition_documents(sf_dir: str) -> pd.DataFrame:
     """Duplicate-line / top-2-gram / dup-5-gram repetition signals, emitted
     as EXACT integer numerators (``raw_counts=True`` — the float fractions
@@ -3376,6 +3477,7 @@ SQL_REPETITION_DOCS = r"""
 # corpus construction: vocabulary + training chunks (pipelines/corpus.py)
 # ---------------------------------------------------------------------------
 
+@entry("vocabulary_documents", sql=lambda: SQL_VOCABULARY_DOCS)
 def q_vocabulary_documents(sf_dir: str) -> pd.DataFrame:
     """Top-100 whitespace tokens corpus-wide, (count desc, token asc)."""
     from forecastframe_ray.pipelines.corpus import token_vocabulary
@@ -3396,6 +3498,7 @@ SQL_VOCABULARY_DOCS = r"""
 """
 
 
+@entry("chunk_documents", sql=lambda: SQL_CHUNK_DOCS)
 def q_chunk_documents(sf_dir: str) -> pd.DataFrame:
     """32-token chunks, stride 24 (8-token overlap), tail chunks shorter."""
     from forecastframe_ray.pipelines.corpus import chunk_documents
@@ -3424,6 +3527,7 @@ SQL_CHUNK_DOCS = r"""
 # Gopher quality filter (pipelines/textstats.gopher_filter)
 # ---------------------------------------------------------------------------
 
+@entry("gopher_filter_documents", sql=lambda: SQL_GOPHER_FILTER)
 def q_gopher_filter_documents(sf_dir: str) -> pd.DataFrame:
     """Integer-exact Gopher filter flags + composite kept bit; same derived
     line view as ``repetition_documents``."""
@@ -3514,6 +3618,7 @@ SQL_GOPHER_FILTER = r"""
 # TF-IDF / unigram-LM corpus scoring (pipelines/tfidf.py)
 # ---------------------------------------------------------------------------
 
+@entry("tfidf_topterms_documents", sql=lambda: SQL_TFIDF_TOPTERMS)
 def q_tfidf_topterms_documents(sf_dir: str) -> pd.DataFrame:
     """Top-3 TF-IDF terms per document, round-then-rank deterministic."""
     from forecastframe_ray.pipelines.tfidf import tfidf_top_terms
@@ -3548,6 +3653,7 @@ SQL_TFIDF_TOPTERMS = r"""
 """
 
 
+@entry("unigram_logprob_documents", sql=lambda: SQL_UNIGRAM_LOGPROB)
 def q_unigram_logprob_documents(sf_dir: str) -> pd.DataFrame:
     """CCNet-style corpus-LM quality score: per-doc mean token log-prob."""
     from forecastframe_ray.pipelines.tfidf import unigram_doc_logprob
@@ -3581,6 +3687,7 @@ SQL_UNIGRAM_LOGPROB = r"""
 """
 
 
+@entry("stratified_sample_orders", sql=lambda: SQL_STRATIFIED_SAMPLE_ORDERS)
 def q_stratified_sample_orders(sf_dir: str) -> pd.DataFrame:
     """Exact 40-per-priority deterministic stratified sample (md5 quota)."""
     from forecastframe_ray.stages.sample import stratified_sample
@@ -3612,6 +3719,7 @@ SQL_STRATIFIED_SAMPLE_ORDERS = """
 # rolling-baseline anomaly flags (composition: W1 mean+std -> integer flag)
 # ---------------------------------------------------------------------------
 
+@entry("anomaly_daily_events", sql=lambda: SQL_ANOMALY_DAILY)
 def q_anomaly_daily_events(sf_dir: str) -> pd.DataFrame:
     """Per-series anomaly detection on the daily spine: flag days where the
     value leaves the trailing-7d lag-1 mean ± 2·std band. The comparison
@@ -3662,6 +3770,7 @@ SQL_ANOMALY_DAILY = f"""
 # CCNet quality buckets (pipelines/tfidf.quality_buckets)
 # ---------------------------------------------------------------------------
 
+@entry("quality_buckets_documents", sql=lambda: SQL_QUALITY_BUCKETS)
 def q_quality_buckets_documents(sf_dir: str) -> pd.DataFrame:
     """Corpus-LM score terciles: head / middle / tail per document."""
     from forecastframe_ray.pipelines.tfidf import quality_buckets
@@ -3705,6 +3814,7 @@ SQL_QUALITY_BUCKETS = r"""
 # cross-document duplicate spans (pipelines/decontaminate.self_overlap)
 # ---------------------------------------------------------------------------
 
+@entry("dup_spans_documents", sql=lambda: SQL_DUP_SPANS)
 def q_dup_spans_documents(sf_dir: str) -> pd.DataFrame:
     """Per-doc count of distinct 8-grams shared with any OTHER document."""
     from forecastframe_ray.pipelines.decontaminate import self_overlap
@@ -3741,6 +3851,7 @@ SQL_DUP_SPANS = r"""
 # percent rank within series (stages/window_ops.op_percent_rank)
 # ---------------------------------------------------------------------------
 
+@entry("percent_rank_daily", sql=lambda: SQL_PERCENT_RANK_DAILY)
 def q_percent_rank_daily(sf_dir: str) -> pd.DataFrame:
     """SQL percent_rank() twin over the daily spine: rank of each day's
     value within its series, rank-with-gaps ties, single-row series -> 0."""
@@ -3769,6 +3880,7 @@ SQL_PERCENT_RANK_DAILY = f"""
 # PMI bigram collocations (pipelines/corpus.pmi_bigrams)
 # ---------------------------------------------------------------------------
 
+@entry("pmi_bigrams_documents", sql=lambda: SQL_PMI_BIGRAMS)
 def q_pmi_bigrams_documents(sf_dir: str) -> pd.DataFrame:
     """Top-50 within-doc adjacent-token collocations by PMI (c_xy >= 3)."""
     from forecastframe_ray.pipelines.corpus import pmi_bigrams

@@ -31,9 +31,11 @@ from forecastframe_ray.pipelines.queries.windows import (  # noqa: F401
     _PAGE_SPAN_US,
     _PAGE_STRIDE,
 )
+from forecastframe_ray.pipelines.queries import entry
 
 
 
+@entry("sentence_stats_documents", sql=lambda: SQL_SENTENCE_STATS)
 def q_sentence_stats_documents(sf_dir: str) -> pd.DataFrame:
     """Per-doc sentence segmentation stats (split on [.!?]+ runs, blank
     segments dropped): sentence count, mean and max whitespace-token
@@ -94,6 +96,7 @@ SQL_SENTENCE_STATS = rf"""
 # days since running peak / Page-Hinkley drift / Hill tail index
 # ---------------------------------------------------------------------------
 
+@entry("days_since_peak_daily", sql=lambda: SQL_DAYS_SINCE_PEAK)
 def q_days_since_peak_daily(sf_dir: str) -> pd.DataFrame:
     """Age of the running maximum per series row: days since the EARLIEST
     day that achieved the current expanding max (record days reset the
@@ -148,6 +151,7 @@ SQL_DAYS_SINCE_PEAK = f"""
 """
 
 
+@entry("page_hinkley_daily", sql=lambda: SQL_PAGE_HINKLEY)
 def q_page_hinkley_daily(sf_dir: str) -> pd.DataFrame:
     """Page-Hinkley upward-drift statistic per series (Page 1954; Hinkley
     1971, δ=0 form): deviations from the RUNNING mean cumulate into
@@ -203,6 +207,7 @@ SQL_PAGE_HINKLEY = f"""
 """
 
 
+@entry("hill_tail_events", sql=lambda: SQL_HILL_TAIL)
 def q_hill_tail_events(sf_dir: str) -> pd.DataFrame:
     """Hill tail-index estimator over each type's positive values (Hill
     1975, k=50): ξ = (1/k)Σᵢ₌₁ᵏ ln(x₍ᵢ₎/x₍ₖ₊₁₎) over the descending order
@@ -276,6 +281,7 @@ SQL_HILL_TAIL = f"""
 # customer order gaps / hourly typical-day envelope / negative-binomial fit
 # ---------------------------------------------------------------------------
 
+@entry("customer_order_gaps", sql=lambda: SQL_CUSTOMER_ORDER_GAPS)
 def q_customer_order_gaps(sf_dir: str) -> pd.DataFrame:
     """Repeat-purchase cadence per customer: calendar-day gaps between
     consecutive orders (date order, orderkey tie-break), median
@@ -326,6 +332,7 @@ SQL_CUSTOMER_ORDER_GAPS = """
 """
 
 
+@entry("hourly_envelope_events", sql=lambda: SQL_HOURLY_ENVELOPE)
 def q_hourly_envelope_events(sf_dir: str) -> pd.DataFrame:
     """Typical-day envelope per series: p10/p50/p90 of the hourly-bucket
     values grouped by hour-of-day (the seasonal band an ops dashboard
@@ -368,6 +375,7 @@ SQL_HOURLY_ENVELOPE = f"""
 """
 
 
+@entry("nb_fit_users_events", sql=lambda: SQL_NB_FIT_USERS)
 def q_nb_fit_users_events(sf_dir: str) -> pd.DataFrame:
     """Negative-binomial method-of-moments fit of per-user event counts
     (the overdispersed count model behind user-activity simulation):
@@ -409,6 +417,7 @@ SQL_NB_FIT_USERS = f"""
 # co-purchase degree distribution / horizon error profile / p-chart
 # ---------------------------------------------------------------------------
 
+@entry("copurchase_degree_lineitem", sql=lambda: SQL_COPURCHASE_DEGREE)
 def q_copurchase_degree_lineitem(sf_dir: str) -> pd.DataFrame:
     """Co-purchase graph degree distribution: parts are nodes, an edge is
     'appeared in the same order'; the output is the histogram of distinct-
@@ -457,6 +466,7 @@ SQL_COPURCHASE_DEGREE = """
 """
 
 
+@entry("horizon_error_profile_daily", sql=lambda: SQL_HORIZON_ERROR_PROFILE)
 def q_horizon_error_profile_daily(sf_dir: str) -> pd.DataFrame:
     """Backtest error curve of the naive-h forecast (v̂_t = v_{t−h}) for
     horizons 1..7, pooled across series: MAE and RMSE per horizon — the
@@ -514,6 +524,7 @@ SQL_HORIZON_ERROR_PROFILE = f"""
 """
 
 
+@entry("p_chart_hourly_events", sql=lambda: SQL_P_CHART_HOURLY)
 def q_p_chart_hourly_events(sf_dir: str) -> pd.DataFrame:
     """Attribute control chart (p-chart, Shewhart): per hourly bucket the
     ERROR-event share p̂ against binomial 3σ limits around the pooled
@@ -575,6 +586,7 @@ SQL_P_CHART_HOURLY = """
 # sample-ratio-mismatch check / dup-size vs quality corr / odds ratio
 # ---------------------------------------------------------------------------
 
+@entry("srm_check_orders", sql=lambda: SQL_SRM_CHECK)
 def q_srm_check_orders(sf_dir: str) -> pd.DataFrame:
     """Sample-ratio-mismatch audit of the 80/10/10 md5 hash split (the
     experiment-platform guardrail): chi-square goodness of fit of observed
@@ -637,6 +649,7 @@ SQL_SRM_CHECK = """
 """
 
 
+@entry("dupsize_quality_corr_documents", sql=lambda: SQL_DUPSIZE_QUALITY_CORR)
 def q_dupsize_quality_corr_documents(sf_dir: str) -> pd.DataFrame:
     """Curation diagnostic joining two pipeline stages: Pearson correlation
     between each doc's EXACT-dup class size (md5-digest groups) and its
@@ -698,6 +711,7 @@ SQL_DUPSIZE_QUALITY_CORR = rf"""
 """
 
 
+@entry("conversion_odds_users", sql=lambda: SQL_CONVERSION_ODDS)
 def q_conversion_odds_users(sf_dir: str) -> pd.DataFrame:
     """2×2 odds-ratio analysis: does having a signup event associate with
     having a purchase event, across users? Cells, odds ratio, log-OR with
@@ -785,6 +799,7 @@ SQL_CONVERSION_ODDS = f"""
 # triangle counting / Haar wavelet energies / SAX symbolization
 # ---------------------------------------------------------------------------
 
+@entry("triangle_count_copurchase", sql=lambda: SQL_TRIANGLE_COUNT)
 def q_triangle_count_copurchase(sf_dir: str) -> pd.DataFrame:
     """Global clustering of the co-purchase graph via distributed triangle
     counting (the canonical two-join plan: oriented edges a<b, wedge join
@@ -877,6 +892,7 @@ SQL_TRIANGLE_COUNT = f"""
 """
 
 
+@entry("haar_energy_daily", sql=lambda: SQL_HAAR_ENERGY)
 def q_haar_energy_daily(sf_dir: str) -> pd.DataFrame:
     """Two-level Haar wavelet energy decomposition of each series' first
     16 days: detail energies at scales 1 and 2 plus the level-2 smooth —
@@ -952,6 +968,7 @@ SQL_HAAR_ENERGY = f"""
 """
 
 
+@entry("sax_words_daily", sql=lambda: SQL_SAX_WORDS)
 def q_sax_words_daily(sf_dir: str) -> pd.DataFrame:
     """SAX symbolization (Lin, Keogh et al. 2003): z-score each series,
     PAA over the first 28 days in four 7-day segments, map each segment
@@ -1040,6 +1057,7 @@ def _dtw_band(x: np.ndarray, y: np.ndarray, w: int = 3) -> float:
     return float(np.sqrt(prev[m]))
 
 
+@entry("dtw_band_pairs_daily", sql=lambda: SQL_DTW_BAND_PAIRS)
 def q_dtw_band_pairs_daily(sf_dir: str) -> pd.DataFrame:
     """Banded DTW distance between every series pair, GATED against its
     analytic envelope: DTW with any warping window is ≤ the lock-step
@@ -1091,6 +1109,7 @@ SQL_DTW_BAND_PAIRS = """
 """
 
 
+@entry("newsvendor_daily", sql=lambda: SQL_NEWSVENDOR)
 def q_newsvendor_daily(sf_dir: str) -> pd.DataFrame:
     """Newsvendor stocking policy per series (underage cost 3, overage 1
     → critical ratio 0.75): q* = the 0.75 demand quantile (quantile_cont),
@@ -1130,6 +1149,7 @@ SQL_NEWSVENDOR = f"""
 """
 
 
+@entry("pot_gpd_events", sql=lambda: SQL_POT_GPD)
 def q_pot_gpd_events(sf_dir: str) -> pd.DataFrame:
     """Peaks-over-threshold extreme-value fit per type: exceedances over
     the (rounded) p90 of event values, Generalized Pareto by method of
@@ -1191,6 +1211,7 @@ SQL_POT_GPD = f"""
 # min-cost supplier arg-min join / KL between source LMs / Markov accuracy
 # ---------------------------------------------------------------------------
 
+@entry("mincost_supplier_parts", sql=lambda: SQL_MINCOST_SUPPLIER)
 def q_mincost_supplier_parts(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q2's core shape — the correlated arg-min: for every part, the
     supplier offering the minimum extended price (price then suppkey
@@ -1228,6 +1249,7 @@ SQL_MINCOST_SUPPLIER = """
 _KL_SOURCES = ("src0", "src1", "src2", "src3")
 
 
+@entry("kl_token_sources", sql=lambda: SQL_KL_TOKEN_SOURCES)
 def q_kl_token_sources(sf_dir: str) -> pd.DataFrame:
     """Add-one-smoothed KL divergence between the unigram LMs of source
     pairs (the corpus-drift measure between crawl slices): with V = the
@@ -1320,6 +1342,7 @@ SQL_KL_TOKEN_SOURCES = rf"""
 """
 
 
+@entry("markov_top1_accuracy_events", sql=lambda: SQL_MARKOV_TOP1_ACCURACY)
 def q_markov_top1_accuracy_events(sf_dir: str) -> pd.DataFrame:
     """Backtest of the first-order Markov next-event predictor: per current
     type, the modal next type (count desc, name asc tie-break) and its
@@ -1387,6 +1410,7 @@ SQL_MARKOV_TOP1_ACCURACY = """
 # GEV block-maxima PWM fit / sample entropy / von Neumann ratio
 # ---------------------------------------------------------------------------
 
+@entry("gev_pwm_daily_max_events", sql=lambda: SQL_GEV_PWM)
 def q_gev_pwm_daily_max_events(sf_dir: str) -> pd.DataFrame:
     """GEV fit to daily BLOCK MAXIMA of the hourly series via probability-
     weighted moments (Hosking, Wallis & Wood 1985 — the closed-form EVT
@@ -1489,6 +1513,7 @@ SQL_GEV_PWM = f"""
 """
 
 
+@entry("sample_entropy_daily", sql=lambda: SQL_SAMPLE_ENTROPY)
 def q_sample_entropy_daily(sf_dir: str) -> pd.DataFrame:
     """Sample entropy per series (Richman & Moorman 2000; m=2,
     r = 0.2·σ rounded to 6 so both engines use the same tolerance):
@@ -1575,6 +1600,7 @@ SQL_SAMPLE_ENTROPY = f"""
 """
 
 
+@entry("von_neumann_daily", sql=lambda: SQL_VON_NEUMANN)
 def q_von_neumann_daily(sf_dir: str) -> pd.DataFrame:
     """Von Neumann ratio per series (1941 successive-difference test):
     η = Σ(vₜ₊₁−vₜ)² / Σ(v−v̄)² — ≈2 under independence, <2 under positive
@@ -1624,6 +1650,7 @@ SQL_VON_NEUMANN = f"""
 # turning points test / ACF whiteness audit / pairwise mean contrasts
 # ---------------------------------------------------------------------------
 
+@entry("turning_points_daily", sql=lambda: SQL_TURNING_POINTS)
 def q_turning_points_daily(sf_dir: str) -> pd.DataFrame:
     """Kendall turning-points randomness test per series: count interior
     local extrema (vₜ₋₁<vₜ>vₜ₊₁ or vₜ₋₁>vₜ<vₜ₊₁), compare to the i.i.d.
@@ -1688,6 +1715,7 @@ SQL_TURNING_POINTS = f"""
 """
 
 
+@entry("acf_whiteness_daily", sql=lambda: SQL_ACF_WHITENESS)
 def q_acf_whiteness_daily(sf_dir: str) -> pd.DataFrame:
     """Correlogram whiteness audit per series: how many of the first 10
     sample autocorrelations breach the Bartlett ±1.96/√n band (the visual
@@ -1766,6 +1794,7 @@ SQL_ACF_WHITENESS = f"""
 """
 
 
+@entry("pairwise_mean_diff_events", sql=lambda: SQL_PAIRWISE_MEAN_DIFF)
 def q_pairwise_mean_diff_events(sf_dir: str) -> pd.DataFrame:
     """Post-hoc pairwise contrasts after the day-of-week ANOVA family:
     for every event-type pair, the mean-value difference with the pooled-
@@ -1829,6 +1858,7 @@ SQL_PAIRWISE_MEAN_DIFF = """
 # DAU half-life / weekend effect / Chapman capture-recapture
 # ---------------------------------------------------------------------------
 
+@entry("dau_halflife_events", sql=lambda: SQL_DAU_HALFLIFE)
 def q_dau_halflife_events(sf_dir: str) -> pd.DataFrame:
     """Audience-decay half-life: OLS of ln(DAU) on the day index; when the
     slope is negative, half-life = ln2/(−slope) days (NULLF for flat or
@@ -1878,6 +1908,7 @@ SQL_DAU_HALFLIFE = f"""
 """
 
 
+@entry("weekend_effect_daily", sql=lambda: SQL_WEEKEND_EFFECT)
 def q_weekend_effect_daily(sf_dir: str) -> pd.DataFrame:
     """Weekend effect per series: Welch t statistic between weekend and
     weekday daily values (the calendar-feature significance screen before
@@ -1937,6 +1968,7 @@ SQL_WEEKEND_EFFECT = f"""
 """
 
 
+@entry("chapman_estimate_users", sql=lambda: SQL_CHAPMAN_ESTIMATE)
 def q_chapman_estimate_users(sf_dir: str) -> pd.DataFrame:
     """Chapman capture-recapture estimate of the total user population
     from two 'capture' windows (first vs second half of the event span):
@@ -2000,6 +2032,7 @@ SQL_CHAPMAN_ESTIMATE = """
 # Burrows' Delta stylometry / ABC classification / calibration table
 # ---------------------------------------------------------------------------
 
+@entry("burrows_delta_sources", sql=lambda: SQL_BURROWS_DELTA)
 def q_burrows_delta_sources(sf_dir: str) -> pd.DataFrame:
     """Burrows' Delta stylometric distance (Burrows 2002) between the
     first four sources: over the corpus's top-50 tokens (count desc, token
@@ -2088,6 +2121,7 @@ SQL_BURROWS_DELTA = r"""
 """
 
 
+@entry("abc_classification_parts", sql=lambda: SQL_ABC_CLASSIFICATION)
 def q_abc_classification_parts(sf_dir: str) -> pd.DataFrame:
     """ABC revenue classification of parts (the Pareto inventory policy):
     parts ranked by revenue (desc, partkey asc), class A while the
@@ -2145,6 +2179,7 @@ SQL_ABC_CLASSIFICATION = """
 """
 
 
+@entry("calibration_users", sql=lambda: SQL_CALIBRATION_USERS)
 def q_calibration_users(sf_dir: str) -> pd.DataFrame:
     """Reliability (calibration) table of a naive behavioral predictor:
     each user's FIRST-half purchase share predicts whether they purchase
@@ -2223,6 +2258,7 @@ SQL_CALIBRATION_USERS = """
 # Brier decomposition / crawl politeness gaps / partial correlation
 # ---------------------------------------------------------------------------
 
+@entry("brier_decomposition_users", sql=lambda: SQL_BRIER_DECOMPOSITION)
 def q_brier_decomposition_users(sf_dir: str) -> pd.DataFrame:
     """Brier score of the first-half→second-half purchase predictor plus
     its Murphy (1973) decile decomposition: reliability
@@ -2315,6 +2351,7 @@ SQL_BRIER_DECOMPOSITION = """
 """
 
 
+@entry("crawl_gaps_pages", sql=lambda: SQL_CRAWL_GAPS)
 def q_crawl_gaps_pages(sf_dir: str) -> pd.DataFrame:
     """Crawl-politeness profile of the synthesized Common-Crawl pages
     (entry()'s formulas): per host, the inter-crawl gaps of sorted
@@ -2377,6 +2414,7 @@ SQL_CRAWL_GAPS = f"""
 """
 
 
+@entry("partial_corr_daily", sql=lambda: SQL_PARTIAL_CORR)
 def q_partial_corr_daily(sf_dir: str) -> pd.DataFrame:
     """Partial correlation between every series pair controlling for the
     MARKET (the all-types daily total): r_ab·z = (r_ab − r_az·r_bz) /
@@ -2441,6 +2479,7 @@ SQL_PARTIAL_CORR = f"""
 # Dunning G² keyness / vocabulary coverage / Wilcoxon signed-rank
 # ---------------------------------------------------------------------------
 
+@entry("keyness_g2_src0", sql=lambda: SQL_KEYNESS_G2)
 def q_keyness_g2_src0(sf_dir: str) -> pd.DataFrame:
     """Dunning (1993) log-likelihood keyness: the 20 tokens most
     distinctive of src0 vs the REST of the corpus by
@@ -2512,6 +2551,7 @@ SQL_KEYNESS_G2 = r"""
 """
 
 
+@entry("vocab_coverage_documents", sql=lambda: SQL_VOCAB_COVERAGE)
 def q_vocab_coverage_documents(sf_dir: str) -> pd.DataFrame:
     """Vocabulary coverage curve (the tokenizer-budget question): the
     share of the corpus token STREAM covered by the top-k types for
@@ -2564,6 +2604,7 @@ SQL_VOCAB_COVERAGE = r"""
 """
 
 
+@entry("wilcoxon_paired_daily", sql=lambda: SQL_WILCOXON_PAIRED)
 def q_wilcoxon_paired_daily(sf_dir: str) -> pd.DataFrame:
     """Wilcoxon signed-rank test pairing each series' day t with day
     t + n//2 (first half vs second half, matched by position): ranks of
@@ -2659,6 +2700,7 @@ SQL_WILCOXON_PAIRED = f"""
 # piecewise hinge trend / activity streak histogram / daily mix entropy
 # ---------------------------------------------------------------------------
 
+@entry("piecewise_trend_daily", sql=lambda: SQL_PIECEWISE_TREND)
 def q_piecewise_trend_daily(sf_dir: str) -> pd.DataFrame:
     """Prophet-style piecewise-linear trend with ONE fixed changepoint at
     t=15 (days since series start): exact OLS of v on [1, t, max(0,t−15)]
@@ -2747,6 +2789,7 @@ SQL_PIECEWISE_TREND = f"""
 """
 
 
+@entry("activity_streaks_users", sql=lambda: SQL_ACTIVITY_STREAKS)
 def q_activity_streaks_users(sf_dir: str) -> pd.DataFrame:
     """Longest consecutive-active-day streak per user (the gaps-and-
     islands pattern at user grain), reported as a histogram: streak
@@ -2802,6 +2845,7 @@ SQL_ACTIVITY_STREAKS = f"""
 """
 
 
+@entry("mix_entropy_daily", sql=lambda: SQL_MIX_ENTROPY)
 def q_mix_entropy_daily(sf_dir: str) -> pd.DataFrame:
     """Composition entropy of each day's event-type mix: Shannon H over
     the within-day value shares (zero/negative shares excluded) and the
@@ -2854,6 +2898,7 @@ SQL_MIX_ENTROPY = f"""
 # Kendall's W concordance / discount response curve / rank-biased overlap
 # ---------------------------------------------------------------------------
 
+@entry("kendall_w_daily", sql=lambda: SQL_KENDALL_W)
 def q_kendall_w_daily(sf_dir: str) -> pd.DataFrame:
     """Kendall's coefficient of concordance W across days: each day ranks
     the event types by value (desc, type asc on ties); W measures how
@@ -2905,6 +2950,7 @@ SQL_KENDALL_W = f"""
 """
 
 
+@entry("discount_response_lineitem", sql=lambda: SQL_DISCOUNT_RESPONSE)
 def q_discount_response_lineitem(sf_dir: str) -> pd.DataFrame:
     """Discount response curve: per discount level (rounded to 2), order-
     line count, average quantity and average net revenue — the grouped
@@ -2945,6 +2991,7 @@ SQL_DISCOUNT_RESPONSE = """
 """
 
 
+@entry("rbo_top_users", sql=lambda: SQL_RBO_TOP_USERS)
 def q_rbo_top_users(sf_dir: str) -> pd.DataFrame:
     """Rank-biased overlap (Webber, Moffat & Zobel 2010; p=0.9, depth 10)
     between the top-user leaderboards of the two event-span halves — the
@@ -3026,6 +3073,7 @@ SQL_RBO_TOP_USERS = """
 # degree assortativity / basket dispersion / Jarque-Bera normality
 # ---------------------------------------------------------------------------
 
+@entry("degree_assortativity_copurchase", sql=lambda: SQL_DEGREE_ASSORTATIVITY)
 def q_degree_assortativity_copurchase(sf_dir: str) -> pd.DataFrame:
     """Degree assortativity of the co-purchase graph (Newman 2002):
     Pearson correlation of endpoint degrees over both orientations of
@@ -3106,6 +3154,7 @@ SQL_DEGREE_ASSORTATIVITY = f"""
 """
 
 
+@entry("basket_dispersion_orders", sql=lambda: SQL_BASKET_DISPERSION)
 def q_basket_dispersion_orders(sf_dir: str) -> pd.DataFrame:
     """Basket-size dispersion: lineitems per order, mean/variance, the
     index of dispersion D = s²/m and the normal-approximation z of the
@@ -3143,6 +3192,7 @@ SQL_BASKET_DISPERSION = """
 """
 
 
+@entry("jarque_bera_daily", sql=lambda: SQL_JARQUE_BERA)
 def q_jarque_bera_daily(sf_dir: str) -> pd.DataFrame:
     """Jarque-Bera normality test per series from the simple moment
     estimators: skewness g₁ = m₃/m₂^1.5, excess kurtosis g₂ = m₄/m₂²−3,
@@ -3210,6 +3260,7 @@ SQL_JARQUE_BERA = f"""
 # geometric adstock / cohort value curve / EWMA control chart
 # ---------------------------------------------------------------------------
 
+@entry("adstock_daily", sql=lambda: SQL_ADSTOCK)
 def q_adstock_daily(sf_dir: str) -> pd.DataFrame:
     """Geometric adstock transform (the marketing-mix carryover feature):
     A_t = v_t + λ·A_{t−1} with λ=0.6 (non-dyadic, so rounded values
@@ -3256,6 +3307,7 @@ SQL_ADSTOCK = f"""
 """
 
 
+@entry("cohort_value_curve", sql=lambda: SQL_COHORT_VALUE_CURVE)
 def q_cohort_value_curve(sf_dir: str) -> pd.DataFrame:
     """Cohort LTV curve: users cohort by first-seen day; for each age
     offset 0..29, the average CUMULATIVE event value per user across all
@@ -3342,6 +3394,7 @@ SQL_COHORT_VALUE_CURVE = f"""
 """
 
 
+@entry("ewma_chart_daily", sql=lambda: SQL_EWMA_CHART)
 def q_ewma_chart_daily(sf_dir: str) -> pd.DataFrame:
     """EWMA control chart (Roberts 1959; λ=0.2, L=3): zₜ initialized at
     the series mean μ, time-varying limits μ ± 3σ√(λ/(2−λ)·(1−(1−λ)²ᵗ)).
@@ -3418,6 +3471,7 @@ SQL_EWMA_CHART = f"""
 # kNN outlier scores / price indices / Theil inequality decomposition
 # ---------------------------------------------------------------------------
 
+@entry("knn_outlier_embeddings", sql=lambda: SQL_KNN_OUTLIER)
 def q_knn_outlier_embeddings(sf_dir: str) -> pd.DataFrame:
     """kNN-distance outlier scores: each vector's mean Euclidean distance
     to its 5 nearest neighbors (the distance-based outlier primitive under
@@ -3468,6 +3522,7 @@ SQL_KNN_OUTLIER = """
 """
 
 
+@entry("price_index_lineitem", sql=lambda: SQL_PRICE_INDEX)
 def q_price_index_lineitem(sf_dir: str) -> pd.DataFrame:
     """Bilateral price indices between the two shipdate halves of the
     lineitem fact: per-part average price and total quantity per period,
@@ -3553,6 +3608,7 @@ SQL_PRICE_INDEX = """
 """
 
 
+@entry("theil_inequality_documents", sql=lambda: SQL_THEIL_INEQUALITY)
 def q_theil_inequality_documents(sf_dir: str) -> pd.DataFrame:
     """Theil T inequality of document lengths with its exact
     between/within-source decomposition: T = Σ(xᵢ/X)ln(xᵢ/μ̄-ratio),
@@ -3622,6 +3678,7 @@ SQL_THEIL_INEQUALITY = r"""
 # mutual information / spectral flatness / Benjamini-Hochberg FDR
 # ---------------------------------------------------------------------------
 
+@entry("mutual_info_type_hour", sql=lambda: SQL_MUTUAL_INFO)
 def q_mutual_info_type_hour(sf_dir: str) -> pd.DataFrame:
     """Mutual information between event type and hour-of-day (nats), plus
     the normalized form MI/min(H_type, H_hour) — 'does when predict
@@ -3681,6 +3738,7 @@ SQL_MUTUAL_INFO = f"""
 """
 
 
+@entry("spectral_flatness_daily", sql=lambda: SQL_SPECTRAL_FLATNESS)
 def q_spectral_flatness_daily(sf_dir: str) -> pd.DataFrame:
     """Wiener spectral flatness per series: periodogram power at Fourier
     frequencies j = 1..14 (cos/sin projections of the demeaned series),
@@ -3768,6 +3826,7 @@ def _phi_as(z: np.ndarray) -> np.ndarray:
     return np.where(z >= 0, (1.0 + erf) / 2.0, (1.0 - erf) / 2.0)
 
 
+@entry("bh_fdr_pairs_events", sql=lambda: SQL_BH_FDR_PAIRS)
 def q_bh_fdr_pairs_events(sf_dir: str) -> pd.DataFrame:
     """Benjamini-Hochberg FDR correction over the 10 pairwise mean tests
     (large-sample z from the pooled-variance contrast, two-sided p via
@@ -3810,3 +3869,47 @@ def q_bh_fdr_pairs_events(sf_dir: str) -> pd.DataFrame:
     df["bh_rank"] = rank.astype(np.int64)
     df["significant"] = rank <= cutoff
     return df
+
+
+SQL_BH_FDR_PAIRS = """
+    WITH g AS (
+        SELECT event_type, count(*)::DOUBLE AS n, avg(value) AS m,
+               sum(value * value) - count(*) * avg(value) * avg(value)
+                   AS sse
+        FROM events GROUP BY 1
+    ),
+    pool AS (SELECT sum(sse) / (sum(n) - count(*)) AS s2p FROM g),
+    pairs AS (
+        SELECT a.event_type AS et_a, b.event_type AS et_b,
+               (a.m - b.m) / sqrt(pool.s2p * (1 / a.n + 1 / b.n)) AS z
+        FROM g a JOIN g b ON a.event_type < b.event_type
+        CROSS JOIN pool
+    ),
+    pv AS (
+        SELECT et_a, et_b, round(z, 6) + 0.0 AS z,
+               round(2 * (1 - CASE WHEN TRUE THEN
+                   (1 + (1 - (0.254829592 * (1 / (1 + 0.3275911
+                        * (abs(z) / sqrt(2))))
+                     - 0.284496736 * pow(1 / (1 + 0.3275911
+                        * (abs(z) / sqrt(2))), 2)
+                     + 1.421413741 * pow(1 / (1 + 0.3275911
+                        * (abs(z) / sqrt(2))), 3)
+                     - 1.453152027 * pow(1 / (1 + 0.3275911
+                        * (abs(z) / sqrt(2))), 4)
+                     + 1.061405429 * pow(1 / (1 + 0.3275911
+                        * (abs(z) / sqrt(2))), 5))
+                     * exp(-abs(z) * abs(z) / 2))) / 2 END), 6) + 0.0 AS p
+        FROM pairs
+    ),
+    ranked AS (
+        SELECT *, ROW_NUMBER() OVER (ORDER BY p, et_a, et_b) AS bh_rank,
+               count(*) OVER () AS m
+        FROM pv
+    ),
+    cut AS (SELECT COALESCE(max(bh_rank), 0) AS c
+            FROM ranked WHERE p <= bh_rank * 1.0 / m * 0.05)
+    SELECT et_a, et_b, z, p, CAST(bh_rank AS BIGINT) AS bh_rank,
+           bh_rank <= cut.c AS significant
+    FROM ranked CROSS JOIN cut
+    ORDER BY bh_rank
+"""

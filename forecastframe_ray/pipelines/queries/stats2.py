@@ -33,57 +33,15 @@ from forecastframe_ray.pipelines.queries.windows import (  # noqa: F401
 from forecastframe_ray.pipelines.queries.stats import (  # noqa: F401
     _KL_SOURCES,
 )
+from forecastframe_ray.pipelines.queries import entry
 
-
-
-SQL_BH_FDR_PAIRS = """
-    WITH g AS (
-        SELECT event_type, count(*)::DOUBLE AS n, avg(value) AS m,
-               sum(value * value) - count(*) * avg(value) * avg(value)
-                   AS sse
-        FROM events GROUP BY 1
-    ),
-    pool AS (SELECT sum(sse) / (sum(n) - count(*)) AS s2p FROM g),
-    pairs AS (
-        SELECT a.event_type AS et_a, b.event_type AS et_b,
-               (a.m - b.m) / sqrt(pool.s2p * (1 / a.n + 1 / b.n)) AS z
-        FROM g a JOIN g b ON a.event_type < b.event_type
-        CROSS JOIN pool
-    ),
-    pv AS (
-        SELECT et_a, et_b, round(z, 6) + 0.0 AS z,
-               round(2 * (1 - CASE WHEN TRUE THEN
-                   (1 + (1 - (0.254829592 * (1 / (1 + 0.3275911
-                        * (abs(z) / sqrt(2))))
-                     - 0.284496736 * pow(1 / (1 + 0.3275911
-                        * (abs(z) / sqrt(2))), 2)
-                     + 1.421413741 * pow(1 / (1 + 0.3275911
-                        * (abs(z) / sqrt(2))), 3)
-                     - 1.453152027 * pow(1 / (1 + 0.3275911
-                        * (abs(z) / sqrt(2))), 4)
-                     + 1.061405429 * pow(1 / (1 + 0.3275911
-                        * (abs(z) / sqrt(2))), 5))
-                     * exp(-abs(z) * abs(z) / 2))) / 2 END), 6) + 0.0 AS p
-        FROM pairs
-    ),
-    ranked AS (
-        SELECT *, ROW_NUMBER() OVER (ORDER BY p, et_a, et_b) AS bh_rank,
-               count(*) OVER () AS m
-        FROM pv
-    ),
-    cut AS (SELECT COALESCE(max(bh_rank), 0) AS c
-            FROM ranked WHERE p <= bh_rank * 1.0 / m * 0.05)
-    SELECT et_a, et_b, z, p, CAST(bh_rank AS BIGINT) AS bh_rank,
-           bh_rank <= cut.c AS significant
-    FROM ranked CROSS JOIN cut
-    ORDER BY bh_rank
-"""
 
 
 # ---------------------------------------------------------------------------
 # fulfillment span / exponential PPCC / Shamos pairwise scale
 # ---------------------------------------------------------------------------
 
+@entry("fulfillment_span_orders", sql=lambda: SQL_FULFILLMENT_SPAN)
 def q_fulfillment_span_orders(sf_dir: str) -> pd.DataFrame:
     """Order-fulfillment span: days from order date to the LAST lineitem
     shipment, summarized per priority (count, mean, p50, p90) — the
@@ -147,6 +105,7 @@ SQL_FULFILLMENT_SPAN = """
 """
 
 
+@entry("ppcc_expfit_events", sql=lambda: SQL_PPCC_EXPFIT)
 def q_ppcc_expfit_events(sf_dir: str) -> pd.DataFrame:
     """Probability-plot correlation coefficient (Filliben 1975) of the
     inter-arrival gaps against the exponential model: Pearson r between
@@ -207,6 +166,7 @@ SQL_PPCC_EXPFIT = f"""
 """
 
 
+@entry("shamos_scale_daily", sql=lambda: SQL_SHAMOS_SCALE)
 def q_shamos_scale_daily(sf_dir: str) -> pd.DataFrame:
     """Shamos robust scale per series: the median of ALL pairwise
     |vᵢ−vⱼ| (i<j) — 50% breakdown, no location estimate needed; reported
@@ -265,6 +225,7 @@ SQL_SHAMOS_SCALE = f"""
 # AUC of dup-ness / beta-binomial shrinkage / bimodality coefficient
 # ---------------------------------------------------------------------------
 
+@entry("auc_dupness_documents", sql=lambda: SQL_AUC_DUPNESS)
 def q_auc_dupness_documents(sf_dir: str) -> pd.DataFrame:
     """ROC AUC of 'token count predicts near-dup blocking membership'
     via the Mann-Whitney identity AUC = (R₁ − n₁(n₁+1)/2)/(n₁n₀) with
@@ -339,6 +300,7 @@ SQL_AUC_DUPNESS = r"""
 """
 
 
+@entry("beta_shrunk_daily_share", sql=lambda: SQL_BETA_SHRUNK_SHARE)
 def q_beta_shrunk_daily_share(sf_dir: str) -> pd.DataFrame:
     """Empirical-Bayes beta-binomial shrinkage of the daily purchase
     share: method-of-moments beta prior (α, β) from the across-day share
@@ -406,6 +368,7 @@ SQL_BETA_SHRUNK_SHARE = f"""
 """
 
 
+@entry("bimodality_daily", sql=lambda: SQL_BIMODALITY)
 def q_bimodality_daily(sf_dir: str) -> pd.DataFrame:
     """Sarle's bimodality coefficient per series:
     BC = (g₁² + 1) / (g₂ + 3(n−1)²/((n−2)(n−3))) from the simple moment
@@ -467,6 +430,7 @@ SQL_BIMODALITY = f"""
 # NDCG of blocking ranking / Youden threshold / Allan variance
 # ---------------------------------------------------------------------------
 
+@entry("ndcg_blocking_documents", sql=lambda: SQL_NDCG_BLOCKING)
 def q_ndcg_blocking_documents(sf_dir: str) -> pd.DataFrame:
     """NDCG@20 of ranking docs by token count against the binary
     'shares a 5-token prefix block' relevance: DCG with 1/log2(rank+1)
@@ -535,6 +499,7 @@ SQL_NDCG_BLOCKING = r"""
 """
 
 
+@entry("youden_threshold_documents", sql=lambda: SQL_YOUDEN_THRESHOLD)
 def q_youden_threshold_documents(sf_dir: str) -> pd.DataFrame:
     """Youden-J optimal operating point of the token-count → blocking-
     membership classifier: sweeping every observed score threshold
@@ -610,6 +575,7 @@ SQL_YOUDEN_THRESHOLD = r"""
 """
 
 
+@entry("allan_variance_daily", sql=lambda: SQL_ALLAN_VARIANCE)
 def q_allan_variance_daily(sf_dir: str) -> pd.DataFrame:
     """Allan variance of each series at block sizes τ ∈ {1, 2, 4} days:
     AVAR(τ) = Σ(ȳᵢ₊₁−ȳᵢ)²/(2(M−1)) over means of consecutive
@@ -685,6 +651,7 @@ SQL_ALLAN_VARIANCE = f"""
 # log-loss / Cramér's V / tenure-activity correlation
 # ---------------------------------------------------------------------------
 
+@entry("logloss_users", sql=lambda: SQL_LOGLOSS_USERS)
 def q_logloss_users(sf_dir: str) -> pd.DataFrame:
     """Cross-entropy (log-loss) of the first-half→second-half purchase
     predictor, completing the eval family next to Brier/calibration:
@@ -755,6 +722,7 @@ SQL_LOGLOSS_USERS = """
 """
 
 
+@entry("cramers_v_orders", sql=lambda: SQL_CRAMERS_V)
 def q_cramers_v_orders(sf_dir: str) -> pd.DataFrame:
     """Cramér's V association between order priority and status:
     χ² over the contingency table, V = √(χ²/(N·min(r−1, c−1))) — the
@@ -807,6 +775,7 @@ SQL_CRAMERS_V = """
 """
 
 
+@entry("tenure_activity_corr_users", sql=lambda: SQL_TENURE_ACTIVITY_CORR)
 def q_tenure_activity_corr_users(sf_dir: str) -> pd.DataFrame:
     """Does tenure predict intensity? Pearson correlation across users
     between tenure (days from first event to the corpus end) and
@@ -867,6 +836,7 @@ SQL_TENURE_ACTIVITY_CORR = f"""
 # Markov entropy rate / Sinkhorn normalization / restricted mean survival
 # ---------------------------------------------------------------------------
 
+@entry("markov_entropy_rate_events", sql=lambda: SQL_MARKOV_ENTROPY_RATE)
 def q_markov_entropy_rate_events(sf_dir: str) -> pd.DataFrame:
     """Entropy rate of the first-order user event chain:
     H = Σ_s w(s)·Σ_t −P(t|s)·ln P(t|s) with empirical source weights
@@ -930,6 +900,7 @@ SQL_MARKOV_ENTROPY_RATE = """
 """
 
 
+@entry("sinkhorn2_transitions", sql=lambda: SQL_SINKHORN2)
 def q_sinkhorn2_transitions(sf_dir: str) -> pd.DataFrame:
     """Two fixed Sinkhorn-Knopp sweeps over the transition-count matrix
     (row-normalize, then column-normalize — the deterministic prefix of
@@ -989,6 +960,7 @@ SQL_SINKHORN2 = """
 """
 
 
+@entry("rmst_users", sql=lambda: SQL_RMST_USERS)
 def q_rmst_users(sf_dir: str) -> pd.DataFrame:
     """Restricted mean survival time at τ=20 days over the same
     Kaplan-Meier lifetime table as kaplan_meier_users: with integer-day
@@ -1081,6 +1053,7 @@ SQL_RMST_USERS = """
 # exact 1-D 2-means / doc-length CCDF / Ruzicka source similarity
 # ---------------------------------------------------------------------------
 
+@entry("two_means_split_daily", sql=lambda: SQL_TWO_MEANS_SPLIT)
 def q_two_means_split_daily(sf_dir: str) -> pd.DataFrame:
     """EXACT 2-means clustering of each series' values (1-D k-means is
     solvable by split enumeration over the sorted order): the threshold
@@ -1159,6 +1132,7 @@ SQL_TWO_MEANS_SPLIT = f"""
 """
 
 
+@entry("ccdf_doclen_documents", sql=lambda: SQL_CCDF_DOCLEN)
 def q_ccdf_doclen_documents(sf_dir: str) -> pd.DataFrame:
     """Complementary CDF of document token lengths at decade thresholds
     {10, 30, 100, 300, 1000} — the log-log survival view that exposes
@@ -1200,6 +1174,7 @@ SQL_CCDF_DOCLEN = r"""
 """
 
 
+@entry("ruzicka_sources", sql=lambda: SQL_RUZICKA_SOURCES)
 def q_ruzicka_sources(sf_dir: str) -> pd.DataFrame:
     """Ruzicka (weighted Jaccard) similarity between the token-frequency
     profiles of the first four sources: Σmin(fa, fb)/Σmax(fa, fb) over
@@ -1271,6 +1246,7 @@ SQL_RUZICKA_SOURCES = r"""
 # biweight location / term-rank correlation / inverse-vol weights
 # ---------------------------------------------------------------------------
 
+@entry("biweight_location_daily", sql=lambda: SQL_BIWEIGHT_LOCATION)
 def q_biweight_location_daily(sf_dir: str) -> pd.DataFrame:
     """One-step Tukey biweight location per series (Mosteller & Tukey
     1977): from the (ROUNDED) median and MAD, u = (v−med)/(9·MAD),
@@ -1337,6 +1313,7 @@ SQL_BIWEIGHT_LOCATION = f"""
 """
 
 
+@entry("term_rank_corr_sources", sql=lambda: SQL_TERM_RANK_CORR)
 def q_term_rank_corr_sources(sf_dir: str) -> pd.DataFrame:
     """Vocabulary-rank stability between src0 and src1: Spearman
     correlation of the two sources' count-ranks over the corpus top-50
@@ -1420,6 +1397,7 @@ SQL_TERM_RANK_CORR = r"""
 """
 
 
+@entry("inverse_vol_weights_daily", sql=lambda: SQL_INVERSE_VOL_WEIGHTS)
 def q_inverse_vol_weights_daily(sf_dir: str) -> pd.DataFrame:
     """Risk-parity (inverse-volatility) weights across the series family:
     wᵢ = (1/σᵢ)/Σ(1/σⱼ) over each series' daily-value ddof=1 std — how a
@@ -1464,6 +1442,7 @@ SQL_INVERSE_VOL_WEIGHTS = f"""
 # tabular CUSUM / Poisson rate ratio / diurnal harmonic
 # ---------------------------------------------------------------------------
 
+@entry("tabular_cusum_daily", sql=lambda: SQL_TABULAR_CUSUM)
 def q_tabular_cusum_daily(sf_dir: str) -> pd.DataFrame:
     """Two-sided tabular CUSUM (Page; NIST handbook form) per series with
     slack k = 0.5σ around the mean: C⁺ₜ = max(0, C⁺ₜ₋₁ + zₜ − k) and the
@@ -1534,6 +1513,7 @@ SQL_TABULAR_CUSUM = f"""
 """
 
 
+@entry("rate_ratio_events", sql=lambda: SQL_RATE_RATIO)
 def q_rate_ratio_events(sf_dir: str) -> pd.DataFrame:
     """Poisson rate ratio of error vs click events over the shared
     exposure window: λ̂_e/λ̂_c with the Wald log-scale CI
@@ -1583,6 +1563,7 @@ SQL_RATE_RATIO = f"""
 """
 
 
+@entry("diurnal_harmonic_events", sql=lambda: SQL_DIURNAL_HARMONIC)
 def q_diurnal_harmonic_events(sf_dir: str) -> pd.DataFrame:
     """First diurnal harmonic of each type's hourly series: amplitude and
     acrophase (peak hour) of the 24-h cosine fit via the discrete Fourier
@@ -1647,6 +1628,7 @@ SQL_DIURNAL_HARMONIC = f"""
 # gamma MoM fit / lognormal tail check / variance-ratio test
 # ---------------------------------------------------------------------------
 
+@entry("gamma_fit_events", sql=lambda: SQL_GAMMA_FIT)
 def q_gamma_fit_events(sf_dir: str) -> pd.DataFrame:
     """Gamma method-of-moments fit of each type's positive values:
     shape k = m²/s², scale θ = s²/m — the workhorse positive-skew model
@@ -1687,6 +1669,7 @@ SQL_GAMMA_FIT = """
 """
 
 
+@entry("lognormal_tail_events", sql=lambda: SQL_LOGNORMAL_TAIL)
 def q_lognormal_tail_events(sf_dir: str) -> pd.DataFrame:
     """Lognormal tail check per type: fit μ, σ on ln(v) (v>0), compare the
     implied p95 = exp(μ + 1.645σ) to the empirical p95 — the 'is the
@@ -1742,6 +1725,7 @@ SQL_LOGNORMAL_TAIL = f"""
 """
 
 
+@entry("variance_ratio_daily", sql=lambda: SQL_VARIANCE_RATIO)
 def q_variance_ratio_daily(sf_dir: str) -> pd.DataFrame:
     """Lo-MacKinlay variance ratio VR(q) of each series' day-over-day
     changes at q ∈ {2, 4}: Var of q-period sums over q·Var of 1-period
@@ -1816,6 +1800,7 @@ SQL_VARIANCE_RATIO = f"""
 # shock half-life / mean excess / KPSS stationarity
 # ---------------------------------------------------------------------------
 
+@entry("shock_halflife_daily", sql=lambda: SQL_SHOCK_HALFLIFE)
 def q_shock_halflife_daily(sf_dir: str) -> pd.DataFrame:
     """Shock persistence per series: from the exact AR(1) slope φ, the
     half-life of a deviation ln(½)/ln|φ| days (NULLF when |φ| ≥ 1 —
@@ -1876,6 +1861,7 @@ SQL_SHOCK_HALFLIFE = f"""
 """
 
 
+@entry("mean_excess_events", sql=lambda: SQL_MEAN_EXCESS)
 def q_mean_excess_events(sf_dir: str) -> pd.DataFrame:
     """Mean-excess function at the p50/p75/p90 thresholds per type:
     e(u) = mean(v − u | v > u) — rising e(u) ⇒ heavy (Pareto-ish) tail,
@@ -1933,6 +1919,7 @@ SQL_MEAN_EXCESS = f"""
 """
 
 
+@entry("kpss_daily", sql=lambda: SQL_KPSS_DAILY)
 def q_kpss_daily(sf_dir: str) -> pd.DataFrame:
     """KPSS level-stationarity statistic per series (Kwiatkowski et al.
     1992, lag-0 long-run variance — the simple form, documented):
@@ -1999,6 +1986,7 @@ SQL_KPSS_DAILY = f"""
 # pairwise dominance / Newey-West mean CI / Nelson-Aalen hazard
 # ---------------------------------------------------------------------------
 
+@entry("dominance_matrix_daily", sql=lambda: SQL_DOMINANCE_MATRIX)
 def q_dominance_matrix_daily(sf_dir: str) -> pd.DataFrame:
     """Day-wise dominance between every series pair: over common days,
     the share where a's value strictly exceeds b's (ties counted
@@ -2041,6 +2029,7 @@ SQL_DOMINANCE_MATRIX = f"""
 """
 
 
+@entry("newey_west_daily", sql=lambda: SQL_NEWEY_WEST)
 def q_newey_west_daily(sf_dir: str) -> pd.DataFrame:
     """Autocorrelation-robust mean inference per series: Newey-West
     long-run variance with Bartlett weights at lag L=3,
@@ -2122,6 +2111,7 @@ SQL_NEWEY_WEST = f"""
 """
 
 
+@entry("nelson_aalen_users", sql=lambda: SQL_NELSON_AALEN)
 def q_nelson_aalen_users(sf_dir: str) -> pd.DataFrame:
     """Nelson-Aalen cumulative hazard over the Kaplan-Meier lifetime
     table (same lifetimes/censoring as kaplan_meier_users):
@@ -2195,6 +2185,7 @@ SQL_NELSON_AALEN = """
 # fixed-effects trend / Juilland's D / dow eta-squared
 # ---------------------------------------------------------------------------
 
+@entry("fixed_effects_trend_daily", sql=lambda: SQL_FIXED_EFFECTS_TREND)
 def q_fixed_effects_trend_daily(sf_dir: str) -> pd.DataFrame:
     """Panel within-estimator: the POOLED time trend after absorbing
     series fixed effects — demean v and the day index within each series,
@@ -2249,6 +2240,7 @@ SQL_FIXED_EFFECTS_TREND = f"""
 """
 
 
+@entry("juilland_d_documents", sql=lambda: SQL_JUILLAND_D)
 def q_juilland_d_documents(sf_dir: str) -> pd.DataFrame:
     """Juilland's dispersion D = 1 − CV/√(k−1) of each corpus top-10
     token's RELATIVE frequency across the k sources (population CV) —
@@ -2325,6 +2317,7 @@ SQL_JUILLAND_D = rf"""
 """
 
 
+@entry("eta_squared_dow_daily", sql=lambda: SQL_ETA_SQUARED_DOW)
 def q_eta_squared_dow_daily(sf_dir: str) -> pd.DataFrame:
     """Effect size of day-of-week per series: η² = SS_between/SS_total
     from the one-way dow grouping — 'how much of the variance does the
@@ -2385,6 +2378,7 @@ SQL_ETA_SQUARED_DOW = f"""
 # Blomqvist's beta / t-score collocations / daily mix divergence
 # ---------------------------------------------------------------------------
 
+@entry("blomqvist_beta_daily", sql=lambda: SQL_BLOMQVIST_BETA)
 def q_blomqvist_beta_daily(sf_dir: str) -> pd.DataFrame:
     """Blomqvist's quadrant dependence β between every series pair:
     concordance of signs around each series' (ROUNDED) median over common
@@ -2440,6 +2434,7 @@ SQL_BLOMQVIST_BETA = f"""
 """
 
 
+@entry("tscore_bigrams_documents", sql=lambda: SQL_TSCORE_BIGRAMS)
 def q_tscore_bigrams_documents(sf_dir: str) -> pd.DataFrame:
     """Collocation extraction by t-score (Church & Hanks era alternative
     to PMI that doesn't over-reward rare pairs): t = (O − E)/√O with
@@ -2487,6 +2482,7 @@ SQL_TSCORE_BIGRAMS = r"""
 """
 
 
+@entry("daily_mix_divergence", sql=lambda: SQL_DAILY_MIX_DIVERGENCE)
 def q_daily_mix_divergence(sf_dir: str) -> pd.DataFrame:
     """Composition-drift monitor: Jensen-Shannon divergence (nats)
     between each day's event-type mix and the GLOBAL mix — the alarm
@@ -2558,6 +2554,7 @@ SQL_DAILY_MIX_DIVERGENCE = """
 # ITS level shift / first-touch conversion / peak concentration
 # ---------------------------------------------------------------------------
 
+@entry("its_level_shift_daily", sql=lambda: SQL_ITS_LEVEL_SHIFT)
 def q_its_level_shift_daily(sf_dir: str) -> pd.DataFrame:
     """Interrupted-time-series fit with a KNOWN intervention at day 15:
     exact OLS of v on [1, t, post] (post = 1[t ≥ 15]) via Cramer's rule —
@@ -2647,6 +2644,7 @@ SQL_ITS_LEVEL_SHIFT = f"""
 """
 
 
+@entry("first_touch_conversion", sql=lambda: SQL_FIRST_TOUCH_CONVERSION)
 def q_first_touch_conversion(sf_dir: str) -> pd.DataFrame:
     """First-touch conversion: users cohort by their FIRST event's type
     (ties at the first timestamp broken by lowest event_id) and each
@@ -2702,6 +2700,7 @@ SQL_FIRST_TOUCH_CONVERSION = """
 """
 
 
+@entry("peak_concentration_events", sql=lambda: SQL_PEAK_CONCENTRATION)
 def q_peak_concentration_events(sf_dir: str) -> pd.DataFrame:
     """Load concentration: share of ALL events landing in the top-k
     busiest (weekday, hour) cells for k ∈ {5, 10, 20} of the 168 —
@@ -2760,6 +2759,7 @@ SQL_PEAK_CONCENTRATION = f"""
 # Wilson interval / weekly coherence / holiday lift
 # ---------------------------------------------------------------------------
 
+@entry("wilson_interval_daily", sql=lambda: SQL_WILSON_INTERVAL)
 def q_wilson_interval_daily(sf_dir: str) -> pd.DataFrame:
     """Wilson score interval (1927) for each day's purchase share —
     the binomial CI that behaves at small n and extreme p where the Wald
@@ -2812,6 +2812,7 @@ SQL_WILSON_INTERVAL = """
 """
 
 
+@entry("weekly_coherence_pairs", sql=lambda: SQL_WEEKLY_COHERENCE)
 def q_weekly_coherence_pairs(sf_dir: str) -> pd.DataFrame:
     """Single-frequency cross-spectral coherence at the weekly period
     between every series pair: with complex projections
@@ -2886,6 +2887,7 @@ SQL_WEEKLY_COHERENCE = f"""
 """
 
 
+@entry("holiday_lift_daily", sql=lambda: SQL_HOLIDAY_LIFT)
 def q_holiday_lift_daily(sf_dir: str) -> pd.DataFrame:
     """Holiday lift per series: mean value on the fixed-list holiday days
     (±1-day halo) vs the non-halo baseline, as a ratio — the calendar-
@@ -2965,6 +2967,7 @@ SQL_HOLIDAY_LIFT = f"""
 # weekly ICC / share trend / Friedman dow test
 # ---------------------------------------------------------------------------
 
+@entry("icc_weekly_daily", sql=lambda: SQL_ICC_WEEKLY)
 def q_icc_weekly_daily(sf_dir: str) -> pd.DataFrame:
     """Intraclass correlation ICC(1) of daily values grouped by ISO week
     per series: (MSB − MSW)/(MSB + (k̄−1)·MSW) with the unbalanced-design
@@ -3046,6 +3049,7 @@ SQL_ICC_WEEKLY = f"""
 """
 
 
+@entry("share_trend_daily", sql=lambda: SQL_SHARE_TREND)
 def q_share_trend_daily(sf_dir: str) -> pd.DataFrame:
     """Composition drift direction: OLS slope of each type's DAILY SHARE
     of the total on the day index — which categories are structurally
@@ -3103,6 +3107,7 @@ SQL_SHARE_TREND = f"""
 """
 
 
+@entry("friedman_dow_daily", sql=lambda: SQL_FRIEDMAN_DOW)
 def q_friedman_dow_daily(sf_dir: str) -> pd.DataFrame:
     """Friedman test per series over complete ISO weeks (blocks) × the 7
     weekdays (treatments): within-week ranks of the daily values (ties
@@ -3184,6 +3189,7 @@ SQL_FRIEDMAN_DOW = f"""
 # Cochran's Q / Zipf abbreviation law / repeat tendency
 # ---------------------------------------------------------------------------
 
+@entry("cochran_q_users", sql=lambda: SQL_COCHRAN_Q)
 def q_cochran_q_users(sf_dir: str) -> pd.DataFrame:
     """Cochran's Q over users × the event span's first four ISO-ordered
     7-day windows (binary 'active that week'): Q = (k−1)(k·ΣCⱼ² − N²) /
@@ -3262,6 +3268,7 @@ SQL_COCHRAN_Q = f"""
 """
 
 
+@entry("zipf_abbreviation_documents", sql=lambda: SQL_ZIPF_ABBREVIATION)
 def q_zipf_abbreviation_documents(sf_dir: str) -> pd.DataFrame:
     """Zipf's law of abbreviation check: Pearson correlation between
     ln(frequency) and character length over the corpus vocabulary —
@@ -3311,6 +3318,7 @@ SQL_ZIPF_ABBREVIATION = rf"""
 """
 
 
+@entry("repeat_tendency_events", sql=lambda: SQL_REPEAT_TENDENCY)
 def q_repeat_tendency_events(sf_dir: str) -> pd.DataFrame:
     """Repeat tendency of user streams: observed share of transitions
     that STAY on the same event type vs the independence expectation
@@ -3380,6 +3388,7 @@ SQL_REPEAT_TENDENCY = """
 # rank-1 power approximation / hour-of-day entropy / intraday concentration
 # ---------------------------------------------------------------------------
 
+@entry("rank1_power_dow", sql=lambda: SQL_RANK1_POWER_DOW)
 def q_rank1_power_dow(sf_dir: str) -> pd.DataFrame:
     """Rank-1 structure of the type×weekday mean matrix via ONE
     deterministic power half-iteration pair from the all-ones vector:
@@ -3431,6 +3440,7 @@ SQL_RANK1_POWER_DOW = f"""
 """
 
 
+@entry("hod_entropy_events", sql=lambda: SQL_HOD_ENTROPY)
 def q_hod_entropy_events(sf_dir: str) -> pd.DataFrame:
     """Hour-of-day entropy per type: Shannon H of the 24-bin arrival
     distribution and the uniformity ratio H/ln(24) — 1 = around-the-clock,
@@ -3476,6 +3486,7 @@ SQL_HOD_ENTROPY = f"""
 """
 
 
+@entry("intraday_concentration_daily", sql=lambda: SQL_INTRADAY_CONCENTRATION)
 def q_intraday_concentration_daily(sf_dir: str) -> pd.DataFrame:
     """Intraday concentration per day: the largest single-hour share of
     the day's event count and the HHI over its 24 hourly shares —
@@ -3523,6 +3534,7 @@ SQL_INTRADAY_CONCENTRATION = f"""
 # Siegel repeated medians / source vocab entropy / two-proportion z
 # ---------------------------------------------------------------------------
 
+@entry("siegel_slope_daily", sql=lambda: SQL_SIEGEL_SLOPE)
 def q_siegel_slope_daily(sf_dir: str) -> pd.DataFrame:
     """Siegel repeated-median slope per series (Siegel 1982): for each
     point the MEDIAN of its pairwise slopes, then the median of those —
@@ -3592,6 +3604,7 @@ SQL_SIEGEL_SLOPE = f"""
 """
 
 
+@entry("source_vocab_entropy", sql=lambda: SQL_SOURCE_VOCAB_ENTROPY)
 def q_source_vocab_entropy(sf_dir: str) -> pd.DataFrame:
     """Per-source token entropy and effective vocabulary e^H — how many
     'effective' distinct tokens each slice really uses (the diversity
@@ -3644,6 +3657,7 @@ SQL_SOURCE_VOCAB_ENTROPY = r"""
 """
 
 
+@entry("weekend_share_ztest_events", sql=lambda: SQL_WEEKEND_SHARE_ZTEST)
 def q_weekend_share_ztest_events(sf_dir: str) -> pd.DataFrame:
     """Two-proportion z-test: does the purchase share differ between
     weekend and weekday events? Pooled-SE z, the classic A/B arithmetic
@@ -3704,6 +3718,7 @@ SQL_WEEKEND_SHARE_ZTEST = f"""
 # permutation entropy / seasonality drift / memorylessness check
 # ---------------------------------------------------------------------------
 
+@entry("permutation_entropy_daily", sql=lambda: SQL_PERMUTATION_ENTROPY)
 def q_permutation_entropy_daily(sf_dir: str) -> pd.DataFrame:
     """Permutation entropy of order 3 per series (Bandt & Pompe 2002):
     classify every consecutive triple into one of the 6 ordinal patterns
@@ -3772,6 +3787,7 @@ SQL_PERMUTATION_ENTROPY = f"""
 """
 
 
+@entry("seasonality_drift_daily", sql=lambda: SQL_SEASONALITY_DRIFT)
 def q_seasonality_drift_daily(sf_dir: str) -> pd.DataFrame:
     """Is the weekly cycle strengthening? Weekly-frequency spectral power
     of each series' first vs second half (demeaned within each half,
@@ -3813,3 +3829,53 @@ def q_seasonality_drift_daily(sf_dir: str) -> pd.DataFrame:
     out["n_days"] = out["n_days"].astype(np.int64)
     out = _fill(out, ["power_first", "power_second", "drift_ratio"])
     return out.sort_values("event_type").reset_index(drop=True)
+
+
+SQL_SEASONALITY_DRIFT = f"""
+    WITH daily AS ({_DAILY_SQL}),
+    r AS (
+        SELECT event_type, v,
+               ROW_NUMBER() OVER (PARTITION BY event_type ORDER BY d) AS rn,
+               count(*) OVER (PARTITION BY event_type) AS n
+        FROM daily
+    ),
+    seg AS (
+        SELECT event_type, v, n,
+               CASE WHEN rn <= n // 2 THEN 1
+                    WHEN rn <= 2 * (n // 2) THEN 2 END AS half,
+               CASE WHEN rn <= n // 2 THEN rn - 1.0
+                    ELSE rn - n // 2 - 1.0 END AS t
+        FROM r WHERE rn <= 2 * (n // 2)
+    ),
+    mu AS (SELECT event_type, half, avg(v) AS mu FROM seg
+           WHERE half IS NOT NULL GROUP BY 1, 2),
+    pw AS (
+        SELECT s.event_type, s.half, any_value(s.n) AS n,
+               round((pow(sum((s.v - mu.mu)
+                              * cos(2 * pi() * s.t / 7)), 2)
+                      + pow(sum((s.v - mu.mu)
+                                * sin(2 * pi() * s.t / 7)), 2))
+                     / count(*), 6) + 0.0 AS p
+        FROM seg s JOIN mu ON mu.event_type = s.event_type
+                           AND mu.half = s.half
+        GROUP BY 1, 2
+    ),
+    piv AS (
+        SELECT event_type, any_value(n) AS n,
+               max(CASE WHEN half = 1 THEN p END) AS p1,
+               max(CASE WHEN half = 2 THEN p END) AS p2,
+               count(*) FILTER (half = 1) AS c1
+        FROM pw GROUP BY 1
+    ),
+    base AS (SELECT event_type, count(*) AS n FROM daily GROUP BY 1)
+    SELECT base.event_type, CAST(base.n AS BIGINT) AS n_days,
+           COALESCE(CASE WHEN base.n // 2 >= 7 THEN piv.p1 END, {NULLF})
+               AS power_first,
+           COALESCE(CASE WHEN base.n // 2 >= 7 THEN piv.p2 END, {NULLF})
+               AS power_second,
+           COALESCE(CASE WHEN base.n // 2 >= 7 AND piv.p1 > 0
+                         THEN round(piv.p2 / piv.p1, 6) + 0.0 END,
+                    {NULLF}) AS drift_ratio
+    FROM base LEFT JOIN piv USING (event_type)
+    ORDER BY 1
+"""

@@ -27,59 +27,11 @@ from forecastframe_ray.pipelines.queries.spine import (  # noqa: F401
     _read,
     _round,
 )
+from forecastframe_ray.pipelines.queries import entry
 
 
 
-SQL_SEASONALITY_DRIFT = f"""
-    WITH daily AS ({_DAILY_SQL}),
-    r AS (
-        SELECT event_type, v,
-               ROW_NUMBER() OVER (PARTITION BY event_type ORDER BY d) AS rn,
-               count(*) OVER (PARTITION BY event_type) AS n
-        FROM daily
-    ),
-    seg AS (
-        SELECT event_type, v, n,
-               CASE WHEN rn <= n // 2 THEN 1
-                    WHEN rn <= 2 * (n // 2) THEN 2 END AS half,
-               CASE WHEN rn <= n // 2 THEN rn - 1.0
-                    ELSE rn - n // 2 - 1.0 END AS t
-        FROM r WHERE rn <= 2 * (n // 2)
-    ),
-    mu AS (SELECT event_type, half, avg(v) AS mu FROM seg
-           WHERE half IS NOT NULL GROUP BY 1, 2),
-    pw AS (
-        SELECT s.event_type, s.half, any_value(s.n) AS n,
-               round((pow(sum((s.v - mu.mu)
-                              * cos(2 * pi() * s.t / 7)), 2)
-                      + pow(sum((s.v - mu.mu)
-                                * sin(2 * pi() * s.t / 7)), 2))
-                     / count(*), 6) + 0.0 AS p
-        FROM seg s JOIN mu ON mu.event_type = s.event_type
-                           AND mu.half = s.half
-        GROUP BY 1, 2
-    ),
-    piv AS (
-        SELECT event_type, any_value(n) AS n,
-               max(CASE WHEN half = 1 THEN p END) AS p1,
-               max(CASE WHEN half = 2 THEN p END) AS p2,
-               count(*) FILTER (half = 1) AS c1
-        FROM pw GROUP BY 1
-    ),
-    base AS (SELECT event_type, count(*) AS n FROM daily GROUP BY 1)
-    SELECT base.event_type, CAST(base.n AS BIGINT) AS n_days,
-           COALESCE(CASE WHEN base.n // 2 >= 7 THEN piv.p1 END, {NULLF})
-               AS power_first,
-           COALESCE(CASE WHEN base.n // 2 >= 7 THEN piv.p2 END, {NULLF})
-               AS power_second,
-           COALESCE(CASE WHEN base.n // 2 >= 7 AND piv.p1 > 0
-                         THEN round(piv.p2 / piv.p1, 6) + 0.0 END,
-                    {NULLF}) AS drift_ratio
-    FROM base LEFT JOIN piv USING (event_type)
-    ORDER BY 1
-"""
-
-
+@entry("memoryless_check_events", sql=lambda: SQL_MEMORYLESS_CHECK)
 def q_memoryless_check_events(sf_dir: str) -> pd.DataFrame:
     """Memorylessness audit of inter-arrival gaps per type: under an
     exponential process P(G > a+b | G > a) = P(G > b); compare the
@@ -160,6 +112,7 @@ SQL_MEMORYLESS_CHECK = f"""
 # event trigrams / median residual life / exact median CI
 # ---------------------------------------------------------------------------
 
+@entry("trigram_sequences_events", sql=lambda: SQL_TRIGRAM_SEQUENCES)
 def q_trigram_sequences_events(sf_dir: str) -> pd.DataFrame:
     """Second-order sequence motifs: the 10 most frequent event-type
     trigrams over per-user streams (count desc, lexicographic asc), each
@@ -218,6 +171,7 @@ SQL_TRIGRAM_SEQUENCES = """
 """
 
 
+@entry("median_residual_life_users", sql=lambda: SQL_MEDIAN_RESIDUAL_LIFE)
 def q_median_residual_life_users(sf_dir: str) -> pd.DataFrame:
     """Median residual lifetime at t₀ = 7 days from the Kaplan-Meier
     curve (same lifetime table as kaplan_meier_users): the smallest event
@@ -307,6 +261,7 @@ SQL_MEDIAN_RESIDUAL_LIFE = f"""
 """
 
 
+@entry("median_ci_daily", sql=lambda: SQL_MEDIAN_CI)
 def q_median_ci_daily(sf_dir: str) -> pd.DataFrame:
     """Distribution-free exact 95% CI for each series' median via order
     statistics: the (l, u) ranks where the Binomial(n, ½) CDF first
@@ -401,6 +356,7 @@ SQL_MEDIAN_CI = f"""
 # CRPS climatology / expected calibration error / same-day multi-orders
 # ---------------------------------------------------------------------------
 
+@entry("crps_climatology_daily", sql=lambda: SQL_CRPS_CLIMATOLOGY)
 def q_crps_climatology_daily(sf_dir: str) -> pd.DataFrame:
     """CRPS of the climatology forecast per series: the empirical
     distribution of all-but-last days scores the LAST day's value,
@@ -463,6 +419,7 @@ SQL_CRPS_CLIMATOLOGY = f"""
 """
 
 
+@entry("ece_users", sql=lambda: SQL_ECE_USERS)
 def q_ece_users(sf_dir: str) -> pd.DataFrame:
     """Expected calibration error of the first-half→second-half purchase
     predictor over the decile bins: ECE = Σ(nₖ/N)·|p̄ₖ − ōₖ| plus the max
@@ -539,6 +496,7 @@ SQL_ECE_USERS = """
 """
 
 
+@entry("same_day_multiorders", sql=lambda: SQL_SAME_DAY_MULTIORDERS)
 def q_same_day_multiorders(sf_dir: str) -> pd.DataFrame:
     """Integrity/behavior audit: customers placing MULTIPLE orders on one
     calendar day — how many customers, how many such days, and the share
@@ -587,6 +545,7 @@ SQL_SAME_DAY_MULTIORDERS = f"""
 # effective sample size / flow imbalance / hourly ACF-24
 # ---------------------------------------------------------------------------
 
+@entry("ess_daily", sql=lambda: SQL_ESS_DAILY)
 def q_ess_daily(sf_dir: str) -> pd.DataFrame:
     """Effective sample size per series from the integrated
     autocorrelation time τ = 1 + 2Σₖ₌₁¹⁰ rₖ (rₖ the sample ACF, summed
@@ -658,6 +617,7 @@ SQL_ESS_DAILY = f"""
 """
 
 
+@entry("flow_imbalance_events", sql=lambda: SQL_FLOW_IMBALANCE)
 def q_flow_imbalance_events(sf_dir: str) -> pd.DataFrame:
     """Directional flow imbalance of the transition graph: for every
     unordered type pair, net flow (a→b minus b→a) over gross flow — a
@@ -730,6 +690,7 @@ SQL_FLOW_IMBALANCE = f"""
 """
 
 
+@entry("hourly_acf24_events", sql=lambda: SQL_HOURLY_ACF24)
 def q_hourly_acf24_events(sf_dir: str) -> pd.DataFrame:
     """Hourly-grain autocorrelation at the diurnal (24h) and weekly
     (168h) lags per type — the direct periodicity fingerprint at the
@@ -799,6 +760,7 @@ SQL_HOURLY_ACF24 = f"""
 # Diebold-Mariano / Gini mean difference / down-day profile
 # ---------------------------------------------------------------------------
 
+@entry("diebold_mariano_daily", sql=lambda: SQL_DIEBOLD_MARIANO)
 def q_diebold_mariano_daily(sf_dir: str) -> pd.DataFrame:
     """Diebold-Mariano comparison of two one-step forecasters per series —
     naive (lag-1) vs seasonal-naive (lag-7) — on squared-error loss over
@@ -864,6 +826,7 @@ SQL_DIEBOLD_MARIANO = f"""
 """
 
 
+@entry("gini_mean_diff_daily", sql=lambda: SQL_GINI_MEAN_DIFF)
 def q_gini_mean_diff_daily(sf_dir: str) -> pd.DataFrame:
     """Gini mean difference per series — E|X−X′| over all pairs via the
     order-statistic identity 2Σ(2i−n−1)x₍ᵢ₎/(n(n−1)) (ddof-1 form) —
@@ -911,6 +874,7 @@ SQL_GINI_MEAN_DIFF = f"""
 """
 
 
+@entry("down_days_daily", sql=lambda: SQL_DOWN_DAYS)
 def q_down_days_daily(sf_dir: str) -> pd.DataFrame:
     """Downside profile per series: share of day-over-day declines, the
     mean decline magnitude, and the down/up magnitude ratio — the
@@ -983,6 +947,7 @@ SQL_DOWN_DAYS = f"""
 # diversification ratio / weekend QTE / cointegration-lite
 # ---------------------------------------------------------------------------
 
+@entry("diversification_ratio_daily", sql=lambda: SQL_DIVERSIFICATION_RATIO)
 def q_diversification_ratio_daily(sf_dir: str) -> pd.DataFrame:
     """Aggregation smoothness: Σᵢ MAE_naive(seriesᵢ) vs MAE_naive(total)
     — the ratio > 1 quantifies how much idiosyncratic day-to-day noise
@@ -1038,6 +1003,7 @@ SQL_DIVERSIFICATION_RATIO = f"""
 """
 
 
+@entry("qte_weekend_daily", sql=lambda: SQL_QTE_WEEKEND)
 def q_qte_weekend_daily(sf_dir: str) -> pd.DataFrame:
     """Quantile 'treatment effect' of the weekend per series: the p50 and
     p90 of weekend daily values minus the same weekday quantiles — the
@@ -1096,6 +1062,7 @@ SQL_QTE_WEEKEND = f"""
 """
 
 
+@entry("cointegration_lite_daily", sql=lambda: SQL_COINTEGRATION_LITE)
 def q_cointegration_lite_daily(sf_dir: str) -> pd.DataFrame:
     """Engle-Granger screen (lite) on every series pair: OLS hedge ratio
     of y on x, then the lag-0 Dickey-Fuller t on the residual spread
@@ -1184,6 +1151,7 @@ SQL_COINTEGRATION_LITE = f"""
 # trend t-test / PIT calibration / priority migration
 # ---------------------------------------------------------------------------
 
+@entry("trend_ttest_daily", sql=lambda: SQL_TREND_TTEST)
 def q_trend_ttest_daily(sf_dir: str) -> pd.DataFrame:
     """Trend significance per series: OLS slope on the day index with its
     analytic SE (σ̂²/Σ(t−t̄)², σ̂² the residual variance at n−2 df) and
@@ -1259,6 +1227,7 @@ SQL_TREND_TTEST = f"""
 """
 
 
+@entry("pit_naive_daily", sql=lambda: SQL_PIT_NAIVE)
 def q_pit_naive_daily(sf_dir: str) -> pd.DataFrame:
     """Probability integral transform calibration of the climatology
     forecaster: each of a series' LAST 5 days scores as its empirical
@@ -1323,6 +1292,7 @@ SQL_PIT_NAIVE = """
 """
 
 
+@entry("priority_migration_customers", sql=lambda: SQL_PRIORITY_MIGRATION)
 def q_priority_migration_customers(sf_dir: str) -> pd.DataFrame:
     """Customer priority migration: each repeat customer's FIRST vs LAST
     order priority (date then orderkey tie-break) as a k×k transition
@@ -1379,6 +1349,7 @@ SQL_PRIORITY_MIGRATION = """
 """
 
 
+@entry("durbin_watson_daily", sql=lambda: SQL_DURBIN_WATSON)
 def q_durbin_watson_daily(sf_dir: str) -> pd.DataFrame:
     """Durbin–Watson serial-correlation statistic of each series' daily
     values after an OLS linear detrend (Durbin & Watson 1950, public):
@@ -1447,6 +1418,7 @@ SQL_DURBIN_WATSON = """
 """
 
 
+@entry("yule_k_documents", sql=lambda: SQL_YULE_K)
 def q_yule_k_documents(sf_dir: str) -> pd.DataFrame:
     """Yule's K repeat-rate (Yule 1944, public) plus Guiraud's R and
     Sichel's S over the corpus-wide whitespace-token frequency spectrum:
@@ -1509,6 +1481,7 @@ SQL_YULE_K = r"""
 """
 
 
+@entry("logrank_users", sql=lambda: SQL_LOGRANK_USERS)
 def q_logrank_users(sf_dir: str) -> pd.DataFrame:
     """Log-rank test (Mantel 1966, public) comparing time-to-SECOND-event
     between the two halves of a deterministic A/B split (even vs odd
@@ -1630,6 +1603,7 @@ SQL_LOGRANK_USERS = """
 """
 
 
+@entry("granger_lag1_daily", sql=lambda: SQL_GRANGER_LAG1)
 def q_granger_lag1_daily(sf_dir: str) -> pd.DataFrame:
     """Lag-1 Granger-causality F-test (Granger 1969, public) for every
     ordered pair (x→y) of daily series: y_d on y_{d−1} (restricted) vs
@@ -1730,6 +1704,7 @@ SQL_GRANGER_LAG1 = f"""
 """
 
 
+@entry("arch_lm_daily", sql=lambda: SQL_ARCH_LM)
 def q_arch_lm_daily(sf_dir: str) -> pd.DataFrame:
     """Engle's ARCH LM test (Engle 1982, public), lag-1 form, per daily
     series: demeaned residuals e, regress e²_d on e²_{d−1} over
@@ -1794,6 +1769,7 @@ SQL_ARCH_LM = f"""
 """
 
 
+@entry("weibull_fit_gaps", sql=lambda: SQL_WEIBULL_GAPS)
 def q_weibull_fit_gaps(sf_dir: str) -> pd.DataFrame:
     """Weibull shape/scale via median-rank regression (Benard's
     approximation, public reliability-engineering standard) on per-user
@@ -1873,6 +1849,7 @@ SQL_WEIBULL_GAPS = """
 """
 
 
+@entry("mcnemar_users", sql=lambda: SQL_MCNEMAR_USERS)
 def q_mcnemar_users(sf_dir: str) -> pd.DataFrame:
     """McNemar's paired test (1947, public) on user activity between the
     two calendar halves of the corpus span (midpoint in integer µs):
@@ -1942,6 +1919,7 @@ SQL_MCNEMAR_USERS = """
 """
 
 
+@entry("davies_bouldin_embeddings", sql=lambda: SQL_DAVIES_BOULDIN)
 def q_davies_bouldin_embeddings(sf_dir: str) -> pd.DataFrame:
     """Davies–Bouldin cluster-validity index (1979, public) over the
     labelled embeddings: per-label scatter S_i = mean Euclidean distance
@@ -2034,6 +2012,7 @@ SQL_DAVIES_BOULDIN = """
 """
 
 
+@entry("conformal_naive_daily", sql=lambda: SQL_CONFORMAL_NAIVE)
 def q_conformal_naive_daily(sf_dir: str) -> pd.DataFrame:
     """Split-conformal prediction interval (Vovk et al., public) around
     the seasonal-naive forecaster ŷ_d = y_{d−7}: per series the last 5
@@ -2108,6 +2087,7 @@ SQL_CONFORMAL_NAIVE = f"""
 """
 
 
+@entry("gk_gamma_lineitem", sql=lambda: SQL_GK_GAMMA)
 def q_goodman_kruskal_gamma(sf_dir: str) -> pd.DataFrame:
     """Goodman–Kruskal gamma (1954, public) between the two ordinal
     lineitem columns quantity (1..50) and discount (0.00..0.10):
@@ -2170,6 +2150,7 @@ SQL_GK_GAMMA = """
 """
 
 
+@entry("ols_influence_daily", sql=lambda: SQL_OLS_INFLUENCE)
 def q_ols_influence_daily(sf_dir: str) -> pd.DataFrame:
     """Regression influence diagnostics (Cook 1977, public) for each
     series' daily linear trend: leverage h_t = 1/n + (t−t̄)²/S_tt and
@@ -2248,6 +2229,7 @@ SQL_OLS_INFLUENCE = """
 """
 
 
+@entry("jackknife_cv_daily", sql=lambda: SQL_JACKKNIFE_CV)
 def q_jackknife_cv_daily(sf_dir: str) -> pd.DataFrame:
     """Delete-one jackknife standard error (Tukey 1958, public) of each
     series' coefficient of variation CV = s/ȳ — closed-form leave-one-out
@@ -2320,6 +2302,7 @@ SQL_JACKKNIFE_CV = f"""
 """
 
 
+@entry("bhattacharyya_sources", sql=lambda: SQL_BHATTACHARYYA)
 def q_bhattacharyya_sources(sf_dir: str) -> pd.DataFrame:
     """Bhattacharyya coefficient and Hellinger distance (public,
     Bhattacharyya 1943) between every two sources' whitespace-token
@@ -2385,6 +2368,7 @@ SQL_BHATTACHARYYA = r"""
 """
 
 
+@entry("seasonal_mk_daily", sql=lambda: SQL_SEASONAL_MK)
 def q_seasonal_mann_kendall_daily(sf_dir: str) -> pd.DataFrame:
     """Seasonal Mann–Kendall trend test (Hirsch & Slack 1984, public):
     the MK S statistic accumulates only WITHIN each weekday's
@@ -2474,6 +2458,7 @@ SQL_SEASONAL_MK = f"""
 """
 
 
+@entry("price_cents_uniformity", sql=lambda: SQL_PRICE_CENTS)
 def q_price_cents_uniformity(sf_dir: str) -> pd.DataFrame:
     """Chi-square uniformity test of the CENTS digits of order totals
     over the 100 possible values — the classic pricing/fraud screen
@@ -2521,6 +2506,7 @@ SQL_PRICE_CENTS = """
 """
 
 
+@entry("calinski_harabasz_embeddings", sql=lambda: SQL_CALINSKI_HARABASZ)
 def q_calinski_harabasz_embeddings(sf_dir: str) -> pd.DataFrame:
     """Calinski–Harabasz variance-ratio index (1974, public) of the
     labelled embeddings: CH = (B/(k−1))/(W/(n−k)), between-scatter B
@@ -2608,6 +2594,7 @@ SQL_CALINSKI_HARABASZ = """
 """
 
 
+@entry("breusch_pagan_daily", sql=lambda: SQL_BREUSCH_PAGAN)
 def q_breusch_pagan_daily(sf_dir: str) -> pd.DataFrame:
     """Breusch–Pagan heteroskedasticity test in Koenker's studentized
     LM form (public): residuals e from each series' daily OLS trend,
@@ -2675,6 +2662,7 @@ SQL_BREUSCH_PAGAN = """
 """
 
 
+@entry("chow_break_daily", sql=lambda: SQL_CHOW_BREAK)
 def q_chow_break_daily(sf_dir: str) -> pd.DataFrame:
     """Chow structural-break F-test (1960, public) at each series'
     rank midpoint: pooled vs per-half linear-trend fits, every SSE in
@@ -2772,6 +2760,7 @@ SQL_CHOW_BREAK = """
 """
 
 
+@entry("brand_return_rate", sql=lambda: SQL_BRAND_RETURN_RATE)
 def q_brand_return_rate(sf_dir: str) -> pd.DataFrame:
     """Return rate per part brand — lineitem fact rows broadcast-joined
     to the small part dimension (the J2 dim-join pattern), then one
@@ -2814,6 +2803,7 @@ SQL_BRAND_RETURN_RATE = """
 """
 
 
+@entry("brown_forsythe_dow", sql=lambda: SQL_BROWN_FORSYTHE)
 def q_brown_forsythe_dow(sf_dir: str) -> pd.DataFrame:
     """Brown–Forsythe variance-homogeneity test (1974, public) across
     each series' day-of-week groups: one-way ANOVA F on the absolute
@@ -2906,6 +2896,7 @@ SQL_BROWN_FORSYTHE = f"""
 """
 
 
+@entry("kruskal_wallis_dow", sql=lambda: SQL_KRUSKAL_WALLIS)
 def q_kruskal_wallis_dow(sf_dir: str) -> pd.DataFrame:
     """Kruskal–Wallis rank one-way ANOVA (1952, public) of each series'
     daily values across day-of-week groups, with midranks for ties and
@@ -3005,6 +2996,7 @@ SQL_KRUSKAL_WALLIS = f"""
 """
 
 
+@entry("cochran_armitage_lineitem", sql=lambda: SQL_COCHRAN_ARMITAGE)
 def q_cochran_armitage_lineitem(sf_dir: str) -> pd.DataFrame:
     """Cochran–Armitage trend-in-proportions test (1954/55, public):
     does the return probability trend with the ordered quantity group?
@@ -3068,6 +3060,7 @@ SQL_COCHRAN_ARMITAGE = """
 """
 
 
+@entry("iqr_outliers_lineitem", sql=lambda: SQL_IQR_OUTLIERS)
 def q_iqr_outliers_lineitem(sf_dir: str) -> pd.DataFrame:
     """Tukey-fence outlier profile (1977, public) for the three numeric
     lineitem measures: exact Q1/Q3 via the range-partition
@@ -3148,6 +3141,7 @@ SQL_IQR_OUTLIERS = """
 """
 
 
+@entry("decile_lift_users", sql=lambda: SQL_DECILE_LIFT)
 def q_decile_lift_users(sf_dir: str) -> pd.DataFrame:
     """Decile lift table (classic response-model eval, public): users
     ranked by FIRST-half event count (ties → smaller user_id first),
@@ -3228,6 +3222,7 @@ SQL_DECILE_LIFT = """
 """
 
 
+@entry("mood_median_dow", sql=lambda: SQL_MOOD_MEDIAN)
 def q_mood_median_dow(sf_dir: str) -> pd.DataFrame:
     """Mood's median test (1950, public) per series across day-of-week
     groups: 2×k chi-square of above-pooled-median counts — the coarsest,
@@ -3304,6 +3299,7 @@ SQL_MOOD_MEDIAN = f"""
 """
 
 
+@entry("hodges_lehmann_weekend", sql=lambda: SQL_HODGES_LEHMANN)
 def q_hodges_lehmann_weekend(sf_dir: str) -> pd.DataFrame:
     """Hodges–Lehmann shift estimator (1963, public) of the
     weekend-minus-weekday effect per series: the MEDIAN of all pairwise
@@ -3348,6 +3344,7 @@ SQL_HODGES_LEHMANN = f"""
 """
 
 
+@entry("jonckheere_weeks", sql=lambda: SQL_JONCKHEERE)
 def q_jonckheere_weeks(sf_dir: str) -> pd.DataFrame:
     """Jonckheere–Terpstra ordered-alternatives test (1954, public):
     is the daily distribution shifting MONOTONICALLY across the
@@ -3431,6 +3428,7 @@ SQL_JONCKHEERE = f"""
 """
 
 
+@entry("welch_anova_dow", sql=lambda: SQL_WELCH_ANOVA)
 def q_welch_anova_dow(sf_dir: str) -> pd.DataFrame:
     """Welch's heteroskedastic one-way ANOVA (1951, public) of daily
     values across day-of-week groups — the variance-weighted F that
@@ -3516,6 +3514,7 @@ SQL_WELCH_ANOVA = f"""
 """
 
 
+@entry("winsorized_corr_market_daily", sql=lambda: SQL_WINSORIZED_CORR)
 def q_winsorized_corr_market_daily(sf_dir: str) -> pd.DataFrame:
     """Winsorized Pearson correlation of each series against the market
     (the all-types daily total): both sides clipped at their own
@@ -3581,6 +3580,7 @@ SQL_WINSORIZED_CORR = f"""
 """
 
 
+@entry("crosstab_residuals_type_dow", sql=lambda: SQL_CROSSTAB_RESIDUALS)
 def q_crosstab_residuals_type_dow(sf_dir: str) -> pd.DataFrame:
     """Per-cell Pearson residuals (O−E)/√E of the event_type ×
     day-of-week contingency table — the drill-down that says WHICH
@@ -3629,6 +3629,7 @@ SQL_CROSSTAB_RESIDUALS = """
 """
 
 
+@entry("dixon_q_daily", sql=lambda: SQL_DIXON_Q)
 def q_dixon_q_daily(sf_dir: str) -> pd.DataFrame:
     """Dixon's Q outlier ratios (1950, public) at both ends of each
     series' daily values: r10_low = (x₂−x₁)/range,
@@ -3682,6 +3683,7 @@ SQL_DIXON_Q = f"""
 """
 
 
+@entry("bartels_rank_daily", sql=lambda: SQL_BARTELS_RANK)
 def q_bartels_rank_daily(sf_dir: str) -> pd.DataFrame:
     """Bartels' rank version of the von Neumann randomness ratio (1982,
     public): RVN = Σ(r_t−r_{t+1})²/Σ(r_t−r̄)² on date-ordered MIDRANKS,
@@ -3753,6 +3755,7 @@ SQL_BARTELS_RANK = f"""
 """
 
 
+@entry("pettitt_daily", sql=lambda: SQL_PETTITT)
 def q_pettitt_daily(sf_dir: str) -> pd.DataFrame:
     """Pettitt change-point test (1979, public): K = max_t |U_t| with
     U_t = Σ_{i≤t}Σ_{j>t} sgn(v_i − v_j) over each date-ordered daily

@@ -27,9 +27,11 @@ from forecastframe_ray.pipelines.queries.spine import (  # noqa: F401
 from forecastframe_ray.pipelines.queries.stats import (  # noqa: F401
     _phi_as,
 )
+from forecastframe_ray.pipelines.queries import entry
 
 
 
+@entry("cox_stuart_daily", sql=lambda: SQL_COX_STUART)
 def q_cox_stuart_daily(sf_dir: str) -> pd.DataFrame:
     """Cox–Stuart sign test for trend (1955, public): pair each day i of
     the first half with day i+⌈n/2⌉, count rises vs falls (ties
@@ -97,6 +99,7 @@ SQL_COX_STUART = f"""
 """
 
 
+@entry("snht_daily", sql=lambda: SQL_SNHT)
 def q_snht_daily(sf_dir: str) -> pd.DataFrame:
     """Standard Normal Homogeneity Test statistic (Alexandersson 1986,
     public): on the ddof-1 standardized series, T = max_k s1_k²·(1/k +
@@ -158,6 +161,7 @@ SQL_SNHT = f"""
 """
 
 
+@entry("katz_fd_daily", sql=lambda: SQL_KATZ_FD)
 def q_katz_fd_daily(sf_dir: str) -> pd.DataFrame:
     """Katz fractal dimension (1988, public), value-path variant, of
     each daily series: FD = log₁₀(m)/(log₁₀(m) + log₁₀(d/L)) with
@@ -224,6 +228,7 @@ SQL_KATZ_FD = f"""
 """
 
 
+@entry("xbar_r_chart_weekly", sql=lambda: SQL_XBAR_R)
 def q_xbar_r_chart_weekly(sf_dir: str) -> pd.DataFrame:
     """Shewhart X̄-R control chart (public SPC standard) with COMPLETE
     ISO weeks as rational subgroups (n = 7, so the published chart
@@ -310,6 +315,7 @@ SQL_XBAR_R = f"""
 """
 
 
+@entry("monthly_seasonal_index_orders", sql=lambda: SQL_MONTHLY_SEASONAL)
 def q_monthly_seasonal_index_orders(sf_dir: str) -> pd.DataFrame:
     """Classical monthly seasonal index of order volume: each calendar
     month's share of orders against the uniform 1/12 baseline,
@@ -345,6 +351,7 @@ SQL_MONTHLY_SEASONAL = """
 """
 
 
+@entry("benford_second_digit_lineitem", sql=lambda: SQL_BENFORD_SECOND)
 def q_benford_second_digit_lineitem(sf_dir: str) -> pd.DataFrame:
     """Benford SECOND-digit screen (Nigrini's forensic standard,
     public) on extended prices ≥ 10: observed share per second
@@ -401,6 +408,7 @@ SQL_BENFORD_SECOND = """
 """
 
 
+@entry("volume_shipping_nations", sql=lambda: SQL_VOLUME_SHIPPING)
 def q_volume_shipping_nations(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q7 shape (public spec): bilateral trade volume between
     NATION_1 and NATION_2 — revenue of lineitems shipped 1996-1997 where
@@ -486,6 +494,7 @@ SQL_VOLUME_SHIPPING = """
 """
 
 
+@entry("returned_items_customers", sql=lambda: SQL_RETURNED_ITEMS)
 def q_returned_items_customers(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q10 shape (public spec): top-20 customers by lost revenue
     from RETURNED lineitems (l_returnflag = 'R') against orders placed in
@@ -560,6 +569,7 @@ SQL_RETURNED_ITEMS = """
 """
 
 
+@entry("customer_order_distribution", sql=lambda: SQL_CUSTOMER_ORDER_DIST)
 def q_customer_order_distribution(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q13 shape (public spec): the distribution of order counts
     per customer INCLUDING the zero bucket (customers who never ordered
@@ -595,6 +605,7 @@ SQL_CUSTOMER_ORDER_DIST = """
 """
 
 
+@entry("promo_revenue_share", sql=lambda: SQL_PROMO_REVENUE)
 def q_promo_revenue_share(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q14 shape (public spec): the PROMO part-type's share of one
     ship-month's discounted revenue. The part dim broadcasts as a
@@ -642,6 +653,7 @@ SQL_PROMO_REVENUE = """
 """
 
 
+@entry("small_qty_revenue_brand", sql=lambda: SQL_SMALL_QTY_REVENUE)
 def q_small_qty_revenue_brand(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q17 shape (public spec): average yearly revenue lost to
     small-quantity orders — lineitems of Brand#4 parts whose quantity is
@@ -693,6 +705,7 @@ SQL_SMALL_QTY_REVENUE = """
 """
 
 
+@entry("large_volume_customers", sql=lambda: SQL_LARGE_VOLUME_CUSTOMERS)
 def q_large_volume_customers(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q18 shape (public spec): orders whose total lineitem
     quantity exceeds 250, with customer attached. Per-orderkey quantity
@@ -739,6 +752,7 @@ SQL_LARGE_VOLUME_CUSTOMERS = """
 """
 
 
+@entry("market_share_nation", sql=lambda: SQL_MARKET_SHARE)
 def q_market_share_nation(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q8 shape (public spec): NATION_3's share of EUROPE-region
     STANDARD-part order revenue per order year (1996-1997). The three
@@ -840,6 +854,7 @@ SQL_MARKET_SHARE = """
 """
 
 
+@entry("disjunctive_predicate_revenue", sql=lambda: SQL_DISJUNCTIVE_REVENUE)
 def q_disjunctive_predicate_revenue(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q19 shape (public spec): revenue under a 3-arm disjunction
     of (brand, quantity-range) predicates — the OR-of-ANDs pattern that
@@ -880,6 +895,7 @@ SQL_DISJUNCTIVE_REVENUE = """
 """
 
 
+@entry("idle_customer_balance", sql=lambda: SQL_IDLE_CUSTOMER_BALANCE)
 def q_idle_customer_balance(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q22 shape (public spec, nation-grouped — the synth schema
     has no phone country code): per nation, count and total balance of
@@ -945,6 +961,7 @@ SQL_IDLE_CUSTOMER_BALANCE = """
 """
 
 
+@entry("priority_late_orders", sql=lambda: SQL_PRIORITY_LATE_ORDERS)
 def q_priority_late_orders(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q4 shape (public spec; the synth lineitem has no
     commit/receipt dates, so "late" = some lineitem shipped >= 60 days
@@ -1001,6 +1018,7 @@ SQL_PRIORITY_LATE_ORDERS = """
 """
 
 
+@entry("linestatus_priority_counts", sql=lambda: SQL_LINESTATUS_PRIORITY)
 def q_linestatus_priority_counts(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q12 shape (public spec; l_linestatus stands in for the
     ship-mode column the synth schema lacks): for lineitems shipped in
@@ -1064,6 +1082,7 @@ SQL_LINESTATUS_PRIORITY = """
 """
 
 
+@entry("top_revenue_supplier", sql=lambda: SQL_TOP_REVENUE_SUPPLIER)
 def q_top_revenue_supplier(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q15 shape (public spec): the supplier(s) whose 1996-Q1
     shipped revenue equals the maximum over all suppliers. The revenue
@@ -1114,6 +1133,7 @@ SQL_TOP_REVENUE_SUPPLIER = """
 """
 
 
+@entry("suppliers_kept_waiting", sql=lambda: SQL_SUPPLIERS_KEPT_WAITING)
 def q_suppliers_kept_waiting(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q21 shape (public spec; "late" adapted to the synth schema
     as l_shipdate > o_orderdate + 90 days since there are no
@@ -1203,6 +1223,7 @@ SQL_SUPPLIERS_KEPT_WAITING = """
 """
 
 
+@entry("nation_profit", sql=lambda: SQL_NATION_PROFIT)
 def q_nation_profit(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q9 shape (public spec; the synth schema has no partsupp,
     so unit cost is proxied as 0.6 × p_retailprice): per supplier nation
@@ -1279,6 +1300,7 @@ SQL_NATION_PROFIT = """
 """
 
 
+@entry("matrix_profile_daily", sql=lambda: SQL_MATRIX_PROFILE_DAILY)
 def q_matrix_profile_daily(sf_dir: str) -> pd.DataFrame:
     """Matrix profile (Yeh et al. 2016, public) over each event type's
     daily series: for every length-7 subsequence, the Euclidean distance
@@ -1377,6 +1399,7 @@ SQL_MATRIX_PROFILE_DAILY = f"""
 """
 
 
+@entry("ccnet_perplexity_documents", sql=lambda: SQL_CCNET_PERPLEXITY)
 def q_ccnet_perplexity_documents(sf_dir: str) -> pd.DataFrame:
     """CCNet-style corpus-LM perplexity per document (Wenzek et al.
     2020, public; Laplace bigram LM stands in for KenLM so the full
@@ -1439,6 +1462,7 @@ SQL_CCNET_PERPLEXITY = r"""
 """
 
 
+@entry("dsir_weights_documents", sql=lambda: SQL_DSIR_WEIGHTS)
 def q_dsir_weights_documents(sf_dir: str) -> pd.DataFrame:
     """DSIR importance weights (Xie et al. 2023, public): log-ratio of a
     src0-trained unigram LM to the raw-corpus LM per document — the data
@@ -1483,6 +1507,7 @@ SQL_DSIR_WEIGHTS = r"""
 """
 
 
+@entry("ols_reconciliation_daily", sql=lambda: SQL_OLS_RECONCILIATION)
 def q_ols_reconciliation_daily(sf_dir: str) -> pd.DataFrame:
     """OLS (MinT-identity) forecast reconciliation (Hyndman FPP3 §11.3,
     public): seasonal-naive h=1..7 base forecasts for each event type
@@ -1568,6 +1593,7 @@ SQL_OLS_RECONCILIATION = f"""
 """
 
 
+@entry("supplier_part_diversity", sql=lambda: SQL_SUPPLIER_PART_DIVERSITY)
 def q_supplier_part_diversity(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q16 shape (public spec; the synth schema has no partsupp,
     so the supplier↔part relation derives from shipped lineitems):
@@ -1607,6 +1633,7 @@ SQL_SUPPLIER_PART_DIVERSITY = """
 """
 
 
+@entry("important_nation_stock", sql=lambda: SQL_IMPORTANT_NATION_STOCK)
 def q_important_nation_stock(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q11 shape (public spec, nation-grained; partsupp value is
     proxied by shipped lineitem revenue per supplier nation): nations
@@ -1655,6 +1682,8 @@ SQL_IMPORTANT_NATION_STOCK = """
 """
 
 
+@entry("heavy_small_part_suppliers",
+       sql=lambda: SQL_HEAVY_SMALL_PART_SUPPLIERS)
 def q_heavy_small_part_suppliers(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q20 shape (public spec, availability proxied by shipped
     quantity): suppliers whose 1996 shipped quantity of 'small%' parts
@@ -1706,6 +1735,8 @@ SQL_HEAVY_SMALL_PART_SUPPLIERS = """
 """
 
 
+@entry("best_balance_supplier_per_class",
+       sql=lambda: SQL_BEST_BALANCE_SUPPLIER)
 def q_best_balance_supplier_per_class(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q2 shape (public spec; min supplycost becomes max account
     balance since the synth schema has no partsupp — the correlated
@@ -1761,6 +1792,7 @@ SQL_BEST_BALANCE_SUPPLIER = """
 """
 
 
+@entry("burstiness_fano_events", sql=lambda: SQL_BURSTINESS_FANO)
 def q_burstiness_fano_events(sf_dir: str) -> pd.DataFrame:
     """Burstiness B = (σ−μ)/(σ+μ) of inter-event gap seconds
     (Goh & Barabási 2008, public) and the Fano factor (index of
@@ -1825,6 +1857,7 @@ SQL_BURSTINESS_FANO = """
 """
 
 
+@entry("hurst_rs_daily", sql=lambda: SQL_HURST_RS_DAILY)
 def q_hurst_rs_daily(sf_dir: str) -> pd.DataFrame:
     """Hurst exponent by rescaled-range analysis (Hurst 1951 / Mandelbrot
     & Wallis 1969, public): per event type's daily series, mean R/S over
@@ -1915,6 +1948,7 @@ SQL_HURST_RS_DAILY = f"""
 """
 
 
+@entry("nonlinear_signal_daily", sql=lambda: SQL_NONLINEAR_SIGNAL)
 def q_nonlinear_signal_daily(sf_dir: str) -> pd.DataFrame:
     """Two classic nonlinear signal descriptors per event type's daily
     series (both public): mean Teager-Kaiser operator energy
@@ -1973,6 +2007,7 @@ SQL_NONLINEAR_SIGNAL = f"""
 """
 
 
+@entry("higuchi_fd_daily", sql=lambda: SQL_HIGUCHI_FD_DAILY)
 def q_higuchi_fd_daily(sf_dir: str) -> pd.DataFrame:
     """Higuchi fractal dimension (Higuchi 1988, public) of each event
     type's daily series: for k ∈ {1..4} and offsets m < k the stride-k
@@ -2059,6 +2094,7 @@ SQL_HIGUCHI_FD_DAILY = f"""
 """
 
 
+@entry("hjorth_params_daily", sql=lambda: SQL_HJORTH_PARAMS)
 def q_hjorth_params_daily(sf_dir: str) -> pd.DataFrame:
     """Hjorth parameters (Hjorth 1970, public — the EEG-era descriptors
     of variance structure): per event type's daily series, activity =
@@ -2114,6 +2150,7 @@ SQL_HJORTH_PARAMS = f"""
 """
 
 
+@entry("anderson_darling_daily", sql=lambda: SQL_ANDERSON_DARLING)
 def q_anderson_darling_daily(sf_dir: str) -> pd.DataFrame:
     """Anderson-Darling normality statistic (Anderson & Darling 1952,
     public) per event type's daily series: standardize with the sample
@@ -2208,6 +2245,7 @@ SQL_ANDERSON_DARLING = f"""
 # and the D'Agostino-Pearson omnibus normality test
 # ---------------------------------------------------------------------------
 
+@entry("energy_distance_weekend", sql=lambda: SQL_ENERGY_DISTANCE_WEEKEND)
 def q_energy_distance_weekend(sf_dir: str) -> pd.DataFrame:
     """Energy distance (Székely & Rizzo 2004, public) between the weekend
     and weekday daily distributions per event type: E = 2·E|X−Y| − E|X−X′|
@@ -2277,6 +2315,7 @@ SQL_ENERGY_DISTANCE_WEEKEND = f"""
 """
 
 
+@entry("wasserstein_weekend", sql=lambda: SQL_WASSERSTEIN_WEEKEND)
 def q_wasserstein_weekend(sf_dir: str) -> pd.DataFrame:
     """Wasserstein-1 (earth-mover) distance between the weekend and weekday
     daily distributions per event type, by the exact 1-D closed form:
@@ -2343,6 +2382,7 @@ SQL_WASSERSTEIN_WEEKEND = f"""
 """
 
 
+@entry("dagostino_k2_daily", sql=lambda: SQL_DAGOSTINO_K2)
 def q_dagostino_k2_daily(sf_dir: str) -> pd.DataFrame:
     """D'Agostino-Pearson K² omnibus normality test (D'Agostino 1970;
     Anscombe & Glynn 1983; public): per daily series, the skewness z
@@ -2469,6 +2509,7 @@ SQL_DAGOSTINO_K2 = f"""
 # clusterability statistic
 # ---------------------------------------------------------------------------
 
+@entry("watson_u2_events", sql=lambda: SQL_WATSON_U2)
 def q_watson_u2_events(sf_dir: str) -> pd.DataFrame:
     """Watson's U² test (Watson 1961, public) that time-of-day is uniform
     on the circle, per event type: u = (µs-of-day)/86400e6 sorted, W² =
@@ -2535,6 +2576,7 @@ SQL_WATSON_U2 = f"""
 """
 
 
+@entry("dfa_daily", sql=lambda: SQL_DFA_DAILY)
 def q_dfa_daily(sf_dir: str) -> pd.DataFrame:
     """Detrended fluctuation analysis (Peng et al. 1994, public — the
     long-memory exponent robust to nonstationarity, complementing the R/S
@@ -2621,6 +2663,7 @@ SQL_DFA_DAILY = f"""
 """
 
 
+@entry("hopkins_embeddings", sql=lambda: SQL_HOPKINS_EMBEDDINGS)
 def q_hopkins_embeddings(sf_dir: str) -> pd.DataFrame:
     """Hopkins clusterability statistic (Hopkins & Skellam 1954, public,
     simple-distance form): H = Σu/(Σu+Σw) over m=25 probes, where u =
@@ -2759,6 +2802,7 @@ SQL_HOPKINS_EMBEDDINGS = """
 # MMD two-sample kernel distance, HITS authorities, transfer entropy
 # ---------------------------------------------------------------------------
 
+@entry("mmd_rbf_labels", sql=lambda: SQL_MMD_RBF_LABELS)
 def q_mmd_rbf_labels(sf_dir: str) -> pd.DataFrame:
     """Maximum mean discrepancy (Gretton et al. 2012, public) between every
     two embedding labels with the RBF kernel (γ = 1/dim), biased V-statistic
@@ -2863,6 +2907,7 @@ SQL_MMD_RBF_LABELS = """
 """
 
 
+@entry("hits_authorities_events", sql=lambda: SQL_HITS_AUTHORITIES)
 def q_hits_authorities_events(sf_dir: str) -> pd.DataFrame:
     """HITS authority scores (Kleinberg 1999, public) of event types on the
     user×type bipartite graph (edge weight = event count): authorities are
@@ -2944,6 +2989,7 @@ SQL_HITS_AUTHORITIES = """
 """
 
 
+@entry("transfer_entropy_daily", sql=lambda: SQL_TRANSFER_ENTROPY)
 def q_transfer_entropy_daily(sf_dir: str) -> pd.DataFrame:
     """Transfer entropy (Schreiber 2000, public) between every ordered pair
     of daily series, tercile-discretized: TE(X→Y) = Σ p(y′,y,x)·
@@ -3045,6 +3091,7 @@ SQL_TRANSFER_ENTROPY = f"""
 # deterministic bootstrap confidence interval
 # ---------------------------------------------------------------------------
 
+@entry("lepage_weekend_daily", sql=lambda: SQL_LEPAGE_WEEKEND)
 def q_lepage_weekend_daily(sf_dir: str) -> pd.DataFrame:
     """Lepage two-sample test (Lepage 1971, public): L = Z_W² + Z_A², the
     Wilcoxon rank-sum z (location) combined with the Ansari-Bradley z
@@ -3141,6 +3188,7 @@ SQL_LEPAGE_WEEKEND = f"""
 """
 
 
+@entry("morans_i_hour_dow", sql=lambda: SQL_MORANS_I_HOUR_DOW)
 def q_morans_i_hour_dow(sf_dir: str) -> pd.DataFrame:
     """Moran's I spatial autocorrelation (Moran 1950, public) of each
     event type's activity over the 7×24 day-of-week × hour grid with rook
@@ -3225,6 +3273,7 @@ SQL_MORANS_I_HOUR_DOW = """
 """
 
 
+@entry("bootstrap_ci_daily", sql=lambda: SQL_BOOTSTRAP_CI)
 def q_bootstrap_ci_daily(sf_dir: str) -> pd.DataFrame:
     """Deterministic bootstrap percentile CI (Efron 1979, public) of each
     daily-series mean: B=200 resamples whose indices come from an integer
@@ -3306,6 +3355,7 @@ SQL_BOOTSTRAP_CI = f"""
 # Gaussian KDE, Poisson GLM trend, Chao1 species-richness estimate
 # ---------------------------------------------------------------------------
 
+@entry("kde_grid_daily", sql=lambda: SQL_KDE_GRID)
 def q_kde_grid_daily(sf_dir: str) -> pd.DataFrame:
     """Gaussian kernel density estimate (Rosenblatt 1956 / Parzen 1962,
     public) of each daily-value distribution at an 11-point min-max grid,
@@ -3365,6 +3415,7 @@ SQL_KDE_GRID = f"""
 """
 
 
+@entry("poisson_glm_trend_daily", sql=lambda: SQL_POISSON_GLM_TREND)
 def q_poisson_glm_trend_daily(sf_dir: str) -> pd.DataFrame:
     """Poisson GLM with log link (Nelder & Wedderburn 1972, public) of
     daily event COUNTS on a centered time index, fit by 3 unrolled IRLS
@@ -3488,6 +3539,7 @@ SQL_POISSON_GLM_TREND = """
 """
 
 
+@entry("chao1_vocab_documents", sql=lambda: SQL_CHAO1_VOCAB)
 def q_chao1_vocab_documents(sf_dir: str) -> pd.DataFrame:
     """Chao1 species-richness estimate (Chao 1984, public) of the corpus
     vocabulary from its abundance tail: V̂ = V + f₁(f₁−1)/(2(f₂+1))
@@ -3546,6 +3598,7 @@ SQL_CHAO1_VOCAB = r"""
 # distance correlation, BFS hop profile, logistic-GLM priority model
 # ---------------------------------------------------------------------------
 
+@entry("dcor_daily_pairs", sql=lambda: SQL_DCOR_DAILY_PAIRS)
 def q_dcor_daily_pairs(sf_dir: str) -> pd.DataFrame:
     """Distance correlation (Székely, Rizzo & Bakirov 2007, public)
     between every two daily series over their common days: dCor =
@@ -3621,6 +3674,7 @@ SQL_DCOR_DAILY_PAIRS = f"""
 """
 
 
+@entry("bfs_hops_copurchase", sql=lambda: SQL_BFS_HOPS_COPURCHASE)
 def q_bfs_hops_copurchase(sf_dir: str) -> pd.DataFrame:
     """BFS hop profile of the co-purchase graph from its highest-degree
     part (ties → smallest partkey): how many parts sit at minimum
@@ -3722,6 +3776,7 @@ SQL_BFS_HOPS_COPURCHASE = """
 """
 
 
+@entry("logistic_priority_orders", sql=lambda: SQL_LOGISTIC_PRIORITY)
 def q_logistic_priority_orders(sf_dir: str) -> pd.DataFrame:
     """Logistic regression (binomial GLM, Nelder & Wedderburn 1972,
     public): P(order is URGENT/HIGH priority) on the standardized order
@@ -3773,3 +3828,75 @@ def q_logistic_priority_orders(sf_dir: str) -> pd.DataFrame:
         "beta0": [np.round(b0, 6) + 0.0],
         "beta1": [np.round(b1, 6) + 0.0],
         "odds_ratio": [np.round(np.exp(b1), 6) + 0.0]})
+
+
+SQL_LOGISTIC_PRIORITY = """
+    WITH base AS (
+        SELECT CASE WHEN substr(o_orderpriority, 1, 1) IN ('1', '2')
+               THEN 1.0 ELSE 0.0 END AS y,
+               o_totalprice AS p
+        FROM orders
+    ),
+    mo AS (
+        SELECT count(*)::DOUBLE AS n, avg(p) AS mu,
+               stddev_samp(p) AS sd, avg(y) AS ybar
+        FROM base
+    ),
+    xz AS (
+        SELECT (b.p - mo.mu) / mo.sd AS x, b.y, mo.n,
+               ln(mo.ybar / (1 - mo.ybar)) AS b0
+        FROM base b, mo
+    ),
+    it1 AS (
+        SELECT max(n) AS n,
+               (sum(w) * sum(w * x * z) - sum(w * x) * sum(w * z))
+               / (sum(w) * sum(w * x * x)
+                  - sum(w * x) * sum(w * x)) AS b1n,
+               sum(w * z) AS sz, sum(w * x) AS st, sum(w) AS sw
+        FROM (
+            SELECT *, mu * (1 - mu) AS w,
+                   b0 + (y - mu) / (mu * (1 - mu)) AS z
+            FROM (SELECT *, 1.0 / (1.0 + exp(-b0)) AS mu FROM xz)
+        )
+    ),
+    c1 AS (SELECT n, b1n AS b1, (sz - b1n * st) / sw AS b0 FROM it1),
+    it2 AS (
+        SELECT (sum(w) * sum(w * x * z) - sum(w * x) * sum(w * z))
+               / (sum(w) * sum(w * x * x)
+                  - sum(w * x) * sum(w * x)) AS b1n,
+               sum(w * z) AS sz, sum(w * x) AS st, sum(w) AS sw
+        FROM (
+            SELECT xz.x, xz.y, mu * (1 - mu) AS w,
+                   c1.b0 + c1.b1 * xz.x
+                       + (xz.y - mu) / (mu * (1 - mu)) AS z
+            FROM (
+                SELECT xz.x, xz.y, c1.b0, c1.b1,
+                       1.0 / (1.0 + exp(-(c1.b0 + c1.b1 * xz.x))) AS mu
+                FROM xz, c1
+            ) xz, c1
+        )
+    ),
+    c2 AS (SELECT b1n AS b1, (sz - b1n * st) / sw AS b0 FROM it2),
+    it3 AS (
+        SELECT (sum(w) * sum(w * x * z) - sum(w * x) * sum(w * z))
+               / (sum(w) * sum(w * x * x)
+                  - sum(w * x) * sum(w * x)) AS b1n,
+               sum(w * z) AS sz, sum(w * x) AS st, sum(w) AS sw
+        FROM (
+            SELECT xz.x, xz.y, mu * (1 - mu) AS w,
+                   c2.b0 + c2.b1 * xz.x
+                       + (xz.y - mu) / (mu * (1 - mu)) AS z
+            FROM (
+                SELECT xz.x, xz.y, c2.b0, c2.b1,
+                       1.0 / (1.0 + exp(-(c2.b0 + c2.b1 * xz.x))) AS mu
+                FROM xz, c2
+            ) xz, c2
+        )
+    ),
+    c3 AS (SELECT b1n AS b1, (sz - b1n * st) / sw AS b0 FROM it3)
+    SELECT CAST(c1.n AS BIGINT) AS n_orders,
+           round(c3.b0, 6) + 0.0 AS beta0,
+           round(c3.b1, 6) + 0.0 AS beta1,
+           round(exp(c3.b1), 6) + 0.0 AS odds_ratio
+    FROM c3, c1
+"""

@@ -26,79 +26,8 @@ from forecastframe_ray.pipelines.queries.text import (  # noqa: F401
     _BM25_TERMS,
     _KMEANS_K,
 )
+from forecastframe_ray.pipelines.queries import entry
 
-
-
-SQL_LOGISTIC_PRIORITY = """
-    WITH base AS (
-        SELECT CASE WHEN substr(o_orderpriority, 1, 1) IN ('1', '2')
-               THEN 1.0 ELSE 0.0 END AS y,
-               o_totalprice AS p
-        FROM orders
-    ),
-    mo AS (
-        SELECT count(*)::DOUBLE AS n, avg(p) AS mu,
-               stddev_samp(p) AS sd, avg(y) AS ybar
-        FROM base
-    ),
-    xz AS (
-        SELECT (b.p - mo.mu) / mo.sd AS x, b.y, mo.n,
-               ln(mo.ybar / (1 - mo.ybar)) AS b0
-        FROM base b, mo
-    ),
-    it1 AS (
-        SELECT max(n) AS n,
-               (sum(w) * sum(w * x * z) - sum(w * x) * sum(w * z))
-               / (sum(w) * sum(w * x * x)
-                  - sum(w * x) * sum(w * x)) AS b1n,
-               sum(w * z) AS sz, sum(w * x) AS st, sum(w) AS sw
-        FROM (
-            SELECT *, mu * (1 - mu) AS w,
-                   b0 + (y - mu) / (mu * (1 - mu)) AS z
-            FROM (SELECT *, 1.0 / (1.0 + exp(-b0)) AS mu FROM xz)
-        )
-    ),
-    c1 AS (SELECT n, b1n AS b1, (sz - b1n * st) / sw AS b0 FROM it1),
-    it2 AS (
-        SELECT (sum(w) * sum(w * x * z) - sum(w * x) * sum(w * z))
-               / (sum(w) * sum(w * x * x)
-                  - sum(w * x) * sum(w * x)) AS b1n,
-               sum(w * z) AS sz, sum(w * x) AS st, sum(w) AS sw
-        FROM (
-            SELECT xz.x, xz.y, mu * (1 - mu) AS w,
-                   c1.b0 + c1.b1 * xz.x
-                       + (xz.y - mu) / (mu * (1 - mu)) AS z
-            FROM (
-                SELECT xz.x, xz.y, c1.b0, c1.b1,
-                       1.0 / (1.0 + exp(-(c1.b0 + c1.b1 * xz.x))) AS mu
-                FROM xz, c1
-            ) xz, c1
-        )
-    ),
-    c2 AS (SELECT b1n AS b1, (sz - b1n * st) / sw AS b0 FROM it2),
-    it3 AS (
-        SELECT (sum(w) * sum(w * x * z) - sum(w * x) * sum(w * z))
-               / (sum(w) * sum(w * x * x)
-                  - sum(w * x) * sum(w * x)) AS b1n,
-               sum(w * z) AS sz, sum(w * x) AS st, sum(w) AS sw
-        FROM (
-            SELECT xz.x, xz.y, mu * (1 - mu) AS w,
-                   c2.b0 + c2.b1 * xz.x
-                       + (xz.y - mu) / (mu * (1 - mu)) AS z
-            FROM (
-                SELECT xz.x, xz.y, c2.b0, c2.b1,
-                       1.0 / (1.0 + exp(-(c2.b0 + c2.b1 * xz.x))) AS mu
-                FROM xz, c2
-            ) xz, c2
-        )
-    ),
-    c3 AS (SELECT b1n AS b1, (sz - b1n * st) / sw AS b0 FROM it3)
-    SELECT CAST(c1.n AS BIGINT) AS n_orders,
-           round(c3.b0, 6) + 0.0 AS beta0,
-           round(c3.b1, 6) + 0.0 AS beta1,
-           round(exp(c3.b1), 6) + 0.0 AS odds_ratio
-    FROM c3, c1
-"""
 
 
 # ---------------------------------------------------------------------------
@@ -114,6 +43,7 @@ def _pairwise_d2_rounded(X: np.ndarray) -> np.ndarray:
     return np.round(np.maximum(d2, 0.0), 9)
 
 
+@entry("lof_embeddings", sql=lambda: SQL_LOF_EMBEDDINGS)
 def q_lof_embeddings(sf_dir: str) -> pd.DataFrame:
     """Local outlier factor (Breunig et al. 2000, public), k=5: LOF(a) =
     mean_{b∈N₅(a)} lrd(b)/lrd(a) with reach-dist smoothing — the density-
@@ -206,6 +136,7 @@ SQL_LOF_EMBEDDINGS = """
 """
 
 
+@entry("dbscan_core_embeddings", sql=lambda: SQL_DBSCAN_CORE)
 def q_dbscan_core_embeddings(sf_dir: str) -> pd.DataFrame:
     """DBSCAN point classification (Ester et al. 1996, public), minPts=5,
     ε = the median 5-NN distance (a standard heuristic, 6dp-pinned so both
@@ -294,6 +225,7 @@ SQL_DBSCAN_CORE = """
 """
 
 
+@entry("fisher_exact_weekend", sql=lambda: SQL_FISHER_EXACT_WEEKEND)
 def q_fisher_exact_weekend(sf_dir: str) -> pd.DataFrame:
     """Fisher's exact test (Fisher 1935, public) per event type on the 2×2
     table weekend? × value-above-type-median?: the two-sided p sums every
@@ -401,6 +333,7 @@ SQL_FISHER_EXACT_WEEKEND = """
 # Ledoit-Wolf covariance shrinkage, ARI/NMI partition agreement, SPRT
 # ---------------------------------------------------------------------------
 
+@entry("ledoit_wolf_embeddings", sql=lambda: SQL_LEDOIT_WOLF)
 def q_ledoit_wolf_embeddings(sf_dir: str) -> pd.DataFrame:
     """Ledoit-Wolf shrinkage intensity toward the identity target (Ledoit
     & Wolf 2004, public): with centered xₖ and S = (1/n)ΣxₖxₖT, m =
@@ -488,6 +421,7 @@ SQL_LEDOIT_WOLF = """
 """
 
 
+@entry("ari_nmi_embeddings", sql=lambda: SQL_ARI_NMI)
 def q_ari_nmi_embeddings(sf_dir: str) -> pd.DataFrame:
     """Adjusted Rand index (Hubert & Arabie 1985) and NMI (geometric
     normalization) between the k-means E-step assignment (the oracled
@@ -601,6 +535,7 @@ SQL_ARI_NMI = f"""
 """
 
 
+@entry("sprt_purchase_daily", sql=lambda: SQL_SPRT_PURCHASE)
 def q_sprt_purchase_daily(sf_dir: str) -> pd.DataFrame:
     """Wald's sequential probability ratio test (Wald 1945, public) on the
     daily purchase share: H₀ p₀ = the overall share vs H₁ p₁ = 1.25·p₀,
@@ -690,6 +625,7 @@ SQL_SPRT_PURCHASE = """
 # Kneser-Ney perplexity, copula tail dependence, extremal index
 # ---------------------------------------------------------------------------
 
+@entry("kneser_ney_ppl_documents", sql=lambda: SQL_KNESER_NEY_PPL)
 def q_kneser_ney_ppl_documents(sf_dir: str) -> pd.DataFrame:
     """Interpolated Kneser-Ney bigram perplexity (Kneser & Ney 1995,
     public; absolute discount D=0.75): P(w₂|w₁) = (c(w₁w₂)−D)/c(w₁·) +
@@ -795,6 +731,7 @@ SQL_KNESER_NEY_PPL = r"""
 """
 
 
+@entry("tail_dependence_daily", sql=lambda: SQL_TAIL_DEPENDENCE)
 def q_tail_dependence_daily(sf_dir: str) -> pd.DataFrame:
     """Empirical copula tail-dependence coefficients (Joe 1997, public)
     between every two daily series on common days: with rank-uniform
@@ -864,6 +801,7 @@ SQL_TAIL_DEPENDENCE = f"""
 """
 
 
+@entry("extremal_index_daily", sql=lambda: SQL_EXTREMAL_INDEX)
 def q_extremal_index_daily(sf_dir: str) -> pd.DataFrame:
     """Extremal index by runs declustering (Leadbetter et al. 1983,
     public), run length r=2: exceedances of the k-th largest daily value
@@ -948,6 +886,7 @@ SQL_EXTREMAL_INDEX = f"""
 # Bayesian A/B posterior, difference-in-differences, Breslow-Day test
 # ---------------------------------------------------------------------------
 
+@entry("bayes_ab_weekend", sql=lambda: SQL_BAYES_AB_WEEKEND)
 def q_bayes_ab_weekend(sf_dir: str) -> pd.DataFrame:
     """Exact Bayesian A/B posterior P(p_weekend > p_weekday) for the
     purchase share under Beta(1,1) priors (closed-form sum, Cook 2005 /
@@ -1027,6 +966,7 @@ SQL_BAYES_AB_WEEKEND = """
 """
 
 
+@entry("did_purchase_daily", sql=lambda: SQL_DID_PURCHASE)
 def q_did_purchase_daily(sf_dir: str) -> pd.DataFrame:
     """Difference-in-differences (Card & Krueger 1994 design, public) on
     the daily spine: treated = purchase, control = click, periods split at
@@ -1097,6 +1037,7 @@ SQL_DID_PURCHASE = f"""
 """
 
 
+@entry("breslow_day_types", sql=lambda: SQL_BRESLOW_DAY)
 def q_breslow_day_types(sf_dir: str) -> pd.DataFrame:
     """Breslow-Day homogeneity test (Breslow & Day 1980, public): is the
     weekend × above-type-median odds ratio CONSTANT across event types?
@@ -1207,6 +1148,7 @@ SQL_BRESLOW_DAY = """
 # Lomb-Scargle periodogram, Cochrane-Orcutt GLS, Wald IV estimator
 # ---------------------------------------------------------------------------
 
+@entry("lomb_scargle_daily", sql=lambda: SQL_LOMB_SCARGLE)
 def q_lomb_scargle_daily(sf_dir: str) -> pd.DataFrame:
     """Lomb-Scargle periodogram (Lomb 1976 / Scargle 1982, public) of each
     daily series at periods {2,3,4,5,6,7,10,14} days — the least-squares
@@ -1297,6 +1239,7 @@ SQL_LOMB_SCARGLE = f"""
 """
 
 
+@entry("cochrane_orcutt_daily", sql=lambda: SQL_COCHRANE_ORCUTT)
 def q_cochrane_orcutt_daily(sf_dir: str) -> pd.DataFrame:
     """Cochrane-Orcutt AR(1)-corrected trend regression (Cochrane &
     Orcutt 1949, public): OLS of v on the day index, ρ̂ from the lag-1
@@ -1383,6 +1326,7 @@ SQL_COCHRANE_ORCUTT = f"""
 """
 
 
+@entry("iv_wald_lineitem", sql=lambda: SQL_IV_WALD)
 def q_iv_wald_lineitem(sf_dir: str) -> pd.DataFrame:
     """Wald instrumental-variable estimator (Wald 1940, public) of the
     demand slope: quantity on unit price, instrumented by the part's LIST
@@ -1446,6 +1390,7 @@ SQL_IV_WALD = """
 # two-component Gaussian-mixture EM, kNN-graph modularity, Dirichlet-LM IR
 # ---------------------------------------------------------------------------
 
+@entry("gmm_em_daily", sql=lambda: SQL_GMM_EM_DAILY)
 def q_gmm_em_daily(sf_dir: str) -> pd.DataFrame:
     """Two-component Gaussian mixture fit by 2 unrolled EM steps
     (Dempster, Laird & Rubin 1977, public) per daily series, median-split
@@ -1595,6 +1540,7 @@ SQL_GMM_EM_DAILY = f"""
 """
 
 
+@entry("modularity_knn_embeddings", sql=lambda: SQL_MODULARITY_KNN)
 def q_modularity_knn_embeddings(sf_dir: str) -> pd.DataFrame:
     """Newman modularity (Newman & Girvan 2004, public) of the ground-
     truth label partition on the symmetrized 5-NN embedding graph:
@@ -1704,6 +1650,7 @@ SQL_MODULARITY_KNN = """
 """
 
 
+@entry("lm_dirichlet_documents", sql=lambda: SQL_LM_DIRICHLET)
 def q_lm_dirichlet_documents(sf_dir: str) -> pd.DataFrame:
     """Dirichlet-smoothed query-likelihood retrieval (Zhai & Lafferty
     2001, public), μ=2000, for the same fixed query as the BM25 entry:
@@ -1781,6 +1728,7 @@ SQL_LM_DIRICHLET = r"""
 # iterative proportional fitting, VaR backtests, Hoeffding's D
 # ---------------------------------------------------------------------------
 
+@entry("ipf_type_dow", sql=lambda: SQL_IPF_TYPE_DOW)
 def q_ipf_type_dow(sf_dir: str) -> pd.DataFrame:
     """Iterative proportional fitting / raking (Deming & Stephan 1940,
     public), 3 unrolled row/column sweeps: rake the dow × type count
@@ -1868,6 +1816,7 @@ SQL_IPF_TYPE_DOW = """
 """
 
 
+@entry("var_backtest_daily", sql=lambda: SQL_VAR_BACKTEST)
 def q_var_backtest_daily(sf_dir: str) -> pd.DataFrame:
     """VaR backtesting per daily series: exceedances of the historical
     5% VaR (the k-th smallest value, k=⌊n/20⌋∨1 — an order statistic both
@@ -2000,6 +1949,7 @@ SQL_VAR_BACKTEST = f"""
 """
 
 
+@entry("hoeffding_d_daily", sql=lambda: SQL_HOEFFDING_D)
 def q_hoeffding_d_daily(sf_dir: str) -> pd.DataFrame:
     """Hoeffding's D independence statistic (Hoeffding 1948, public)
     between every two daily series on common days, continuous-case form
@@ -2092,6 +2042,7 @@ SQL_HOEFFDING_D = f"""
 # hash-collision audit, RLE layout analysis, LAD (L1) trend
 # ---------------------------------------------------------------------------
 
+@entry("hash_collision_audit", sql=lambda: SQL_HASH_COLLISION_AUDIT)
 def q_hash_collision_audit(sf_dir: str) -> pd.DataFrame:
     """Birthday-bound audit of a truncated 16-bit content hash: observed
     collisions (docs − distinct hash values) vs the birthday expectation
@@ -2135,6 +2086,7 @@ SQL_HASH_COLLISION_AUDIT = """
 """
 
 
+@entry("rle_layout_events", sql=lambda: SQL_RLE_LAYOUT)
 def q_rle_layout_events(sf_dir: str) -> pd.DataFrame:
     """Run-length layout analysis: RLE runs of ``event_type`` within each
     user's (ts, event_type)-ordered stream, corpus-summed, vs the runs
@@ -2192,6 +2144,7 @@ SQL_RLE_LAYOUT = """
 """
 
 
+@entry("lad_trend_daily", sql=lambda: SQL_LAD_TREND)
 def q_lad_trend_daily(sf_dir: str) -> pd.DataFrame:
     """Least-absolute-deviations (L1 / median-regression) trend per daily
     series by 3 unrolled IRLS steps from the OLS start, weights
@@ -2304,6 +2257,7 @@ SQL_LAD_TREND = f"""
 # Kalman local-level filter, Deming regression, Bland-Altman agreement
 # ---------------------------------------------------------------------------
 
+@entry("kalman_level_daily", sql=lambda: SQL_KALMAN_LEVEL)
 def q_kalman_level_daily(sf_dir: str) -> pd.DataFrame:
     """Local-level Kalman filter (Kalman 1960; Harvey 1989 form, public)
     per daily series with moment-pinned hyperparameters r = Var(v), q =
@@ -2385,6 +2339,7 @@ SQL_KALMAN_LEVEL = f"""
 """
 
 
+@entry("deming_purchase_click", sql=lambda: SQL_DEMING_PURCHASE_CLICK)
 def q_deming_purchase_click(sf_dir: str) -> pd.DataFrame:
     """Deming errors-in-variables regression (Deming 1943, public, λ=1)
     of the purchase daily series on the click one over common days:
@@ -2434,6 +2389,7 @@ SQL_DEMING_PURCHASE_CLICK = f"""
 """
 
 
+@entry("bland_altman_purchase_click", sql=lambda: SQL_BLAND_ALTMAN)
 def q_bland_altman_purchase_click(sf_dir: str) -> pd.DataFrame:
     """Bland-Altman agreement analysis (Bland & Altman 1986, public)
     between the standardized purchase and click daily series: mean
@@ -2499,6 +2455,7 @@ SQL_BLAND_ALTMAN = f"""
 # isotonic regression, Savitzky-Golay smoothing, sequence irreversibility
 # ---------------------------------------------------------------------------
 
+@entry("isotonic_fit_daily", sql=lambda: SQL_ISOTONIC_FIT)
 def q_isotonic_fit_daily(sf_dir: str) -> pd.DataFrame:
     """Isotonic (monotone non-decreasing) regression of each daily series
     on time via pool-adjacent-violators (Ayer et al. 1955 / Barlow et al.
@@ -2576,6 +2533,7 @@ SQL_ISOTONIC_FIT = f"""
 """
 
 
+@entry("savgol_daily", sql=lambda: SQL_SAVGOL_DAILY)
 def q_savgol_daily(sf_dir: str) -> pd.DataFrame:
     """Savitzky-Golay smoothing (Savitzky & Golay 1964, public): the
     quadratic 5-point least-squares convolution (−3,12,17,12,−3)/35 over
@@ -2629,6 +2587,7 @@ SQL_SAVGOL_DAILY = f"""
 """
 
 
+@entry("irreversibility_events", sql=lambda: SQL_IRREVERSIBILITY)
 def q_irreversibility_events(sf_dir: str) -> pd.DataFrame:
     """Time-reversal asymmetry of each user's event-type stream, corpus-
     pooled: KL(forward ‖ backward) over transition frequencies (backward
@@ -2705,6 +2664,7 @@ SQL_IRREVERSIBILITY = """
 # Viterbi 2-state HMM, German-tank estimator, Lindley waiting times
 # ---------------------------------------------------------------------------
 
+@entry("viterbi_hmm_daily", sql=lambda: SQL_VITERBI_HMM)
 def q_viterbi_hmm_daily(sf_dir: str) -> pd.DataFrame:
     """Viterbi decoding (Viterbi 1967, public) of a 2-state Gaussian HMM
     per daily series — low/high regimes with moment-pinned emissions
@@ -2808,6 +2768,7 @@ SQL_VITERBI_HMM = f"""
 """
 
 
+@entry("german_tank_orders", sql=lambda: SQL_GERMAN_TANK)
 def q_german_tank_orders(sf_dir: str) -> pd.DataFrame:
     """Serial-number (German tank) population estimate (public, the
     classic frequentist UMVU form): from the k=20 smallest md5-hashed
@@ -2853,6 +2814,7 @@ SQL_GERMAN_TANK = """
 """
 
 
+@entry("lindley_wait_users", sql=lambda: SQL_LINDLEY_WAIT)
 def q_lindley_wait_users(sf_dir: str) -> pd.DataFrame:
     """Lindley waiting-time recursion (Lindley 1952, public) over each
     user's event stream as a single-server queue: Wₙ₊₁ = max(0, Wₙ + c −
@@ -2941,280 +2903,4 @@ SQL_LINDLEY_WAIT = """
            round(s.mx, 6) + 0.0 AS max_wait_s,
            round(s.np / CAST(s.nw AS DOUBLE), 6) + 0.0 AS p_wait_pos
     FROM s, c
-"""
-
-
-def q_huber_location_daily(sf_dir: str) -> pd.DataFrame:
-    """Huber M-estimator of location (Huber 1964, public) per daily
-    series via 3 unrolled IRLS iterations — the robust mean between the
-    median (start) and the arithmetic mean, with weights
-    w=min(1, c/|v−μ|), c = 1.345·(1.4826·MAD). Scale and every iterate
-    are 6dp-rounded so both engines recurse on identical operands; the
-    non-SQL sibling of the [[lad_trend_daily]] IRLS. Engine scan per
-    series; SQL twin unrolls the same three iterations in CTEs."""
-    from forecastframe_ray.stages.agg import keyed_map_partitions
-
-    daily = _bucket_series(sf_dir, DAY_US, "d")
-
-    def kernel(part: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for et, g in part.groupby("event_type", sort=False):
-            v = g["v"].to_numpy(np.float64)
-            n = len(v)
-            if n < 5:
-                continue
-            med = np.median(v)
-            scale = np.round(1.4826 * np.median(np.abs(v - med)), 6)
-            if scale <= 0:
-                continue
-            c = 1.345 * scale
-            mu = np.round(med, 6)
-            for _ in range(3):
-                ad = np.abs(v - mu)
-                w = np.where(ad <= c, 1.0, c / np.where(ad > c, ad, 1.0))
-                mu = np.round((w * v).sum() / w.sum(), 6)
-            rows.append((et, np.int64(n), scale + 0.0, mu + 0.0,
-                         np.round(v.mean(), 6) + 0.0))
-        return pd.DataFrame(rows, columns=["event_type", "n_days",
-                                           "scale", "huber_mu",
-                                           "plain_mean"])
-
-    out = keyed_map_partitions(daily, ["event_type"], kernel,
-                               num_partitions=_NP).to_pandas()
-    out = out.astype({"n_days": "int64"})
-    return out.sort_values("event_type").reset_index(drop=True)
-
-
-def _huber_iter_sql(prev: str, this: str) -> str:
-    return f"""
-    {this} AS (
-        SELECT d.event_type,
-               round(sum(d.v * CASE WHEN abs(d.v - p.mu) <= p.c THEN 1.0
-                                    ELSE p.c / abs(d.v - p.mu) END)
-                     / sum(CASE WHEN abs(d.v - p.mu) <= p.c THEN 1.0
-                                ELSE p.c / abs(d.v - p.mu) END), 6) AS mu,
-               max(p.c) AS c
-        FROM daily d JOIN {prev} p USING (event_type)
-        GROUP BY 1
-    )"""
-
-
-SQL_HUBER_LOCATION = f"""
-    WITH daily AS ({_DAILY_SQL}),
-    st AS (
-        SELECT event_type, count(*) AS n, median(v) AS med
-        FROM daily GROUP BY 1 HAVING count(*) >= 5
-    ),
-    sc AS (
-        SELECT d.event_type, max(st.n) AS n, max(st.med) AS med,
-               round(1.4826 * median(abs(d.v - st.med)), 6) AS scale
-        FROM daily d JOIN st USING (event_type)
-        GROUP BY 1
-        HAVING round(1.4826 * median(abs(d.v - st.med)), 6) > 0
-    ),
-    it0 AS (
-        SELECT event_type, round(med, 6) AS mu, 1.345 * scale AS c
-        FROM sc
-    ),
-    {_huber_iter_sql('it0', 'it1').lstrip()},
-    {_huber_iter_sql('it1', 'it2').lstrip()},
-    {_huber_iter_sql('it2', 'it3').lstrip()},
-    mean_ AS (
-        SELECT event_type, round(avg(v), 6) AS plain_mean
-        FROM daily GROUP BY 1
-    )
-    SELECT sc.event_type, CAST(sc.n AS BIGINT) AS n_days,
-           sc.scale + 0.0 AS scale, it3.mu + 0.0 AS huber_mu,
-           m.plain_mean + 0.0 AS plain_mean
-    FROM sc JOIN it3 USING (event_type) JOIN mean_ m USING (event_type)
-    ORDER BY 1
-"""
-
-
-def q_geary_c_hour_dow(sf_dir: str) -> pd.DataFrame:
-    """Geary's C spatial autocorrelation (Geary 1954, public) of each
-    event type's activity over the 7×24 dow×hour grid with rook
-    adjacency — the squared-difference companion to [[morans_i_hour_dow]]
-    (C≈1 random, C<1 positive autocorrelation, sensitive to local rather
-    than global structure). Same one count shuffle feeding a per-type
-    co-located kernel on the zero-filled full grid."""
-    from forecastframe_ray.stages.agg import hash_aggregate, \
-        keyed_map_partitions
-
-    ev = _read(sf_dir, "events", ["event_type", "ts"])
-
-    def cells(b: pd.DataFrame) -> pd.DataFrame:
-        ts = b["ts"]
-        return pd.DataFrame({"event_type": b["event_type"],
-                             "dow": ts.dt.dayofweek.to_numpy(np.int64),
-                             "hour": ts.dt.hour.to_numpy(np.int64),
-                             "c": np.ones(len(b))})
-
-    counts = hash_aggregate(ev.map_batches(cells, batch_format="pandas"),
-                            ["event_type", "dow", "hour"],
-                            {"c": ("c", "sum")}, num_partitions=_NP)
-
-    def kernel(part: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for et, g in part.groupby("event_type", sort=False):
-            grid = np.zeros((7, 24), dtype=np.float64)
-            grid[g["dow"].to_numpy(np.int64),
-                 g["hour"].to_numpy(np.int64)] = g["c"].to_numpy()
-            z = grid - grid.mean()
-            dx = grid[:, :-1] - grid[:, 1:]
-            dy = grid[:-1, :] - grid[1:, :]
-            num = 2.0 * ((dx * dx).sum() + (dy * dy).sum())
-            w_tot = 2.0 * (7 * 23 + 6 * 24)
-            den = (z * z).sum()
-            c_stat = (grid.size - 1) * num / (2.0 * w_tot * den)
-            rows.append((et, np.round(c_stat, 6) + 0.0))
-        return pd.DataFrame(rows, columns=["event_type", "geary_c"])
-
-    out = keyed_map_partitions(counts, ["event_type"], kernel,
-                               num_partitions=_NP).to_pandas()
-    return out.sort_values("event_type").reset_index(drop=True)
-
-
-SQL_GEARY_C_HOUR_DOW = """
-    WITH grid AS (
-        SELECT t.event_type, d.d AS dow, h.h AS hour
-        FROM (SELECT DISTINCT event_type FROM events) t
-        CROSS JOIN (SELECT unnest(range(0, 7)) AS d) d
-        CROSS JOIN (SELECT unnest(range(0, 24)) AS h) h
-    ),
-    counts AS (
-        SELECT event_type, (isodow(ts) - 1) AS dow, hour(ts) AS hour,
-               count(*)::DOUBLE AS c
-        FROM events GROUP BY 1, 2, 3
-    ),
-    cell AS (
-        SELECT g.event_type, g.dow, g.hour, COALESCE(c.c, 0.0) AS c
-        FROM grid g LEFT JOIN counts c
-          ON c.event_type = g.event_type AND c.dow = g.dow
-         AND c.hour = g.hour
-    ),
-    num AS (
-        SELECT a.event_type, sum(pow(a.c - b.c, 2)) AS num
-        FROM cell a JOIN cell b
-          ON b.event_type = a.event_type
-         AND ((abs(a.dow - b.dow) = 1 AND a.hour = b.hour)
-              OR (a.dow = b.dow AND abs(a.hour - b.hour) = 1))
-        GROUP BY 1
-    ),
-    den AS (
-        SELECT event_type,
-               sum(pow(c - avg(c) OVER (PARTITION BY event_type), 2)) AS den,
-               count(*) AS n
-        FROM cell GROUP BY event_type, dow, hour, c
-    ),
-    den2 AS (
-        SELECT c.event_type,
-               sum(pow(c.c - m.m, 2)) AS den, count(*) AS n
-        FROM cell c JOIN (SELECT event_type, avg(c) AS m
-                          FROM cell GROUP BY 1) m USING (event_type)
-        GROUP BY 1
-    )
-    SELECT d.event_type,
-           round((d.n - 1) * num.num
-                 / (2.0 * 2.0 * (7 * 23 + 6 * 24) * d.den), 6)
-               + 0.0 AS geary_c
-    FROM den2 d JOIN num USING (event_type)
-    ORDER BY 1
-"""
-
-
-def _jaro_winkler_bytes(a: bytes, b: bytes) -> float:
-    """Byte-level Jaro-Winkler similarity (Jaro 1989 / Winkler 1990,
-    public), pinned to DuckDB's ``jaro_winkler_similarity`` semantics:
-    UTF-8 byte units, 0.0 when either side is empty (including both),
-    boost threshold 0.7, prefix scale 0.1 over at most 4 units."""
-    la, lb = len(a), len(b)
-    if la == 0 or lb == 0:
-        return 0.0
-    if a == b:
-        return 1.0
-    md = max(la, lb) // 2 - 1
-    ma = [False] * la
-    mb = [False] * lb
-    matches = 0
-    for i in range(la):
-        lo = i - md if i > md else 0
-        hi = i + md + 1
-        if hi > lb:
-            hi = lb
-        ai = a[i]
-        for j in range(lo, hi):
-            if not mb[j] and b[j] == ai:
-                ma[i] = mb[j] = True
-                matches += 1
-                break
-    if matches == 0:
-        return 0.0
-    t = 0
-    k = 0
-    for i in range(la):
-        if ma[i]:
-            while not mb[k]:
-                k += 1
-            if a[i] != b[k]:
-                t += 1
-            k += 1
-    t //= 2
-    j = (matches / la + matches / lb + (matches - t) / matches) / 3.0
-    if j > 0.7:
-        pl = 0
-        for x, y in zip(a[:4], b[:4]):
-            if x != y:
-                break
-            pl += 1
-        j += pl * 0.1 * (1.0 - j)
-    return j
-
-
-def q_jaro_winkler_pairs_documents(sf_dir: str) -> pd.DataFrame:
-    """Jaro-Winkler similarity for the fixed (2i, 2i+1) pair list (the
-    [[levenshtein_pairs_documents]] convention) over 80-char prefixes —
-    the record-linkage similarity next to the edit-distance and set
-    measures, byte-pinned to DuckDB's builtin (see
-    ``_jaro_winkler_bytes``). Pairs verify inside co-located pair
-    groups."""
-    from forecastframe_ray.stages.agg import keyed_map_partitions
-
-    docs = _read(sf_dir, "documents", ["doc_id", "text"])
-
-    def prep(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "pair_id": (b["doc_id"] // 2).astype(np.int64),
-            "doc_id": b["doc_id"],
-            "t": b["text"].fillna("").str[:80]})
-
-    def kernel(part: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for pid, g in part.groupby("pair_id", sort=False):
-            if len(g) != 2:
-                continue
-            g = g.sort_values("doc_id")
-            ta = g["t"].iloc[0].encode("utf-8")
-            tb = g["t"].iloc[1].encode("utf-8")
-            rows.append((pid,
-                         np.round(_jaro_winkler_bytes(ta, tb), 6) + 0.0))
-        return pd.DataFrame(rows, columns=["pair_id", "jw_sim"])
-
-    out = keyed_map_partitions(
-        docs.map_batches(prep, batch_format="pandas"),
-        ["pair_id"], kernel, num_partitions=_NP).to_pandas()
-    out = out.astype({"pair_id": "int64"})
-    return out.sort_values("pair_id").reset_index(drop=True)
-
-
-SQL_JARO_WINKLER_PAIRS = """
-    WITH t AS (
-        SELECT doc_id // 2 AS pair_id, doc_id,
-               substr(COALESCE(text, ''), 1, 80) AS t
-        FROM documents
-    )
-    SELECT a.pair_id,
-           round(jaro_winkler_similarity(a.t, b.t), 6) + 0.0 AS jw_sim
-    FROM t a JOIN t b ON a.pair_id = b.pair_id AND a.doc_id < b.doc_id
-    ORDER BY 1
 """

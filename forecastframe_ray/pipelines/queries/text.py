@@ -29,6 +29,7 @@ from forecastframe_ray.pipelines.queries.spine import (  # noqa: F401
     _read,
     _round,
 )
+from forecastframe_ray.pipelines.queries import entry
 
 
 
@@ -36,6 +37,7 @@ from forecastframe_ray.pipelines.queries.spine import (  # noqa: F401
 # JSON property extraction (functions/scalar.extract_json_int)
 # ---------------------------------------------------------------------------
 
+@entry("json_props_events", sql=lambda: SQL_JSON_PROPS_EVENTS)
 def q_json_props_events(sf_dir: str) -> pd.DataFrame:
     """Extract the integer ``k`` field from the JSON props bag (vectorized
     regex — no per-row parse) and profile it per event type."""
@@ -77,6 +79,7 @@ SQL_JSON_PROPS_EVENTS = """
 # per-label embedding centroids (pipelines/similarity.label_centroids)
 # ---------------------------------------------------------------------------
 
+@entry("label_centroids_embeddings", sql=lambda: SQL_LABEL_CENTROIDS)
 def q_label_centroids_embeddings(sf_dir: str) -> pd.DataFrame:
     """Per-label centroid vectors in long form (label, dim, n, centroid)."""
     from forecastframe_ray.pipelines.similarity import label_centroids
@@ -103,6 +106,7 @@ SQL_LABEL_CENTROIDS = """
 # CUSUM changepoint statistic per series (stages/window_ops.op_cusum)
 # ---------------------------------------------------------------------------
 
+@entry("cusum_daily_events", sql=lambda: SQL_CUSUM_DAILY)
 def q_cusum_daily_events(sf_dir: str) -> pd.DataFrame:
     """Standardized CUSUM level-shift statistic on the daily spine: running
     sum of deviations from the series mean scaled by the series sample std,
@@ -149,6 +153,7 @@ SQL_CUSUM_DAILY = f"""
 # additive seasonal decomposition (stages/window_ops.op_seasonal_decompose)
 # ---------------------------------------------------------------------------
 
+@entry("seasonal_decompose_daily", sql=lambda: SQL_SEASONAL_DECOMPOSE_DAILY)
 def q_seasonal_decompose_daily(sf_dir: str) -> pd.DataFrame:
     """Classical additive decomposition per series: trend = centered 7-ROW
     moving average (partial edges), seasonal = per-(series, weekday) mean of
@@ -246,6 +251,7 @@ def _lag_corr_table(sf_dir: str, lags: tuple[int, ...]) -> pd.DataFrame:
     return pd.DataFrame(res)
 
 
+@entry("holt_forecast_gate_daily", sql=lambda: SQL_HOLT_FORECAST_GATE)
 def q_holt_forecast_gate_daily(sf_dir: str) -> pd.DataFrame:
     """Holt double-exponential-smoothing forecast, oracle-GATED through the
     degenerate closed form: at α=β=1 the recursion collapses to
@@ -293,6 +299,7 @@ SQL_HOLT_FORECAST_GATE = f"""
 """
 
 
+@entry("smape_wape_naive_daily", sql=lambda: SQL_SMAPE_WAPE_NAIVE)
 def q_smape_wape_naive_daily(sf_dir: str) -> pd.DataFrame:
     """Scale-robust error metrics of the lag-1 naive forecast per daily
     series: SMAPE (M-competition convention, 0 when |y|+|ŷ|=0), WAPE, and
@@ -332,6 +339,7 @@ SQL_SMAPE_WAPE_NAIVE = f"""
 """
 
 
+@entry("croston_gate_daily", sql=lambda: SQL_CROSTON_GATE)
 def q_croston_gate_daily(sf_dir: str) -> pd.DataFrame:
     """Croston intermittent-demand forecast, oracle-GATED through the α=1
     closed form (ẑ = last nonzero size, p̂ = last inter-demand interval,
@@ -394,6 +402,7 @@ SQL_CROSTON_GATE = f"""
 """
 
 
+@entry("pushdown_filter_events", sql=lambda: SQL_PUSHDOWN_FILTER)
 def q_pushdown_filter_events(sf_dir: str) -> pd.DataFrame:
     """S1 pushdown read: both the column list AND the row predicate
     (ts ≥ median-ish cutoff AND event_type = 'view') are handed to the
@@ -431,6 +440,7 @@ SQL_PUSHDOWN_FILTER = """
 """
 
 
+@entry("spearman_daily_events", sql=lambda: SQL_SPEARMAN_DAILY)
 def q_spearman_daily_events(sf_dir: str) -> pd.DataFrame:
     """Grouped Spearman rank correlation between each daily series and its
     own 7-day lag — the outlier-robust monotone-association diagnostic
@@ -505,6 +515,7 @@ SQL_SPEARMAN_DAILY = f"""
 """
 
 
+@entry("mann_kendall_daily_events", sql=lambda: SQL_MANN_KENDALL_DAILY)
 def q_mann_kendall_daily_events(sf_dir: str) -> pd.DataFrame:
     """Mann-Kendall trend statistic per daily series: S = Σ_{i<j}
     sign(vⱼ − vᵢ) ordered by date, plus tau-a = S / (n(n−1)/2) — the
@@ -560,6 +571,7 @@ SQL_MANN_KENDALL_DAILY = f"""
 """
 
 
+@entry("acf_daily_events", sql=lambda: SQL_ACF_DAILY)
 def q_acf_daily_events(sf_dir: str) -> pd.DataFrame:
     """Lag-1/lag-2 autocorrelation per daily series (estimator and plan:
     :func:`_lag_corr_table`). Matches SQL ``corr(v, LAG(v, k))`` (NULL for
@@ -588,6 +600,7 @@ SQL_ACF_DAILY = f"""
 """
 
 
+@entry("pacf_daily_events", sql=lambda: SQL_PACF_DAILY)
 def q_pacf_daily_events(sf_dir: str) -> pd.DataFrame:
     """Partial autocorrelation (lags 1-3) per daily series via the
     Durbin-Levinson recursion over the lag-k autocorrelations — the
@@ -653,6 +666,7 @@ SQL_PACF_DAILY = f"""
 """
 
 
+@entry("periodogram_daily_events", sql=lambda: SQL_PERIODOGRAM_DAILY)
 def q_periodogram_daily_events(sf_dir: str) -> pd.DataFrame:
     """Single-frequency periodogram power at the weekly and ~monthly
     periods per daily series — the spectral seasonality-strength diagnostic
@@ -732,6 +746,7 @@ SQL_PERIODOGRAM_DAILY = f"""
 # shingle containment pairs (pipelines/dedup.ngram_containment)
 # ---------------------------------------------------------------------------
 
+@entry("containment_pairs_documents", sql=lambda: SQL_CONTAINMENT_PAIRS)
 def q_containment_pairs_documents(sf_dir: str) -> pd.DataFrame:
     """Broder containment |A∩B| / min(|A|,|B|) for the fixed (2i, 2i+1)
     pair list — catches excerpt/superset duplicates whose symmetric Jaccard
@@ -793,6 +808,7 @@ SQL_CONTAINMENT_PAIRS = """
 # trend / seasonal strength (Hyndman FPP3 §4.4, from the decomposition)
 # ---------------------------------------------------------------------------
 
+@entry("decomposition_strength_daily", sql=lambda: SQL_DECOMP_STRENGTH)
 def q_decomposition_strength_daily(sf_dir: str) -> pd.DataFrame:
     """Per-series trend strength ``max(0, 1 − Var(R)/Var(T+R))`` and
     seasonal strength ``max(0, 1 − Var(R)/Var(S+R))`` (Hyndman & Athana-
@@ -874,6 +890,7 @@ SQL_DECOMP_STRENGTH = f"""
 # CDC compaction: latest row per key (stages/agg.compact_latest)
 # ---------------------------------------------------------------------------
 
+@entry("latest_order_per_customer", sql=lambda: SQL_LATEST_ORDER)
 def q_latest_order_per_customer(sf_dir: str) -> pd.DataFrame:
     """Keep each customer's most recent order (date desc, orderkey desc
     tie-break) — streaming combiner + one coarse-hash exchange, full rows
@@ -905,6 +922,7 @@ SQL_LATEST_ORDER = """
 # GROUPING SETS rollup (pipelines/rollup.grouping_sets_rollup)
 # ---------------------------------------------------------------------------
 
+@entry("grouping_sets_daily_events", sql=lambda: SQL_GROUPING_SETS_DAILY)
 def q_grouping_sets_daily_events(sf_dir: str) -> pd.DataFrame:
     """GROUPING SETS ((event_type, day), (event_type), (day), ()) via the
     partial cascade — one input scan, coarser sets re-aggregate partials.
@@ -957,6 +975,7 @@ SQL_GROUPING_SETS_DAILY = """
 _BM25_TERMS = ["spark", "join", "window"]
 
 
+@entry("bm25_search_documents", sql=lambda: SQL_BM25_SEARCH)
 def q_bm25_search_documents(sf_dir: str) -> pd.DataFrame:
     """Okapi BM25 (k1=1.2, b=0.75, Lucene idf) for the fixed query
     {spark, join, window}: every matching document with its score — the
@@ -1001,6 +1020,7 @@ SQL_BM25_SEARCH = r"""
 # per-user behavioral entropy (hierarchical aggregate, vectorized kernel)
 # ---------------------------------------------------------------------------
 
+@entry("user_entropy_events", sql=lambda: SQL_USER_ENTROPY)
 def q_user_entropy_events(sf_dir: str) -> pd.DataFrame:
     """Shannon entropy (nats) of each user's event-type mix: counts reduce
     in one combiner'd aggregate; the per-user −Σ p·ln p finishes in a
@@ -1048,6 +1068,7 @@ SQL_USER_ENTROPY = """
 # distributed fixed-width histogram (map-side binning + combiner'd counts)
 # ---------------------------------------------------------------------------
 
+@entry("value_histogram_events", sql=lambda: SQL_VALUE_HISTOGRAM)
 def q_value_histogram_events(sf_dir: str) -> pd.DataFrame:
     """Fixed-width (50-unit) value histogram per event type — binning is a
     stateless vectorized map; counts combine per batch before the one tiny
@@ -1080,6 +1101,7 @@ SQL_VALUE_HISTOGRAM = """
 # OHLC bars (pipelines/rollup.ohlc_aggregate)
 # ---------------------------------------------------------------------------
 
+@entry("ohlc_daily_events", sql=lambda: SQL_OHLC_DAILY)
 def q_ohlc_daily_events(sf_dir: str) -> pd.DataFrame:
     """Daily open/high/low/close bars per event type over the unique-stamp
     series (values summed at identical timestamps first, so the arg-min/max
@@ -1123,6 +1145,7 @@ SQL_OHLC_DAILY = """
 # irregular-gap rate of change (keyed stage; per-hour units)
 # ---------------------------------------------------------------------------
 
+@entry("rate_hourly_events", sql=lambda: SQL_RATE_HOURLY)
 def q_rate_hourly_events(sf_dir: str) -> pd.DataFrame:
     """Per-series rate of change on the (gappy) hourly spine:
     ``(v − v_prev) / hours elapsed`` — the denominator honors the ACTUAL
@@ -1158,6 +1181,7 @@ SQL_RATE_HOURLY = f"""
 _Q3_CUT = "1998-01-01"
 
 
+@entry("shipping_priority", sql=lambda: SQL_SHIPPING_PRIORITY)
 def q_shipping_priority(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q3 shape (public spec): BUILDING-segment customers' orders
     placed before the cutoff, revenue from lineitems shipped after it, top
@@ -1236,6 +1260,7 @@ SQL_SHIPPING_PRIORITY = f"""
 # cohort retention (web-analytics: first-seen day × activity offset)
 # ---------------------------------------------------------------------------
 
+@entry("cohort_retention_events", sql=lambda: SQL_COHORT_RETENTION)
 def q_cohort_retention_events(sf_dir: str) -> pd.DataFrame:
     """Classic cohort table: users bucketed by first-active day; for each
     (cohort, day-offset) the distinct active users. JOIN-FREE plan: one
@@ -1297,6 +1322,7 @@ SQL_COHORT_RETENTION = """
 # MASE: seasonal-naive forecast, scaled error (Hyndman & Koehler 2006)
 # ---------------------------------------------------------------------------
 
+@entry("mase_daily_events", sql=lambda: SQL_MASE_DAILY)
 def q_mase_daily_events(sf_dir: str) -> pd.DataFrame:
     """Mean Absolute Scaled Error of the ROW-lag-7 seasonal-naive forecast
     per daily series: MAE over forecastable rows divided by the in-sample
@@ -1370,6 +1396,7 @@ SQL_MASE_DAILY = f"""
 # conversion funnel (view → purchase within 7 days)
 # ---------------------------------------------------------------------------
 
+@entry("funnel_conversion_events", sql=lambda: SQL_FUNNEL_CONVERSION)
 def q_funnel_conversion_events(sf_dir: str) -> pd.DataFrame:
     """Classic conversion funnel: users whose FIRST 'view' is followed by a
     'purchase' within 7 days. First-touch reduce + distributed user join;
@@ -1433,6 +1460,7 @@ SQL_FUNNEL_CONVERSION = """
 # event-type transition counts (first-order Markov over user streams)
 # ---------------------------------------------------------------------------
 
+@entry("transition_counts_events", sql=lambda: SQL_TRANSITION_COUNTS)
 def q_transition_counts_events(sf_dir: str) -> pd.DataFrame:
     """(prev → next) event-type transition matrix over per-user streams
     ordered by ts ((user_id, ts) is unique in this corpus, so the order is
@@ -1478,6 +1506,7 @@ SQL_TRANSITION_COUNTS = """
 # exact per-group percentiles (bucketed kernel; quantile_cont semantics)
 # ---------------------------------------------------------------------------
 
+@entry("value_percentiles_events", sql=lambda: SQL_VALUE_PERCENTILES)
 def q_value_percentiles_events(sf_dir: str) -> pd.DataFrame:
     """Exact p50/p90/p99 of value per event type via the range-partition
     order-statistic plan (``interpret.grouped_quantiles``): ONE distributed
@@ -1514,6 +1543,7 @@ SQL_VALUE_PERCENTILES = """
 # S1 JSONL source/sink roundtrip
 # ---------------------------------------------------------------------------
 
+@entry("jsonl_roundtrip_events", sql=lambda: SQL_JSONL_ROUNDTRIP)
 def q_jsonl_roundtrip_events(sf_dir: str) -> pd.DataFrame:
     """S1 JSON-lines sink+source: events (value pre-rounded to 6dp so the
     decimal text round-trips the double exactly) written via
@@ -1551,6 +1581,7 @@ SQL_JSONL_ROUNDTRIP = """
 # Theil–Sen robust trend (median of pairwise slopes) per series
 # ---------------------------------------------------------------------------
 
+@entry("theilsen_daily_events", sql=lambda: SQL_THEILSEN_DAILY)
 def q_theilsen_daily_events(sf_dir: str) -> pd.DataFrame:
     """Theil–Sen estimator per daily series (public: Theil 1950 / Sen 1968):
     slope = median of all pairwise slopes over integer day numbers,
@@ -1617,6 +1648,7 @@ SQL_THEILSEN_DAILY = f"""
 # referential-integrity audit (FK orphan counts via broadcast anti-join)
 # ---------------------------------------------------------------------------
 
+@entry("fk_violations", sql=lambda: SQL_FK_VIOLATIONS)
 def q_fk_violations(sf_dir: str) -> pd.DataFrame:
     """Data-quality audit: orders whose customer is missing and lineitems
     whose order is missing — broadcast anti-join key-set filters, the
@@ -1660,6 +1692,7 @@ SQL_FK_VIOLATIONS = """
 # fuzzy token pairs at edit distance 1 (pipelines/corpus.edit1_token_pairs)
 # ---------------------------------------------------------------------------
 
+@entry("edit1_pairs_documents", sql=lambda: SQL_EDIT1_PAIRS)
 def q_edit1_pairs_documents(sf_dir: str) -> pd.DataFrame:
     """SymSpell deletion-neighborhood blocking + exact verify: every
     distinct-token pair at Levenshtein distance exactly 1."""
@@ -1686,6 +1719,7 @@ SQL_EDIT1_PAIRS = r"""
 # burstiness / index of dispersion per series
 # ---------------------------------------------------------------------------
 
+@entry("dispersion_daily_events", sql=lambda: SQL_DISPERSION_DAILY)
 def q_dispersion_daily_events(sf_dir: str) -> pd.DataFrame:
     """Index of dispersion (Fano factor, var/mean) and coefficient of
     variation per daily series — one moment aggregate; degenerate series
@@ -1734,6 +1768,7 @@ SQL_DISPERSION_DAILY = f"""
 # ntile + cume_dist window twins (stages/window_ops.op_ntile / op_cume_dist)
 # ---------------------------------------------------------------------------
 
+@entry("ntile_cume_daily", sql=lambda: SQL_NTILE_CUME_DAILY)
 def q_ntile_cume_daily(sf_dir: str) -> pd.DataFrame:
     """SQL ntile(4) in time order and cume_dist over the value, fused into
     one keyed window pass."""
@@ -1767,6 +1802,7 @@ SQL_NTILE_CUME_DAILY = f"""
 # vocabulary growth curve (new distinct tokens per doc-id decile)
 # ---------------------------------------------------------------------------
 
+@entry("vocab_growth_documents", sql=lambda: SQL_VOCAB_GROWTH)
 def q_vocab_growth_documents(sf_dir: str) -> pd.DataFrame:
     """Heaps-law style vocabulary growth: each distinct token is charged to
     the FIRST document (min doc_id) that introduces it; buckets of 10% of
@@ -1834,6 +1870,7 @@ SQL_VOCAB_GROWTH = r"""
 # inter-event gap statistics per user
 # ---------------------------------------------------------------------------
 
+@entry("interevent_gaps_events", sql=lambda: SQL_INTEREVENT_GAPS)
 def q_interevent_gaps_events(sf_dir: str) -> pd.DataFrame:
     """Per-user inter-event gap seconds (mean/min/max over consecutive
     events in ts order): whole user streams per partition, vectorized
@@ -1896,6 +1933,7 @@ SQL_INTEREVENT_GAPS = """
 _KMEANS_K = 8
 
 
+@entry("kmeans_assign_embeddings", sql=lambda: SQL_KMEANS_ASSIGN)
 def q_kmeans_assign_embeddings(sf_dir: str) -> pd.DataFrame:
     """One Lloyd E-step: every vector assigned to the nearest of k=8
     deterministic seed centroids (the k smallest vec_ids) by squared L2;
@@ -1962,6 +2000,7 @@ SQL_KMEANS_ASSIGN = f"""
 # cross-series correlation matrix (pivot + pairwise moment reduce)
 # ---------------------------------------------------------------------------
 
+@entry("cross_corr_daily_events", sql=lambda: SQL_CROSS_CORR_DAILY)
 def q_cross_corr_daily_events(sf_dir: str) -> pd.DataFrame:
     """Pairwise Pearson correlation between every two event types' daily
     series over their COMMON days (inner-join semantics): the daily spine
@@ -2028,6 +2067,7 @@ SQL_CROSS_CORR_DAILY = f"""
 # rolling p90 / WoW growth / median imputation
 # ---------------------------------------------------------------------------
 
+@entry("rolling_p90_daily", sql=lambda: SQL_ROLLING_P90_DAILY)
 def q_rolling_p90_daily(sf_dir: str) -> pd.DataFrame:
     """Trailing 7-ROW p90 per daily series (quantile_cont frame twin)."""
     from forecastframe_ray.stages.keyed import keyed_window_stage
@@ -2053,6 +2093,7 @@ SQL_ROLLING_P90_DAILY = f"""
 """
 
 
+@entry("wow_growth_daily", sql=lambda: SQL_WOW_GROWTH_DAILY)
 def q_wow_growth_daily(sf_dir: str) -> pd.DataFrame:
     """Week-over-week growth: (v − v[-7]) / v[-7] per series in ROW terms
     (the gap-filled spine makes row-lag == calendar-lag); NULLF when the
@@ -2092,6 +2133,7 @@ SQL_WOW_GROWTH_DAILY = f"""
 """
 
 
+@entry("median_impute_hourly", sql=lambda: SQL_MEDIAN_IMPUTE_HOURLY)
 def q_median_impute_hourly(sf_dir: str) -> pd.DataFrame:
     """Gap-fill the hourly spine then impute holes with the per-series
     median of OBSERVED values (the robust alternative to ffill /
@@ -2140,6 +2182,7 @@ SQL_MEDIAN_IMPUTE_HOURLY = """
 # per-source corpus profile + lang-ID confusion matrix
 # ---------------------------------------------------------------------------
 
+@entry("source_profile_documents", sql=lambda: SQL_SOURCE_PROFILE)
 def q_source_profile_documents(sf_dir: str) -> pd.DataFrame:
     """Per-source corpus composition: doc count, total/mean chars, distinct
     labeled languages — the ingest-audit query a crawl pipeline runs per
@@ -2180,6 +2223,7 @@ SQL_SOURCE_PROFILE = """
 """
 
 
+@entry("lang_confusion_documents", sql=lambda: SQL_LANG_CONFUSION)
 def q_lang_confusion_documents(sf_dir: str) -> pd.DataFrame:
     """Lang-ID evaluation: confusion counts of the n-gram heuristic's
     prediction against the labeled ``lang`` column (zh has no stopword
@@ -2216,6 +2260,7 @@ SQL_LANG_CONFUSION = _LANG_CONFUSION_TEMPLATE.format(langid=SQL_LANG_ID)
 # robust (median/MAD) outlier flags per series — two-level scale quantiles
 # ---------------------------------------------------------------------------
 
+@entry("robust_zscore_daily", sql=lambda: SQL_ROBUST_ZSCORE)
 def q_robust_zscore_daily(sf_dir: str) -> pd.DataFrame:
     """Robust z-score outliers: |v − median| > 3 · 1.4826 · MAD per series
     (Hampel filter constants, public). BOTH medians run on the
@@ -2278,6 +2323,7 @@ SQL_ROBUST_ZSCORE = f"""
 # modal (most frequent) event type per user — grouped top-1 with tie-break
 # ---------------------------------------------------------------------------
 
+@entry("favorite_type_per_user", sql=lambda: SQL_FAVORITE_TYPE)
 def q_favorite_type_per_user(sf_dir: str) -> pd.DataFrame:
     """Each user's most frequent event type (count desc, type asc on ties)
     — counts pre-reduce in the combiner'd aggregate, the top-1 cut is the
@@ -2320,6 +2366,7 @@ SQL_FAVORITE_TYPE = """
 # SQL-expressible; pinned by tests/test_lttb.py against a reference impl)
 # ---------------------------------------------------------------------------
 
+@entry("lttb_daily_events")
 def q_lttb_daily_events(sf_dir: str) -> pd.DataFrame:
     """20-point LTTB downsample of each daily series (endpoints kept,
     bucket winners by triangle area)."""
@@ -2341,6 +2388,7 @@ def q_lttb_daily_events(sf_dir: str) -> pd.DataFrame:
 # daily composition share (fraction-of-day-total per type)
 # ---------------------------------------------------------------------------
 
+@entry("daily_share_events", sql=lambda: SQL_DAILY_SHARE)
 def q_daily_share_events(sf_dir: str) -> pd.DataFrame:
     """Each type's share of its day's total — the composition dashboard
     query. Day totals reduce first (day-cardinality result), broadcast
@@ -2378,6 +2426,7 @@ SQL_DAILY_SHARE = f"""
 # deterministic train/val/test split (stages/sample.hash_split)
 # ---------------------------------------------------------------------------
 
+@entry("dataset_split_orders", sql=lambda: SQL_DATASET_SPLIT)
 def q_dataset_split_orders(sf_dir: str) -> pd.DataFrame:
     """80/10/10 hash split of orders by key — membership depends only on
     md5(o_orderkey), so it is identical for any cluster shape, resume, or
@@ -2430,6 +2479,7 @@ _CI_Z = 1.959963984540054   # norm.ppf(0.975); engine recomputes via Acklam
 _FLOOR = 2600.0             # clamps ~10% of sf0.01 daily rows (real effect)
 
 
+@entry("forecast_postprocess_daily", sql=lambda: SQL_FORECAST_POSTPROCESS)
 def q_forecast_postprocess_daily(sf_dir: str) -> pd.DataFrame:
     """Reference prediction post-processing chained exactly as
     ``predict()`` applies it: floor the ``predicted_*`` columns
@@ -2477,6 +2527,7 @@ SQL_FORECAST_POSTPROCESS = f"""
 """
 
 
+@entry("asymmetric_loss_naive", sql=lambda: SQL_ASYMMETRIC_LOSS_NAIVE)
 def q_asymmetric_loss_naive(sf_dir: str) -> pd.DataFrame:
     """The M5-winning asymmetric validation loss
     (``_custom_asymmetric_valid``, model.py:539-548) of the naive lag-1
@@ -2542,6 +2593,7 @@ _PACK_SQL = rf"""
 """
 
 
+@entry("pack_spans_documents", sql=lambda: SQL_PACK_SPANS)
 def q_pack_spans_documents(sf_dir: str) -> pd.DataFrame:
     """GPT-style fixed-context packing of the whitespace token stream
     (docs in doc_id order, 1 EOS separator each, context 512): the
@@ -2566,6 +2618,7 @@ SQL_PACK_SPANS = _PACK_SQL + """
 """
 
 
+@entry("pack_chunk_stats_documents", sql=lambda: SQL_PACK_CHUNK_STATS)
 def q_pack_chunk_stats_documents(sf_dir: str) -> pd.DataFrame:
     """Per-chunk composition of the packed stream: how many docs and
     content tokens each fixed 512-token chunk holds (separators excluded)
@@ -2617,6 +2670,7 @@ _MIX_SQL = """
 """
 
 
+@entry("mixture_plan_lang", sql=lambda: SQL_MIXTURE_PLAN)
 def q_mixture_plan_lang(sf_dir: str) -> pd.DataFrame:
     """Temperature-scaled mixture plan over the corpus languages
     (Lample & Conneau 2019 §3.1 sampling rule, T=0.5): per-lang share p,
@@ -2640,6 +2694,7 @@ SQL_MIXTURE_PLAN = _MIX_SQL + """
 """
 
 
+@entry("mixture_sample_lang", sql=lambda: SQL_MIXTURE_SAMPLE)
 def q_mixture_sample_lang(sf_dir: str) -> pd.DataFrame:
     """The mixture plan applied: per-lang deterministic md5-bucket
     downsample at the temperature-reweighted rates — membership depends
@@ -2669,6 +2724,7 @@ SQL_MIXTURE_SAMPLE = _MIX_SQL + """
 _DF_CRIT_5PCT = -2.8614   # MacKinnon asymptotic 5% critical value, constant
 
 
+@entry("dickey_fuller_daily", sql=lambda: SQL_DICKEY_FULLER_DAILY)
 def q_dickey_fuller_daily(sf_dir: str) -> pd.DataFrame:
     """Dickey-Fuller unit-root test per daily series (lag-0, constant):
     regress Δv_t on v_{t−1} by the closed-form 1-regressor OLS and report
@@ -2772,6 +2828,7 @@ SQL_DICKEY_FULLER_DAILY = f"""
 _LB_CHI2_3DOF_5PCT = 7.8147   # chi-square 5% critical value, 3 dof (public)
 
 
+@entry("ljung_box_daily", sql=lambda: SQL_LJUNG_BOX_DAILY)
 def q_ljung_box_daily(sf_dir: str) -> pd.DataFrame:
     """Ljung-Box Q over lags 1-3 per daily series:
     ``Q = n(n+2) Σ_k r_k² / (n−k)`` with the engine's shared pairwise
@@ -2825,6 +2882,7 @@ SQL_LJUNG_BOX_DAILY = f"""
 """
 
 
+@entry("ts_strength_daily", sql=lambda: SQL_TS_STRENGTH_DAILY)
 def q_ts_strength_daily(sf_dir: str) -> pd.DataFrame:
     """Trend / seasonal strength per daily series (Hyndman &
     Athanasopoulos, FPP3 §4.3 — public): with the additive decomposition's
@@ -2908,6 +2966,7 @@ SQL_TS_STRENGTH_DAILY = f"""
 """
 
 
+@entry("demand_classification_users", sql=lambda: SQL_DEMAND_CLASSIFICATION)
 def q_demand_classification_users(sf_dir: str) -> pd.DataFrame:
     """Syntetos-Boylan demand-pattern classification per user series
     (Syntetos & Boylan 2005 — public; the diagnostic that decides when the
@@ -2983,6 +3042,7 @@ SQL_DEMAND_CLASSIFICATION = f"""
 """
 
 
+@entry("theta_forecast_gate_daily", sql=lambda: SQL_THETA_FORECAST_GATE)
 def q_theta_forecast_gate_daily(sf_dir: str) -> pd.DataFrame:
     """Theta-method forecast (M3 winner), oracle-GATED through the α=1
     degenerate form: the SES level collapses to the last θ=2 value
@@ -3056,6 +3116,8 @@ SQL_THETA_FORECAST_GATE = f"""
 """
 
 
+@entry("exact_dedup_keep_best_documents",
+       sql=lambda: SQL_EXACT_DEDUP_KEEP_BEST)
 def q_exact_dedup_keep_best_documents(sf_dir: str) -> pd.DataFrame:
     """Exact dedup with the preferred-provenance keep rule: per distinct
     text keep the copy from the alphabetically-first source (doc_id as
@@ -3079,6 +3141,7 @@ SQL_EXACT_DEDUP_KEEP_BEST = """
 """
 
 
+@entry("croston_sba_gate_daily", sql=lambda: SQL_CROSTON_SBA_GATE)
 def q_croston_sba_gate_daily(sf_dir: str) -> pd.DataFrame:
     """SBA-debiased Croston forecast (Syntetos-Boylan Approximation 2005:
     Croston × (1 − α/2)), gated through the same α=1 closed form as
@@ -3140,6 +3203,8 @@ SQL_CROSTON_SBA_GATE = f"""
 """
 
 
+@entry("seasonal_naive_forecast_daily",
+       sql=lambda: SQL_SEASONAL_NAIVE_FORECAST)
 def q_seasonal_naive_forecast_daily(sf_dir: str) -> pd.DataFrame:
     """Seasonal-naive baseline forecast (FPP3 §5.2), EXACT oracle — no
     degenerate gate needed: the 7-day-horizon forecast is the most recent
@@ -3186,6 +3251,7 @@ SQL_SEASONAL_NAIVE_FORECAST = f"""
 """
 
 
+@entry("drift_forecast_daily", sql=lambda: SQL_DRIFT_FORECAST)
 def q_drift_forecast_daily(sf_dir: str) -> pd.DataFrame:
     """Drift-method baseline forecast (FPP3 §5.2), EXACT oracle:
     ŷ(t) = y_last + (t − t_last)·(y_last − y_first)/(t_last − t_first)
@@ -3238,6 +3304,7 @@ SQL_DRIFT_FORECAST = f"""
 """
 
 
+@entry("zipf_fit_documents", sql=lambda: SQL_ZIPF_FIT)
 def q_zipf_fit_documents(sf_dir: str) -> pd.DataFrame:
     """Zipf power-law fit over the corpus vocabulary (Zipf 1935 — public;
     the classic sanity diagnostic that a text corpus is natural-language-
@@ -3292,6 +3359,7 @@ SQL_ZIPF_FIT = r"""
 """
 
 
+@entry("baseline_leaderboard_daily", sql=lambda: SQL_BASELINE_LEADERBOARD)
 def q_baseline_leaderboard_daily(sf_dir: str) -> pd.DataFrame:
     """Model-selection capstone with a FULL SQL oracle: hold out the last
     7 days of each daily series, fit the three exactly-reproducible
@@ -3394,6 +3462,7 @@ SQL_BASELINE_LEADERBOARD = f"""
 """
 
 
+@entry("ses_naive_gate_daily", sql=lambda: SQL_SES_NAIVE_GATE)
 def q_ses_naive_gate_daily(sf_dir: str) -> pd.DataFrame:
     """SES forecast, oracle-GATED through the α=1 degenerate form: the
     level collapses to the last observation, i.e. the naive flat forecast
@@ -3428,6 +3497,7 @@ SQL_SES_NAIVE_GATE = f"""
 """
 
 
+@entry("heaps_fit_documents", sql=lambda: SQL_HEAPS_FIT)
 def q_heaps_fit_documents(sf_dir: str) -> pd.DataFrame:
     """Heaps-law fit (Heaps 1978 — public; the vocabulary-growth twin of
     the Zipf check): OLS of log(cumulative distinct tokens) on
@@ -3553,6 +3623,7 @@ SQL_HEAPS_FIT = rf"""
 """
 
 
+@entry("trimmed_mean_events", sql=lambda: SQL_TRIMMED_MEAN_EVENTS)
 def q_trimmed_mean_events(sf_dir: str) -> pd.DataFrame:
     """Per-type 10-90% trimmed mean of the raw event values — the robust
     location statistic (drop each group's outer deciles, then mean). The
@@ -3600,6 +3671,7 @@ SQL_TRIMMED_MEAN_EVENTS = """
 """
 
 
+@entry("rolling_skew_daily", sql=lambda: SQL_ROLLING_SKEW_DAILY)
 def q_rolling_skew_daily(sf_dir: str) -> pd.DataFrame:
     """W1 rolling third-moment shape statistic: 7-day lag-1 rolling sample
     skewness (adjusted Fisher-Pearson — the pandas ``rolling().skew()``
@@ -3629,6 +3701,7 @@ SQL_ROLLING_SKEW_DAILY = f"""
 """
 
 
+@entry("rolling_corr_market_daily", sql=lambda: SQL_ROLLING_CORR_MARKET)
 def q_rolling_corr_market_daily(sf_dir: str) -> pd.DataFrame:
     """Rolling co-movement with the market: per series, the 7-day lag-1
     rolling correlation between its daily value and the all-series daily
@@ -3684,6 +3757,7 @@ SQL_ROLLING_CORR_MARKET = f"""
 """
 
 
+@entry("geo_harmonic_mean_lineitem", sql=lambda: SQL_GEO_HARMONIC_MEAN)
 def q_geo_harmonic_mean_lineitem(sf_dir: str) -> pd.DataFrame:
     """Geometric and harmonic means of quantity per return flag — the two
     classical non-arithmetic means, each an ALGEBRAIC reduce (Σln x and
@@ -3718,6 +3792,7 @@ SQL_GEO_HARMONIC_MEAN = """
 """
 
 
+@entry("twap_daily_events", sql=lambda: SQL_TWAP_DAILY)
 def q_twap_daily_events(sf_dir: str) -> pd.DataFrame:
     """Time-weighted average per (series, day) over the IRREGULAR event
     stream — the TimescaleDB ``time_weight('LOCF')`` continuous-aggregate
@@ -3779,6 +3854,7 @@ SQL_TWAP_DAILY = """
 """
 
 
+@entry("counter_increase_users", sql=lambda: SQL_COUNTER_INCREASE)
 def q_counter_increase_users(sf_dir: str) -> pd.DataFrame:
     """Counter-agg ``increase()`` per user (the Prometheus/TimescaleDB
     counter-reset rule — public): reading the event values as a counter
@@ -3808,3 +3884,20 @@ def q_counter_increase_users(sf_dir: str) -> pd.DataFrame:
     out = out.astype({"user_id": "int64", "n": "int64",
                       "n_resets": "int64"})
     return out.sort_values("user_id").reset_index(drop=True)
+
+
+SQL_COUNTER_INCREASE = """
+    WITH l AS (
+        SELECT user_id, value,
+               LAG(value) OVER (PARTITION BY user_id
+                                ORDER BY ts, value) AS pv
+        FROM events
+    )
+    SELECT user_id, CAST(count(*) AS BIGINT) AS n,
+           round(COALESCE(sum(CASE WHEN pv IS NULL THEN 0
+                                   WHEN value >= pv THEN value - pv
+                                   ELSE value END), 0), 6) AS increase,
+           CAST(COALESCE(sum(CASE WHEN value < pv THEN 1 END), 0)
+                AS BIGINT) AS n_resets
+    FROM l GROUP BY 1
+"""

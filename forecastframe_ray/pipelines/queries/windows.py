@@ -34,47 +34,11 @@ from forecastframe_ray.pipelines.queries.corpus import (  # noqa: F401
     _char_shingles,
     q_blocking_dedup_documents,
 )
+from forecastframe_ray.pipelines.queries import entry
 
 
 
-SQL_NAIVE2_FORECAST = f"""
-    WITH daily AS ({_DAILY_SQL}),
-    r AS (
-        SELECT event_type, d, v,
-               row_number() OVER (PARTITION BY event_type ORDER BY d) AS rn
-        FROM daily
-    ),
-    gm AS (
-        SELECT event_type, avg(v) AS g, count(*) AS n,
-               max(d) AS d_last, arg_max(v, rn) AS y_last
-        FROM r GROUP BY 1
-    ),
-    seas AS (
-        SELECT r.event_type, (rn - 1) % 7 AS six,
-               CASE WHEN gm.g = 0 OR avg(r.v) / gm.g = 0 THEN 1.0
-                    ELSE avg(r.v) / gm.g END AS s
-        FROM r JOIN gm USING (event_type)
-        GROUP BY 1, 2, gm.g
-    ),
-    f AS (
-        SELECT gm.*, fd.d, datediff('day', gm.d_last, fd.d) AS h
-        FROM gm CROSS JOIN (
-            SELECT unnest(generate_series(maxd + INTERVAL 1 DAY,
-                                          maxd + INTERVAL 7 DAY,
-                                          INTERVAL 1 DAY)) AS d
-            FROM (SELECT max(d) AS maxd FROM daily)
-        ) fd
-    )
-    SELECT f.event_type, f.d,
-           round(f.y_last / sl.s * COALESCE(sf2.s, 1.0), 6) AS predicted_v
-    FROM f
-    JOIN seas sl ON sl.event_type = f.event_type
-                AND sl.six = (f.n - 1) % 7
-    LEFT JOIN seas sf2 ON sf2.event_type = f.event_type
-                      AND sf2.six = (f.n - 1 + f.h) % 7
-"""
-
-
+@entry("kmv_set_ops_gate", sql=lambda: SQL_KMV_SET_OPS_GATE)
 def q_kmv_set_ops_gate(sf_dir: str) -> pd.DataFrame:
     """KMV set operations (Beyer et al. 2007 — public): distinct 'click'
     and 'view' user sets as KMV sketches; union by sketch merge,
@@ -142,6 +106,7 @@ SQL_KMV_SET_OPS_GATE = """
 # forecast combination / L-moments / expected shortfall (batch 22)
 # ---------------------------------------------------------------------------
 
+@entry("combo_forecast_daily", sql=lambda: SQL_COMBO_FORECAST)
 def q_combo_forecast_daily(sf_dir: str) -> pd.DataFrame:
     """Forecast combination (Bates & Granger 1969 — public; the 'simple
     average beats the components' classic): the equal-weight mean of the
@@ -203,6 +168,7 @@ SQL_COMBO_FORECAST = f"""
 """
 
 
+@entry("lmoments_events", sql=lambda: SQL_LMOMENTS)
 def q_lmoments_events(sf_dir: str) -> pd.DataFrame:
     """First three L-moments per event type (Hosking 1990 — public; the
     robust distribution-shape family): λ₁ = mean, λ₂ (L-scale) and
@@ -264,6 +230,7 @@ SQL_LMOMENTS = f"""
 """
 
 
+@entry("expected_shortfall_events", sql=lambda: SQL_EXPECTED_SHORTFALL)
 def q_expected_shortfall_events(sf_dir: str) -> pd.DataFrame:
     """Expected shortfall / CVaR (public risk convention): per event
     type, the mean of values STRICTLY ABOVE the 6dp-rounded p95
@@ -309,6 +276,7 @@ SQL_EXPECTED_SHORTFALL = f"""
 # Winkler interval score / Theil U / PSI drift (batch 23)
 # ---------------------------------------------------------------------------
 
+@entry("winkler_interval_daily", sql=lambda: SQL_WINKLER_INTERVAL)
 def q_winkler_interval_daily(sf_dir: str) -> pd.DataFrame:
     """Winkler interval score (Winkler 1972 — public; the standard
     interval-forecast evaluation): per series, the naive interval
@@ -378,6 +346,7 @@ SQL_WINKLER_INTERVAL = f"""
 """
 
 
+@entry("theil_u_daily", sql=lambda: SQL_THEIL_U)
 def q_theil_u_daily(sf_dir: str) -> pd.DataFrame:
     """Theil's U (M-competition convention — public): the seasonal-naive
     (ROW lag 7) RMSE over the naive (lag 1) RMSE per series, on the rows
@@ -430,6 +399,7 @@ SQL_THEIL_U = f"""
 """
 
 
+@entry("psi_orders_priority", sql=lambda: SQL_PSI_ORDERS)
 def q_psi_orders_priority(sf_dir: str) -> pd.DataFrame:
     """Population Stability Index (public credit-scoring / ML-monitoring
     convention): the o_orderpriority mix of the FIRST order-date half vs
@@ -492,6 +462,7 @@ SQL_PSI_ORDERS = """
 # Jensen-Shannon source divergence / Cohen's kappa (batch 24)
 # ---------------------------------------------------------------------------
 
+@entry("js_divergence_sources", sql=lambda: SQL_JS_DIVERGENCE_SOURCES)
 def q_js_divergence_sources(sf_dir: str) -> pd.DataFrame:
     """Jensen–Shannon divergence (nats) between each source's whitespace
     token distribution and the corpus distribution — the corpus-mix
@@ -557,6 +528,7 @@ SQL_JS_DIVERGENCE_SOURCES = r"""
 """
 
 
+@entry("cohen_kappa_lang", sql=lambda: SQL_COHEN_KAPPA_LANG)
 def q_cohen_kappa_lang(sf_dir: str) -> pd.DataFrame:
     """Cohen's kappa (Cohen 1960 — public) of the n-gram lang-ID
     heuristic against the corpus label — chance-corrected agreement,
@@ -610,6 +582,7 @@ SQL_COHEN_KAPPA_LANG = SQL_COHEN_KAPPA_LANG.replace(
 # blocking recall gate (batch 25)
 # ---------------------------------------------------------------------------
 
+@entry("blocking_recall_documents", sql=lambda: SQL_BLOCKING_RECALL)
 def q_blocking_recall_documents(sf_dir: str) -> pd.DataFrame:
     """Recall gate for the classical BLOCKING dedup (minhash_recall
     pattern): its pair output must contain ≥90% of ALL true pairs with
@@ -689,6 +662,7 @@ SQL_BLOCKING_RECALL = """
 # changepoint via SSE argmin / local maxima (batch 26)
 # ---------------------------------------------------------------------------
 
+@entry("changepoint_sse_daily", sql=lambda: SQL_CHANGEPOINT_SSE)
 def q_changepoint_sse_daily(sf_dir: str) -> pd.DataFrame:
     """Single-changepoint detection by binary segmentation (the first
     step of PELT/binseg — public): per series the split minimizing the
@@ -766,6 +740,7 @@ SQL_CHANGEPOINT_SSE = f"""
 """
 
 
+@entry("local_maxima_daily", sql=lambda: SQL_LOCAL_MAXIMA)
 def q_local_maxima_daily(sf_dir: str) -> pd.DataFrame:
     """Local-maxima (peak) profile per daily series: days strictly above
     BOTH neighbors (interior rows only) — peak count, the tallest peak's
@@ -834,6 +809,7 @@ SQL_LOCAL_MAXIMA = f"""
 # damped Holt gate / activation latency (batch 27)
 # ---------------------------------------------------------------------------
 
+@entry("holt_damped_gate_daily", sql=lambda: SQL_HOLT_DAMPED_GATE)
 def q_holt_damped_gate_daily(sf_dir: str) -> pd.DataFrame:
     """Damped-trend Holt forecast, oracle-GATED through the α=1/β=1
     degenerate fit (l_T = y_T, b_T = y_T − y_{T−1}, exactly as the plain
@@ -882,6 +858,7 @@ SQL_HOLT_DAMPED_GATE = f"""
 """
 
 
+@entry("activation_latency_users", sql=lambda: SQL_ACTIVATION_LATENCY)
 def q_activation_latency_users(sf_dir: str) -> pd.DataFrame:
     """Activation latency (the PLG growth metric): for users reaching
     ≥5 events, the seconds from their 1st to their 5th event —
@@ -945,6 +922,7 @@ _Q6_LO = "1996-01-01"
 _Q6_HI = "1997-01-01"
 
 
+@entry("q6_revenue_filter", sql=lambda: SQL_Q6_REVENUE)
 def q_q6_revenue_filter(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q6 shape (public spec): tight scan-filter-aggregate — revenue
     that would be gained by dropping small discounts on low-quantity lines
@@ -982,6 +960,7 @@ SQL_Q6_REVENUE = f"""
 """
 
 
+@entry("q4_priority_exists", sql=lambda: SQL_Q4_PRIORITY)
 def q_q4_priority_exists(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q4 shape (order-priority checking): orders placed in a window
     that have AT LEAST ONE returned lineitem (`l_returnflag = 'R'` stands in
@@ -1028,6 +1007,7 @@ SQL_Q4_PRIORITY = """
 """
 
 
+@entry("q12_returnflag_priority", sql=lambda: SQL_Q12_PRIORITY)
 def q_q12_returnflag_priority(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q12 shape (shipping-mode priority split, `l_returnflag` standing
     in for the absent shipmode column): lines shipped in one year joined to
@@ -1089,6 +1069,7 @@ SQL_Q12_PRIORITY = """
 # Lane stochastic oscillator, Granville on-balance volume)
 # ---------------------------------------------------------------------------
 
+@entry("rsi_daily_events", sql=lambda: SQL_RSI_DAILY)
 def q_rsi_daily_events(sf_dir: str) -> pd.DataFrame:
     """Cutler's RSI (simple-average variant — the Wilder original is a
     recursive EWM, not SQL-expressible): 14-row trailing means of the
@@ -1149,6 +1130,7 @@ SQL_RSI_DAILY = f"""
 """
 
 
+@entry("stochastic_daily_events", sql=lambda: SQL_STOCHASTIC_DAILY)
 def q_stochastic_daily_events(sf_dir: str) -> pd.DataFrame:
     """Lane stochastic oscillator on the daily spine: %K = position of
     today's value inside the trailing-14 (incl. today) min..max range,
@@ -1207,6 +1189,7 @@ SQL_STOCHASTIC_DAILY = f"""
 """
 
 
+@entry("obv_daily_events", sql=lambda: SQL_OBV_DAILY)
 def q_obv_daily_events(sf_dir: str) -> pd.DataFrame:
     """Granville on-balance volume adapted to the daily value spine:
     running sum of +v / −v / 0 by the sign of the day-over-day move (first
@@ -1257,6 +1240,7 @@ SQL_OBV_DAILY = f"""
 # rolling kurtosis / Kendall tau-b vs market / global max-concurrency sweep
 # ---------------------------------------------------------------------------
 
+@entry("rolling_kurt_daily", sql=lambda: SQL_ROLLING_KURT_DAILY)
 def q_rolling_kurt_daily(sf_dir: str) -> pd.DataFrame:
     """W1 fourth-moment shape statistic: trailing-14 sample EXCESS kurtosis
     (bias-corrected G2 — pandas ``rolling.kurt`` and DuckDB ``kurtosis``
@@ -1295,6 +1279,7 @@ SQL_ROLLING_KURT_DAILY = f"""
 """
 
 
+@entry("kendall_tau_market_daily", sql=lambda: SQL_KENDALL_TAU_MARKET)
 def q_kendall_tau_market_daily(sf_dir: str) -> pd.DataFrame:
     """Kendall tau-b (Kendall 1938, tie-corrected form) between each daily
     series and the MARKET total (sum over all series per day) — the
@@ -1371,6 +1356,7 @@ SQL_KENDALL_TAU_MARKET = f"""
 """
 
 
+@entry("max_concurrency_events", sql=lambda: SQL_MAX_CONCURRENCY)
 def q_max_concurrency_events(sf_dir: str) -> pd.DataFrame:
     """Peak concurrency of 30-minute activity intervals (one per event):
     the classic interval sweep — every interval contributes (+1 at start,
@@ -1448,6 +1434,7 @@ SQL_MAX_CONCURRENCY = """
 # embedding-space audits: pairwise-cosine histogram, norm stats, spectral gate
 # ---------------------------------------------------------------------------
 
+@entry("cosine_histogram_embeddings", sql=lambda: SQL_COSINE_HISTOGRAM)
 def q_cosine_histogram_embeddings(sf_dir: str) -> pd.DataFrame:
     """Distribution audit of PAIRWISE cosine similarity: counts of all i<j
     pairs in ten fixed [−1,1] bins. The comparison matrix is broadcast once
@@ -1502,6 +1489,7 @@ SQL_COSINE_HISTOGRAM = """
 """
 
 
+@entry("norm_stats_embeddings", sql=lambda: SQL_NORM_STATS)
 def q_norm_stats_embeddings(sf_dir: str) -> pd.DataFrame:
     """Per-label L2-norm profile (n, mean, min, max) — the standard sanity
     gate before cosine ops (zero / unnormalized vectors distort every
@@ -1537,6 +1525,7 @@ SQL_NORM_STATS = """
 """
 
 
+@entry("pca_spectrum_gate_embeddings", sql=lambda: SQL_PCA_SPECTRUM_GATE)
 def q_pca_spectrum_gate_embeddings(sf_dir: str) -> pd.DataFrame:
     """Spectral gate for the PCA path: the eigenvalues of the one-pass
     population covariance must satisfy Σλ = trace(C) and Σλ² = ‖C‖²_F
@@ -1594,6 +1583,7 @@ SQL_PCA_SPECTRUM_GATE = """
 # schema-evolution union + deterministic text normalization
 # ---------------------------------------------------------------------------
 
+@entry("schema_evolution_union", sql=lambda: SQL_SCHEMA_EVOLUTION_UNION)
 def q_schema_evolution_union(sf_dir: str) -> pd.DataFrame:
     """Lakehouse schema-evolution read: two file generations of the orders
     table (v1 carries price, v2 carries date+priority) unioned BY NAME with
@@ -1652,6 +1642,7 @@ SQL_SCHEMA_EVOLUTION_UNION = """
 """
 
 
+@entry("normalize_text_documents", sql=lambda: SQL_NORMALIZE_TEXT)
 def q_normalize_text_documents(sf_dir: str) -> pd.DataFrame:
     """Deterministic text canonicalization (the byte-identity contract the
     north_rule demands of extraction, applied as a standalone stage): NFC
@@ -1695,6 +1686,7 @@ SQL_NORMALIZE_TEXT = """
 # graph centrality / business-day calendar / Misra-Gries heavy hitters
 # ---------------------------------------------------------------------------
 
+@entry("pagerank_types_events", sql=lambda: SQL_PAGERANK_TYPES)
 def q_pagerank_types_events(sf_dir: str) -> pd.DataFrame:
     """Weighted PageRank (Brin-Page 1998, damping 0.85, 3 synchronous
     iterations from uniform) over the event-type transition graph. Edge
@@ -1776,6 +1768,7 @@ SQL_PAGERANK_TYPES = """
 """
 
 
+@entry("business_days_to_ship", sql=lambda: SQL_BUSINESS_DAYS)
 def q_business_days_to_ship(sf_dir: str) -> pd.DataFrame:
     """Order→ship latency in BUSINESS days (Mon–Fri, [order, ship) interval
     — numpy ``busday_count`` semantics) per order priority, over the rows
@@ -1837,6 +1830,7 @@ SQL_BUSINESS_DAYS = """
 """
 
 
+@entry("heavy_hitters_users_events", sql=lambda: SQL_HEAVY_HITTERS_USERS)
 def q_heavy_hitters_users_events(sf_dir: str) -> pd.DataFrame:
     """Misra-Gries heavy hitters (1982; mergeable-summaries form, Agarwal
     et al. 2013): every user with more than n/k of all events. Pass 1:
@@ -1891,6 +1885,7 @@ SQL_HEAVY_HITTERS_USERS = """
 # quantile normalization / state dwell time / grouped OLS
 # ---------------------------------------------------------------------------
 
+@entry("quantile_normalize_daily", sql=lambda: SQL_QUANTILE_NORMALIZE_DAILY)
 def q_quantile_normalize_daily(sf_dir: str) -> pd.DataFrame:
     """Quantile normalization (Bolstad et al. 2003 — the microarray
     standard) across the daily series: every series' r-th order statistic
@@ -1936,6 +1931,7 @@ SQL_QUANTILE_NORMALIZE_DAILY = f"""
 """
 
 
+@entry("state_dwell_time_events", sql=lambda: SQL_STATE_DWELL_TIME)
 def q_state_dwell_time_events(sf_dir: str) -> pd.DataFrame:
     """Time-in-state aggregation (uptime/monitoring semantics): each event
     puts its user INTO the state named by its type until that user's next
@@ -1988,6 +1984,7 @@ SQL_STATE_DWELL_TIME = """
 """
 
 
+@entry("ols_price_quantity_brand", sql=lambda: SQL_OLS_PRICE_QUANTITY)
 def q_ols_price_quantity_brand(sf_dir: str) -> pd.DataFrame:
     """Grouped bivariate OLS (price-elasticity audit): per part BRAND,
     regress quantity on extended price across lineitems — slope, intercept
@@ -2053,6 +2050,7 @@ SQL_OLS_PRICE_QUANTITY = """
 # Kaplan-Meier survival / Sharpe drift ratio / id-sequence gap audit
 # ---------------------------------------------------------------------------
 
+@entry("kaplan_meier_users", sql=lambda: SQL_KAPLAN_MEIER)
 def q_kaplan_meier_users(sf_dir: str) -> pd.DataFrame:
     """Kaplan-Meier survival estimator (1958) over user lifetimes: lifetime
     = whole days between a user's first and last event; a user whose last
@@ -2125,6 +2123,7 @@ SQL_KAPLAN_MEIER = """
 """
 
 
+@entry("sharpe_daily_events", sql=lambda: SQL_SHARPE_DAILY)
 def q_sharpe_daily_events(sf_dir: str) -> pd.DataFrame:
     """Annualized Sharpe-style drift ratio per daily series, on ABSOLUTE
     day-over-day moves (the daily sums cross zero, so relative returns are
@@ -2169,6 +2168,7 @@ SQL_SHARPE_DAILY = f"""
 """
 
 
+@entry("id_gaps_events", sql=lambda: SQL_ID_GAPS)
 def q_id_gaps_events(sf_dir: str) -> pd.DataFrame:
     """Sequence-integrity audit: the 50 largest runs of MISSING event_ids
     within the 'click' stream (gaps between consecutive observed ids),
@@ -2245,6 +2245,7 @@ SQL_ID_GAPS = """
 # quadratic trend / zero-floored stock balance / weekday seasonal adjustment
 # ---------------------------------------------------------------------------
 
+@entry("quadratic_trend_daily", sql=lambda: SQL_QUADRATIC_TREND)
 def q_quadratic_trend_daily(sf_dir: str) -> pd.DataFrame:
     """Degree-2 polynomial trend per daily series, fit EXACTLY by Cramer's
     rule on the normal equations — six moment sums (n, Σt, Σt², Σt³, Σt⁴,
@@ -2330,6 +2331,7 @@ SQL_QUADRATIC_TREND = f"""
 """
 
 
+@entry("stock_balance_daily", sql=lambda: SQL_STOCK_BALANCE)
 def q_stock_balance_daily(sf_dir: str) -> pd.DataFrame:
     """Zero-floored running balance (inventory semantics: demand can't
     drive stock negative): S_t = max(0, S_{t−1} + Δv_t). The recursion is
@@ -2384,6 +2386,7 @@ SQL_STOCK_BALANCE = f"""
 """
 
 
+@entry("weekday_adjust_daily", sql=lambda: SQL_WEEKDAY_ADJUST)
 def q_weekday_adjust_daily(sf_dir: str) -> pd.DataFrame:
     """Weekday seasonal ADJUSTMENT (not just the profile): per series,
     v_adj = v − mean(v | same weekday) + mean(v) — removes the day-of-week
@@ -2425,6 +2428,7 @@ SQL_WEEKDAY_ADJUST = f"""
 # AR(1) fit / partial-pooling shrinkage / exponential inter-arrival KS
 # ---------------------------------------------------------------------------
 
+@entry("ar1_forecast_daily", sql=lambda: SQL_AR1_FORECAST)
 def q_ar1_forecast_daily(sf_dir: str) -> pd.DataFrame:
     """Exact AR(1)-with-intercept fit per daily series: OLS of v_t on
     v_{t-1} (phi = Σ(x−x̄)(y−ȳ)/Σ(x−x̄)², c = ȳ − φx̄ — the same closed
@@ -2488,6 +2492,7 @@ SQL_AR1_FORECAST = f"""
 """
 
 
+@entry("pooled_shrinkage_daily", sql=lambda: SQL_POOLED_SHRINKAGE)
 def q_pooled_shrinkage_daily(sf_dir: str) -> pd.DataFrame:
     """Empirical-Bayes partial pooling of per-series daily means toward the
     grand mean (one-way random-effects shrinkage, cf. Gelman & Hill ch. 12):
@@ -2548,6 +2553,7 @@ SQL_POOLED_SHRINKAGE = f"""
 """
 
 
+@entry("interarrival_expfit_events", sql=lambda: SQL_INTERARRIVAL_EXPFIT)
 def q_interarrival_expfit_events(sf_dir: str) -> pd.DataFrame:
     """Exponential inter-arrival fit + Kolmogorov-Smirnov goodness-of-fit
     per event type: gaps g_i between consecutive events (ordered by
@@ -2621,6 +2627,7 @@ SQL_INTERARRIVAL_EXPFIT = f"""
 # lexical richness / Good-Turing spectrum / per-doc word entropy
 # ---------------------------------------------------------------------------
 
+@entry("lexical_richness_documents", sql=lambda: SQL_LEXICAL_RICHNESS)
 def q_lexical_richness_documents(sf_dir: str) -> pd.DataFrame:
     """Lexical-richness profile per source over whitespace tokens: token
     count N, type count V, hapax ratio V1/V, Simpson's repeat index
@@ -2692,6 +2699,7 @@ SQL_LEXICAL_RICHNESS = r"""
 """
 
 
+@entry("good_turing_documents", sql=lambda: SQL_GOOD_TURING)
 def q_good_turing_documents(sf_dir: str) -> pd.DataFrame:
     """Good-Turing frequency-of-frequencies over the corpus vocabulary:
     N_r = number of token types seen exactly r times (r = 1..10) and the
@@ -2747,6 +2755,7 @@ SQL_GOOD_TURING = rf"""
 """
 
 
+@entry("word_entropy_documents", sql=lambda: SQL_WORD_ENTROPY)
 def q_word_entropy_documents(sf_dir: str) -> pd.DataFrame:
     """Per-document Shannon word entropy (bits) over whitespace tokens —
     H = log2(n) − (Σ c·log2 c)/n — plus the normalized form H/log2(V)
@@ -2819,6 +2828,7 @@ SQL_WORD_ENTROPY = rf"""
 # HyperLogLog gate / variance F-test / cross-sectional z-score
 # ---------------------------------------------------------------------------
 
+@entry("hll_distinct_gate", sql=lambda: SQL_HLL_DISTINCT_GATE)
 def q_hll_distinct_gate(sf_dir: str) -> pd.DataFrame:
     """HyperLogLog accuracy gate (distinct_users_kmv_gate pattern): the
     p=12 (4096-register, σ≈1.6%) HLL estimate of distinct users per event
@@ -2849,6 +2859,7 @@ SQL_HLL_DISTINCT_GATE = """
 """
 
 
+@entry("variance_ftest_daily", sql=lambda: SQL_VARIANCE_FTEST)
 def q_variance_ftest_daily(sf_dir: str) -> pd.DataFrame:
     """Two-sample variance F-test between the first and second time-halves
     of each daily series (heteroscedasticity / regime-change screen):
@@ -2909,6 +2920,7 @@ SQL_VARIANCE_FTEST = f"""
 """
 
 
+@entry("cross_sectional_zscore_daily", sql=lambda: SQL_CROSS_SECTIONAL_ZSCORE)
 def q_cross_sectional_zscore_daily(sf_dir: str) -> pd.DataFrame:
     """Cross-sectional standardization: each series' daily value z-scored
     against the SAME-DAY distribution across all series (the feature that
@@ -2966,6 +2978,7 @@ SQL_CROSS_SECTIONAL_ZSCORE = f"""
 # bigram LM perplexity / dominant ACF period / holiday-distance calendar
 # ---------------------------------------------------------------------------
 
+@entry("bigram_perplexity_documents", sql=lambda: SQL_BIGRAM_PERPLEXITY)
 def q_bigram_perplexity_documents(sf_dir: str) -> pd.DataFrame:
     """Per-doc perplexity under the corpus's add-one-smoothed bigram LM
     (pipelines/tfidf.bigram_doc_logprob) — the quality-filter signal CCNet
@@ -3010,6 +3023,7 @@ SQL_BIGRAM_PERPLEXITY = r"""
 """
 
 
+@entry("dominant_period_daily", sql=lambda: SQL_DOMINANT_PERIOD)
 def q_dominant_period_daily(sf_dir: str) -> pd.DataFrame:
     """Dominant seasonal period per series: the lag k ∈ [2, 10] maximizing
     the sample ACF r_k = Σ_{t>k}(v_t−v̄)(v_{t−k}−v̄) / Σ(v_t−v̄)² — the
@@ -3085,6 +3099,7 @@ SQL_DOMINANT_PERIOD = f"""
 _HOLIDAYS = ("2024-01-01", "2024-01-15", "2024-02-14", "2024-02-19")
 
 
+@entry("holiday_distance_daily", sql=lambda: SQL_HOLIDAY_DISTANCE)
 def q_holiday_distance_daily(sf_dir: str) -> pd.DataFrame:
     """Holiday-distance calendar features per (series, day): is_holiday,
     signed days to the NEAREST holiday (negative = holiday is in the past;
@@ -3144,6 +3159,7 @@ SQL_HOLIDAY_DISTANCE = f"""
 # TSB intermittent forecast gate / Hurst R/S exponent / peak-load stats
 # ---------------------------------------------------------------------------
 
+@entry("tsb_gate_daily", sql=lambda: SQL_TSB_GATE)
 def q_tsb_gate_daily(sf_dir: str) -> pd.DataFrame:
     """TSB (Teunter-Syntetos-Babai) forecast, oracle-GATED through the
     α=1, β=½ closed form: with α=1 the size state is the last nonzero
@@ -3204,99 +3220,7 @@ SQL_TSB_GATE = f"""
 """
 
 
-def q_hurst_rs_daily(sf_dir: str) -> pd.DataFrame:
-    """Two-scale rescaled-range (R/S) Hurst estimate per series (Hurst
-    1951; Mandelbrot & Wallis 1969): R/S of a segment = range of the
-    cumulative mean-adjusted sum / sample std; the exponent is
-    H = log2(RS_full / mean(RS of the two time-halves)) — >0.5 persistent,
-    <0.5 mean-reverting. Segments split at row n//2 like the F-test;
-    NULLF when any segment has < 2 points or zero dispersion."""
-    from forecastframe_ray.stages.agg import keyed_map_partitions
-
-    daily = _bucket_series(sf_dir, DAY_US, "d")
-
-    def rs(seg: np.ndarray) -> float:
-        if len(seg) < 2:
-            return np.nan
-        sd = seg.std(ddof=1)
-        if sd <= 0:
-            return np.nan
-        c = np.cumsum(seg - seg.mean())
-        return (c.max() - c.min()) / sd
-
-    def kernel(part: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for et, g in part.groupby("event_type", sort=False):
-            v = g.sort_values("d")["v"].to_numpy(np.float64)
-            n1 = len(v) // 2
-            rf, r1, r2 = rs(v), rs(v[:n1]), rs(v[n1:])
-            if np.isnan(rf) or np.isnan(r1) or np.isnan(r2):
-                rows.append((et, np.nan, np.nan, np.nan))
-                continue
-            half = (r1 + r2) / 2.0
-            rows.append((et, np.round(rf, 6) + 0.0,
-                         np.round(half, 6) + 0.0,
-                         np.round(np.log2(rf / half), 6) + 0.0))
-        return pd.DataFrame(rows, columns=["event_type", "rs_full",
-                                           "rs_half_mean", "hurst"])
-
-    out = keyed_map_partitions(daily, ["event_type"], kernel,
-                               num_partitions=_NP).to_pandas()
-    out = _fill(out, ["rs_full", "rs_half_mean", "hurst"])
-    return out.sort_values("event_type").reset_index(drop=True)
-
-
-SQL_HURST_RS = f"""
-    WITH daily AS ({_DAILY_SQL}),
-    r AS (
-        SELECT event_type, d, v,
-               ROW_NUMBER() OVER (PARTITION BY event_type ORDER BY d) AS rn,
-               count(*) OVER (PARTITION BY event_type) AS n
-        FROM daily
-    ),
-    segs AS (
-        SELECT event_type, d, v, 0 AS seg FROM r
-        UNION ALL
-        SELECT event_type, d, v,
-               CASE WHEN rn <= n // 2 THEN 1 ELSE 2 END AS seg
-        FROM r
-    ),
-    mu AS (SELECT event_type, seg, avg(v) AS mu, stddev_samp(v) AS sd,
-                  count(*) AS cnt
-           FROM segs GROUP BY 1, 2),
-    c AS (
-        SELECT s.event_type, s.seg,
-               sum(s.v - mu.mu) OVER (PARTITION BY s.event_type, s.seg
-                                      ORDER BY s.d
-                                      ROWS UNBOUNDED PRECEDING) AS cum
-        FROM segs s JOIN mu USING (event_type, seg)
-    ),
-    rng AS (SELECT event_type, seg, max(cum) - min(cum) AS rng
-            FROM c GROUP BY 1, 2),
-    rsv AS (
-        SELECT r.event_type, r.seg,
-               CASE WHEN mu.cnt >= 2 AND mu.sd > 0
-                    THEN r.rng / mu.sd END AS rs
-        FROM rng r JOIN mu USING (event_type, seg)
-    ),
-    piv AS (
-        SELECT event_type,
-               max(CASE WHEN seg = 0 THEN rs END) AS rf,
-               avg(CASE WHEN seg IN (1, 2) THEN rs END) AS rh,
-               bool_and(rs IS NOT NULL) AS ok
-        FROM rsv GROUP BY 1
-    )
-    SELECT event_type,
-           COALESCE(CASE WHEN ok THEN round(rf, 6) + 0.0 END, {NULLF})
-               AS rs_full,
-           COALESCE(CASE WHEN ok THEN round(rh, 6) + 0.0 END, {NULLF})
-               AS rs_half_mean,
-           COALESCE(CASE WHEN ok THEN round(log2(rf / rh), 6) + 0.0 END,
-                    {NULLF}) AS hurst
-    FROM piv ORDER BY 1
-"""
-
-
+@entry("peak_stats_daily", sql=lambda: SQL_PEAK_STATS)
 def q_peak_stats_daily(sf_dir: str) -> pd.DataFrame:
     """Peak/load profile per series: the peak day (earliest on ties), peak
     value, mean, peak-to-mean ratio and load factor (mean/peak) — the
@@ -3362,6 +3286,7 @@ _PAGE_STRIDE = 9_999_999_989
 _PAGE_SPAN_US = 28 * DAY_US
 
 
+@entry("host_tier_1d_pages", sql=lambda: SQL_HOST_TIER_1D_PAGES)
 def q_host_tier_1d_pages(sf_dir: str) -> pd.DataFrame:
     """THE flagship path under a full SQL value-hash: documents →
     deterministic Common-Crawl-style page synthesis (entry()'s exact
@@ -3427,6 +3352,7 @@ SQL_HOST_TIER_1D_PAGES = rf"""
 """
 
 
+@entry("funnel3_strict_events", sql=lambda: SQL_FUNNEL3_STRICT)
 def q_funnel3_strict_events(sf_dir: str) -> pd.DataFrame:
     """Strictly-ordered 3-step funnel (view → click → purchase, each step
     strictly AFTER the previous one's first completion — the sequential-
@@ -3479,6 +3405,7 @@ SQL_FUNNEL3_STRICT = f"""
 """
 
 
+@entry("circular_hour_events", sql=lambda: SQL_CIRCULAR_HOUR)
 def q_circular_hour_events(sf_dir: str) -> pd.DataFrame:
     """Circular (directional) statistics of event time-of-day per type:
     mean hour via atan2(Σsin θ, Σcos θ) with θ = 2π·(us-of-day)/86400e6,
@@ -3532,6 +3459,7 @@ SQL_CIRCULAR_HOUR = f"""
 # matrix-profile top motif / Pareto-frontier skyline / last-touch attribution
 # ---------------------------------------------------------------------------
 
+@entry("motif_daily_events", sql=lambda: SQL_MOTIF_DAILY)
 def q_motif_daily_events(sf_dir: str) -> pd.DataFrame:
     """Top motif per daily series (the Matrix Profile primitive, Yeh et al.
     2016): the pair of NON-OVERLAPPING 7-day windows minimizing
@@ -3626,6 +3554,7 @@ SQL_MOTIF_DAILY = f"""
 """
 
 
+@entry("pareto_frontier_orders", sql=lambda: SQL_PARETO_FRONTIER)
 def q_pareto_frontier_orders(sf_dir: str) -> pd.DataFrame:
     """2-D skyline (Pareto frontier) of orders on (totalprice ↑ better,
     orderdate ↓ better): rows no other order STRICTLY beats on both axes.
@@ -3666,6 +3595,7 @@ SQL_PARETO_FRONTIER = """
 """
 
 
+@entry("attribution_events", sql=lambda: SQL_ATTRIBUTION)
 def q_attribution_events(sf_dir: str) -> pd.DataFrame:
     """Last-touch attribution: every purchase credits the user's most
     recent STRICTLY-earlier non-purchase event (ties at equal ts broken by
@@ -3730,6 +3660,7 @@ SQL_ATTRIBUTION = """
 # top-down forecast reconciliation / JL projection gate / sentence stats
 # ---------------------------------------------------------------------------
 
+@entry("topdown_forecast_daily", sql=lambda: SQL_TOPDOWN_FORECAST)
 def q_topdown_forecast_daily(sf_dir: str) -> pd.DataFrame:
     """Hierarchical forecast reconciliation, top-down with historical
     proportions (Hyndman FPP3 §11): the TOTAL series gets the h=1 drift
@@ -3773,6 +3704,7 @@ SQL_TOPDOWN_FORECAST = f"""
 """
 
 
+@entry("jl_projection_gate_embeddings", sql=lambda: SQL_JL_PROJECTION_GATE)
 def q_jl_projection_gate_embeddings(sf_dir: str) -> pd.DataFrame:
     """Johnson-Lindenstrauss distortion gate: a deterministic ±1/√16
     sign-projection (splitmix64 of the flat matrix index) maps 64-d

@@ -1,28 +1,38 @@
-"""QUERIES.md staleness pin (round-4 verdict hygiene item): the generated
-catalog doc must agree with the live ``queries()`` / ``oracle_sql()``
-registries, and every oracle key must have a query entry."""
+"""Catalog registry pins: every ``q_*`` function is declared once with
+``@entry``, the driver window is well-formed, and the generated QUERIES.md
+matches the live ``queries()`` / ``oracle_sql()`` registries exactly."""
 
-import re
+import ast
+import importlib.util
+import pathlib
+
+import pytest
+
+from forecastframe_ray.pipelines import queries as Q
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+QUERIES_DIR = ROOT / "forecastframe_ray" / "pipelines" / "queries"
 
 
-def _entry_module():
-    import importlib.util
-    spec = importlib.util.spec_from_file_location(
-        "ray_entry_for_pin", "/root/repo/__ray_entry__.py")
+def _load(path: pathlib.Path, name: str):
+    spec = importlib.util.spec_from_file_location(name, path)
     m = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(m)
     return m
 
 
-def test_queries_md_counts_match_registry():
-    m = _entry_module()
-    qs, oracles = m.queries(), m.oracle_sql()
-    with open("/root/repo/QUERIES.md") as f:
-        head = f.read(400)
-    g = re.search(r"(\d+) entries; (\d+) with a full DuckDB value oracle",
-                  head)
-    assert g, "QUERIES.md header not recognized — regenerate via tools/catalog.py"
-    assert (int(g.group(1)), int(g.group(2))) == (len(qs), len(oracles)), \
+def _entry_module():
+    return _load(ROOT / "__ray_entry__.py", "ray_entry_for_pin")
+
+
+def _is_entry(dec: ast.expr) -> bool:
+    return (isinstance(dec, ast.Call) and isinstance(dec.func, ast.Name)
+            and dec.func.id == "entry")
+
+
+def test_queries_md_matches_render():
+    catalog = _load(ROOT / "tools" / "catalog.py", "catalog_for_pin")
+    assert (ROOT / "QUERIES.md").read_text() == catalog.render(), \
         "QUERIES.md is stale — run `python tools/catalog.py`"
 
 
@@ -30,3 +40,54 @@ def test_every_oracle_has_a_query():
     m = _entry_module()
     qs, oracles = m.queries(), m.oracle_sql()
     assert [k for k in oracles if k not in qs] == []
+
+
+def test_every_q_function_is_an_entry():
+    """Each top-level ``q_*`` function carries exactly one ``@entry``, and
+    ``@entry`` decorates nothing else in the package."""
+    missing, misplaced, n_entries = [], [], 0
+    for path in sorted((ROOT / "forecastframe_ray").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        top = {id(n) for n in tree.body}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                     ast.ClassDef)):
+                continue
+            n_dec = sum(map(_is_entry, node.decorator_list))
+            n_entries += n_dec
+            is_q = (path.parent == QUERIES_DIR and id(node) in top
+                    and isinstance(node, ast.FunctionDef)
+                    and node.name.startswith("q_"))
+            if is_q and n_dec != 1:
+                missing.append(f"{path.name}:{node.name}")
+            elif not is_q and n_dec:
+                misplaced.append(f"{path.name}:{node.name}")
+    assert missing == [] and misplaced == []
+    assert n_entries == len(Q.CATALOG)
+
+
+def test_driver_window_is_50_registered_oracled_names():
+    m = _entry_module()
+    window = m.DRIVER_WINDOW
+    assert len(window) == 50 and len(set(window)) == 50
+    assert [n for n in window if n not in Q.CATALOG] == []
+    assert [n for n in window if Q.CATALOG[n][1] is None] == []
+    assert list(m.queries())[:50] == list(window)
+
+
+def test_duplicate_entry_name_raises():
+    fn, sql = Q.CATALOG["tier_1h_events"]
+    with pytest.raises(ValueError, match="tier_1h_events"):
+        Q.entry("tier_1h_events")(lambda sf_dir: None)
+    assert Q.CATALOG["tier_1h_events"] == (fn, sql)
+
+
+def test_every_sql_lambda_returns_nonempty_str():
+    bad = []
+    for name, (_, sql) in Q.CATALOG.items():
+        if sql is None:
+            continue
+        text = sql()
+        if not isinstance(text, str) or not text.strip():
+            bad.append(name)
+    assert bad == []

@@ -1,20 +1,24 @@
 """Generate QUERIES.md: one row per driver-contract entry — name, the
 first docstring line of its implementation, and its verification mode
-(full DuckDB oracle vs justified rows-only)."""
+(full DuckDB oracle vs justified rows-only).
 
+Usage: python tools/catalog.py
+"""
+
+import os
 import sys
 
-sys.path.insert(0, "/root/repo")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+QUERIES_MD = os.path.join(ROOT, "QUERIES.md")
 
 
-def main():
-    import importlib.util
-    spec = importlib.util.spec_from_file_location(
-        "e", "/root/repo/__ray_entry__.py")
-    m = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(m)
-    qs, oracles = m.queries(), m.oracle_sql()
+def render() -> str:
+    """QUERIES.md's full text for the live ``queries()`` / ``oracle_sql()``."""
+    if ROOT not in sys.path:
+        sys.path.insert(0, ROOT)
+    import __ray_entry__ as E
 
+    qs, oracles = E.queries(), E.oracle_sql()
     lines = [
         "# Query catalog (driver contract)",
         "",
@@ -35,8 +39,13 @@ def main():
             doc = doc[:107] + "..."
         mode = "full" if name in oracles else "rows-only"
         lines.append(f"| {i} | `{name}` | {mode} | {doc} |")
-    open("/root/repo/QUERIES.md", "w").write("\n".join(lines) + "\n")
-    print(f"wrote QUERIES.md with {len(qs)} entries")
+    return "\n".join(lines) + "\n"
+
+
+def main():
+    with open(QUERIES_MD, "w") as f:
+        f.write(render())
+    print(f"wrote {QUERIES_MD}")
 
 
 if __name__ == "__main__":
