@@ -23,7 +23,7 @@ def entry() -> Any:
     """Flagship pipeline on sf0.001: Common-Crawl-style pages synthesized
     deterministically FROM the sf0.001 documents+events tables (url/html
     wrapped around each document, crawl timestamps from the event stream) →
-    deterministic text extraction → url-hierarchy keys → salted 1h/1d/7d tier
+    deterministic text extraction → url-hierarchy keys → 1h/1d/7d tier
     cascade. Returns the 1h tier Dataset."""
     import pandas as pd
     import pyarrow as pa
@@ -60,7 +60,7 @@ def entry() -> Any:
 
     pages = docs.map_batches(to_pages, batch_format="pandas")
     prepared = web.prepare_pages(pages)
-    tiers = web.build_tiers(prepared, series_keys=("host",), num_salts=4)
+    tiers = web.build_tiers(prepared, series_keys=("host",))
     return tiers["1h"]
 
 
@@ -139,17 +139,20 @@ def queries() -> dict[str, Callable[[str], Any]]:
 
 def oracle_sql() -> dict[str, str]:
     """DuckDB oracles for every SQL-expressible query (same column names).
-    Omitted (rows-only, each justified): minhash / simhash pair sets and the
-    LSH embedding near-dup (banded-LSH candidate generation is approximate
-    by contract — their exact counterparts ``embedding_neardup_exact`` and
-    the jaccard/hamming verifications are oracled, and their recall is
-    oracle-GATED by ``minhash_recall`` / ``simhash_recall``),
-    ``ann_ivf_embeddings``
-    (approximate; gated by ``ann_ivf_recall``), ``text_analysis_documents``
-    (a composite whose every column family is now independently oracled:
-    ``token_counts_documents``, ``text_ratios_documents``,
-    ``lang_id_documents``, ``doc_fingerprint_documents``),
-    ``llm_pipeline_documents`` (full chain with
-    MinHash clustering — its exact funnel half is fully oracled as
-    ``llm_exact_funnel_documents``)."""
+    Omitted (rows-only, each justified):
+
+    - ``minhash_pairs_documents`` / ``simhash_pairs_documents`` /
+      ``embedding_near_dup``: banded-LSH candidate generation is
+      approximate by contract. The exact ``ngram_jaccard_pairs`` and
+      ``embedding_neardup_exact`` are oracled, and LSH recall is
+      oracle-GATED by ``minhash_recall`` / ``simhash_recall``.
+    - ``text_analysis_documents``: a composite whose every column family
+      is independently oracled: ``token_counts_documents``,
+      ``text_ratios_documents``, ``lang_id_documents``,
+      ``doc_fingerprint_documents``.
+    - ``llm_pipeline_documents``: the full chain with MinHash clustering;
+      its exact funnel half is oracled as ``llm_exact_funnel_documents``.
+    - ``lttb_daily_events``: LTTB's sequential selection chain is not
+      SQL-expressible; ``tests/test_lttb.py`` pins it against a reference
+      implementation."""
     return {name: sql() for name, _, sql in _catalog() if sql is not None}

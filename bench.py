@@ -52,7 +52,7 @@ def _flagship(num_pages: int, num_cpus: int) -> dict:
     pages = synth.pages_dataset(num_pages, seed=42, num_domains=2000,
                                 override_num_blocks=max(16, num_cpus * 4))
     return web.run(pages, out_dir=None, series_keys=("host",),
-                   num_salts=16, num_partitions=num_cpus * 2, compress=True)
+                   num_partitions=num_cpus * 2, compress=True)
 
 
 def _du_bytes(path: str) -> int:

@@ -21,7 +21,6 @@ from __future__ import annotations
 import html as _html
 import re
 
-import numpy as np
 import pyarrow as pa
 
 _RE_DROP = re.compile(r"(?is)<(script|style)\b.*?</\1\s*>|<!--.*?-->")
@@ -51,13 +50,3 @@ def extract_text_batch(batch: pa.Table, html_col: str = "html", out_col: str = "
     return batch.append_column(out_col, texts)
 
 
-def verify_extraction_batch(batch: pa.Table, html_col: str = "html", text_col: str = "text") -> pa.Table:
-    """map_batches fn: emit per-row boolean ``text_ok`` = extracted == stored."""
-    htmls = batch[html_col].to_pylist()
-    stored = batch[text_col].to_pylist()
-    ok = np.fromiter(
-        (extract_text(h) == t for h, t in zip(htmls, stored)),
-        dtype=bool,
-        count=len(htmls),
-    )
-    return batch.append_column("text_ok", pa.array(ok))

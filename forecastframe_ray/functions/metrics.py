@@ -1,11 +1,9 @@
 """Distributed error metrics (SURVEY.md A6; reference
 ``/root/reference/forecastframe/interpret.py:47-115``).
 
-Row-local errors (AE/APE/APA/SE) are a stateless ``map_batches``; the mean
-metrics (MAPE/MAPA/MSE/RMSE) are null-masked partial+final aggregates —
-per-batch (sum, count) partials then one tiny reduce, so the full prediction
-table is never materialized. Weighted averages use Sum(w·x)/Sum(w)
-(reference ``_calc_weighted_average``, utilities.py:478-481).
+The mean metrics (MAPE/MAPA/MSE/RMSE) are null-masked partial+final
+aggregates — per-batch (sum, count) partials then one tiny reduce, so the
+full prediction table is never materialized.
 """
 
 from __future__ import annotations
@@ -14,20 +12,6 @@ import numpy as np
 import pandas as pd
 
 from ray.data.aggregate import Count, Sum
-
-
-def append_errors_batch(batch: pd.DataFrame, actual_col: str, pred_col: str) -> pd.DataFrame:
-    a = batch[actual_col].to_numpy(dtype=np.float64, na_value=np.nan)
-    p = batch[pred_col].to_numpy(dtype=np.float64, na_value=np.nan)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ae = np.abs(a - p)
-        ape = np.abs((a - p) / a)
-        se = (a - p) ** 2
-    batch["AE"] = ae
-    batch["APE"] = ape
-    batch["APA"] = 1.0 - ape
-    batch["SE"] = se
-    return batch
 
 
 def error_summary(ds, actual_col: str, pred_col: str, group_cols: list[str] | None = None):
@@ -131,21 +115,6 @@ def scaled_error_summary(ds, actual_col: str, pred_col: str,
                                out["sum_ae"] / out["sum_aa"])
     out["ME"] = out["sum_err"] / out["n"]
     return out.drop(columns=["sum_sm", "sum_ae", "sum_aa", "sum_err"])
-
-
-def weighted_average(ds, value_col: str, weight_col: str) -> float:
-    """Null-masked weighted mean = Sum(w·x)/Sum(w) over non-null x."""
-
-    def partials(batch: pd.DataFrame) -> pd.DataFrame:
-        x = batch[value_col].to_numpy(dtype=np.float64, na_value=np.nan)
-        w = batch[weight_col].to_numpy(dtype=np.float64, na_value=np.nan)
-        mask = ~np.isnan(x)
-        return pd.DataFrame({"__wx": x[mask] * w[mask], "__w": w[mask]})
-
-    row = ds.map_batches(partials, batch_format="pandas").aggregate(
-        Sum("__wx", alias_name="swx"), Sum("__w", alias_name="sw")
-    )
-    return float(row["swx"]) / float(row["sw"])
 
 
 def quantile_loss(ds, actual_col: str, pred_col: str,

@@ -66,12 +66,6 @@ def append_bucket_columns(batch: pa.Table, ts_col: str) -> pa.Table:
     return batch
 
 
-def floor_ts(ts_us: np.ndarray, tier: str) -> np.ndarray:
-    """Floor int64 microsecond timestamps to the tier bucket."""
-    width = TIER_US[tier]
-    return (ts_us // width) * width
-
-
 # ---------------------------------------------------------------------------
 # Deterministic hashing (stable across processes; no PYTHONHASHSEED issues)
 # ---------------------------------------------------------------------------
@@ -150,8 +144,3 @@ def _mix_u64(x: np.ndarray) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def salt_ids(df: pd.DataFrame, salt_from: str, num_salts: int) -> np.ndarray:
-    """Salt column for skew-busting pre-aggregation: hash a *secondary* column
-    (e.g. the timestamp) so one hot key spreads over ``num_salts`` reducers."""
-    h = pd.util.hash_pandas_object(df[salt_from], index=False).to_numpy(dtype=np.uint64)
-    return (h % np.uint64(num_salts)).astype(np.int32)

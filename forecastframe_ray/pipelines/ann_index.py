@@ -21,7 +21,7 @@ Contracts:
   quantizer trains once on a sample); appends assign new vectors to the
   existing centroids. Assignment is deterministic, so **an appended index
   is bit-identical in content to rebuilding with the same centroids** —
-  the in-Ray gate `ann_index_incremental_gate` pins it.
+  ``tests/test_ann_index.py`` pins it.
 - ``search(..., nprobe=num_centroids)`` probes everything and is EXACT
   (== brute force) — which is what lets the search path carry a full
   DuckDB value oracle (`ann_index_search_embeddings`); partial-probe

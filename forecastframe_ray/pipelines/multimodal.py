@@ -21,18 +21,6 @@ import struct
 import numpy as np
 import pyarrow as pa
 
-#: media payload schema: opaque bytes + typed metadata (the 100 TB layout —
-#: payloads stay binary end-to-end; metadata is columnar and prunable).
-MEDIA_SCHEMA = pa.schema([
-    ("media_id", pa.int64()),
-    ("kind", pa.string()),            # image | audio | video
-    ("payload", pa.binary()),
-    ("mime", pa.string()),
-    ("width", pa.int32()),            # -1 when unknown / n-a
-    ("height", pa.int32()),
-    ("duration_ms", pa.int32()),
-])
-
 
 def synth_media_table(n: int, seed: int = 3) -> pa.Table:
     """Deterministic fake media corpus for tests/benches (no external data):

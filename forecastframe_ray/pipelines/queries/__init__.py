@@ -3,8 +3,8 @@
 Each catalog entry is declared once, where it is defined, by the
 ``@entry`` decorator::
 
-    @entry("german_tank_orders", sql=lambda: SQL_GERMAN_TANK)
-    def q_german_tank_orders(sf_dir: str) -> pd.DataFrame: ...
+    @entry("lag_daily_events", sql=lambda: SQL_LAG_DAILY)
+    def q_lag_daily_events(sf_dir: str) -> pd.DataFrame: ...
 
 ``name`` is the catalog key (it may differ from the function name).
 ``sql`` is a zero-argument callable that returns the entry's DuckDB
@@ -41,8 +41,8 @@ def entry(name: str, sql: Callable[[], str] | None = None):
 
 # submodules import ``entry`` from this package, so they load after it
 _PARTS = tuple(importlib.import_module(f"{__name__}.{part}") for part in (
-    "spine", "text", "corpus", "windows", "stats", "stats2", "stats3",
-    "stats4", "stats5", "incremental", "gbm", "quality", "annidx"))
+    "spine", "text", "corpus", "windows", "stats4", "incremental", "gbm",
+    "quality", "annidx"))
 
 
 def __getattr__(name: str) -> Any:

@@ -1,19 +1,12 @@
-"""Oracled query catalog — persisted incremental ANN index entries
+"""Oracled query catalog — persisted incremental ANN index entry
 (:mod:`forecastframe_ray.pipelines.ann_index`).
 
-- ``ann_index_search_embeddings`` — build the centroid-partitioned index
-  incrementally (two shards split at the median vec_id), then search with
-  ``nprobe == num_centroids``: probing everything makes IVF EXACT, so the
-  result through the persisted-index read path (pruned file list →
-  streamed exact cosine) carries the same full DuckDB value oracle as the
-  brute-force entry.
-- ``ann_index_incremental_gate`` — appended == rebuilt-with-the-same-
-  frozen-centroids (search results compared exactly at partial and full
-  probes, ids+ranks — cos_sim's last float bits vary with layout) AND
-  partial-probe (nprobe=8 of 16) recall ≥0.8 vs brute force (measured
-  0.85 deterministic — the quantizer trains on the first shard only);
-  constant-shape
-  oracle row flips on any miss (the ``ann_ivf_recall`` gate pattern).
+``ann_index_search_embeddings`` builds the centroid-partitioned index
+incrementally (two shards split at the median vec_id), then searches with
+``nprobe == num_centroids``: probing everything makes IVF EXACT, so the
+result through the persisted-index read path (pruned file list → streamed
+exact cosine) carries the same full DuckDB value oracle as the brute-force
+entry. Appended == rebuilt is pinned by ``tests/test_ann_index.py``.
 """
 
 from __future__ import annotations
@@ -24,7 +17,6 @@ import tempfile
 import numpy as np
 import pandas as pd
 
-from forecastframe_ray.pipelines import similarity
 from forecastframe_ray.pipelines.queries.spine import (
     SQL_ANN_BRUTEFORCE,
     _query_vectors,
@@ -63,66 +55,3 @@ def q_ann_index_search_embeddings(sf_dir: str) -> pd.DataFrame:
     top["query_ix"] = top["query_ix"].astype("int64")
     top["rank"] = top["rank"].astype("int64")
     return top[["query_ix", "rank", "vec_id"]].reset_index(drop=True)
-
-
-@entry("ann_index_incremental_gate", sql=lambda: SQL_ANN_INDEX_GATE)
-def q_ann_index_incremental_gate(sf_dir: str) -> pd.DataFrame:
-    from forecastframe_ray.pipelines import ann_index as AI
-
-    emb, sh1, sh2 = _split(sf_dir)
-    q = _query_vectors(sf_dir)
-    inc = tempfile.mkdtemp(prefix="ffr_annI_", dir="/tmp")
-    full = tempfile.mkdtemp(prefix="ffr_annF_", dir="/tmp")
-    try:
-        AI.build_ann_index(sh1, inc, num_centroids=16)
-        AI.append_ann(sh2, inc)
-        C = AI._load_meta(inc)["centroids"]
-        AI.build_ann_index(emb, full, centroids=C)
-        ok = True
-        for nprobe in (4, 16):
-            a = AI.search_ann(inc, q, 10, nprobe)
-            b = AI.search_ann(full, q, 10, nprobe)
-            ok = ok and _same_topk(a, b)
-        hits = AI.search_ann(inc, q, 10, nprobe=8)
-        brute = similarity.brute_force_topk(emb, q, k=10)
-        got = set(zip(hits["query_ix"].astype(int), hits["vec_id"]))
-        want = set(zip(brute["query_ix"].astype(int), brute["vec_id"]))
-        recall = len(got & want) / max(len(want), 1)
-        # measured 0.85 deterministic on this corpus at nprobe 8/16 (the
-        # quantizer trains on the FIRST shard only — an incremental
-        # index's reality); 0.8 leaves one boundary-tie swap of margin
-        ok = ok and recall >= 0.8
-    finally:
-        shutil.rmtree(inc, ignore_errors=True)
-        shutil.rmtree(full, ignore_errors=True)
-    return pd.DataFrame({"gate": pd.Series([0], dtype="int64"),
-                         "match_ok": pd.Series([ok], dtype="bool")})
-
-
-def _same_topk(a: pd.DataFrame, b: pd.DataFrame,
-               tol: float = 1e-9) -> bool:
-    """Top-k equality up to TIE NOISE: cosine sums differ in their last
-    float bits between block layouts (batch boundaries are not
-    deterministic run-to-run), so near-equal neighbors may legally swap
-    ranks or trade places at the k boundary. Memberships must match
-    except for swapped ids whose sims all lie within ``tol`` of each
-    other."""
-    for qi in sorted(set(a["query_ix"].astype(int))):
-        sa = a[a["query_ix"] == qi]
-        sb = b[b["query_ix"] == qi]
-        ia, ib = set(sa["vec_id"]), set(sb["vec_id"])
-        if ia == ib:
-            continue
-        if len(ia) != len(ib):
-            return False
-        sym = np.concatenate([
-            sa.loc[sa["vec_id"].isin(ia - ib), "cos_sim"].to_numpy(),
-            sb.loc[sb["vec_id"].isin(ib - ia), "cos_sim"].to_numpy()])
-        if sym.max() - sym.min() > tol:
-            return False
-    return True
-
-
-SQL_ANN_INDEX_GATE = """
-    SELECT CAST(0 AS BIGINT) AS gate, true AS match_ok
-"""

@@ -8,14 +8,13 @@ global-mean base, and the DuckDB oracle rebuilds the ENTIRE fit in SQL —
 residuals, the exact-histogram split search (gain = s_l²/n_l + s_r²/n_r −
 s0²/n0 rounded to 6 digits, ties broken by feature order then smaller
 threshold, the determinism contract ``fit_gbm`` documents), both boosting
-rounds, and the per-fold test RMSE/MAPE — the unrolled-iteration oracle
-style the GMM-EM / Kalman entries established. Deeper trees are pinned by
+rounds, and the per-fold test RMSE/MAPE — an unrolled-iteration
+oracle. Deeper trees are pinned by
 ``tests/test_gbm.py`` against an independent single-node recursive GBM.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
 
 from forecastframe_ray.pipelines.queries.spine import (

@@ -27,8 +27,6 @@ import numpy as np
 import pandas as pd
 import pyarrow.parquet as pq
 
-import ray.data
-
 from forecastframe_ray.pipelines.queries.spine import _read
 from forecastframe_ray.pipelines.queries import entry
 

@@ -7,8 +7,8 @@ regression (2 unrolled Fisher-scoring iterations from β=0) of
 returns each document's fitted probability. The DuckDB oracle rebuilds
 BOTH iterations — per-doc features with the ``text_ratios`` formulas,
 the X′WX / X′Wz weighted sums, and the symmetric-3×3 solve via the
-adjugate (Cramer) — the unrolled-iteration oracle style of the GMM-EM and
-GBM entries, with the ``interpret.py`` ``_det3`` OLS precedent for the
+adjugate (Cramer) — the unrolled-iteration oracle style of the GBM
+entries, with the ``interpret.py`` ``_det3`` OLS precedent for the
 closed-form solve. The entry pins the FIT bit-for-bit; it makes no
 accuracy claim on this corpus (the synthetic ``lang`` tags carry no
 stopword signal — the learns-when-signal-exists property is pinned in
@@ -17,7 +17,6 @@ stopword signal — the learns-when-signal-exists property is pinned in
 
 from __future__ import annotations
 
-import numpy as np
 import pandas as pd
 
 from forecastframe_ray.pipelines import textstats

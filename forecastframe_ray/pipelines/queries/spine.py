@@ -1,4 +1,4 @@
-"""Oracled query catalog — part ``spine`` (contiguous split of the former queries.py monolith; order preserved)."""
+"""Oracled query catalog — part ``spine``."""
 
 from __future__ import annotations
 
@@ -65,7 +65,7 @@ def _tier_output(tier_ds, tier: str) -> pd.DataFrame:
 def _event_tiers(sf_dir: str, tiers=("1h", "1d", "7d")) -> dict:
     ev = _read(sf_dir, "events", ["event_type", "ts", "value"])
     return rollup.rollup_tiers(ev, ["event_type"], "ts", value_col="value",
-                               size_col=None, num_salts=8, tiers=tiers)
+                               size_col=None, tiers=tiers)
 
 
 @entry("tier_1h_events", sql=lambda: TIER_SQL["1h"])
@@ -108,7 +108,7 @@ def q_tier_incremental_1d_events(sf_dir: str) -> pd.DataFrame:
     def tier_1d(ds):
         return rollup.rollup_tiers(ds, ["event_type"], "ts",
                                    value_col="value", size_col=None,
-                                   num_salts=8, tiers=("1d",))["1d"]
+                                   tiers=("1d",))["1d"]
 
     out = tempfile.mkdtemp(prefix="ffray_inc1d_")
     try:
@@ -652,18 +652,6 @@ SQL_TOPK_ORDERS = """
 """
 
 
-@entry("distinct_event_types", sql=lambda: SQL_DISTINCT_EVENT_TYPES)
-def q_distinct_event_types(sf_dir: str) -> pd.DataFrame:
-    """A5/O5: distinct + counts."""
-    ev = _read(sf_dir, "events", ["event_type"])
-    out = hash_count(ev, ["event_type"], num_partitions=4).to_pandas()
-    out["n"] = out["n"].astype("int64")
-    return out[["event_type", "n"]]
-
-
-SQL_DISTINCT_EVENT_TYPES = "SELECT event_type, count(*) AS n FROM events GROUP BY 1"
-
-
 @entry("error_metrics_naive", sql=lambda: SQL_ERROR_METRICS_NAIVE)
 def q_error_metrics_naive(sf_dir: str) -> pd.DataFrame:
     """A6 error metrics of the naive lag-1 daily forecast (partial+final
@@ -695,26 +683,6 @@ SQL_ERROR_METRICS_NAIVE = f"""
 """
 
 
-@entry("error_metrics_by_type", sql=lambda: SQL_ERROR_METRICS_BY_TYPE)
-def q_error_metrics_by_type(sf_dir: str) -> pd.DataFrame:
-    """A6 grouped error metrics (reference per-group scoring,
-    ``interpret.py:104-115`` with ``groupers``): the same naive lag-1
-    forecast scored per event_type through ``error_summary(group_cols=…)``
-    — partial errors in map_batches, then one small keyed shuffle."""
-    fr = _daily_frame(sf_dir).lag_features("v", [1])
-    preds = fr.dataset.map_batches(
-        lambda b: b[b["v_lag1"].notna()], batch_format="pandas")
-    out = metrics.error_summary(preds, "v", "v_lag1",
-                                group_cols=["event_type"])
-    if not isinstance(out, pd.DataFrame):
-        out = out.to_pandas()
-    out = out[["event_type", "n", "MAPE", "MAPA", "MSE", "RMSE"]].copy()
-    out["n"] = out["n"].astype("int64")
-    out = _round(out, ["MAPE", "MAPA"], 6)
-    out = _round(out, ["MSE"], 2)
-    return _round(out, ["RMSE"], 4)
-
-
 @entry("sample_orders_deterministic", sql=lambda: SQL_SAMPLE_ORDERS)
 def q_sample_orders(sf_dir: str) -> pd.DataFrame:
     """O7 sampling, production form: deterministic md5-bucket sample
@@ -731,23 +699,6 @@ SQL_SAMPLE_ORDERS = """
     SELECT o_orderkey, o_totalprice FROM orders
     WHERE CAST(concat('0x', substr(md5(CAST(o_orderkey AS VARCHAR)), 1, 8))
                AS BIGINT) < CAST(floor(0.125 * 4294967296) AS BIGINT)
-"""
-
-
-SQL_ERROR_METRICS_BY_TYPE = f"""
-    WITH daily AS ({_DAILY_SQL}),
-    l AS (
-        SELECT event_type, d, v,
-               LAG(v, 1) OVER (PARTITION BY event_type ORDER BY d) AS lv
-        FROM daily
-    )
-    SELECT event_type, count(*) AS n,
-           round(avg(abs((v - lv) / v)), 6) AS MAPE,
-           round(1.0 - avg(abs((v - lv) / v)), 6) AS MAPA,
-           round(avg((v - lv) * (v - lv)), 2) AS MSE,
-           round(sqrt(avg((v - lv) * (v - lv))), 4) AS RMSE
-    FROM l WHERE lv IS NOT NULL
-    GROUP BY 1
 """
 
 
@@ -867,16 +818,6 @@ SQL_ANN_BRUTEFORCE = """
            vec_id
     FROM r WHERE rn <= 10
 """
-
-
-@entry("ann_ivf_embeddings")
-def q_ann_ivf_embeddings(sf_dir: str) -> pd.DataFrame:
-    """IVF approximate top-10 (rows-only: approximate by construction)."""
-    emb = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
-    top = similarity.ivf_topk(emb, _query_vectors(sf_dir), k=10,
-                              num_centroids=16, nprobe=4)
-    top["query_ix"] = top["query_ix"].astype("int64")
-    return top[["query_ix", "rank", "vec_id"]]
 
 
 @entry("gorilla_roundtrip_events", sql=lambda: SQL_GORILLA_ROUNDTRIP)
@@ -1092,19 +1033,6 @@ SQL_MOMENTUM_DAILY = f"""
            COALESCE(round(lv / s7, 6), {NULLF}) AS v_sum_roll7_lag1_perc
     FROM r
 """
-
-
-@entry("minhash_clusters_documents")
-def q_minhash_clusters_documents(sf_dir: str) -> pd.DataFrame:
-    """Near-dup cluster assignment: LSH pairs → driver union-find →
-    (doc_id, rep_id) for every doc in a cluster (rows-only)."""
-    docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    pairs = dedup.minhash_lsh_pairs(docs, threshold=0.5).to_pandas()
-    rep = dedup.clusters_from_pairs(pairs)
-    out = pd.DataFrame(sorted(rep.items()), columns=["doc_id", "rep_id"])
-    out["doc_id"] = out["doc_id"].astype("int64")
-    out["rep_id"] = out["rep_id"].astype("int64")
-    return out
 
 
 @entry("c4_boilerplate_documents", sql=lambda: SQL_C4_BOILERPLATE)
@@ -1892,59 +1820,6 @@ SQL_MULTIMODAL_RESIZE = """
 """
 
 
-@entry("csv_roundtrip_events", sql=lambda: SQL_CSV_ROUNDTRIP)
-def q_csv_roundtrip_events(sf_dir: str) -> pd.DataFrame:
-    """S1 CSV source: events written to CSV (shortest-roundtrip floats) and
-    read back via ``ray.data.read_csv``, aggregated distributed."""
-    import os
-    import shutil
-
-    import pyarrow.csv as pacsv
-
-    path = "/tmp/ffray_events_csv"
-    shutil.rmtree(path, ignore_errors=True)
-    os.makedirs(path)
-    t = pq.read_table(f"{sf_dir}/events.parquet",
-                      columns=["event_type", "value"])
-    pacsv.write_csv(t, f"{path}/events.csv")
-    ds = ray.data.read_csv(f"{path}/events.csv")
-    agg = hash_aggregate(ds, ["event_type"], {
-        "n": ("value", "size"), "sum_v": ("value", "sum"),
-    }, num_partitions=4).to_pandas()
-    agg["n"] = agg["n"].astype("int64")
-    return _round(agg, ["sum_v"], 6)[["event_type", "n", "sum_v"]]
-
-
-SQL_CSV_ROUNDTRIP = """
-    SELECT event_type, count(*) AS n, round(sum(value), 6) AS sum_v
-    FROM events GROUP BY 1
-"""
-
-
-@entry("anti_join_orders", sql=lambda: SQL_ANTI_JOIN_ORDERS)
-def q_anti_join_orders(sf_dir: str) -> pd.DataFrame:
-    """J6 anti-join: orders from customers NOT in the high-balance key set,
-    counted per status (broadcast key-set filter, ``anti=True``)."""
-    od = _read(sf_dir, "orders", ["o_custkey", "o_orderstatus"])
-    cust = pq.read_table(f"{sf_dir}/customer.parquet",
-                         columns=["c_custkey", "c_acctbal"]).to_pandas()
-    keys = cust[cust["c_acctbal"] > 5000][["c_custkey"]] \
-        .rename(columns={"c_custkey": "o_custkey"})
-    kept = broadcast_semi_join(od, keys, on=["o_custkey"], anti=True)
-    out = hash_count(kept, ["o_orderstatus"], num_partitions=4).to_pandas()
-    out["n"] = out["n"].astype("int64")
-    return out[["o_orderstatus", "n"]]
-
-
-SQL_ANTI_JOIN_ORDERS = """
-    SELECT o_orderstatus, count(*) AS n
-    FROM orders
-    WHERE o_custkey NOT IN (SELECT c_custkey FROM customer
-                            WHERE c_acctbal > 5000)
-    GROUP BY 1
-"""
-
-
 @entry("ensemble_pred_daily", sql=lambda: SQL_ENSEMBLE_PRED)
 def q_ensemble_pred_daily(sf_dir: str) -> pd.DataFrame:
     """§2.8 ensemble-feature hook (``calc_prophet_predictions`` engine path):
@@ -2166,12 +2041,6 @@ def q_llm_pipeline_documents(sf_dir: str) -> pd.DataFrame:
     out = final.to_pandas()
     return out[["doc_id"]].sort_values("doc_id").reset_index(drop=True)
 
-
-# ---------------------------------------------------------------------------
-# interpretation stack, data side (pipelines/interpret.py; reference
-# interpret.py get_errors/describe, summarize_cv key stats, SHAP-importance
-# intent via permutation importance)
-# ---------------------------------------------------------------------------
 
 #: stable rounding digits per describe metric — magnitudes differ by orders
 #: (APE ~1, SE ~1e6), so a single digit count would either under-round the
@@ -2441,42 +2310,6 @@ SQL_LINEAR_SHAP = f"""
 """
 
 
-@entry("predict_future_daily", sql=lambda: SQL_PREDICT_FUTURE)
-def q_predict_future_daily(sf_dir: str) -> pd.DataFrame:
-    """The predict driver (reference model.py:1313-1417 data side): fit the
-    stand-in seasonal-mean estimator on ALL history, score the next-7-day
-    future grid (W10). Oracle recomputes the fit (per-(series, dow) and
-    per-series means over all history) and the COALESCE fallback in SQL."""
-    fr = _daily_frame(sf_dir)
-    preds = fr.predict(periods=7, freq="D", season="dow", blend=0.0)
-    df = preds.to_pandas()[["event_type", "d", "predicted_v"]]
-    df = _round(df, ["predicted_v"], 6)
-    return _fill(df, ["predicted_v"])
-
-
-SQL_PREDICT_FUTURE = f"""
-    WITH daily AS ({_DAILY_SQL}),
-    s AS (SELECT event_type, isodow(d) AS dw, avg(v) AS sm
-          FROM daily GROUP BY 1, 2),
-    g AS (SELECT event_type, avg(v) AS gm FROM daily GROUP BY 1),
-    f AS (
-        SELECT t.event_type, fd.d
-        FROM (SELECT DISTINCT event_type FROM daily) t
-        CROSS JOIN (
-            SELECT unnest(generate_series(maxd + INTERVAL 1 DAY,
-                                          maxd + INTERVAL 7 DAY,
-                                          INTERVAL 1 DAY)) AS d
-            FROM (SELECT max(d) AS maxd FROM daily)
-        ) fd
-    )
-    SELECT f.event_type, f.d,
-           COALESCE(round(COALESCE(s.sm, g.gm), 6), {NULLF}) AS predicted_v
-    FROM f
-    JOIN g ON g.event_type = f.event_type
-    LEFT JOIN s ON s.event_type = f.event_type AND s.dw = isodow(f.d)
-"""
-
-
 _IMP_FEATURES = ["v_lag1", "v_lag2", "v_mean_roll7_lag1", "v_sum_roll7_lag1",
                  "v_min_roll7_lag1", "v_max_roll7_lag1", "day_of_week"]
 
@@ -2586,67 +2419,10 @@ SQL_QUANTILE_LOSS_NAIVE = f"""
 """
 
 
-@entry("distinct_users_daily_kmv", sql=lambda: SQL_DISTINCT_USERS_DAILY)
-def q_distinct_users_daily_kmv(sf_dir: str) -> pd.DataFrame:
-    """Mergeable KMV distinct-count sketch per (event_type, day) — the
-    continuous-aggregate COUNT(DISTINCT) the exact tier cascade cannot
-    carry algebraically (north_rule retention-tier scope; sketch merge is
-    associative like the (count, sum, min, max, Σx²) carry). k=1024 sits
-    above this table's per-bucket cardinality, so the sketch runs in its
-    exact regime and the oracle pins count(DISTINCT) bit-for-bit; the
-    SAME code path estimates past k (gated by distinct_users_kmv_gate)."""
-    from forecastframe_ray.stages.sketch import distinct_sketch
-
-    ev = _read(sf_dir, "events", ["event_type", "ts", "user_id"])
-
-    def day_fn(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["d"] = b["ts"].dt.floor("D")
-        return b.drop(columns=["ts"])
-
-    sk = distinct_sketch(ev.map_batches(day_fn, batch_format="pandas"),
-                         ["event_type", "d"], "user_id",
-                         k=1024, num_partitions=_NP)
-    df = sk.to_pandas()
-    assert bool(df["is_exact"].all())  # cardinality < k on this table
-    df["distinct_users"] = df["distinct_est"].astype("int64")
-    return df[["event_type", "d", "distinct_users"]]
-
-
 SQL_DISTINCT_USERS_DAILY = """
     SELECT event_type, date_trunc('day', ts) AS d,
            count(DISTINCT user_id) AS distinct_users
     FROM events GROUP BY 1, 2
-"""
-
-
-@entry("distinct_users_kmv_gate", sql=lambda: SQL_DISTINCT_USERS_KMV_GATE)
-def q_distinct_users_kmv_gate(sf_dir: str) -> pd.DataFrame:
-    """KMV estimation-regime gate (ann_ivf_recall pattern): a k=64 sketch
-    per event_type over the full span (distinct users > k → the
-    (k−1)/U(k) estimator is live) must land within 25% of exact
-    (≈ 2σ at k=64); ``n_exact`` itself comes from the engine's k=4096
-    exact-regime sketch and is value-oracled against count(DISTINCT)."""
-    from forecastframe_ray.stages.sketch import distinct_sketch
-
-    ev = _read(sf_dir, "events", ["event_type", "user_id"])
-    est = distinct_sketch(ev, ["event_type"], "user_id",
-                          k=64, num_partitions=8).to_pandas()
-    exact = distinct_sketch(ev, ["event_type"], "user_id",
-                            k=4096, num_partitions=8).to_pandas()
-    assert bool(exact["is_exact"].all())
-    out = exact[["event_type"]].copy()
-    out["n_exact"] = exact["distinct_est"].astype("int64")
-    rel_err = np.abs(est.set_index("event_type").loc[
-        out["event_type"], "distinct_est"].to_numpy()
-        - out["n_exact"].to_numpy()) / out["n_exact"].to_numpy()
-    out["err_ok"] = rel_err <= 0.25
-    return out.sort_values("event_type").reset_index(drop=True)
-
-
-SQL_DISTINCT_USERS_KMV_GATE = """
-    SELECT event_type, count(DISTINCT user_id) AS n_exact, true AS err_ok
-    FROM events GROUP BY 1 ORDER BY 1
 """
 
 
@@ -2950,41 +2726,6 @@ SQL_SESSIONIZE_EVENTS = f"""
            CAST(SUM(brk) OVER (PARTITION BY user_id ORDER BY ts
                                ROWS UNBOUNDED PRECEDING) AS BIGINT) AS session_id
     FROM b
-"""
-
-
-@entry("session_stats_events", sql=lambda: SQL_SESSION_STATS_EVENTS)
-def q_session_stats_events(sf_dir: str) -> pd.DataFrame:
-    """Per-session aggregates over the sessionized stream: event count,
-    start/end, duration in seconds. One extra coarse-hash aggregate on the
-    already-partitioned (user_id, session_id) keys."""
-    sess = _sessionized_events(sf_dir)
-    agg = hash_aggregate(
-        sess, ["user_id", "session_id"],
-        {"n_events": ("event_id", "count"),
-         "session_start": ("ts", "min"),
-         "session_end": ("ts", "max")},
-        num_partitions=_NP)
-    df = agg.to_pandas()
-    df["session_id"] = df["session_id"].astype("int64")
-    df["n_events"] = df["n_events"].astype("int64")
-    df["duration_us"] = ((df["session_end"] - df["session_start"])
-                         .astype("timedelta64[us]").astype("int64"))
-    df = df[["user_id", "session_id", "n_events", "session_start",
-             "session_end", "duration_us"]]
-    return df.sort_values(["user_id", "session_id"],
-                          kind="mergesort").reset_index(drop=True)
-
-
-SQL_SESSION_STATS_EVENTS = f"""
-    WITH s AS ({SQL_SESSIONIZE_EVENTS})
-    SELECT user_id, session_id,
-           CAST(count(*) AS BIGINT) AS n_events,
-           min(ts) AS session_start,
-           max(ts) AS session_end,
-           CAST(date_diff('microsecond', min(ts), max(ts)) AS BIGINT)
-               AS duration_us
-    FROM s GROUP BY 1, 2
 """
 
 
@@ -3615,7 +3356,7 @@ SQL_GOPHER_FILTER = r"""
 
 
 # ---------------------------------------------------------------------------
-# TF-IDF / unigram-LM corpus scoring (pipelines/tfidf.py)
+# TF-IDF top terms (pipelines/tfidf.py)
 # ---------------------------------------------------------------------------
 
 @entry("tfidf_topterms_documents", sql=lambda: SQL_TFIDF_TOPTERMS)
@@ -3653,40 +3394,6 @@ SQL_TFIDF_TOPTERMS = r"""
 """
 
 
-@entry("unigram_logprob_documents", sql=lambda: SQL_UNIGRAM_LOGPROB)
-def q_unigram_logprob_documents(sf_dir: str) -> pd.DataFrame:
-    """CCNet-style corpus-LM quality score: per-doc mean token log-prob."""
-    from forecastframe_ray.pipelines.tfidf import unigram_doc_logprob
-
-    docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    out = unigram_doc_logprob(docs).to_pandas()
-    out = out.astype({"doc_id": "int64", "n_tokens": "int64"})
-    return out.sort_values("doc_id").reset_index(drop=True)
-
-
-SQL_UNIGRAM_LOGPROB = r"""
-    WITH toks AS (
-      SELECT doc_id,
-             unnest(list_filter(string_split_regex(text, '\s+'),
-                                x -> x <> '')) AS token
-      FROM documents
-    ),
-    tf AS (SELECT doc_id, token, count(*) AS tf FROM toks GROUP BY 1, 2),
-    cnt AS (SELECT token, sum(tf) AS n FROM tf GROUP BY 1),
-    tot AS (SELECT sum(n) AS t FROM cnt),
-    sc AS (
-      SELECT tf.doc_id,
-             sum(tf.tf * ln(cnt.n / tot.t)) AS s,
-             sum(tf.tf) AS m
-      FROM tf JOIN cnt USING (token) CROSS JOIN tot
-      GROUP BY 1
-    )
-    SELECT doc_id, CAST(m AS BIGINT) AS n_tokens,
-           round(s / m, 6) AS lm_logprob
-    FROM sc
-"""
-
-
 @entry("stratified_sample_orders", sql=lambda: SQL_STRATIFIED_SAMPLE_ORDERS)
 def q_stratified_sample_orders(sf_dir: str) -> pd.DataFrame:
     """Exact 40-per-priority deterministic stratified sample (md5 quota)."""
@@ -3712,57 +3419,6 @@ SQL_STRATIFIED_SAMPLE_ORDERS = """
                                        ORDER BY bkt, o_orderkey) AS rk
           FROM b)
     SELECT o_orderkey, o_orderpriority, o_totalprice FROM r WHERE rk <= 40
-"""
-
-
-# ---------------------------------------------------------------------------
-# rolling-baseline anomaly flags (composition: W1 mean+std -> integer flag)
-# ---------------------------------------------------------------------------
-
-@entry("anomaly_daily_events", sql=lambda: SQL_ANOMALY_DAILY)
-def q_anomaly_daily_events(sf_dir: str) -> pd.DataFrame:
-    """Per-series anomaly detection on the daily spine: flag days where the
-    value leaves the trailing-7d lag-1 mean ± 2·std band. The comparison
-    runs on ROUND(…,6) deviation/band on both engines so a boundary day
-    cannot flip; days without a defined band (std needs ≥2 prior points)
-    are never anomalies."""
-    fr = _daily_frame(sf_dir).calc_statistical_features(
-        "v", windows=7, aggregations=["mean", "std"], lag=1, min_periods=1)
-    df = fr.to_pandas()[["event_type", "d", "v",
-                         "v_mean_roll7_lag1", "v_std_roll7_lag1"]]
-    dev = np.round(np.abs(df["v"].to_numpy(np.float64)
-                          - df["v_mean_roll7_lag1"].to_numpy(np.float64)), 6)
-    band = np.round(2.0 * df["v_std_roll7_lag1"].to_numpy(np.float64), 6)
-    df["deviation"] = dev
-    df["band"] = band
-    df["anomaly"] = np.where(np.isnan(band), 0,
-                             (dev > band).astype(np.int64)).astype("int64")
-    df = df.drop(columns=["v_mean_roll7_lag1", "v_std_roll7_lag1"])
-    df = _round(df, ["v"], 6)
-    return _fill(df, ["deviation", "band"])
-
-
-SQL_ANOMALY_DAILY = f"""
-    WITH daily AS ({_DAILY_SQL}),
-    l AS (
-        SELECT event_type, d, v, epoch_us(d) // {DAY_US} AS dn,
-               LAG(v, 1) OVER (PARTITION BY event_type ORDER BY d) AS lv
-        FROM daily
-    ),
-    w AS (
-        SELECT event_type, d, v,
-               round(abs(v - avg(lv) OVER w), 6) AS deviation,
-               round(2 * stddev_samp(lv) OVER w, 6) AS band
-        FROM l WINDOW w AS (PARTITION BY event_type ORDER BY dn
-                            RANGE BETWEEN 6 PRECEDING AND CURRENT ROW)
-    )
-    SELECT event_type, d, round(v, 6) AS v,
-           COALESCE(deviation, {NULLF}) AS deviation,
-           COALESCE(band, {NULLF}) AS band,
-           CAST(CASE WHEN band IS NULL THEN 0
-                     WHEN deviation > band THEN 1 ELSE 0 END
-                AS BIGINT) AS anomaly
-    FROM w
 """
 
 

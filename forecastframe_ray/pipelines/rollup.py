@@ -198,16 +198,14 @@ def finalize_tier_batch(batch: pd.DataFrame, tier: str) -> pd.DataFrame:
 
 
 def rollup_tiers(ds, series_keys: list[str], ts_col: str, value_col: str | None = None,
-                 size_col: str | None = None, num_salts: int = 16,
-                 num_partitions: int = 64,
+                 size_col: str | None = None, num_partitions: int = 64,
                  tiers: tuple = ("1h", "1d", "7d")) -> dict:
     """The 1h → 1d → 7d cascade in one exchange. Returns {tier: Dataset} of
     finalized tier tables for the requested ``tiers``, each materialized
     (row counts are block-metadata lookups).
 
-    ``num_salts`` is kept for API stability; hot-key splitting is inherent
-    in the combiner: a hot series reaches its partition as ≤ one partial
-    row per hour per batch.
+    Hot keys need no salting: the combiner sends a hot series to its
+    partition as ≤ one partial row per hour per batch.
     """
     import pyarrow as pa
     import pyarrow.compute as pc

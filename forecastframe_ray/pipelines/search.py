@@ -777,7 +777,7 @@ def fit_holt_winters(train_ds, keys: list[str], dtc: str, target: str,
                      gamma: float = 0.1, period: int = 7) -> dict:
     """Holt-Winters ADDITIVE triple exponential smoothing (public —
     Winters 1960 / Hyndman fpp §8.3), ROW-seasonality of ``period`` (the
-    same row-lag convention as ``mase_daily_events``):
+    same row-lag convention as the seasonal-naive baseline):
 
         l_t = α(y_t − s_{t−m}) + (1−α)(l_{t−1} + b_{t−1})
         b_t = β(l_t − l_{t−1}) + (1−β)·b_{t−1}

@@ -77,14 +77,17 @@ def train_centroids(ds, num_centroids: int = 16, vec_col: str = "embedding",
                     sample_rows: int = 4096, iters: int = 10, seed: int = 5,
                     sort_col: str | None = None) -> np.ndarray:
     """k-means on a driver-side sample (standard IVF training — the coarse
-    quantizer is tiny and trained once, then broadcast). Pass ``sort_col``
-    to make the sample ORDER-insensitive: ``limit()`` returns rows in
-    block order, which is not deterministic run-to-run, and the seeded
-    init indexes into that order — a persisted index's quantizer
-    (ann_index.build_ann_index) must not depend on it."""
-    sample = ds.limit(sample_rows).to_pandas()
-    if sort_col is not None:
-        sample = sample.sort_values(sort_col).reset_index(drop=True)
+    quantizer is tiny and trained once, then broadcast). Pass a unique
+    ``sort_col`` to make the sample independent of Ray block order: the
+    sample is then the ``sample_rows`` rows with the lowest ``sort_col``,
+    in ``sort_col`` order, so both which rows are drawn and the order the
+    seeded init indexes into are fixed — a persisted index's quantizer
+    (ann_index.build_ann_index) must not depend on block order. Without
+    ``sort_col`` the sample is ``limit()``'s first rows in block order."""
+    if sort_col is None:
+        sample = ds.limit(sample_rows).to_pandas()
+    else:
+        sample = _lowest_rows(ds, sort_col, sample_rows)
     X = _normalize(_stack(sample[vec_col]))
     rng = np.random.default_rng(seed)
     C = X[rng.choice(len(X), size=min(num_centroids, len(X)), replace=False)]
@@ -98,6 +101,25 @@ def train_centroids(ds, num_centroids: int = 16, vec_col: str = "embedding",
                 if n > 0:
                     C[c] = v / n
     return C
+
+
+def _lowest_rows(ds, sort_col: str, n: int) -> pd.DataFrame:
+    """The ``n`` rows with the lowest ``sort_col``, sorted by it. One pass
+    over ``sort_col`` alone finds the cut (each block sends its ``n``
+    smallest keys); a second keeps the rows at or below it."""
+    import pyarrow.compute as pc
+
+    keys = ds.select_columns([sort_col]).map_batches(
+        lambda b: b.nsmallest(n, sort_col), batch_format="pandas"
+    ).to_pandas()[sort_col].to_numpy()
+    if len(keys) == 0:
+        return ds.limit(0).to_pandas()
+    cut = np.sort(keys)[min(n, len(keys)) - 1].item()
+    sample = ds.map_batches(
+        lambda b: b.filter(pc.less_equal(b[sort_col], cut)),
+        batch_format="pyarrow").to_pandas()
+    return (sample.sort_values(sort_col, kind="mergesort").head(n)
+            .reset_index(drop=True))
 
 
 def ivf_topk(ds, queries: np.ndarray, k: int = 10, num_centroids: int = 16,

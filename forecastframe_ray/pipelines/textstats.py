@@ -136,7 +136,6 @@ def lang_id_batch(batch: pd.DataFrame, text_col: str = "text",
 # ---------------------------------------------------------------------------
 
 _FP_BASE = np.uint64(1099511628211)       # FNV prime — public constant
-_FP_OFFSET = np.uint64(14695981039346656037)
 
 
 def rolling_hashes(data: bytes, width: int = 8) -> np.ndarray:
@@ -249,14 +248,6 @@ def c4_clean_batch(batch: pd.DataFrame, text_col: str = "text",
     out["text_clean"] = joined.to_numpy()[doc_keep]
     out["n_lines_kept"] = n_kept.to_numpy(dtype=np.int64)[doc_keep]
     return out
-
-
-def _line_hashes(txt: str) -> np.ndarray:
-    lines = [ln.strip() for ln in txt.split("\n") if ln.strip()]
-    if not lines:
-        return np.array([], dtype=np.uint64)
-    return pd.util.hash_pandas_object(pd.Series(lines, dtype="object"),
-                                      index=False).to_numpy(np.uint64)
 
 
 def remove_boilerplate_lines(ds, text_col: str = "text",

@@ -79,13 +79,13 @@ def _tier_partials(prepared, series_keys=("host",)):
         batch_format="pyarrow")
 
 
-def build_tiers(prepared, series_keys=("host",), num_salts: int = 16,
+def build_tiers(prepared, series_keys=("host",),
                 num_partitions: int = 32) -> dict:
     """Exact per-(host, bucket) tier tables: pages count, bytes, and value
     stats over ``text_bytes`` (the per-bucket crawl-rate series)."""
     return rollup.rollup_tiers(
         prepared, list(series_keys), "warc_ts",
-        value_col="text_bytes", size_col="text_bytes", num_salts=num_salts,
+        value_col="text_bytes", size_col="text_bytes",
         num_partitions=num_partitions,
     )
 
@@ -174,8 +174,7 @@ def refresh_chunks(out_dir: str, parts: set, series_keys=("host",),
 
 
 def append_tiers(pages_ds, out_dir: str, delta_id: str,
-                 series_keys=("host",), num_salts: int = 16,
-                 num_partitions: int = 32,
+                 series_keys=("host",), num_partitions: int = 32,
                  refresh_compressed: bool = False,
                  value_col: str = "pages",
                  fail_after: int | None = None) -> list[dict]:
@@ -223,8 +222,8 @@ def compress_tier(tier_ds, series_keys=("host",), tier: str = "1h",
 
 
 def run(pages_ds, out_dir: str | None = None, series_keys=("host",),
-        num_salts: int = 16, num_partitions: int = 32,
-        compress: bool = True, fail_after: int | None = None) -> dict:
+        num_partitions: int = 32, compress: bool = True,
+        fail_after: int | None = None) -> dict:
     """End-to-end flagship run. Returns metrics incl. the north-star
     rolled-up points/sec across tiers.
 
@@ -250,7 +249,7 @@ def run(pages_ds, out_dir: str | None = None, series_keys=("host",),
                 r["rows"] for (t, _), r in stored.items()
                 if t == "chunks_1h"))}
     else:
-        tiers = build_tiers(prepared, series_keys, num_salts, num_partitions)
+        tiers = build_tiers(prepared, series_keys, num_partitions)
         points = tier_points(tiers)
         if compress:
             cdf = compress_tier(tiers["1h"], series_keys, "1h", "pages",

@@ -65,29 +65,6 @@ class BitWriter:
         self.nbits = 0
 
 
-class BitReader:
-    __slots__ = ("data", "pos")
-
-    def __init__(self, data: bytes):
-        self.data = data
-        self.pos = 0  # bit position
-
-    def read(self, bits: int) -> int:
-        out = 0
-        pos = self.pos
-        data = self.data
-        end = pos + bits
-        while pos < end:
-            byte = data[pos >> 3]
-            avail = 8 - (pos & 7)
-            take = min(avail, end - pos)
-            shift = avail - take
-            out = (out << take) | ((byte >> shift) & ((1 << take) - 1))
-            pos += take
-        self.pos = end
-        return out
-
-
 def _zigzag(v: int) -> int:
     return (v << 1) ^ (v >> 63) if v >= 0 else ((-v) << 1) - 1
 
@@ -141,9 +118,6 @@ def encode_timestamps(ts_us: np.ndarray, w: BitWriter | None = None) -> bytes:
         prev_ix = ix
     _write_zero_bits(w, int(len(dod) - 1 - prev_ix))
     return w.getvalue()
-
-
-
 
 
 _TS_TAGLEN = np.array([2, 3, 4, 4], dtype=np.int64)
@@ -292,7 +266,6 @@ def encode_values(vals: np.ndarray, w: BitWriter | None = None) -> bytes:
         prev_ix = ix
     _write_zero_bits(w, int(len(xors) - 1 - prev_ix))
     return w.getvalue()
-
 
 
 def decode_values(payload: bytes, n: int) -> np.ndarray:

@@ -253,8 +253,7 @@ def quantile_sketch(ds, group_keys: list[str], value_col: str,
     combiner/merge plan as :func:`distinct_sketch`; shuffle traffic is
     O(groups × buckets) (buckets ≈ ln(max/min)/ln(1+2ε), ~1.4k for a
     float64 dynamic range at ε=1%), independent of row count. Use
-    :func:`hist_quantile` on the merged rows, or
-    :func:`merge_hist_rows` to cascade tiers."""
+    :func:`hist_quantile` on the merged rows."""
     gk = list(group_keys)
 
     def partials(b: pd.DataFrame) -> pd.DataFrame:
@@ -286,27 +285,6 @@ def quantile_sketch(ds, group_keys: list[str], value_col: str,
 
     parts = ds.map_batches(partials, batch_format="pandas")
     return bucketed_map_groups(parts, gk, merge,
-                               num_partitions=num_partitions)
-
-
-def merge_hist_rows(qh_ds, group_keys: list[str],
-                    num_partitions: int = 64):
-    """Cascade step for quantile histograms (per-1h → per-1d …)."""
-    gk = list(group_keys)
-
-    def merge(sub: pd.DataFrame) -> pd.DataFrame:
-        if len(sub) == 0:
-            out = sub[gk].iloc[0:0].copy()
-            out["qhist"] = pd.Series([], dtype="object")
-            out["n"] = pd.Series([], dtype="int64")
-            return out
-        ids, cnt = hist_merge([hist_from_bytes(x) for x in sub["qhist"]])
-        out = sub[gk].iloc[:1].copy()
-        out["qhist"] = [hist_to_bytes(ids, cnt)]
-        out["n"] = int(cnt.sum())
-        return out
-
-    return bucketed_map_groups(qh_ds, gk, merge,
                                num_partitions=num_partitions)
 
 

@@ -432,10 +432,7 @@ def op_cusum(df, keys, ts_col, feature, threshold=2.0, out_name=None,
 
 def decompose_components(df, keys, ts_col, feature, ma_window=7):
     """UNROUNDED ``(trend, seasonal)`` arrays of the classical additive
-    decomposition — the single definition shared by
-    :func:`op_seasonal_decompose` and the FPP3 strength metrics
-    (``queries.q_decomposition_strength_daily``), so the two can never
-    drift apart (review r4):
+    decomposition behind :func:`op_seasonal_decompose`:
 
     - ``trend``   = centered ``ma_window``-ROW moving average (partial
       windows at the series edges — SQL ``ROWS BETWEEN k PRECEDING AND k

@@ -1,10 +1,9 @@
-"""Shipping-priority (TPC-H Q3 shape), cohort retention, and MASE —
-pipeline-level checks on small hand-built inputs where the expected answer
+"""Shipping-priority (TPC-H Q3 shape) and cohort retention — pipeline-level
+checks on small hand-built inputs where the expected answer
 is computable by eye."""
 
 import numpy as np
 import pandas as pd
-import pytest
 
 
 def _write_events(tmp_path, user_day_pairs):
@@ -32,25 +31,6 @@ def test_cohort_retention_small(ray_session, tmp_path):
            for _, r in out.iterrows()}
     assert got == {(jan1, 0): 1, (jan1, 1): 1, (jan1, 3): 1,
                    (jan2, 0): 1, (jan2, 1): 1}
-
-
-def test_mase_seasonal_naive(ray_session, tmp_path):
-    from forecastframe_ray.pipelines import queries as Q
-
-    # 14 days: second week repeats the first exactly -> lag-7 errors are 0
-    # -> MASE == 0; lag-1 scale is nonzero so no degenerate guard trips
-    week = [10.0, 20.0, 15.0, 30.0, 25.0, 40.0, 35.0]
-    rows = []
-    for day, v in enumerate(week + week):
-        rows.append({"event_id": day, "ts": pd.Timestamp("2024-01-01")
-                     + pd.Timedelta(days=day), "user_id": 1,
-                     "event_type": "e", "value": v, "props": "{}"})
-    df = pd.DataFrame(rows)
-    df["ts"] = df["ts"].astype("datetime64[us]")
-    df.to_parquet(tmp_path / "events.parquet")
-    out = Q.q_mase_daily_events(str(tmp_path))
-    assert out["n_forecast"].iloc[0] == 7
-    assert out["mase"].iloc[0] == 0.0
 
 
 def test_shipping_priority_filters_and_revenue(ray_session, tmp_path):

@@ -1,4 +1,4 @@
-"""Naive2 estimator and KMV set-op edges."""
+"""Naive2 estimator edges."""
 
 import numpy as np
 import pandas as pd
@@ -37,22 +37,3 @@ def test_naive2_fit_state_zero_guard(ray_session):
     assert np.isclose(row["__s0"], 2.0 / gm)
     # z_last = y[-1] / s[(6-1)%3] = 0 / 1 = 0
     assert row["__z"] == 0.0
-
-
-def test_kmv_set_ops_exact_regime(ray_session, tmp_path):
-    from forecastframe_ray.pipelines import queries as Q
-
-    ts = pd.date_range("2024-01-01", periods=6, freq="h") \
-        .astype("datetime64[us]")
-    # click users {1,2,3}, view users {3,4} -> union 4, intersect 1
-    pd.DataFrame({"user_id": [1, 2, 3, 3, 4, 9], "ts": ts,
-                  "event_type": ["click", "click", "click", "view",
-                                 "view", "error"],
-                  "value": [1.0] * 6}) \
-        .to_parquet(tmp_path / "events.parquet")
-    out = Q.q_kmv_set_ops_gate(str(tmp_path))
-    assert out.loc[0, "n_click_users"] == 3
-    assert out.loc[0, "n_view_users"] == 2
-    assert out.loc[0, "n_union"] == 4
-    assert out.loc[0, "n_intersect"] == 1
-    assert bool(out.loc[0, "est_ok"])

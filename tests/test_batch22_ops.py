@@ -1,4 +1,4 @@
-"""Combo forecast / L-moments / expected-shortfall edges."""
+"""Combo forecast edges."""
 
 import numpy as np
 import pandas as pd
@@ -25,37 +25,3 @@ def test_combo_is_mean_of_components(ray_session, tmp_path):
         comp.append(p)
     exp = np.round(np.mean(comp, axis=0), 6)
     assert np.allclose(combo["combo_v"].to_numpy(), exp)
-
-
-def test_lmoments_uniform_known_values(ray_session, tmp_path):
-    from forecastframe_ray.pipelines import queries as Q
-
-    # symmetric values: tau3 == 0; l2 of {1..5} = 2*b1-b0
-    ts = pd.date_range("2024-01-01", periods=5, freq="h") \
-        .astype("datetime64[us]")
-    pd.DataFrame({"event_type": ["e"] * 5, "ts": ts,
-                  "value": [1.0, 2.0, 3.0, 4.0, 5.0],
-                  "user_id": [0] * 5}) \
-        .to_parquet(tmp_path / "events.parquet")
-    out = Q.q_lmoments_events(str(tmp_path))
-    assert out.loc[0, "l1"] == 3.0
-    x = np.array([1, 2, 3, 4, 5.0])
-    i = np.arange(1, 6)
-    b1 = ((i - 1) * x).sum() / (5 * 4)
-    assert out.loc[0, "l2"] == np.round(2 * b1 - 3.0, 6)
-    assert out.loc[0, "tau3"] == 0.0
-
-
-def test_expected_shortfall(ray_session, tmp_path):
-    from forecastframe_ray.pipelines import queries as Q
-
-    ts = pd.date_range("2024-01-01", periods=20, freq="h") \
-        .astype("datetime64[us]")
-    vals = [10.0] * 19 + [100.0]
-    pd.DataFrame({"event_type": ["e"] * 20, "ts": ts, "value": vals,
-                  "user_id": [0] * 20}) \
-        .to_parquet(tmp_path / "events.parquet")
-    out = Q.q_expected_shortfall_events(str(tmp_path))
-    # p95 of 19x10 + 100 sits between 10 and 100 -> tail = {100}
-    assert out.loc[0, "n_tail"] == 1
-    assert out.loc[0, "es95"] == 100.0

@@ -1,4 +1,4 @@
-"""Holt-Winters recursion pin + rolling-distinct / burstiness / entropy edges."""
+"""Holt-Winters recursion pin and seasonal-pattern edges."""
 
 import numpy as np
 import pandas as pd
@@ -58,56 +58,3 @@ def test_holt_winters_predict_seasonal_pattern(ray_session, tmp_path):
     out = Q.q_holt_winters_gate_daily(str(tmp_path))
     assert len(out) == 7
     assert list(out["predicted_v"]) == pattern
-
-
-def test_rolling_distinct_counts_window(ray_session, tmp_path):
-    from forecastframe_ray.pipelines import queries as Q
-
-    # user 1 on day 1, user 2 on day 5, user 3 on day 9
-    ts = pd.to_datetime(["2024-01-01", "2024-01-05", "2024-01-09"]) \
-        .astype("datetime64[us]")
-    pd.DataFrame({"event_type": ["e"] * 3, "ts": ts,
-                  "user_id": [1, 2, 3], "value": [1.0] * 3}) \
-        .to_parquet(tmp_path / "events.parquet")
-    out = Q.q_rolling_distinct_users_daily(str(tmp_path)).set_index("d")
-    # day 5 window [Dec 30..Jan 5] holds users 1 and 2
-    assert out.loc[pd.Timestamp("2024-01-05"), "u7"] == 2
-    # day 9 window [Jan 3..Jan 9] holds users 2 and 3 (user 1 aged out)
-    assert out.loc[pd.Timestamp("2024-01-09"), "u7"] == 2
-    assert len(out) == 3  # only days that exist in the stream
-
-
-def test_burstiness_periodic_is_minus_one_ish(ray_session, tmp_path):
-    from forecastframe_ray.pipelines import queries as Q
-
-    # perfectly periodic user: sigma=0 -> B = -1; single-gap user -> NULLF
-    ts1 = pd.date_range("2024-01-01", periods=5, freq="h")
-    ts2 = pd.date_range("2024-01-01", periods=2, freq="h")
-    pd.DataFrame({"user_id": [1] * 5 + [2] * 2,
-                  "ts": list(ts1.astype("datetime64[us]"))
-                  + list(ts2.astype("datetime64[us]")),
-                  "event_type": ["e"] * 7, "value": [1.0] * 7}) \
-        .to_parquet(tmp_path / "events.parquet")
-    out = Q.q_burstiness_users_events(str(tmp_path)).set_index("user_id")
-    assert out.loc[1, "burstiness"] == -1.0
-    assert out.loc[1, "mean_gap_s"] == 3600.0
-    assert out.loc[2, "std_gap_s"] == -999.0
-    assert out.loc[2, "burstiness"] == -999.0
-
-
-def test_transition_entropy_deterministic_chain(ray_session, tmp_path):
-    from forecastframe_ray.pipelines import queries as Q
-
-    # a->b always (H=0); b -> {a, c} evenly (H=ln 2)
-    ts = pd.date_range("2024-01-01", periods=8, freq="h") \
-        .astype("datetime64[us]")
-    seq = ["a", "b", "a", "b", "c", "b", "a", "b"]
-    pd.DataFrame({"user_id": [1] * 8, "ts": ts, "event_type": seq,
-                  "value": [1.0] * 8}) \
-        .to_parquet(tmp_path / "events.parquet")
-    out = Q.q_transition_entropy_events(str(tmp_path)) \
-        .set_index("prev_type")
-    assert out.loc["a", "h_cond"] == 0.0
-    # b -> a (2), b -> c (1): H = -(2/3 ln 2/3 + 1/3 ln 1/3)
-    exp = -(2 / 3 * np.log(2 / 3) + 1 / 3 * np.log(1 / 3))
-    assert out.loc["b", "h_cond"] == np.round(exp, 6)

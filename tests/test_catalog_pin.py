@@ -91,3 +91,16 @@ def test_every_sql_lambda_returns_nonempty_str():
         if not isinstance(text, str) or not text.strip():
             bad.append(name)
     assert bad == []
+
+
+def test_bench_queries_are_registered():
+    """Every name ``bench.py`` times is a catalog entry (parsed, not
+    imported: importing ``bench.py`` pulls in its whole harness)."""
+    tree = ast.parse((ROOT / "bench.py").read_text())
+    lists = [node.value for node in tree.body
+             if isinstance(node, ast.Assign)
+             and [t.id for t in node.targets if isinstance(t, ast.Name)]
+             == ["_BENCH_QUERIES"]]
+    assert len(lists) == 1
+    names = ast.literal_eval(lists[0])
+    assert names and [n for n in names if n not in Q.CATALOG] == []

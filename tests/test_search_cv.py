@@ -537,26 +537,3 @@ def test_seasonal_naive_and_drift_baselines(ray_session):
                                      "d": [d[0] + pd.Timedelta(days=5)]})),
         st1, ["series"], "d", "v", "p").to_pandas()
     assert g1["p"].iloc[0] == 7.0
-
-
-def test_baseline_leaderboard_ranks_matching_model_first(ray_session,
-                                                         tmp_path):
-    """A pure weekly-pattern corpus must rank a seasonal baseline above
-    drift; a pure linear trend must rank drift first."""
-    from forecastframe_ray.pipelines import queries as Q
-
-    d = pd.date_range("2024-01-01", periods=35, freq="D") \
-        .values.astype("datetime64[us]")
-    weekly = 100.0 + np.tile([30, -20, 10, 0, -10, 20, -30], 5)
-    ev = pd.DataFrame({"event_type": ["w"] * 35, "ts": d, "value": weekly})
-    ev.to_parquet(tmp_path / "events.parquet")
-    out = Q.q_baseline_leaderboard_daily(str(tmp_path))
-    assert out["estimator"].iloc[0] in ("seasonal_naive", "seasonal_mean")
-    assert out["estimator"].iloc[-1] == "drift"
-
-    trend = 10.0 + 3.0 * np.arange(35)
-    ev = pd.DataFrame({"event_type": ["t"] * 35, "ts": d, "value": trend})
-    ev.to_parquet(tmp_path / "events.parquet")
-    out = Q.q_baseline_leaderboard_daily(str(tmp_path))
-    assert out["estimator"].iloc[0] == "drift"
-    assert out["rmse"].iloc[0] < 1e-6

@@ -1,7 +1,7 @@
-"""CUSUM changepoint, additive seasonal decomposition, and the per-series
-autocorrelation reduce (stages/window_ops.op_cusum / op_seasonal_decompose,
-queries.q_acf_daily_events) — direct kernel checks plus distributed-path
-equality through the keyed window stage."""
+"""CUSUM changepoint and additive seasonal decomposition
+(stages/window_ops.op_cusum / op_seasonal_decompose) — direct kernel checks
+plus distributed-path equality through the keyed window stage — and the
+demand-classification quadrants entry."""
 
 import numpy as np
 import pandas as pd
@@ -96,122 +96,6 @@ def test_keyed_stage_matches_kernel(ray_session):
     want = op_cusum(want, ["k"], "d", "v")
     want = op_seasonal_decompose(want, ["k"], "d", "v", ma_window=7)
     pd.testing.assert_frame_equal(got[want.columns], want)
-
-
-def test_acf_known_sequence(ray_session, tmp_path, monkeypatch):
-    # AR-free sanity: a strictly increasing series has acf1 ≈ 1 for the
-    # overlapping-pair correlation; verify against numpy corrcoef on the
-    # exact pair construction (x=v[k:], y=v[:-k]).
-    from forecastframe_ray.pipelines import queries as Q
-
-    v = np.array([1.0, 3.0, 2.0, 5.0, 4.0, 7.0, 6.0, 9.0])
-    ev = pd.DataFrame({
-        "event_type": ["e"] * len(v),
-        "ts": pd.date_range("2024-01-01", periods=len(v), freq="D")
-              .astype("datetime64[us]"),  # match the testdata ts resolution
-        "value": v,
-    })
-    ev.to_parquet(tmp_path / "events.parquet")
-    out = Q.q_acf_daily_events(str(tmp_path))
-    assert out["n1"].iloc[0] == 7 and out["n2"].iloc[0] == 6
-    for k, col in [(1, "acf1"), (2, "acf2")]:
-        want = np.corrcoef(v[k:], v[:-k])[0, 1]
-        np.testing.assert_allclose(out[col].iloc[0], np.round(want, 6),
-                                   atol=1e-6)
-
-
-def test_dickey_fuller_known_series(ray_session, tmp_path):
-    # white noise around a constant is strongly stationary (df_stat deeply
-    # negative, flag True); a deterministic random walk is not. Statistic
-    # pinned against the closed-form OLS t-stat computed directly.
-    from forecastframe_ray.pipelines import queries as Q
-
-    rng = np.random.default_rng(13)
-    noise = 100.0 + rng.normal(0, 5, 40)
-    walk = np.cumsum(rng.normal(0.0, 1.0, 40)) + 100.0
-    ev = pd.DataFrame({
-        "event_type": ["noise"] * 40 + ["walk"] * 40,
-        "ts": np.tile(pd.date_range("2024-01-01", periods=40, freq="D")
-                      .values.astype("datetime64[us]"), 2),
-        "value": np.concatenate([noise, walk]),
-    })
-    ev.to_parquet(tmp_path / "events.parquet")
-    out = Q.q_dickey_fuller_daily(str(tmp_path)).set_index("event_type")
-
-    def ref_stat(v):
-        x, d = v[:-1], np.diff(v)
-        m = len(x)
-        xc, dc = x - x.mean(), d - d.mean()
-        rho = (xc * dc).sum() / (xc * xc).sum()
-        s2 = ((dc - rho * xc) ** 2).sum() / (m - 2)
-        return rho / np.sqrt(s2 / (xc * xc).sum())
-
-    for name, v in [("noise", noise), ("walk", walk)]:
-        np.testing.assert_allclose(out.loc[name, "df_stat"],
-                                   np.round(ref_stat(v), 6), atol=2e-6)
-        assert out.loc[name, "m"] == 39
-    assert bool(out.loc["noise", "stationary"])
-    assert not bool(out.loc["walk", "stationary"])
-
-
-def test_dickey_fuller_degenerate_constant_series(ray_session, tmp_path):
-    # constant series: sxx_c == 0 -> NULL rho/stat (NULLF), flag False
-    from forecastframe_ray.pipelines.queries import NULLF
-    from forecastframe_ray.pipelines import queries as Q
-
-    ev = pd.DataFrame({
-        "event_type": ["c"] * 6,
-        "ts": pd.date_range("2024-01-01", periods=6, freq="D")
-              .astype("datetime64[us]"),
-        "value": [5.0] * 6,
-    })
-    ev.to_parquet(tmp_path / "events.parquet")
-    out = Q.q_dickey_fuller_daily(str(tmp_path))
-    assert out["rho"].iloc[0] == NULLF
-    assert out["df_stat"].iloc[0] == NULLF
-    assert not bool(out["stationary"].iloc[0])
-
-
-def test_ljung_box_white_vs_autocorrelated(ray_session, tmp_path):
-    # i.i.d. noise must not reject whiteness; a smooth sine trend must.
-    from forecastframe_ray.pipelines import queries as Q
-
-    rng = np.random.default_rng(21)
-    noise = rng.normal(0, 1, 60)
-    sine = np.sin(np.arange(60) / 4.0) * 10.0 + 100.0
-    ev = pd.DataFrame({
-        "event_type": ["white"] * 60 + ["sine"] * 60,
-        "ts": np.tile(pd.date_range("2024-01-01", periods=60, freq="D")
-                      .values.astype("datetime64[us]"), 2),
-        "value": np.concatenate([noise, sine]),
-    })
-    ev.to_parquet(tmp_path / "events.parquet")
-    out = Q.q_ljung_box_daily(str(tmp_path)).set_index("event_type")
-    assert out.loc["sine", "lb_stat"] > out.loc["white", "lb_stat"]
-    assert bool(out.loc["sine", "reject_white"])
-    assert not bool(out.loc["white", "reject_white"])
-    assert (out["n"] == 60).all()
-
-
-def test_ts_strength_separates_trend_and_seasonality(ray_session, tmp_path):
-    # a pure linear trend scores f_trend ~1 / f_seasonal ~0; a pure weekly
-    # pattern scores the reverse (FPP3 strength-of-components measures)
-    from forecastframe_ray.pipelines import queries as Q
-
-    t = np.arange(56, dtype=np.float64)
-    trendy = 10.0 + 3.0 * t
-    weekly = 100.0 + np.tile([20, -10, 5, 0, -5, 10, -20], 8)
-    ev = pd.DataFrame({
-        "event_type": ["trendy"] * 56 + ["weekly"] * 56,
-        "ts": np.tile(pd.date_range("2024-01-01", periods=56, freq="D")
-                      .values.astype("datetime64[us]"), 2),
-        "value": np.concatenate([trendy, weekly]),
-    })
-    ev.to_parquet(tmp_path / "events.parquet")
-    out = Q.q_ts_strength_daily(str(tmp_path)).set_index("event_type")
-    assert out.loc["trendy", "f_trend"] > 0.99
-    assert out.loc["weekly", "f_seasonal"] > 0.95
-    assert out.loc["weekly", "f_trend"] < 0.6
 
 
 def test_demand_classification_quadrants(ray_session, tmp_path):

@@ -26,7 +26,7 @@ TIER_COLS = ["host", "bucket_us", "pages", "bytes", "sum_val", "min_val",
 def tier_results(ray_session):
     pages = synth.pages_dataset(N_PAGES, seed=42, num_domains=60, override_num_blocks=6)
     prepared = web.prepare_pages(pages)
-    tiers = web.build_tiers(prepared, ("host",), num_salts=4)
+    tiers = web.build_tiers(prepared, ("host",))
     got = {t: ds.to_pandas().sort_values(["host", "bucket_us"]).reset_index(drop=True)
            for t, ds in tiers.items()}
     oracle = web.oracle_tiers(synth.pages_table(N_PAGES, seed=42, num_domains=60).to_pandas())
@@ -62,7 +62,7 @@ def test_cascade_consistency(tier_results):
 
 def test_checkpoint_resume_byte_identical(ray_session, tmp_path):
     pages = synth.pages_dataset(800, seed=42, num_domains=30, override_num_blocks=4)
-    tiers = web.build_tiers(web.prepare_pages(pages), ("host",), num_salts=2)
+    tiers = web.build_tiers(web.prepare_pages(pages), ("host",))
 
     full_dir = str(tmp_path / "full")
     web.write_tiers({"1h": tiers["1h"]}, full_dir, num_partitions=8)
@@ -208,7 +208,7 @@ def test_tier_jobs_run_one_exchange_each(ray_session, tmp_path):
 
 def test_full_run_with_compression(ray_session, tmp_path):
     pages = synth.pages_dataset(1500, seed=42, num_domains=40, override_num_blocks=4)
-    metrics = web.run(pages, out_dir=None, num_salts=2, compress=True)
+    metrics = web.run(pages, out_dir=None, compress=True)
     assert metrics["total_points"] > 0
     assert metrics["tier_points"]["1h"] >= metrics["tier_points"]["1d"] >= metrics["tier_points"]["7d"]
     cs = metrics["chunk_stats"]
@@ -217,7 +217,7 @@ def test_full_run_with_compression(ray_session, tmp_path):
     # chunk roundtrip: decode == 1h pages series exactly
     from forecastframe_ray.stages import gorilla
     tiers = web.build_tiers(web.prepare_pages(
-        synth.pages_dataset(1500, seed=42, num_domains=40, override_num_blocks=4)), num_salts=2)
+        synth.pages_dataset(1500, seed=42, num_domains=40, override_num_blocks=4)))
     chunks = web.compress_tier(tiers["1h"], ("host",), "1h", "pages")
     back = gorilla.decode_chunk_dataset(chunks, ["host"], ts_col="bucket_us",
                                         value_col="pages").to_pandas()

@@ -8,6 +8,7 @@ Usage: python tools/selfcheck.py [sf_dir] [query_name ...]
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 
@@ -15,6 +16,7 @@ import duckdb
 import numpy as np
 import pandas as pd
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TABLES = ("region nation customer supplier part orders lineitem events "
           "documents embeddings").split()
 
@@ -51,7 +53,7 @@ def main():
     only = set(sys.argv[2:])
 
     import ray
-    sys.path.insert(0, "/root/repo")
+    sys.path.insert(0, ROOT)
     from forecastframe_ray.logutil import silence_schema_hash_warning
     silence_schema_hash_warning()
     if not ray.is_initialized():
