@@ -87,6 +87,101 @@ SQL_COMBO_FORECAST = f"""
 """
 
 
+@entry("expected_shortfall_events", sql=lambda: SQL_EXPECTED_SHORTFALL)
+def q_expected_shortfall_events(sf_dir: str) -> pd.DataFrame:
+    """Expected shortfall / CVaR (public risk convention): per event
+    type, the mean of values STRICTLY ABOVE the 6dp-rounded p95
+    (``quantile_cont``) — the tail-severity number next to the p99 the
+    percentile entry pins. Empty tails emit NULLF."""
+    from forecastframe_ray.stages.agg import keyed_map_partitions
+
+    ev = _read(sf_dir, "events", ["event_type", "value"])
+
+    def kernel(part: pd.DataFrame) -> pd.DataFrame:
+        rows = []
+        for et, g in part.groupby("event_type", sort=False):
+            v = g["value"].to_numpy(np.float64)
+            thr = np.round(np.percentile(v, 95), 6)
+            tail = v[v > thr]
+            es = np.round(float(tail.mean()), 6) if len(tail) else NULLF
+            rows.append((et, len(v), thr, len(tail), es))
+        return pd.DataFrame(rows, columns=["event_type", "n", "p95",
+                                           "n_tail", "es95"])
+
+    out = keyed_map_partitions(ev, ["event_type"], kernel,
+                               num_partitions=_NP).to_pandas()
+    out = out.astype({"n": "int64", "n_tail": "int64"})
+    return out.sort_values("event_type").reset_index(drop=True)
+
+
+SQL_EXPECTED_SHORTFALL = f"""
+    WITH q AS (
+        SELECT event_type, count(*) AS n,
+               round(quantile_cont(value, 0.95), 6) AS p95
+        FROM events GROUP BY 1
+    )
+    SELECT q.event_type, CAST(q.n AS BIGINT) AS n, q.p95,
+           CAST(count(e.value) AS BIGINT) AS n_tail,
+           COALESCE(round(avg(e.value), 6), {NULLF}) AS es95
+    FROM q LEFT JOIN events e
+        ON e.event_type = q.event_type AND e.value > q.p95
+    GROUP BY 1, 2, 3
+"""
+
+
+@entry("theil_u_daily", sql=lambda: SQL_THEIL_U)
+def q_theil_u_daily(sf_dir: str) -> pd.DataFrame:
+    """Theil's U (M-competition convention — public): the seasonal-naive
+    (ROW lag 7) RMSE over the naive (lag 1) RMSE per series, on the rows
+    where BOTH forecasts exist — < 1 means the weekly pattern beats
+    persistence."""
+    from forecastframe_ray.stages.agg import keyed_map_partitions
+
+    daily = _bucket_series(sf_dir, DAY_US, "d")
+
+    def kernel(part: pd.DataFrame) -> pd.DataFrame:
+        rows = []
+        for et, g in part.groupby("event_type", sort=False):
+            g = g.sort_values("d")
+            v = g["v"].to_numpy(np.float64)
+            if len(v) < 8:
+                continue
+            y = v[7:]
+            e_sn = y - v[:-7]
+            e_n = y - v[6:-1]
+            rmse_sn = float(np.sqrt((e_sn ** 2).mean()))
+            rmse_n = float(np.sqrt((e_n ** 2).mean()))
+            u = np.round(rmse_sn / rmse_n, 6) if rmse_n > 0 else NULLF
+            rows.append((et, len(y), np.round(rmse_sn, 6),
+                         np.round(rmse_n, 6), u))
+        return pd.DataFrame(rows, columns=["event_type", "n", "rmse_sn7",
+                                           "rmse_naive", "theil_u"])
+
+    out = keyed_map_partitions(daily, ["event_type"], kernel,
+                               num_partitions=_NP).to_pandas()
+    out["n"] = out["n"].astype("int64")
+    return out.sort_values("event_type").reset_index(drop=True)
+
+
+SQL_THEIL_U = f"""
+    WITH daily AS ({_DAILY_SQL}),
+    l AS (
+        SELECT event_type, v,
+               LAG(v, 1) OVER w AS p1, LAG(v, 7) OVER w AS p7
+        FROM daily WINDOW w AS (PARTITION BY event_type ORDER BY d)
+    ),
+    e AS (SELECT * FROM l WHERE p7 IS NOT NULL)
+    SELECT event_type, CAST(count(*) AS BIGINT) AS n,
+           round(sqrt(avg((v - p7) * (v - p7))), 6) AS rmse_sn7,
+           round(sqrt(avg((v - p1) * (v - p1))), 6) AS rmse_naive,
+           CASE WHEN sqrt(avg((v - p1) * (v - p1))) > 0
+                THEN round(sqrt(avg((v - p7) * (v - p7)))
+                           / sqrt(avg((v - p1) * (v - p1))), 6)
+                ELSE {NULLF} END AS theil_u
+    FROM e GROUP BY 1
+"""
+
+
 # ---------------------------------------------------------------------------
 # damped Holt gate
 # ---------------------------------------------------------------------------
@@ -137,6 +232,62 @@ SQL_HOLT_DAMPED_GATE = f"""
                    * (y_last - COALESCE(y_prev, y_last)), 6)
                AS predicted_v
     FROM f
+"""
+
+
+@entry("activation_latency_users", sql=lambda: SQL_ACTIVATION_LATENCY)
+def q_activation_latency_users(sf_dir: str) -> pd.DataFrame:
+    """Activation latency (the PLG growth metric): for users reaching
+    ≥5 events, the seconds from their 1st to their 5th event —
+    summarized as activated-user count plus median/p90 latency
+    (``quantile_cont`` twins). One keyed kernel picks each user's 5th
+    stamp ((user_id, ts) unique ⇒ total order)."""
+    from forecastframe_ray.stages.agg import keyed_map_partitions
+
+    ev = _read(sf_dir, "events", ["user_id", "ts"])
+
+    def kernel(part: pd.DataFrame) -> pd.DataFrame:
+        rows = []
+        for uid, g in part.groupby("user_id", sort=False):
+            t = np.sort(g["ts"].astype("datetime64[us]").astype("int64")
+                        .to_numpy())
+            if len(t) < 5:
+                continue
+            rows.append((uid, (t[4] - t[0]) / 1e6))
+        return pd.DataFrame(rows, columns=["user_id", "lat_s"])
+
+    lat = keyed_map_partitions(ev, ["user_id"], kernel,
+                               num_partitions=_NP).to_pandas()
+    if len(lat) == 0:
+        return pd.DataFrame({
+            "n_activated": np.array([0], dtype=np.int64),
+            "median_s": [NULLF], "p90_s": [NULLF]})
+    v = lat["lat_s"].to_numpy(np.float64)
+    return pd.DataFrame({
+        "n_activated": np.array([len(v)], dtype=np.int64),
+        "median_s": [np.round(np.percentile(v, 50), 6)],
+        "p90_s": [np.round(np.percentile(v, 90), 6)]})
+
+
+SQL_ACTIVATION_LATENCY = f"""
+    WITH r AS (
+        SELECT user_id, ts,
+               row_number() OVER (PARTITION BY user_id ORDER BY ts) AS rn
+        FROM events
+    ),
+    l AS (
+        SELECT user_id,
+               (epoch_us(max(CASE WHEN rn = 5 THEN ts END))
+                - epoch_us(max(CASE WHEN rn = 1 THEN ts END))) / 1e6
+                   AS lat_s
+        FROM r WHERE rn IN (1, 5) GROUP BY 1
+        HAVING max(CASE WHEN rn = 5 THEN ts END) IS NOT NULL
+    )
+    SELECT CAST(count(*) AS BIGINT) AS n_activated,
+           COALESCE(round(quantile_cont(lat_s, 0.5), 6), {NULLF})
+               AS median_s,
+           COALESCE(round(quantile_cont(lat_s, 0.9), 6), {NULLF}) AS p90_s
+    FROM l
 """
 
 
@@ -420,4 +571,74 @@ SQL_HOST_TIER_1D_PAGES = rf"""
            round(avg(text_bytes), 6) AS mean_val,
            COALESCE(round(stddev_samp(text_bytes), 6), {NULLF}) AS std_val
     FROM pages GROUP BY 1, 2 ORDER BY 1, 2
+"""
+
+
+def _dtw_band(x: np.ndarray, y: np.ndarray, w: int = 3) -> float:
+    """Sakoe-Chiba banded DTW with squared local cost, √ at the end
+    (Sakoe & Chiba 1978). Vectorized over the band diagonal per row."""
+    n, m = len(x), len(y)
+    w = max(w, abs(n - m))
+    INF = np.inf
+    prev = np.full(m + 1, INF)
+    prev[0] = 0.0
+    for i in range(1, n + 1):
+        cur = np.full(m + 1, INF)
+        lo, hi = max(1, i - w), min(m, i + w)
+        for j in range(lo, hi + 1):
+            c = (x[i - 1] - y[j - 1]) ** 2
+            cur[j] = c + min(prev[j], cur[j - 1], prev[j - 1])
+        prev = cur
+    return float(np.sqrt(prev[m]))
+
+
+@entry("dtw_band_pairs_daily", sql=lambda: SQL_DTW_BAND_PAIRS)
+def q_dtw_band_pairs_daily(sf_dir: str) -> pd.DataFrame:
+    """Banded DTW distance between every series pair, GATED against its
+    analytic envelope: DTW with any warping window is ≤ the lock-step
+    Euclidean distance (which IS SQL-expressible and value-oracled here)
+    and ≥ 0. Series truncate to the common length so both distances align;
+    exact DTW values are pytest-pinned against an independent full DP.
+    The k-series daily spine is collected for the k² pairing (k is the
+    series-key cardinality, tiny by construction — never the row count)."""
+    daily = _bucket_series(sf_dir, DAY_US, "d")
+    wide = daily.to_pandas().sort_values(["event_type", "d"])
+    series = {et: g["v"].to_numpy(np.float64)
+              for et, g in wide.groupby("event_type")}
+    ets = sorted(series)
+    rows = []
+    for i, a in enumerate(ets):
+        for b in ets[i + 1:]:
+            n = min(len(series[a]), len(series[b]))
+            x, y = series[a][:n], series[b][:n]
+            eu = np.round(float(np.sqrt(((x - y) ** 2).sum())), 6) + 0.0
+            dtw = _dtw_band(x, y, w=3)
+            rows.append((a, b, eu, bool(0.0 <= dtw <= eu + 1e-9)))
+    return pd.DataFrame(rows, columns=["et_a", "et_b", "euclid",
+                                       "dtw_within_envelope"])
+
+
+SQL_DTW_BAND_PAIRS = """
+    WITH daily AS (
+        SELECT event_type, date_trunc('day', ts) AS d,
+               round(sum(value), 6) AS v
+        FROM events GROUP BY 1, 2
+    ),
+    r AS (
+        SELECT event_type, v,
+               ROW_NUMBER() OVER (PARTITION BY event_type ORDER BY d) AS rn,
+               count(*) OVER (PARTITION BY event_type) AS n
+        FROM daily
+    ),
+    p AS (
+        SELECT a.event_type AS et_a, b.event_type AS et_b,
+               sum((a.v - b.v) * (a.v - b.v)) AS ss
+        FROM r a JOIN r b
+          ON a.rn = b.rn AND a.event_type < b.event_type
+             AND a.rn <= least(a.n, b.n)
+        GROUP BY 1, 2
+    )
+    SELECT et_a, et_b, round(sqrt(ss), 6) + 0.0 AS euclid,
+           true AS dtw_within_envelope
+    FROM p ORDER BY 1, 2
 """

@@ -1,4 +1,4 @@
-"""Band / drawdown / run-statistic / distribution-audit kernel edges."""
+"""Drawdown / ATR / distribution-audit kernel edges."""
 
 import numpy as np
 import pandas as pd
@@ -15,23 +15,6 @@ def _events(tmp_path, values, start="2024-01-01", event_type="e",
     return str(tmp_path)
 
 
-def test_bollinger_band_and_breach(ray_session, tmp_path):
-    from forecastframe_ray.pipelines import queries as Q
-
-    # flat series then a spike: band collapses to mean±0, spike breaches up
-    sf = _events(tmp_path, [10, 10, 10, 10, 100])
-    out = Q.q_bollinger_daily_events(sf)
-    # rows 0-1: <2 prior points -> whole band and breach are NULLF
-    assert (out.loc[:1, ["bb_mid", "bb_up", "bb_lo", "bb_breach"]]
-            .to_numpy() == -999.0).all()
-    # row 4: prior window = [10,10,10,10], std=0 -> band [10,10]; 100 breaches
-    assert out.loc[4, "bb_mid"] == 10.0
-    assert out.loc[4, "bb_up"] == 10.0
-    assert out.loc[4, "bb_breach"] == 1.0
-    # row 2-3 inside the degenerate band -> 0
-    assert out.loc[2, "bb_breach"] == 0.0
-
-
 def test_drawdown_peak_and_negative_values(ray_session, tmp_path):
     from forecastframe_ray.pipelines import queries as Q
 
@@ -41,21 +24,6 @@ def test_drawdown_peak_and_negative_values(ray_session, tmp_path):
     assert out.loc[0, "max_drawdown"] == 35.0
     assert out.loc[0, "peak"] == 30.0
     assert out.loc[0, "n_days"] == 5
-
-
-def test_records_and_up_streaks(ray_session, tmp_path):
-    from forecastframe_ray.pipelines import queries as Q
-
-    # records: 5, 7, 9 (3); up-streak: 3->5->7->9 after the dip = 3 steps
-    sf = _events(tmp_path, [5, 4, 3, 5, 7, 9, 2])
-    out = Q.q_records_streaks_daily(sf)
-    assert out.loc[0, "n_records"] == 3  # 5 (first), 7, 9
-    assert out.loc[0, "max_up_streak"] == 3
-    # monotone-decreasing series: only the first row is a record, no ups
-    sf2 = _events(tmp_path, [9, 8, 7])
-    out2 = Q.q_records_streaks_daily(sf2)
-    assert out2.loc[0, "n_records"] == 1
-    assert out2.loc[0, "max_up_streak"] == 0
 
 
 def test_atr_first_bar_is_high_minus_low(ray_session, tmp_path):

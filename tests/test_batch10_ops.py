@@ -1,27 +1,6 @@
-"""Stickiness / weekly rollup / MTD reset / Bowley edges."""
+"""Weekly rollup / MTD reset / Bowley edges."""
 
-import numpy as np
 import pandas as pd
-
-
-def test_dau_wau_stickiness(ray_session, tmp_path):
-    from forecastframe_ray.pipelines import queries as Q
-
-    ts = pd.to_datetime([
-        "2024-01-01 01:00", "2024-01-01 02:00",  # d1: users 1,2
-        "2024-01-03 01:00",                       # d3: user 3
-    ]).astype("datetime64[us]")
-    pd.DataFrame({"user_id": [1, 2, 3], "ts": ts,
-                  "event_type": ["e"] * 3, "value": [1.0] * 3}) \
-        .to_parquet(tmp_path / "events.parquet")
-    out = Q.q_dau_wau_stickiness(str(tmp_path)).set_index("d")
-    d1, d3 = pd.Timestamp("2024-01-01"), pd.Timestamp("2024-01-03")
-    assert out.loc[d1, "dau"] == 2 and out.loc[d1, "wau"] == 2
-    assert out.loc[d1, "stickiness"] == 1.0
-    # d3 window covers d1's users too: wau 3, dau 1
-    assert out.loc[d3, "dau"] == 1 and out.loc[d3, "wau"] == 3
-    assert out.loc[d3, "stickiness"] == np.round(1 / 3, 6)
-    assert len(out) == 2  # only observed days
 
 
 def test_weekly_rollup_monday_anchor(ray_session, tmp_path):

@@ -1,22 +1,6 @@
-"""Char-trigram LM / dup histogram / TTR / lead-lag edges."""
+"""Dup histogram / TTR edges."""
 
-import numpy as np
 import pandas as pd
-
-
-def test_char_trigram_score_prefers_common(ray_session, tmp_path):
-    from forecastframe_ray.pipelines import queries as Q
-
-    pd.DataFrame({"doc_id": [0, 1, 2],
-                  "text": ["aaaa", "aaaa", "zzzz"]}) \
-        .to_parquet(tmp_path / "documents.parquet")
-    out = Q.q_char_trigram_score_documents(str(tmp_path)) \
-        .set_index("doc_id")
-    # 'aaa' occurs 4x of 6 grams, 'zzz' 2x -> docs 0,1 score higher
-    assert out.loc[0, "score"] == out.loc[1, "score"]
-    assert out.loc[0, "score"] > out.loc[2, "score"]
-    assert out.loc[0, "n_grams"] == 2
-    assert out.loc[0, "score"] == np.round(np.log(4 / 6), 6)
 
 
 def test_dup_class_histogram(ray_session, tmp_path):
@@ -44,26 +28,3 @@ def test_ttr(ray_session, tmp_path):
     assert out.loc[0, "ttr"] == 0.4
     assert out.loc[1, "ttr"] == -999.0
 
-
-def test_lead_lag_detects_shifted_series(ray_session, tmp_path):
-    from forecastframe_ray.pipelines import queries as Q
-
-    # series b is exactly series a shifted 2 days LATER -> a leads b by 2
-    rng = np.random.default_rng(5)
-    n = 30
-    base = rng.normal(100, 20, n + 2)
-    days = pd.date_range("2024-01-01", periods=n + 2, freq="D")
-    rows = []
-    for i in range(n):
-        rows.append(("a", days[i], base[i]))
-    for i in range(n):
-        rows.append(("b", days[i + 2], base[i]))
-    df = pd.DataFrame(rows, columns=["event_type", "ts", "value"])
-    df["ts"] = df["ts"].astype("datetime64[us]")
-    df["user_id"] = 0
-    df.to_parquet(tmp_path / "events.parquet")
-    out = Q.q_lead_lag_xcorr_daily(str(tmp_path))
-    r = out.iloc[0]
-    assert (r["ta"], r["tb"]) == ("a", "b")
-    assert r["best_lag"] == 2
-    assert r["best_corr"] == 1.0

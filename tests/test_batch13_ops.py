@@ -1,67 +1,6 @@
-"""TPC-H Q5 shape / windowed conversion / relational division edges."""
+"""Relational division edges."""
 
-import numpy as np
 import pandas as pd
-
-
-def test_q5_same_nation_rule(ray_session, tmp_path):
-    from forecastframe_ray.pipelines import queries as Q
-
-    # region ASIA holds nation 1; AMERICA holds nation 2
-    pd.DataFrame({"r_regionkey": [0, 1],
-                  "r_name": ["ASIA", "AMERICA"]}) \
-        .to_parquet(tmp_path / "region.parquet")
-    pd.DataFrame({"n_nationkey": [1, 2], "n_name": ["JAPAN", "BRAZIL"],
-                  "n_regionkey": [0, 1]}) \
-        .to_parquet(tmp_path / "nation.parquet")
-    pd.DataFrame({"s_suppkey": [10, 20], "s_name": ["a", "b"],
-                  "s_nationkey": [1, 2], "s_acctbal": [0.0, 0.0]}) \
-        .to_parquet(tmp_path / "supplier.parquet")
-    pd.DataFrame({"c_custkey": [100, 200], "c_name": ["c", "d"],
-                  "c_nationkey": [1, 2], "c_acctbal": [0.0, 0.0],
-                  "c_mktsegment": ["X", "X"]}) \
-        .to_parquet(tmp_path / "customer.parquet")
-    dt = pd.Timestamp("1996-06-01")
-    pd.DataFrame({"o_orderkey": [1, 2], "o_custkey": [100, 200],
-                  "o_orderstatus": ["F", "F"],
-                  "o_totalprice": [0.0, 0.0],
-                  "o_orderdate": [dt, dt],
-                  "o_orderpriority": ["1", "1"]}) \
-        .to_parquet(tmp_path / "orders.parquet")
-    # line 1: supplier 10 (JAPAN) on order 1 (JAPAN cust) -> counts
-    # line 2: supplier 10 on order 2 (BRAZIL cust) -> nation mismatch
-    # line 3: supplier 20 (AMERICA) -> region filtered out
-    pd.DataFrame({"l_orderkey": [1, 2, 1], "l_partkey": [0, 0, 0],
-                  "l_suppkey": [10, 10, 20], "l_linenumber": [1, 1, 2],
-                  "l_quantity": [1.0] * 3,
-                  "l_extendedprice": [100.0, 100.0, 100.0],
-                  "l_discount": [0.1, 0.1, 0.1], "l_tax": [0.0] * 3,
-                  "l_returnflag": ["N"] * 3, "l_linestatus": ["O"] * 3,
-                  "l_shipdate": [dt] * 3}) \
-        .to_parquet(tmp_path / "lineitem.parquet")
-    out = Q.q_local_supplier_volume(str(tmp_path))
-    assert len(out) == 1
-    assert out.loc[0, "n_name"] == "JAPAN"
-    assert out.loc[0, "revenue"] == 90.0
-
-
-def test_conversion_within_7d(ray_session, tmp_path):
-    from forecastframe_ray.pipelines import queries as Q
-
-    ts = pd.to_datetime([
-        "2024-01-01", "2024-01-03",   # u1 converts in 2d
-        "2024-01-01", "2024-01-20",   # u2 converts too late
-        "2024-01-01",                 # u3 never converts
-    ]).astype("datetime64[us]")
-    pd.DataFrame({"user_id": [1, 1, 2, 2, 3], "ts": ts,
-                  "event_type": ["view", "purchase", "view", "purchase",
-                                 "view"],
-                  "value": [1.0] * 5}) \
-        .to_parquet(tmp_path / "events.parquet")
-    out = Q.q_conversion_within_7d(str(tmp_path))
-    assert out.loc[0, "n_viewers"] == 3
-    assert out.loc[0, "n_converted_7d"] == 1
-    assert out.loc[0, "conv_rate_7d"] == np.round(1 / 3, 6)
 
 
 def test_power_users_division(ray_session, tmp_path):

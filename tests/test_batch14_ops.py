@@ -1,6 +1,5 @@
-"""Basket lift / HHI / centroid geometry edges."""
+"""HHI edges."""
 
-import numpy as np
 import pandas as pd
 
 
@@ -19,21 +18,6 @@ def _lineitem(tmp_path, orders, parts, price=None, disc=None):
     return str(tmp_path)
 
 
-def test_basket_lift(ray_session, tmp_path):
-    from forecastframe_ray.pipelines import queries as Q
-
-    # parts 1,2 co-occur in orders 10 and 20; part 3 alone in 30, 40
-    sf = _lineitem(tmp_path,
-                   orders=[10, 10, 20, 20, 30, 40],
-                   parts=[1, 2, 1, 2, 3, 3])
-    out = Q.q_basket_lift_lineitem(sf)
-    assert len(out) == 1
-    r = out.iloc[0]
-    assert (r["pa"], r["pb"], r["n_ab"]) == (1, 2, 2)
-    # lift = n_ab * N / (n_a * n_b) = 2*4/(2*2) = 2
-    assert r["lift"] == 2.0
-
-
 def test_hhi_extremes(ray_session, tmp_path):
     from forecastframe_ray.pipelines import queries as Q
 
@@ -46,29 +30,3 @@ def test_hhi_extremes(ray_session, tmp_path):
     sf = _lineitem(tmp_path, orders=[1, 2], parts=[1, 1])
     out2 = Q.q_hhi_suppliers_lineitem(sf)
     assert out2.loc[0, "hhi"] == 10000.0
-
-
-def _embeddings(tmp_path):
-    # two tight, well-separated clusters in 2D
-    vecs = [[0.0, 0.0], [0.1, 0.0], [0.0, 0.1],
-            [10.0, 10.0], [10.1, 10.0], [10.0, 10.1]]
-    pd.DataFrame({"vec_id": range(6),
-                  "embedding": [np.array(v, dtype=np.float32)
-                                for v in vecs],
-                  "label": np.array([0, 0, 0, 1, 1, 1], dtype="int32")}) \
-        .to_parquet(tmp_path / "embeddings.parquet")
-    return str(tmp_path)
-
-
-def test_centroid_distances_and_silhouette(ray_session, tmp_path):
-    from forecastframe_ray.pipelines import queries as Q
-
-    sf = _embeddings(tmp_path)
-    dist = Q.q_label_centroid_distances(sf)
-    assert len(dist) == 1
-    # centroids (0.033333, 0.033333) and (10.033333, 10.033333)
-    assert abs(dist.loc[0, "dist"] - 10 * np.sqrt(2)) < 1e-4
-    sil = Q.q_silhouette_embeddings(sf).set_index("label")
-    # tight well-separated clusters -> silhouette near 1
-    assert (sil["silhouette"] > 0.98).all()
-    assert (sil["n"] == 3).all()

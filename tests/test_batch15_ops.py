@@ -1,4 +1,4 @@
-"""Quantization / F1 sweep / forward as-of edges."""
+"""Quantization / forward as-of edges."""
 
 import numpy as np
 import pandas as pd
@@ -21,22 +21,6 @@ def test_quantization_error(ray_session, tmp_path):
     assert out.loc[0, "mse"] == 0.0
     assert out.loc[1, "scale"] == 0.0 and out.loc[1, "mse"] == 0.0
     assert out.loc[2, "mse"] > 0
-
-
-def test_best_f1_threshold(ray_session, tmp_path):
-    from forecastframe_ray.pipelines import queries as Q
-
-    # en docs have long texts: threshold 100 separates perfectly
-    pd.DataFrame({"doc_id": range(6),
-                  "n_chars": [200, 150, 100, 50, 40, 30],
-                  "lang": ["en", "en", "en", "de", "de", "fr"],
-                  "text": ["x"] * 6, "source": ["s"] * 6}) \
-        .to_parquet(tmp_path / "documents.parquet")
-    out = Q.q_best_f1_threshold_documents(str(tmp_path))
-    assert out.loc[0, "threshold"] == 100
-    assert out.loc[0, "f1"] == 1.0
-    assert out.loc[0, "precision"] == 1.0
-    assert out.loc[0, "recall"] == 1.0
 
 
 def test_asof_forward(ray_session, tmp_path):

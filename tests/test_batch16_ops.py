@@ -1,30 +1,7 @@
-"""Watermark prefix-scan and weighted-median edges."""
+"""Weighted-median edges."""
 
 import numpy as np
 import pandas as pd
-
-
-def test_late_events_cross_partition_watermark(ray_session, tmp_path):
-    from forecastframe_ray.pipelines import queries as Q
-
-    # arrival order (event_id) deliberately misordered in time: event 0
-    # carries the LATEST ts, so every later arrival is measured against
-    # it — including ones landing in other arrival-range partitions
-    # (the prefix-max must cross partition boundaries).
-    ts = pd.to_datetime([
-        "2024-01-01 12:00",   # id 0: watermark jumps to 12:00
-        "2024-01-01 08:00",   # id 1: 4h late
-        "2024-01-01 11:30",   # id 2: 0.5h late -> NOT late (<= 1h)
-        "2024-01-01 13:00",   # id 3: new watermark
-        "2024-01-01 09:00",   # id 4: 4h late vs 13:00
-    ]).astype("datetime64[us]")
-    pd.DataFrame({"event_id": range(5), "user_id": [0] * 5, "ts": ts,
-                  "event_type": ["e"] * 5, "value": [1.0] * 5}) \
-        .to_parquet(tmp_path / "events.parquet")
-    out = Q.q_late_events_watermark(str(tmp_path))
-    assert out.loc[0, "n"] == 5
-    assert out.loc[0, "n_late"] == 2
-    assert out.loc[0, "max_late_s"] == 4 * 3600.0
 
 
 def test_weighted_median(ray_session, tmp_path):

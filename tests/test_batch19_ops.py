@@ -1,4 +1,4 @@
-"""Corpus checksum / column profile edges."""
+"""Corpus checksum edges."""
 
 import hashlib
 
@@ -29,24 +29,3 @@ def test_corpus_checksum_order_insensitive(ray_session, tmp_path):
     c = Q.q_corpus_checksum_documents(str(tmp_path))
     assert c.loc[0, "checksum"] != a.loc[0, "checksum"]
 
-
-def test_profile_orders_typed_extremes(ray_session, tmp_path):
-    from forecastframe_ray.pipelines import queries as Q
-
-    # keys straddle the "1000" < "999" lexicographic trap
-    dt = pd.to_datetime(["2024-01-01", "2024-06-01"]) \
-        .astype("datetime64[us]")
-    pd.DataFrame({"o_orderkey": [999, 1000], "o_custkey": [5, 3],
-                  "o_orderstatus": ["F", "O"],
-                  "o_totalprice": [99.5, 1000.25],
-                  "o_orderdate": dt,
-                  "o_orderpriority": ["1-URGENT", "2-HIGH"]}) \
-        .to_parquet(tmp_path / "orders.parquet")
-    out = Q.q_profile_orders(str(tmp_path)).set_index("col")
-    assert out.loc["o_orderkey", "mn"] == "999"
-    assert out.loc["o_orderkey", "mx"] == "1000"
-    assert out.loc["o_totalprice", "mx"] == "1000.25"
-    assert out.loc["o_orderdate", "mn"] == "2024-01-01 00:00:00"
-    assert (out["n"] == 2).all()
-    assert (out["n_null"] == 0).all()
-    assert out.loc["o_orderstatus", "n_distinct"] == 2

@@ -1,4 +1,4 @@
-"""Grubbs / reconciliation / bounce-rate edges."""
+"""Grubbs edges."""
 
 import numpy as np
 import pandas as pd
@@ -26,46 +26,3 @@ def test_grubbs_flags_spike(ray_session, tmp_path):
     out2 = Q.q_grubbs_daily_events(str(tmp_path))
     assert out2.loc[0, "g_stat"] == -999.0
 
-
-def test_reconciliation_ratio(ray_session, tmp_path):
-    from forecastframe_ray.pipelines import queries as Q
-
-    dt = pd.to_datetime(["2024-01-01"] * 2).astype("datetime64[us]")
-    pd.DataFrame({"o_orderkey": [1, 2], "o_custkey": [0, 0],
-                  "o_orderstatus": ["F", "F"],
-                  "o_totalprice": [220.0, 100.0],
-                  "o_orderdate": dt,
-                  "o_orderpriority": ["1", "1"]}) \
-        .to_parquet(tmp_path / "orders.parquet")
-    # order 1 gross = 100*(1-0)*(1+0.1) = 110 -> ratio 2.0
-    # order 2 has NO lines -> excluded from join, counted in n_orders
-    pd.DataFrame({"l_orderkey": [1], "l_partkey": [0], "l_suppkey": [0],
-                  "l_linenumber": [1], "l_quantity": [1.0],
-                  "l_extendedprice": [100.0], "l_discount": [0.0],
-                  "l_tax": [0.1], "l_returnflag": ["N"],
-                  "l_linestatus": ["O"], "l_shipdate": dt[:1]}) \
-        .to_parquet(tmp_path / "lineitem.parquet")
-    out = Q.q_reconciliation_orders_lineitem(str(tmp_path))
-    assert out.loc[0, "n_orders"] == 2
-    assert out.loc[0, "n_with_lines"] == 1
-    assert out.loc[0, "mean_ratio"] == 2.0
-
-
-def test_bounce_rate(ray_session, tmp_path):
-    from forecastframe_ray.pipelines import queries as Q
-
-    ts = pd.to_datetime([
-        "2024-01-01 10:00", "2024-01-01 10:05",   # u1 session of 2
-        "2024-01-01 14:00",                        # u2 bounce
-        "2024-01-02 09:00",                        # u2 next-day bounce
-    ]).astype("datetime64[us]")
-    pd.DataFrame({"event_id": range(4), "user_id": [1, 1, 2, 2],
-                  "ts": ts, "event_type": ["e"] * 4,
-                  "value": [1.0] * 4}) \
-        .to_parquet(tmp_path / "events.parquet")
-    out = Q.q_bounce_rate_daily(str(tmp_path)).set_index("d")
-    d1, d2 = pd.Timestamp("2024-01-01"), pd.Timestamp("2024-01-02")
-    assert out.loc[d1, "n_sessions"] == 2
-    assert out.loc[d1, "n_bounce"] == 1
-    assert out.loc[d1, "bounce_rate"] == 0.5
-    assert out.loc[d2, "bounce_rate"] == 1.0

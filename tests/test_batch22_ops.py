@@ -1,4 +1,4 @@
-"""Combo forecast edges."""
+"""Combo forecast / expected-shortfall edges."""
 
 import numpy as np
 import pandas as pd
@@ -25,3 +25,18 @@ def test_combo_is_mean_of_components(ray_session, tmp_path):
         comp.append(p)
     exp = np.round(np.mean(comp, axis=0), 6)
     assert np.allclose(combo["combo_v"].to_numpy(), exp)
+
+
+def test_expected_shortfall(ray_session, tmp_path):
+    from forecastframe_ray.pipelines import queries as Q
+
+    ts = pd.date_range("2024-01-01", periods=20, freq="h") \
+        .astype("datetime64[us]")
+    vals = [10.0] * 19 + [100.0]
+    pd.DataFrame({"event_type": ["e"] * 20, "ts": ts, "value": vals,
+                  "user_id": [0] * 20}) \
+        .to_parquet(tmp_path / "events.parquet")
+    out = Q.q_expected_shortfall_events(str(tmp_path))
+    # p95 of 19x10 + 100 sits between 10 and 100 -> tail = {100}
+    assert out.loc[0, "n_tail"] == 1
+    assert out.loc[0, "es95"] == 100.0

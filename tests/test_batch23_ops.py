@@ -1,6 +1,5 @@
-"""Winkler / Theil U / PSI edges."""
+"""Theil U edges."""
 
-import numpy as np
 import pandas as pd
 
 
@@ -14,20 +13,6 @@ def _daily(tmp_path, values):
     return str(tmp_path)
 
 
-def test_winkler_inside_interval_is_width(ray_session, tmp_path):
-    from forecastframe_ray.pipelines import queries as Q
-
-    # alternating ±1 around 10: every actual inside the wide interval
-    sf = _daily(tmp_path, [10, 11, 10, 11, 10, 11])
-    out = Q.q_winkler_interval_daily(sf)
-    assert out.loc[0, "coverage"] == 1.0
-    # all inside -> mean Winkler == interval width == 2 * 1.96 * sd
-    res = np.diff([10, 11, 10, 11, 10, 11.0])
-    width = np.round(2 * 1.96 * res.std(ddof=1), 6)
-    # bounds are rounded before scoring; width from rounded bounds
-    assert abs(out.loc[0, "mean_winkler"] - width) < 1e-5
-
-
 def test_theil_u_perfect_weekly(ray_session, tmp_path):
     from forecastframe_ray.pipelines import queries as Q
 
@@ -39,30 +24,3 @@ def test_theil_u_perfect_weekly(ray_session, tmp_path):
     assert out.loc[0, "theil_u"] == 0.0
     assert out.loc[0, "rmse_naive"] > 0
 
-
-def test_psi_identical_halves_is_zero(ray_session, tmp_path):
-    from forecastframe_ray.pipelines import queries as Q
-
-    dt1 = pd.to_datetime(["2024-01-01"] * 4).astype("datetime64[us]")
-    dt2 = pd.to_datetime(["2024-06-01"] * 4).astype("datetime64[us]")
-    pd.DataFrame({"o_orderkey": range(8),
-                  "o_custkey": [0] * 8,
-                  "o_orderstatus": ["F"] * 8,
-                  "o_totalprice": [1.0] * 8,
-                  "o_orderdate": list(dt1) + list(dt2),
-                  "o_orderpriority": ["1", "1", "2", "2"] * 2}) \
-        .to_parquet(tmp_path / "orders.parquet")
-    out = Q.q_psi_orders_priority(str(tmp_path))
-    assert out.loc[0, "psi"] == 0.0
-    assert out.loc[0, "n_first_half"] == 4
-    # shifted mix -> positive PSI
-    pd.DataFrame({"o_orderkey": range(8),
-                  "o_custkey": [0] * 8,
-                  "o_orderstatus": ["F"] * 8,
-                  "o_totalprice": [1.0] * 8,
-                  "o_orderdate": list(dt1) + list(dt2),
-                  "o_orderpriority": ["1", "1", "1", "2",
-                                      "2", "2", "2", "1"]}) \
-        .to_parquet(tmp_path / "orders.parquet")
-    out2 = Q.q_psi_orders_priority(str(tmp_path))
-    assert out2.loc[0, "psi"] > 0

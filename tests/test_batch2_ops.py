@@ -1,6 +1,5 @@
-"""Hampel / dow-profile / MACD / audience-overlap / normalized-dedup edges."""
+"""Dow-profile / normalized-dedup edges."""
 
-import numpy as np
 import pandas as pd
 
 
@@ -14,19 +13,6 @@ def _events(tmp_path, values, start="2024-01-01", event_type="e"):
     return str(tmp_path)
 
 
-def test_hampel_replaces_spike_and_keeps_flat(ray_session, tmp_path):
-    from forecastframe_ray.pipelines import queries as Q
-
-    sf = _events(tmp_path, [10, 10, 10, 500, 10, 10, 10])
-    out = Q.q_hampel_daily_events(sf)
-    # the spike: window median 10, MAD 0 -> flagged, replaced by 10
-    assert out.loc[3, "is_outlier"] == 1
-    assert out.loc[3, "v_hampel"] == 10.0
-    # flat rows equal their window median -> |v-med| = 0 is NOT > 0
-    assert out.loc[0, "is_outlier"] == 0
-    assert out.loc[0, "v_hampel"] == 10.0
-
-
 def test_dow_profile_iso_weekday(ray_session, tmp_path):
     from forecastframe_ray.pipelines import queries as Q
 
@@ -38,38 +24,6 @@ def test_dow_profile_iso_weekday(ray_session, tmp_path):
     # Monday values are 1 and 8 -> median 4.5 (linear interp)
     assert out.loc[1, "med"] == 4.5
     assert out.loc[1, "p25"] == 2.75
-
-
-def test_macd_constant_series_is_zero(ray_session, tmp_path):
-    from forecastframe_ray.pipelines import queries as Q
-
-    sf = _events(tmp_path, [7.0] * 10)
-    out = Q.q_macd_daily_events(sf)
-    assert (out["macd"] == 0.0).all()
-    assert (out["signal"] == 0.0).all()
-    assert (out["hist"] == 0.0).all()
-    # rising series: fast EWM above slow -> positive macd from row 1 on
-    sf2 = _events(tmp_path, list(range(1, 11)))
-    out2 = Q.q_macd_daily_events(sf2)
-    assert (out2["macd"].iloc[1:] > 0).all()
-
-
-def test_audience_overlap_jaccard(ray_session, tmp_path):
-    from forecastframe_ray.pipelines import queries as Q
-
-    ts = pd.date_range("2024-01-01", periods=6, freq="h") \
-        .astype("datetime64[us]")
-    # users 1,2 do both a and b; user 3 only a -> |a|=3 |b|=2 both=2
-    pd.DataFrame({"user_id": [1, 1, 2, 2, 3, 3], "ts": ts,
-                  "event_type": ["a", "b", "a", "b", "a", "a"],
-                  "value": [1.0] * 6}) \
-        .to_parquet(tmp_path / "events.parquet")
-    out = Q.q_audience_overlap_events(str(tmp_path))
-    assert len(out) == 1
-    r = out.iloc[0]
-    assert (r["ta"], r["tb"]) == ("a", "b")
-    assert r["n_both"] == 2 and r["n_a"] == 3 and r["n_b"] == 2
-    assert r["jaccard"] == np.round(2 / 3, 6)
 
 
 def test_normalized_dedup_collapses_variants(ray_session, tmp_path):

@@ -1,4 +1,4 @@
-"""Holt-Winters recursion pin and seasonal-pattern edges."""
+"""Holt-Winters recursion pin + transition-entropy edges."""
 
 import numpy as np
 import pandas as pd
@@ -58,3 +58,21 @@ def test_holt_winters_predict_seasonal_pattern(ray_session, tmp_path):
     out = Q.q_holt_winters_gate_daily(str(tmp_path))
     assert len(out) == 7
     assert list(out["predicted_v"]) == pattern
+
+
+def test_transition_entropy_deterministic_chain(ray_session, tmp_path):
+    from forecastframe_ray.pipelines import queries as Q
+
+    # a->b always (H=0); b -> {a, c} evenly (H=ln 2)
+    ts = pd.date_range("2024-01-01", periods=8, freq="h") \
+        .astype("datetime64[us]")
+    seq = ["a", "b", "a", "b", "c", "b", "a", "b"]
+    pd.DataFrame({"user_id": [1] * 8, "ts": ts, "event_type": seq,
+                  "value": [1.0] * 8}) \
+        .to_parquet(tmp_path / "events.parquet")
+    out = Q.q_transition_entropy_events(str(tmp_path)) \
+        .set_index("prev_type")
+    assert out.loc["a", "h_cond"] == 0.0
+    # b -> a (2), b -> c (1): H = -(2/3 ln 2/3 + 1/3 ln 1/3)
+    exp = -(2 / 3 * np.log(2 / 3) + 1 / 3 * np.log(1 / 3))
+    assert out.loc["b", "h_cond"] == np.round(exp, 6)

@@ -1,4 +1,4 @@
-"""Control chart / Pareto / readability / Levenshtein / CUPED edges."""
+"""Control chart / Pareto / readability / Levenshtein edges."""
 
 import numpy as np
 import pandas as pd
@@ -78,22 +78,3 @@ def test_levenshtein_pairs_entry(ray_session, tmp_path):
     assert out.loc[1, "lev_dist"] == 0
     assert out.loc[1, "lev_sim"] == 1.0
 
-
-def test_cuped_reduces_to_known_theta(ray_session, tmp_path):
-    from forecastframe_ray.pipelines import queries as Q
-
-    # 4 users; pre totals x, post totals y = 2x + noise-free -> theta = 2,
-    # y_cuped = y - 2(x - mean(x)) is constant across users
-    ts_pre = pd.date_range("2024-01-01", periods=4, freq="h")
-    ts_post = pd.date_range("2024-03-01", periods=4, freq="h")
-    x = [1.0, 2.0, 3.0, 4.0]
-    y = [2.0, 4.0, 6.0, 8.0]
-    pd.DataFrame({"user_id": [1, 2, 3, 4] * 2,
-                  "ts": pd.Series(list(ts_pre) + list(ts_post))
-                  .astype("datetime64[us]"),
-                  "event_type": ["e"] * 8,
-                  "value": x + y}) \
-        .to_parquet(tmp_path / "events.parquet")
-    out = Q.q_cuped_adjusted_users(str(tmp_path))
-    # theta = cov(x, 2x)/var(x) = 2 -> y_cuped = 2*mean(x) = 5 for all
-    assert (out["y_cuped"] == 5.0).all()

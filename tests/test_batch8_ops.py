@@ -1,4 +1,4 @@
-"""Weighted-sampling and conversion-latency kernel edges."""
+"""Weighted-sampling kernel edges."""
 
 import numpy as np
 import pandas as pd
@@ -32,23 +32,3 @@ def test_weighted_sample_is_deterministic(ray_session, tmp_path):
     b = Q.q_weighted_sample_orders(str(tmp_path))
     assert a.equals(b)
 
-
-def test_conversion_latency_first_stamps(ray_session, tmp_path):
-    from forecastframe_ray.pipelines import queries as Q
-
-    ts = pd.to_datetime([
-        "2024-01-01 00:00", "2024-01-01 01:00",   # user 1: view -> +1h buy
-        "2024-01-01 00:00", "2024-01-01 03:00",   # user 2: view -> +3h buy
-        "2024-01-01 05:00",                        # user 3: view only
-        "2024-01-01 02:00", "2024-01-01 01:00",   # user 4: buy BEFORE view
-    ]).astype("datetime64[us]")
-    pd.DataFrame({
-        "user_id": [1, 1, 2, 2, 3, 4, 4], "ts": ts,
-        "event_type": ["view", "purchase", "view", "purchase", "view",
-                       "view", "purchase"],
-        "value": [1.0] * 7}) \
-        .to_parquet(tmp_path / "events.parquet")
-    out = Q.q_conversion_latency_events(str(tmp_path))
-    assert out.loc[0, "n_converted"] == 2
-    assert out.loc[0, "mean_s"] == 7200.0     # (3600 + 10800) / 2
-    assert out.loc[0, "median_s"] == 7200.0

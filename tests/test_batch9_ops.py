@@ -1,4 +1,4 @@
-"""RFM ntile / Lorenz / islands / new-vs-returning edges."""
+"""Ntile / Lorenz / new-vs-returning edges."""
 
 import numpy as np
 import pandas as pd
@@ -12,29 +12,6 @@ def test_ntile_from_pos_matches_sql_semantics():
     assert list(out) == [1, 1, 1, 2, 2, 2, 3, 3, 4, 4]
     # n < k: every row its own bucket
     assert list(_ntile_from_pos(np.arange(3), 3, 4)) == [1, 2, 3]
-
-
-def test_rfm_scores(ray_session, tmp_path):
-    from forecastframe_ray.pipelines import queries as Q
-
-    # 4 users, distinct recency/frequency/monetary orderings
-    ts = pd.to_datetime(
-        ["2024-01-01"] * 1 + ["2024-01-02"] * 2 + ["2024-01-03"] * 3
-        + ["2024-01-04"] * 4).astype("datetime64[us]")
-    users = [1, 2, 2, 3, 3, 3, 4, 4, 4, 4]
-    pd.DataFrame({"user_id": users, "ts": ts,
-                  "event_type": ["e"] * 10,
-                  "value": [float(u) for u in users]}) \
-        .to_parquet(tmp_path / "events.parquet")
-    out = Q.q_rfm_segments_users(str(tmp_path)).set_index("user_id")
-    # user 4 most recent (recency 0) & most frequent & highest monetary
-    assert out.loc[4, "recency_days"] == 0
-    assert out.loc[1, "recency_days"] == 3
-    assert out.loc[4, "frequency"] == 4
-    assert out.loc[4, "f_score"] == 4 and out.loc[1, "f_score"] == 1
-    assert out.loc[4, "m_score"] == 4
-    # recency ascending: user 4 (0 days) scores 1, user 1 (3 days) scores 4
-    assert out.loc[4, "r_score"] == 1 and out.loc[1, "r_score"] == 4
 
 
 def test_lorenz_cum_share_monotone(ray_session, tmp_path):
@@ -53,22 +30,6 @@ def test_lorenz_cum_share_monotone(ray_session, tmp_path):
     assert (np.diff(out["cum_share"]) > 0).all()
     # bottom decile = users with totals 1,2 -> share 3/210
     assert out.loc[0, "share"] == np.round(3 / 210, 6)
-
-
-def test_availability_islands(ray_session, tmp_path):
-    from forecastframe_ray.pipelines import queries as Q
-
-    days = ["2024-01-01", "2024-01-02", "2024-01-03",
-            "2024-01-07", "2024-01-08", "2024-01-20"]
-    ts = pd.to_datetime(days).astype("datetime64[us]")
-    pd.DataFrame({"event_type": ["e"] * 6, "ts": ts,
-                  "value": [1.0] * 6, "user_id": [0] * 6}) \
-        .to_parquet(tmp_path / "events.parquet")
-    out = Q.q_availability_islands_daily(str(tmp_path))
-    assert out.loc[0, "n_islands"] == 3
-    assert out.loc[0, "longest_island"] == 3
-    assert out.loc[0, "max_gap_days"] == 12
-    assert out.loc[0, "n_days"] == 6
 
 
 def test_new_vs_returning(ray_session, tmp_path):

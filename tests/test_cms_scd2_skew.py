@@ -1,4 +1,4 @@
-"""Count-Min sketch invariants."""
+"""Count-Min sketch invariants and skew profile."""
 
 import numpy as np
 import pandas as pd
@@ -50,3 +50,19 @@ def test_cms_sketch_roundtrip_dataset(ray_session):
     mat = S.cms_from_bytes(out.loc["a", "cms"], 256, 4)
     h = K.hash_key_columns(pd.DataFrame({"u": [1, 2, 3]}), ["u"])
     assert list(S.cms_estimate(mat, h)) == [2, 3, 1]
+
+
+def test_skew_profile_hot_key(ray_session, tmp_path):
+    from forecastframe_ray.pipelines import queries as Q
+
+    ts = pd.date_range("2024-01-01", periods=10, freq="h") \
+        .astype("datetime64[us]")
+    # user 1: 8 rows, users 2,3: 1 row each -> top1 share 0.8
+    pd.DataFrame({"user_id": [1] * 8 + [2, 3], "ts": ts,
+                  "event_type": ["e"] * 10, "value": [1.0] * 10}) \
+        .to_parquet(tmp_path / "events.parquet")
+    out = Q.q_skew_profile_events(str(tmp_path))
+    assert out.loc[0, "n_keys"] == 3
+    assert out.loc[0, "n_rows"] == 10
+    assert out.loc[0, "top1_share"] == 0.8
+    assert out.loc[0, "p50_size"] == 1.0

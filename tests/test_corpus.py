@@ -175,3 +175,23 @@ def test_exact_dedup_keep_best_forced_join_path(ray_session):
     want = df.sort_values(["source", "doc_id"]) \
         .drop_duplicates("text", keep="first")
     assert set(a["doc_id"]) == set(want["doc_id"])
+
+
+def test_zipf_fit_synthetic_power_law(ray_session, tmp_path):
+    # a corpus whose token counts follow count ∝ rank^-1 exactly must fit
+    # slope ≈ -1 with r2 ≈ 1
+    from forecastframe_ray.pipelines import queries as Q
+
+    words = []
+    for r in range(1, 41):
+        words.extend([f"tok{r:03d}"] * max(1, int(4000 / r)))
+    rng = np.random.default_rng(3)
+    rng.shuffle(words)
+    texts = [" ".join(words[i::20]) for i in range(20)]
+    pd.DataFrame({"doc_id": range(20), "text": texts}) \
+        .to_parquet(tmp_path / "documents.parquet")
+    out = Q.q_zipf_fit_documents(str(tmp_path))
+    assert out["n_tokens"].iloc[0] == 40
+    assert abs(out["zipf_slope"].iloc[0] + 1.0) < 0.02
+    assert out["r2"].iloc[0] > 0.999
+

@@ -1,5 +1,5 @@
-"""Conversion funnel, Markov transition counts, and per-group exact
-percentiles — hand-computable fixtures."""
+"""Markov transition counts and per-group exact percentiles —
+hand-computable fixtures."""
 
 import numpy as np
 import pandas as pd
@@ -12,29 +12,6 @@ def _events(tmp_path, rows):
     df["props"] = "{}"
     df["value"] = df.get("value", pd.Series(np.ones(len(df))))
     df.to_parquet(tmp_path / "events.parquet")
-
-
-def test_funnel_window_boundaries(ray_session, tmp_path):
-    from forecastframe_ray.pipelines import queries as Q
-
-    _events(tmp_path, [
-        # user 1: purchase exactly at t0 + 7d -> converts (<= boundary)
-        {"user_id": 1, "event_type": "view", "ts": "2024-01-01"},
-        {"user_id": 1, "event_type": "purchase", "ts": "2024-01-08"},
-        # user 2: purchase BEFORE the first view -> no conversion
-        {"user_id": 2, "event_type": "purchase", "ts": "2024-01-01"},
-        {"user_id": 2, "event_type": "view", "ts": "2024-01-02"},
-        # user 3: purchase after the window -> no conversion
-        {"user_id": 3, "event_type": "view", "ts": "2024-01-01"},
-        {"user_id": 3, "event_type": "purchase", "ts": "2024-01-09"},
-        # user 4: never views; purchase alone must not count anywhere
-        {"user_id": 4, "event_type": "purchase", "ts": "2024-01-03"},
-    ])
-    out = Q.q_funnel_conversion_events(str(tmp_path))
-    assert out["n_started"].iloc[0] == 3
-    assert out["n_converted"].iloc[0] == 1
-    np.testing.assert_allclose(out["conv_rate"].iloc[0],
-                               np.round(1 / 3, 6))
 
 
 def test_transition_counts_per_user_streams(ray_session, tmp_path):

@@ -105,3 +105,21 @@ def test_asof_join_matches_merge_asof(ray_session, data):
         .sort_values(["k", "ts"]).reset_index(drop=True)
     assert len(out) == len(ref)
     assert np.allclose(out["rv"].fillna(-1), ref["rv"].fillna(-1))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(min_value=1, max_value=200),
+       st.integers(min_value=1, max_value=12))
+def test_ntile_from_pos_properties(n, k):
+    from forecastframe_ray.pipelines.queries import _ntile_from_pos
+
+    out = _ntile_from_pos(np.arange(n), n, k)
+    # buckets are 1..min(n,k), non-decreasing, sizes differ by <= 1
+    assert out.min() == 1
+    assert out.max() == min(n, k)
+    assert (np.diff(out) >= 0).all()
+    sizes = np.bincount(out)[1:]
+    sizes = sizes[sizes > 0]
+    assert sizes.max() - sizes.min() <= 1
+    # earlier buckets are never smaller than later ones (SQL ntile rule)
+    assert (np.diff(sizes) <= 0).all()

@@ -1,25 +1,7 @@
-"""Robust MAD outlier flags and modal event type per user."""
+"""Modal event type per user."""
 
 import numpy as np
 import pandas as pd
-
-
-def test_robust_zscore_flags_only_the_spike(ray_session, tmp_path):
-    from forecastframe_ray.pipelines import queries as Q
-
-    # 15 quiet days around 100 plus one 10x spike: classical mean/std gets
-    # dragged by the spike; median/MAD must flag exactly the spike
-    v = [100.0, 101.0, 99.0, 102.0, 98.0, 100.5, 99.5, 1000.0,
-         100.2, 99.8, 101.5, 98.5, 100.1, 99.9, 100.7, 99.3]
-    rows = [{"event_id": i, "ts": pd.Timestamp("2024-01-01")
-             + pd.Timedelta(days=i), "user_id": 1, "event_type": "e",
-             "value": x, "props": "{}"} for i, x in enumerate(v)]
-    df = pd.DataFrame(rows)
-    df["ts"] = df["ts"].astype("datetime64[us]")
-    df.to_parquet(tmp_path / "events.parquet")
-    out = Q.q_robust_zscore_daily(str(tmp_path))
-    assert out["outlier"].sum() == 1
-    assert out.loc[out["outlier"] == 1, "v"].iloc[0] == 1000.0
 
 
 def test_favorite_type_tie_breaks_alphabetically(ray_session, tmp_path):

@@ -1,33 +1,9 @@
-"""TWAP (LOCF time weighting) and counter-increase kernel edges."""
+"""Counter-increase kernel edges."""
 
 import numpy as np
 import pandas as pd
 
 import ray.data
-
-
-def test_twap_locf_weighting_and_simultaneous_fallback(ray_session,
-                                                       tmp_path):
-    from forecastframe_ray.pipelines import queries as Q
-
-    ts = pd.to_datetime([
-        "2024-01-01 00:00:00",   # holds 6h at 10
-        "2024-01-01 06:00:00",   # holds 18h at 40
-        "2024-01-02 12:00:00",   # all of day 2's obs share one ts
-        "2024-01-02 12:00:00",
-    ]).astype("datetime64[us]")
-    ev = pd.DataFrame({"event_type": ["e"] * 4, "ts": ts,
-                       "value": [10.0, 40.0, 7.0, 9.0]})
-    ev.to_parquet(tmp_path / "events.parquet")
-    out = Q.q_twap_daily_events(str(tmp_path)).set_index("d")
-    d1 = pd.Timestamp("2024-01-01")
-    # day 1: 6h @ 10 + 18h @ 40 = (6*10 + 18*40)/24 = 32.5
-    assert out.loc[d1, "twap"] == 32.5
-    # day 2: zero total weight within the day until day end? the LAST obs
-    # holds to day end (12h), the first holds 0s -> weighted = 9.0 for the
-    # value-sorted order; both engines order ties by value
-    d2 = pd.Timestamp("2024-01-02")
-    assert out.loc[d2, "twap"] == 9.0
 
 
 def test_counter_increase_reset_rule(ray_session, tmp_path):

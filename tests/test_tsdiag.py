@@ -1,7 +1,7 @@
 """CUSUM changepoint and additive seasonal decomposition
 (stages/window_ops.op_cusum / op_seasonal_decompose) — direct kernel checks
-plus distributed-path equality through the keyed window stage — and the
-demand-classification quadrants entry."""
+plus distributed-path equality through the keyed window stage — the
+Dickey-Fuller entry and the demand-classification quadrants entry."""
 
 import numpy as np
 import pandas as pd
@@ -96,6 +96,58 @@ def test_keyed_stage_matches_kernel(ray_session):
     want = op_cusum(want, ["k"], "d", "v")
     want = op_seasonal_decompose(want, ["k"], "d", "v", ma_window=7)
     pd.testing.assert_frame_equal(got[want.columns], want)
+
+
+def test_dickey_fuller_known_series(ray_session, tmp_path):
+    # white noise around a constant is strongly stationary (df_stat deeply
+    # negative, flag True); a deterministic random walk is not. Statistic
+    # pinned against the closed-form OLS t-stat computed directly.
+    from forecastframe_ray.pipelines import queries as Q
+
+    rng = np.random.default_rng(13)
+    noise = 100.0 + rng.normal(0, 5, 40)
+    walk = np.cumsum(rng.normal(0.0, 1.0, 40)) + 100.0
+    ev = pd.DataFrame({
+        "event_type": ["noise"] * 40 + ["walk"] * 40,
+        "ts": np.tile(pd.date_range("2024-01-01", periods=40, freq="D")
+                      .values.astype("datetime64[us]"), 2),
+        "value": np.concatenate([noise, walk]),
+    })
+    ev.to_parquet(tmp_path / "events.parquet")
+    out = Q.q_dickey_fuller_daily(str(tmp_path)).set_index("event_type")
+
+    def ref_stat(v):
+        x, d = v[:-1], np.diff(v)
+        m = len(x)
+        xc, dc = x - x.mean(), d - d.mean()
+        rho = (xc * dc).sum() / (xc * xc).sum()
+        s2 = ((dc - rho * xc) ** 2).sum() / (m - 2)
+        return rho / np.sqrt(s2 / (xc * xc).sum())
+
+    for name, v in [("noise", noise), ("walk", walk)]:
+        np.testing.assert_allclose(out.loc[name, "df_stat"],
+                                   np.round(ref_stat(v), 6), atol=2e-6)
+        assert out.loc[name, "m"] == 39
+    assert bool(out.loc["noise", "stationary"])
+    assert not bool(out.loc["walk", "stationary"])
+
+
+def test_dickey_fuller_degenerate_constant_series(ray_session, tmp_path):
+    # constant series: sxx_c == 0 -> NULL rho/stat (NULLF), flag False
+    from forecastframe_ray.pipelines.queries import NULLF
+    from forecastframe_ray.pipelines import queries as Q
+
+    ev = pd.DataFrame({
+        "event_type": ["c"] * 6,
+        "ts": pd.date_range("2024-01-01", periods=6, freq="D")
+              .astype("datetime64[us]"),
+        "value": [5.0] * 6,
+    })
+    ev.to_parquet(tmp_path / "events.parquet")
+    out = Q.q_dickey_fuller_daily(str(tmp_path))
+    assert out["rho"].iloc[0] == NULLF
+    assert out["df_stat"].iloc[0] == NULLF
+    assert not bool(out["stationary"].iloc[0])
 
 
 def test_demand_classification_quadrants(ray_session, tmp_path):

@@ -1,4 +1,4 @@
-"""Count-window / Welch / chi-square / KS kernel edges."""
+"""Count-window / chi-square / KS kernel edges."""
 
 import numpy as np
 import pandas as pd
@@ -20,27 +20,6 @@ def test_count_windows_tumble(ray_session, tmp_path):
     assert out.loc[2, "sum_v"] == 21.0          # 10+11
     assert out.loc[1, "w_start"] == ts[5]
     assert out.loc[1, "w_end"] == ts[9]
-
-
-def test_welch_ttest_known_values(ray_session, tmp_path):
-    from forecastframe_ray.pipelines import queries as Q
-
-    ts = pd.date_range("2024-01-01", periods=8, freq="h") \
-        .astype("datetime64[us]")
-    a = [1.0, 2.0, 3.0, 4.0]       # mean 2.5, var 5/3
-    b = [10.0, 12.0, 14.0, 16.0]   # mean 13, var 20/3
-    pd.DataFrame({"user_id": [1] * 8, "ts": ts,
-                  "event_type": ["click"] * 4 + ["view"] * 4,
-                  "value": a + b}) \
-        .to_parquet(tmp_path / "events.parquet")
-    out = Q.q_welch_ttest_events(str(tmp_path))
-    va, vb, na, nb = 5 / 3, 20 / 3, 4.0, 4.0
-    se2 = va / na + vb / nb
-    t = (2.5 - 13.0) / np.sqrt(se2)
-    dof = se2 ** 2 / ((va / na) ** 2 / 3 + (vb / nb) ** 2 / 3)
-    assert out.loc[0, "t_stat"] == np.round(t, 6)
-    assert out.loc[0, "welch_dof"] == np.round(dof, 6)
-    assert out.loc[0, "mean_diff"] == -10.5
 
 
 def test_chisq_independent_table_is_zero(ray_session, tmp_path):

@@ -1,25 +1,7 @@
-"""Vocabulary growth curve and inter-event gap stats."""
+"""Inter-event gap stats."""
 
 import numpy as np
 import pandas as pd
-
-
-def test_vocab_growth_charges_first_doc(ray_session, tmp_path):
-    from forecastframe_ray.pipelines import queries as Q
-
-    # ids 0..9 -> decile == doc_id; tokens: 'a' everywhere (charged to doc
-    # 0), 'b' first at doc 4, 'c' only at doc 9
-    texts = ["a"] * 10
-    texts[4] = "a b"
-    texts[9] = "a c"
-    pd.DataFrame({"doc_id": np.arange(10, dtype=np.int64),
-                  "text": texts, "lang": ["en"] * 10,
-                  "source": ["s"] * 10,
-                  "n_chars": np.ones(10, dtype=np.int64)}) \
-        .to_parquet(tmp_path / "documents.parquet")
-    out = Q.q_vocab_growth_documents(str(tmp_path))
-    got = dict(zip(out["decile"], out["new_tokens"]))
-    assert got == {0: 1, 4: 1, 9: 1}
 
 
 def test_interevent_gaps_exact_and_single_event_user(ray_session, tmp_path):
