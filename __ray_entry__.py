@@ -133,7 +133,7 @@ def _catalog() -> list[tuple[str, Callable[[str], Any], Any]]:
 
 def queries() -> dict[str, Callable[[str], Any]]:
     """One entry per implemented operator/pipeline from SURVEY.md §2 and the
-    training-data stages (dedup / similarity / text analysis / multimodal)."""
+    training-data stages (dedup / similarity / text analysis)."""
     return {name: fn for name, fn, _ in _catalog()}
 
 

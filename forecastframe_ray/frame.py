@@ -30,6 +30,7 @@ from ray.data.aggregate import Max, Min
 
 from forecastframe_ray.functions import encoding, scalar, scalers
 from forecastframe_ray.pipelines.rollup import aggregate_features
+from forecastframe_ray.stages.agg import _typed_empty
 from forecastframe_ray.stages.join import broadcast_left_join
 from forecastframe_ray.stages.keyed import keyed_window_stage
 from forecastframe_ray.stages import window_ops as W
@@ -148,8 +149,10 @@ class RayForecastFrame:
         by = self._keys + [self.datetime_column]
         counts = hash_count(self._ds, by, out_col="__n",
                             num_partitions=self.num_partitions)
+        # keep only the int count column: a zero-row string column makes
+        # Ray's block-size sampler log an error
         dups = counts.map_batches(
-            lambda b: b[b["__n"] > 1], batch_format="pandas"
+            lambda b: b.loc[b["__n"] > 1, ["__n"]], batch_format="pandas"
         ).count()
         assert dups == 0, (
             "Your dataframe isn't unique across the specified hierarchy. "
@@ -611,10 +614,13 @@ class RayForecastFrame:
             probe = "__dim_matched"
             small = small.copy()
             small[probe] = True
+
+            def matched(b: pd.DataFrame):
+                b = b[b[probe].notna()].drop(columns=[probe])
+                return _typed_empty(b) if len(b) == 0 else b
+
             self._ds = broadcast_left_join(self._ds, small, on=left_on)
-            self._ds = self._ds.map_batches(
-                lambda b: b[b[probe].notna()].drop(columns=[probe]),
-                batch_format="pandas")
+            self._ds = self._ds.map_batches(matched, batch_format="pandas")
         return self
 
     def calc_ensemble_predictions(self, model: str = "seasonal_mean",

@@ -70,7 +70,7 @@ def _write_meta(index_dir: str, meta: dict) -> None:
 
 
 def _assign_and_write(emb_ds, index_dir: str, C: np.ndarray, vec_col: str,
-                      id_col: str, shard_index: int,
+                      id_col: str, shard_index: int, shard_id: str,
                       fail_after: int | None = None) -> None:
     import ray
 
@@ -89,7 +89,7 @@ def _assign_and_write(emb_ds, index_dir: str, C: np.ndarray, vec_col: str,
         emb_ds.map_batches(assign, batch_format="pandas"), index_dir,
         "vectors", ["centroid"], num_partitions=k, sort_cols=[id_col],
         part_offset=shard_index * k, direct_part_col="centroid",
-        fail_after=fail_after)
+        shard_id=shard_id, fail_after=fail_after)
 
 
 def build_ann_index(emb_ds, index_dir: str, num_centroids: int = 16,
@@ -105,7 +105,7 @@ def build_ann_index(emb_ds, index_dir: str, num_centroids: int = 16,
     C = centroids if centroids is not None else \
         train_centroids(emb_ds, num_centroids, vec_col, seed=seed,
                         sort_col=id_col)
-    _assign_and_write(emb_ds, index_dir, C, vec_col, id_col, 0)
+    _assign_and_write(emb_ds, index_dir, C, vec_col, id_col, 0, shard_id)
     _write_meta(index_dir, {"centroids": C, "num_centroids": len(C),
                             "vec_col": vec_col, "id_col": id_col,
                             "shards": [shard_id]})
@@ -117,14 +117,15 @@ def append_ann(emb_ds, index_dir: str, shard_id: str | None = None,
                fail_after: int | None = None) -> dict:
     """O(shard) append: assign the new vectors to the FROZEN centroids and
     write one new file set at the shard's partition offset. Nothing stored
-    is read or rewritten."""
+    is read or rewritten. Crash-retry and the abandoned-append check work
+    as in :func:`llm_incremental.append_shard`."""
     meta = _load_meta(index_dir)
     shard_id = shard_id or f"shard-{len(meta['shards']):03d}"
     t0 = time.perf_counter()
     _assign_and_write(emb_ds, index_dir, meta["centroids"],
                       meta["vec_col"], meta["id_col"],
                       shard_index=len(meta["shards"]),
-                      fail_after=fail_after)
+                      shard_id=shard_id, fail_after=fail_after)
     meta["shards"] = meta["shards"] + [shard_id]
     _write_meta(index_dir, meta)
     return {"vectors": int(emb_ds.count()),

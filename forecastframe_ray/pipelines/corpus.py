@@ -1,21 +1,10 @@
-"""Corpus-construction ops for LLM training data: vocabulary building and
-fixed-size token chunking.
+"""GPT-style token-stream packing for LLM training data.
 
-No analog in the reference (it holds no text columns); both are standard
-pretraining-pipeline stages (tokenizer-training word counts; packing docs
-into fixed-length training windows with overlap).
-
-Scale shapes
-------------
-``token_vocabulary`` is combiner-first like the tier cascade: each batch
-emits its own (token, partial-count) rows (a pandas ``value_counts`` —
-the shuffle moves per-batch DISTINCT tokens, never the raw token stream),
-one coarse-hash partition merge sums per token, and the global top-k is a
-per-block local top-k cut (top-k is idempotent over unions of partial
-top-ks once counts are final) followed by a ≤ blocks × k driver cut.
-
-``chunk_documents`` is a stateless exploding map — zero shuffles; output
-rows carry only (id, chunk_id, n_tokens, chunk_text).
+No analog in the reference (it holds no text columns). ``pack_token_stream``
+slices the concatenated token stream of a corpus into fixed-length training
+contexts with one distributed prefix sum (see its docstring for the scale
+shape); ``pack_chunk_stats`` summarizes the packed chunks. ``llm.run``
+chains them after the dedup funnel when ``pack_context`` is set.
 """
 
 from __future__ import annotations
@@ -25,273 +14,6 @@ import pandas as pd
 
 from forecastframe_ray.stages.agg import hash_aggregate
 
-
-def token_vocabulary(ds, text_col: str = "text", top_k: int = 1000,
-                     num_partitions: int = 64) -> pd.DataFrame:
-    """Corpus-wide whitespace-token counts, top-``top_k`` by
-    ``(count desc, token asc)`` — the deterministic tie-break makes the
-    cutoff stable across block layouts and cluster shapes.
-
-    Returns a small pandas DataFrame ``(token, n)`` (≤ top_k rows); the
-    driver-side merge sees at most ``num_partitions × top_k`` rows.
-    """
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        vc = b[text_col].str.split().explode().dropna().value_counts()
-        return pd.DataFrame({"token": vc.index.to_numpy(),
-                             "n": vc.to_numpy().astype("int64")})
-
-    counts = hash_aggregate(ds.map_batches(partial, batch_format="pandas"),
-                            ["token"], {"n": ("n", "sum")},
-                            num_partitions=num_partitions)
-
-    def cut(b: pd.DataFrame) -> pd.DataFrame:
-        # tokens are unique after the merge, so any local top-k contains
-        # every global top-k row that falls in this block
-        return (b.sort_values(["n", "token"], ascending=[False, True],
-                              kind="mergesort").head(top_k))
-
-    tops = counts.map_batches(cut, batch_size=None, batch_format="pandas")
-    df = tops.to_pandas()
-    df["n"] = df["n"].astype("int64")
-    return (df.sort_values(["n", "token"], ascending=[False, True],
-                           kind="mergesort").head(top_k)
-              .reset_index(drop=True))
-
-
-def chunk_batch(batch: pd.DataFrame, text_col: str, id_col: str,
-                size: int, stride: int) -> pd.DataFrame:
-    """One output row per (doc, chunk): chunk ``c`` covers tokens
-    ``[c*stride, c*stride+size)``; starts run while ``start < n_tokens`` so
-    tail chunks are shorter, token-less docs emit nothing.  Chunk text is
-    the single-space join of its tokens (NOT a substring of the original —
-    runs of whitespace collapse, the documented normalization)."""
-    toks = batch[text_col].str.split()
-    ids, cids, ns, texts = [], [], [], []
-    for did, t in zip(batch[id_col].to_numpy(), toks):
-        if not isinstance(t, list):
-            continue
-        for c, s in enumerate(range(0, len(t), stride)):
-            piece = t[s:s + size]
-            ids.append(did)
-            cids.append(c)
-            ns.append(len(piece))
-            texts.append(" ".join(piece))
-    return pd.DataFrame({
-        id_col: pd.Series(ids, dtype="int64"),
-        "chunk_id": pd.Series(cids, dtype="int64"),
-        "n_tokens": pd.Series(ns, dtype="int64"),
-        "chunk_text": pd.Series(texts, dtype="object"),
-    })
-
-
-def chunk_documents(ds, text_col: str = "text", id_col: str = "doc_id",
-                    size: int = 512, stride: int | None = None):
-    """Split docs into fixed-token-count training chunks (``stride`` <
-    ``size`` overlaps consecutive chunks; default no overlap)."""
-    st = stride or size
-    if st <= 0 or size <= 0:
-        raise ValueError("size and stride must be positive")
-    return ds.map_batches(
-        lambda b: chunk_batch(b, text_col, id_col, size, st),
-        batch_format="pandas")
-
-
-def pmi_bigrams(ds, text_col: str = "text", top_k: int = 100,
-                min_count: int = 5, num_partitions: int = 64,
-                broadcast_limit: int = 5_000_000) -> pd.DataFrame:
-    """Top-``top_k`` collocations by pointwise mutual information:
-    ``pmi = round(ln((c_xy/T_bi) / ((c_x/T_uni)·(c_y/T_uni))), 6)`` over
-    within-doc adjacent token pairs with ``c_xy ≥ min_count``, ranked
-    ``(pmi desc, bigram asc)`` — the Church & Hanks 1990 association
-    measure, a standard tokenizer-prep / phrase-mining pass.
-
-    Plan mirrors :func:`token_vocabulary`: per-batch bigram ``value_counts``
-    partials → one coarse-hash merge (the shuffle moves per-batch DISTINCT
-    bigrams). Unigram counts ride the same combiner plan; they attach to
-    the min-count-filtered bigram rows via a broadcast table under
-    ``broadcast_limit`` distinct tokens (per-batch C-speed merge) or a
-    distributed double hash-join above it. The final cut is a per-block
-    local top-k + ≤ blocks × k driver merge, exact because counts are
-    final. Returns a small pandas DataFrame ``(bigram, c_xy, pmi)``."""
-    import ray
-
-    def uni_partial(b: pd.DataFrame) -> pd.DataFrame:
-        vc = b[text_col].str.split().explode().dropna().value_counts()
-        return pd.DataFrame({"token": vc.index.to_numpy(),
-                             "n": vc.to_numpy().astype("int64")})
-
-    def bi_partial(b: pd.DataFrame) -> pd.DataFrame:
-        # vectorized adjacent-pair build: explode all tokens once, pair
-        # consecutive entries that belong to the same document row
-        ex = b[text_col].str.split().explode().dropna()
-        idx = ex.index.to_numpy()
-        vals = ex.to_numpy()
-        if len(vals) < 2:
-            return pd.DataFrame({"bigram": pd.Series([], dtype="object"),
-                                 "c_xy": pd.Series([], dtype="int64")})
-        same = idx[1:] == idx[:-1]
-        pairs = (pd.Series(vals[:-1][same], dtype="object")
-                 + " " + pd.Series(vals[1:][same], dtype="object"))
-        if pairs.empty:
-            return pd.DataFrame({"bigram": pd.Series([], dtype="object"),
-                                 "c_xy": pd.Series([], dtype="int64")})
-        vc = pairs.value_counts()
-        return pd.DataFrame({"bigram": vc.index.to_numpy(),
-                             "c_xy": vc.to_numpy().astype("int64")})
-
-    uni = hash_aggregate(ds.map_batches(uni_partial, batch_format="pandas"),
-                         ["token"], {"n": ("n", "sum")},
-                         num_partitions=num_partitions).materialize()
-    bi = hash_aggregate(ds.map_batches(bi_partial, batch_format="pandas"),
-                        ["bigram"], {"c_xy": ("c_xy", "sum")},
-                        num_partitions=num_partitions)
-    bi = bi.map_batches(lambda b: b[b["c_xy"] >= min_count],
-                        batch_format="pandas").materialize()
-
-    # totals: tiny per-block sums — no full collect
-    t_uni = float(sum(r["t"] for r in uni.map_batches(
-        lambda b: pd.DataFrame({"t": [b["n"].sum()]}),
-        batch_format="pandas").to_pandas().to_dict("records")))
-    t_bi = float(sum(r["t"] for r in bi.map_batches(
-        lambda b: pd.DataFrame({"t": [b["c_xy"].sum()]}),
-        batch_format="pandas").to_pandas().to_dict("records"))) or 1.0
-
-    def split_tokens(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        sp = b["bigram"].str.split(" ", n=1, expand=True)
-        b["__x"], b["__y"] = sp[0], sp[1]
-        return b
-
-    bi = bi.map_batches(split_tokens, batch_format="pandas")
-
-    if uni.count() <= broadcast_limit:
-        from forecastframe_ray.stages.agg import ensure_columns
-
-        stat = ensure_columns(uni.to_pandas(), {"token": "object",
-                                                "n": "int64"})
-        ref = ray.put(stat)
-
-        def attach(b: pd.DataFrame) -> pd.DataFrame:
-            s = ray.get(ref)
-            b = b.merge(s.rename(columns={"token": "__x", "n": "__nx"}),
-                        on="__x", how="inner")
-            b = b.merge(s.rename(columns={"token": "__y", "n": "__ny"}),
-                        on="__y", how="inner")
-            return b
-
-        scored_in = bi.map_batches(attach, batch_format="pandas")
-    else:
-        from forecastframe_ray.stages.join import hash_join
-
-        ux = uni.map_batches(
-            lambda b: b.rename(columns={"token": "__x", "n": "__nx"}),
-            batch_format="pandas").repartition(8).materialize()
-        uy = uni.map_batches(
-            lambda b: b.rename(columns={"token": "__y", "n": "__ny"}),
-            batch_format="pandas").repartition(8).materialize()
-        scored_in = hash_join(
-            hash_join(bi, ux, on=["__x"], num_partitions=num_partitions)
-            .repartition(max(8, num_partitions // 4)).materialize(),
-            uy, on=["__y"], num_partitions=num_partitions)
-
-    def score(b: pd.DataFrame) -> pd.DataFrame:
-        p_xy = b["c_xy"].to_numpy(np.float64) / t_bi
-        p_x = b["__nx"].to_numpy(np.float64) / t_uni
-        p_y = b["__ny"].to_numpy(np.float64) / t_uni
-        out = b[["bigram", "c_xy"]].copy()
-        out["pmi"] = np.round(np.log(p_xy / (p_x * p_y)), 6)
-        return out
-
-    scored = scored_in.map_batches(score, batch_format="pandas")
-
-    def cut(b: pd.DataFrame) -> pd.DataFrame:
-        return (b.sort_values(["pmi", "bigram"], ascending=[False, True],
-                              kind="mergesort").head(top_k))
-
-    tops = scored.map_batches(cut, batch_size=None, batch_format="pandas")
-    df = tops.to_pandas()
-    df["c_xy"] = df["c_xy"].astype("int64")
-    return (df.sort_values(["pmi", "bigram"], ascending=[False, True],
-                           kind="mergesort").head(top_k)
-              .reset_index(drop=True))
-
-
-def edit1_token_pairs(ds, text_col: str = "text", num_partitions: int = 32):
-    """All DISTINCT-token pairs at Levenshtein distance exactly 1 — the
-    SymSpell deletion-neighborhood blocking (Garbe, public): a token's
-    candidate block key set is {token} ∪ its single-character deletions;
-    two tokens at distance 1 always share a key (substitution → delete the
-    differing position from both; insert/delete → the longer's deletion IS
-    the shorter). Blocking is complete for distance 1, so the exact verify
-    only runs inside buckets.
-
-    Scale shape: distinct tokens reduce first (combiner'd aggregate), the
-    deletion fan-out is vectorized per batch (one pandas str-slice pass per
-    deletion POSITION, not per token), buckets group under a coarse hash,
-    and the per-bucket verify touches only co-bucketed pairs (vocabulary
-    buckets are tiny by construction). Returns (tok_a, tok_b, dist=1) with
-    tok_a < tok_b."""
-    from forecastframe_ray.stages.agg import (bucketed_map_groups,
-                                              ensure_columns, hash_aggregate)
-
-    def toks(b: pd.DataFrame) -> pd.DataFrame:
-        ex = b[text_col].str.split().explode().dropna()
-        return pd.DataFrame({"token": ex.unique()})
-
-    vocab = hash_aggregate(ds.map_batches(toks, batch_format="pandas"),
-                           ["token"], {"n": ("token", "size")},
-                           num_partitions=min(8, num_partitions)) \
-        .drop_columns(["n"])
-
-    def variants(b: pd.DataFrame) -> pd.DataFrame:
-        t = b["token"].astype(str)
-        outs = [pd.DataFrame({"token": t, "key": t})]
-        max_len = int(t.str.len().max()) if len(t) else 0
-        for i in range(max_len):
-            mask = t.str.len() > i
-            tt = t[mask]
-            outs.append(pd.DataFrame({"token": tt,
-                                      "key": tt.str[:i] + tt.str[i + 1:]}))
-        out = pd.concat(outs, ignore_index=True)
-        return out.drop_duplicates()
-
-    def _lev1(a: str, b: str) -> bool:
-        # exact distance-1 check for co-bucketed candidates (tiny sets)
-        if a == b:
-            return False
-        la, lb = len(a), len(b)
-        if la == lb:
-            return sum(x != y for x, y in zip(a, b)) == 1
-        if abs(la - lb) != 1:
-            return False
-        if la > lb:
-            a, b, la, lb = b, a, lb, la
-        i = 0
-        while i < la and a[i] == b[i]:
-            i += 1
-        return a[i:] == b[i + 1:]
-
-    def bucket_pairs(g: pd.DataFrame) -> pd.DataFrame:
-        ts = sorted(g["token"].unique())
-        rows = [(ts[i], ts[j]) for i in range(len(ts))
-                for j in range(i + 1, len(ts)) if _lev1(ts[i], ts[j])]
-        if not rows:
-            return pd.DataFrame({"tok_a": [], "tok_b": []})
-        return pd.DataFrame(rows, columns=["tok_a", "tok_b"])
-
-    cand = bucketed_map_groups(
-        vocab.map_batches(variants, batch_format="pandas"), ["key"],
-        bucket_pairs, num_partitions=num_partitions, min_size=2)
-    out = ensure_columns(cand.to_pandas(), {"tok_a": "object",
-                                            "tok_b": "object"})
-    out = out.drop_duplicates(["tok_a", "tok_b"])
-    out["dist"] = np.int64(1)
-    return out.sort_values(["tok_a", "tok_b"]).reset_index(drop=True)
-
-
-# ---------------------------------------------------------------------------
-# GPT-style token-stream packing
-# ---------------------------------------------------------------------------
 
 def pack_token_stream(ds, context_len: int, text_col: str = "text",
                       id_col: str = "doc_id", sep_tokens: int = 1,

@@ -100,7 +100,7 @@ META_FILE = "index_meta.json"
 
 #: key-set sizes (rows) below which index probes broadcast via the object
 #: store instead of running a distributed hash join — same threshold family
-#: as dedup.exact_dedup / decontaminate
+#: as dedup.exact_dedup
 BROADCAST_LIMIT = 5_000_000
 
 
@@ -285,7 +285,7 @@ def build_index(docs_ds, index_dir: str, *, id_col: str = "doc_id",
     bands = _band_rows(kept, id_col, p)
 
     _write_tables(index_dir, corpus, digests, bands, None, id_col,
-                  num_partitions, shard_index=0)
+                  num_partitions, shard_index=0, shard_id=shard_id)
 
     max_id = docs_ds.max(id_col)
     max_id = -1 if max_id is None else int(max_id)
@@ -299,7 +299,7 @@ def build_index(docs_ds, index_dir: str, *, id_col: str = "doc_id",
 
 
 def _write_tables(index_dir, corpus, digests, bands, remap_df, id_col,
-                  num_partitions, shard_index,
+                  num_partitions, shard_index, shard_id: str,
                   fail_after: int | None = None):
     """Append-only DELTA write of the index tables: every table here is
     insert-only by construction (doc ids are append-monotonic; digests and
@@ -309,7 +309,9 @@ def _write_tables(index_dir, corpus, digests, bands, remap_df, id_col,
     shared partitions — a merge layout costs O(stored corpus) per append
     (measured: a 10% shard rewrote every partition and the append lost to
     the full rebuild). Crash-retry idempotence = the checkpoint manifest's
-    (tier, part) skip; shard offsets make those ids shard-unique.
+    (tier, part) skip; shard offsets make those ids shard-unique, and the
+    ``shard_id`` stored in each manifest row makes a different shard at an
+    abandoned append's offset raise instead of being skipped.
 
     Readers see one extra file set per shard; a periodic compaction pass
     (rewrite tier files at offset 0, truncate the manifest) would bound
@@ -318,22 +320,23 @@ def _write_tables(index_dir, corpus, digests, bands, remap_df, id_col,
     off = shard_index * num_partitions
     checkpoint.write_partitioned(
         corpus, index_dir, "corpus", [id_col],
-        num_partitions=num_partitions, sort_cols=[id_col], part_offset=off)
+        num_partitions=num_partitions, sort_cols=[id_col], part_offset=off,
+        shard_id=shard_id)
     checkpoint.write_partitioned(
         digests, index_dir, "digests", ["digest"],
         num_partitions=num_partitions, sort_cols=["digest"],
-        part_offset=off)
+        part_offset=off, shard_id=shard_id)
     if remap_df is not None and len(remap_df):
         import ray.data
         checkpoint.write_partitioned(
             ray.data.from_pandas(remap_df), index_dir, "remap",
             ["old_rep"], num_partitions=1, sort_cols=["old_rep"],
-            part_offset=shard_index)
+            part_offset=shard_index, shard_id=shard_id)
     checkpoint.write_partitioned(
         bands, index_dir, "bands", ["band", "bucket"],
         num_partitions=num_partitions,
         sort_cols=["band", "bucket", id_col], part_offset=off,
-        fail_after=fail_after)
+        shard_id=shard_id, fail_after=fail_after)
 
 
 def _load_remap(index_dir: str) -> dict:
@@ -378,7 +381,10 @@ def append_shard(shard_ds, index_dir: str, shard_id: str | None = None,
     shard log): crash-retry re-runs skip already-written delta partitions
     via the checkpoint manifest (shard-offset partition ids are
     shard-unique), and the meta file — the commit point — is written
-    last. ``fail_after`` is the test hook forwarded to the LAST table
+    last. Appending a different ``shard_id`` after a crashed append that
+    was never retried raises ``ValueError`` (the crashed shard still owns
+    the offset); the default id is positional, so it cannot tell the two
+    apart — name shards to get that check. ``fail_after`` is the test hook forwarded to the LAST table
     write to simulate a mid-append crash.
     """
     meta = _load_meta(index_dir)
@@ -564,7 +570,8 @@ def append_shard(shard_ds, index_dir: str, shard_id: str | None = None,
     #    point) last
     _write_tables(index_dir, corpus_delta, fresh_digests, new_bands,
                   remap_df, id_col, num_partitions,
-                  shard_index=len(meta["shards"]), fail_after=fail_after)
+                  shard_index=len(meta["shards"]), shard_id=shard_id,
+                  fail_after=fail_after)
 
     shard_max = shard_ds.max(id_col)
     if shard_max is not None:

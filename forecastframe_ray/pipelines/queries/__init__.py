@@ -41,8 +41,7 @@ def entry(name: str, sql: Callable[[], str] | None = None):
 
 # submodules import ``entry`` from this package, so they load after it
 _PARTS = tuple(importlib.import_module(f"{__name__}.{part}") for part in (
-    "spine", "text", "corpus", "windows", "stats4", "incremental", "gbm",
-    "quality", "annidx"))
+    "spine", "text", "corpus", "windows", "incremental", "gbm", "annidx"))
 
 
 def __getattr__(name: str) -> Any:

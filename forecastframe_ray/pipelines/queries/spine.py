@@ -849,42 +849,6 @@ SQL_GORILLA_ROUNDTRIP = f"""
 """
 
 
-@entry("multimodal_decode", sql=lambda: SQL_MULTIMODAL_DECODE)
-def q_multimodal_decode(sf_dir: str) -> pd.DataFrame:
-    """Actor-pool media decode plumbing over a media table derived from the
-    documents corpus (payload = UTF-8 text bytes). Metadata columns are
-    SQL-checkable; the stubbed decode features are verified in-query against
-    a direct recomputation on a sample (blake2b is not SQL-expressible)."""
-    from forecastframe_ray.pipelines import multimodal
-
-    docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    mds = multimodal.media_from_documents(docs)
-    out = multimodal.decode_features(mds, concurrency=(1, 4), batch_size=64)
-    df = out.to_pandas()
-
-    # value check of the actor-pool decode path against the direct function
-    stage = multimodal.DecodeStage(real=False, feat_dim=16)
-    sample = pq.read_table(f"{sf_dir}/documents.parquet",
-                           columns=["doc_id", "text"]).to_pandas().head(10)
-    feats = {int(m): f for m, f in zip(df["media_id"], df["features"])}
-    for _, row in sample.iterrows():
-        expect = stage._fake_decode((row["text"] or "").encode("utf-8"))
-        got = np.asarray(feats[int(row["doc_id"])], dtype=np.float64)
-        assert np.array_equal(expect, got), ("decode mismatch", row["doc_id"])
-
-    df["payload_bytes"] = df["payload_bytes"].astype("int64")
-    return df[["media_id", "kind", "payload_bytes"]]
-
-
-SQL_MULTIMODAL_DECODE = """
-    SELECT doc_id AS media_id,
-           CASE doc_id % 3 WHEN 0 THEN 'image' WHEN 1 THEN 'audio'
-                ELSE 'video' END AS kind,
-           CAST(strlen(text) AS BIGINT) AS payload_bytes
-    FROM documents
-"""
-
-
 @entry("rollup_grouper_stats_events", sql=lambda: SQL_ROLLUP_GROUPER_STATS)
 def q_rollup_grouper_stats_events(sf_dir: str) -> pd.DataFrame:
     """W1 with ``groupers`` (A1 aggregate → window at rollup grain → J1
@@ -1779,44 +1743,6 @@ def q_simhash_recall(sf_dir: str) -> pd.DataFrame:
 
 SQL_SIMHASH_RECALL = """
     SELECT CAST(0 AS BIGINT) AS gate, true AS recall_ok
-"""
-
-
-@entry("multimodal_resize", sql=lambda: SQL_MULTIMODAL_RESIZE)
-def q_multimodal_resize(sf_dir: str) -> pd.DataFrame:
-    """Multimodal resize/frame-sample stage (actor pool): deterministic
-    metadata math (scale to max side 256) and the payload-shrink contract,
-    both recomputed exactly by the oracle."""
-    from forecastframe_ray.pipelines import multimodal
-
-    docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    mds = multimodal.media_from_documents(docs)
-    out = mds.map_batches(
-        multimodal.ResizeStage, fn_constructor_kwargs={"max_side": 256},
-        concurrency=(1, 4), batch_size=64, batch_format="pyarrow")
-    df = out.to_pandas()
-    df["payload_bytes"] = df["payload"].map(len).astype("int64")
-    df["new_w"] = df["width"].astype("int64")
-    df["new_h"] = df["height"].astype("int64")
-    return df[["media_id", "new_w", "new_h", "payload_bytes"]]
-
-
-SQL_MULTIMODAL_RESIZE = """
-    WITH m AS (
-        SELECT doc_id AS media_id,
-               CAST(16 + (doc_id * 7) % 4000 AS DOUBLE) AS w,
-               CAST(16 + (doc_id * 13) % 3000 AS DOUBLE) AS h,
-               CAST(strlen(text) AS DOUBLE) AS pb
-        FROM documents
-    ),
-    s AS (SELECT media_id, w, h, pb,
-                 least(1.0, 256.0 / greatest(greatest(w, h), 1.0)) AS sc
-          FROM m)
-    SELECT media_id,
-           CAST(greatest(1, round_even(w * sc, 0)) AS BIGINT) AS new_w,
-           CAST(greatest(1, round_even(h * sc, 0)) AS BIGINT) AS new_h,
-           CAST(greatest(16, floor(pb * sc * sc)) AS BIGINT) AS payload_bytes
-    FROM s
 """
 
 
@@ -3019,381 +2945,6 @@ SQL_ROLLING_CORR_DAILY = f"""
 """
 
 
-# ---------------------------------------------------------------------------
-# PII redaction (pipelines/pii.py) — RE2-compatible patterns, DuckDB oracle
-# ---------------------------------------------------------------------------
-
-def _augment_pii(b: pd.DataFrame) -> pd.DataFrame:
-    """Deterministically plant one email/IP/phone in every 3rd doc so the
-    redaction is exercised on a corpus that has no natural PII (same CASE
-    expression as the oracle's ``aug`` CTE)."""
-    d = b["doc_id"].astype("int64")
-    planted = (b["text"] + " contact u" + d.astype(str)
-               + "@mail.example.com ip 10.0." + (d % 256).astype(str)
-               + "." + ((d * 7) % 256).astype(str)
-               + " tel +1 555 0" + (100 + d % 900).astype(str))
-    orig = b["text"]
-    b = b[["doc_id"]].copy()
-    b["text"] = planted.where(d % 3 == 0, orig)
-    return b
-
-
-@entry("pii_redaction_documents", sql=lambda: SQL_PII_REDACTION)
-def q_pii_redaction_documents(sf_dir: str) -> pd.DataFrame:
-    """Email/IPv4/phone redaction with per-class match counts; byte-exact
-    vs the DuckDB ``regexp_replace`` oracle (patterns are RE2∩re-safe)."""
-    from forecastframe_ray.pipelines.pii import redact_pii
-
-    docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    out = redact_pii(docs.map_batches(_augment_pii, batch_format="pandas"),
-                     text_col="text", count=True)
-    df = out.to_pandas()
-    df = df[["doc_id", "n_emails", "n_ips", "n_phones", "text_redacted"]]
-    return df.sort_values("doc_id").reset_index(drop=True)
-
-
-_PII_EMAIL = r"[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}"
-_PII_IP = r"\b[0-9]{1,3}\.[0-9]{1,3}\.[0-9]{1,3}\.[0-9]{1,3}\b"
-_PII_PHONE = r"\+[0-9][0-9 ()-]{6,14}[0-9]"
-
-SQL_PII_REDACTION = f"""
-    WITH aug AS (
-      SELECT doc_id,
-             CASE WHEN doc_id % 3 = 0 THEN
-               text || ' contact u' || CAST(doc_id AS VARCHAR)
-                    || '@mail.example.com ip 10.0.'
-                    || CAST(doc_id % 256 AS VARCHAR) || '.'
-                    || CAST((doc_id * 7) % 256 AS VARCHAR)
-                    || ' tel +1 555 0' || CAST(100 + doc_id % 900 AS VARCHAR)
-             ELSE text END AS text
-      FROM documents
-    )
-    SELECT doc_id,
-      CAST(len(regexp_extract_all(text,
-           '{_PII_EMAIL}')) AS BIGINT) AS n_emails,
-      CAST(len(regexp_extract_all(regexp_replace(text,
-           '{_PII_EMAIL}', '<EMAIL>', 'g'),
-           '{_PII_IP}')) AS BIGINT) AS n_ips,
-      CAST(len(regexp_extract_all(regexp_replace(regexp_replace(text,
-           '{_PII_EMAIL}', '<EMAIL>', 'g'),
-           '{_PII_IP}', '<IP>', 'g'),
-           '{_PII_PHONE}')) AS BIGINT) AS n_phones,
-      regexp_replace(regexp_replace(regexp_replace(text,
-          '{_PII_EMAIL}', '<EMAIL>', 'g'),
-          '{_PII_IP}', '<IP>', 'g'),
-          '{_PII_PHONE}', '<PHONE>', 'g') AS text_redacted
-    FROM aug
-"""
-
-
-# ---------------------------------------------------------------------------
-# train/eval n-gram decontamination (pipelines/decontaminate.py)
-# ---------------------------------------------------------------------------
-
-@entry("decontaminate_documents", sql=lambda: SQL_DECONTAMINATE)
-def q_decontaminate_documents(sf_dir: str) -> pd.DataFrame:
-    """GPT-3-style 8-gram decontamination: eval side = every 10th doc,
-    train side = the rest; per train doc the count of DISTINCT 8-grams
-    shared with any eval doc (broadcast-probe path)."""
-    from forecastframe_ray.pipelines.decontaminate import decontaminate
-
-    docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    train = docs.map_batches(lambda b: b[b["doc_id"] % 10 != 0],
-                             batch_format="pandas")
-    evald = docs.map_batches(lambda b: b[b["doc_id"] % 10 == 0],
-                             batch_format="pandas")
-    out = decontaminate(train, evald, n=8)
-    df = out.to_pandas()
-    df["contaminated"] = df["contaminated"].astype("int64")
-    df = df[["doc_id", "n_overlap", "contaminated"]]
-    return df.sort_values("doc_id").reset_index(drop=True)
-
-
-SQL_DECONTAMINATE = r"""
-    WITH toks AS (
-      SELECT doc_id,
-             list_filter(string_split_regex(text, '\s+'), x -> x <> '') AS t
-      FROM documents
-    ),
-    grams AS (
-      SELECT doc_id, array_to_string(t[i:i+7], ' ') AS g
-      FROM toks, unnest(range(1, len(t) - 6)) AS u(i)
-    ),
-    evalg AS (SELECT DISTINCT g FROM grams WHERE doc_id % 10 = 0),
-    hits AS (
-      SELECT gr.doc_id, count(DISTINCT gr.g) AS n_overlap
-      FROM grams gr JOIN evalg e ON gr.g = e.g
-      WHERE gr.doc_id % 10 <> 0 GROUP BY 1
-    )
-    SELECT d.doc_id, CAST(COALESCE(h.n_overlap, 0) AS BIGINT) AS n_overlap,
-           CAST(COALESCE(h.n_overlap, 0) > 0 AS BIGINT) AS contaminated
-    FROM documents d LEFT JOIN hits h ON d.doc_id = h.doc_id
-    WHERE d.doc_id % 10 <> 0
-"""
-
-
-# ---------------------------------------------------------------------------
-# Gopher repetition signals (pipelines/textstats.repetition_batch)
-# ---------------------------------------------------------------------------
-
-@entry("repetition_documents", sql=lambda: SQL_REPETITION_DOCS)
-def q_repetition_documents(sf_dir: str) -> pd.DataFrame:
-    """Duplicate-line / top-2-gram / dup-5-gram repetition signals, emitted
-    as EXACT integer numerators (``raw_counts=True`` — the float fractions
-    hit the numpy-half-even vs SQL-half-away divergence on exact .5s).  The
-    synthetic corpus has no newlines, so the line view is derived
-    deterministically on both sides: ``replace(text, ' a ', chr(10))``
-    (leftmost non-overlapping on both engines)."""
-    from forecastframe_ray.pipelines.textstats import repetition_scores
-
-    docs = _read(sf_dir, "documents", ["doc_id", "text"])
-
-    def add_lines(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["text_l"] = b["text"].str.replace(" a ", "\n", regex=False)
-        return b
-
-    out = repetition_scores(docs.map_batches(add_lines,
-                                             batch_format="pandas"),
-                            text_col="text", line_col="text_l",
-                            raw_counts=True)
-    df = out.to_pandas()
-    cols = ["n_lines", "n_distinct_lines", "dup_line_chars",
-            "tot_line_chars", "top_2gram_chars", "dup_5gram_chars",
-            "n_chars"]
-    for c in cols:
-        df[c] = df[c].astype("int64")
-    df = df[["doc_id"] + cols]
-    return df.sort_values("doc_id").reset_index(drop=True)
-
-
-SQL_REPETITION_DOCS = r"""
-    WITH base AS (
-      SELECT doc_id, text, len(text) AS nchar,
-             replace(text, ' a ', chr(10)) AS text_l
-      FROM documents
-    ),
-    toks AS (
-      SELECT doc_id,
-             list_filter(string_split_regex(text, '\s+'), x -> x <> '') AS t
-      FROM base
-    ),
-    g2c AS (
-      SELECT doc_id, array_to_string(t[i:i+1], ' ') AS g, count(*) AS c
-      FROM toks, unnest(range(1, len(t))) AS u(i) GROUP BY 1, 2
-    ),
-    top2 AS (SELECT doc_id, max(c * len(g)) AS best FROM g2c GROUP BY 1),
-    g5c AS (
-      SELECT doc_id, array_to_string(t[i:i+4], ' ') AS g, count(*) AS c
-      FROM toks, unnest(range(1, len(t) - 3)) AS u(i) GROUP BY 1, 2
-    ),
-    dup5 AS (SELECT doc_id, sum(c * len(g)) AS dup FROM g5c
-             WHERE c > 1 GROUP BY 1),
-    lns AS (
-      SELECT doc_id, x AS line FROM (
-        SELECT doc_id, unnest(string_split(text_l, chr(10))) AS x FROM base)
-      WHERE x <> ''
-    ),
-    lc AS (SELECT doc_id, line, count(*) AS c, len(line) AS sl
-           FROM lns GROUP BY 1, 2),
-    lagg AS (SELECT doc_id, sum(c) AS n, count(*) AS nd, sum(sl * c) AS tot,
-                    sum(CASE WHEN c > 1 THEN sl * c ELSE 0 END) AS dup
-             FROM lc GROUP BY 1)
-    SELECT b.doc_id,
-      CAST(COALESCE(l.n, 0) AS BIGINT) AS n_lines,
-      CAST(COALESCE(l.nd, 0) AS BIGINT) AS n_distinct_lines,
-      CAST(COALESCE(l.dup, 0) AS BIGINT) AS dup_line_chars,
-      CAST(COALESCE(l.tot, 0) AS BIGINT) AS tot_line_chars,
-      CAST(COALESCE(t2.best, 0) AS BIGINT) AS top_2gram_chars,
-      CAST(COALESCE(d5.dup, 0) AS BIGINT) AS dup_5gram_chars,
-      CAST(b.nchar AS BIGINT) AS n_chars
-    FROM base b
-    LEFT JOIN lagg l USING (doc_id)
-    LEFT JOIN top2 t2 USING (doc_id)
-    LEFT JOIN dup5 d5 USING (doc_id)
-"""
-
-
-# ---------------------------------------------------------------------------
-# corpus construction: vocabulary + training chunks (pipelines/corpus.py)
-# ---------------------------------------------------------------------------
-
-@entry("vocabulary_documents", sql=lambda: SQL_VOCABULARY_DOCS)
-def q_vocabulary_documents(sf_dir: str) -> pd.DataFrame:
-    """Top-100 whitespace tokens corpus-wide, (count desc, token asc)."""
-    from forecastframe_ray.pipelines.corpus import token_vocabulary
-
-    docs = _read(sf_dir, "documents", ["text"])
-    return token_vocabulary(docs, top_k=100, num_partitions=_NP)
-
-
-SQL_VOCABULARY_DOCS = r"""
-    WITH tok AS (
-      SELECT unnest(list_filter(string_split_regex(text, '\s+'),
-                                x -> x <> '')) AS token
-      FROM documents
-    )
-    SELECT token, CAST(count(*) AS BIGINT) AS n
-    FROM tok GROUP BY 1
-    ORDER BY n DESC, token LIMIT 100
-"""
-
-
-@entry("chunk_documents", sql=lambda: SQL_CHUNK_DOCS)
-def q_chunk_documents(sf_dir: str) -> pd.DataFrame:
-    """32-token chunks, stride 24 (8-token overlap), tail chunks shorter."""
-    from forecastframe_ray.pipelines.corpus import chunk_documents
-
-    docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    df = chunk_documents(docs, size=32, stride=24).to_pandas()
-    return (df.sort_values(["doc_id", "chunk_id"])
-              .reset_index(drop=True))
-
-
-SQL_CHUNK_DOCS = r"""
-    WITH toks AS (
-      SELECT doc_id,
-             list_filter(string_split_regex(text, '\s+'), x -> x <> '') AS t
-      FROM documents
-    )
-    SELECT doc_id, CAST(s // 24 AS BIGINT) AS chunk_id,
-           CAST(least(32, len(t) - s) AS BIGINT) AS n_tokens,
-           array_to_string(t[s + 1 : least(s + 32, len(t))], ' ')
-               AS chunk_text
-    FROM toks, unnest(range(0, len(t), 24)) AS u(s)
-"""
-
-
-# ---------------------------------------------------------------------------
-# Gopher quality filter (pipelines/textstats.gopher_filter)
-# ---------------------------------------------------------------------------
-
-@entry("gopher_filter_documents", sql=lambda: SQL_GOPHER_FILTER)
-def q_gopher_filter_documents(sf_dir: str) -> pd.DataFrame:
-    """Integer-exact Gopher filter flags + composite kept bit; same derived
-    line view as ``repetition_documents``."""
-    from forecastframe_ray.pipelines.textstats import gopher_filter
-
-    docs = _read(sf_dir, "documents", ["doc_id", "text"])
-
-    def add_lines(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["text_l"] = b["text"].str.replace(" a ", "\n", regex=False)
-        return b
-
-    out = gopher_filter(docs.map_batches(add_lines, batch_format="pandas"),
-                        text_col="text", line_col="text_l")
-    df = out.to_pandas()
-    cols = ["n_words", "f_words", "f_wordlen", "f_dupline", "f_top2",
-            "f_dup5", "kept"]
-    for c in cols:
-        df[c] = df[c].astype("int64")
-    return (df[["doc_id"] + cols].sort_values("doc_id")
-              .reset_index(drop=True))
-
-
-SQL_GOPHER_FILTER = r"""
-    WITH base AS (
-      SELECT doc_id, text, len(text) AS nchar,
-             replace(text, ' a ', chr(10)) AS text_l
-      FROM documents
-    ),
-    toks AS (
-      SELECT doc_id,
-             list_filter(string_split_regex(text, '\s+'), x -> x <> '') AS t
-      FROM base
-    ),
-    words AS (
-      SELECT doc_id, len(t) AS n_words,
-             COALESCE(list_aggregate(list_transform(t, x -> len(x)),
-                                     'sum'), 0) AS word_chars
-      FROM toks
-    ),
-    g2c AS (
-      SELECT doc_id, array_to_string(t[i:i+1], ' ') AS g, count(*) AS c
-      FROM toks, unnest(range(1, len(t))) AS u(i) GROUP BY 1, 2
-    ),
-    top2 AS (SELECT doc_id, max(c * len(g)) AS best FROM g2c GROUP BY 1),
-    g5c AS (
-      SELECT doc_id, array_to_string(t[i:i+4], ' ') AS g, count(*) AS c
-      FROM toks, unnest(range(1, len(t) - 3)) AS u(i) GROUP BY 1, 2
-    ),
-    dup5 AS (SELECT doc_id, sum(c * len(g)) AS dup FROM g5c
-             WHERE c > 1 GROUP BY 1),
-    lns AS (
-      SELECT doc_id, x AS line FROM (
-        SELECT doc_id, unnest(string_split(text_l, chr(10))) AS x FROM base)
-      WHERE x <> ''
-    ),
-    lc AS (SELECT doc_id, line, count(*) AS c FROM lns GROUP BY 1, 2),
-    lagg AS (SELECT doc_id, sum(c) AS n, count(*) AS nd FROM lc GROUP BY 1),
-    flags AS (
-      SELECT b.doc_id,
-        CAST(w.n_words AS BIGINT) AS n_words,
-        (w.n_words BETWEEN 5 AND 10000) AS f_words,
-        (3 * w.n_words <= w.word_chars
-         AND w.word_chars <= 10 * w.n_words) AS f_wordlen,
-        (10 * (COALESCE(l.n, 0) - COALESCE(l.nd, 0))
-         <= 3 * COALESCE(l.n, 0)) AS f_dupline,
-        (5 * COALESCE(t2.best, 0) <= b.nchar) AS f_top2,
-        (10 * COALESCE(d5.dup, 0) <= 3 * b.nchar) AS f_dup5
-      FROM base b
-      JOIN words w USING (doc_id)
-      LEFT JOIN lagg l USING (doc_id)
-      LEFT JOIN top2 t2 USING (doc_id)
-      LEFT JOIN dup5 d5 USING (doc_id)
-    )
-    SELECT doc_id, n_words,
-      CAST(f_words AS BIGINT) AS f_words,
-      CAST(f_wordlen AS BIGINT) AS f_wordlen,
-      CAST(f_dupline AS BIGINT) AS f_dupline,
-      CAST(f_top2 AS BIGINT) AS f_top2,
-      CAST(f_dup5 AS BIGINT) AS f_dup5,
-      CAST(f_words AND f_wordlen AND f_dupline AND f_top2 AND f_dup5
-           AS BIGINT) AS kept
-    FROM flags
-"""
-
-
-# ---------------------------------------------------------------------------
-# TF-IDF top terms (pipelines/tfidf.py)
-# ---------------------------------------------------------------------------
-
-@entry("tfidf_topterms_documents", sql=lambda: SQL_TFIDF_TOPTERMS)
-def q_tfidf_topterms_documents(sf_dir: str) -> pd.DataFrame:
-    """Top-3 TF-IDF terms per document, round-then-rank deterministic."""
-    from forecastframe_ray.pipelines.tfidf import tfidf_top_terms
-
-    docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    out = tfidf_top_terms(docs, k=3).to_pandas()
-    out = out[["doc_id", "token", "tf", "tfidf"]] \
-        .astype({"doc_id": "int64", "tf": "int64"})
-    return out.sort_values(["doc_id", "token"]).reset_index(drop=True)
-
-
-SQL_TFIDF_TOPTERMS = r"""
-    WITH toks AS (
-      SELECT doc_id,
-             unnest(list_filter(string_split_regex(text, '\s+'),
-                                x -> x <> '')) AS token
-      FROM documents
-    ),
-    tf AS (SELECT doc_id, token, count(*) AS tf FROM toks GROUP BY 1, 2),
-    df AS (SELECT token, count(*) AS df FROM tf GROUP BY 1),
-    n AS (SELECT count(*) AS n FROM documents),
-    s AS (
-      SELECT tf.doc_id, tf.token, tf.tf,
-             round(tf.tf * ln(n.n / df.df), 6) AS tfidf
-      FROM tf JOIN df USING (token) CROSS JOIN n
-    ),
-    r AS (SELECT *, row_number() OVER (PARTITION BY doc_id
-                                       ORDER BY tfidf DESC, token) AS rk
-          FROM s)
-    SELECT doc_id, token, CAST(tf AS BIGINT) AS tf, tfidf
-    FROM r WHERE rk <= 3
-"""
-
-
 @entry("stratified_sample_orders", sql=lambda: SQL_STRATIFIED_SAMPLE_ORDERS)
 def q_stratified_sample_orders(sf_dir: str) -> pd.DataFrame:
     """Exact 40-per-priority deterministic stratified sample (md5 quota)."""
@@ -3423,87 +2974,6 @@ SQL_STRATIFIED_SAMPLE_ORDERS = """
 
 
 # ---------------------------------------------------------------------------
-# CCNet quality buckets (pipelines/tfidf.quality_buckets)
-# ---------------------------------------------------------------------------
-
-@entry("quality_buckets_documents", sql=lambda: SQL_QUALITY_BUCKETS)
-def q_quality_buckets_documents(sf_dir: str) -> pd.DataFrame:
-    """Corpus-LM score terciles: head / middle / tail per document."""
-    from forecastframe_ray.pipelines.tfidf import quality_buckets
-
-    docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    out = quality_buckets(docs).to_pandas()
-    out = out.astype({"doc_id": "int64", "n_tokens": "int64"})
-    return (out[["doc_id", "n_tokens", "lm_logprob", "bucket"]]
-            .sort_values("doc_id").reset_index(drop=True))
-
-
-SQL_QUALITY_BUCKETS = r"""
-    WITH toks AS (
-      SELECT doc_id,
-             unnest(list_filter(string_split_regex(text, '\s+'),
-                                x -> x <> '')) AS token
-      FROM documents
-    ),
-    tf AS (SELECT doc_id, token, count(*) AS tf FROM toks GROUP BY 1, 2),
-    cnt AS (SELECT token, sum(tf) AS n FROM tf GROUP BY 1),
-    tot AS (SELECT sum(n) AS t FROM cnt),
-    sc AS (
-      SELECT tf.doc_id, CAST(sum(tf.tf) AS BIGINT) AS n_tokens,
-             round(sum(tf.tf * ln(cnt.n / tot.t)) / sum(tf.tf), 6)
-                 AS lm_logprob
-      FROM tf JOIN cnt USING (token) CROSS JOIN tot
-      GROUP BY 1
-    ),
-    cuts AS (SELECT quantile_cont(lm_logprob, 1.0/3.0) AS c_lo,
-                    quantile_cont(lm_logprob, 2.0/3.0) AS c_hi
-             FROM sc)
-    SELECT sc.doc_id, sc.n_tokens, sc.lm_logprob,
-           CASE WHEN sc.lm_logprob <= cuts.c_lo THEN 'tail'
-                WHEN sc.lm_logprob <= cuts.c_hi THEN 'middle'
-                ELSE 'head' END AS bucket
-    FROM sc CROSS JOIN cuts
-"""
-
-
-# ---------------------------------------------------------------------------
-# cross-document duplicate spans (pipelines/decontaminate.self_overlap)
-# ---------------------------------------------------------------------------
-
-@entry("dup_spans_documents", sql=lambda: SQL_DUP_SPANS)
-def q_dup_spans_documents(sf_dir: str) -> pd.DataFrame:
-    """Per-doc count of distinct 8-grams shared with any OTHER document."""
-    from forecastframe_ray.pipelines.decontaminate import self_overlap
-
-    docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    out = self_overlap(docs, n=8).to_pandas()
-    out = out.astype({"doc_id": "int64", "n_shared": "int64",
-                      "has_dup_span": "bool"})
-    return out.sort_values("doc_id").reset_index(drop=True)
-
-
-SQL_DUP_SPANS = r"""
-    WITH toks AS (
-      SELECT doc_id,
-             list_filter(string_split_regex(text, '\s+'), x -> x <> '') AS t
-      FROM documents
-    ),
-    dg AS (
-      SELECT DISTINCT doc_id, array_to_string(t[i:i+7], ' ') AS g
-      FROM toks, unnest(range(1, len(t) - 6)) AS u(i)
-    ),
-    gc AS (SELECT g, count(*) AS nd FROM dg GROUP BY 1),
-    hits AS (
-      SELECT dg.doc_id, count(*) AS n_shared
-      FROM dg JOIN gc USING (g) WHERE gc.nd >= 2 GROUP BY 1
-    )
-    SELECT d.doc_id, CAST(COALESCE(h.n_shared, 0) AS BIGINT) AS n_shared,
-           COALESCE(h.n_shared, 0) > 0 AS has_dup_span
-    FROM documents d LEFT JOIN hits h USING (doc_id)
-"""
-
-
-# ---------------------------------------------------------------------------
 # percent rank within series (stages/window_ops.op_percent_rank)
 # ---------------------------------------------------------------------------
 
@@ -3529,52 +2999,4 @@ SQL_PERCENT_RANK_DAILY = f"""
            round(percent_rank() OVER (PARTITION BY event_type ORDER BY v),
                  6) AS v_pct_rank
     FROM daily
-"""
-
-
-# ---------------------------------------------------------------------------
-# PMI bigram collocations (pipelines/corpus.pmi_bigrams)
-# ---------------------------------------------------------------------------
-
-@entry("pmi_bigrams_documents", sql=lambda: SQL_PMI_BIGRAMS)
-def q_pmi_bigrams_documents(sf_dir: str) -> pd.DataFrame:
-    """Top-50 within-doc adjacent-token collocations by PMI (c_xy >= 3)."""
-    from forecastframe_ray.pipelines.corpus import pmi_bigrams
-
-    docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    return pmi_bigrams(docs, top_k=50, min_count=3)
-
-
-SQL_PMI_BIGRAMS = r"""
-    WITH toks AS (
-      SELECT doc_id,
-             list_filter(string_split_regex(text, '\s+'), x -> x <> '') AS t
-      FROM documents
-    ),
-    uni AS (
-      SELECT x AS token, count(*) AS n
-      FROM (SELECT unnest(t) AS x FROM toks) GROUP BY 1
-    ),
-    bi AS (
-      SELECT concat(t[i], ' ', t[i + 1]) AS bigram,
-             t[i] AS x, t[i + 1] AS y, count(*) AS c_xy
-      FROM toks, unnest(range(1, len(t))) AS u(i)
-      GROUP BY 1, 2, 3
-      HAVING count(*) >= 3
-    ),
-    tots AS (
-      SELECT (SELECT sum(n) FROM uni) AS t_uni,
-             (SELECT sum(c_xy) FROM bi) AS t_bi
-    ),
-    s AS (
-      SELECT bi.bigram, bi.c_xy,
-             round(ln((bi.c_xy / tots.t_bi)
-                      / ((ux.n / tots.t_uni) * (uy.n / tots.t_uni))),
-                   6) AS pmi
-      FROM bi JOIN uni ux ON bi.x = ux.token
-              JOIN uni uy ON bi.y = uy.token
-              CROSS JOIN tots
-    )
-    SELECT bigram, CAST(c_xy AS BIGINT) AS c_xy, pmi
-    FROM s ORDER BY pmi DESC, bigram LIMIT 50
 """

@@ -189,7 +189,6 @@ SQL_SEASONAL_DECOMPOSE_DAILY = f"""
 """
 
 
-
 @entry("holt_forecast_gate_daily", sql=lambda: SQL_HOLT_FORECAST_GATE)
 def q_holt_forecast_gate_daily(sf_dir: str) -> pd.DataFrame:
     """Holt double-exponential-smoothing forecast, oracle-GATED through the
@@ -977,33 +976,6 @@ SQL_FK_VIOLATIONS = """
               WHERE NOT EXISTS (SELECT 1 FROM orders o
                                 WHERE o.o_orderkey = l.l_orderkey))
              AS BIGINT) AS n_lineitem_orphans
-"""
-
-
-# ---------------------------------------------------------------------------
-# fuzzy token pairs at edit distance 1 (pipelines/corpus.edit1_token_pairs)
-# ---------------------------------------------------------------------------
-
-@entry("edit1_pairs_documents", sql=lambda: SQL_EDIT1_PAIRS)
-def q_edit1_pairs_documents(sf_dir: str) -> pd.DataFrame:
-    """SymSpell deletion-neighborhood blocking + exact verify: every
-    distinct-token pair at Levenshtein distance exactly 1."""
-    from forecastframe_ray.pipelines.corpus import edit1_token_pairs
-
-    docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    return edit1_token_pairs(docs, num_partitions=_NP)
-
-
-SQL_EDIT1_PAIRS = r"""
-    WITH toks AS (
-        SELECT DISTINCT unnest(list_filter(
-            string_split_regex(text, '\s+'), x -> x <> '')) AS t
-        FROM documents
-    )
-    SELECT a.t AS tok_a, b.t AS tok_b, CAST(1 AS BIGINT) AS dist
-    FROM toks a JOIN toks b
-        ON a.t < b.t AND abs(strlen(a.t) - strlen(b.t)) <= 1
-    WHERE levenshtein(a.t, b.t) = 1
 """
 
 
@@ -1814,61 +1786,6 @@ SQL_CROSTON_SBA_GATE = f"""
                ELSE datediff('day', s.d0, l.t1) + 1 END, 6), 0.0)
                AS sba_forecast
     FROM start s LEFT JOIN lastnz l USING (event_type)
-"""
-
-
-@entry("zipf_fit_documents", sql=lambda: SQL_ZIPF_FIT)
-def q_zipf_fit_documents(sf_dir: str) -> pd.DataFrame:
-    """Zipf power-law fit over the corpus vocabulary (Zipf 1935 — public;
-    the classic sanity diagnostic that a text corpus is natural-language-
-    like): OLS slope of log(count) on log(rank) over the top-200 tokens,
-    plus R². The vocabulary reduce is distributed (combiner + coarse
-    merge); the 200-row fit is centered driver algebra reproduced
-    term-for-term in SQL."""
-    from forecastframe_ray.pipelines.corpus import token_vocabulary
-
-    docs = _read(sf_dir, "documents", ["text"])
-    vocab = token_vocabulary(docs, top_k=200, num_partitions=_NP)
-    y = np.log(vocab["n"].to_numpy(np.float64))
-    x = np.log(np.arange(1, len(vocab) + 1, dtype=np.float64))
-    xc, yc = x - x.mean(), y - y.mean()
-    sxx, syy, sxy = (xc * xc).sum(), (yc * yc).sum(), (xc * yc).sum()
-    slope = sxy / sxx
-    r2 = (sxy * sxy) / (sxx * syy)
-    return pd.DataFrame({"n_tokens": pd.array([len(vocab)], dtype="int64"),
-                         "zipf_slope": [np.round(slope, 6)],
-                         "r2": [np.round(r2, 6)]})
-
-
-SQL_ZIPF_FIT = r"""
-    WITH tok AS (
-      SELECT unnest(list_filter(string_split_regex(text, '\s+'),
-                                x -> x <> '')) AS token
-      FROM documents
-    ),
-    vocab AS (
-      SELECT token, CAST(count(*) AS BIGINT) AS n
-      FROM tok GROUP BY 1
-      ORDER BY n DESC, token LIMIT 200
-    ),
-    rk AS (
-      SELECT ln(CAST(ROW_NUMBER() OVER (ORDER BY n DESC, token) AS DOUBLE))
-                 AS x,
-             ln(CAST(n AS DOUBLE)) AS y
-      FROM vocab
-    ),
-    m AS (SELECT avg(x) AS mx, avg(y) AS my, count(*) AS k FROM rk),
-    s AS (
-      SELECT sum((x - mx) * (y - my)) AS sxy,
-             sum((x - mx) * (x - mx)) AS sxx,
-             sum((y - my) * (y - my)) AS syy,
-             max(k) AS k
-      FROM rk, m
-    )
-    SELECT CAST(k AS BIGINT) AS n_tokens,
-           round(sxy / sxx, 6) AS zipf_slope,
-           round(sxy * sxy / (sxx * syy), 6) AS r2
-    FROM s
 """
 
 

@@ -390,55 +390,6 @@ SQL_HLL_DISTINCT_GATE = """
 
 
 # ---------------------------------------------------------------------------
-# bigram LM perplexity
-# ---------------------------------------------------------------------------
-
-@entry("bigram_perplexity_documents", sql=lambda: SQL_BIGRAM_PERPLEXITY)
-def q_bigram_perplexity_documents(sf_dir: str) -> pd.DataFrame:
-    """Per-doc perplexity under the corpus's add-one-smoothed bigram LM
-    (pipelines/tfidf.bigram_doc_logprob) — the quality-filter signal CCNet
-    computes with an external LM, here self-trained so it stays
-    SQL-oracle-able end to end."""
-    from forecastframe_ray.pipelines.tfidf import bigram_doc_logprob
-
-    docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    out = bigram_doc_logprob(docs, num_partitions=_NP).to_pandas()
-    out = out.astype({"doc_id": "int64", "n_bigrams": "int64"})
-    return out.sort_values("doc_id").reset_index(drop=True)
-
-
-SQL_BIGRAM_PERPLEXITY = r"""
-    WITH toks AS (
-      SELECT doc_id,
-             list_filter(string_split_regex(text, '\s+'), x -> x <> '') AS t
-      FROM documents
-    ),
-    bg AS (
-      SELECT doc_id, t[i] AS w1, t[i + 1] AS w2
-      FROM toks, unnest(range(1, len(t))) AS u(i)
-    ),
-    dbg AS (SELECT doc_id, w1, w2, count(*) AS tf FROM bg GROUP BY 1, 2, 3),
-    cb AS (SELECT w1, w2, sum(tf) AS c FROM dbg GROUP BY 1, 2),
-    c1 AS (SELECT w1, sum(tf) AS n1 FROM dbg GROUP BY 1),
-    vocab AS (
-      SELECT count(DISTINCT token) AS v
-      FROM (SELECT unnest(t) AS token FROM toks)
-    ),
-    sc AS (
-      SELECT dbg.doc_id,
-             sum(dbg.tf * ln((cb.c + 1.0) / (c1.n1 + vocab.v))) AS s,
-             sum(dbg.tf) AS m
-      FROM dbg JOIN cb USING (w1, w2) JOIN c1 USING (w1) CROSS JOIN vocab
-      GROUP BY 1
-    )
-    SELECT doc_id, CAST(m AS BIGINT) AS n_bigrams,
-           round(s / m, 6) + 0.0 AS lm_logprob,
-           round(exp(-s / m), 6) + 0.0 AS perplexity
-    FROM sc ORDER BY doc_id
-"""
-
-
-# ---------------------------------------------------------------------------
 # TSB intermittent forecast gate
 # ---------------------------------------------------------------------------
 

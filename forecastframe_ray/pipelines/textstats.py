@@ -450,458 +450,3 @@ def _strip_boilerplate_distributed(ds, freq_ds, text_col: str, id_col: str,
     return hash_join(ds.select_columns([id_col] + extra), result,
                      on=[id_col], how="inner",
                      num_partitions=num_partitions)
-
-
-# ---------------------------------------------------------------------------
-# Gopher-style repetition signals (Rae et al. 2021, appendix A quality
-# filters): duplicate-line fraction / char fraction, top-2-gram char
-# fraction, duplicate-5-gram char fraction.  Stateless vectorized
-# map_batches — zero shuffles, the scale shape of every textstats stage.
-# No analog in the reference (it holds no text columns).
-# ---------------------------------------------------------------------------
-
-def repetition_batch(batch: pd.DataFrame, text_col: str = "text",
-                     line_col: str | None = None,
-                     top_n: int = 2, dup_n: int = 5,
-                     raw_counts: bool = False) -> pd.DataFrame:
-    """Per-doc repetition scores, oracle-pinned contracts:
-
-    - ``dup_line_frac``: 1 − distinct/total over non-empty ``\\n``-lines of
-      ``line_col`` (defaults to ``text_col``); 0 when the doc has no lines.
-    - ``dup_line_char_frac``: chars in lines occurring >1× (all
-      occurrences) / chars in all lines.
-    - ``top_{top_n}gram_char_frac``: max over distinct word n-grams of
-      occurrences × gram char length, / doc char length.
-    - ``dup_{dup_n}gram_char_frac``: Σ over distinct word n-grams occurring
-      >1× of occurrences × gram char length, / doc char length (overlaps
-      counted per occurrence — may exceed 1 on degenerate docs; the
-      filter-threshold semantics only need monotonicity).
-
-    n-grams are counted by 64-bit positional hash
-    (``decontaminate.batch_ngram_hashes``) — distinct-gram collisions are
-    2^-64-rare and documented, string n-grams never materialize.
-
-    ``raw_counts=True`` emits the exact integer numerators/denominators
-    instead of the float fractions (``n_distinct_lines``,
-    ``dup_line_chars``, ``tot_line_chars``, ``top_{n}gram_chars``,
-    ``dup_{n}gram_chars``, ``n_chars``) — lossless, and immune to the
-    round-half divergence between numpy (half-even) and SQL engines
-    (half-away) that an exact .5 at the rounding digit exposes.
-    """
-    from forecastframe_ray.pipelines.decontaminate import batch_ngram_hashes
-
-    batch = batch.reset_index(drop=True)  # explode() maps on positions
-    out = batch[[c for c in batch.columns if c != text_col]].copy()
-    s = batch[text_col]
-    nb = len(batch)
-    nchar = s.str.len().to_numpy(dtype=np.float64)
-
-    # --- line-level: explode non-empty lines, C-backed double groupby
-    lines = (batch[line_col] if line_col else s).str.split("\n").explode()
-    lines = lines[(lines.notna()) & (lines != "")]
-    dfl = pd.DataFrame({"i": lines.index.to_numpy(), "line": lines.to_numpy()})
-    grp = (dfl.groupby(["i", "line"], sort=False, observed=True)
-              .size().rename("c").reset_index())
-    grp["sl"] = grp["line"].str.len()
-    grp["chars"] = grp["sl"] * grp["c"]
-    grp["dup_chars"] = np.where(grp["c"] > 1, grp["chars"], 0)
-    agg = grp.groupby("i", sort=False).agg(
-        n=("c", "sum"), nd=("c", "size"),
-        tot=("chars", "sum"), dup=("dup_chars", "sum"))
-    n_lines = np.zeros(nb, dtype=np.int64)
-    n_lines[agg.index] = agg["n"].to_numpy()
-    dup_line_frac = np.zeros(nb)
-    dup_line_char_frac = np.zeros(nb)
-    nz = agg.index.to_numpy()
-    dup_line_frac[nz] = 1.0 - agg["nd"].to_numpy() / agg["n"].to_numpy()
-    dup_line_char_frac[nz] = agg["dup"].to_numpy() / agg["tot"].to_numpy()
-
-    # --- gram-level
-    def _gram_chars(n: int, reducer: str) -> np.ndarray:
-        doc_idx, g, gl = batch_ngram_hashes(s, n, with_lengths=True)
-        res = np.zeros(nb, dtype=np.int64)
-        if not len(g):
-            return res
-        df = pd.DataFrame({"i": doc_idx, "g": g, "L": gl})
-        cnt = (df.groupby(["i", "g"], sort=False)
-                 .agg(c=("L", "size"), L=("L", "first")).reset_index())
-        cnt["w"] = cnt["c"] * cnt["L"]
-        if reducer == "top":
-            per = cnt.groupby("i", sort=False)["w"].max()
-        else:
-            per = (cnt.loc[cnt["c"] > 1].groupby("i", sort=False)["w"].sum())
-        res[per.index.to_numpy()] = per.to_numpy()
-        return res
-
-    top_chars = _gram_chars(top_n, "top")
-    dup_chars = _gram_chars(dup_n, "dup")
-    out["n_lines"] = n_lines
-    if raw_counts:
-        nd = np.zeros(nb, dtype=np.int64)
-        tot = np.zeros(nb, dtype=np.int64)
-        dupl = np.zeros(nb, dtype=np.int64)
-        nd[nz] = agg["nd"].to_numpy()
-        tot[nz] = agg["tot"].to_numpy()
-        dupl[nz] = agg["dup"].to_numpy()
-        out["n_distinct_lines"] = nd
-        out["dup_line_chars"] = dupl
-        out["tot_line_chars"] = tot
-        out[f"top_{top_n}gram_chars"] = top_chars
-        out[f"dup_{dup_n}gram_chars"] = dup_chars
-        out["n_chars"] = nchar.astype(np.int64)
-        return out
-    out["dup_line_frac"] = dup_line_frac
-    out["dup_line_char_frac"] = dup_line_char_frac
-    out[f"top_{top_n}gram_char_frac"] = top_chars / np.maximum(nchar, 1.0)
-    out[f"dup_{dup_n}gram_char_frac"] = dup_chars / np.maximum(nchar, 1.0)
-    return out
-
-
-def repetition_scores(ds, text_col: str = "text", line_col: str | None = None,
-                      top_n: int = 2, dup_n: int = 5,
-                      raw_counts: bool = False):
-    """Dataset form of :func:`repetition_batch` — stateless map."""
-    return ds.map_batches(
-        lambda b: repetition_batch(b, text_col, line_col, top_n, dup_n,
-                                   raw_counts),
-        batch_format="pandas")
-
-
-def gopher_filter_batch(batch: pd.DataFrame, text_col: str = "text",
-                        line_col: str | None = None,
-                        id_cols: tuple = ("doc_id",)) -> pd.DataFrame:
-    """Gopher-style quality filter (Rae et al. 2021 appendix A, thresholds
-    adapted): per-doc pass/fail flags plus the composite ``kept`` bit.
-
-    Every rule is an INTEGER cross-multiplication (``10·dup ≤ 3·total``
-    instead of ``dup/total ≤ 0.3``) so the decision is exact — no float
-    rounding can flip a boundary doc between engines:
-
-    - ``f_words``:   5 ≤ word count ≤ 10 000
-    - ``f_wordlen``: 3 ≤ mean word length ≤ 10  (3n ≤ chars ≤ 10n)
-    - ``f_dupline``: duplicate-line fraction ≤ 0.3
-    - ``f_top2``:    top-2-gram char fraction ≤ 0.2
-    - ``f_dup5``:    duplicate-5-gram char fraction ≤ 0.3
-
-    Stateless vectorized map — composes :func:`repetition_batch`'s raw
-    counts with one exploded word-length sum; zero shuffles.
-    """
-    batch = batch.reset_index(drop=True)
-    rep = repetition_batch(batch, text_col, line_col, raw_counts=True)
-
-    toks = batch[text_col].str.split()
-    n_words = toks.str.len().fillna(0).astype(np.int64).to_numpy()
-    ex = toks.explode().dropna()
-    per = ex.str.len().groupby(ex.index).sum()
-    word_chars = np.zeros(len(batch), dtype=np.int64)
-    word_chars[per.index.to_numpy()] = per.to_numpy()
-
-    n = rep["n_lines"].to_numpy()
-    nd = rep["n_distinct_lines"].to_numpy()
-    out = rep[[c for c in rep.columns
-               if c in id_cols]].copy()
-    out["n_words"] = n_words
-    out["f_words"] = ((n_words >= 5) & (n_words <= 10_000)).astype(np.int64)
-    out["f_wordlen"] = ((3 * n_words <= word_chars)
-                        & (word_chars <= 10 * n_words)).astype(np.int64)
-    out["f_dupline"] = (10 * (n - nd) <= 3 * n).astype(np.int64)
-    nchar = rep["n_chars"].to_numpy()
-    out["f_top2"] = (5 * rep["top_2gram_chars"].to_numpy()
-                     <= nchar).astype(np.int64)
-    out["f_dup5"] = (10 * rep["dup_5gram_chars"].to_numpy()
-                     <= 3 * nchar).astype(np.int64)
-    out["kept"] = (out[["f_words", "f_wordlen", "f_dupline", "f_top2",
-                        "f_dup5"]].to_numpy().all(axis=1)).astype(np.int64)
-    return out
-
-
-def gopher_filter(ds, text_col: str = "text", line_col: str | None = None,
-                  id_cols: tuple = ("doc_id",)):
-    """Dataset form of :func:`gopher_filter_batch` — stateless map."""
-    return ds.map_batches(
-        lambda b: gopher_filter_batch(b, text_col, line_col, id_cols),
-        batch_format="pandas")
-
-
-# ---------------------------------------------------------------------------
-# CCNet-style n-gram LM perplexity filter (Wenzek et al. 2020, public:
-# train a language model on the corpus, score each document's perplexity,
-# keep/bucket by it). KenLM's 5-gram is replaced by an exactly-specified
-# Laplace-smoothed bigram LM so the whole train+score chain is
-# SQL-oracle-checkable; the Ray plumbing (two count passes over exploded
-# tokens, pruned-vocab broadcast, vectorized scoring pass) is the real
-# scale path either way.
-# ---------------------------------------------------------------------------
-
-_UNK = "<unk>"
-
-
-def _explode_tokens(b: pd.DataFrame, text_col: str):
-    """batch → (doc_id repeat, flat lowercase whitespace tokens, doc lens)."""
-    from itertools import chain
-
-    t = b[text_col].str.lower().str.split()
-    lens = t.str.len().to_numpy(np.int64)
-    flat = np.array(list(chain.from_iterable(t)), dtype=object)
-    return b["doc_id"].to_numpy().repeat(lens), flat, lens
-
-
-def ccnet_perplexity(docs, text_col: str = "text", min_count: int = 2):
-    """Per-document bigram-LM perplexity, LM trained on the corpus itself.
-
-    Three streaming passes (the CCNet layout): (1) unigram counts — exploded
-    tokens pre-count per batch, one narrow (token, count) shuffle, tokens
-    below ``min_count`` folded into ``<unk>`` DISTRIBUTEDLY so the table the
-    driver collects is already pruned-vocab-sized (the fold is what bounds
-    the broadcast at corpus scale — CCNet's vocabulary truncation); (2)
-    bigram counts over ``<unk>``-mapped tokens, same pre-count + shuffle
-    shape; (3) a scoring map with the two count dicts broadcast via
-    ``ray.put`` once — per batch the lookup runs through vectorized
-    ``Series.map``, no per-token Python. At 100 TB the bigram broadcast
-    would switch to shard-scoring (hash-join exploded bigrams against the
-    count table on w1); the parameterization is the same.
-
-    P(w|prev) is Laplace-smoothed: first token (c1(w)+1)/(T+V), else
-    (c2(prev,w)+1)/(c1(prev)+V); ppl = round(exp(-Σlog p / n), 6).
-    Empty-token docs drop out. Returns (doc_id, n_tokens, ppl).
-    """
-    import ray
-
-    from forecastframe_ray.stages.agg import hash_aggregate
-
-    def uni_partial(b: pd.DataFrame) -> pd.DataFrame:
-        _, flat, _ = _explode_tokens(b, text_col)
-        vc = pd.Series(flat).value_counts()
-        return pd.DataFrame({"w": vc.index.to_numpy(object),
-                             "c": vc.to_numpy(np.int64)})
-
-    raw = hash_aggregate(docs.map_batches(uni_partial,
-                                          batch_format="pandas"),
-                         ["w"], {"c": ("c", "sum")}, num_partitions=8)
-
-    def fold_unk(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["w"] = np.where(b["c"].to_numpy(np.int64) >= min_count,
-                          b["w"], _UNK)
-        return b
-
-    c1_df = hash_aggregate(raw.map_batches(fold_unk,
-                                           batch_format="pandas"),
-                           ["w"], {"c": ("c", "sum")},
-                           num_partitions=8).to_pandas()
-    c1 = dict(zip(c1_df["w"], c1_df["c"].astype(np.int64)))
-    T = int(c1_df["c"].sum())
-    V = int(len(c1_df))
-    vocab = set(c1_df.loc[c1_df["w"] != _UNK, "w"])
-    vocab_ref = ray.put(vocab)
-
-    def _mapped(b: pd.DataFrame):
-        vc = ray.get(vocab_ref)
-        ids, flat, lens = _explode_tokens(b, text_col)
-        s = pd.Series(flat)
-        mapped = np.where(s.isin(vc).to_numpy(bool), flat, _UNK)
-        return ids, mapped, lens
-
-    def bi_partial(b: pd.DataFrame) -> pd.DataFrame:
-        _, mapped, lens = _mapped(b)
-        if len(mapped) < 2:
-            return pd.DataFrame({"w1": [], "w2": [], "c": []})
-        last = np.cumsum(lens) - 1  # last token of each doc
-        valid = np.ones(len(mapped) - 1, dtype=bool)
-        valid[last[last < len(mapped) - 1]] = False
-        pairs = pd.DataFrame({"w1": mapped[:-1][valid],
-                              "w2": mapped[1:][valid]})
-        vc = pairs.value_counts()
-        out = vc.index.to_frame(index=False)
-        out["c"] = vc.to_numpy(np.int64)
-        return out
-
-    c2_df = hash_aggregate(docs.map_batches(bi_partial,
-                                            batch_format="pandas"),
-                           ["w1", "w2"], {"c": ("c", "sum")},
-                           num_partitions=8).to_pandas()
-    c2 = dict(zip(zip(c2_df["w1"], c2_df["w2"]),
-                  c2_df["c"].astype(np.int64)))
-    c1_ref, c2_ref = ray.put(c1), ray.put(c2)
-
-    def score(b: pd.DataFrame) -> pd.DataFrame:
-        d1, d2 = ray.get(c1_ref), ray.get(c2_ref)
-        ids, mapped, lens = _mapped(b)
-        if len(mapped) == 0:
-            return pd.DataFrame({"doc_id": [], "n_tokens": [], "ppl": []})
-        starts = np.cumsum(lens) - lens
-        first = np.zeros(len(mapped), dtype=bool)
-        first[starts[lens > 0]] = True
-        cw = pd.Series(mapped).map(d1).to_numpy(np.float64)
-        prev = np.empty(len(mapped), dtype=object)
-        prev[1:] = mapped[:-1]
-        keys = pd.Series(list(zip(prev, mapped)))
-        cpair = keys.map(d2).fillna(0.0).to_numpy(np.float64)
-        cprev = pd.Series(prev).map(d1).fillna(0.0).to_numpy(np.float64)
-        lp = np.where(first,
-                      np.log((cw + 1.0) / (T + V)),
-                      np.log((cpair + 1.0) / (cprev + V)))
-        g = pd.DataFrame({"doc_id": ids, "lp": lp})
-        agg = g.groupby("doc_id", sort=False)["lp"] \
-            .agg(["sum", "size"]).reset_index()
-        return pd.DataFrame({
-            "doc_id": agg["doc_id"],
-            "n_tokens": agg["size"].astype(np.int64),
-            "ppl": np.round(np.exp(-agg["sum"].to_numpy(np.float64)
-                                   / agg["size"].to_numpy(np.float64)),
-                            6)})
-
-    return docs.map_batches(score, batch_format="pandas")
-
-
-def dsir_weights(docs, target_filter, text_col: str = "text"):
-    """DSIR importance weights (Xie et al. 2023, public: Data Selection
-    via Importance Resampling): per document the log-ratio of a
-    target-domain LM to the raw-corpus LM — documents that look like the
-    target domain get high weight. The paper's hashed-ngram feature LMs
-    are Laplace unigram models here (exactly SQL-checkable); both train
-    passes are the same pre-count + narrow (token, count) shuffle as
-    :func:`ccnet_perplexity`, and scoring is one broadcast-dict map.
-    Smoothing shares the RAW corpus vocabulary size V so the ratio is
-    defined for target-unseen tokens.
-
-    ``target_filter(batch) -> bool mask`` selects the target-domain rows.
-    Returns (doc_id, n_tokens, log_ratio, avg_log_ratio), 6dp.
-    """
-    import ray
-
-    from forecastframe_ray.stages.agg import hash_aggregate
-
-    def uni_partial(filt):
-        def fn(b: pd.DataFrame) -> pd.DataFrame:
-            if filt is not None:
-                b = b[filt(b)]
-            _, flat, _ = _explode_tokens(b, text_col)
-            vc = pd.Series(flat).value_counts()
-            return pd.DataFrame({"w": vc.index.to_numpy(object),
-                                 "c": vc.to_numpy(np.int64)})
-        return fn
-
-    def counts(filt):
-        df = hash_aggregate(docs.map_batches(uni_partial(filt),
-                                             batch_format="pandas"),
-                            ["w"], {"c": ("c", "sum")},
-                            num_partitions=8).to_pandas()
-        return (dict(zip(df["w"], df["c"].astype(np.int64))),
-                int(df["c"].sum()), int(len(df)))
-
-    c_raw, t_raw, v_raw = counts(None)
-    c_tgt, t_tgt, _ = counts(target_filter)
-    raw_ref, tgt_ref = ray.put(c_raw), ray.put(c_tgt)
-
-    def score(b: pd.DataFrame) -> pd.DataFrame:
-        d_raw, d_tgt = ray.get(raw_ref), ray.get(tgt_ref)
-        ids, flat, _ = _explode_tokens(b, text_col)
-        if len(flat) == 0:
-            return pd.DataFrame({"doc_id": [], "n_tokens": [],
-                                 "log_ratio": [], "avg_log_ratio": []})
-        s = pd.Series(flat)
-        cr = s.map(d_raw).fillna(0.0).to_numpy(np.float64)
-        ct = s.map(d_tgt).fillna(0.0).to_numpy(np.float64)
-        lr = (np.log((ct + 1.0) / (t_tgt + v_raw))
-              - np.log((cr + 1.0) / (t_raw + v_raw)))
-        g = pd.DataFrame({"doc_id": ids, "lr": lr}) \
-            .groupby("doc_id", sort=False)["lr"] \
-            .agg(["sum", "size"]).reset_index()
-        n = g["size"].to_numpy(np.int64)
-        tot = g["sum"].to_numpy(np.float64)
-        return pd.DataFrame({
-            "doc_id": g["doc_id"], "n_tokens": n,
-            "log_ratio": np.round(tot, 6),
-            "avg_log_ratio": np.round(tot / n, 6)})
-
-    return docs.map_batches(score, batch_format="pandas")
-
-
-# ---------------------------------------------------------------------------
-# trained quality/language classifier (round 5): distributed IRLS logistic
-# regression over the heuristic quality features — the MODEL-BASED corpus
-# filter (CCNet/fastText intent, Wenzek et al. 2020) built from scratch on
-# the same per-batch-partials → coarse-hash-reduce plan as the
-# normal-equation estimators (pipelines/search.py fit_linear_trend)
-# ---------------------------------------------------------------------------
-
-
-def _logit_design(b: pd.DataFrame, features: tuple,
-                  text_col: str) -> np.ndarray:
-    """(n × k+1) design matrix [1, f1, …, fk] from the vectorized quality
-    kernel — features computed on the fly per batch, never materialized."""
-    q = quality_batch(b[[text_col]].reset_index(drop=True), text_col)
-    X = np.column_stack([np.ones(len(b))]
-                        + [q[f].to_numpy(np.float64) for f in features])
-    return X
-
-
-def fit_quality_logistic(docs_ds, label_fn,
-                         features: tuple = ("stopword_frac", "alpha_ratio"),
-                         iters: int = 2, text_col: str = "text") -> dict:
-    """Distributed IRLS (Fisher scoring) logistic fit, unrolled a fixed
-    ``iters`` from β=0 (deterministic — at β=0 the working response is
-    exactly 4(y−½)): each iteration is ONE streaming pass whose per-batch
-    combiner reduces rows to the (k+1)² upper-triangle of X′WX plus X′Wz
-    (10 floats at k=2), one coarse-hash sum, and a driver-side (k+1)×(k+1)
-    solve. ``label_fn(batch) -> {0,1}`` supplies weak labels (e.g.
-    ``lang == "en"``); the fitted model is a (k+1)-vector broadcast at
-    score time. IRLS weights are floored at 1e-12 so a saturated row
-    cannot divide by zero."""
-    import ray
-
-    from forecastframe_ray.stages.agg import hash_aggregate
-
-    k = len(features) + 1
-    iu = np.triu_indices(k)
-    beta = np.zeros(k)
-    for _ in range(iters):
-        ref = ray.put(beta)
-
-        def part(b: pd.DataFrame) -> pd.DataFrame:
-            bt = ray.get(ref)
-            X = _logit_design(b, features, text_col)
-            y = np.asarray(label_fn(b), dtype=np.float64)
-            eta = X @ bt
-            mu = 1.0 / (1.0 + np.exp(-eta))
-            w = np.maximum(mu * (1.0 - mu), 1e-12)
-            z = eta + (y - mu) / w
-            Xw = X * w[:, None]
-            A = X.T @ Xw          # (k×k) X'WX
-            v = Xw.T @ z          # (k,)  X'Wz
-            row = {"__k": np.int8(0)}
-            for i, j in zip(*iu):
-                row[f"a{i}{j}"] = A[i, j]
-            for i in range(k):
-                row[f"b{i}"] = v[i]
-            return pd.DataFrame([row])
-
-        sums = hash_aggregate(
-            docs_ds.map_batches(part, batch_format="pandas"), ["__k"],
-            {c: (c, "sum") for c in
-             [f"a{i}{j}" for i, j in zip(*iu)] + [f"b{i}" for i in range(k)]}
-        ).to_pandas()
-        A = np.zeros((k, k))
-        for i, j in zip(*iu):
-            A[i, j] = A[j, i] = float(sums[f"a{i}{j}"].iloc[0])
-        v = np.array([float(sums[f"b{i}"].iloc[0]) for i in range(k)])
-        beta = np.linalg.solve(A, v)
-    return {"beta": beta, "features": tuple(features), "iters": iters}
-
-
-def score_quality_logistic(docs_ds, state: dict, text_col: str = "text",
-                           out_col: str = "p_quality"):
-    """Broadcast scorer: p = σ(Xβ) per document, one vectorized pass."""
-    import ray
-
-    ref = ray.put((state["beta"], tuple(state["features"])))
-
-    def score(b: pd.DataFrame) -> pd.DataFrame:
-        bt, feats = ray.get(ref)
-        X = _logit_design(b, feats, text_col)
-        b = b.copy()
-        b[out_col] = 1.0 / (1.0 + np.exp(-(X @ bt)))
-        return b
-
-    return docs_ds.map_batches(score, batch_format="pandas")

@@ -1,31 +1,11 @@
-"""Corpus-statistics text scoring: TF-IDF keyword extraction and a
-corpus-trained unigram language-model quality score.
+"""Okapi BM25 keyword scoring over whitespace tokens.
 
-No analog in the reference (it holds no text columns); both are standard
-web-corpus curation stages — TF-IDF top terms label what a page is *about*
-(Sparck Jones 1972), and the per-doc mean unigram log-probability is the
-CCNet-style "how typical of the corpus is this page" quality signal
-(Wenzek et al. 2020 use an external LM; here the LM is the corpus itself,
-which needs no model artifact and stays fully SQL-oracle-able).
-
-Scale shapes
-------------
-Both ops follow the same two-phase plan as exact dedup:
-
-1. **Corpus statistics** are built with one combiner-first coarse-hash
-   aggregate (per-batch ``value_counts`` partials → per-partition merge),
-   so the shuffle moves per-batch DISTINCT tokens, never the token stream.
-2. **Scoring** is a stateless ``map_batches``; the token→stat table ships
-   either **broadcast** (two parallel sorted numpy arrays via ``ray.put``,
-   ``searchsorted`` lookup per batch — one object-store copy per node)
-   when the vocabulary is under ``broadcast_limit`` rows, or via a
-   **distributed hash join** of the exploded (doc, token, tf) rows against
-   the stat table above it (no driver materialization of the vocabulary).
-   Forced-path tests pin the two paths row-identical.
-
-All float outputs are ``round(…, 6)`` BEFORE any ranking, matching the
-DuckDB oracle exactly (the repo-wide float-oracle convention,
-``pipelines/queries.py``).
+No analog in the reference (it holds no text columns). The scorer ranks
+documents against a fixed query-term list without a per-document join:
+corpus statistics (document count, mean length, per-term document
+frequency) reduce to a few rows that ship broadcast into one vectorized
+scoring pass, and per-document scores sum in one coarse-hash aggregate.
+Scores are ``round(…, 6)`` to match the DuckDB oracle exactly.
 """
 
 from __future__ import annotations
@@ -33,196 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from forecastframe_ray.stages.agg import ensure_columns, hash_aggregate
-from forecastframe_ray.stages.topk import grouped_topk
-
-#: vocabularies at or under this many distinct tokens ship broadcast;
-#: larger ones score through the distributed-join path
-BROADCAST_VOCAB_LIMIT = 5_000_000
-
-
-def doc_term_freqs(ds, text_col: str = "text", id_col: str = "doc_id"):
-    """(id, token, tf) rows — whitespace tokens with per-document counts.
-
-    Stateless vectorized map (split → explode → per-batch groupby): a
-    document is one input row, so its term counts complete inside the batch
-    that holds it — no shuffle. Output size is per-doc DISTINCT terms."""
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        toks = b[text_col].str.split()
-        ex = toks.explode().dropna()
-        g = pd.DataFrame({
-            id_col: b[id_col].to_numpy()[ex.index.to_numpy()],
-            "token": ex.to_numpy(),
-        })
-        out = (g.groupby([id_col, "token"], sort=False).size()
-                .reset_index(name="tf"))
-        out["tf"] = out["tf"].astype("int64")
-        return out
-
-    return ds.map_batches(partial, batch_format="pandas")
-
-
-def tfidf_top_terms(ds, text_col: str = "text", id_col: str = "doc_id",
-                    k: int = 3, num_partitions: int = 64,
-                    broadcast_limit: int = BROADCAST_VOCAB_LIMIT):
-    """Top-``k`` TF-IDF terms per document: ``tfidf = round(tf · ln(N/df),
-    6)``, ranked ``(tfidf desc, token asc)`` — the round-then-rank order is
-    deterministic across engines and block layouts.
-
-    ``N`` is the total document count (metadata-only on a parquet-backed
-    input); ``df`` counts documents containing the token. Returns a Dataset
-    ``(id, token, tf, tfidf)`` of ≤ k rows per document."""
-    import ray
-
-    n_docs = ds.count()
-    terms = doc_term_freqs(ds, text_col, id_col).materialize()
-    df_ds = hash_aggregate(terms, ["token"], {"df": ("tf", "count")},
-                           num_partitions=num_partitions)
-
-    n_vocab = df_ds.count()
-    if n_vocab <= broadcast_limit:
-        stat = ensure_columns(df_ds.to_pandas(),
-                              {"token": "object", "df": "int64"})
-        tok_ref = ray.put(stat)
-
-        def score(b: pd.DataFrame) -> pd.DataFrame:
-            # inner merge: every token was counted from this corpus, so the
-            # C-speed hash join hits every row (no token is lost)
-            b = b.merge(ray.get(tok_ref), on="token", how="inner")
-            b["tfidf"] = np.round(
-                b["tf"].to_numpy(np.float64)
-                * np.log(float(n_docs) / b["df"].to_numpy(np.float64)), 6)
-            return b.drop(columns=["df"])
-
-        scored = terms.map_batches(score, batch_format="pandas")
-    else:  # distributed join: vocabulary never reaches the driver
-        from forecastframe_ray.stages.join import hash_join
-
-        joined = hash_join(terms, df_ds.repartition(8).materialize(),
-                           on=["token"], num_partitions=num_partitions)
-
-        def score_joined(b: pd.DataFrame) -> pd.DataFrame:
-            b = b.copy()
-            b["tfidf"] = np.round(
-                b["tf"].to_numpy(np.float64)
-                * np.log(float(n_docs) / b["df"].to_numpy(np.float64)), 6)
-            return b.drop(columns=["df"])
-
-        scored = joined.map_batches(score_joined, batch_format="pandas")
-
-    return grouped_topk(scored, [id_col], "tfidf", k, descending=True,
-                        tiebreak=["token"],
-                        num_partitions=max(8, num_partitions // 2))
-
-
-def unigram_doc_logprob(ds, text_col: str = "text", id_col: str = "doc_id",
-                        num_partitions: int = 64,
-                        broadcast_limit: int = BROADCAST_VOCAB_LIMIT):
-    """Per-document mean unigram log-probability under the corpus's own
-    token distribution: ``lm_logprob = round(Σ tf·ln(n_tok/T) / Σ tf, 6)``
-    (T = total corpus tokens). Higher = more typical of the corpus; the
-    CCNet quality-bucketing signal with the corpus itself as the LM, so
-    every token has nonzero probability by construction (no OOV floor).
-
-    Returns ``(id, n_tokens, lm_logprob)`` — documents with zero tokens
-    are omitted (their mean is undefined)."""
-    import ray
-
-    terms = doc_term_freqs(ds, text_col, id_col).materialize()
-    cnt_ds = hash_aggregate(terms, ["token"], {"n": ("tf", "sum")},
-                            num_partitions=num_partitions)
-
-    n_vocab = cnt_ds.count()
-    if n_vocab <= broadcast_limit:
-        stat = ensure_columns(cnt_ds.to_pandas(),
-                              {"token": "object", "n": "int64"})
-        total = float(stat["n"].sum())
-        tok_ref = ray.put(stat)
-
-        def score(b: pd.DataFrame) -> pd.DataFrame:
-            b = b.merge(ray.get(tok_ref), on="token", how="inner")
-            tf = b["tf"].to_numpy(np.float64)
-            lp = tf * np.log(b["n"].to_numpy(np.float64) / total)
-            return pd.DataFrame({id_col: b[id_col].to_numpy(),
-                                 "__s": lp, "__m": b["tf"].to_numpy("int64")})
-
-        partial = terms.map_batches(score, batch_format="pandas")
-    else:  # distributed join path — vocabulary stays on the cluster
-        from forecastframe_ray.stages.join import hash_join
-
-        # total corpus tokens: one tiny aggregate (sum of the count table)
-        total = float(cnt_ds.map_batches(
-            lambda b: pd.DataFrame({"t": [b["n"].sum()]}),
-            batch_format="pandas").to_pandas()["t"].sum())
-        joined = hash_join(terms, cnt_ds.repartition(8).materialize(),
-                           on=["token"], num_partitions=num_partitions)
-
-        def score_joined(b: pd.DataFrame) -> pd.DataFrame:
-            tf = b["tf"].to_numpy(np.float64)
-            lp = tf * np.log(b["n"].to_numpy(np.float64) / total)
-            return pd.DataFrame({id_col: b[id_col].to_numpy(),
-                                 "__s": lp, "__m": b["tf"].to_numpy("int64")})
-
-        partial = joined.map_batches(score_joined, batch_format="pandas")
-
-    sums = hash_aggregate(partial, [id_col],
-                          {"s": ("__s", "sum"), "n_tokens": ("__m", "sum")},
-                          num_partitions=max(8, num_partitions // 2))
-
-    def finish(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["lm_logprob"] = np.round(
-            b["s"].to_numpy(np.float64) / b["n_tokens"].to_numpy(np.float64),
-            6)
-        b["n_tokens"] = b["n_tokens"].astype("int64")
-        return b[[id_col, "n_tokens", "lm_logprob"]]
-
-    return sums.map_batches(finish, batch_format="pandas")
-
-
-def quality_buckets(ds, text_col: str = "text", id_col: str = "doc_id",
-                    qs: tuple[float, float] = (1 / 3, 2 / 3),
-                    num_partitions: int = 64,
-                    broadcast_limit: int = BROADCAST_VOCAB_LIMIT):
-    """CCNet-style quality bucketing (Wenzek et al. 2020 §4.3): score every
-    document with :func:`unigram_doc_logprob`, fit the corpus-wide ``qs``
-    quantile cutpoints of the (rounded) score, and label each doc ``tail``
-    (≤ low cut), ``middle`` (≤ high cut) or ``head``.
-
-    The cutpoint fit is the engine's exact-quantile plan
-    (``interpret.grouped_quantiles``: one range-partition sort of the
-    narrow score table + order-statistic pluck — constant driver traffic);
-    the score table has one row per document, so the sort is over docs,
-    not tokens. At 10^12 docs swap in the mergeable quantile sketch
-    (``stages/sketch.py``) and accept its (1+2ε) bound — the exact fit is
-    the oracle-able contract. Labels compare the ROUNDED score to the
-    cutpoints with ``<=`` on both engines, so a doc sitting exactly on a
-    cut is bucketed identically everywhere.
-
-    Returns ``(id, n_tokens, lm_logprob, bucket)``."""
-    from forecastframe_ray.pipelines.interpret import grouped_quantiles
-
-    scores = unigram_doc_logprob(ds, text_col, id_col, num_partitions,
-                                 broadcast_limit).materialize()
-
-    def tag(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["__g"] = np.int64(0)
-        return b
-
-    cuts = grouped_quantiles(scores.map_batches(tag, batch_format="pandas"),
-                             ["__g"], "lm_logprob", qs=qs)
-    lo_col, hi_col = (f"q{int(round(q * 100))}" for q in qs)
-    c_lo, c_hi = float(cuts[lo_col].iloc[0]), float(cuts[hi_col].iloc[0])
-
-    def label(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        v = b["lm_logprob"].to_numpy(np.float64)
-        b["bucket"] = np.where(v <= c_lo, "tail",
-                               np.where(v <= c_hi, "middle", "head"))
-        return b
-
-    return scores.map_batches(label, batch_format="pandas")
+from forecastframe_ray.stages.agg import hash_aggregate
 
 
 def bm25_scores(ds, query_terms: list[str], text_col: str = "text",
@@ -298,107 +89,3 @@ def bm25_scores(ds, query_terms: list[str], text_col: str = "text",
         return bt
 
     return summed.map_batches(fin, batch_format="pandas")
-
-
-def doc_bigram_freqs(ds, text_col: str = "text", id_col: str = "doc_id"):
-    """(id, w1, w2, tf) rows — per-document counts of ADJACENT whitespace
-    token pairs. Same zero-shuffle shape as :func:`doc_term_freqs`: the
-    explode preserves token order within each row, so adjacency is just
-    ``index[1:] == index[:-1]`` on the exploded frame — fully vectorized."""
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        ex = b[text_col].str.split().explode().dropna()
-        ridx = ex.index.to_numpy()
-        tokv = ex.to_numpy()
-        if len(tokv) < 2:
-            return pd.DataFrame({id_col: pd.Series([], dtype="int64"),
-                                 "w1": pd.Series([], dtype="object"),
-                                 "w2": pd.Series([], dtype="object"),
-                                 "tf": pd.Series([], dtype="int64")})
-        same = ridx[1:] == ridx[:-1]
-        g = pd.DataFrame({
-            id_col: b[id_col].to_numpy()[ridx[:-1][same]],
-            "w1": tokv[:-1][same], "w2": tokv[1:][same],
-        })
-        out = (g.groupby([id_col, "w1", "w2"], sort=False).size()
-                .reset_index(name="tf"))
-        out["tf"] = out["tf"].astype("int64")
-        return out
-
-    return ds.map_batches(partial, batch_format="pandas")
-
-
-def bigram_doc_logprob(ds, text_col: str = "text", id_col: str = "doc_id",
-                       num_partitions: int = 64,
-                       broadcast_limit: int = BROADCAST_VOCAB_LIMIT):
-    """Per-document mean bigram log-probability + perplexity under the
-    corpus's own add-one-smoothed bigram LM (the CCNet/Wenzek-style quality
-    signal one order up from :func:`unigram_doc_logprob`):
-    ``p(w2|w1) = (c(w1,w2)+1) / (c_left(w1)+V)`` with V = corpus unigram
-    vocabulary size, ``lm_logprob = Σ tf·ln p / Σ tf`` and
-    ``perplexity = exp(−lm_logprob)``. Docs with < 2 tokens are omitted.
-
-    Scale shape: bigram/context tables build combiner-first; scoring ships
-    them broadcast under ``broadcast_limit`` rows, else through the
-    distributed hash-join path (two joins, each small side repartitioned +
-    materialized first per the aggregator-pool rule)."""
-    import ray
-
-    bg = doc_bigram_freqs(ds, text_col, id_col).materialize()
-    cb = hash_aggregate(bg, ["w1", "w2"], {"c": ("tf", "sum")},
-                        num_partitions=num_partitions)
-    c1 = hash_aggregate(bg, ["w1"], {"n1": ("tf", "sum")},
-                        num_partitions=num_partitions)
-    vocab = hash_aggregate(doc_term_freqs(ds, text_col, id_col), ["token"],
-                           {"n": ("tf", "sum")},
-                           num_partitions=num_partitions)
-    V = float(vocab.count())
-
-    n_bigrams = cb.count()
-    if n_bigrams <= broadcast_limit:
-        cb_df = ensure_columns(cb.to_pandas(),
-                               {"w1": "object", "w2": "object", "c": "int64"})
-        c1_df = ensure_columns(c1.to_pandas(),
-                               {"w1": "object", "n1": "int64"})
-        cb_ref, c1_ref = ray.put(cb_df), ray.put(c1_df)
-
-        def score(b: pd.DataFrame) -> pd.DataFrame:
-            b = b.merge(ray.get(cb_ref), on=["w1", "w2"], how="inner")
-            b = b.merge(ray.get(c1_ref), on="w1", how="inner")
-            tf = b["tf"].to_numpy(np.float64)
-            lp = tf * np.log((b["c"].to_numpy(np.float64) + 1.0)
-                             / (b["n1"].to_numpy(np.float64) + V))
-            return pd.DataFrame({id_col: b[id_col].to_numpy(),
-                                 "__s": lp, "__m": b["tf"].to_numpy("int64")})
-
-        partial = bg.map_batches(score, batch_format="pandas")
-    else:
-        from forecastframe_ray.stages.join import hash_join
-
-        j1 = hash_join(bg, cb.repartition(8).materialize(),
-                       on=["w1", "w2"], num_partitions=num_partitions) \
-            .materialize()
-        j2 = hash_join(j1, c1.repartition(8).materialize(),
-                       on=["w1"], num_partitions=num_partitions)
-
-        def score_joined(b: pd.DataFrame) -> pd.DataFrame:
-            tf = b["tf"].to_numpy(np.float64)
-            lp = tf * np.log((b["c"].to_numpy(np.float64) + 1.0)
-                             / (b["n1"].to_numpy(np.float64) + V))
-            return pd.DataFrame({id_col: b[id_col].to_numpy(),
-                                 "__s": lp, "__m": b["tf"].to_numpy("int64")})
-
-        partial = j2.map_batches(score_joined, batch_format="pandas")
-
-    sums = hash_aggregate(partial, [id_col],
-                          {"s": ("__s", "sum"), "n_bigrams": ("__m", "sum")},
-                          num_partitions=max(8, num_partitions // 2))
-
-    def finish(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        m = b["n_bigrams"].to_numpy(np.float64)
-        lp = b["s"].to_numpy(np.float64) / m
-        b["lm_logprob"] = np.round(lp, 6) + 0.0
-        b["perplexity"] = np.round(np.exp(-lp), 6) + 0.0
-        return b[[id_col, "n_bigrams", "lm_logprob", "perplexity"]]
-
-    return sums.map_batches(finish, batch_format="pandas")

@@ -6,8 +6,9 @@ Layout: ``out/tier=<name>/part=<p>.parquet``, one file per partition
 ``p = hash(partition_keys) % num_partitions`` (:func:`keys.partition_ids`),
 each written atomically (temp file + rename). ``out/manifest.jsonl`` holds
 one JSON row per written file — ``(tier, part, rows, points, checksum,
-wall_s, fingerprint, gen)``, plus ``delta_id`` for merges and
-``expired_before`` for retention sweeps; the latest row per (tier, part)
+wall_s, fingerprint, gen)``, plus ``delta_id`` for merges,
+``expired_before`` for retention sweeps and ``shard_id`` for shard-offset
+appends; the latest row per (tier, part)
 wins and ``gen`` chains the rewrites.
 
 :func:`write_partitioned` and :func:`merge_partitioned` share one skeleton
@@ -167,7 +168,7 @@ def write_partitioned(ds, out_dir: str, tier: str, partition_keys: list[str],
                       overwrite_parts: set | None = None,
                       part_offset: int = 0,
                       direct_part_col: str | None = None,
-                      part_fn=None) -> list[dict]:
+                      part_fn=None, shard_id: str | None = None) -> list[dict]:
     """Write ``ds`` as hash-partitioned parquet with per-partition lineage.
 
     Skips partitions already in the manifest (resume = a filter, not replay),
@@ -191,6 +192,13 @@ def write_partitioned(ds, out_dir: str, tier: str, partition_keys: list[str],
     falls out of the manifest skip because offsets make (tier, part)
     shard-unique.
 
+    ``shard_id`` names the shard that owns the offset range
+    ``[part_offset, part_offset + num_partitions)``; each manifest row
+    records it. A retry of the same shard skips its finished partitions,
+    but a finished partition in the range that another shard wrote (an
+    append that crashed, was abandoned and never committed) raises
+    ``ValueError`` instead of silently skipping the new shard's rows.
+
     ``direct_part_col`` uses an existing INTEGER column's value (must lie
     in [0, num_partitions)) as the partition id instead of hashing
     ``partition_keys`` — the identity layout that lets readers prune at
@@ -202,6 +210,15 @@ def write_partitioned(ds, out_dir: str, tier: str, partition_keys: list[str],
     prior = load_done(out_dir)
     done = {p for (t, p) in prior if t == tier} - set(overwrite_parts or ())
     gens = {k: int(row.get("gen", 0)) for k, row in prior.items()}
+    extra = {} if shard_id is None else {"shard_id": shard_id}
+    if shard_id is not None:
+        for p in sorted(done):
+            owner = prior[(tier, p)].get("shard_id")
+            if 0 <= p - part_offset < num_partitions and owner != shard_id:
+                raise ValueError(
+                    f"tier {tier!r} partition {p} belongs to shard "
+                    f"{owner!r}, not {shard_id!r}: an earlier append at "
+                    "this offset was abandoned")
 
     def kernel(part: int, df: pd.DataFrame) -> list[dict]:
         t0 = time.perf_counter()
@@ -217,7 +234,7 @@ def write_partitioned(ds, out_dir: str, tier: str, partition_keys: list[str],
             _write_file(frames[t], _part_path(out_dir, t, part))
             rows.append(_manifest_row(
                 t, part, frames[t], t0, f"{t}/{part}/{num_partitions}",
-                gens.get((t, part), 0) + 1))
+                gens.get((t, part), 0) + 1, **extra))
         return rows
 
     return _exchange(ds, out_dir, partition_keys, num_partitions, done,

@@ -135,3 +135,21 @@ def test_append_crash_retry(tmp_path):
     assert AI._load_meta(crash)["shards"] == ["shard-000"]
     AI.append_ann(sh2, crash, shard_id="shard-001")
     pd.testing.assert_frame_equal(want, AI.search_ann(crash, q, 10, 8))
+
+
+def test_abandoned_append_then_other_shard_raises(tmp_path):
+    """A crashed, never-retried append keeps its partition offset: a
+    different shard appended next must raise instead of having its rows
+    in the crashed run's recorded partitions silently skipped."""
+    df = _emb()
+    cut = int(df["vec_id"].median())
+    d = str(tmp_path / "idx")
+    AI.build_ann_index(ray.data.from_pandas(df[df["vec_id"] <= cut]), d,
+                       num_centroids=8)
+    rest = df[df["vec_id"] > cut]
+    with pytest.raises(RuntimeError, match="simulated crash"):
+        AI.append_ann(ray.data.from_pandas(rest), d, shard_id="shard-A",
+                      fail_after=1)
+    other = rest.assign(vec_id=rest["vec_id"] + 10_000)
+    with pytest.raises(ValueError, match="belongs to shard 'shard-A'"):
+        AI.append_ann(ray.data.from_pandas(other), d, shard_id="shard-B")

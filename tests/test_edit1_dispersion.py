@@ -1,51 +1,7 @@
-"""SymSpell edit-distance-1 pair mining and the dispersion metrics."""
+"""The dispersion metrics (index of dispersion and coefficient of
+variation)."""
 
-import itertools
-
-import numpy as np
 import pandas as pd
-
-import ray.data
-
-from forecastframe_ray.pipelines.corpus import edit1_token_pairs
-
-
-def _lev(a, b):
-    # full DP reference
-    dp = list(range(len(b) + 1))
-    for i, ca in enumerate(a, 1):
-        prev, dp[0] = dp[0], i
-        for j, cb in enumerate(b, 1):
-            prev, dp[j] = dp[j], min(dp[j] + 1, dp[j - 1] + 1,
-                                     prev + (ca != cb))
-    return dp[len(b)]
-
-
-def test_edit1_pairs_complete_and_exact(ray_session):
-    toks = ["cat", "car", "cart", "ca", "dog", "dig", "dug", "spark",
-            "spork", "stork", "join", "joins", "coin", "windmill"]
-    docs = pd.DataFrame({
-        "doc_id": np.arange(3, dtype=np.int64),
-        "text": [" ".join(toks[:5]), " ".join(toks[5:10]),
-                 " ".join(toks[10:])],
-    })
-    out = edit1_token_pairs(ray.data.from_pandas(docs), num_partitions=3)
-    got = set(zip(out["tok_a"], out["tok_b"]))
-    want = {(a, b) for a, b in itertools.combinations(sorted(toks), 2)
-            if _lev(a, b) == 1}
-    assert got == want          # complete (blocking misses nothing) + exact
-    assert len(want) >= 6       # the fixture genuinely exercises pairs
-    assert (out["dist"] == 1).all()
-
-
-def test_edit1_no_false_positives_on_distance2(ray_session):
-    # distance-2 tokens share a deletion variant ("cat" and "cut" share
-    # "ct"? no — "cat"/"cot" share; use a real d=2 case) — blocked
-    # candidates must still be rejected by the exact verify
-    docs = pd.DataFrame({"doc_id": np.array([0], dtype=np.int64),
-                         "text": ["abcd abef"]})   # lev = 2, share "ab"? no
-    out = edit1_token_pairs(ray.data.from_pandas(docs))
-    assert len(out) == 0
 
 
 def test_dispersion_poisson_like(ray_session, tmp_path):

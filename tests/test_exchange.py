@@ -183,6 +183,8 @@ def test_grouped_topk_independent_of_block_order(ray_session):
 
 
 _NOISE_SCRIPT = textwrap.dedent("""
+    import time
+
     import pandas as pd
     import ray
     from ray.data import DataContext
@@ -202,6 +204,20 @@ _NOISE_SCRIPT = textwrap.dedent("""
     out = exchange(ray.data.from_pandas(df).repartition(4), resume_filter,
                    lambda _, p: p.groupby("k", as_index=False)["v"].sum())
     assert sorted(out.to_pandas()["k"]) == ["a", "b", "c"]
+
+    # an inner dim join whose second block matches no dim row, and a
+    # primary-key check that finds no duplicates
+    from forecastframe_ray.frame import RayForecastFrame
+
+    ev = pd.DataFrame({
+        "ts": pd.date_range("2024-01-01", periods=8, freq="D"),
+        "state": ["CA"] * 4 + ["NY"] * 4, "y": range(8)})
+    fr = RayForecastFrame(ray.data.from_pandas([ev[:4], ev[4:]]), "ts", "y",
+                          ["state"], num_partitions=2, validate=True)
+    dim = pd.DataFrame({"state": ["CA"], "region": ["west"]})
+    fr.join_dim_table(dim, left_on="state")
+    assert fr.to_pandas()["region"].tolist() == ["west"] * 4
+    time.sleep(3)  # worker log lines reach the driver asynchronously
     ray.shutdown()
 """)
 

@@ -132,6 +132,22 @@ def test_crash_retry_idempotent(tmp_path, shards):
     assert LI._load_meta(crash_dir)["shards"] == ["shard-000", "shard-001"]
 
 
+def test_abandoned_append_then_other_shard_raises(tmp_path, shards):
+    """A crashed append that is never retried still owns its partition
+    offset: appending a different shard there must raise, not skip the new
+    shard's rows in the partitions the crashed run already recorded."""
+    sh1, sh2 = shards
+    d = str(tmp_path / "idx")
+    LI.build_index(ray.data.from_pandas(sh1), d, **KW)
+    with pytest.raises(RuntimeError, match="simulated crash"):
+        LI.append_shard(ray.data.from_pandas(sh2), d, shard_id="shard-A",
+                        fail_after=1)
+    other = sh2.assign(doc_id=sh2["doc_id"] + 1000)
+    with pytest.raises(ValueError, match="belongs to shard 'shard-A'"):
+        LI.append_shard(ray.data.from_pandas(other), d, shard_id="shard-B")
+    assert LI._load_meta(d)["shards"] == ["shard-000"]
+
+
 def test_compact_then_append(tmp_path, shards):
     """Compaction resolves remaps into the corpus rows, clears the remap
     log, preserves the final corpus byte-for-byte, and the compacted

@@ -1,5 +1,5 @@
-"""TF-IDF / unigram-LM scoring and stratified sampling: broadcast vs
-forced distributed-join path equality, quota exactness, determinism."""
+"""Stratified sampling (quota exactness, determinism), JSON int
+extraction, and per-label centroids."""
 
 import numpy as np
 import pandas as pd
@@ -7,60 +7,11 @@ import pytest
 
 import ray.data
 
-from forecastframe_ray.pipelines.tfidf import (
-    doc_term_freqs, tfidf_top_terms, unigram_doc_logprob)
 from forecastframe_ray.stages.sample import stratified_sample
-
-
-def _docs(n=40, seed=3):
-    rng = np.random.default_rng(seed)
-    vocab = [f"w{i}" for i in range(25)]
-    texts = [" ".join(rng.choice(vocab, size=rng.integers(5, 30)))
-             for _ in range(n)]
-    texts[7] = ""  # zero-token doc must be omitted from LM scores
-    return pd.DataFrame({"doc_id": np.arange(n, dtype=np.int64),
-                         "text": texts})
 
 
 def _canon(df, by):
     return df.sort_values(by).reset_index(drop=True)
-
-
-def test_doc_term_freqs_counts():
-    df = pd.DataFrame({"doc_id": [1, 2], "text": ["a b a", "  b   c "]})
-    out = doc_term_freqs(ray.data.from_pandas(df)).to_pandas()
-    got = {(r.doc_id, r.token): r.tf for r in out.itertuples()}
-    assert got == {(1, "a"): 2, (1, "b"): 1, (2, "b"): 1, (2, "c"): 1}
-
-
-def test_tfidf_join_path_matches_broadcast():
-    docs = ray.data.from_pandas(_docs()).repartition(4)
-    a = tfidf_top_terms(docs, k=3).to_pandas()
-    b = tfidf_top_terms(docs, k=3, broadcast_limit=0).to_pandas()
-    cols = ["doc_id", "token", "tf", "tfidf"]
-    pd.testing.assert_frame_equal(_canon(a[cols], ["doc_id", "token"]),
-                                  _canon(b[cols], ["doc_id", "token"]))
-    assert (a.groupby("doc_id").size() <= 3).all()
-
-
-def test_unigram_join_path_matches_broadcast():
-    docs = ray.data.from_pandas(_docs()).repartition(4)
-    a = unigram_doc_logprob(docs).to_pandas()
-    b = unigram_doc_logprob(docs, broadcast_limit=0).to_pandas()
-    cols = ["doc_id", "n_tokens", "lm_logprob"]
-    pd.testing.assert_frame_equal(_canon(a[cols], ["doc_id"]),
-                                  _canon(b[cols], ["doc_id"]))
-    assert 7 not in set(a["doc_id"])  # empty doc omitted
-    assert (a["lm_logprob"] < 0).all()
-
-
-def test_unigram_single_token_corpus():
-    # degenerate: every token identical -> p=1, logprob exactly 0
-    docs = ray.data.from_pandas(pd.DataFrame(
-        {"doc_id": [0, 1], "text": ["x x x", "x"]}))
-    out = unigram_doc_logprob(docs).to_pandas()
-    assert out["lm_logprob"].tolist() == [0.0, 0.0]
-    assert sorted(out["n_tokens"].tolist()) == [1, 3]
 
 
 def test_stratified_sample_exact_quota_and_determinism():
@@ -116,28 +67,3 @@ def test_label_centroids_matches_numpy():
         got = out.loc[out["label"] == lab, "centroid"].to_numpy()
         np.testing.assert_allclose(got, want, atol=1e-9)
         assert (out.loc[out["label"] == lab, "n"] == (labels == lab).sum()).all()
-
-
-def test_bigram_join_path_matches_broadcast():
-    from forecastframe_ray.pipelines.tfidf import bigram_doc_logprob
-
-    docs = ray.data.from_pandas(_docs()).repartition(4)
-    a = bigram_doc_logprob(docs).to_pandas()
-    b = bigram_doc_logprob(docs, broadcast_limit=0).to_pandas()
-    cols = ["doc_id", "n_bigrams", "lm_logprob", "perplexity"]
-    pd.testing.assert_frame_equal(_canon(a[cols], ["doc_id"]),
-                                  _canon(b[cols], ["doc_id"]))
-    assert 7 not in set(a["doc_id"])  # empty doc has no bigrams
-    # add-one smoothing keeps every probability < 1 → logprob < 0, ppl > 1
-    assert (a["lm_logprob"] < 0).all()
-    assert (a["perplexity"] > 1).all()
-
-
-def test_bigram_freqs_adjacency():
-    from forecastframe_ray.pipelines.tfidf import doc_bigram_freqs
-
-    df = pd.DataFrame({"doc_id": [1, 2], "text": ["a b a b", "c"]})
-    out = doc_bigram_freqs(ray.data.from_pandas(df)).to_pandas()
-    got = {(r.doc_id, r.w1, r.w2): r.tf for r in out.itertuples()}
-    # doc 2 has a single token → no bigrams; doc boundaries never pair
-    assert got == {(1, "a", "b"): 2, (1, "b", "a"): 1}

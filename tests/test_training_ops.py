@@ -1,7 +1,6 @@
 """Tests for the training-data pipeline stages: dedup (exact / MinHash+LSH /
 SimHash / n-gram Jaccard / embedding-cosine), similarity search (brute-force
-+ IVF), text analysis, and multimodal plumbing (session brief; SURVEY.md §2
-extension surface)."""
++ IVF) and text analysis (session brief; SURVEY.md §2 extension surface)."""
 
 import numpy as np
 import pandas as pd
@@ -10,7 +9,7 @@ import pytest
 
 import ray.data
 
-from forecastframe_ray.pipelines import dedup, multimodal, similarity, textstats
+from forecastframe_ray.pipelines import dedup, similarity, textstats
 
 
 def _docs_ds():
@@ -137,32 +136,6 @@ def test_fingerprint_deterministic_and_discriminative():
     assert (out1["doc_fingerprint"] == out2["doc_fingerprint"]).all()
     assert out1["doc_fingerprint"].iloc[0] == out1["doc_fingerprint"].iloc[1]
     assert out1["doc_fingerprint"].iloc[0] != out1["doc_fingerprint"].iloc[2]
-
-
-def test_multimodal_decode_and_resize():
-    mds = ray.data.from_arrow(multimodal.synth_media_table(48))
-    out = multimodal.decode_features(mds, concurrency=(1, 2), batch_size=16).to_pandas()
-    assert len(out) == 48 and "features" in out and "payload_bytes" in out
-    # deterministic: same payload → same features across two runs
-    out2 = multimodal.decode_features(
-        ray.data.from_arrow(multimodal.synth_media_table(48)),
-        concurrency=(1, 2), batch_size=16).to_pandas()
-    f1 = np.stack(out.sort_values("media_id")["features"].to_numpy())
-    f2 = np.stack(out2.sort_values("media_id")["features"].to_numpy())
-    assert np.array_equal(f1, f2)
-
-    rs = mds.map_batches(multimodal.ResizeStage,
-                         fn_constructor_kwargs={"max_side": 64},
-                         concurrency=(1, 2), batch_size=16,
-                         batch_format="pyarrow").to_pandas()
-    assert rs["width"].max() <= 64 and rs["height"].max() <= 64
-
-    # round 5: real=True is a REAL pure-stdlib BMP/PPM decoder now
-    # (tests/test_multimodal_codec.py pins golden pixel sums); here just
-    # the contract boundary — constructs, rejects non-image bytes
-    st = multimodal.DecodeStage(real=True)
-    with pytest.raises(ValueError, match="undecodable"):
-        st._real_decode(b"not an image")
 
 
 def test_c4_clean():
