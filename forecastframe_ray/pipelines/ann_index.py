@@ -29,7 +29,8 @@ Contracts:
 
 Crash-retry: shard offsets make (tier, part) manifest rows shard-unique;
 re-submitting a crashed append skips finished partitions; meta (commit
-point) is written last.
+point) is written last, and a search reads only the files whose manifest
+row names a shard in meta's shard log.
 """
 
 from __future__ import annotations
@@ -117,10 +118,13 @@ def append_ann(emb_ds, index_dir: str, shard_id: str | None = None,
                fail_after: int | None = None) -> dict:
     """O(shard) append: assign the new vectors to the FROZEN centroids and
     write one new file set at the shard's partition offset. Nothing stored
-    is read or rewritten. Crash-retry and the abandoned-append check work
-    as in :func:`llm_incremental.append_shard`."""
+    is read or rewritten. ``shard_id`` defaults to ``shard-{min}-{max}``
+    from the shard's vector id range. Crash-retry and the abandoned-append
+    check work as in :func:`llm_incremental.append_shard`."""
     meta = _load_meta(index_dir)
-    shard_id = shard_id or f"shard-{len(meta['shards']):03d}"
+    if shard_id is None:
+        id_col = meta["id_col"]
+        shard_id = f"shard-{emb_ds.min(id_col)}-{emb_ds.max(id_col)}"
     t0 = time.perf_counter()
     _assign_and_write(emb_ds, index_dir, meta["centroids"],
                       meta["vec_col"], meta["id_col"],
@@ -137,13 +141,13 @@ def search_ann(index_dir: str, queries: np.ndarray, k: int = 10,
     """Top-k by exact cosine over ONLY the probed centroids' files.
 
     The probed-partition file list is computed from metadata (union of
-    every query's ``nprobe`` nearest centroids × every shard offset); the
-    scan then streams just those files and each batch does one matmul per
-    query against the query matrix, masked to that query's own probes.
-    ``nprobe == num_centroids`` probes everything → exact brute force.
+    every query's ``nprobe`` nearest centroids × every committed shard's
+    files); the scan then streams just those files and each batch does one
+    matmul per query against the query matrix, masked to that query's own
+    probes. ``nprobe == num_centroids`` probes everything → exact brute
+    force.
     """
     import ray
-    import ray.data
 
     meta = _load_meta(index_dir)
     C, kc = meta["centroids"], int(meta["num_centroids"])
@@ -151,12 +155,12 @@ def search_ann(index_dir: str, queries: np.ndarray, k: int = 10,
     Q = _normalize(np.atleast_2d(np.asarray(queries, dtype=np.float64)))
     probe = np.argsort(-(Q @ C.T), axis=1)[:, :nprobe]     # (nq, nprobe)
 
-    tier_dir = os.path.join(index_dir, "tier=vectors")
-    wanted = sorted({int(c) for row in probe for c in row})
-    paths = [os.path.join(tier_dir, f"part={s * kc + c}.parquet")
-             for s in range(len(meta["shards"])) for c in wanted]
-    paths = [p for p in paths if os.path.exists(p)]
-    if not paths:
+    wanted = {int(c) for row in probe for c in row}
+    files = checkpoint.read_parts(index_dir, "vectors", [
+        p for p in checkpoint.shard_parts(index_dir, "vectors",
+                                          meta["shards"])
+        if p % kc in wanted])
+    if files is None:
         return pd.DataFrame({"query_ix": pd.Series([], dtype="int64"),
                              "rank": pd.Series([], dtype="int64"),
                              id_col: pd.Series([], dtype="int64"),
@@ -188,8 +192,7 @@ def search_ann(index_dir: str, queries: np.ndarray, k: int = 10,
                                  "cos_sim": pd.Series([], dtype="float64")})
         return pd.concat(frames, ignore_index=True)
 
-    cand = ray.data.read_parquet(paths) \
-        .map_batches(local_topk, batch_format="pandas").to_pandas()
+    cand = files.map_batches(local_topk, batch_format="pandas").to_pandas()
     cand = cand.sort_values(["query_ix", "cos_sim", id_col],
                             ascending=[True, False, True], kind="mergesort")
     top = cand.groupby("query_ix", sort=True).head(k).reset_index(drop=True)

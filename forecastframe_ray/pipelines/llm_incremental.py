@@ -123,6 +123,14 @@ def _write_meta(index_dir: str, meta: dict) -> None:
     os.replace(tmp, path)
 
 
+def _read(index_dir: str, tier: str):
+    """``tier``'s rows of the committed shards (meta's shard log) only, or
+    None when there are none. A crashed append that was never retried left
+    files that no committed shard names; no reader sees them."""
+    return checkpoint.read_parts(index_dir, tier, checkpoint.shard_parts(
+        index_dir, tier, _load_meta(index_dir)["shards"]))
+
+
 _PARAM_KEYS = ("minhash_threshold", "min_words_per_line", "require_terminal",
                "num_perm", "num_bands", "shingle_width", "seed")
 
@@ -311,7 +319,8 @@ def _write_tables(index_dir, corpus, digests, bands, remap_df, id_col,
     the full rebuild). Crash-retry idempotence = the checkpoint manifest's
     (tier, part) skip; shard offsets make those ids shard-unique, and the
     ``shard_id`` stored in each manifest row makes a different shard at an
-    abandoned append's offset raise instead of being skipped.
+    abandoned append's offset raise instead of being skipped. Readers
+    (:func:`_read`) open only the files of shards in meta's shard log.
 
     Readers see one extra file set per shard; a periodic compaction pass
     (rewrite tier files at offset 0, truncate the manifest) would bound
@@ -344,10 +353,10 @@ def _load_remap(index_dir: str) -> dict:
     one row per cross-shard cluster merge — collision-scale, not corpus
     (if it ever outgrew one heap the same resolution is an iterated
     hash-min join, i.e. pointer doubling over a Dataset)."""
-    tier_dir = os.path.join(index_dir, "tier=remap")
-    if not os.path.isdir(tier_dir):
+    stored = _read(index_dir, "remap")
+    if stored is None:
         return {}
-    df = checkpoint.read_tier(index_dir, "remap").to_pandas()
+    df = stored.to_pandas()
     m = dict(zip(df["old_rep"].astype(np.int64),
                  df["new_rep"].astype(np.int64)))
 
@@ -377,29 +386,28 @@ def append_shard(shard_ds, index_dir: str, shard_id: str | None = None,
     corpus. Cost is O(shard + collisions); the existing corpus is touched
     only where the shard's digests or LSH buckets land.
 
-    Idempotent per ``shard_id`` (defaults to ``shard-{k}`` from the meta
-    shard log): crash-retry re-runs skip already-written delta partitions
-    via the checkpoint manifest (shard-offset partition ids are
-    shard-unique), and the meta file — the commit point — is written
-    last. Appending a different ``shard_id`` after a crashed append that
-    was never retried raises ``ValueError`` (the crashed shard still owns
-    the offset); the default id is positional, so it cannot tell the two
-    apart — name shards to get that check. ``fail_after`` is the test hook forwarded to the LAST table
-    write to simulate a mid-append crash.
+    Idempotent per ``shard_id`` (defaults to ``shard-{min}-{max}`` from
+    the shard's doc id range): crash-retry re-runs skip already-written
+    delta partitions via the checkpoint manifest (shard-offset partition
+    ids are shard-unique), and the meta file — the commit point — is
+    written last. Appending a different ``shard_id`` after a crashed append
+    that was never retried raises ``ValueError`` (the crashed shard still
+    owns the offset). ``fail_after`` is the test hook forwarded to the
+    LAST table write to simulate a mid-append crash.
     """
     meta = _load_meta(index_dir)
     p = {k: meta[k] for k in _PARAM_KEYS}
     id_col = meta["id_col"]
     num_partitions = int(meta["num_partitions"])
-    shard_id = shard_id or f"shard-{len(meta['shards']):03d}"
     t0 = time.perf_counter()
     stage_wall: dict[str, float] = {}
 
-    shard_min = shard_ds.min(id_col)
+    shard_min, shard_max = shard_ds.min(id_col), shard_ds.max(id_col)
     if shard_min is not None and shard_min <= meta["max_seen_id"]:
         raise ValueError(
             f"append-monotonic ids required: shard min {shard_min} <= "
             f"max_seen_id {meta['max_seen_id']}")
+    shard_id = shard_id or f"shard-{shard_min}-{shard_max}"
 
     # 1. C4 clean (per-doc, prefix-stable)
     cleaned = _clean(shard_ds, id_col, "text", p).materialize()
@@ -412,9 +420,7 @@ def append_shard(shard_ds, index_dir: str, shard_id: str | None = None,
     new_digests = hash_aggregate(dig, ["digest"],
                                  {"keep_id": (id_col, "min")}).materialize()
     fresh_digests = _anti_probe_digests(new_digests, index_dir,
-                                        num_partitions,
-                                        max_id=meta["max_seen_id"]) \
-        .materialize()
+                                        num_partitions).materialize()
     keep = fresh_digests.map_batches(
         lambda b: pd.DataFrame({"__keep_id": b["keep_id"]}),
         batch_format="pandas").materialize()
@@ -430,12 +436,7 @@ def append_shard(shard_ds, index_dir: str, shard_id: str | None = None,
     #    shard ∪ colliding-old — identical candidate sets to a full rebuild
     #    for every pair involving a new doc (see module docstring).
     new_bands = _band_rows(kept, id_col, p).materialize()
-    # the probe is bounded to ids ≤ max_seen_id: a crashed append may have
-    # merged SOME of this shard's own band/corpus rows before dying, and a
-    # retry must not treat them as "old" members (meta — the commit point —
-    # still carries the pre-shard max)
-    old_hits = _probe_bands(new_bands, index_dir, id_col,
-                            max_id=meta["max_seen_id"])
+    old_hits = _probe_bands(new_bands, index_dir, id_col)
     old_ids = old_hits.select_columns([id_col]) if old_hits is not None \
         else None
     if old_ids is not None:
@@ -447,8 +448,7 @@ def append_shard(shard_ds, index_dir: str, shard_id: str | None = None,
             lambda b: pd.DataFrame({"__keep_id": b[id_col]}),
             batch_format="pandas").materialize()
         old_docs = D._keep_id_semi_join(
-            checkpoint.read_tier(index_dir, "corpus")
-            .select_columns([id_col, "text_clean"]),
+            _read(index_dir, "corpus").select_columns([id_col, "text_clean"]),
             keep_old, id_col, BROADCAST_LIMIT)
         # consolidate blocks: the union inherits shard blocks + one block
         # set PER delta file of the corpus tier — measured ~500 near-empty
@@ -492,7 +492,7 @@ def append_shard(shard_ds, index_dir: str, shard_id: str | None = None,
                 inv = ray.data.from_pandas(
                     pd.DataFrame({"__keep_id": involved.astype(np.int64)}))
                 rows = D._keep_id_semi_join(
-                    checkpoint.read_tier(index_dir, "corpus")
+                    _read(index_dir, "corpus")
                     .select_columns([id_col, "rep_id"]),
                     inv, id_col, BROADCAST_LIMIT).to_pandas()
                 rows["rep_id"] = rows["rep_id"].map(
@@ -507,7 +507,7 @@ def append_shard(shard_ds, index_dir: str, shard_id: str | None = None,
         else:  # pair list beyond the driver: ship member→rep edges as a
             # Dataset via the corpus join inside the distributed components
             import ray.data
-            corpus_edges = checkpoint.read_tier(index_dir, "corpus") \
+            corpus_edges = _read(index_dir, "corpus") \
                 .select_columns([id_col, "rep_id"])
             inv_ids = new_pairs.map_batches(
                 lambda b: pd.DataFrame({"__keep_id": np.unique(
@@ -573,7 +573,6 @@ def append_shard(shard_ds, index_dir: str, shard_id: str | None = None,
                   shard_index=len(meta["shards"]), shard_id=shard_id,
                   fail_after=fail_after)
 
-    shard_max = shard_ds.max(id_col)
     if shard_max is not None:
         meta["max_seen_id"] = int(shard_max)
     meta["shards"] = meta["shards"] + [shard_id]
@@ -588,20 +587,16 @@ def append_shard(shard_ds, index_dir: str, shard_id: str | None = None,
             "wall_s": round(time.perf_counter() - t0, 3)}
 
 
-def _anti_probe_digests(new_digests, index_dir: str, num_partitions: int,
-                        max_id: int):
+def _anti_probe_digests(new_digests, index_dir: str, num_partitions: int):
     """Drop new digests already present in the index (their stored keep_id
     is smaller under monotonic ids). Broadcast key-set below
     ``BROADCAST_LIMIT`` stored digests, distributed left-anti hash join
-    above. Stored rows with ``keep_id > max_id`` are this same shard's
-    residue from a crashed append — ignored so a retry doesn't anti-filter
-    the shard against itself."""
-    tier_dir = os.path.join(index_dir, "tier=digests")
-    if not os.path.isdir(tier_dir) or not os.listdir(tier_dir):
+    above. Only committed shards are read, so a retry never anti-filters
+    the shard against its own residue from a crashed append."""
+    stored = _read(index_dir, "digests")
+    if stored is None:
         return new_digests
-    stored = checkpoint.read_tier(index_dir, "digests").map_batches(
-        lambda b: b.loc[b["keep_id"].to_numpy() <= max_id, ["digest"]],
-        batch_format="pandas")
+    stored = stored.select_columns(["digest"])
     if stored.count() <= BROADCAST_LIMIT:
         # EXACT anti-membership on the 32-hex digests as fixed-width S32
         # byte arrays + searchsorted (vectorized C) — unlike the bands
@@ -630,25 +625,21 @@ def _anti_probe_digests(new_digests, index_dir: str, num_partitions: int,
         batch_format="pandas")
 
 
-def _probe_bands(new_bands, index_dir: str, id_col: str, max_id: int):
+def _probe_bands(new_bands, index_dir: str, id_col: str):
     """Old docs sharing an LSH bucket with the shard: semi-join the stored
     band index on the shard's distinct (band, bucket) keys. Returns a
     Dataset of ``(band, bucket, doc_id)`` or None when the index is empty.
     Key-only both ways (12-byte rows); broadcast below ``BROADCAST_LIMIT``
-    distinct shard buckets, hash join above. Rows with ``doc_id > max_id``
-    (crash residue of this shard, see :func:`_anti_probe_digests`) are
-    dropped."""
+    distinct shard buckets, hash join above. Only committed shards are
+    read (see :func:`_anti_probe_digests`)."""
     import ray
 
     from forecastframe_ray import keys as K
 
-    tier_dir = os.path.join(index_dir, "tier=bands")
-    if not os.path.isdir(tier_dir) or not os.listdir(tier_dir):
+    stored = _read(index_dir, "bands")
+    if stored is None:
         return None
-    stored = checkpoint.read_tier(index_dir, "bands").map_batches(
-        lambda b: b.loc[b[id_col].to_numpy() <= max_id,
-                        ["band", "bucket", id_col]],
-        batch_format="pandas")
+    stored = stored.select_columns(["band", "bucket", id_col])
     touched = new_bands.select_columns(["band", "bucket"])
     if touched.count() <= BROADCAST_LIMIT:
         # broadcast the shard's distinct bucket keys as ONE sorted uint64
@@ -703,8 +694,8 @@ def final_corpus(index_dir: str):
         return b[rep.to_numpy() == b[id_col].to_numpy()][[id_col,
                                                           "text_clean"]]
 
-    return checkpoint.read_tier(index_dir, "corpus") \
-        .map_batches(keep_reps, batch_format="pandas")
+    return _read(index_dir, "corpus").map_batches(keep_reps,
+                                                 batch_format="pandas")
 
 
 # ---------------------------------------------------------------------------
@@ -746,17 +737,20 @@ def compact_index(index_dir: str, dest_dir: str,
             b["rep_id"] = rep.map(m).fillna(rep).astype(np.int64)
         return b
 
-    corpus = checkpoint.read_tier(index_dir, "corpus") \
-        .map_batches(resolve, batch_format="pandas")
+    # the consolidated files sit at shard 0's offset, under its id
+    owner = meta["shards"][0]
+    corpus = _read(index_dir, "corpus").map_batches(resolve,
+                                                    batch_format="pandas")
     checkpoint.write_partitioned(corpus, dest_dir, "corpus", [id_col],
-                                 num_partitions=n, sort_cols=[id_col])
+                                 num_partitions=n, sort_cols=[id_col],
+                                 shard_id=owner)
     checkpoint.write_partitioned(
-        checkpoint.read_tier(index_dir, "digests"), dest_dir, "digests",
-        ["digest"], num_partitions=n, sort_cols=["digest"])
+        _read(index_dir, "digests"), dest_dir, "digests",
+        ["digest"], num_partitions=n, sort_cols=["digest"], shard_id=owner)
     checkpoint.write_partitioned(
-        checkpoint.read_tier(index_dir, "bands"), dest_dir, "bands",
+        _read(index_dir, "bands"), dest_dir, "bands",
         ["band", "bucket"], num_partitions=n,
-        sort_cols=["band", "bucket", id_col])
+        sort_cols=["band", "bucket", id_col], shard_id=owner)
 
     _write_meta(dest_dir, {**{k: meta[k] for k in _PARAM_KEYS},
                            "id_col": id_col, "max_seen_id": meta["max_seen_id"],

@@ -507,50 +507,6 @@ SQL_BM25_SEARCH = r"""
 """
 
 
-@entry("user_entropy_events", sql=lambda: SQL_USER_ENTROPY)
-def q_user_entropy_events(sf_dir: str) -> pd.DataFrame:
-    """Shannon entropy (nats) of each user's event-type mix: counts reduce
-    in one combiner'd aggregate; the per-user −Σ p·ln p finishes in a
-    vectorized per-partition kernel (two grouped transforms, no per-user
-    Python loop)."""
-    from forecastframe_ray.stages.agg import hash_aggregate, keyed_map_partitions
-
-    ev = _read(sf_dir, "events", ["user_id", "event_type"])
-    counts = hash_aggregate(ev, ["user_id", "event_type"],
-                            {"n": ("event_type", "size")},
-                            num_partitions=_NP)
-
-    def entropy(part: pd.DataFrame) -> pd.DataFrame:
-        n = part["n"].to_numpy(np.float64)
-        g = part.groupby("user_id", sort=False)
-        tot = g["n"].transform("sum").to_numpy(np.float64)
-        p = n / tot
-        terms = pd.DataFrame({"user_id": part["user_id"],
-                              "__t": -p * np.log(p), "__n": part["n"]})
-        out = terms.groupby("user_id", sort=False).agg(
-            n_events=("__n", "sum"), entropy=("__t", "sum")).reset_index()
-        out["n_events"] = out["n_events"].astype("int64")
-        out["entropy"] = np.round(out["entropy"].to_numpy(np.float64), 6) + 0.0
-        return out
-
-    out = keyed_map_partitions(counts, ["user_id"], entropy, _NP)
-    df = out.to_pandas().astype({"user_id": "int64"})
-    return df.sort_values("user_id").reset_index(drop=True)
-
-
-SQL_USER_ENTROPY = """
-    WITH c AS (
-        SELECT user_id, event_type, CAST(count(*) AS DOUBLE) AS n
-        FROM events GROUP BY 1, 2
-    ),
-    t AS (SELECT user_id, sum(n) AS tot FROM c GROUP BY 1)
-    SELECT c.user_id, CAST(sum(c.n) AS BIGINT) AS n_events,
-           round(-sum((c.n / t.tot) * ln(c.n / t.tot)), 6) + 0.0 AS entropy
-    FROM c JOIN t USING (user_id)
-    GROUP BY 1
-"""
-
-
 @entry("value_histogram_events", sql=lambda: SQL_VALUE_HISTOGRAM)
 def q_value_histogram_events(sf_dir: str) -> pd.DataFrame:
     """Fixed-width (50-unit) value histogram per event type — binning is a
@@ -801,229 +757,6 @@ SQL_COHORT_RETENTION = """
 """
 
 
-@entry("transition_counts_events", sql=lambda: SQL_TRANSITION_COUNTS)
-def q_transition_counts_events(sf_dir: str) -> pd.DataFrame:
-    """(prev → next) event-type transition matrix over per-user streams
-    ordered by ts ((user_id, ts) is unique in this corpus, so the order is
-    total): pairs form inside a partition-id shuffle kernel (whole user
-    streams per partition, vectorized grouped shift), counts pre-reduce in
-    the kernel before one tiny merge aggregate."""
-    from forecastframe_ray.stages.agg import keyed_map_partitions
-
-    ev = _read(sf_dir, "events", ["user_id", "event_type", "ts"])
-
-    def pairs(part: pd.DataFrame) -> pd.DataFrame:
-        part = part.sort_values(["user_id", "ts"], kind="mergesort")
-        nxt = part.groupby("user_id", sort=False)["event_type"].shift(-1)
-        ok = nxt.notna()
-        sub = pd.DataFrame({"prev_type": part["event_type"][ok],
-                            "next_type": nxt[ok]})
-        out = (sub.groupby(["prev_type", "next_type"], sort=False)
-               .size().reset_index(name="n"))
-        out["n"] = out["n"].astype("int64")
-        return out
-
-    partial = keyed_map_partitions(ev, ["user_id"], pairs, _NP)
-    out = hash_aggregate(partial, ["prev_type", "next_type"],
-                         {"n": ("n", "sum")}, num_partitions=4).to_pandas()
-    out["n"] = out["n"].astype("int64")
-    return out.sort_values(["prev_type", "next_type"]).reset_index(drop=True)
-
-
-SQL_TRANSITION_COUNTS = """
-    WITH l AS (
-        SELECT event_type,
-               LEAD(event_type) OVER (PARTITION BY user_id ORDER BY ts)
-                   AS nxt
-        FROM events
-    )
-    SELECT event_type AS prev_type, nxt AS next_type,
-           CAST(count(*) AS BIGINT) AS n
-    FROM l WHERE nxt IS NOT NULL GROUP BY 1, 2
-"""
-
-
-@entry("value_percentiles_events", sql=lambda: SQL_VALUE_PERCENTILES)
-def q_value_percentiles_events(sf_dir: str) -> pd.DataFrame:
-    """Exact p50/p90/p99 of value per event type via the range-partition
-    order-statistic plan (``interpret.grouped_quantiles``): ONE distributed
-    sort + split_at_indices pluck — per-group volume never has to fit one
-    task's heap, the true 100 TB path (the mergeable sketch gate is the
-    approximate alternative)."""
-    from forecastframe_ray.pipelines.interpret import (grouped_moments,
-                                                        grouped_quantiles)
-
-    ev = _read(sf_dir, "events", ["event_type", "value"])
-    counts = grouped_moments(ev, ["event_type"], "value")[["event_type",
-                                                           "n"]]
-    out = grouped_quantiles(ev, ["event_type"], "value",
-                            qs=(0.5, 0.9, 0.99), counts=counts)
-    out = out.rename(columns={"q50": "p50", "q90": "p90", "q99": "p99"})
-    out = out.merge(counts, on="event_type")
-    for c in ("p50", "p90", "p99"):
-        out[c] = np.round(out[c].to_numpy(np.float64), 6)
-    out["n"] = out["n"].astype("int64")
-    out = out[["event_type", "n", "p50", "p90", "p99"]]
-    return out.sort_values("event_type").reset_index(drop=True)
-
-
-SQL_VALUE_PERCENTILES = """
-    SELECT event_type, CAST(count(*) AS BIGINT) AS n,
-           round(quantile_cont(value, 0.50), 6) AS p50,
-           round(quantile_cont(value, 0.90), 6) AS p90,
-           round(quantile_cont(value, 0.99), 6) AS p99
-    FROM events GROUP BY 1
-"""
-
-
-@entry("theilsen_daily_events", sql=lambda: SQL_THEILSEN_DAILY)
-def q_theilsen_daily_events(sf_dir: str) -> pd.DataFrame:
-    """Theil–Sen estimator per daily series (public: Theil 1950 / Sen 1968):
-    slope = median of all pairwise slopes over integer day numbers,
-    intercept = median residual at that slope. The bucketed kernel holds one
-    series per call and vectorizes the O(n²) pair sweep (n = series days —
-    bounded by retention; unbounded series belong on the OLS path
-    ``predict_linear_daily``)."""
-    from forecastframe_ray.stages.agg import bucketed_map_groups
-
-    daily = _bucket_series(sf_dir, DAY_US, "d")
-
-    def ts_fit(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("d", kind="mergesort")
-        # day numbers via explicit µs cast — pandas datetimes here are [ns]
-        x = (g["d"].astype("datetime64[us]").astype("int64").to_numpy()
-             // DAY_US).astype(np.float64)
-        v = g["v"].to_numpy(np.float64)
-        n = len(v)
-        if n < 2:
-            return pd.DataFrame({"event_type": [g["event_type"].iloc[0]],
-                                 "n": [np.int64(n)], "slope": [NULLF],
-                                 "intercept": [NULLF]})
-        i, j = np.triu_indices(n, 1)
-        slopes = (v[j] - v[i]) / (x[j] - x[i])
-        slope = np.median(slopes)
-        intercept = np.median(v - slope * x)
-        return pd.DataFrame({"event_type": [g["event_type"].iloc[0]],
-                             "n": [np.int64(n)],
-                             "slope": [np.round(slope, 6)],
-                             "intercept": [np.round(intercept, 6)]})
-
-    out = bucketed_map_groups(daily, ["event_type"], ts_fit,
-                              num_partitions=_NP).to_pandas()
-    out["n"] = out["n"].astype("int64")
-    return out.sort_values("event_type").reset_index(drop=True)
-
-
-SQL_THEILSEN_DAILY = f"""
-    WITH daily AS ({_DAILY_SQL}),
-    pts AS (
-        SELECT event_type, epoch_us(d) // {DAY_US} AS x, v FROM daily
-    ),
-    sl AS (
-        SELECT a.event_type,
-               median((b.v - a.v) / (b.x - a.x)) AS slope
-        FROM pts a JOIN pts b
-            ON a.event_type = b.event_type AND a.x < b.x
-        GROUP BY 1
-    ),
-    ic AS (
-        SELECT p.event_type, median(p.v - sl.slope * p.x) AS intercept
-        FROM pts p JOIN sl USING (event_type) GROUP BY 1
-    ),
-    nn AS (SELECT event_type, CAST(count(*) AS BIGINT) AS n FROM pts
-           GROUP BY 1)
-    SELECT nn.event_type, nn.n,
-           COALESCE(round(sl.slope, 6), {NULLF}) AS slope,
-           COALESCE(round(ic.intercept, 6), {NULLF}) AS intercept
-    FROM nn LEFT JOIN sl USING (event_type) LEFT JOIN ic USING (event_type)
-"""
-
-
-@entry("fk_violations", sql=lambda: SQL_FK_VIOLATIONS)
-def q_fk_violations(sf_dir: str) -> pd.DataFrame:
-    """Data-quality audit: orders whose customer is missing and lineitems
-    whose order is missing — broadcast anti-join key-set filters, the
-    driver sees only two counters."""
-    from forecastframe_ray.stages.join import broadcast_semi_join
-
-    cust_keys = pq.read_table(f"{sf_dir}/customer.parquet",
-                              columns=["c_custkey"]).to_pandas() \
-        .rename(columns={"c_custkey": "o_custkey"})
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
-    n_orders_orphans = broadcast_semi_join(
-        orders, cust_keys, ["o_custkey"], anti=True).count()
-
-    order_keys = pq.read_table(f"{sf_dir}/orders.parquet",
-                               columns=["o_orderkey"]).to_pandas() \
-        .rename(columns={"o_orderkey": "l_orderkey"})
-    li = _read(sf_dir, "lineitem", ["l_orderkey"])
-    n_lineitem_orphans = broadcast_semi_join(
-        li, order_keys, ["l_orderkey"], anti=True).count()
-
-    return pd.DataFrame({
-        "n_orders_orphans": [np.int64(n_orders_orphans)],
-        "n_lineitem_orphans": [np.int64(n_lineitem_orphans)],
-    })
-
-
-SQL_FK_VIOLATIONS = """
-    SELECT
-        CAST((SELECT count(*) FROM orders o
-              WHERE NOT EXISTS (SELECT 1 FROM customer c
-                                WHERE c.c_custkey = o.o_custkey))
-             AS BIGINT) AS n_orders_orphans,
-        CAST((SELECT count(*) FROM lineitem l
-              WHERE NOT EXISTS (SELECT 1 FROM orders o
-                                WHERE o.o_orderkey = l.l_orderkey))
-             AS BIGINT) AS n_lineitem_orphans
-"""
-
-
-@entry("dispersion_daily_events", sql=lambda: SQL_DISPERSION_DAILY)
-def q_dispersion_daily_events(sf_dir: str) -> pd.DataFrame:
-    """Index of dispersion (Fano factor, var/mean) and coefficient of
-    variation per daily series — one moment aggregate; degenerate series
-    (n<2 or zero mean) emit NULLF."""
-    daily = _bucket_series(sf_dir, DAY_US, "d")
-
-    def moments(b: pd.DataFrame) -> pd.DataFrame:
-        v = b["v"].to_numpy(np.float64)
-        return pd.DataFrame({"event_type": b["event_type"],
-                             "n": np.ones(len(b), dtype=np.int64),
-                             "s": v, "ss": v * v})
-
-    agg = hash_aggregate(
-        daily.map_batches(moments, batch_format="pandas"), ["event_type"],
-        {c: (c, "sum") for c in ("n", "s", "ss")}, num_partitions=_NP)
-    df = agg.to_pandas()
-    n = df["n"].to_numpy(np.float64)
-    s = df["s"].to_numpy(np.float64)
-    ss = df["ss"].to_numpy(np.float64)
-    mean = s / n
-    with np.errstate(invalid="ignore", divide="ignore"):
-        var = (ss - n * mean * mean) / (n - 1.0)   # sample variance
-        fano = np.where((n >= 2) & (mean != 0), var / mean, np.nan)
-        cv = np.where((n >= 2) & (mean != 0), np.sqrt(np.maximum(var, 0))
-                      / mean, np.nan)
-    out = pd.DataFrame({"event_type": df["event_type"],
-                        "n": df["n"].astype("int64"),
-                        "fano": np.round(fano, 6),
-                        "cv": np.round(cv, 6)})
-    out = _fill(out, ["fano", "cv"])
-    return out.sort_values("event_type").reset_index(drop=True)
-
-
-SQL_DISPERSION_DAILY = f"""
-    WITH daily AS ({_DAILY_SQL})
-    SELECT event_type, CAST(count(*) AS BIGINT) AS n,
-           COALESCE(CASE WHEN count(*) >= 2 AND avg(v) <> 0
-                THEN round(var_samp(v) / avg(v), 6) END, {NULLF}) AS fano,
-           COALESCE(CASE WHEN count(*) >= 2 AND avg(v) <> 0
-                THEN round(stddev_samp(v) / avg(v), 6) END, {NULLF}) AS cv
-    FROM daily GROUP BY 1
-"""
-
-
 # ---------------------------------------------------------------------------
 # ntile + cume_dist window twins (stages/window_ops.op_ntile / op_cume_dist)
 # ---------------------------------------------------------------------------
@@ -1058,61 +791,6 @@ SQL_NTILE_CUME_DAILY = f"""
 """
 
 
-@entry("interevent_gaps_events", sql=lambda: SQL_INTEREVENT_GAPS)
-def q_interevent_gaps_events(sf_dir: str) -> pd.DataFrame:
-    """Per-user inter-event gap seconds (mean/min/max over consecutive
-    events in ts order): whole user streams per partition, vectorized
-    grouped diff, in-kernel pre-reduce before one tiny merge. Users with a
-    single event emit no row (no gaps), matching the SQL twin."""
-    from forecastframe_ray.stages.agg import keyed_map_partitions
-
-    ev = _read(sf_dir, "events", ["user_id", "ts"])
-
-    def gaps(part: pd.DataFrame) -> pd.DataFrame:
-        part = part.sort_values(["user_id", "ts"], kind="mergesort")
-        # EXACT integer-µs gaps: the sum is order-independent int64
-        # arithmetic, so engines cannot disagree at a rounding boundary
-        dt = part.groupby("user_id", sort=False)["ts"].diff() \
-            .dt.total_seconds() * 1e6
-        ok = dt.notna()
-        sub = pd.DataFrame({"user_id": part["user_id"][ok],
-                            "gap_us": dt[ok].round().astype("int64")})
-        out = sub.groupby("user_id", sort=False).agg(
-            n_gaps=("gap_us", "size"), s=("gap_us", "sum"),
-            mn=("gap_us", "min"), mx=("gap_us", "max")).reset_index()
-        out["n_gaps"] = out["n_gaps"].astype("int64")
-        return out
-
-    partial = keyed_map_partitions(ev, ["user_id"], gaps, _NP)
-    df = partial.to_pandas()
-    out = pd.DataFrame({
-        "user_id": df["user_id"].astype("int64"),
-        "n_gaps": df["n_gaps"].astype("int64"),
-        "mean_gap_s": np.round(df["s"].to_numpy(np.float64)
-                               / df["n_gaps"].to_numpy(np.float64)
-                               / 1e6, 6),
-        "min_gap_s": np.round(df["mn"].to_numpy(np.float64) / 1e6, 6),
-        "max_gap_s": np.round(df["mx"].to_numpy(np.float64) / 1e6, 6),
-    })
-    return out.sort_values("user_id").reset_index(drop=True)
-
-
-SQL_INTEREVENT_GAPS = """
-    WITH l AS (
-        SELECT user_id,
-               epoch_us(ts) - LAG(epoch_us(ts)) OVER
-                   (PARTITION BY user_id ORDER BY ts) AS gap_us
-        FROM events
-    )
-    SELECT user_id, CAST(count(gap_us) AS BIGINT) AS n_gaps,
-           round(CAST(sum(gap_us) AS DOUBLE) / count(gap_us) / 1e6, 6)
-               AS mean_gap_s,
-           round(min(gap_us) / 1e6, 6) AS min_gap_s,
-           round(max(gap_us) / 1e6, 6) AS max_gap_s
-    FROM l WHERE gap_us IS NOT NULL GROUP BY 1
-"""
-
-
 # ---------------------------------------------------------------------------
 # rolling p90
 # ---------------------------------------------------------------------------
@@ -1140,44 +818,6 @@ SQL_ROLLING_P90_DAILY = f"""
                PARTITION BY event_type ORDER BY d
                ROWS BETWEEN 6 PRECEDING AND CURRENT ROW), 6) AS v_p90_roll7
     FROM daily
-"""
-
-
-@entry("favorite_type_per_user", sql=lambda: SQL_FAVORITE_TYPE)
-def q_favorite_type_per_user(sf_dir: str) -> pd.DataFrame:
-    """Each user's most frequent event type (count desc, type asc on ties)
-    — counts pre-reduce in the combiner'd aggregate, the top-1 cut is the
-    grouped-top-k partial merge (≤ users×1 rows shuffle)."""
-    from forecastframe_ray.stages.topk import grouped_topk
-
-    ev = _read(sf_dir, "events", ["user_id", "event_type"])
-    counts = hash_aggregate(ev, ["user_id", "event_type"],
-                            {"n": ("event_type", "size")},
-                            num_partitions=_NP)
-
-    def neg(b: pd.DataFrame) -> pd.DataFrame:
-        b = b.copy()
-        b["n"] = b["n"].astype("int64")
-        return b
-
-    top = grouped_topk(counts.map_batches(neg, batch_format="pandas"),
-                       ["user_id"], "n", k=1, descending=True,
-                       tiebreak=["event_type"], num_partitions=_NP)
-    out = top.to_pandas().astype({"user_id": "int64", "n": "int64"})
-    out = out.rename(columns={"event_type": "favorite_type"})
-    return out[["user_id", "favorite_type", "n"]] \
-        .sort_values("user_id").reset_index(drop=True)
-
-
-SQL_FAVORITE_TYPE = """
-    SELECT user_id, event_type AS favorite_type, n
-    FROM (
-        SELECT user_id, event_type, CAST(count(*) AS BIGINT) AS n,
-               row_number() OVER (PARTITION BY user_id
-                                  ORDER BY count(*) DESC, event_type)
-                   AS rn
-        FROM events GROUP BY 1, 2
-    ) WHERE rn = 1
 """
 
 
@@ -1451,107 +1091,6 @@ SQL_MIXTURE_SAMPLE = _MIX_SQL + """
 """
 
 
-_DF_CRIT_5PCT = -2.8614   # MacKinnon asymptotic 5% critical value, constant
-
-
-@entry("dickey_fuller_daily", sql=lambda: SQL_DICKEY_FULLER_DAILY)
-def q_dickey_fuller_daily(sf_dir: str) -> pd.DataFrame:
-    """Dickey-Fuller unit-root test per daily series (lag-0, constant):
-    regress Δv_t on v_{t−1} by the closed-form 1-regressor OLS and report
-    the t-statistic ρ̂/se(ρ̂) plus the 5%-level stationarity flag
-    (|MacKinnon| asymptotic critical value −2.8614). The standard
-    stationarity diagnostic before differencing/detrending a series
-    (Dickey & Fuller 1979 — public). Each series reduces to six sums
-    inside the keyed partition kernel; both sides use the identical
-    raw-sums algebra so the rounded statistics hash-match."""
-    from forecastframe_ray.stages.agg import keyed_map_partitions
-
-    daily = _bucket_series(sf_dir, DAY_US, "d")
-
-    def df_test(part: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for et, g in part.groupby("event_type", sort=False):
-            v = g.sort_values("d")["v"].to_numpy(np.float64)
-            n = len(v)
-            m = n - 1
-            rho = stat = np.nan
-            if m >= 3:
-                x, d = v[:-1], np.diff(v)
-                mx, md = x.sum() / m, d.sum() / m
-                sxx_c = (x * x).sum() - m * mx * mx
-                sxy_c = (x * d).sum() - m * mx * md
-                sdd_c = (d * d).sum() - m * md * md
-                if sxx_c > 0:
-                    rho = sxy_c / sxx_c
-                    s2 = (sdd_c - rho * sxy_c) / (m - 2)
-                    if s2 > 0:
-                        stat = rho / np.sqrt(s2 / sxx_c)
-            rho_r = np.round(rho, 6)
-            stat_r = np.round(stat, 6)
-            rows.append((et, m, rho_r, stat_r,
-                         bool(stat_r < _DF_CRIT_5PCT)
-                         if not np.isnan(stat_r) else False))
-        return pd.DataFrame(rows, columns=["event_type", "m", "rho",
-                                           "df_stat", "stationary"])
-
-    out = keyed_map_partitions(daily, ["event_type"], df_test,
-                               num_partitions=_NP).to_pandas()
-    out["m"] = out["m"].astype("int64")
-    out["stationary"] = out["stationary"].astype("bool")
-    out = _fill(out, ["rho", "df_stat"])
-    return out.sort_values("event_type").reset_index(drop=True)
-
-
-SQL_DICKEY_FULLER_DAILY = f"""
-    WITH daily AS ({_DAILY_SQL}),
-    l AS (
-        SELECT event_type,
-               v - LAG(v) OVER w AS dy,
-               LAG(v) OVER w AS x
-        FROM daily
-        WINDOW w AS (PARTITION BY event_type ORDER BY d)
-    ),
-    e AS (SELECT event_type, dy, x FROM l WHERE x IS NOT NULL),
-    s AS (
-        SELECT event_type, CAST(count(*) AS BIGINT) AS m,
-               sum(x) / count(*) AS mx, sum(dy) / count(*) AS md,
-               sum(x * dy) AS sxy, sum(x * x) AS sxx, sum(dy * dy) AS sdd
-        FROM e GROUP BY 1
-    ),
-    c AS (
-        SELECT event_type, m,
-               sxy - m * mx * md AS sxy_c,
-               sxx - m * mx * mx AS sxx_c,
-               sdd - m * md * md AS sdd_c
-        FROM s
-    ),
-    r AS (
-        SELECT event_type, m,
-               CASE WHEN m >= 3 AND sxx_c > 0
-                    THEN sxy_c / sxx_c END AS rho,
-               sxx_c, sdd_c, sxy_c
-        FROM c
-    ),
-    f AS (
-        SELECT event_type, m, rho, sxx_c,
-               CASE WHEN rho IS NOT NULL
-                    THEN (sdd_c - rho * sxy_c) / (m - 2) END AS s2
-        FROM r
-    ),
-    z AS (
-        SELECT event_type, m, round(rho, 6) AS rho,
-               round(CASE WHEN s2 > 0
-                          THEN rho / sqrt(s2 / sxx_c) END, 6) AS df_stat
-        FROM f
-    )
-    SELECT event_type, m,
-           COALESCE(rho, {NULLF}) AS rho,
-           COALESCE(df_stat, {NULLF}) AS df_stat,
-           COALESCE(df_stat < {_DF_CRIT_5PCT}, false) AS stationary
-    FROM z
-"""
-
-
 @entry("demand_classification_users", sql=lambda: SQL_DEMAND_CLASSIFICATION)
 def q_demand_classification_users(sf_dir: str) -> pd.DataFrame:
     """Syntetos-Boylan demand-pattern classification per user series
@@ -1786,53 +1325,4 @@ SQL_CROSTON_SBA_GATE = f"""
                ELSE datediff('day', s.d0, l.t1) + 1 END, 6), 0.0)
                AS sba_forecast
     FROM start s LEFT JOIN lastnz l USING (event_type)
-"""
-
-
-@entry("counter_increase_users", sql=lambda: SQL_COUNTER_INCREASE)
-def q_counter_increase_users(sf_dir: str) -> pd.DataFrame:
-    """Counter-agg ``increase()`` per user (the Prometheus/TimescaleDB
-    counter-reset rule — public): reading the event values as a counter
-    sampled over time, each step contributes ``v_i − v_{i−1}`` when
-    monotone and ``v_i`` after a reset (drop ⇒ the counter restarted at
-    zero). One keyed co-located kernel (vectorized diff + reset mask);
-    oracle is LAG() + CASE. Ties on ts are ordered by value on both
-    sides so the scan order is deterministic."""
-    from forecastframe_ray.stages.agg import keyed_map_partitions
-
-    ev = _read(sf_dir, "events", ["user_id", "ts", "value"])
-
-    def kernel(part: pd.DataFrame) -> pd.DataFrame:
-        rows = []
-        for uid, g in part.groupby("user_id", sort=False):
-            g = g.sort_values(["ts", "value"], kind="mergesort")
-            v = g["value"].to_numpy(np.float64)
-            d = np.diff(v)
-            inc = float(np.where(d >= 0, d, v[1:]).sum())
-            rows.append((uid, len(v), np.round(inc, 6),
-                         int((d < 0).sum())))
-        return pd.DataFrame(rows, columns=["user_id", "n", "increase",
-                                           "n_resets"])
-
-    out = keyed_map_partitions(ev, ["user_id"], kernel,
-                               num_partitions=_NP).to_pandas()
-    out = out.astype({"user_id": "int64", "n": "int64",
-                      "n_resets": "int64"})
-    return out.sort_values("user_id").reset_index(drop=True)
-
-
-SQL_COUNTER_INCREASE = """
-    WITH l AS (
-        SELECT user_id, value,
-               LAG(value) OVER (PARTITION BY user_id
-                                ORDER BY ts, value) AS pv
-        FROM events
-    )
-    SELECT user_id, CAST(count(*) AS BIGINT) AS n,
-           round(COALESCE(sum(CASE WHEN pv IS NULL THEN 0
-                                   WHEN value >= pv THEN value - pv
-                                   ELSE value END), 0), 6) AS increase,
-           CAST(COALESCE(sum(CASE WHEN value < pv THEN 1 END), 0)
-                AS BIGINT) AS n_resets
-    FROM l GROUP BY 1
 """

@@ -400,3 +400,25 @@ def read_tier(out_dir: str, tier: str):
                 .remove_metadata()
             break
     return ray.data.read_parquet(tier_dir, schema=schema)
+
+
+def shard_parts(out_dir: str, tier: str, shards) -> list[int]:
+    """``tier``'s partition ids whose latest manifest row names a shard in
+    ``shards`` — the committed view of an append-only store. An append that
+    crashed and was never retried leaves files (recorded under its own
+    shard id, or not recorded at all) that no committed shard names."""
+    committed = set(shards)
+    return sorted(p for (t, p), row in load_done(out_dir).items()
+                  if t == tier and row.get("shard_id") in committed)
+
+
+def read_parts(out_dir: str, tier: str, parts):
+    """The files of ``tier``'s ``parts`` as one Dataset, None when
+    ``parts`` is empty (schema handling as in :func:`read_tier`)."""
+    import ray.data
+
+    paths = [_part_path(out_dir, tier, p) for p in parts]
+    if not paths:
+        return None
+    schema = pq.read_schema(paths[0]).remove_metadata()
+    return ray.data.read_parquet(paths, schema=schema)

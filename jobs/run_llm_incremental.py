@@ -12,9 +12,10 @@ submit with:
 Appends are idempotent per shard id: re-submitting the same append after a
 mid-job failure skips already-merged partitions (checkpoint manifest +
 parquet-footer delta ids) and converges to the uninterrupted result — the
-crash-retry contract pinned by tests/test_llm_incremental.py. Name each
-shard with ``--shard-id``: appending a different shard over a failed
-append that was never re-submitted then raises instead of dropping rows.
+crash-retry contract pinned by tests/test_llm_incremental.py. A shard's
+id (``--shard-id``, by default derived from its doc id range) owns its
+offset: appending a different shard over a failed append that was never
+re-submitted raises instead of dropping rows.
 
 Local smoke (sandbox):
     python jobs/run_llm_incremental.py --build --synth-docs 20000 \\

@@ -1,7 +1,7 @@
 """Persisted incremental ANN index (pipelines/ann_index.py): full-probe
 exactness vs brute force, appended == rebuilt-with-same-centroids,
-file-level probe pruning of the centroid-partitioned layout, and
-crash-retry idempotence."""
+file-level probe pruning of the centroid-partitioned layout,
+crash-retry idempotence, and abandoned appends."""
 
 import os
 
@@ -153,3 +153,42 @@ def test_abandoned_append_then_other_shard_raises(tmp_path):
     other = rest.assign(vec_id=rest["vec_id"] + 10_000)
     with pytest.raises(ValueError, match="belongs to shard 'shard-A'"):
         AI.append_ann(ray.data.from_pandas(other), d, shard_id="shard-B")
+
+
+def test_abandoned_append_is_not_searched(tmp_path):
+    """An append that crashed before recording any partition and was never
+    retried leaves files at the next offset; a different, smaller shard
+    committed there rewrites only its own centroids' files, and a search
+    must not see the crashed shard's vectors in the others."""
+    df = _emb()
+    cut = int(df["vec_id"].median())
+    sh1, rest = df[df["vec_id"] <= cut], df[df["vec_id"] > cut]
+    small = rest.head(3).assign(vec_id=rest["vec_id"].head(3) + 10_000)
+    d = str(tmp_path / "idx")
+    AI.build_ann_index(ray.data.from_pandas(sh1), d, num_centroids=8)
+    with pytest.raises(RuntimeError, match="simulated crash"):
+        AI.append_ann(ray.data.from_pandas(rest), d, shard_id="shard-A",
+                      fail_after=0)
+    AI.append_ann(ray.data.from_pandas(small), d, shard_id="shard-B")
+    got = AI.search_ann(d, _queries(df), k=len(df), nprobe=8)
+    want = set(sh1["vec_id"]) | set(small["vec_id"])
+    for qi in (0, 1):
+        assert set(got.loc[got["query_ix"] == qi, "vec_id"]) == want
+
+
+def test_default_shard_ids_tell_shards_apart(tmp_path):
+    """Default ids come from the shard's vector id range, so a different
+    default-id shard after an abandoned append raises instead of passing
+    as that append's retry (and losing the rows the crash recorded)."""
+    df = _emb()
+    cut = int(df["vec_id"].median())
+    rest = df[df["vec_id"] > cut]
+    d = str(tmp_path / "idx")
+    AI.build_ann_index(ray.data.from_pandas(df[df["vec_id"] <= cut]), d,
+                       num_centroids=8)
+    with pytest.raises(RuntimeError, match="simulated crash"):
+        AI.append_ann(ray.data.from_pandas(rest), d, fail_after=1)
+    other = rest.assign(vec_id=rest["vec_id"] + 10_000)
+    crashed = f"shard-{rest['vec_id'].min()}-{rest['vec_id'].max()}"
+    with pytest.raises(ValueError, match=f"belongs to shard '{crashed}'"):
+        AI.append_ann(ray.data.from_pandas(other), d)

@@ -1,4 +1,4 @@
-"""Dup histogram / TTR edges."""
+"""Dup-class histogram edges."""
 
 import pandas as pd
 
@@ -14,17 +14,3 @@ def test_dup_class_histogram(ray_session, tmp_path):
     assert out.loc[1, "n_classes"] == 1   # 'c'
     assert out.loc[2, "n_classes"] == 1   # 'b'
     assert out.loc[3, "n_classes"] == 1   # 'a'
-
-
-def test_ttr(ray_session, tmp_path):
-    from forecastframe_ray.pipelines import queries as Q
-
-    pd.DataFrame({"doc_id": [0, 1],
-                  "text": ["a b a b a", ""]}) \
-        .to_parquet(tmp_path / "documents.parquet")
-    out = Q.q_ttr_documents(str(tmp_path)).set_index("doc_id")
-    assert out.loc[0, "n_tokens"] == 5
-    assert out.loc[0, "n_types"] == 2
-    assert out.loc[0, "ttr"] == 0.4
-    assert out.loc[1, "ttr"] == -999.0
-

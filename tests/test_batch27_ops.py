@@ -1,4 +1,4 @@
-"""Damped Holt / activation latency edges."""
+"""Damped Holt edges."""
 
 import numpy as np
 import pandas as pd
@@ -39,19 +39,3 @@ def test_holt_damped_phi_one_equals_plain_holt(ray_session):
         .sort_values("d")["p"].to_numpy()
     p = plain.sort_values("d")["p"].to_numpy()
     assert (d9 < p).all()  # positive trend, damped below linear
-
-
-def test_activation_latency(ray_session, tmp_path):
-    from forecastframe_ray.pipelines import queries as Q
-
-    # user 1 reaches 5 events in 4 hours; user 2 has only 3 events
-    ts1 = pd.date_range("2024-01-01", periods=5, freq="h")
-    ts2 = pd.date_range("2024-01-01", periods=3, freq="h")
-    pd.DataFrame({"user_id": [1] * 5 + [2] * 3,
-                  "ts": pd.Series(list(ts1) + list(ts2))
-                  .astype("datetime64[us]"),
-                  "event_type": ["e"] * 8, "value": [1.0] * 8}) \
-        .to_parquet(tmp_path / "events.parquet")
-    out = Q.q_activation_latency_users(str(tmp_path))
-    assert out.loc[0, "n_activated"] == 1
-    assert out.loc[0, "median_s"] == 4 * 3600.0

@@ -1,4 +1,4 @@
-"""Ntile / Lorenz / new-vs-returning edges."""
+"""Ntile / Lorenz edges."""
 
 import numpy as np
 import pandas as pd
@@ -30,19 +30,3 @@ def test_lorenz_cum_share_monotone(ray_session, tmp_path):
     assert (np.diff(out["cum_share"]) > 0).all()
     # bottom decile = users with totals 1,2 -> share 3/210
     assert out.loc[0, "share"] == np.round(3 / 210, 6)
-
-
-def test_new_vs_returning(ray_session, tmp_path):
-    from forecastframe_ray.pipelines import queries as Q
-
-    ts = pd.to_datetime([
-        "2024-01-01 01:00", "2024-01-01 02:00",  # u1, u2 new on d1
-        "2024-01-02 01:00", "2024-01-02 02:00",  # u1 returns, u3 new
-    ]).astype("datetime64[us]")
-    pd.DataFrame({"user_id": [1, 2, 1, 3], "ts": ts,
-                  "event_type": ["e"] * 4, "value": [1.0] * 4}) \
-        .to_parquet(tmp_path / "events.parquet")
-    out = Q.q_new_vs_returning_daily(str(tmp_path)).set_index("d")
-    d1, d2 = pd.Timestamp("2024-01-01"), pd.Timestamp("2024-01-02")
-    assert out.loc[d1, "n_new"] == 2 and out.loc[d1, "n_returning"] == 0
-    assert out.loc[d2, "n_new"] == 1 and out.loc[d2, "n_returning"] == 1

@@ -93,6 +93,63 @@ def test_every_sql_lambda_returns_nonempty_str():
     assert bad == []
 
 
+def _names(node: ast.AST) -> set[str]:
+    """Every identifier ``node`` may refer to: names, attributes, imports."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.add(n.name.rsplit(".", 1)[-1])
+    return out
+
+
+def _bound(node: ast.stmt) -> list[str]:
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                         ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
+def test_no_orphan_definitions_in_queries():
+    """Every top-level definition in ``pipelines/queries/`` is reachable
+    from a registered entry (its function or oracle lambda) or named by
+    non-test code outside the package. Deleting an entry must take its
+    ``SQL_*`` oracle and private helpers with it. ``__init__`` (``_PARTS``,
+    ``__getattr__``) is the package's own machinery and is not scanned."""
+    defs: dict[str, list[ast.stmt]] = {}
+    roots: set[str] = set()
+    for path in sorted(QUERIES_DIR.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            for name in _bound(node):
+                defs.setdefault(name, []).append(node)
+            if any(map(_is_entry, getattr(node, "decorator_list", []))):
+                roots.add(node.name)
+    for path in ROOT.rglob("*.py"):
+        rel = path.relative_to(ROOT)
+        if (rel.parts[0] == "tests" or rel.parts[0].startswith(".")
+                or path.parent == QUERIES_DIR):
+            continue
+        roots |= _names(ast.parse(path.read_text())) & defs.keys()
+    seen, stack = set(), list(roots)
+    while stack:
+        name = stack.pop()
+        if name in seen or name not in defs:
+            continue
+        seen.add(name)
+        for node in defs[name]:
+            stack.extend(_names(node) - seen)
+    assert sorted(defs.keys() - seen) == []
+
+
 def test_bench_queries_are_registered():
     """Every name ``bench.py`` times is a catalog entry (parsed, not
     imported: importing ``bench.py`` pulls in its whole harness)."""

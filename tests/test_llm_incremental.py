@@ -111,7 +111,7 @@ def test_crash_retry_idempotent(tmp_path, shards):
     the last table merge) leaves a state from which re-submitting the SAME
     append converges to the uninterrupted result — partitions already
     merged are skipped by delta_id, the shard's own partial residue is
-    excluded from the probes by the stored (pre-shard) max_seen_id."""
+    excluded from the probes because readers open only committed shards."""
     sh1, sh2 = shards
     clean_dir, crash_dir = str(tmp_path / "clean"), str(tmp_path / "crash")
 
@@ -146,6 +146,37 @@ def test_abandoned_append_then_other_shard_raises(tmp_path, shards):
     with pytest.raises(ValueError, match="belongs to shard 'shard-A'"):
         LI.append_shard(ray.data.from_pandas(other), d, shard_id="shard-B")
     assert LI._load_meta(d)["shards"] == ["shard-000"]
+
+
+def test_abandoned_append_is_not_read(tmp_path, shards):
+    """A crashed append that is never retried wrote (and recorded under its
+    own shard id) every table but the last; none of those rows may reach
+    the corpus view or a compaction while meta's shard log excludes it."""
+    sh1, sh2 = shards
+    d, dst = str(tmp_path / "idx"), str(tmp_path / "dst")
+    LI.build_index(ray.data.from_pandas(sh1), d, **KW)
+    want = _corpus(d)
+    with pytest.raises(RuntimeError, match="simulated crash"):
+        LI.append_shard(ray.data.from_pandas(sh2), d, shard_id="shard-A",
+                        fail_after=1)
+    assert LI._load_meta(d)["shards"] == ["shard-000"]
+    pd.testing.assert_frame_equal(want, _corpus(d))
+    LI.compact_index(d, dst)
+    pd.testing.assert_frame_equal(want, _corpus(dst))
+
+
+def test_default_shard_ids_tell_shards_apart(tmp_path, shards):
+    """Default ids come from the shard's doc id range, so a different
+    default-id shard after an abandoned append raises instead of passing
+    as that append's retry."""
+    sh1, sh2 = shards
+    d = str(tmp_path / "idx")
+    LI.build_index(ray.data.from_pandas(sh1), d, **KW)
+    with pytest.raises(RuntimeError, match="simulated crash"):
+        LI.append_shard(ray.data.from_pandas(sh2), d, fail_after=1)
+    other = sh2.assign(doc_id=sh2["doc_id"] + 1000)
+    with pytest.raises(ValueError, match="belongs to shard 'shard-30-51'"):
+        LI.append_shard(ray.data.from_pandas(other), d)
 
 
 def test_compact_then_append(tmp_path, shards):
