@@ -17,6 +17,42 @@ from forecastframe_ray.pipelines.queries.spine import (
 from forecastframe_ray.pipelines.queries import entry
 
 
+
+
+@entry("gini_users_events", sql=lambda: SQL_GINI_USERS)
+def q_gini_users_events(sf_dir: str) -> pd.DataFrame:
+    """Gini concentration of per-user total event value (Gini 1912 —
+    public; the activity-inequality dashboard number). Per-user totals
+    reduce distributedly (rounded to 6dp so ordering ties are exact on both
+    engines); the closed-form rank formula
+    ``G = 2·Σ i·x_(i) / (n·Σx) − (n+1)/n`` runs over the tiny totals
+    vector."""
+    ev = _read(sf_dir, "events", ["user_id", "value"])
+    tot = hash_aggregate(ev, ["user_id"], {"tot": ("value", "sum")},
+                         num_partitions=_NP).to_pandas()
+    x = np.sort(np.round(tot["tot"].to_numpy(np.float64), 6))
+    n = len(x)
+    gini = 2.0 * float((np.arange(1, n + 1) * x).sum()) \
+        / (n * float(x.sum())) - (n + 1.0) / n
+    return pd.DataFrame({"n_users": np.array([n], dtype=np.int64),
+                         "gini": [np.round(gini, 6)]})
+
+
+SQL_GINI_USERS = """
+    WITH t AS (
+        SELECT user_id, round(sum(value), 6) AS tot
+        FROM events GROUP BY 1
+    ),
+    r AS (
+        SELECT tot, row_number() OVER (ORDER BY tot) AS rn,
+               count(*) OVER () AS n, sum(tot) OVER () AS s
+        FROM t
+    )
+    SELECT CAST(max(n) AS BIGINT) AS n_users,
+           round(2.0 * sum(rn * tot) / (max(n) * max(s))
+                 - (max(n) + 1.0) / max(n), 6) AS gini
+    FROM r
+"""
 # ---------------------------------------------------------------------------
 # Holt-Winters gate
 # ---------------------------------------------------------------------------
@@ -259,6 +295,44 @@ SQL_LORENZ_DECILES = """
 """
 
 
+
+
+@entry("weekly_calendar_rollup", sql=lambda: SQL_WEEKLY_CALENDAR_ROLLUP)
+def q_weekly_calendar_rollup(sf_dir: str) -> pd.DataFrame:
+    """Calendar-week rollup (Monday-anchored, ``date_trunc('week')``
+    semantics) per series — the CALENDAR-aligned retention-tier variant
+    next to the epoch-anchored 7d tier: n days, value sum/mean/max per
+    (series, week start)."""
+    ev = _read(sf_dir, "events", ["event_type", "ts", "value"])
+
+    def week_fn(b: pd.DataFrame) -> pd.DataFrame:
+        d = b["ts"].dt.floor("D")
+        wk = d - pd.to_timedelta(d.dt.dayofweek, unit="D")
+        return pd.DataFrame({"event_type": b["event_type"], "wk": wk,
+                             "__v": b["value"].to_numpy(np.float64),
+                             "__one": np.ones(len(b), dtype=np.int64)})
+
+    out = hash_aggregate(ev.map_batches(week_fn, batch_format="pandas"),
+                         ["event_type", "wk"],
+                         {"n": ("__one", "sum"), "sum_v": ("__v", "sum"),
+                          "max_v": ("__v", "max")},
+                         num_partitions=_NP).to_pandas()
+    out["mean_v"] = np.round(out["sum_v"].to_numpy(np.float64)
+                             / out["n"].to_numpy(np.float64), 6)
+    out = _round(out, ["sum_v", "max_v"], 6)
+    out["n"] = out["n"].astype("int64")
+    return out[["event_type", "wk", "n", "sum_v", "mean_v", "max_v"]] \
+        .sort_values(["event_type", "wk"]).reset_index(drop=True)
+
+
+SQL_WEEKLY_CALENDAR_ROLLUP = """
+    SELECT event_type, date_trunc('week', ts) AS wk,
+           CAST(count(*) AS BIGINT) AS n,
+           round(sum(value), 6) AS sum_v,
+           round(sum(value) / count(*), 6) AS mean_v,
+           round(max(value), 6) AS max_v
+    FROM events GROUP BY 1, 2
+"""
 @entry("dup_class_histogram_documents", sql=lambda: SQL_DUP_CLASS_HISTOGRAM)
 def q_dup_class_histogram_documents(sf_dir: str) -> pd.DataFrame:
     """Duplicate-class size histogram (the curation diagnostic behind the
@@ -319,6 +393,115 @@ SQL_POWER_USERS_DIVISION = """
 """
 
 
+@entry("hhi_suppliers_lineitem", sql=lambda: SQL_HHI_SUPPLIERS)
+def q_hhi_suppliers_lineitem(sf_dir: str) -> pd.DataFrame:
+    """Herfindahl–Hirschman concentration index (public antitrust
+    convention, ×10000) of supplier revenue shares
+    ``Σ l_extendedprice·(1−l_discount)`` — one algebraic per-supplier
+    reduce (6dp on both sides before shares), then the tiny share² fold."""
+    li = _read(sf_dir, "lineitem",
+               ["l_suppkey", "l_extendedprice", "l_discount"])
+
+    def rev(b: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({
+            "l_suppkey": b["l_suppkey"],
+            "__r": b["l_extendedprice"].to_numpy(np.float64)
+                   * (1.0 - b["l_discount"].to_numpy(np.float64))})
+
+    tot = hash_aggregate(li.map_batches(rev, batch_format="pandas"),
+                         ["l_suppkey"], {"r": ("__r", "sum")},
+                         num_partitions=_NP).to_pandas()
+    r = np.round(tot["r"].to_numpy(np.float64), 6)
+    share = r / r.sum()
+    return pd.DataFrame({
+        "n_suppliers": np.array([len(r)], dtype=np.int64),
+        "hhi": [np.round(float((share * share).sum()) * 10000.0, 6)]})
+
+
+SQL_HHI_SUPPLIERS = """
+    WITH s AS (
+        SELECT l_suppkey,
+               round(sum(l_extendedprice * (1 - l_discount)), 6) AS r
+        FROM lineitem GROUP BY 1
+    )
+    SELECT CAST(count(*) AS BIGINT) AS n_suppliers,
+           round(sum(r * r) / (sum(r) * sum(r)) * 10000.0, 6) AS hhi
+    FROM s
+"""
+
+
+@entry("hour_dow_heatmap_events", sql=lambda: SQL_HOUR_DOW_HEATMAP)
+def q_hour_dow_heatmap_events(sf_dir: str) -> pd.DataFrame:
+    """Hour-of-day × ISO-weekday activity heatmap (count + mean value per
+    cell) — the classic traffic-pattern matrix, one narrow two-key
+    reduce."""
+    ev = _read(sf_dir, "events", ["ts", "value"])
+
+    def cell(b: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({
+            "dow": (b["ts"].dt.dayofweek + 1).astype(np.int64),
+            "hour": b["ts"].dt.hour.astype(np.int64),
+            "__v": b["value"].to_numpy(np.float64),
+            "__one": np.ones(len(b), dtype=np.int64)})
+
+    out = hash_aggregate(ev.map_batches(cell, batch_format="pandas"),
+                         ["dow", "hour"],
+                         {"n": ("__one", "sum"), "sum_v": ("__v", "sum")},
+                         num_partitions=4).to_pandas()
+    out["mean_v"] = np.round(out["sum_v"].to_numpy(np.float64)
+                             / out["n"].to_numpy(np.float64), 6)
+    out = out.astype({"dow": "int64", "hour": "int64", "n": "int64"})
+    out = _round(out, ["sum_v"], 6)
+    return out[["dow", "hour", "n", "sum_v", "mean_v"]] \
+        .sort_values(["dow", "hour"]).reset_index(drop=True)
+
+
+SQL_HOUR_DOW_HEATMAP = """
+    SELECT CAST(isodow(ts) AS BIGINT) AS dow,
+           CAST(hour(ts) AS BIGINT) AS hour,
+           CAST(count(*) AS BIGINT) AS n,
+           round(sum(value), 6) AS sum_v,
+           round(sum(value) / count(*), 6) AS mean_v
+    FROM events GROUP BY 1, 2
+"""
+
+
+@entry("corpus_checksum_documents", sql=lambda: SQL_CORPUS_CHECKSUM)
+def q_corpus_checksum_documents(sf_dir: str) -> pd.DataFrame:
+    """Order-insensitive corpus checksum (the integrity stamp a resume /
+    replication check compares): per-row 60-bit md5 prefix of the text,
+    summed mod 2⁶¹−1 — commutative, so any partitioning/arrival order
+    yields the same stamp. Per-batch partial sums keep the shuffle at one
+    int per block."""
+    import hashlib
+
+    MOD = (1 << 61) - 1
+    docs = _read(sf_dir, "documents", ["text"])
+
+    def partial(b: pd.DataFrame) -> pd.DataFrame:
+        s = 0
+        for t in b["text"].fillna(""):
+            s = (s + int(hashlib.md5(t.encode()).hexdigest()[:15], 16)) \
+                % MOD
+        return pd.DataFrame({"part_sum": np.array([s], dtype=np.int64),
+                             "n": np.array([len(b)], dtype=np.int64)})
+
+    # fold the tiny per-block partials with PYTHON ints on the driver —
+    # partials approach 2^61, so an int64 aggregate sum would overflow
+    parts = docs.map_batches(partial, batch_format="pandas").to_pandas()
+    total = sum(int(x) for x in parts["part_sum"]) % MOD
+    return pd.DataFrame({
+        "n_docs": np.array([int(parts["n"].sum())], dtype=np.int64),
+        "checksum": np.array([total], dtype=np.int64)})
+
+
+SQL_CORPUS_CHECKSUM = """
+    SELECT CAST(count(*) AS BIGINT) AS n_docs,
+           CAST(sum(CAST(CAST(('0x' || substr(md5(text), 1, 15))
+                              AS BIGINT) AS HUGEINT))
+                % 2305843009213693951 AS BIGINT) AS checksum
+    FROM documents
+"""
 # ---------------------------------------------------------------------------
 # Naive2 forecast
 # ---------------------------------------------------------------------------

@@ -1,6 +1,5 @@
-"""Heatmap / covariance kernel edges."""
+"""Heatmap kernel edges."""
 
-import numpy as np
 import pandas as pd
 
 
@@ -19,21 +18,3 @@ def test_hour_dow_heatmap(ray_session, tmp_path):
     assert out.loc[(1, 5), "n"] == 2
     assert out.loc[(1, 5), "mean_v"] == 2.0
     assert out.loc[(2, 23), "sum_v"] == 7.0
-
-
-def test_covariance_matches_numpy(ray_session, tmp_path):
-    from forecastframe_ray.pipelines import queries as Q
-
-    rng = np.random.default_rng(3)
-    X = rng.normal(0, 1, (40, 4)).astype(np.float32)
-    pd.DataFrame({"vec_id": range(40),
-                  "embedding": [X[i] for i in range(40)],
-                  "label": np.zeros(40, dtype="int32")}) \
-        .to_parquet(tmp_path / "embeddings.parquet")
-    out = Q.q_covariance_embeddings(str(tmp_path))
-    ref = np.cov(X.astype(np.float64).T, ddof=1)
-    for _, r in out.iterrows():
-        assert abs(r["cov"] - ref[int(r["dim_a"]) - 1,
-                                  int(r["dim_b"]) - 1]) < 1e-6
-    # upper triangle of 4 dims -> 10 rows
-    assert len(out) == 10

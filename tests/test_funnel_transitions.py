@@ -1,5 +1,4 @@
-"""Markov transition counts and per-group exact percentiles —
-hand-computable fixtures."""
+"""Per-group exact percentiles — hand-computable fixture."""
 
 import numpy as np
 import pandas as pd
@@ -12,23 +11,6 @@ def _events(tmp_path, rows):
     df["props"] = "{}"
     df["value"] = df.get("value", pd.Series(np.ones(len(df))))
     df.to_parquet(tmp_path / "events.parquet")
-
-
-def test_transition_counts_per_user_streams(ray_session, tmp_path):
-    from forecastframe_ray.pipelines import queries as Q
-
-    _events(tmp_path, [
-        {"user_id": 1, "event_type": "view", "ts": "2024-01-01 00:00"},
-        {"user_id": 1, "event_type": "click", "ts": "2024-01-01 01:00"},
-        {"user_id": 1, "event_type": "view", "ts": "2024-01-01 02:00"},
-        {"user_id": 2, "event_type": "view", "ts": "2024-01-01 00:30"},
-        {"user_id": 2, "event_type": "click", "ts": "2024-01-01 00:45"},
-    ])
-    out = Q.q_transition_counts_events(str(tmp_path))
-    got = {(r["prev_type"], r["next_type"]): r["n"]
-           for _, r in out.iterrows()}
-    # no cross-user pair (1's last view must NOT chain into 2's stream)
-    assert got == {("view", "click"): 2, ("click", "view"): 1}
 
 
 def test_value_percentiles_quantile_cont(ray_session, tmp_path):

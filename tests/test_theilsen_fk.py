@@ -1,4 +1,4 @@
-"""Theil–Sen robust trend and the FK-orphan audit."""
+"""Theil–Sen robust trend."""
 
 import numpy as np
 import pandas as pd
@@ -39,20 +39,3 @@ def test_theilsen_single_point_series(ray_session, tmp_path):
     out = Q.q_theilsen_daily_events(str(tmp_path))
     assert out["slope"].iloc[0] == -999.0      # NULLF sentinel
     assert out["intercept"].iloc[0] == -999.0
-
-
-def test_fk_violations_counts_orphans(ray_session, tmp_path):
-    from forecastframe_ray.pipelines import queries as Q
-
-    pd.DataFrame({"c_custkey": [1, 2]}).to_parquet(
-        tmp_path / "customer.parquet")
-    orders = pd.DataFrame({
-        "o_orderkey": [10, 11, 12],
-        "o_custkey": [1, 2, 99],       # 99 -> orphan
-    })
-    orders.to_parquet(tmp_path / "orders.parquet")
-    pd.DataFrame({"l_orderkey": [10, 10, 77, 88]}).to_parquet(
-        tmp_path / "lineitem.parquet")   # 77, 88 -> orphans
-    out = Q.q_fk_violations(str(tmp_path))
-    assert out["n_orders_orphans"].iloc[0] == 1
-    assert out["n_lineitem_orphans"].iloc[0] == 2
