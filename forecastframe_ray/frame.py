@@ -797,8 +797,8 @@ class RayForecastFrame:
         run through the recorded feature plan.
 
         Distributed shape: the distinct-hierarchy scan is a hash_count (the
-        result is tiny — one row per series); the cartesian product with the
-        date grid is generated driver-side and unioned lazily with history.
+        result is tiny — one row per series, materialized); each of its
+        batches is crossed with the date grid and unioned lazily with history.
         """
         from forecastframe_ray.stages.agg import hash_count
 
@@ -825,9 +825,12 @@ class RayForecastFrame:
             # distinct series × date grid, expanded DISTRIBUTED: the
             # distinct-key Dataset stays sharded and each batch cross-joins
             # the (tiny, broadcast-by-closure) date list — at web scale the
-            # series set is far too large to enumerate on the driver
+            # series set is far too large to enumerate on the driver.
+            # Materialized: a union of two lazy sort exchanges over one
+            # input stalls the streaming executor at num_cpus=1.
             hier_ds = hash_count(base, self.hierarchy,
-                                 num_partitions=self.num_partitions)
+                                 num_partitions=self.num_partitions) \
+                .materialize()
             hcols, dvals = self.hierarchy, dates.to_numpy()
 
             def expand(b: pd.DataFrame) -> pd.DataFrame:

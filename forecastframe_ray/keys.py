@@ -46,26 +46,6 @@ def split_url(urls: pa.Array) -> dict[str, pa.Array]:
     return {"host": host, "domain": domain, "tld": tld}
 
 
-def derive_keys_batch(batch: pa.Table, url_col: str = "url", ts_col: str = "warc_ts") -> pa.Table:
-    """map_batches fn: append host/domain/tld + one bucket column per tier."""
-    parts = split_url(batch[url_col])
-    for name, arr in parts.items():
-        batch = batch.append_column(name, arr)
-    batch = append_bucket_columns(batch, ts_col)
-    return batch
-
-
-def append_bucket_columns(batch: pa.Table, ts_col: str) -> pa.Table:
-    ts = batch[ts_col]
-    if isinstance(ts, pa.ChunkedArray):
-        ts = ts.combine_chunks()
-    us = ts.cast(pa.int64())
-    for tier, width in TIER_US.items():
-        bucket = pc.multiply(pc.floor(pc.divide(us.cast(pa.float64()), float(width))).cast(pa.int64()), width)
-        batch = batch.append_column(f"bucket_{tier}", bucket.cast(pa.timestamp("us")))
-    return batch
-
-
 # ---------------------------------------------------------------------------
 # Deterministic hashing (stable across processes; no PYTHONHASHSEED issues)
 # ---------------------------------------------------------------------------
@@ -142,5 +122,3 @@ def _mix_u64(x: np.ndarray) -> np.ndarray:
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return z ^ (z >> np.uint64(31))
-
-

@@ -17,42 +17,6 @@ from forecastframe_ray.pipelines.queries.spine import (
 from forecastframe_ray.pipelines.queries import entry
 
 
-
-
-@entry("gini_users_events", sql=lambda: SQL_GINI_USERS)
-def q_gini_users_events(sf_dir: str) -> pd.DataFrame:
-    """Gini concentration of per-user total event value (Gini 1912 —
-    public; the activity-inequality dashboard number). Per-user totals
-    reduce distributedly (rounded to 6dp so ordering ties are exact on both
-    engines); the closed-form rank formula
-    ``G = 2·Σ i·x_(i) / (n·Σx) − (n+1)/n`` runs over the tiny totals
-    vector."""
-    ev = _read(sf_dir, "events", ["user_id", "value"])
-    tot = hash_aggregate(ev, ["user_id"], {"tot": ("value", "sum")},
-                         num_partitions=_NP).to_pandas()
-    x = np.sort(np.round(tot["tot"].to_numpy(np.float64), 6))
-    n = len(x)
-    gini = 2.0 * float((np.arange(1, n + 1) * x).sum()) \
-        / (n * float(x.sum())) - (n + 1.0) / n
-    return pd.DataFrame({"n_users": np.array([n], dtype=np.int64),
-                         "gini": [np.round(gini, 6)]})
-
-
-SQL_GINI_USERS = """
-    WITH t AS (
-        SELECT user_id, round(sum(value), 6) AS tot
-        FROM events GROUP BY 1
-    ),
-    r AS (
-        SELECT tot, row_number() OVER (ORDER BY tot) AS rn,
-               count(*) OVER () AS n, sum(tot) OVER () AS s
-        FROM t
-    )
-    SELECT CAST(max(n) AS BIGINT) AS n_users,
-           round(2.0 * sum(rn * tot) / (max(n) * max(s))
-                 - (max(n) + 1.0) / max(n), 6) AS gini
-    FROM r
-"""
 # ---------------------------------------------------------------------------
 # Holt-Winters gate
 # ---------------------------------------------------------------------------
@@ -168,340 +132,6 @@ SQL_CMS_USER_COUNTS_GATE = """
 """
 
 
-@entry("skew_profile_events", sql=lambda: SQL_SKEW_PROFILE)
-def q_skew_profile_events(sf_dir: str) -> pd.DataFrame:
-    """Key-skew diagnostic over the user_id key space (the number the
-    north_rule's salted-repartition decision reads): rows reduce once to
-    one size per key (narrow shuffle), then the tiny key table folds to
-    top-1 share and the p50/p99 group sizes — the 'is this key space
-    shuffle-safe' dashboard row."""
-    ev = _read(sf_dir, "events", ["user_id"])
-    sizes = hash_aggregate(ev, ["user_id"], {"n": ("user_id", "size")},
-                           num_partitions=_NP).to_pandas()
-    s = sizes["n"].to_numpy(np.float64)
-    return pd.DataFrame({
-        "n_keys": np.array([len(s)], dtype=np.int64),
-        "n_rows": np.array([int(s.sum())], dtype=np.int64),
-        "top1_share": [np.round(float(s.max()) / float(s.sum()), 6)],
-        "p50_size": [np.round(np.percentile(s, 50), 6)],
-        "p99_size": [np.round(np.percentile(s, 99), 6)],
-    })
-
-
-SQL_SKEW_PROFILE = """
-    WITH sizes AS (SELECT user_id, count(*) AS n FROM events GROUP BY 1)
-    SELECT CAST(count(*) AS BIGINT) AS n_keys,
-           CAST(sum(n) AS BIGINT) AS n_rows,
-           round(max(n) * 1.0 / sum(n), 6) AS top1_share,
-           round(quantile_cont(n, 0.5), 6) AS p50_size,
-           round(quantile_cont(n, 0.99), 6) AS p99_size
-    FROM sizes
-"""
-
-
-@entry("weighted_sample_orders", sql=lambda: SQL_WEIGHTED_SAMPLE_ORDERS)
-def q_weighted_sample_orders(sf_dir: str) -> pd.DataFrame:
-    """Deterministic weighted sampling WITHOUT replacement (Efraimidis &
-    Spirakis 2006 — public): each order draws u from the md5-bucket
-    uniform the plain sampler already pins (``(first-8-hex + 0.5)/2³²``)
-    and ranks by ``−ln(u)/w`` with weight w = o_totalprice; the 50
-    smallest ranks are the sample — identical across cluster shapes,
-    resumes and engines. One vectorized key map, then the distributed
-    sort + limit top-k; ids-only output (rank floats never compare)."""
-    import hashlib
-
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_totalprice"])
-
-    def key_fn(b: pd.DataFrame) -> pd.DataFrame:
-        h = np.array([int(hashlib.md5(str(k).encode()).hexdigest()[:8], 16)
-                      for k in b["o_orderkey"]], dtype=np.float64)
-        u = (h + 0.5) / 4294967296.0
-        return pd.DataFrame({
-            "o_orderkey": b["o_orderkey"],
-            "es_key": -np.log(u) / b["o_totalprice"].to_numpy(np.float64)})
-
-    top = orders.map_batches(key_fn, batch_format="pandas") \
-        .sort("es_key").limit(50).to_pandas()
-    return top[["o_orderkey"]].astype({"o_orderkey": "int64"}) \
-        .sort_values("o_orderkey").reset_index(drop=True)
-
-
-SQL_WEIGHTED_SAMPLE_ORDERS = """
-    WITH k AS (
-        SELECT o_orderkey,
-               -ln((CAST(('0x' || substr(md5(CAST(o_orderkey AS VARCHAR)),
-                                         1, 8)) AS BIGINT) + 0.5)
-                   / 4294967296.0) / o_totalprice AS es_key
-        FROM orders
-    )
-    SELECT o_orderkey FROM (
-        SELECT o_orderkey FROM k ORDER BY es_key, o_orderkey LIMIT 50
-    ) ORDER BY o_orderkey
-"""
-
-
-def _ntile_from_pos(pos: np.ndarray, n: int, k: int) -> np.ndarray:
-    """Exact SQL ``ntile(k)`` bucket (1-based) from 0-based sorted
-    positions: the first ``n mod k`` buckets take ``n//k + 1`` rows."""
-    q, r = divmod(n, k)
-    big = r * (q + 1)
-    return np.where(pos < big, pos // (q + 1) + 1,
-                    (r + (pos - big) // q + 1) if q else k).astype(np.int64)
-
-
-@entry("lorenz_deciles_users", sql=lambda: SQL_LORENZ_DECILES)
-def q_lorenz_deciles_users(sf_dir: str) -> pd.DataFrame:
-    """Lorenz curve in decile form (the Gini entry's visual twin): users
-    ntile(10)-bucketed by ascending 6dp value total, each decile's share
-    of the grand total and the cumulative share. Exact ntile semantics
-    shared with the RFM entry."""
-    ev = _read(sf_dir, "events", ["user_id", "value"])
-    tot = hash_aggregate(ev, ["user_id"], {"tot": ("value", "sum")},
-                         num_partitions=_NP).to_pandas()
-    tot["tot"] = np.round(tot["tot"].to_numpy(np.float64), 6)
-    tot = tot.sort_values(["tot", "user_id"]).reset_index(drop=True)
-    n = len(tot)
-    tot["decile"] = _ntile_from_pos(np.arange(n), n, 10)
-    g = tot.groupby("decile", sort=True).agg(
-        n_users=("user_id", "size"), dec_sum=("tot", "sum")).reset_index()
-    total = float(tot["tot"].sum())
-    g["share"] = np.round(g["dec_sum"].to_numpy(np.float64) / total, 6)
-    g["cum_share"] = np.round(
-        g["dec_sum"].cumsum().to_numpy(np.float64) / total, 6)
-    g["decile"] = g["decile"].astype("int64")
-    g["n_users"] = g["n_users"].astype("int64")
-    return g[["decile", "n_users", "share", "cum_share"]]
-
-
-SQL_LORENZ_DECILES = """
-    WITH t AS (
-        SELECT user_id, round(sum(value), 6) AS tot
-        FROM events GROUP BY 1
-    ),
-    d AS (
-        SELECT tot, ntile(10) OVER (ORDER BY tot, user_id) AS decile
-        FROM t
-    ),
-    s AS (
-        SELECT decile, count(*) AS n_users, sum(tot) AS dec_sum
-        FROM d GROUP BY 1
-    )
-    SELECT CAST(decile AS BIGINT) AS decile,
-           CAST(n_users AS BIGINT) AS n_users,
-           round(dec_sum / (SELECT sum(tot) FROM t), 6) AS share,
-           round(sum(dec_sum) OVER (ORDER BY decile)
-                 / (SELECT sum(tot) FROM t), 6) AS cum_share
-    FROM s
-"""
-
-
-
-
-@entry("weekly_calendar_rollup", sql=lambda: SQL_WEEKLY_CALENDAR_ROLLUP)
-def q_weekly_calendar_rollup(sf_dir: str) -> pd.DataFrame:
-    """Calendar-week rollup (Monday-anchored, ``date_trunc('week')``
-    semantics) per series — the CALENDAR-aligned retention-tier variant
-    next to the epoch-anchored 7d tier: n days, value sum/mean/max per
-    (series, week start)."""
-    ev = _read(sf_dir, "events", ["event_type", "ts", "value"])
-
-    def week_fn(b: pd.DataFrame) -> pd.DataFrame:
-        d = b["ts"].dt.floor("D")
-        wk = d - pd.to_timedelta(d.dt.dayofweek, unit="D")
-        return pd.DataFrame({"event_type": b["event_type"], "wk": wk,
-                             "__v": b["value"].to_numpy(np.float64),
-                             "__one": np.ones(len(b), dtype=np.int64)})
-
-    out = hash_aggregate(ev.map_batches(week_fn, batch_format="pandas"),
-                         ["event_type", "wk"],
-                         {"n": ("__one", "sum"), "sum_v": ("__v", "sum"),
-                          "max_v": ("__v", "max")},
-                         num_partitions=_NP).to_pandas()
-    out["mean_v"] = np.round(out["sum_v"].to_numpy(np.float64)
-                             / out["n"].to_numpy(np.float64), 6)
-    out = _round(out, ["sum_v", "max_v"], 6)
-    out["n"] = out["n"].astype("int64")
-    return out[["event_type", "wk", "n", "sum_v", "mean_v", "max_v"]] \
-        .sort_values(["event_type", "wk"]).reset_index(drop=True)
-
-
-SQL_WEEKLY_CALENDAR_ROLLUP = """
-    SELECT event_type, date_trunc('week', ts) AS wk,
-           CAST(count(*) AS BIGINT) AS n,
-           round(sum(value), 6) AS sum_v,
-           round(sum(value) / count(*), 6) AS mean_v,
-           round(max(value), 6) AS max_v
-    FROM events GROUP BY 1, 2
-"""
-@entry("dup_class_histogram_documents", sql=lambda: SQL_DUP_CLASS_HISTOGRAM)
-def q_dup_class_histogram_documents(sf_dir: str) -> pd.DataFrame:
-    """Duplicate-class size histogram (the curation diagnostic behind the
-    dedup funnel's yield estimate): exact-duplicate classes by text
-    digest, then class-size → class-count. Both reduces are narrow (the
-    32-char digest, then one int)."""
-    from forecastframe_ray.pipelines.dedup import _digest_batch
-
-    docs = _read(sf_dir, "documents", ["doc_id", "text"])
-    classes = hash_aggregate(
-        docs.map_batches(lambda b: _digest_batch(b, "text"),
-                         batch_format="pandas"),
-        ["__digest"], {"class_size": ("doc_id", "size")},
-        num_partitions=_NP)
-    hist = hash_aggregate(classes, ["class_size"],
-                          {"n_classes": ("class_size", "size")},
-                          num_partitions=4).to_pandas()
-    hist = hist.astype({"class_size": "int64", "n_classes": "int64"})
-    return hist.sort_values("class_size").reset_index(drop=True)
-
-
-SQL_DUP_CLASS_HISTOGRAM = """
-    WITH c AS (SELECT count(*) AS class_size FROM documents GROUP BY text)
-    SELECT CAST(class_size AS BIGINT) AS class_size,
-           CAST(count(*) AS BIGINT) AS n_classes
-    FROM c GROUP BY 1
-"""
-
-
-@entry("power_users_division", sql=lambda: SQL_POWER_USERS_DIVISION)
-def q_power_users_division(sf_dir: str) -> pd.DataFrame:
-    """Relational DIVISION (Codd — public; the 'for all' join family the
-    semi/anti entries don't cover): users active in EVERY event type the
-    corpus contains. Distinct (user, type) memberships reduce once; a
-    user divides when its distinct-type count equals the global type
-    count."""
-    ev = _read(sf_dir, "events", ["user_id", "event_type"])
-    du = hash_aggregate(ev, ["user_id", "event_type"],
-                        {"__n": ("event_type", "size")},
-                        num_partitions=_NP)
-    per_user = hash_aggregate(du, ["user_id"],
-                              {"n_types": ("event_type", "size")},
-                              num_partitions=_NP).to_pandas()
-    n_all = int(hash_aggregate(du, ["event_type"],
-                               {"__n": ("user_id", "size")},
-                               num_partitions=4).count())
-    out = per_user[per_user["n_types"] == n_all][["user_id", "n_types"]]
-    out = out.astype({"user_id": "int64", "n_types": "int64"})
-    return out.sort_values("user_id").reset_index(drop=True)
-
-
-SQL_POWER_USERS_DIVISION = """
-    WITH du AS (SELECT DISTINCT user_id, event_type FROM events),
-    t AS (SELECT count(DISTINCT event_type) AS n_all FROM events)
-    SELECT user_id, CAST(count(*) AS BIGINT) AS n_types
-    FROM du GROUP BY 1
-    HAVING count(*) = (SELECT n_all FROM t)
-"""
-
-
-@entry("hhi_suppliers_lineitem", sql=lambda: SQL_HHI_SUPPLIERS)
-def q_hhi_suppliers_lineitem(sf_dir: str) -> pd.DataFrame:
-    """Herfindahl–Hirschman concentration index (public antitrust
-    convention, ×10000) of supplier revenue shares
-    ``Σ l_extendedprice·(1−l_discount)`` — one algebraic per-supplier
-    reduce (6dp on both sides before shares), then the tiny share² fold."""
-    li = _read(sf_dir, "lineitem",
-               ["l_suppkey", "l_extendedprice", "l_discount"])
-
-    def rev(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "l_suppkey": b["l_suppkey"],
-            "__r": b["l_extendedprice"].to_numpy(np.float64)
-                   * (1.0 - b["l_discount"].to_numpy(np.float64))})
-
-    tot = hash_aggregate(li.map_batches(rev, batch_format="pandas"),
-                         ["l_suppkey"], {"r": ("__r", "sum")},
-                         num_partitions=_NP).to_pandas()
-    r = np.round(tot["r"].to_numpy(np.float64), 6)
-    share = r / r.sum()
-    return pd.DataFrame({
-        "n_suppliers": np.array([len(r)], dtype=np.int64),
-        "hhi": [np.round(float((share * share).sum()) * 10000.0, 6)]})
-
-
-SQL_HHI_SUPPLIERS = """
-    WITH s AS (
-        SELECT l_suppkey,
-               round(sum(l_extendedprice * (1 - l_discount)), 6) AS r
-        FROM lineitem GROUP BY 1
-    )
-    SELECT CAST(count(*) AS BIGINT) AS n_suppliers,
-           round(sum(r * r) / (sum(r) * sum(r)) * 10000.0, 6) AS hhi
-    FROM s
-"""
-
-
-@entry("hour_dow_heatmap_events", sql=lambda: SQL_HOUR_DOW_HEATMAP)
-def q_hour_dow_heatmap_events(sf_dir: str) -> pd.DataFrame:
-    """Hour-of-day × ISO-weekday activity heatmap (count + mean value per
-    cell) — the classic traffic-pattern matrix, one narrow two-key
-    reduce."""
-    ev = _read(sf_dir, "events", ["ts", "value"])
-
-    def cell(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({
-            "dow": (b["ts"].dt.dayofweek + 1).astype(np.int64),
-            "hour": b["ts"].dt.hour.astype(np.int64),
-            "__v": b["value"].to_numpy(np.float64),
-            "__one": np.ones(len(b), dtype=np.int64)})
-
-    out = hash_aggregate(ev.map_batches(cell, batch_format="pandas"),
-                         ["dow", "hour"],
-                         {"n": ("__one", "sum"), "sum_v": ("__v", "sum")},
-                         num_partitions=4).to_pandas()
-    out["mean_v"] = np.round(out["sum_v"].to_numpy(np.float64)
-                             / out["n"].to_numpy(np.float64), 6)
-    out = out.astype({"dow": "int64", "hour": "int64", "n": "int64"})
-    out = _round(out, ["sum_v"], 6)
-    return out[["dow", "hour", "n", "sum_v", "mean_v"]] \
-        .sort_values(["dow", "hour"]).reset_index(drop=True)
-
-
-SQL_HOUR_DOW_HEATMAP = """
-    SELECT CAST(isodow(ts) AS BIGINT) AS dow,
-           CAST(hour(ts) AS BIGINT) AS hour,
-           CAST(count(*) AS BIGINT) AS n,
-           round(sum(value), 6) AS sum_v,
-           round(sum(value) / count(*), 6) AS mean_v
-    FROM events GROUP BY 1, 2
-"""
-
-
-@entry("corpus_checksum_documents", sql=lambda: SQL_CORPUS_CHECKSUM)
-def q_corpus_checksum_documents(sf_dir: str) -> pd.DataFrame:
-    """Order-insensitive corpus checksum (the integrity stamp a resume /
-    replication check compares): per-row 60-bit md5 prefix of the text,
-    summed mod 2⁶¹−1 — commutative, so any partitioning/arrival order
-    yields the same stamp. Per-batch partial sums keep the shuffle at one
-    int per block."""
-    import hashlib
-
-    MOD = (1 << 61) - 1
-    docs = _read(sf_dir, "documents", ["text"])
-
-    def partial(b: pd.DataFrame) -> pd.DataFrame:
-        s = 0
-        for t in b["text"].fillna(""):
-            s = (s + int(hashlib.md5(t.encode()).hexdigest()[:15], 16)) \
-                % MOD
-        return pd.DataFrame({"part_sum": np.array([s], dtype=np.int64),
-                             "n": np.array([len(b)], dtype=np.int64)})
-
-    # fold the tiny per-block partials with PYTHON ints on the driver —
-    # partials approach 2^61, so an int64 aggregate sum would overflow
-    parts = docs.map_batches(partial, batch_format="pandas").to_pandas()
-    total = sum(int(x) for x in parts["part_sum"]) % MOD
-    return pd.DataFrame({
-        "n_docs": np.array([int(parts["n"].sum())], dtype=np.int64),
-        "checksum": np.array([total], dtype=np.int64)})
-
-
-SQL_CORPUS_CHECKSUM = """
-    SELECT CAST(count(*) AS BIGINT) AS n_docs,
-           CAST(sum(CAST(CAST(('0x' || substr(md5(text), 1, 15))
-                              AS BIGINT) AS HUGEINT))
-                % 2305843009213693951 AS BIGINT) AS checksum
-    FROM documents
-"""
 # ---------------------------------------------------------------------------
 # Naive2 forecast
 # ---------------------------------------------------------------------------

@@ -507,35 +507,6 @@ SQL_BM25_SEARCH = r"""
 """
 
 
-@entry("value_histogram_events", sql=lambda: SQL_VALUE_HISTOGRAM)
-def q_value_histogram_events(sf_dir: str) -> pd.DataFrame:
-    """Fixed-width (50-unit) value histogram per event type — binning is a
-    stateless vectorized map; counts combine per batch before the one tiny
-    shuffle."""
-    from forecastframe_ray.stages.agg import hash_aggregate
-
-    ev = _read(sf_dir, "events", ["event_type", "value"])
-
-    def binify(bt: pd.DataFrame) -> pd.DataFrame:
-        bt = bt[["event_type"]].assign(
-            bin=np.floor(bt["value"].to_numpy(np.float64) / 50.0)
-            .astype(np.int64))
-        return bt
-
-    out = hash_aggregate(ev.map_batches(binify, batch_format="pandas"),
-                         ["event_type", "bin"], {"n": ("bin", "size")},
-                         num_partitions=_NP).to_pandas()
-    out = out.astype({"bin": "int64", "n": "int64"})
-    return out.sort_values(["event_type", "bin"]).reset_index(drop=True)
-
-
-SQL_VALUE_HISTOGRAM = """
-    SELECT event_type, CAST(floor(value / 50.0) AS BIGINT) AS bin,
-           CAST(count(*) AS BIGINT) AS n
-    FROM events GROUP BY 1, 2
-"""
-
-
 # ---------------------------------------------------------------------------
 # OHLC bars (pipelines/rollup.ohlc_aggregate)
 # ---------------------------------------------------------------------------
@@ -757,102 +728,6 @@ SQL_COHORT_RETENTION = """
 """
 
 
-
-
-@entry("value_percentiles_events", sql=lambda: SQL_VALUE_PERCENTILES)
-def q_value_percentiles_events(sf_dir: str) -> pd.DataFrame:
-    """Exact p50/p90/p99 of value per event type via the range-partition
-    order-statistic plan (``interpret.grouped_quantiles``): ONE distributed
-    sort + split_at_indices pluck — per-group volume never has to fit one
-    task's heap, the true 100 TB path (the mergeable sketch gate is the
-    approximate alternative)."""
-    from forecastframe_ray.pipelines.interpret import (grouped_moments,
-                                                        grouped_quantiles)
-
-    ev = _read(sf_dir, "events", ["event_type", "value"])
-    counts = grouped_moments(ev, ["event_type"], "value")[["event_type",
-                                                           "n"]]
-    out = grouped_quantiles(ev, ["event_type"], "value",
-                            qs=(0.5, 0.9, 0.99), counts=counts)
-    out = out.rename(columns={"q50": "p50", "q90": "p90", "q99": "p99"})
-    out = out.merge(counts, on="event_type")
-    for c in ("p50", "p90", "p99"):
-        out[c] = np.round(out[c].to_numpy(np.float64), 6)
-    out["n"] = out["n"].astype("int64")
-    out = out[["event_type", "n", "p50", "p90", "p99"]]
-    return out.sort_values("event_type").reset_index(drop=True)
-
-
-SQL_VALUE_PERCENTILES = """
-    SELECT event_type, CAST(count(*) AS BIGINT) AS n,
-           round(quantile_cont(value, 0.50), 6) AS p50,
-           round(quantile_cont(value, 0.90), 6) AS p90,
-           round(quantile_cont(value, 0.99), 6) AS p99
-    FROM events GROUP BY 1
-"""
-
-
-@entry("theilsen_daily_events", sql=lambda: SQL_THEILSEN_DAILY)
-def q_theilsen_daily_events(sf_dir: str) -> pd.DataFrame:
-    """Theil–Sen estimator per daily series (public: Theil 1950 / Sen 1968):
-    slope = median of all pairwise slopes over integer day numbers,
-    intercept = median residual at that slope. The bucketed kernel holds one
-    series per call and vectorizes the O(n²) pair sweep (n = series days —
-    bounded by retention; unbounded series belong on the OLS path
-    ``predict_linear_daily``)."""
-    from forecastframe_ray.stages.agg import bucketed_map_groups
-
-    daily = _bucket_series(sf_dir, DAY_US, "d")
-
-    def ts_fit(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values("d", kind="mergesort")
-        # day numbers via explicit µs cast — pandas datetimes here are [ns]
-        x = (g["d"].astype("datetime64[us]").astype("int64").to_numpy()
-             // DAY_US).astype(np.float64)
-        v = g["v"].to_numpy(np.float64)
-        n = len(v)
-        if n < 2:
-            return pd.DataFrame({"event_type": [g["event_type"].iloc[0]],
-                                 "n": [np.int64(n)], "slope": [NULLF],
-                                 "intercept": [NULLF]})
-        i, j = np.triu_indices(n, 1)
-        slopes = (v[j] - v[i]) / (x[j] - x[i])
-        slope = np.median(slopes)
-        intercept = np.median(v - slope * x)
-        return pd.DataFrame({"event_type": [g["event_type"].iloc[0]],
-                             "n": [np.int64(n)],
-                             "slope": [np.round(slope, 6)],
-                             "intercept": [np.round(intercept, 6)]})
-
-    out = bucketed_map_groups(daily, ["event_type"], ts_fit,
-                              num_partitions=_NP).to_pandas()
-    out["n"] = out["n"].astype("int64")
-    return out.sort_values("event_type").reset_index(drop=True)
-
-
-SQL_THEILSEN_DAILY = f"""
-    WITH daily AS ({_DAILY_SQL}),
-    pts AS (
-        SELECT event_type, epoch_us(d) // {DAY_US} AS x, v FROM daily
-    ),
-    sl AS (
-        SELECT a.event_type,
-               median((b.v - a.v) / (b.x - a.x)) AS slope
-        FROM pts a JOIN pts b
-            ON a.event_type = b.event_type AND a.x < b.x
-        GROUP BY 1
-    ),
-    ic AS (
-        SELECT p.event_type, median(p.v - sl.slope * p.x) AS intercept
-        FROM pts p JOIN sl USING (event_type) GROUP BY 1
-    ),
-    nn AS (SELECT event_type, CAST(count(*) AS BIGINT) AS n FROM pts
-           GROUP BY 1)
-    SELECT nn.event_type, nn.n,
-           COALESCE(round(sl.slope, 6), {NULLF}) AS slope,
-           COALESCE(round(ic.intercept, 6), {NULLF}) AS intercept
-    FROM nn LEFT JOIN sl USING (event_type) LEFT JOIN ic USING (event_type)
-"""
 # ---------------------------------------------------------------------------
 # ntile + cume_dist window twins (stages/window_ops.op_ntile / op_cume_dist)
 # ---------------------------------------------------------------------------

@@ -371,73 +371,3 @@ SQL_HOST_TIER_1D_PAGES = rf"""
            COALESCE(round(stddev_samp(text_bytes), 6), {NULLF}) AS std_val
     FROM pages GROUP BY 1, 2 ORDER BY 1, 2
 """
-
-
-def _dtw_band(x: np.ndarray, y: np.ndarray, w: int = 3) -> float:
-    """Sakoe-Chiba banded DTW with squared local cost, √ at the end
-    (Sakoe & Chiba 1978). Vectorized over the band diagonal per row."""
-    n, m = len(x), len(y)
-    w = max(w, abs(n - m))
-    INF = np.inf
-    prev = np.full(m + 1, INF)
-    prev[0] = 0.0
-    for i in range(1, n + 1):
-        cur = np.full(m + 1, INF)
-        lo, hi = max(1, i - w), min(m, i + w)
-        for j in range(lo, hi + 1):
-            c = (x[i - 1] - y[j - 1]) ** 2
-            cur[j] = c + min(prev[j], cur[j - 1], prev[j - 1])
-        prev = cur
-    return float(np.sqrt(prev[m]))
-
-
-@entry("dtw_band_pairs_daily", sql=lambda: SQL_DTW_BAND_PAIRS)
-def q_dtw_band_pairs_daily(sf_dir: str) -> pd.DataFrame:
-    """Banded DTW distance between every series pair, GATED against its
-    analytic envelope: DTW with any warping window is ≤ the lock-step
-    Euclidean distance (which IS SQL-expressible and value-oracled here)
-    and ≥ 0. Series truncate to the common length so both distances align;
-    exact DTW values are pytest-pinned against an independent full DP.
-    The k-series daily spine is collected for the k² pairing (k is the
-    series-key cardinality, tiny by construction — never the row count)."""
-    daily = _bucket_series(sf_dir, DAY_US, "d")
-    wide = daily.to_pandas().sort_values(["event_type", "d"])
-    series = {et: g["v"].to_numpy(np.float64)
-              for et, g in wide.groupby("event_type")}
-    ets = sorted(series)
-    rows = []
-    for i, a in enumerate(ets):
-        for b in ets[i + 1:]:
-            n = min(len(series[a]), len(series[b]))
-            x, y = series[a][:n], series[b][:n]
-            eu = np.round(float(np.sqrt(((x - y) ** 2).sum())), 6) + 0.0
-            dtw = _dtw_band(x, y, w=3)
-            rows.append((a, b, eu, bool(0.0 <= dtw <= eu + 1e-9)))
-    return pd.DataFrame(rows, columns=["et_a", "et_b", "euclid",
-                                       "dtw_within_envelope"])
-
-
-SQL_DTW_BAND_PAIRS = """
-    WITH daily AS (
-        SELECT event_type, date_trunc('day', ts) AS d,
-               round(sum(value), 6) AS v
-        FROM events GROUP BY 1, 2
-    ),
-    r AS (
-        SELECT event_type, v,
-               ROW_NUMBER() OVER (PARTITION BY event_type ORDER BY d) AS rn,
-               count(*) OVER (PARTITION BY event_type) AS n
-        FROM daily
-    ),
-    p AS (
-        SELECT a.event_type AS et_a, b.event_type AS et_b,
-               sum((a.v - b.v) * (a.v - b.v)) AS ss
-        FROM r a JOIN r b
-          ON a.rn = b.rn AND a.event_type < b.event_type
-             AND a.rn <= least(a.n, b.n)
-        GROUP BY 1, 2
-    )
-    SELECT et_a, et_b, round(sqrt(ss), 6) + 0.0 AS euclid,
-           true AS dtw_within_envelope
-    FROM p ORDER BY 1, 2
-"""

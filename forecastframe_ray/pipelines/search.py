@@ -12,10 +12,15 @@ LightGBM/Prophet in this container); the pluggable contract is a
 - ``score(ds, state, keys, dtc, target, out_col) -> ds`` appends the
   prediction column via a broadcast merge / actor-pool stage.
 
-The shipped estimator is the deterministic seasonal-mean family the scorer
-hook uses (``frame.calc_ensemble_predictions``), parameterized by
-``season`` (``dow``/``dom``/``none``) and ``blend`` (mixing weight toward
-the per-series global mean) — a real model drops into the same plan.
+``ESTIMATORS`` registers fifteen such pairs: the deterministic
+seasonal-mean family the scorer hook uses
+(``frame.calc_ensemble_predictions``), parameterized by ``season``
+(``dow``/``dom``/``none``) and ``blend`` (mixing weight toward the
+per-series global mean); linear and Fourier trends; SES, Holt, damped
+Holt, Holt-Winters and Theta; Croston, Croston-SBA and TSB for
+intermittent demand; Naive2, seasonal-naive and drift; and a histogram
+gradient-boosted regressor (``gbm``). Another model drops into the same
+plan.
 
 Fold mechanics come from :mod:`forecastframe_ray.pipelines.cv` (leakage-safe
 scaler refit + masked feature replay + restored actuals). Folds are built
@@ -963,11 +968,6 @@ def score_tsb(ds, state: dict, keys: list[str], dtc: str,
     return ds.map_batches(score, batch_format="pandas")
 
 
-#: name -> (fit, score, fit_param_names). ``fit_param_names`` declares which
-#: candidate params the FIT depends on (the rest only affect scoring), so
-#: the search driver can share one fitted state across candidates that
-#: differ only in score-time params — e.g. ``blend`` mixes two fitted means
-#: at score time, so a (dow, 0.0) and (dow, 0.5) candidate share one fit.
 # ---------------------------------------------------------------------------
 # histogram gradient-boosted regressor (estimator #15)
 # ---------------------------------------------------------------------------
@@ -1199,6 +1199,11 @@ def score_gbm(ds, state: dict, keys: list[str], dtc: str, target: str,
     return ds.map_batches(score, batch_format="pandas")
 
 
+#: name -> (fit, score, fit_param_names). ``fit_param_names`` declares which
+#: candidate params the FIT depends on (the rest only affect scoring), so
+#: the search driver can share one fitted state across candidates that
+#: differ only in score-time params — e.g. ``blend`` mixes two fitted means
+#: at score time, so a (dow, 0.0) and (dow, 0.5) candidate share one fit.
 ESTIMATORS = {
     "seasonal_mean": (fit_seasonal_mean, score_seasonal_mean, ("season",)),
     "linear_trend": (fit_linear_trend, score_linear_trend, ("l2",)),

@@ -305,17 +305,3 @@ def oracle_tiers(pages_df: pd.DataFrame) -> dict[str, pd.DataFrame]:
         agg["std_val"] = np.sqrt(np.maximum(var, 0.0))
         out[tier] = agg.sort_values(["host", "bucket_us"]).reset_index(drop=True)
     return out
-
-
-def distinct_host_tiers(prepared, k: int = 4096,
-                        num_partitions: int = 32) -> dict:
-    """Distinct crawled hosts per retention bucket — the continuous
-    aggregate the exact tier spine cannot carry (COUNT(DISTINCT) is not
-    algebraic): per-1h KMV sketches over the slim spine, cascaded 1h→1d→7d
-    by pure sketch merge (stages/sketch.py). Shuffle traffic is
-    O(buckets × k × 8 B) regardless of corpus size; at 10^12 pages the 1h
-    tier is ~9k buckets/year → a few hundred MB of sketch rows total."""
-    from forecastframe_ray.stages.sketch import distinct_tiers
-
-    return distinct_tiers(prepared, "warc_ts", "host",
-                          k=k, num_partitions=num_partitions)

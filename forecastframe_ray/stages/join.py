@@ -435,73 +435,3 @@ def range_join(left, right, on: list[str], left_ts: str, start_col: str,
 
     return _keyed_cogroup(left, right, on, plan, frame_kernel,
                           num_partitions)
-
-
-def broadcast_range_join(ds, intervals_df: pd.DataFrame, on: list[str],
-                         left_ts: str, start_col: str, end_col: str,
-                         how: str = "inner", closed: str = "left",
-                         suffix: str = "_r"):
-    """Range join against a SMALL interval table (broadcast once, one local
-    vectorized match per batch — no shuffle of the big side). Same
-    semantics as :func:`range_join`."""
-    import pyarrow as pa
-
-    lschema = _arrow_schema(ds)
-    lnames = set(lschema.names)
-    intervals_df = intervals_df.rename(columns={
-        c: c + suffix for c in intervals_df.columns
-        if c in lnames and c not in on})
-    start_out = start_col + suffix if (start_col in lnames
-                                       and start_col not in on) else start_col
-    end_out = end_col + suffix if (end_col in lnames
-                                   and end_col not in on) else end_col
-    rschema = pa.Schema.from_pandas(intervals_df)
-    right_fields = [f for f in rschema if f.name not in on]
-    out_schema = _asof_out_schema(lschema, right_fields, on,
-                                  promote_ints=(how == "left"))
-    ref = ray.put(intervals_df)
-
-    def join_fn(t: pa.Table) -> pa.Table:
-        out = _range_match_frames(t.to_pandas(), ray.get(ref), on, left_ts,
-                                  start_out, end_out, how, closed)
-        return pa.Table.from_pandas(out, schema=out_schema,
-                                    preserve_index=False) \
-            .replace_schema_metadata(None)
-
-    return ds.map_batches(join_fn, batch_format="pyarrow")
-
-
-def broadcast_asof_join(ds, right_df: pd.DataFrame, on: list[str],
-                        left_ts: str, right_ts: str | None = None,
-                        direction: str = "backward", tolerance=None,
-                        suffix: str = "_r"):
-    """As-of join against a SMALL right side: the right table ships to the
-    object store once and every batch runs one local ``merge_asof`` — no
-    shuffle of the big side at all (the scale path when the right side is a
-    dimension-snapshot history). Same semantics/suffix rules as
-    :func:`asof_join`."""
-    import pyarrow as pa
-
-    right_ts = right_ts or left_ts
-    lschema = _arrow_schema(ds)
-    lnames = set(lschema.names)
-    right_df = right_df.rename(columns={
-        c: c + suffix for c in right_df.columns
-        if c in lnames and c not in on})
-    r_ts_out = right_ts + suffix if (right_ts in lnames
-                                     and right_ts not in on) else right_ts
-    rschema = pa.Schema.from_pandas(right_df)
-    right_fields = [f for f in rschema if f.name not in on]
-    out_schema = _asof_out_schema(lschema, right_fields, on)
-    ref = ray.put(right_df.sort_values(r_ts_out, kind="mergesort"))
-
-    def join_fn(t: pa.Table) -> pa.Table:
-        lf = t.to_pandas().sort_values(left_ts, kind="mergesort")
-        out = pd.merge_asof(lf, ray.get(ref), left_on=left_ts,
-                            right_on=r_ts_out, by=list(on),
-                            direction=direction, tolerance=tolerance)
-        return pa.Table.from_pandas(out, schema=out_schema,
-                                    preserve_index=False) \
-            .replace_schema_metadata(None)
-
-    return ds.map_batches(join_fn, batch_format="pyarrow")

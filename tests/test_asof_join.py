@@ -1,16 +1,15 @@
-"""As-of join (`stages/join.py asof_join` / `broadcast_asof_join`) — the
-nearest-timestamp join the Dataset API lacks (reference merges are equality
-joins only, utilities.py:157-211). Oracle: single-frame ``pd.merge_asof``
-with identical direction/tolerance; the distributed result must match it
-exactly at every partition count, and the broadcast variant must match the
-distributed one."""
+"""As-of join (`stages/join.py asof_join`) — the nearest-timestamp join the
+Dataset API lacks (reference merges are equality joins only,
+utilities.py:157-211). Oracle: single-frame ``pd.merge_asof`` with identical
+direction/tolerance; the distributed result must match it exactly at every
+partition count."""
 
 import numpy as np
 import pandas as pd
 import pytest
 import ray.data
 
-from forecastframe_ray.stages.join import asof_join, broadcast_asof_join
+from forecastframe_ray.stages.join import asof_join
 
 
 def synth_sides(seed: int = 7, n_left: int = 400, n_right: int = 300):
@@ -94,15 +93,6 @@ def test_asof_join_tolerance():
     loose = pandas_oracle(left, right, "backward")
     assert exp["rval"].notna().sum() < loose["rval"].notna().sum()
     assert_matches(run_engine(left, right, "backward", tolerance=tol), exp)
-
-
-def test_broadcast_asof_matches_distributed():
-    left, right = synth_sides(seed=5)
-    exp = pandas_oracle(left, right, "backward")
-    lds = ray.data.from_pandas(left).repartition(4)
-    got = broadcast_asof_join(lds, right, on=["k"], left_ts="ts") \
-        .to_pandas().sort_values(["k", "ts", "lval"]).reset_index(drop=True)
-    assert_matches(got, exp)
 
 
 def test_asof_join_name_collision_suffix():
@@ -219,20 +209,3 @@ def test_range_join_matches_pandas(how, closed):
         assert got["wid"].dtype == np.int64  # no-null joins keep ints
     else:
         assert got["wid"].isna().any()  # unmatched left rows survive
-
-
-def test_broadcast_range_join_matches_distributed():
-    from forecastframe_ray.stages.join import (broadcast_range_join,
-                                               range_join)
-
-    left, right = synth_intervals(seed=23)
-    lds = ray.data.from_pandas(left).repartition(4)
-    rds = ray.data.from_pandas(right).repartition(2)
-    dist = sort_out(range_join(lds, rds, on=["k"], left_ts="ts",
-                               start_col="w_start", end_col="w_end",
-                               how="left").to_pandas())
-    bcast = sort_out(broadcast_range_join(lds, right, on=["k"],
-                                          left_ts="ts", start_col="w_start",
-                                          end_col="w_end",
-                                          how="left").to_pandas())
-    pd.testing.assert_frame_equal(dist, bcast)

@@ -56,21 +56,3 @@ def test_bm25_rare_term_outranks_common(ray_session):
     common = bm25_scores(ray.data.from_pandas(df), ["common"]).to_pandas()
     assert len(rare) == 1 and len(common) == 4
     assert rare["bm25"].iloc[0] > common["bm25"].max()
-
-
-def test_value_histogram_negative_bins(ray_session, tmp_path):
-    from forecastframe_ray.pipelines import queries as Q
-
-    ev = pd.DataFrame({
-        "event_id": np.arange(4, dtype=np.int64),
-        "ts": pd.date_range("2024-01-01", periods=4, freq="h")
-              .astype("datetime64[us]"),
-        "user_id": np.ones(4, dtype=np.int64),
-        "event_type": ["a"] * 4,
-        "value": [-75.0, -1.0, 0.0, 120.0],  # floor(-75/50) = -2
-        "props": ["{}"] * 4,
-    })
-    ev.to_parquet(tmp_path / "events.parquet")
-    out = Q.q_value_histogram_events(str(tmp_path))
-    assert out["bin"].tolist() == [-2, -1, 0, 2]
-    assert out["n"].tolist() == [1, 1, 1, 1]

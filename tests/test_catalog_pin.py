@@ -161,3 +161,63 @@ def test_bench_queries_are_registered():
     assert len(lists) == 1
     names = ast.literal_eval(lists[0])
     assert names and [n for n in names if n not in Q.CATALOG] == []
+
+
+def _identifier_strings(node: ast.AST) -> set[str]:
+    """String constants that are identifiers: ``getattr``-style references
+    such as perfbench's ``Call(web, "refresh_chunks", ...)``."""
+    return {n.value for n in ast.walk(node)
+            if isinstance(n, ast.Constant) and isinstance(n.value, str)
+            and n.value.isidentifier()}
+
+
+#: Definitions outside ``pipelines/queries/`` that no non-test code names
+#: but that tests use as a reference or a fixture.
+ORPHAN_ALLOWLIST = {
+    "pipelines/dedup.py:verify_lsh_bucket":
+        "per-bucket reference the batch candidate verifier is tested against",
+    "pipelines/dedup.py:minhash_signature":
+        "single-document reference the batch MinHash kernel is tested against",
+    "pipelines/web.py:write_tiers":
+        "staged tier writes the fused single-exchange build is tested against",
+    "synth.py:write_pages_corpus":
+        "writes the synthetic pages corpus that tests read back as a fixture",
+}
+
+
+def test_no_orphan_definitions_in_engine():
+    """Every top-level definition in ``forecastframe_ray/`` outside
+    ``pipelines/queries/`` is named by live non-test code other than
+    itself, except the reference and fixture definitions in
+    ``ORPHAN_ALLOWLIST``. A definition named only by orphans is an orphan
+    too; an identifier-shaped string counts as naming it. Engine code
+    that only tests call is dead weight: delete it with the tests that pin
+    only it; an allowlisted name that gains a caller leaves the list."""
+    pkg = ROOT / "forecastframe_ray"
+    namers: dict[str, set[int]] = {}
+    candidates = []  # (key, name, id of the defining statement)
+    for path in sorted(ROOT.rglob("*.py")):
+        rel = path.relative_to(ROOT)
+        if rel.parts[0] == "tests" or rel.parts[0].startswith("."):
+            continue
+        in_scope = pkg in path.parents and QUERIES_DIR not in path.parents
+        for node in ast.parse(path.read_text()).body:
+            for name in _names(node) | _identifier_strings(node):
+                namers.setdefault(name, set()).add(id(node))
+            if not in_scope:
+                continue
+            for name in _bound(node):
+                if not name.startswith("__"):
+                    key = f"{path.relative_to(pkg).as_posix()}:{name}"
+                    candidates.append((key, name, id(node)))
+    orphans, dead = set(), set()
+    while True:
+        new = {(key, stmt) for key, name, stmt in candidates
+               if key not in orphans
+               and not namers.get(name, set()) - dead - {stmt}}
+        if not new:
+            break
+        orphans |= {key for key, _ in new}
+        dead |= {stmt for key, stmt in new if key not in ORPHAN_ALLOWLIST}
+    assert sorted(orphans - ORPHAN_ALLOWLIST.keys()) == []
+    assert sorted(ORPHAN_ALLOWLIST.keys() - orphans) == []

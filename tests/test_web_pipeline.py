@@ -227,31 +227,3 @@ def test_full_run_with_compression(ray_session, tmp_path):
     assert len(a) == len(b)
     np.testing.assert_array_equal(a["pages"].to_numpy(dtype=np.float64),
                                   b["pages"].to_numpy(dtype=np.float64))
-
-
-def test_distinct_host_tiers_exact_at_small_scale(tmp_path):
-    """distinct_host_tiers over the synthetic corpus: every tier bucket's
-    sketch is in the exact regime at this scale and must equal pandas
-    nunique of hosts per bucket, with the 1d tier produced by sketch
-    MERGE from 1h (not a re-read)."""
-    import pandas as pd
-
-    from forecastframe_ray import synth
-    from forecastframe_ray.keys import TIER_US
-    from forecastframe_ray.pipelines import web
-
-    pages = synth.pages_dataset(8000, seed=11)
-    prepared = web.prepare_series(pages)
-    spine = prepared.to_pandas()
-    tiers = web.distinct_host_tiers(prepared, k=4096, num_partitions=4)
-    for tier in ("1h", "1d", "7d"):
-        got = tiers[tier].to_pandas().sort_values("bucket_us") \
-            .reset_index(drop=True)
-        assert bool(got["is_exact"].all())
-        us = spine["warc_ts"].astype("datetime64[us]").astype("int64")
-        exact = spine.assign(
-            bucket_us=(us // TIER_US[tier]) * TIER_US[tier]) \
-            .groupby("bucket_us")["host"].nunique()
-        assert len(got) == len(exact)
-        for r in got.itertuples(index=False):
-            assert r.distinct_est == exact.loc[r.bucket_us]
