@@ -38,6 +38,19 @@ from forecastframe_ray.stages import window_ops as W
 _GLOBAL_KEY = "__all"
 
 
+def _ts_range(ds, col: str) -> tuple[pd.Timestamp, pd.Timestamp]:
+    """Global [min, max] of ``col`` without a shuffle: each block reports
+    its own min/max and the driver reduces them. Empty input → NaT, NaT."""
+    def block_range(b: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"lo": [b[col].min()], "hi": [b[col].max()]})
+
+    parts = ds.select_columns([col]).map_batches(
+        block_range, batch_format="pandas", batch_size=None).to_pandas()
+    if parts.empty:
+        return pd.NaT, pd.NaT
+    return pd.Timestamp(parts["lo"].min()), pd.Timestamp(parts["hi"].max())
+
+
 def _as_list(x):
     if x is None:
         return None
@@ -208,16 +221,14 @@ class RayForecastFrame:
     def fill_time_gaps(self, freq: str = "D", mode: str = "global"):
         """W8 gap-fill (transform.py:431-472). ``mode="global"`` reindexes
         every group to the global [min, max] range (reference behavior,
-        pinned by tests/test_transform.py:8-28; needs one cheap Min/Max
-        aggregate); ``mode="local"`` uses each group's own range (the
-        scale-safe default for sparse web hosts). ``freq`` parameterizes the
-        bucket grid (D / h / 7D …)."""
+        pinned by tests/test_transform.py:8-28; needs one pass of per-block
+        min/max, no shuffle); ``mode="local"`` uses each group's own range
+        (the scale-safe default for sparse web hosts). ``freq``
+        parameterizes the bucket grid (D / h / 7D …)."""
         self._record("fill_time_gaps", {"freq": freq, "mode": mode})
         start = end = None
         if mode == "global":
-            dtc = self.datetime_column
-            row = self._flush().aggregate(Min(dtc, alias_name="lo"), Max(dtc, alias_name="hi"))
-            start, end = pd.Timestamp(row["lo"]), pd.Timestamp(row["hi"])
+            start, end = _ts_range(self._flush(), self.datetime_column)
         self._queue(self._keys, {"op": "gap_fill", "freq": freq, "start": start, "end": end})
         return self
 

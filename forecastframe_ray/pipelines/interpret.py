@@ -37,6 +37,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
+from forecastframe_ray.stages.agg import without_schema_metadata
+
 
 # ---------------------------------------------------------------------------
 # streaming moments (count / mean / std / min / max) per group
@@ -138,7 +140,7 @@ def grouped_quantiles(ds, group_cols: list[str], value_col: str,
             needed.update((int(off) + lo, int(off) + hi))
             plan.append((gi, q, int(off) + lo, int(off) + hi, p - lo))
 
-    srt = ds.sort(gc + [value_col]).materialize()
+    srt = without_schema_metadata(ds).sort(gc + [value_col]).materialize()
     bounds = sorted(needed)
     splits = srt.split_at_indices(bounds)
     val_at = {}

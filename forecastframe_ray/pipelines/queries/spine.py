@@ -8,7 +8,8 @@ import pyarrow.parquet as pq
 
 import ray.data
 
-from forecastframe_ray.stages.agg import hash_aggregate, hash_count
+from forecastframe_ray.stages.agg import (hash_aggregate, hash_count,
+                                          without_schema_metadata)
 
 from forecastframe_ray.frame import RayForecastFrame
 from forecastframe_ray.functions import encoding, metrics, scalers
@@ -642,7 +643,8 @@ SQL_SEMI_JOIN_ORDERS = """
 def q_topk_orders(sf_dir: str) -> pd.DataFrame:
     """O4 top-k: distributed sort (range shuffle) + limit."""
     od = _read(sf_dir, "orders", ["o_orderkey", "o_totalprice"])
-    top = od.sort(["o_totalprice", "o_orderkey"], descending=[True, False]).limit(10)
+    top = without_schema_metadata(od).sort(["o_totalprice", "o_orderkey"],
+                                           descending=[True, False]).limit(10)
     return top.to_pandas()
 
 

@@ -14,6 +14,8 @@ import numpy as np
 import pandas as pd
 import ray
 
+from forecastframe_ray.stages.agg import without_schema_metadata
+
 
 #: broadcast objects under this size run as PLAIN TASKS (per-call
 #: ``ray.get`` is a local object-store fetch after the first access on a
@@ -101,7 +103,8 @@ def consolidate_for_join(ds, num_partitions: int = 8):
 def hash_join(left, right, on: list[str], how: str = "inner",
               num_partitions: int = 32):
     """Distributed hash join for the both-sides-large case (J3; SURVEY.md
-    §2.4) — wraps ``Dataset.join`` (hash-partition exchange on ``on``).
+    §2.4) — wraps ``Dataset.join`` (hash-partition exchange on ``on``) over
+    both sides stripped of schema metadata (``agg.without_schema_metadata``).
     Prefer :func:`broadcast_left_join` whenever one side is small.
 
     ``num_partitions`` is CLAMPED to the cluster CPU count: Ray Data's
@@ -134,8 +137,9 @@ def hash_join(left, right, on: list[str], how: str = "inner",
                 "groupby(part).map_groups merge if that can exceed a "
                 "worker's memory.", num_partitions, clamped)
         num_partitions = clamped
-    return left.join(right, join_type=_JOIN_TYPES[how],
-                     num_partitions=num_partitions, on=tuple(on))
+    return without_schema_metadata(left).join(
+        without_schema_metadata(right), join_type=_JOIN_TYPES[how],
+        num_partitions=num_partitions, on=tuple(on))
 
 
 def hash_update(ds, patch_ds, on: list[str], num_partitions: int = 32):

@@ -12,9 +12,12 @@ vectorized pandas/numpy group kernels.
 
 This fuses what the reference does in k separate pandas passes
 (``/root/reference/forecastframe/feature_engineering.py`` passim) into one
-shuffle + one sorted scan. Scale note: a partition must fit in a worker's
-heap; upstream bucket pre-aggregation bounds any single host's series to ≤ one
-row per bucket, and P should be ≳ 2–4× total cores.
+shuffle + one sorted scan. Each op is one grouped pass over the whole
+partition (``groupby().shift/rolling/ewm``, one reindex for gap-fill), so a
+kernel's cost grows with the partition's rows, not with its number of
+series. Scale note: a partition must fit in a worker's heap; upstream bucket
+pre-aggregation bounds any single host's series to ≤ one row per bucket, and
+P should be ≳ 2–4× total cores.
 """
 
 from __future__ import annotations

@@ -2,9 +2,15 @@
 
 Each kernel runs inside a :class:`~forecastframe_ray.stages.keyed.WindowKernel`
 on one hash-partition that has already been **sorted by (keys, ts)** — every
-series is contiguous and wholly present. Kernels are vectorized pandas/numpy;
-per-group Python is limited to ops whose pandas semantics require a
-ts-indexed frame (time-based rolling, EWMA, gap-fill reindex).
+series is contiguous and wholly present. Kernels are vectorized pandas/numpy:
+each makes one pass over the whole partition with pandas' grouped window
+machinery (``groupby().shift / rolling / ewm``, one MultiIndex reindex for
+gap-fill), which resets its state at every group boundary, so the result
+equals the per-series form bit for bit. Per-group Python is limited to
+building each series' date grid in local-range gap-fill, and to the two ops
+pandas has no grouped form for (rolling correlation, time interpolation),
+which run per series through :func:`_grouped_ts_apply`; LTTB's selection
+chain loops per series by design.
 
 Semantics replicate the reference exactly (pinned by its golden tests, ported
 in ``tests/``):
@@ -30,6 +36,7 @@ import numpy as np
 import pandas as pd
 
 _DEFAULT_AGGS = ["max", "min", "std", "mean", "median"]
+_SID = "__series"
 
 
 def lag_str(lag: int) -> str:
@@ -62,13 +69,35 @@ def _grouped_ts_apply(df: pd.DataFrame, keys: list[str], ts_col: str,
                       cols: list[str], fn) -> np.ndarray:
     """Apply ``fn(ts-indexed sub-frame) -> same-length frame`` per group and
     return values aligned positionally with ``df`` (which is sorted by
-    keys+ts, so the per-group concat order equals row order)."""
+    keys+ts, so the per-group concat order equals row order). Only for ops
+    without a grouped pandas form: ``groupby().rolling().corr`` pairs every
+    column with every other, and ``groupby`` has no time interpolation."""
     sub = df[keys + [ts_col] + cols].set_index(ts_col)
     out = sub.groupby(keys, sort=False, dropna=False, group_keys=False,
                       observed=True)[cols].apply(fn)
-    vals = out.to_numpy()
-    assert vals.shape[0] == len(df), "group apply misaligned"
+    return _aligned(out, df)
+
+
+def _aligned(out, df: pd.DataFrame, cols: list[str] | None = None) -> np.ndarray:
+    """Values of a grouped window result, whose rows come group by group in
+    appearance order — the row order of ``df``, because the kernel sorts
+    by keys+ts and so every group is contiguous. ``cols`` puts the columns
+    back in order: a grouped rolling/ewm ``mean()`` sorts them by name."""
+    vals = (out if cols is None else out[cols]).to_numpy()
+    assert vals.shape[0] == len(df), "grouped window misaligned"
     return vals
+
+
+def _by_series(df: pd.DataFrame, keys: list[str], ts_col: str, cols: list[str],
+               lag: int = 0):
+    """``ts_col`` and ``cols`` (grouped ``shift(lag)`` when ``lag``, so no
+    trailing window sees its own row) grouped by a series number — the input
+    of the grouped window ops. The number (``ngroup``, appearance order)
+    stands in for the keys because ``groupby().rolling/ewm`` drop NaN-key
+    series whatever ``dropna`` says."""
+    sid = _grouped(df, keys).ngroup().rename(_SID)
+    vals = df[cols].groupby(sid, sort=False).shift(lag) if lag else df[cols]
+    return pd.concat([sid, df[ts_col], vals], axis=1).groupby(_SID, sort=False)
 
 
 # ---------------------------------------------------------------------------
@@ -108,17 +137,13 @@ def op_rolling_stats(df, keys, ts_col, features, window, aggregations=None, lag=
                      min_periods=1, grouper_name=None, momentums=False,
                      percentages=False):
     aggs = list(aggregations or _DEFAULT_AGGS)
-    mp = int(min_periods)
-
-    def fn(x: pd.DataFrame) -> pd.DataFrame:
-        return x.shift(lag).rolling(f"{window}D", min_periods=mp).agg(aggs)
-
-    vals = _grouped_ts_apply(df, keys, ts_col, features, fn)
+    g = _by_series(df, keys, ts_col, features, lag)
+    res = g.rolling(f"{window}D", on=ts_col, min_periods=int(min_periods))[features].agg(aggs)
     names = [stat_name(f, a, window, lag, grouper_name) for f in features for a in aggs]
-    df[names] = vals
+    df[names] = _aligned(res, df, features)
 
     if momentums or percentages:
-        shifted = _grouped(df, keys)[features].shift(lag)
+        shifted = g.obj[features]
         with np.errstate(divide="ignore", invalid="ignore"):
             if momentums:
                 assert "mean" in aggs
@@ -160,14 +185,10 @@ def op_rolling_corr(df, keys, ts_col, feature_x, feature_y, window,
 
 def op_ewma(df, keys, ts_col, features, window, lag=1, min_periods=1,
             adjust=True, grouper_name=None):
-    mp = int(min_periods)
-
-    def fn(x: pd.DataFrame) -> pd.DataFrame:
-        return x.shift(lag).ewm(span=window, min_periods=mp, adjust=adjust).mean()
-
-    vals = _grouped_ts_apply(df, keys, ts_col, features, fn)
+    res = _by_series(df, keys, ts_col, features, lag)[features] \
+        .ewm(span=window, min_periods=int(min_periods), adjust=adjust).mean()
     names = [stat_name(f, "", window, lag, grouper_name, designator="_ewma") for f in features]
-    df[names] = vals
+    df[names] = _aligned(res, df, features)
     return df
 
 
@@ -203,23 +224,20 @@ _THRESH_OPS = {
 
 def op_rolling_threshold(df, keys, ts_col, features, window, lag=1, min_periods=1,
                          threshold=0, operator="greater", grouper_name=None):
-    mp = int(min_periods)
     cmp = _THRESH_OPS[operator]
     flags = [f"__thr_{f}" for f in features]
     # NaN counts as "not satisfying" via fillna(threshold) before compare
     # (feature_engineering.py:915-917); flags are real observations, not NaN.
-    df[flags] = cmp(df[features].fillna(threshold).to_numpy(), threshold).astype(np.float64)
-
-    def fn(x: pd.DataFrame) -> pd.DataFrame:
-        return x.shift(lag).rolling(f"{window}D", min_periods=mp).agg(["mean"])
-
-    vals = _grouped_ts_apply(df, keys, ts_col, flags, fn)
+    hits = df[keys + [ts_col]].copy()
+    hits[flags] = cmp(df[features].fillna(threshold).to_numpy(), threshold).astype(np.float64)
+    res = _by_series(hits, keys, ts_col, flags, lag) \
+        .rolling(f"{window}D", on=ts_col, min_periods=int(min_periods))[flags].mean()
     names = [
         stat_name(f, "", window, lag, grouper_name, designator=f"_perc_{operator}{threshold}")
         for f in features
     ]
-    df[names] = vals
-    return df.drop(columns=flags)
+    df[names] = _aligned(res, df, flags)
+    return df
 
 
 # ---------------------------------------------------------------------------
@@ -251,25 +269,35 @@ def op_gap_fill(df, keys, ts_col, freq="D", start=None, end=None):
     The reference reindexes every group to the *global* range
     (transform.py:454-465, pinned by its test tests/test_transform.py:8-28);
     pass the global min/max in for that mode — the frame API computes them
-    with a cheap Dataset aggregate.
+    with a per-block min/max.
+
+    One ``reindex`` over the (group, ts) grid of every group, groups in
+    appearance order; only a local-range grid is built per group. Each key
+    column takes the dtype pandas infers from the groups' key values, as if
+    every group's key were broadcast from a scalar (so a categorical key
+    comes out as its values' dtype).
     """
     value_cols = [c for c in df.columns if c not in keys and c != ts_col]
-
-    def fn(g: pd.DataFrame) -> pd.DataFrame:
-        lo = start if start is not None else g[ts_col].min()
-        hi = end if end is not None else g[ts_col].max()
-        idx = pd.date_range(lo, hi, freq=freq)
-        out = g.set_index(ts_col)[value_cols].reindex(idx)
-        out.index.name = ts_col
-        out = out.reset_index()
-        for k in keys:
-            out[k] = g[k].iloc[0]
-        return out
-
-    parts = [fn(g) for _, g in df.groupby(keys, sort=False, dropna=False,
-                                          observed=True)]
-    out = pd.concat(parts, ignore_index=True)
-    return out[[ts_col] + keys + value_cols]
+    g = _grouped(df, keys)
+    gid, n_groups = g.ngroup().to_numpy(), g.ngroups
+    if start is not None and end is not None:
+        grid = pd.date_range(start, end, freq=freq)
+        sizes = np.full(n_groups, len(grid))
+        ts = grid[np.tile(np.arange(len(grid)), n_groups)]
+    else:
+        los = g[ts_col].min() if start is None else [start] * n_groups
+        his = g[ts_col].max() if end is None else [end] * n_groups
+        grids = [pd.date_range(lo, hi, freq=freq) for lo, hi in zip(los, his)]
+        sizes = np.array([len(x) for x in grids], dtype=np.int64)
+        ts = grids[0].append(grids[1:])
+    rows = pd.MultiIndex.from_arrays([np.repeat(np.arange(n_groups), sizes), ts])
+    out = df[value_cols].set_axis(pd.MultiIndex.from_arrays([gid, df[ts_col]])) \
+        .reindex(rows).reset_index(drop=True)
+    first = np.unique(gid, return_index=True)[1]
+    out.insert(0, ts_col, ts)
+    for i, k in enumerate(keys):
+        out.insert(1 + i, k, pd.Series(df[k].iloc[first].tolist()).repeat(sizes).array)
+    return out
 
 
 def op_fill_missing(df, keys, ts_col, features, method="ffill"):
@@ -375,15 +403,9 @@ def op_rolling_quantile(df, keys, ts_col, feature, window, q,
     interpolation == SQL ``quantile_cont`` over a ``ROWS (window-1)
     PRECEDING`` frame. Rounded to 6dp."""
     out_name = out_name or f"{feature}_p{int(q * 100)}_roll{window}"
-    mp = int(min_periods)
-
-    def fn(x: pd.DataFrame) -> pd.DataFrame:
-        r = x[feature].rolling(int(window), min_periods=mp) \
-            .quantile(q, interpolation="linear")
-        return r.to_frame("__q")
-
-    vals = _grouped_ts_apply(df, keys, ts_col, [feature], fn)
-    df[out_name] = np.round(vals[:, 0], 6)
+    res = _by_series(df, keys, ts_col, [feature])[feature] \
+        .rolling(int(window), min_periods=int(min_periods)).quantile(q, interpolation="linear")
+    df[out_name] = np.round(_aligned(res, df), 6)
     return df
 
 
@@ -443,11 +465,8 @@ def decompose_components(df, keys, ts_col, feature, ma_window=7):
     (Sun=0) numbering difference is immaterial. Vectorized: one grouped
     centered rolling mean + one grouped transform. ``df`` must be sorted by
     keys+ts (the keyed-kernel contract)."""
-
-    def fn(x: pd.DataFrame) -> pd.DataFrame:
-        return x.rolling(int(ma_window), center=True, min_periods=1).mean()
-
-    trend = _grouped_ts_apply(df, keys, ts_col, [feature], fn)[:, 0]
+    trend = _aligned(_by_series(df, keys, ts_col, [feature])[feature]
+                     .rolling(int(ma_window), center=True, min_periods=1).mean(), df)
     v = df[feature].to_numpy(np.float64)
     dow = df[ts_col].dt.dayofweek
     seasonal = _grouped(df.assign(__detr=v - trend, __dow=dow),

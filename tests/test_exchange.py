@@ -1,6 +1,7 @@
 """``agg.exchange``, the one shuffle primitive: the kernel contract, typed
 empty blocks, metadata-carrying parquet input, block-order determinism, a
-quiet log, and a guard that no module hand-writes its own exchange."""
+quiet log (also from the Ray-native hash join), and a guard that no module
+hand-writes its own exchange."""
 
 import ast
 import os
@@ -222,14 +223,51 @@ _NOISE_SCRIPT = textwrap.dedent("""
 """)
 
 
-def test_exchange_over_empty_blocks_logs_no_size_error():
+# a Ray-native hash join over pandas-written parquet (every file's schema
+# carries the b"pandas" blob); the join's aggregators need a second CPU
+_JOIN_NOISE_SCRIPT = textwrap.dedent("""
+    import sys
+    import time
+
+    import pandas as pd
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+    import ray
+    from ray.data import DataContext
+
+    ray.init(address="local", num_cpus=2, include_dashboard=False,
+             logging_level="ERROR")
+    DataContext.get_current().enable_progress_bars = False
+    from forecastframe_ray.stages.join import hash_join
+
+    root = sys.argv[1]
+    for side in ("left", "right"):
+        for i in range(3):
+            df = pd.DataFrame({"k": [f"k{j}" for j in range(10 * i, 10 * i + 10)],
+                               side: [float(j) for j in range(10)]})
+            pq.write_table(pa.Table.from_pandas(df),
+                           f"{root}/{side}-{i}.parquet")
+    left = ray.data.read_parquet([f"{root}/left-{i}.parquet" for i in range(3)])
+    right = ray.data.read_parquet([f"{root}/right-{i}.parquet"
+                                   for i in range(3)])
+    out = hash_join(left, right, on=["k"], num_partitions=2).to_pandas()
+    assert len(out) == 30 and (out["left"] == out["right"]).all()
+    time.sleep(3)  # worker log lines reach the driver asynchronously
+    ray.shutdown()
+""")
+
+
+def test_exchange_over_empty_blocks_logs_no_size_error(tmp_path):
     env = dict(os.environ, PYTHONPATH=ROOT)
-    proc = subprocess.run([sys.executable, "-c", _NOISE_SCRIPT], env=env,
-                          capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr[-3000:]
-    noisy = [ln for ln in proc.stderr.splitlines()
-             if "Error calculating size" in ln]
-    assert not noisy, noisy
+    for script in (_NOISE_SCRIPT, _JOIN_NOISE_SCRIPT):
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
+                              env=env, capture_output=True, text=True,
+                              timeout=300)
+        assert proc.returncode == 0, proc.stderr[-3000:]
+        noisy = [ln for ln in proc.stderr.splitlines()
+                 if "Error calculating size" in ln
+                 or "Failed to hash the schemas" in ln]
+        assert not noisy, noisy
 
 
 def _map_groups_calls(path: str) -> list[tuple[int, str | None]]:
