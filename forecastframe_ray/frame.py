@@ -390,8 +390,7 @@ class RayForecastFrame:
         Scale assumption (documented): the rolled-up table (rollup columns ×
         buckets) is orders of magnitude smaller than base grain, so it is
         safe to window in fewer partitions and broadcast for the join."""
-        from forecastframe_ray.stages.join import (
-            consolidate_for_join, hash_join)
+        from forecastframe_ray.stages.join import hash_join
 
         gcols = list(groupers["columns"])
         dtc = self.datetime_column
@@ -399,11 +398,8 @@ class RayForecastFrame:
         rolled = aggregate_features(base, features, gcols + [dtc], groupers["operation"])
         rolled = keyed_window_stage(rolled, gcols, dtc, ops,
                                     num_partitions=max(4, self.num_partitions // 4))
-        # folds the window shuffle's empty pass-through blocks into real
-        # ones before the join exchange (see join.consolidate_for_join)
-        rolled = consolidate_for_join(
-            rolled.select_columns(gcols + [dtc] + new_cols),
-            max(4, self.num_partitions // 4))
+        # materialized: counted below, then read again by the join
+        rolled = rolled.select_columns(gcols + [dtc] + new_cols).materialize()
         # broadcast only when the rolled side is genuinely small; a
         # high-cardinality grouper (e.g. host×bucket) falls back to a
         # distributed hash join instead of a driver materialize
@@ -770,8 +766,7 @@ class RayForecastFrame:
         """J3 ``_merge_actuals`` (model.py:170-199): outer-join predictions
         with the non-null-target actual rows on hierarchy + datetime.
         Distributed hash join (both sides may be large)."""
-        from forecastframe_ray.stages.join import (
-            consolidate_for_join, hash_join)
+        from forecastframe_ray.stages.join import hash_join
 
         if isinstance(prediction_df, pd.DataFrame):
             preds = ray.data.from_pandas(prediction_df)
@@ -780,12 +775,11 @@ class RayForecastFrame:
         if self.target in preds.schema().names:
             return preds
         keys = (self.hierarchy or []) + [self.datetime_column]
-        actuals = consolidate_for_join(
-            self._flush().map_batches(
-                lambda b: b.loc[b[self.target].notna(),
-                                keys + [self.target]],
-                batch_format="pandas"),
-            max(2, self.num_partitions // 4))
+        # materialized: the join reads its sides' schemas first, which
+        # would otherwise run a pending keyed stage twice
+        actuals = self._flush().map_batches(
+            lambda b: b.loc[b[self.target].notna(), keys + [self.target]],
+            batch_format="pandas").materialize()
         return hash_join(preds, actuals, on=keys, how="outer",
                          num_partitions=self.num_partitions)
 

@@ -13,7 +13,7 @@ message stay in the worker logs.
 
 The PRIMARY fix is at the source: the coarse-hash assign stage strips
 schema metadata before every shuffle (``stages/agg.py``), and the engine's
-Ray-native joins and sorts strip it first too
+Ray-native sorts and its hash join strip it first too
 (``agg.without_schema_metadata``), so the engine's own wide steps no longer
 produce unhashable schemas at all. This filter stays as a backstop for
 shuffles over blocks the engine didn't produce (e.g. a user's own

@@ -116,26 +116,22 @@ def _keep_id_semi_join(ds, keep, id_col: str, broadcast_limit: int):
     if keep.count() > broadcast_limit:
         from forecastframe_ray.stages.join import hash_join
 
-        # repartition+materialize the (id-only) keep side: consolidates the
-        # coarse shuffle's column-less empty blocks (the join's hash
-        # exchange stalls on them) and keeps the upstream shuffle and the
-        # join's aggregator pool out of one DAG
         keep_ids = keep.map_batches(
             lambda b: b.rename(columns={"__keep_id": id_col}),
-            batch_format="pandas").repartition(8).materialize()
+            batch_format="pandas")
         return hash_join(ds, keep_ids, on=[id_col], how="inner",
                          num_partitions=16)
 
     refs = keep.to_arrow_refs()  # block refs only — no driver collection
 
     def _load_keep() -> np.ndarray:
-        import pyarrow as pa
-        # drop Ray's column-less empty blocks (empty shuffle partitions)
-        tbls = [t for t in ray.get(list(refs)) if t.num_rows]
-        if not tbls:
-            return np.array([], dtype=np.int64)
-        tbl = pa.concat_tables(tbls)
-        return np.sort(tbl["__keep_id"].to_numpy(zero_copy_only=False))
+        # drop Ray's column-less empty blocks (empty shuffle partitions);
+        # ``to_arrow_refs`` passes blocks through unconverted when the first
+        # one is Arrow, so pandas blocks can follow
+        ids = [t["__keep_id"].to_numpy() for t in ray.get(list(refs))
+               if len(t)]
+        return np.sort(np.concatenate(ids)) if ids \
+            else np.array([], dtype=np.int64)
 
     def _filter(batch: pd.DataFrame, keep_arr: np.ndarray) -> pd.DataFrame:
         if not len(keep_arr):
@@ -745,11 +741,11 @@ def minhash_lsh_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
     # copies string POINTERS, not bytes).
     _cols = [id_col, "band", "bucket", text_col, VPART]
 
-    def _textrows(batch: pd.DataFrame, dp: pd.DataFrame) -> pd.DataFrame:
-        out = batch.merge(dp, how="inner", on=id_col)
+    def _as_textrows(out: pd.DataFrame) -> pd.DataFrame:
         out["band"] = np.int32(-1)
         out["bucket"] = np.uint64(0)
         out[text_col] = out[text_col].astype("string")
+        out[VPART] = out[VPART].astype(np.int32)
         return out[_cols]
 
     def run_verify(_, part: pd.DataFrame) -> pd.DataFrame:
@@ -843,56 +839,20 @@ def minhash_lsh_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
             dp = dp[[id_col, VPART]].drop_duplicates()
             dp_ref = ray.put(dp)
             textrows = ds.select_columns([id_col, text_col]).map_batches(
-                lambda b: _textrows(b, ray.get(dp_ref)),
+                lambda b: _as_textrows(b.merge(ray.get(dp_ref), how="inner",
+                                               on=id_col)),
                 batch_format="pandas")
         else:
             # scale path: distinct (doc id, verify partition) pairs by
-            # aggregate, then texts attach via a union +
-            # ``groupby.map_groups`` merge keyed on hash(doc id). NOT
-            # ``hash_join``: Ray's JoinOperator keeps one aggregator task
-            # per partition resident, so a join whose partition count
-            # scales with data (needed to bound per-task heap) deadlocks
-            # once partitions exceed the CPU slots — measured at 20M docs:
-            # a 359-partition join sat 78 min at 0 output blocks on an idle
-            # box. The sort exchange behind map_groups has no resident
-            # aggregators, so its fan-out (~500k rows/task) can scale
-            # freely.
+            # aggregate, then texts attach by a hash join on doc id whose
+            # fan-out (~500k rows/task) scales with the candidate rows
             jp = max(8, int(np.ceil(n_rows / 500_000)))
             dp_ds = hash_aggregate(meta_p, [id_col, VPART],
                                    {"__m": (id_col, "size")}) \
                 .select_columns([id_col, VPART]).materialize()
-
-            def _map_rows(b: pd.DataFrame) -> pd.DataFrame:
-                return pd.DataFrame({
-                    id_col: b[id_col].to_numpy(),
-                    VPART: b[VPART].to_numpy().astype(np.int32),
-                    text_col: pd.Series([""] * len(b), dtype="string"),
-                })
-
-            def _corpus_rows(b: pd.DataFrame) -> pd.DataFrame:
-                return pd.DataFrame({
-                    id_col: b[id_col].to_numpy(),
-                    VPART: np.full(len(b), -1, dtype=np.int32),
-                    text_col: b[text_col].astype("string"),
-                })
-
-            def _attach(part: pd.DataFrame) -> pd.DataFrame:
-                is_map = part[VPART].to_numpy() >= 0
-                texts = part.loc[~is_map, [id_col, text_col]] \
-                    .drop_duplicates(id_col)
-                out = part.loc[is_map, [id_col, VPART]].merge(
-                    texts, on=id_col, how="inner")
-                out["band"] = np.full(len(out), -1, dtype=np.int32)
-                out["bucket"] = np.zeros(len(out), dtype=np.uint64)
-                out[text_col] = out[text_col].astype("string")
-                out[VPART] = out[VPART].to_numpy().astype(np.int32)
-                return out[_cols]
-
-            textrows = keyed_map_partitions(
-                [dp_ds.map_batches(_map_rows, batch_format="pandas"),
-                 ds.select_columns([id_col, text_col])
-                 .map_batches(_corpus_rows, batch_format="pandas")],
-                [id_col], _attach, jp)
+            textrows = hash_join(ds.select_columns([id_col, text_col]),
+                                 dp_ds, on=[id_col], num_partitions=jp) \
+                .map_batches(_as_textrows, batch_format="pandas")
 
         # the verify partition id is the VPART column itself
         return exchange(
@@ -954,11 +914,8 @@ def clusters_from_pairs_distributed(pairs, id_a: str = "id_a",
       ``hash_join(edges, labels, on="src")`` + min-aggregate + label join —
       nothing reaches the driver but the per-round changed count.
 
-    ``num_partitions`` here feeds ``hash_join``, which CLAMPS it to the
-    cluster's CPU slots (resident-aggregator deadlock above them — see
-    stages/join.py). Label/edge rows are int-only (~16 B/row), so even a
-    clamped partition holds ~edges/CPUs rows comfortably; callers sizing
-    partitions for heap reasons should account for the clamp.
+    ``num_partitions`` is the fan-out of every join and aggregate in the
+    rounds; label/edge rows are int-only (~16 B/row).
 
     Raises ``RuntimeError`` if labels still changed after ``max_iters``
     rounds (a component's diameter exceeded the budget) — never returns
@@ -1025,15 +982,15 @@ def clusters_from_pairs_distributed(pairs, id_a: str = "id_a",
         # neighbor candidates: edges ⨝ labels on src → (node=dst, cand=label)
         src_labels = labels.map_batches(
             lambda b: b.rename(columns={"node": "src", "label": "__cand"}),
-            batch_format="pandas").repartition(
-                max(2, num_partitions // 2)).materialize()
+            batch_format="pandas")
         prop = hash_join(edges, src_labels, on=["src"], how="inner",
                          num_partitions=num_partitions).map_batches(
             lambda b: pd.DataFrame({"node": b["dst"], "cand": b["__cand"]}),
             batch_format="pandas")
+        # materialized: the join reads its sides' schemas first, which
+        # would otherwise run this aggregate (and the join under it) twice
         new_min = hash_aggregate(prop, ["node"], {"cand": ("cand", "min")},
-                                 num_partitions=num_partitions) \
-            .repartition(max(2, num_partitions // 2)).materialize()
+                                 num_partitions=num_partitions).materialize()
         merged = hash_join(labels, new_min, on=["node"], how="left",
                            num_partitions=num_partitions)
 

@@ -102,17 +102,13 @@ def dedup_pipeline(docs_ds, id_col: str = "doc_id", text_col: str = "text",
         final = broadcast_semi_join(kept, non_rep, on=[id_col], anti=True) \
             if len(non_rep) else kept
     else:  # scale path: labels never reach the driver
-        # hash_join clamps num_partitions to CPU slots (stages/join.py);
-        # the joined rows are (id, text) with text already exact-deduped —
-        # per-partition heap is corpus/CPUs, which is the same bound the
-        # rest of this pipeline's map stages already assume
         from forecastframe_ray.stages.join import hash_join
         labels = D.clusters_from_pairs_distributed(pairs, broadcast_limit=0,
                                                    num_partitions=num_partitions)
         non_rep = labels.map_batches(
             lambda b: b.loc[b["doc_id"] != b["rep_id"], ["doc_id"]]
             .rename(columns={"doc_id": id_col}),
-            batch_format="pandas").repartition(8).materialize()
+            batch_format="pandas")
         n_clusters = None  # not counted on the scale path (extra pass)
         joined = hash_join(
             kept, non_rep.map_batches(

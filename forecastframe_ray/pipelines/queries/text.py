@@ -596,13 +596,11 @@ def q_shipping_priority(sf_dir: str) -> pd.DataFrame:
     """TPC-H Q3 shape (public spec): BUILDING-segment customers' orders
     placed before the cutoff, revenue from lineitems shipped after it, top
     10 orders by revenue. Segment keys broadcast as a semi-join filter;
-    the big-big orders⋈lineitem edge is the CPU-clamped distributed hash
-    join; top-k is a per-batch partial + tiny driver merge (never a global
-    sort). Round-then-rank (revenue 6dp desc, orderkey asc) keeps the
-    cutoff deterministic across engines."""
-    from forecastframe_ray.stages.join import (broadcast_semi_join,
-                                               consolidate_for_join,
-                                               hash_join)
+    the big-big orders⋈lineitem edge is the distributed hash join; top-k
+    is a per-batch partial + tiny driver merge (never a global sort).
+    Round-then-rank (revenue 6dp desc, orderkey asc) keeps the cutoff
+    deterministic across engines."""
+    from forecastframe_ray.stages.join import broadcast_semi_join, hash_join
 
     cut = pd.Timestamp(_Q3_CUT)
     cust = pq.read_table(f"{sf_dir}/customer.parquet",
@@ -617,9 +615,6 @@ def q_shipping_priority(sf_dir: str) -> pd.DataFrame:
         lambda b: b[b["o_orderdate"] < cut], batch_format="pandas")
     orders = broadcast_semi_join(orders, keys, ["o_custkey"]) \
         .drop_columns(["o_custkey"])
-    # mapped filtered stream -> join input: see consolidate_for_join (the
-    # A/B stall measurement in its docstring was taken on THIS query)
-    orders = consolidate_for_join(orders, 8)
 
     li = _read(sf_dir, "lineitem",
                ["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"])

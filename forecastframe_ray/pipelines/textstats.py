@@ -270,10 +270,10 @@ def remove_boilerplate_lines(ds, text_col: str = "text",
       ``groupby(level=0)`` — zero extra shuffles;
     - above it, the set NEVER reaches the driver: documents explode into
       (id, pos, line, hash) rows that meet the frequent hashes in a
-      hash-partitioned exchange (the same union + ``groupby.map_groups``
-      sort-exchange merge the dedup verify uses — no resident-aggregator
-      join), surviving lines re-assemble per doc in a second exchange
-      keyed on ``id_col``, and any extra columns join back at the end.
+      hash-partitioned exchange (the same union + ``agg.exchange`` merge
+      the dedup verify uses), surviving lines re-assemble per doc in a
+      second exchange keyed on ``id_col``, and any extra columns join back
+      at the end.
       This path requires a unique ``id_col``; it raises without one.
 
     Both paths are vectorized batch-wide (lines explode once, ONE
@@ -442,11 +442,9 @@ def _strip_boilerplate_distributed(ds, freq_ds, text_col: str, id_col: str,
     if not extra:
         return result
     from forecastframe_ray.stages.join import hash_join
-    # consolidate the coarse shuffle's empty blocks before the join (the
-    # join exchange stalls on column-less empties) and keep the shuffle
-    # out of the join's streaming DAG
-    result = result.repartition(
-        max(2, num_partitions // 2)).materialize()
+    # materialized: the join reads its sides' schemas first, which would
+    # otherwise run the reassembly exchange twice
+    result = result.materialize()
     return hash_join(ds.select_columns([id_col] + extra), result,
                      on=[id_col], how="inner",
                      num_partitions=num_partitions)

@@ -1,11 +1,13 @@
-"""Broadcast-side joins (SURVEY.md §2.4 J1/J2/J6).
+"""Joins (SURVEY.md §2.4 J1-J6).
 
 The reference joins computed feature columns back onto the base table with a
 pandas merge (``/root/reference/forecastframe/utilities.py:157-186``). At
 scale the rolled-up side is orders of magnitude smaller than the base grain,
 so we broadcast it once via ``ray.put`` and hash-join inside ``map_batches``
-— no shuffle of the big side. When both sides are large, use a key-bucketed
-join instead (documented in SURVEY.md §2.4; not needed by any reference op).
+— no shuffle of the big side. When both sides are large, :func:`hash_join`,
+:func:`asof_join` and :func:`range_join` run one keyed co-group: both sides
+hash-partitioned on the keys through ``agg.exchange``, one vectorized pandas
+kernel per partition.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import ray
-
-from forecastframe_ray.stages.agg import without_schema_metadata
 
 
 #: broadcast objects under this size run as PLAIN TASKS (per-call
@@ -82,64 +82,46 @@ def broadcast_semi_join(ds, keys_df: pd.DataFrame, on: list[str], anti: bool = F
     return ds.map_batches(Filterer, batch_format="pandas", concurrency=(1, 8))
 
 
-_JOIN_TYPES = {"inner": "inner", "left": "left_outer",
-               "right": "right_outer", "outer": "full_outer"}
-
-
-def consolidate_for_join(ds, num_partitions: int = 8):
-    """Consolidate a mapped/shuffled stream before feeding it to a join
-    exchange. Ray Data's JoinOperator INTERMITTENTLY stalls when an input
-    arrives as a stream of mostly-empty pass-through blocks (filtered maps,
-    coarse-hash shuffles): measured on TPC-H Q3 at sf0.1, the un-consolidated
-    plan ran 11.5 / 4.4 / 34.7 / 83.6 s across four identical runs vs
-    7.3 / 11.9 / 4.1 / 3.9 s consolidated, identical output. One
-    ``repartition(n).materialize()`` folds the empties into real blocks and
-    keeps the upstream stages out of the join's streaming DAG (resident-
-    aggregator deadlock note in :func:`hash_join`). Use on the SMALLER side;
-    materializing a huge side trades the stall for an object-store copy."""
-    return ds.repartition(max(2, num_partitions)).materialize()
+def _merge_frames(lf: pd.DataFrame, rf: pd.DataFrame, on: list[str],
+                  how: str) -> pd.DataFrame:
+    """Equality merge with SQL null semantics: a row with a null in any key
+    column never matches, but the outer side(s) still emit it."""
+    lnull = lf[on].isna().any(axis=1).to_numpy()
+    rnull = rf[on].isna().any(axis=1).to_numpy()
+    out = lf[~lnull].merge(rf[~rnull], on=on, how=how)
+    rest = ([lf[lnull]] if how in ("left", "outer") else []) \
+        + ([rf[rnull]] if how in ("right", "outer") else [])
+    rest = [r for r in rest if len(r)]
+    return pd.concat([out, *rest], ignore_index=True) if rest else out
 
 
 def hash_join(left, right, on: list[str], how: str = "inner",
               num_partitions: int = 32):
-    """Distributed hash join for the both-sides-large case (J3; SURVEY.md
-    §2.4) — wraps ``Dataset.join`` (hash-partition exchange on ``on``) over
-    both sides stripped of schema metadata (``agg.without_schema_metadata``).
-    Prefer :func:`broadcast_left_join` whenever one side is small.
+    """Distributed equality join for the both-sides-large case (J1/J3;
+    SURVEY.md §2.4): ``how`` is "inner", "left", "right" or "outer". Prefer
+    :func:`broadcast_left_join` whenever one side is small.
 
-    ``num_partitions`` is CLAMPED to the cluster CPU count: Ray Data's
-    JoinOperator keeps one aggregator task per partition resident for the
-    whole exchange, so partitions beyond the schedulable slots deadlock the
-    streaming DAG (measured: a 359-partition join on 32 CPUs sat at 0
-    output blocks for 78 min with the box idle; 35 partitions completed).
-    A caller that needs per-partition heap smaller than data/CPUs should
-    use a ``groupby(part).map_groups`` merge (sort exchange, no resident
-    aggregators) instead — see ``pipelines/dedup.py`` verify text-attach.
+    Physical plan: the keyed co-group of :func:`asof_join` — both sides
+    hash-partitioned on ``on`` through one ``agg.exchange``, then one
+    ``pandas.merge`` per partition. A null in any key column never matches.
+    Output columns are the left columns, then the right non-key columns; a
+    column an outer side can leave null is promoted from integer/boolean to
+    float64 (on either side), so every partition emits one schema. A
+    non-key column present on both sides raises ``ValueError``.
 
-    The clamp is LOGGED (warning) when it bites: a caller that sized
-    ``num_partitions`` to bound per-task heap gets proportionally fatter
-    partitions on a small-CPU cluster — if the clamped partition size can
-    exceed a worker heap, switch that call site to the sort-exchange merge
-    pattern above (ADVICE r3)."""
-    import logging
+    Both sides' schemas are read when the join is planned, which runs a lazy
+    side up to its first block: materialize a side that ends in a shuffle,
+    or that shuffle runs twice."""
+    plan = _cogroup_plan(left, right, on, suffix=None,
+                         promote=(how in ("right", "outer"),
+                                  how in ("left", "outer")))
+    names = plan["out_schema"].names
 
-    import ray
+    def frame_kernel(lf: pd.DataFrame, rf: pd.DataFrame) -> pd.DataFrame:
+        return _merge_frames(lf, rf, list(on), how).reindex(columns=names)
 
-    if ray.is_initialized():
-        ncpu = int(ray.cluster_resources().get("CPU", num_partitions))
-        clamped = max(2, min(num_partitions, ncpu))
-        if clamped < num_partitions:
-            logging.getLogger(__name__).warning(
-                "hash_join: clamping num_partitions %d -> %d (cluster CPU "
-                "slots; Ray's JoinOperator keeps one resident aggregator "
-                "per partition and deadlocks past the slot count). "
-                "Per-partition heap grows by the same factor — use a "
-                "groupby(part).map_groups merge if that can exceed a "
-                "worker's memory.", num_partitions, clamped)
-        num_partitions = clamped
-    return without_schema_metadata(left).join(
-        without_schema_metadata(right), join_type=_JOIN_TYPES[how],
-        num_partitions=num_partitions, on=tuple(on))
+    return _keyed_cogroup(left, right, on, plan, frame_kernel,
+                          num_partitions)
 
 
 def hash_update(ds, patch_ds, on: list[str], num_partitions: int = 32):
@@ -148,11 +130,8 @@ def hash_update(ds, patch_ds, on: list[str], num_partitions: int = 32):
     no driver materialization of either side."""
     value_cols = [c for c in patch_ds.schema().names if c not in on]
     renames = {c: f"{c}__patch" for c in value_cols}
-    # repartition+materialize: consolidate empty blocks (they stall the join
-    # exchange) and keep upstream shuffles out of the join's DAG
     patch = patch_ds.map_batches(lambda b: b.rename(columns=renames),
-                                 batch_format="pandas") \
-        .repartition(max(2, num_partitions // 4)).materialize()
+                                 batch_format="pandas")
     joined = hash_join(ds, patch, on=on, how="left",
                        num_partitions=num_partitions)
 
@@ -206,19 +185,31 @@ def broadcast_update(ds, patch_df: pd.DataFrame, on: list[str]):
 # ---------------------------------------------------------------------------
 
 def _arrow_schema(ds):
-    """Arrow schema of a Dataset regardless of block format: parquet-backed
-    datasets report a pa.Schema; from_pandas datasets report a
-    PandasBlockSchema (numpy dtypes), mapped here (object -> string — pass
-    Arrow blocks for binary columns)."""
+    """Arrow schema of a Dataset regardless of block format, read from its
+    first non-empty block with schema metadata dropped
+    (``agg.without_schema_metadata``: Ray's own schema of a multi-file read
+    unifies the files' unhashable pandas-tagged schemas and logs "Failed to
+    hash the schemas"). An all-empty Dataset, or a first block with an
+    all-null column, falls back to the Dataset's declared schema:
+    parquet-backed datasets report a pa.Schema; from_pandas datasets report
+    a PandasBlockSchema (numpy dtypes), mapped here (object -> string —
+    pass Arrow blocks for binary columns)."""
     import numpy as np
     import pyarrow as pa
 
+    from forecastframe_ray.stages.agg import without_schema_metadata
+
+    schema = without_schema_metadata(ds).schema()
+    if schema is not None and not any(pa.types.is_null(t)
+                                      for t in schema.base_schema.types):
+        return schema.base_schema
     schema = ds.schema()
     if schema is None:
         raise ValueError(
-            "asof_join requires a schema'd Dataset — an empty Dataset with "
-            "no inferable schema cannot shape the join output (filter a "
-            "typed source to empty instead of passing a bare empty one)")
+            "a keyed co-group join requires a schema'd Dataset — an empty "
+            "Dataset with no inferable schema cannot shape the join output "
+            "(filter a typed source to empty instead of passing a bare "
+            "empty one)")
     bs = schema.base_schema
     if isinstance(bs, pa.Schema):
         return bs
@@ -227,44 +218,46 @@ def _arrow_schema(ds):
         for n, d in zip(bs.names, bs.types)])
 
 
-def _asof_out_schema(left_schema, right_fields: list, on: list[str],
-                     promote_ints: bool = True):
-    """Output schema for a keyed co-group join: left fields unchanged; right
-    value fields with integer/boolean types promoted to float64 when the
-    join can leave them null (``promote_ints``) — unmatched left rows hold
-    NaN there and pandas upcasts partially-matched int columns to float64,
-    so promoting ALWAYS keeps every partition's block schema identical (a
-    partition that happens to match fully would otherwise emit int64 and
-    break the block union). Inner joins never emit nulls, so they keep
-    integer types."""
+def _cogroup_out_schema(left_schema, right_fields: list, on: list[str],
+                        promote: tuple[bool, bool]):
+    """Output schema for a keyed co-group join: left fields, then right
+    value fields. ``promote`` = (left, right): a side whose value columns
+    the join can leave null has its integer/boolean types promoted to
+    float64 — unmatched rows hold NaN there and pandas upcasts
+    partially-matched int columns to float64, so promoting ALWAYS keeps
+    every partition's block schema identical (a partition that happens to
+    match fully would otherwise emit int64 and break the block union).
+    Key columns and the sides an inner join keeps whole never hold nulls,
+    so they keep integer types."""
     import pyarrow as pa
 
-    fields = list(left_schema)
-    for f in right_fields:
-        if f.name in on:
-            continue
-        t = f.type
-        if promote_ints and (pa.types.is_integer(t)
-                             or pa.types.is_boolean(t)):
-            t = pa.float64()
-        fields.append(pa.field(f.name, t))
-    return pa.schema(fields)
+    def widen(f, flag):
+        if flag and f.name not in on and (pa.types.is_integer(f.type)
+                                          or pa.types.is_boolean(f.type)):
+            return pa.field(f.name, pa.float64())
+        return f
+
+    return pa.schema([widen(f, promote[0]) for f in left_schema]
+                     + [widen(f, promote[1]) for f in right_fields])
 
 
-def _cogroup_plan(left, right, on: list[str], suffix: str,
-                  promote_ints: bool = True):
+def _cogroup_plan(left, right, on: list[str], suffix: str | None,
+                  promote: tuple[bool, bool] = (False, True)):
     """Shared planning for both-sides-large keyed co-group joins: resolve
-    right-column renames (collisions get ``suffix``), the unified tagged
-    schema, and the output schema."""
+    right-column renames (collisions get ``suffix``; with ``suffix=None``
+    they raise ``ValueError``), the unified tagged schema, and the output
+    schema (``promote``: see :func:`_cogroup_out_schema`)."""
     import pyarrow as pa
 
     lschema, rschema = _arrow_schema(left), _arrow_schema(right)
     lnames = set(lschema.names)
-    renames = {c: (c + suffix if c in lnames and c not in on else c)
-               for c in rschema.names}
+    clash = [c for c in rschema.names if c in lnames and c not in on]
+    if clash and suffix is None:
+        raise ValueError(f"join: non-key columns {clash} exist on both sides")
+    renames = {c: (c + suffix if c in clash else c) for c in rschema.names}
     right_fields = [pa.field(renames[f.name], f.type) for f in rschema
                     if f.name not in on]
-    out_schema = _asof_out_schema(lschema, right_fields, on, promote_ints)
+    out_schema = _cogroup_out_schema(lschema, right_fields, on, promote)
     return {
         "renames": renames,
         "out_schema": out_schema,
@@ -299,7 +292,8 @@ def _keyed_cogroup(left, right, on: list[str], plan: dict, frame_kernel,
             t = t.rename_columns([names_map.get(c, c)
                                   for c in t.column_names])
             n = t.num_rows
-            cols = {name: (t[name] if name in t.column_names
+            # a pandas block's all-None column arrives null-typed
+            cols = {name: (t[name].cast(typ) if name in t.column_names
                            else pa.nulls(n, type=typ))
                     for name, typ in union_fields}
             cols["__side"] = pa.array(np.full(n, side, dtype=np.int8))
@@ -430,7 +424,7 @@ def range_join(left, right, on: list[str], left_ts: str, start_col: str,
     promo periods, session windows); for unbounded interval sides, bucket by
     time range first."""
     plan = _cogroup_plan(left, right, on, suffix,
-                         promote_ints=(how == "left"))
+                         promote=(False, how == "left"))
     start_out, end_out = plan["renames"][start_col], plan["renames"][end_col]
 
     def frame_kernel(lf: pd.DataFrame, rf: pd.DataFrame) -> pd.DataFrame:

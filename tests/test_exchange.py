@@ -1,7 +1,7 @@
 """``agg.exchange``, the one shuffle primitive: the kernel contract, typed
 empty blocks, metadata-carrying parquet input, block-order determinism, a
-quiet log (also from the Ray-native hash join), and a guard that no module
-hand-writes its own exchange."""
+quiet log (also from the hash join), and guards that no module hand-writes
+its own exchange or calls Ray's native join."""
 
 import ast
 import os
@@ -223,8 +223,8 @@ _NOISE_SCRIPT = textwrap.dedent("""
 """)
 
 
-# a Ray-native hash join over pandas-written parquet (every file's schema
-# carries the b"pandas" blob); the join's aggregators need a second CPU
+# a hash join over pandas-written parquet (every file's schema carries the
+# b"pandas" blob)
 _JOIN_NOISE_SCRIPT = textwrap.dedent("""
     import sys
     import time
@@ -235,7 +235,7 @@ _JOIN_NOISE_SCRIPT = textwrap.dedent("""
     import ray
     from ray.data import DataContext
 
-    ray.init(address="local", num_cpus=2, include_dashboard=False,
+    ray.init(address="local", num_cpus=1, include_dashboard=False,
              logging_level="ERROR")
     DataContext.get_current().enable_progress_bars = False
     from forecastframe_ray.stages.join import hash_join
@@ -303,3 +303,30 @@ def test_map_groups_only_inside_exchange():
     agg = os.path.join("forecastframe_ray", "stages", "agg.py")
     assert len(sites) == 1 and sites[0][0] == agg \
         and sites[0][2] == "exchange", sites
+
+
+def test_no_native_join_outside_exchange():
+    """Every hash join runs through ``agg.exchange``: no module calls Ray's
+    ``Dataset.join`` (a ``.join(..., join_type=...)`` call) or names
+    ``consolidate_for_join``."""
+    pkg = os.path.join(ROOT, "forecastframe_ray")
+    found = []
+    for root, _, files in os.walk(pkg):
+        for f in files:
+            if not f.endswith(".py"):
+                continue
+            path = os.path.join(root, f)
+            with open(path) as fh:
+                tree = ast.parse(fh.read())
+            rel = os.path.relpath(path, ROOT)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Call) \
+                        and isinstance(node.func, ast.Attribute) \
+                        and node.func.attr == "join" \
+                        and any(k.arg == "join_type" for k in node.keywords):
+                    found.append((rel, node.lineno, "join_type"))
+                # a Name, an attribute, an imported alias or a def
+                if "consolidate_for_join" in {
+                        getattr(node, a, None) for a in ("id", "attr", "name")}:
+                    found.append((rel, node.lineno, "consolidate_for_join"))
+    assert not found, found

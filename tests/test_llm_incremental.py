@@ -223,3 +223,40 @@ def test_max_seen_id_zero_is_not_missing(tmp_path):
     LI.build_index(ray.data.from_pandas(neg), later, **KW)
     LI.append_shard(ray.data.from_pandas(doc), later)
     assert LI._load_meta(later)["max_seen_id"] == 0
+
+
+@pytest.mark.parametrize("force", ["driver_pair_limit", "broadcast_limit"])
+def test_scale_paths_equal_default(tmp_path, shards, monkeypatch, force):
+    """``build_index`` + ``append_shard`` give the default ``final_corpus``
+    when the hash-join paths are forced: distributed components and rep
+    join (``driver_pair_limit=0``), or every probe and semi-join as a hash
+    join (``BROADCAST_LIMIT=0``)."""
+    import inspect
+
+    from forecastframe_ray.stages import join
+
+    sh1, sh2 = shards
+
+    def run(name: str, **kw) -> pd.DataFrame:
+        d = str(tmp_path / name)
+        LI.build_index(ray.data.from_pandas(sh1), d, **KW, **kw)
+        LI.append_shard(ray.data.from_pandas(sh2), d, **kw)
+        return _corpus(d)
+
+    default = run("default")
+    callers = []
+    hash_join = join.hash_join
+
+    def spy(*args, **kwargs):
+        callers.append(inspect.stack()[1].function)
+        return hash_join(*args, **kwargs)
+
+    monkeypatch.setattr(join, "hash_join", spy)
+    if force == "broadcast_limit":
+        monkeypatch.setattr(LI, "BROADCAST_LIMIT", 0)
+        forced = run("forced")
+        assert {"_anti_probe_digests", "_probe_bands"} <= set(callers)
+    else:
+        forced = run("forced", driver_pair_limit=0)
+        assert "_apply_rep_distributed" in callers
+    pd.testing.assert_frame_equal(default, forced)

@@ -120,3 +120,18 @@ def test_run_with_pack_stage(ray_session, tmp_path):
     spans = pads.dataset(f"{out}/tier=pack_spans").to_table().to_pandas()
     assert (spans.groupby("doc_id")["tok_end"].max().sum()) == want_tokens
     assert m["stage_wall_s"]["pack_s"] > 0
+
+
+def test_scale_path_keeps_the_same_survivors(tmp_path):
+    # driver_pair_limit=0 forces the scale path: distributed cluster labels
+    # and a hash anti-join of the non-representatives
+    _, ds = _docs()
+    survivors = []
+    for limit in (20_000_000, 0):
+        out = str(tmp_path / f"llm_{limit}")
+        m = llm.run(ds, out_dir=out, max_repeats=MAX_REPEATS,
+                    driver_pair_limit=limit)
+        survivors.append(set(checkpoint.read_tier(out, "docs")
+                             .to_pandas()["doc_id"]))
+    assert m["near_dup_pairs"] > 0
+    assert survivors[0] == survivors[1]

@@ -169,14 +169,21 @@ def test_ensemble_predictions_seasonal_mean():
 
 
 def test_cv_restore_distributed_patch(monkeypatch):
-    # force the distributed coalesce-join restore path (large-patch branch)
+    # force the distributed coalesce-join restore path (large-patch branch,
+    # hash_update); it must give the broadcast restore's fold frames
     from forecastframe_ray.pipelines import cv
 
+    fr = _frame().lag_features("sales_int", [1])
+    broadcast = [ffr.to_pandas()
+                 for _, ffr in cv.fold_frames(fr, n_splits=2, gap=0)]
     monkeypatch.setattr(cv, "PATCH_BROADCAST_ROWS", 0)
     fr = _frame().lag_features("sales_int", [1])
     base = fr.to_pandas()
-    for fold, ffr in cv.fold_frames(fr, n_splits=2, gap=0):
+    folds = list(cv.fold_frames(fr, n_splits=2, gap=0))
+    assert len(folds) == len(broadcast) == 2
+    for (fold, ffr), want in zip(folds, broadcast):
         got = ffr.to_pandas()
+        pd.testing.assert_frame_equal(got, want)
         # restored actuals: every test-window row's target equals the source
         test = got[got["datetime"] >= fold["test_start"]]
         src = base.set_index(HIERARCHY + ["datetime"])["sales_int"]
