@@ -59,7 +59,7 @@ def entry() -> Any:
         })
 
     pages = docs.map_batches(to_pages, batch_format="pandas")
-    prepared = web.prepare_pages(pages)
+    prepared = web.prepare_series(pages)
     tiers = web.build_tiers(prepared, series_keys=("host",))
     return tiers["1h"]
 

@@ -44,15 +44,19 @@ def _init_ray(num_cpus: int):
 
 
 def _flagship(num_pages: int, num_cpus: int) -> dict:
-    """Synthetic pages → extract → keys → salted 1h/1d/7d tier cascade.
+    """Synthetic pages → extract → keys → 1h/1d/7d tier cascade → Gorilla
+    chunks → checkpointed tier store, built into a temporary directory.
     Returns the web.run metrics (incl. rolled-up points/sec)."""
+    import tempfile
+
     from forecastframe_ray import synth
     from forecastframe_ray.pipelines import web
 
     pages = synth.pages_dataset(num_pages, seed=42, num_domains=2000,
                                 override_num_blocks=max(16, num_cpus * 4))
-    return web.run(pages, out_dir=None, series_keys=("host",),
-                   num_partitions=num_cpus * 2, compress=True)
+    with tempfile.TemporaryDirectory() as out_dir:
+        return web.run(pages, out_dir, series_keys=("host",),
+                       num_partitions=num_cpus * 2, compress=True)
 
 
 def _du_bytes(path: str) -> int:

@@ -228,7 +228,9 @@ class RayForecastFrame:
         self._record("fill_time_gaps", {"freq": freq, "mode": mode})
         start = end = None
         if mode == "global":
-            start, end = _ts_range(self._flush(), self.datetime_column)
+            # materialized: the range pass and the keyed stage both read it
+            self._ds = self._flush().materialize()
+            start, end = _ts_range(self._ds, self.datetime_column)
         self._queue(self._keys, {"op": "gap_fill", "freq": freq, "start": start, "end": end})
         return self
 

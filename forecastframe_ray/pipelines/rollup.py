@@ -18,10 +18,13 @@ carried, as (count, sum, min, max, Σx²), so every coarser tier is exact.
 Non-algebraic stats (median/quantiles) must recompute from the finest
 retained tier — enforced here by simply not cascading them.
 
-The same kernel serves :func:`rollup_tiers` and the tier store's build and
-append jobs (:mod:`forecastframe_ray.pipelines.web`), which shuffle the
-partials on the store's own partition id and write every tier of a
-partition from that one exchange.
+One tier kernel, :func:`tier_frames` (cascade, finalize, sort by key and
+bucket), runs per partition behind both exchanges that build tiers:
+:func:`rollup_tiers`, which returns them as Datasets, and the tier store's
+build (:func:`forecastframe_ray.pipelines.web.run`), which shuffles the
+partials on the store's own partition id and writes every tier of a
+partition from that one exchange. The store's append merges the
+unfinalized :func:`cascade_partition` rows into the stored files.
 """
 
 from __future__ import annotations
@@ -197,12 +200,27 @@ def finalize_tier_batch(batch: pd.DataFrame, tier: str) -> pd.DataFrame:
     return batch
 
 
+def tier_frames(partials, series_keys: list[str],
+                tiers: tuple = K.TIERS) -> dict[str, pd.DataFrame]:
+    """The tier kernel on one partition holding every 1h partial of its
+    series (a ``pyarrow.Table`` of :func:`partial_bucket_aggregate` rows):
+    :func:`cascade_partition`, then :func:`finalize_tier_batch`, each tier
+    sorted by (series keys, bucket). Returns ``{tier: DataFrame}``."""
+    by = list(series_keys) + ["bucket_us"]
+    return {t: finalize_tier_batch(tbl.to_pandas(), t)
+            .sort_values(by, kind="mergesort").reset_index(drop=True)
+            for t, tbl in cascade_partition(partials, series_keys,
+                                            tiers).items()}
+
+
 def rollup_tiers(ds, series_keys: list[str], ts_col: str, value_col: str | None = None,
                  size_col: str | None = None, num_partitions: int = 64,
                  tiers: tuple = ("1h", "1d", "7d")) -> dict:
-    """The 1h → 1d → 7d cascade in one exchange. Returns {tier: Dataset} of
-    finalized tier tables for the requested ``tiers``, each materialized
-    (row counts are block-metadata lookups).
+    """The 1h → 1d → 7d cascade in one exchange, as Datasets: the combiner
+    map, one shuffle on ``hash(series_keys)`` and :func:`tier_frames` per
+    partition. Returns ``{tier: Dataset}`` of finalized tier tables for the
+    requested ``tiers``, each materialized (row counts are block-metadata
+    lookups). The tier store builds through the same kernel.
 
     Hot keys need no salting: the combiner sends a hot series to its
     partition as ≤ one partial row per hour per batch.
@@ -217,10 +235,8 @@ def rollup_tiers(ds, series_keys: list[str], ts_col: str, value_col: str | None 
         batch_format="pyarrow")
 
     def kernel(part: pa.Table) -> pd.DataFrame:
-        return pd.concat(
-            [finalize_tier_batch(tbl.to_pandas(), t)
-             for t, tbl in cascade_partition(part, keys, tiers).items()],
-            ignore_index=True)
+        return pd.concat(tier_frames(part, keys, tiers).values(),
+                         ignore_index=True)
 
     every = keyed_map_partitions(partials, keys, kernel, num_partitions,
                                  batch_format="pyarrow").materialize()

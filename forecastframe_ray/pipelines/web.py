@@ -1,19 +1,19 @@
 """The flagship web pipeline (north_star): Common-Crawl-style pages →
 deterministic text extraction → url-hierarchy keys → per-host crawl-rate
-series → exact 1h/1d/7d retention tiers → gap-filled feature series →
-Gorilla-compressed chunks, with partition-granular checkpoint/resume.
+series → exact 1h/1d/7d retention tiers → Gorilla-compressed chunks, in a
+checkpointed tier store with partition-granular resume.
 
 The tier store is laid out as ``tier=<t>/part=<hash(host) % N>.parquet``
 for t in 1h, 1d, 7d and ``chunks_1h``, and the cascade derives 1d from 1h
 and 7d from 1d — so once a host's 1h partials reach its partition every
 tier and its Gorilla chunks can be computed there. Building
-(:func:`run` with ``out_dir``) and appending (:func:`append_tiers`) are
-therefore ONE exchange each: the fused extract + key + 1h combiner map,
-one shuffle on the store's own partition id
-(``checkpoint.write_partitioned`` / ``merge_partitioned``), and a
-per-partition kernel that cascades, finalizes, encodes and writes every
-tier of that partition. Without ``out_dir`` the tiers come from
-:func:`rollup.rollup_tiers`, the same cascade kernel behind one exchange."""
+(:func:`run`) and appending (:func:`append_tiers`) are therefore ONE
+exchange each: the fused extract + key + 1h combiner map, one shuffle on
+the store's own partition id (``checkpoint.write_partitioned`` /
+``merge_partitioned``), and a per-partition kernel that cascades,
+finalizes, encodes and writes every tier of that partition. The build's
+kernel is :func:`rollup.tier_frames`, the one behind
+:func:`rollup.rollup_tiers` too."""
 
 from __future__ import annotations
 
@@ -31,49 +31,31 @@ from forecastframe_ray.stages import gorilla
 from forecastframe_ray.state import checkpoint
 
 
-def prepare_pages(pages_ds, extract_html: bool = True):
-    """pages → pages + (host, domain, tld, text_bytes). Stateless Arrow maps."""
-    if extract_html:
-        pages_ds = pages_ds.map_batches(extract.extract_text_batch, batch_format="pyarrow")
-
-    def keys_fn(batch: pa.Table) -> pa.Table:
-        parts = K.split_url(batch["url"])
-        for name, arr in parts.items():
-            batch = batch.append_column(name, arr)
-        tb = pc.binary_length(batch["text"].cast(pa.binary()))
-        return batch.append_column("text_bytes", tb.cast(pa.int64()))
-
-    return pages_ds.map_batches(keys_fn, batch_format="pyarrow")
-
-
-def prepare_series(pages_ds, extract_html: bool = True):
+def prepare_series(pages_ds, series_keys=("host",)):
     """The slim spine: extract + url keys + projection fused into ONE
     ``map_batches`` so the fat ``html``/``text`` columns never cross an
-    operator boundary (inter-operator blocks are 3 small columns — the
-    store-bandwidth term that otherwise does not scale with CPUs)."""
+    operator boundary. Returns ``series_keys`` + ``warc_ts`` +
+    ``text_bytes``; a key is a ``K.split_url`` part (host, domain, tld)
+    when it is one, and the page column of that name otherwise."""
+    keys = list(series_keys)
 
     def fn(batch: pa.Table) -> pa.Table:
-        if extract_html:
-            batch = extract.extract_text_batch(batch, "html", "text")
-        host = K.split_url(batch["url"])["host"]
-        tb = pc.binary_length(batch["text"].cast(pa.binary())).cast(pa.int64())
-        return pa.table({
-            "host": host, "warc_ts": batch["warc_ts"], "text_bytes": tb,
-        })
+        batch = extract.extract_text_batch(batch, "html", "text")
+        parts = K.split_url(batch["url"])
+        cols = {k: parts[k] if k in parts else batch[k] for k in keys}
+        cols["warc_ts"] = batch["warc_ts"]
+        cols["text_bytes"] = pc.binary_length(
+            batch["text"].cast(pa.binary())).cast(pa.int64())
+        return pa.table(cols)
 
     return pages_ds.map_batches(fn, batch_format="pyarrow")
 
 
-def _prepare(pages_ds, series_keys):
-    return (prepare_series(pages_ds) if tuple(series_keys) == ("host",)
-            else prepare_pages(pages_ds))
-
-
-def _tier_partials(prepared, series_keys=("host",)):
-    """The 1h combiner over the prepared spine: ≤ one partial stat row per
-    (series, hour) per batch, fused into the upstream map — the rows the
-    tier jobs' one exchange moves."""
-    return prepared.map_batches(
+def _tier_partials(pages_ds, series_keys=("host",)):
+    """Pages → :func:`prepare_series` → the 1h combiner: ≤ one partial
+    stat row per (series, hour) per batch, fused into the upstream map —
+    the rows the tier jobs' one exchange moves."""
+    return prepare_series(pages_ds, series_keys).map_batches(
         rollup.partial_bucket_aggregate(list(series_keys), "warc_ts",
                                         "text_bytes", "text_bytes", "1h"),
         batch_format="pyarrow")
@@ -88,23 +70,6 @@ def build_tiers(prepared, series_keys=("host",),
         value_col="text_bytes", size_col="text_bytes",
         num_partitions=num_partitions,
     )
-
-
-def tier_points(tiers: dict) -> dict[str, int]:
-    return {t: ds.count() for t, ds in tiers.items()}
-
-
-def write_tiers(tiers: dict, out_dir: str, series_keys=("host",),
-                num_partitions: int = 32, fail_after: int | None = None):
-    """Checkpointed tier writes; resume skips completed (tier, part) pairs."""
-    rows = []
-    for tier, ds in tiers.items():
-        rows += checkpoint.write_partitioned(
-            ds, out_dir, tier, list(series_keys), num_partitions=num_partitions,
-            sort_cols=list(series_keys) + ["bucket_us"],
-            fail_after=fail_after,
-        )
-    return rows
 
 
 def _encode_chunks(tier_df: pd.DataFrame, series_keys=("host",),
@@ -128,16 +93,13 @@ def _cascade_frames(partials: pd.DataFrame, keys: list[str]) -> dict:
 def _store_partition(series_keys=("host",), value_col: str = "pages",
                     compress: bool = True):
     """The build kernel (a ``write_partitioned`` hook): one partition's 1h
-    partials → its finalized 1h/1d/7d frames, sorted by (keys, bucket), and
+    partials → its 1h/1d/7d frames from :func:`rollup.tier_frames`, and
     with ``compress`` the Gorilla chunks of its 1h series."""
     keys = list(series_keys)
 
     def kernel(partials: pd.DataFrame) -> dict[str, pd.DataFrame]:
-        frames = {
-            t: rollup.finalize_tier_batch(f, t)
-            .sort_values(keys + ["bucket_us"], kind="mergesort")
-            .reset_index(drop=True)
-            for t, f in _cascade_frames(partials, keys).items()}
+        frames = rollup.tier_frames(
+            pa.Table.from_pandas(partials, preserve_index=False), keys)
         if compress:
             frames["chunks_1h"] = _encode_chunks(frames["1h"], keys, "1h",
                                                 value_col)
@@ -200,7 +162,7 @@ def append_tiers(pages_ds, out_dir: str, delta_id: str,
             return {"chunks_1h": _encode_chunks(merged["1h"], keys, "1h",
                                                value_col)}
     return checkpoint.merge_partitioned(
-        _tier_partials(_prepare(pages_ds, series_keys), keys), out_dir, "1h",
+        _tier_partials(pages_ds, keys), out_dir, "1h",
         keys, keys + ["bucket_us"], rollup.TIER_PLAN, delta_id=delta_id,
         num_partitions=num_partitions, sort_cols=keys + ["bucket_us"],
         finalize_fn=rollup.finalize_tier_batch,
@@ -208,59 +170,26 @@ def append_tiers(pages_ds, out_dir: str, delta_id: str,
         part_fn=lambda df: _cascade_frames(df, keys), derive_fn=derive)
 
 
-def compress_tier(tier_ds, series_keys=("host",), tier: str = "1h",
-                  value_col: str = "pages", num_partitions: int = 32):
-    """Gorilla-encode one tier's (host → bucket series) into chunk rows."""
-    slim = tier_ds.map_batches(
-        lambda b: b[list(series_keys) + ["bucket_us", value_col]],
-        batch_format="pandas",
-    )
-    return gorilla.encode_series_dataset(
-        slim, list(series_keys), "bucket_us", value_col,
-        tier=tier, num_partitions=min(32, num_partitions),
-    )
-
-
-def run(pages_ds, out_dir: str | None = None, series_keys=("host",),
+def run(pages_ds, out_dir: str, series_keys=("host",),
         num_partitions: int = 32, compress: bool = True,
         fail_after: int | None = None) -> dict:
-    """End-to-end flagship run. Returns metrics incl. the north-star
-    rolled-up points/sec across tiers.
-
-    With ``out_dir`` the whole store — 1h/1d/7d and, with ``compress``,
-    ``chunks_1h`` — is built by one exchange (see the module docstring);
-    a rerun resumes, skipping partitions whose 1h file is recorded, and the
-    points are those the manifest records. ``fail_after`` is the crash
-    test hook of :func:`checkpoint.write_partitioned`."""
+    """End-to-end flagship run: the whole store at ``out_dir`` — 1h/1d/7d
+    and, with ``compress``, ``chunks_1h`` — built by one exchange (see the
+    module docstring). Returns metrics incl. the north-star rolled-up
+    points/sec across tiers. A rerun resumes, skipping partitions whose 1h
+    file is recorded; the points and chunks are those the manifest
+    records. ``fail_after`` is the crash test hook of
+    :func:`checkpoint.write_partitioned`."""
     t_start = time.perf_counter()
     keys = list(series_keys)
-    prepared = _prepare(pages_ds, series_keys)
-    chunk_stats = None
-    if out_dir:
-        checkpoint.write_partitioned(
-            _tier_partials(prepared, keys), out_dir, "1h", keys,
-            num_partitions=num_partitions, fail_after=fail_after,
-            part_fn=_store_partition(keys, "pages", compress))
-        stored = checkpoint.load_done(out_dir)
-        points = {t: int(sum(r["rows"] for (tt, _), r in stored.items()
-                             if tt == t)) for t in K.TIERS}
-        if compress:
-            chunk_stats = {"chunks": int(sum(
-                r["rows"] for (t, _), r in stored.items()
-                if t == "chunks_1h"))}
-    else:
-        tiers = build_tiers(prepared, series_keys, num_partitions)
-        points = tier_points(tiers)
-        if compress:
-            cdf = compress_tier(tiers["1h"], series_keys, "1h", "pages",
-                                num_partitions).to_pandas()
-            payload = int(cdf["ts_payload"].map(len).sum()
-                          + cdf["val_payload"].map(len).sum())
-            chunk_stats = {
-                "chunks": len(cdf),
-                "payload_bytes": payload,
-                "raw_bytes": int(cdf["n_points"].sum()) * 16,
-            }
+    checkpoint.write_partitioned(
+        _tier_partials(pages_ds, keys), out_dir, "1h", keys,
+        num_partitions=num_partitions, fail_after=fail_after,
+        part_fn=_store_partition(keys, "pages", compress))
+    rows: dict[str, int] = {}
+    for (tier, _), r in checkpoint.load_done(out_dir).items():
+        rows[tier] = rows.get(tier, 0) + int(r["rows"])
+    points = {t: rows.get(t, 0) for t in K.TIERS}
 
     wall = time.perf_counter() - t_start
     total_points = int(sum(points.values()))
@@ -269,7 +198,8 @@ def run(pages_ds, out_dir: str | None = None, series_keys=("host",),
         "total_points": total_points,
         "wall_s": round(wall, 3),
         "points_per_sec": round(total_points / wall, 1),
-        "chunk_stats": chunk_stats,
+        "chunk_stats": ({"chunks": rows.get("chunks_1h", 0)} if compress
+                        else None),
     }
 
 

@@ -178,8 +178,6 @@ ORPHAN_ALLOWLIST = {
         "per-bucket reference the batch candidate verifier is tested against",
     "pipelines/dedup.py:minhash_signature":
         "single-document reference the batch MinHash kernel is tested against",
-    "pipelines/web.py:write_tiers":
-        "staged tier writes the fused single-exchange build is tested against",
     "synth.py:write_pages_corpus":
         "writes the synthetic pages corpus that tests read back as a fixture",
 }

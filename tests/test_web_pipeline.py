@@ -1,5 +1,6 @@
 """Flagship web pipeline: exact tier-value match vs the pandas oracle,
-cascade exactness (1d from 1h, 7d from 1d), checkpoint/resume byte-identity."""
+cascade exactness (1d from 1h, 7d from 1d), checkpoint/resume byte-identity,
+plan invariance of the store build and non-host series keys."""
 
 import glob
 import logging
@@ -13,8 +14,10 @@ import pytest
 
 import ray.data
 
+from forecastframe_ray import keys as K
 from forecastframe_ray import synth
 from forecastframe_ray.pipelines import web
+from forecastframe_ray.stages import gorilla
 from forecastframe_ray.state import checkpoint
 
 N_PAGES = 3000
@@ -25,7 +28,7 @@ TIER_COLS = ["host", "bucket_us", "pages", "bytes", "sum_val", "min_val",
 @pytest.fixture(scope="module")
 def tier_results(ray_session):
     pages = synth.pages_dataset(N_PAGES, seed=42, num_domains=60, override_num_blocks=6)
-    prepared = web.prepare_pages(pages)
+    prepared = web.prepare_series(pages)
     tiers = web.build_tiers(prepared, ("host",))
     got = {t: ds.to_pandas().sort_values(["host", "bucket_us"]).reset_index(drop=True)
            for t, ds in tiers.items()}
@@ -61,32 +64,32 @@ def test_cascade_consistency(tier_results):
 
 
 def test_checkpoint_resume_byte_identical(ray_session, tmp_path):
+    """An uncompressed store build that crashes after 3 of 8 partitions
+    resumes to the uninterrupted build's bytes, recording each (tier, part)
+    once and none of the recorded partitions again."""
     pages = synth.pages_dataset(800, seed=42, num_domains=30, override_num_blocks=4)
-    tiers = web.build_tiers(web.prepare_pages(pages), ("host",))
 
     full_dir = str(tmp_path / "full")
-    web.write_tiers({"1h": tiers["1h"]}, full_dir, num_partitions=8)
+    metrics = web.run(pages, full_dir, num_partitions=8, compress=False)
+    assert metrics["chunk_stats"] is None
+    assert not os.path.exists(os.path.join(full_dir, "tier=chunks_1h"))
 
     crash_dir = str(tmp_path / "crash")
     with pytest.raises(RuntimeError, match="simulated crash"):
-        web.write_tiers({"1h": tiers["1h"]}, crash_dir, num_partitions=8, fail_after=3)
+        web.run(pages, crash_dir, num_partitions=8, compress=False,
+                fail_after=3)
     done_before = checkpoint.load_done(crash_dir)
-    assert len(done_before) == 3
+    assert len({p for (_, p) in done_before}) == 3
+    assert len(done_before) == 9  # 1h, 1d and 7d of each recorded partition
     # resume: completes only the missing partitions
-    rows = web.write_tiers({"1h": tiers["1h"]}, crash_dir, num_partitions=8)
-    assert {r["part"] for r in rows}.isdisjoint({p for (_, p) in done_before})
+    web.run(pages, crash_dir, num_partitions=8, compress=False)
+    with open(os.path.join(crash_dir, checkpoint.MANIFEST)) as f:
+        assert sum(1 for line in f if line.strip()) == 3 * 8
 
     # final output byte-identical to the uninterrupted run
-    for part_file in sorted(os.listdir(os.path.join(full_dir, "tier=1h"))):
-        a = open(os.path.join(full_dir, "tier=1h", part_file), "rb").read()
-        b = open(os.path.join(crash_dir, "tier=1h", part_file), "rb").read()
-        assert a == b, part_file
-
+    assert _bytes(crash_dir) == _bytes(full_dir)
     # manifest checksums agree partition-by-partition
-    full_manifest = checkpoint.load_done(full_dir)
-    crash_manifest = checkpoint.load_done(crash_dir)
-    assert {k: v["checksum"] for k, v in full_manifest.items()} == \
-           {k: v["checksum"] for k, v in crash_manifest.items()}
+    assert _checksums(crash_dir) == _checksums(full_dir)
 
 
 def _tables(out_dir: str) -> dict:
@@ -106,18 +109,24 @@ def _checksums(out_dir: str) -> dict:
 
 def test_fused_build_equals_staged_writes(ray_session, tmp_path):
     """web.run(out_dir) builds the store in one exchange; its files are the
-    ones the staged jobs write: build_tiers + write_tiers, then the Gorilla
-    chunks through compress_tier + write_partitioned."""
+    ones the staged jobs write: build_tiers + write_partitioned per tier,
+    then the Gorilla chunks of the 1h (host, bucket_us, pages) series
+    through encode_series_dataset + write_partitioned."""
     pages = synth.pages_dataset(1200, seed=42, num_domains=30,
                                 override_num_blocks=4)
     fused, staged = str(tmp_path / "fused"), str(tmp_path / "staged")
     metrics = web.run(pages, out_dir=fused, compress=True, num_partitions=8)
 
     tiers = web.build_tiers(web.prepare_series(pages), num_partitions=8)
-    web.write_tiers(tiers, staged, num_partitions=8)
-    checkpoint.write_partitioned(
-        web.compress_tier(tiers["1h"], num_partitions=8), staged,
-        "chunks_1h", ["host"], num_partitions=8, sort_cols=["host"])
+    for tier, ds in tiers.items():
+        checkpoint.write_partitioned(ds, staged, tier, ["host"],
+                                     num_partitions=8,
+                                     sort_cols=["host", "bucket_us"])
+    chunks = gorilla.encode_series_dataset(
+        tiers["1h"].select_columns(["host", "bucket_us", "pages"]), ["host"],
+        "bucket_us", "pages", tier="1h", num_partitions=8)
+    checkpoint.write_partitioned(chunks, staged, "chunks_1h", ["host"],
+                                 num_partitions=8, sort_cols=["host"])
 
     got, want = _tables(fused), _tables(staged)
     assert got.keys() == want.keys()
@@ -126,7 +135,7 @@ def test_fused_build_equals_staged_writes(ray_session, tmp_path):
     for f in want:
         assert got[f].equals(want[f]), f
     assert _checksums(fused) == _checksums(staged)
-    assert metrics["tier_points"] == web.tier_points(tiers)
+    assert metrics["tier_points"] == {t: ds.count() for t, ds in tiers.items()}
     assert metrics["chunk_stats"]["chunks"] == sum(
         t.num_rows for f, t in got.items() if f.startswith("tier=chunks_1h"))
 
@@ -208,22 +217,111 @@ def test_tier_jobs_run_one_exchange_each(ray_session, tmp_path):
 
 def test_full_run_with_compression(ray_session, tmp_path):
     pages = synth.pages_dataset(1500, seed=42, num_domains=40, override_num_blocks=4)
-    metrics = web.run(pages, out_dir=None, compress=True)
+    out = str(tmp_path / "store")
+    metrics = web.run(pages, out, compress=True)
     assert metrics["total_points"] > 0
     assert metrics["tier_points"]["1h"] >= metrics["tier_points"]["1d"] >= metrics["tier_points"]["7d"]
-    cs = metrics["chunk_stats"]
-    assert cs["payload_bytes"] < cs["raw_bytes"]  # regular buckets compress
 
-    # chunk roundtrip: decode == 1h pages series exactly
-    from forecastframe_ray.stages import gorilla
-    tiers = web.build_tiers(web.prepare_pages(
-        synth.pages_dataset(1500, seed=42, num_domains=40, override_num_blocks=4)))
-    chunks = web.compress_tier(tiers["1h"], ("host",), "1h", "pages")
+    chunks = checkpoint.read_tier(out, "chunks_1h")
+    cdf = chunks.to_pandas()
+    assert metrics["chunk_stats"]["chunks"] == len(cdf)
+    points = int(cdf["n_points"].sum())
+    assert points == metrics["tier_points"]["1h"]
+    payload = int(cdf["ts_payload"].map(len).sum()
+                  + cdf["val_payload"].map(len).sum())
+    assert payload < 16 * points  # regular buckets compress
+
+    # chunk roundtrip: decode == stored 1h pages series exactly
     back = gorilla.decode_chunk_dataset(chunks, ["host"], ts_col="bucket_us",
                                         value_col="pages").to_pandas()
-    src = tiers["1h"].to_pandas()
+    src = checkpoint.read_tier(out, "1h").to_pandas()
     a = src.sort_values(["host", "bucket_us"]).reset_index(drop=True)
     b = back.sort_values(["host", "bucket_us"]).reset_index(drop=True)
     assert len(a) == len(b)
+    assert (a["host"].values == b["host"].values).all()
+    # the decoder returns the bucket as a timestamp
+    assert (pd.to_datetime(a["bucket_us"], unit="us").values
+            == b["bucket_us"].values).all()
     np.testing.assert_array_equal(a["pages"].to_numpy(dtype=np.float64),
                                   b["pages"].to_numpy(dtype=np.float64))
+
+
+def _store_tiers(out_dir: str, keys: list[str]) -> dict:
+    """{tier: stored rows sorted by (keys, bucket_us)} for 1h/1d/7d."""
+    return {t: checkpoint.read_tier(out_dir, t).to_pandas()
+            .sort_values(keys + ["bucket_us"]).reset_index(drop=True)
+            for t in ("1h", "1d", "7d")}
+
+
+def test_store_build_is_plan_invariant(ray_session, tmp_path):
+    """The store build does not depend on the input's blocks: at a fixed
+    partition count the stored bytes are the same over 1 block, 16 blocks
+    and 16 blocks in reverse order; across partition counts the tiers read
+    back are the same rows."""
+    table = synth.pages_table(1600, seed=7, num_domains=40)
+    many = [table.slice(i * 100, 100) for i in range(16)]
+
+    def build(name, blocks, num_partitions):
+        out = str(tmp_path / name)
+        web.run(ray.data.from_arrow(blocks), out, compress=True,
+                num_partitions=num_partitions)
+        return out
+
+    want = build("one", [table], 8)
+    for name, blocks in (("many", many), ("reversed", many[::-1])):
+        got = build(name, blocks, 8)
+        assert _bytes(got) == _bytes(want), name
+        assert _checksums(got) == _checksums(want), name
+
+    tiers = _store_tiers(want, ["host"])
+    for num_partitions in (1, 3):
+        got = _store_tiers(build(f"np{num_partitions}", many,
+                                 num_partitions), ["host"])
+        for t in tiers:
+            pd.testing.assert_frame_equal(got[t], tiers[t], check_exact=True)
+
+
+def _oracle_by(pages: pd.DataFrame, keys: list[str]) -> dict:
+    """Tier values grouped by any of host, domain or a page column, with
+    plain pandas: the stats of ``text_bytes`` per (keys, bucket)."""
+    df = pages.copy()
+    df["host"] = df["url"].str.replace(r"^[a-z][a-z0-9+.-]*://", "",
+                                       regex=True) \
+        .str.replace(r"[/:?#].*$", "", regex=True)
+    df["domain"] = df["host"].str.extract(r"([^.]+\.[^.]+)$")[0] \
+        .fillna(df["host"])
+    df["v"] = df["text"].str.encode("utf-8").str.len().astype(np.float64)
+    df["v2"] = df["v"] * df["v"]
+    ts_us = df["warc_ts"].astype("datetime64[us]").astype("int64")
+    out = {}
+    for tier, width in K.TIER_US.items():
+        g = df.assign(bucket_us=(ts_us // width) * width) \
+            .groupby(keys + ["bucket_us"])
+        agg = g.agg(pages=("v", "size"), bytes=("v", "sum"),
+                    sum_val=("v", "sum"), min_val=("v", "min"),
+                    max_val=("v", "max"), sum_sq=("v2", "sum")).reset_index()
+        agg["pages"] = agg["pages"].astype(np.float64)
+        n, s = agg["pages"], agg["sum_val"]
+        agg["mean_val"] = s / n
+        agg["std_val"] = np.sqrt(((agg["sum_sq"] - s * s / n) / (n - 1))
+                                 .where(n > 1).clip(lower=0.0))
+        out[tier] = agg
+    return out
+
+
+@pytest.mark.parametrize("keys", [["domain"], ["host", "lang"]])
+def test_store_build_with_other_series_keys(ray_session, tmp_path, keys):
+    """``series_keys`` other than host — a url part (domain) and a page
+    column (lang) — build the tiers a pandas groupby computes."""
+    pages = synth.pages_table(1500, seed=11, num_domains=30)
+    out = str(tmp_path / "store")
+    metrics = web.run(ray.data.from_arrow(pages), out, series_keys=keys,
+                      compress=True, num_partitions=4)
+    got = _store_tiers(out, keys)
+    want = _oracle_by(pages.to_pandas(), keys)
+    assert metrics["tier_points"] == {t: len(want[t]) for t in want}
+    cols = keys + ["bucket_us", "pages", "bytes", "sum_val", "min_val",
+                   "max_val", "sum_sq", "mean_val", "std_val"]
+    for t in want:
+        pd.testing.assert_frame_equal(got[t][cols], want[t][cols],
+                                      check_dtype=False, rtol=1e-9)

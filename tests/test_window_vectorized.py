@@ -9,9 +9,13 @@ columns (a categorical key, NaN keys), int/float/bool value columns, lags
 0–3, windows 1–10 and both EWMA ``adjust`` values; every kernel must return
 a frame ``DataFrame.equals`` to its oracle's — values, dtypes and order.
 
-The last test pins plan invariance of the whole feature chain the tier
+The last tests pin plan invariance of the whole feature chain the tier
 benchmark runs (gap-fill → lags → rolling stats → EWMA): the same output
-for any partition count, block count and block order."""
+for any partition count, block count and block order; and that the global
+gap-fill executes its upstream plan once."""
+
+import os
+import time
 
 import numpy as np
 import pandas as pd
@@ -329,3 +333,25 @@ def test_feature_chain_is_plan_invariant(ray_session):
         for blocks in ([df], many, many[::-1]):
             got = _feature_chain(blocks, num_partitions)
             pd.testing.assert_frame_equal(got, want, check_exact=True)
+
+
+def test_global_gap_fill_runs_the_pending_plan_once(ray_session, tmp_path):
+    """``fill_time_gaps(mode="global")`` needs the global range before the
+    keyed stage; the upstream plan still executes once, not once for the
+    range pass and again for the keyed stage."""
+    from forecastframe_ray.frame import RayForecastFrame
+
+    calls = tmp_path / "calls"
+    calls.mkdir()
+
+    def spy(b: pd.DataFrame) -> pd.DataFrame:
+        (calls / f"{os.getpid()}-{time.perf_counter_ns()}").touch()
+        return b
+
+    df = _daily_tier()
+    ds = ray.data.from_pandas(df).map_batches(spy, batch_format="pandas",
+                                              batch_size=None)
+    out = RayForecastFrame(ds, "bucket_ts", "pages", ["host"],
+                           num_partitions=4).fill_time_gaps("D").to_pandas()
+    assert len(out) > len(df)
+    assert len(list(calls.iterdir())) == 1
