@@ -400,7 +400,7 @@ class RayForecastFrame:
         rolled = aggregate_features(base, features, gcols + [dtc], groupers["operation"])
         rolled = keyed_window_stage(rolled, gcols, dtc, ops,
                                     num_partitions=max(4, self.num_partitions // 4))
-        # materialized: counted below, then read again by the join
+        # materialized: count() and then to_pandas() or the join read it
         rolled = rolled.select_columns(gcols + [dtc] + new_cols).materialize()
         # broadcast only when the rolled side is genuinely small; a
         # high-cardinality grouper (e.g. host×bucket) falls back to a
@@ -542,8 +542,8 @@ class RayForecastFrame:
         transform.py:11-39; the string half is the reference's
         object→category conversion at transform.py:30-33; floats stay
         float64 — see functions/scalar.py)."""
-        self._flush()
-        s = self._ds.schema()
+        self._ds = self._flush().materialize()
+        s = self._ds.schema(fetch_if_missing=False)
 
         def is_int(t):
             if isinstance(t, pa.DataType):
@@ -568,7 +568,6 @@ class RayForecastFrame:
             aggs = []
             for c in int_cols:
                 aggs += [Min(c, alias_name=f"lo_{c}"), Max(c, alias_name=f"hi_{c}")]
-            self._ds = self._ds.materialize()
             row = self._ds.aggregate(*aggs)
             plan = scalar.downcast_plan(
                 {c: (row[f"lo_{c}"], row[f"hi_{c}"]) for c in int_cols})
@@ -777,11 +776,9 @@ class RayForecastFrame:
         if self.target in preds.schema().names:
             return preds
         keys = (self.hierarchy or []) + [self.datetime_column]
-        # materialized: the join reads its sides' schemas first, which
-        # would otherwise run a pending keyed stage twice
         actuals = self._flush().map_batches(
             lambda b: b.loc[b[self.target].notna(), keys + [self.target]],
-            batch_format="pandas").materialize()
+            batch_format="pandas")
         return hash_join(preds, actuals, on=keys, how="outer",
                          num_partitions=self.num_partitions)
 
@@ -810,14 +807,15 @@ class RayForecastFrame:
         from forecastframe_ray.stages.agg import hash_count
 
         dtc, tgt = self.datetime_column, self.target
-        base = self._flush()
+        # materialized: the max, the series count and the union read it
+        base = self._flush().materialize()
         last = pd.Timestamp(base.aggregate(Max(dtc, alias_name="hi"))["hi"])
         dates = pd.date_range(start=last, periods=periods + 1, freq=freq)
         dates = dates[dates > last][:periods]
 
         # align to the full history schema (missing cols → null), matching
         # the reference's pandas concat which NaN-fills new future rows
-        schema = base.schema()
+        schema = base.schema(fetch_if_missing=False)
 
         def _align(future: pd.DataFrame) -> pd.DataFrame:
             future[tgt] = np.nan

@@ -13,11 +13,11 @@ message stay in the worker logs.
 
 The PRIMARY fix is at the source: the coarse-hash assign stage strips
 schema metadata before every shuffle (``stages/agg.py``), and the engine's
-Ray-native sorts and its hash join strip it first too
-(``agg.without_schema_metadata``), so the engine's own wide steps no longer
-produce unhashable schemas at all. This filter stays as a backstop for
-shuffles over blocks the engine didn't produce (e.g. a user's own
-pandas-written parquet sorted directly).
+Ray-native sorts and the materialize of a lazy join side strip it first
+too (``agg.without_schema_metadata``), so the engine's own wide steps no
+longer produce unhashable schemas at all. This filter stays as a backstop
+for blocks the engine didn't produce (e.g. Ray's read tasks concatenating
+pandas-written parquet, or such parquet sorted directly).
 """
 
 from __future__ import annotations

@@ -134,9 +134,6 @@ def fold_frames(fr, n_splits: int, gap: int = 0, restore_actuals: bool = True):
                 out.update_values(patch)
             else:
                 from forecastframe_ray.stages.join import hash_update
-                # materialized: the join reads its sides' schemas first,
-                # which would otherwise replay the feature plan twice
-                out._ds = hash_update(out.dataset.materialize(), patch_ds,
-                                      on=keys,
+                out._ds = hash_update(out.dataset, patch_ds, on=keys,
                                       num_partitions=out.num_partitions)
         yield fold, out

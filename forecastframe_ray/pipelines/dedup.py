@@ -987,10 +987,8 @@ def clusters_from_pairs_distributed(pairs, id_a: str = "id_a",
                          num_partitions=num_partitions).map_batches(
             lambda b: pd.DataFrame({"node": b["dst"], "cand": b["__cand"]}),
             batch_format="pandas")
-        # materialized: the join reads its sides' schemas first, which
-        # would otherwise run this aggregate (and the join under it) twice
         new_min = hash_aggregate(prop, ["node"], {"cand": ("cand", "min")},
-                                 num_partitions=num_partitions).materialize()
+                                 num_partitions=num_partitions)
         merged = hash_join(labels, new_min, on=["node"], how="left",
                            num_partitions=num_partitions)
 

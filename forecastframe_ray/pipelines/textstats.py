@@ -442,9 +442,6 @@ def _strip_boilerplate_distributed(ds, freq_ds, text_col: str, id_col: str,
     if not extra:
         return result
     from forecastframe_ray.stages.join import hash_join
-    # materialized: the join reads its sides' schemas first, which would
-    # otherwise run the reassembly exchange twice
-    result = result.materialize()
     return hash_join(ds.select_columns([id_col] + extra), result,
                      on=[id_col], how="inner",
                      num_partitions=num_partitions)

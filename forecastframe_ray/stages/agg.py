@@ -87,11 +87,12 @@ def exchange(ds, tag, fn, batch_format: str = "pandas"):
 
 def without_schema_metadata(ds):
     """``ds`` with its blocks' schema metadata dropped — the input form of a
-    Ray-native wide step outside :func:`exchange` (``Dataset.sort``), and
-    of a join whose schema is read when it is planned. Pandas-written
-    parquet and pandas blocks carry a ``b"pandas"`` blob that makes the
-    Arrow schema unhashable (pyarrow 16), so Ray's schema dedup logs "Failed
-    to hash the schemas" from every task that merges such blocks."""
+    Ray-native wide step outside :func:`exchange` (``Dataset.sort``) and of
+    a lazy join side the join materializes (``join._materialized``).
+    Pandas-written parquet and pandas blocks carry a ``b"pandas"`` blob that
+    makes the Arrow schema unhashable (pyarrow 16), so Ray's schema dedup
+    logs "Failed to hash the schemas" from every task that merges such
+    blocks."""
     return ds.map_batches(lambda t: t.replace_schema_metadata(None),
                           batch_format="pyarrow", batch_size=None)
 

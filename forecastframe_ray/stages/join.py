@@ -32,54 +32,54 @@ def _df_bytes(obj) -> int:
         return _ACTOR_BYTES + 1  # unknown → be safe, use the actor pool
 
 
-def broadcast_left_join(ds, small_df: pd.DataFrame, on: list[str]):
-    """``ds LEFT JOIN small_df USING (on)`` — small side shipped to the object
-    store once, merged per batch with a vectorized pandas merge."""
-    overlapping = [c for c in small_df.columns if c not in on and c in ds.schema().names]
-    if overlapping:
-        small_df = small_df.drop(columns=overlapping)
-    small_bytes = _df_bytes(small_df)
-    ref = ray.put(small_df)
+def _broadcast_map(ds, obj, nbytes: int, fn):
+    """``fn(batch, obj)`` over every pandas batch of ``ds``, with ``obj``
+    shipped to the object store once: plain tasks when ``nbytes`` is at most
+    :data:`_ACTOR_BYTES`, otherwise an actor pool that deserializes it once
+    per actor."""
+    ref = ray.put(obj)
+    if nbytes <= _ACTOR_BYTES:
+        return ds.map_batches(lambda b: fn(b, ray.get(ref)),
+                              batch_format="pandas")
 
-    if small_bytes <= _ACTOR_BYTES:
-        def join_fn(batch: pd.DataFrame) -> pd.DataFrame:
-            return batch.merge(ray.get(ref), how="left", on=list(on))
-
-        return ds.map_batches(join_fn, batch_format="pandas")
-
-    class Joiner:
+    class Broadcast:
         def __init__(self):
-            self.small = ray.get(ref)
+            self.obj = ray.get(ref)
 
         def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            return batch.merge(self.small, how="left", on=list(on))
+            return fn(batch, self.obj)
 
-    return ds.map_batches(Joiner, batch_format="pandas", concurrency=(1, 8))
+    return ds.map_batches(Broadcast, batch_format="pandas", concurrency=(1, 8))
+
+
+def broadcast_left_join(ds, small_df: pd.DataFrame, on: list[str]):
+    """``ds LEFT JOIN small_df USING (on)`` — small side shipped to the object
+    store once, merged per batch with a vectorized pandas merge. A non-key
+    column present on both sides keeps the batch's values."""
+    on = list(on)
+
+    def join_fn(batch: pd.DataFrame, small: pd.DataFrame) -> pd.DataFrame:
+        dup = [c for c in small.columns if c not in on and c in batch.columns]
+        if dup:
+            small = small.drop(columns=dup)
+        return batch.merge(small, how="left", on=on)
+
+    return _broadcast_map(ds, small_df, _df_bytes(small_df), join_fn)
 
 
 def broadcast_semi_join(ds, keys_df: pd.DataFrame, on: list[str], anti: bool = False):
     """Keep (or drop, ``anti=True``) rows whose key tuple appears in
     ``keys_df`` — broadcast key-set filter, no shuffle."""
-    key_index = pd.MultiIndex.from_frame(keys_df[list(on)].drop_duplicates())
-    small = key_index.memory_usage(deep=True) <= _ACTOR_BYTES
-    ref = ray.put(key_index)
+    on = list(on)
+    key_index = pd.MultiIndex.from_frame(keys_df[on].drop_duplicates())
 
-    if small:
-        def filter_fn(batch: pd.DataFrame) -> pd.DataFrame:
-            mask = pd.MultiIndex.from_frame(batch[list(on)]).isin(ray.get(ref))
-            return batch[~mask] if anti else batch[mask]
+    def filter_fn(batch: pd.DataFrame, keys: pd.MultiIndex) -> pd.DataFrame:
+        mask = pd.MultiIndex.from_frame(batch[on]).isin(keys)
+        return batch[~mask] if anti else batch[mask]
 
-        return ds.map_batches(filter_fn, batch_format="pandas")
-
-    class Filterer:
-        def __init__(self):
-            self.keys = ray.get(ref)
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            mask = pd.MultiIndex.from_frame(batch[list(on)]).isin(self.keys)
-            return batch[~mask] if anti else batch[mask]
-
-    return ds.map_batches(Filterer, batch_format="pandas", concurrency=(1, 8))
+    # MultiIndex.memory_usage returns an int, which _df_bytes cannot .sum()
+    return _broadcast_map(ds, key_index, key_index.memory_usage(deep=True),
+                          filter_fn)
 
 
 def _merge_frames(lf: pd.DataFrame, rf: pd.DataFrame, on: list[str],
@@ -109,9 +109,9 @@ def hash_join(left, right, on: list[str], how: str = "inner",
     float64 (on either side), so every partition emits one schema. A
     non-key column present on both sides raises ``ValueError``.
 
-    Both sides' schemas are read when the join is planned, which runs a lazy
-    side up to its first block: materialize a side that ends in a shuffle,
-    or that shuffle runs twice."""
+    Each side is materialized once (free if it already is), so a lazy side
+    holds one object-store copy while the join runs, and no plan runs
+    twice."""
     plan = _cogroup_plan(left, right, on, suffix=None,
                          promote=(how in ("right", "outer"),
                                   how in ("left", "outer")))
@@ -120,26 +120,25 @@ def hash_join(left, right, on: list[str], how: str = "inner",
     def frame_kernel(lf: pd.DataFrame, rf: pd.DataFrame) -> pd.DataFrame:
         return _merge_frames(lf, rf, list(on), how).reindex(columns=names)
 
-    return _keyed_cogroup(left, right, on, plan, frame_kernel,
-                          num_partitions)
+    return _keyed_cogroup(plan, on, frame_kernel, num_partitions)
 
 
 def hash_update(ds, patch_ds, on: list[str], num_partitions: int = 32):
     """Distributed J4 (``_update_values``) for a LARGE patch side: left hash
     join on the keys, then per-batch coalesce of the patch's non-NA values —
     no driver materialization of either side."""
-    value_cols = [c for c in patch_ds.schema().names if c not in on]
-    renames = {c: f"{c}__patch" for c in value_cols}
-    patch = patch_ds.map_batches(lambda b: b.rename(columns=renames),
-                                 batch_format="pandas")
+    patch = patch_ds.map_batches(lambda b: b.rename(columns={
+        c: f"{c}__patch" for c in b.columns if c not in on}),
+        batch_format="pandas")
     joined = hash_join(ds, patch, on=on, how="left",
                        num_partitions=num_partitions)
 
     def coalesce(b: pd.DataFrame) -> pd.DataFrame:
-        for c in value_cols:
-            src = b[f"{c}__patch"]
+        patched = [c for c in b.columns if c.endswith("__patch")]
+        for p in patched:
+            c, src = p.removesuffix("__patch"), b[p]
             b[c] = src.where(src.notna(), b[c])
-        return b.drop(columns=[f"{c}__patch" for c in value_cols])
+        return b.drop(columns=patched)
 
     return joined.map_batches(coalesce, batch_format="pandas")
 
@@ -149,8 +148,6 @@ def broadcast_update(ds, patch_df: pd.DataFrame, on: list[str]):
     ``ds`` rows with the non-NA values of ``patch_df`` aligned on ``on``
     (the patch — e.g. restored test actuals — is broadcast once)."""
     value_cols = [c for c in patch_df.columns if c not in on]
-    small_bytes = _df_bytes(patch_df)
-    ref = ray.put(patch_df)
 
     def apply_patch(batch: pd.DataFrame, patch: pd.DataFrame) -> pd.DataFrame:
         merged = batch.merge(patch, how="left", on=list(on),
@@ -166,18 +163,7 @@ def broadcast_update(ds, patch_df: pd.DataFrame, on: list[str]):
                 merged = merged.drop(columns=[pc_])
         return merged[list(batch.columns)]
 
-    if small_bytes <= _ACTOR_BYTES:
-        return ds.map_batches(lambda b: apply_patch(b, ray.get(ref)),
-                              batch_format="pandas")
-
-    class Updater:
-        def __init__(self):
-            self.patch = ray.get(ref)
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            return apply_patch(batch, self.patch)
-
-    return ds.map_batches(Updater, batch_format="pandas", concurrency=(1, 8))
+    return _broadcast_map(ds, patch_df, _df_bytes(patch_df), apply_patch)
 
 
 # ---------------------------------------------------------------------------
@@ -185,25 +171,23 @@ def broadcast_update(ds, patch_df: pd.DataFrame, on: list[str]):
 # ---------------------------------------------------------------------------
 
 def _arrow_schema(ds):
-    """Arrow schema of a Dataset regardless of block format, read from its
-    first non-empty block with schema metadata dropped
-    (``agg.without_schema_metadata``: Ray's own schema of a multi-file read
-    unifies the files' unhashable pandas-tagged schemas and logs "Failed to
-    hash the schemas"). An all-empty Dataset, or a first block with an
-    all-null column, falls back to the Dataset's declared schema:
+    """Arrow schema of a MATERIALIZED Dataset, read from its first non-empty
+    block (converted to Arrow, as a pyarrow map would) with the schema
+    metadata dropped; no plan runs. An all-empty Dataset, or a first block
+    with an all-null column, falls back to the Dataset's known schema:
     parquet-backed datasets report a pa.Schema; from_pandas datasets report
     a PandasBlockSchema (numpy dtypes), mapped here (object -> string —
     pass Arrow blocks for binary columns)."""
-    import numpy as np
     import pyarrow as pa
+    from ray.data.block import BlockAccessor
 
-    from forecastframe_ray.stages.agg import without_schema_metadata
-
-    schema = without_schema_metadata(ds).schema()
-    if schema is not None and not any(pa.types.is_null(t)
-                                      for t in schema.base_schema.types):
-        return schema.base_schema
-    schema = ds.schema()
+    first = next((ref for bundle in ds.iter_internal_ref_bundles()
+                  for ref, meta in bundle.blocks if meta.num_rows), None)
+    if first is not None:
+        schema = BlockAccessor.for_block(ray.get(first)).to_arrow().schema
+        if not any(pa.types.is_null(t) for t in schema.types):
+            return schema.remove_metadata()
+    schema = ds.schema(fetch_if_missing=False)
     if schema is None:
         raise ValueError(
             "a keyed co-group join requires a schema'd Dataset — an empty "
@@ -212,10 +196,24 @@ def _arrow_schema(ds):
             "empty one)")
     bs = schema.base_schema
     if isinstance(bs, pa.Schema):
-        return bs
+        return bs.remove_metadata()
     return pa.schema([
         (n, pa.string() if d == np.dtype("O") else pa.from_numpy_dtype(d))
         for n, d in zip(bs.names, bs.types)])
+
+
+def _materialized(ds):
+    """A join side's one execution. A lazy side is materialized through a
+    metadata-dropping map that fuses into its last task (read tasks that
+    concatenate pandas-written Parquet files otherwise log "Failed to hash
+    the schemas"); on a materialized side ``materialize()`` runs nothing."""
+    from ray.data.dataset import MaterializedDataset
+
+    from forecastframe_ray.stages.agg import without_schema_metadata
+
+    if not isinstance(ds, MaterializedDataset):
+        ds = without_schema_metadata(ds)
+    return ds.materialize()
 
 
 def _cogroup_out_schema(left_schema, right_fields: list, on: list[str],
@@ -243,12 +241,14 @@ def _cogroup_out_schema(left_schema, right_fields: list, on: list[str],
 
 def _cogroup_plan(left, right, on: list[str], suffix: str | None,
                   promote: tuple[bool, bool] = (False, True)):
-    """Shared planning for both-sides-large keyed co-group joins: resolve
+    """Shared planning for both-sides-large keyed co-group joins:
+    materialize each side once (:func:`_materialized`), then resolve
     right-column renames (collisions get ``suffix``; with ``suffix=None``
     they raise ``ValueError``), the unified tagged schema, and the output
     schema (``promote``: see :func:`_cogroup_out_schema`)."""
     import pyarrow as pa
 
+    left, right = _materialized(left), _materialized(right)
     lschema, rschema = _arrow_schema(left), _arrow_schema(right)
     lnames = set(lschema.names)
     clash = [c for c in rschema.names if c in lnames and c not in on]
@@ -259,6 +259,8 @@ def _cogroup_plan(left, right, on: list[str], suffix: str | None,
                     if f.name not in on]
     out_schema = _cogroup_out_schema(lschema, right_fields, on, promote)
     return {
+        "left": left,
+        "right": right,
         "renames": renames,
         "out_schema": out_schema,
         "union_fields": ([(f.name, f.type) for f in lschema]
@@ -268,12 +270,13 @@ def _cogroup_plan(left, right, on: list[str], suffix: str | None,
     }
 
 
-def _keyed_cogroup(left, right, on: list[str], plan: dict, frame_kernel,
+def _keyed_cogroup(plan: dict, on: list[str], frame_kernel,
                    num_partitions: int):
-    """Execute a keyed co-group join: tag both sides, hash-partition on
-    ``on`` with the same deterministic hash (one coarse shuffle each,
-    Arrow-native null padding so schemas unify without upcasts), then run
-    ``frame_kernel(lf, rf) -> pd.DataFrame`` once per partition.
+    """Execute a keyed co-group join over the plan's materialized sides:
+    tag both sides, hash-partition on ``on`` with the same deterministic
+    hash (one coarse shuffle each, Arrow-native null padding so schemas
+    unify without upcasts), then run ``frame_kernel(lf, rf) ->
+    pd.DataFrame`` once per partition.
     PARTITIONING ASSUMPTION: all rows of a key land in one partition — a
     single pathologically hot key bounds per-task memory at that key's row
     count, the same contract as every keyed window stage (scale the
@@ -300,9 +303,10 @@ def _keyed_cogroup(left, right, on: list[str], plan: dict, frame_kernel,
             return pa.table(cols)
         return fn
 
-    sides = [left.map_batches(side_rows(0, {}), batch_format="pyarrow"),
-             right.map_batches(side_rows(1, plan["renames"]),
-                               batch_format="pyarrow")]
+    sides = [plan["left"].map_batches(side_rows(0, {}),
+                                      batch_format="pyarrow"),
+             plan["right"].map_batches(side_rows(1, plan["renames"]),
+                                       batch_format="pyarrow")]
 
     # Ray's groupby shuffle can retype an ALL-NULL column inside a
     # one-sided partition (e.g. a left-only key group: every right-side
@@ -379,8 +383,7 @@ def asof_join(left, right, on: list[str], left_ts: str,
         return _merge_asof_frames(lf, rf, on, left_ts, r_ts_out,
                                   direction, tolerance)
 
-    return _keyed_cogroup(left, right, on, plan, frame_kernel,
-                          num_partitions)
+    return _keyed_cogroup(plan, on, frame_kernel, num_partitions)
 
 
 _CLOSED_OPS = {"left": (np.greater_equal, np.less),
@@ -431,5 +434,4 @@ def range_join(left, right, on: list[str], left_ts: str, start_col: str,
         return _range_match_frames(lf, rf, on, left_ts, start_out, end_out,
                                    how, closed)
 
-    return _keyed_cogroup(left, right, on, plan, frame_kernel,
-                          num_partitions)
+    return _keyed_cogroup(plan, on, frame_kernel, num_partitions)

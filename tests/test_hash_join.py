@@ -1,13 +1,15 @@
 """``stages.join.hash_join``: the distributed equality join (a keyed
 co-group through ``agg.exchange``, one ``pandas.merge`` per partition)
-against DuckDB over random frames, its column-collision check, and a run on
-a one-CPU cluster."""
+against DuckDB over random frames, its column-collision check, a run on a
+one-CPU cluster, and a check that no join runs its inputs' plans to plan
+itself."""
 
 import os
 import signal
 import subprocess
 import sys
 import textwrap
+import time
 
 import duckdb
 import numpy as np
@@ -156,3 +158,76 @@ def test_hash_join_finishes_on_one_cpu(tmp_path):
         proc.communicate()
         pytest.fail("hash_join did not finish in 120 s on 1 CPU")
     assert proc.returncode == 0, err[-3000:]
+
+
+def test_joins_plan_without_running_their_inputs(tmp_path, monkeypatch):
+    """Every join learns its sides' schemas without executing their plans:
+    a fetching ``Dataset.schema()`` on a lazy Dataset runs ``limit(1)`` over
+    it, which re-runs an upstream shuffle (and its cancel can abort the Ray
+    driver). With a fetching schema read raising, each join over lazy sides
+    completes, and a side that ends in a 4-partition keyed stage runs its
+    kernel once per partition. (``Dataset.limit`` itself cannot be made to
+    raise: Ray's ``groupby`` plans a ``limit(1)`` for its non-fetching
+    schema check, and never runs it.)"""
+    from forecastframe_ray.stages.agg import keyed_map_partitions
+    from forecastframe_ray.stages.join import (asof_join,
+                                               broadcast_left_join,
+                                               hash_update, range_join)
+
+    known_schema = ray.data.Dataset.schema
+
+    def schema(self, fetch_if_missing: bool = True):
+        out = known_schema(self, fetch_if_missing=False)
+        if out is None and fetch_if_missing:
+            raise AssertionError("a join ran a plan to learn its schema")
+        return out
+
+    monkeypatch.setattr(ray.data.Dataset, "schema", schema)
+
+    rng = np.random.default_rng(3)
+    day = pd.Timestamp("2024-01-01").as_unit("ns")
+    ts = day + pd.to_timedelta(rng.integers(0, 30, 40), unit="D")
+    facts = pd.DataFrame({"k": np.arange(40) % 20, "ts": ts,
+                          "v": rng.random(40)})
+    keys = pd.DataFrame({"k": range(20), "w": np.arange(20.0)})
+    marks = keys.rename(columns={"w": "m"}).assign(
+        mts=day + pd.Timedelta(days=9))
+    spans = keys.drop(columns="w").assign(start=day + pd.Timedelta(days=4),
+                                          end=day + pd.Timedelta(days=19))
+    patch = facts.iloc[::3].assign(v=-1.0)
+    calls = tmp_path / "calls"
+    calls.mkdir()
+
+    def kernel(part: pd.DataFrame) -> pd.DataFrame:
+        (calls / f"{os.getpid()}-{time.perf_counter_ns()}").touch()
+        return part
+
+    def keyed():
+        return keyed_map_partitions(ray.data.from_pandas(facts), ["k"],
+                                    kernel, num_partitions=4)
+
+    def lazy(df):
+        return ray.data.from_pandas(df).map_batches(lambda b: b,
+                                                    batch_format="pandas")
+
+    joins = {
+        "hash_join": lambda: hash_join(keyed(), lazy(keys), on=["k"],
+                                       how="left", num_partitions=4),
+        "asof_join": lambda: asof_join(keyed(), lazy(marks), on=["k"],
+                                       left_ts="ts", right_ts="mts",
+                                       num_partitions=4),
+        "range_join": lambda: range_join(keyed(), lazy(spans), on=["k"],
+                                         left_ts="ts", start_col="start",
+                                         end_col="end", how="left",
+                                         num_partitions=4),
+        "hash_update": lambda: hash_update(keyed(), lazy(patch),
+                                           on=["k", "ts"], num_partitions=4),
+        "broadcast_left_join": lambda: broadcast_left_join(keyed(), keys,
+                                                           on=["k"]),
+    }
+    for name, join in joins.items():
+        for f in calls.iterdir():
+            f.unlink()
+        out = join().materialize()
+        assert out.count() >= len(facts), name
+        assert len(list(calls.iterdir())) == 4, name

@@ -12,7 +12,8 @@ a frame ``DataFrame.equals`` to its oracle's — values, dtypes and order.
 The last tests pin plan invariance of the whole feature chain the tier
 benchmark runs (gap-fill → lags → rolling stats → EWMA): the same output
 for any partition count, block count and block order; and that the global
-gap-fill executes its upstream plan once."""
+gap-fill, ``compress`` and ``make_future_frame`` each execute their
+upstream plan once."""
 
 import os
 import time
@@ -335,23 +336,48 @@ def test_feature_chain_is_plan_invariant(ray_session):
             pd.testing.assert_frame_equal(got, want, check_exact=True)
 
 
-def test_global_gap_fill_runs_the_pending_plan_once(ray_session, tmp_path):
-    """``fill_time_gaps(mode="global")`` needs the global range before the
-    keyed stage; the upstream plan still executes once, not once for the
-    range pass and again for the keyed stage."""
+def _spied_frame(df: pd.DataFrame, calls):
+    """A frame over ``df`` whose one-block source touches a file in
+    ``calls`` each time the plan above it executes."""
     from forecastframe_ray.frame import RayForecastFrame
-
-    calls = tmp_path / "calls"
-    calls.mkdir()
 
     def spy(b: pd.DataFrame) -> pd.DataFrame:
         (calls / f"{os.getpid()}-{time.perf_counter_ns()}").touch()
         return b
 
-    df = _daily_tier()
     ds = ray.data.from_pandas(df).map_batches(spy, batch_format="pandas",
                                               batch_size=None)
-    out = RayForecastFrame(ds, "bucket_ts", "pages", ["host"],
-                           num_partitions=4).fill_time_gaps("D").to_pandas()
+    return RayForecastFrame(ds, "bucket_ts", "pages", ["host"],
+                            num_partitions=4)
+
+
+def test_global_gap_fill_runs_the_pending_plan_once(ray_session, tmp_path):
+    """``fill_time_gaps(mode="global")`` needs the global range before the
+    keyed stage; the upstream plan still executes once, not once for the
+    range pass and again for the keyed stage."""
+    df = _daily_tier()
+    out = _spied_frame(df, tmp_path).fill_time_gaps("D").to_pandas()
     assert len(out) > len(df)
-    assert len(list(calls.iterdir())) == 1
+    assert len(list(tmp_path.iterdir())) == 1
+
+
+def test_compress_runs_the_pending_plan_once(ray_session, tmp_path):
+    """``compress`` reads the schema and the integer ranges of a pending
+    keyed stage; the stage executes once, not once more for the schema."""
+    df = _daily_tier().astype({"pages": "int64"})
+    frame = _spied_frame(df, tmp_path).lag_features("pages", 1).compress()
+    out = frame.to_pandas()
+    assert len(out) == len(df)
+    assert out["pages"].dtype == np.int16
+    assert len(list(tmp_path.iterdir())) == 1
+
+
+def test_future_frame_runs_the_pending_plan_once(ray_session, tmp_path):
+    """``make_future_frame`` reads the pending plan for the last date, the
+    schema, the distinct series and the history it unions; the plan
+    executes once."""
+    df = _daily_tier()
+    frame = _spied_frame(df, tmp_path).lag_features("pages", 1)
+    out = frame.make_future_frame(3, apply_plan=False).to_pandas()
+    assert len(out) == len(df) + 3 * df["host"].nunique()
+    assert len(list(tmp_path.iterdir())) == 1
