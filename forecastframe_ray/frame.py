@@ -748,8 +748,9 @@ class RayForecastFrame:
 
     def missing_percentages(self) -> pd.Series:
         """A7 ``print_missing_percentages`` (utilities.py:511-515): null
-        share per column, via one partial+final aggregate pass (never
-        materializes the table)."""
+        share per column: each block reports its null counts and the calling
+        process sums them (as :func:`_ts_range` does), so the plan runs once
+        and the table is never collected."""
         self._flush()
 
         def partials(b: pd.DataFrame) -> pd.DataFrame:
@@ -757,11 +758,10 @@ class RayForecastFrame:
             out["__rows"] = len(b)
             return out
 
-        totals = self._ds.map_batches(partials, batch_format="pandas") \
-            .sum(ignore_nulls=True)
-        n = totals.pop("sum(__rows)")
-        return pd.Series({k.removeprefix("sum(").removesuffix(")"): v / n
-                          for k, v in totals.items()})
+        totals = self._ds.map_batches(partials, batch_format="pandas",
+                                      batch_size=None).to_pandas().sum()
+        n = totals.pop("__rows")
+        return totals / n
 
     def merge_actuals(self, prediction_df) -> "ray.data.Dataset":
         """J3 ``_merge_actuals`` (model.py:170-199): outer-join predictions

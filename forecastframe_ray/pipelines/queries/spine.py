@@ -1247,8 +1247,9 @@ SQL_SAVE_LOAD = f"""
 
 @entry("missing_percentages_hourly", sql=lambda: SQL_MISSING_PCT)
 def q_missing_percentages_hourly(sf_dir: str) -> pd.DataFrame:
-    """A7 missing-percentage profile over the gap-filled hourly series: one
-    partial+final aggregate pass, never materializing the table."""
+    """A7 missing-percentage profile over the gap-filled hourly series:
+    per-block null counts summed by the calling process, never
+    materializing the table."""
     hourly = _bucket_series(sf_dir, HOUR_US, "h")
     fr = RayForecastFrame(hourly, datetime_column="h", target="v",
                           hierarchy=["event_type"], num_partitions=_NP)

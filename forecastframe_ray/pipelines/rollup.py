@@ -24,7 +24,10 @@ bucket), runs per partition behind both exchanges that build tiers:
 build (:func:`forecastframe_ray.pipelines.web.run`), which shuffles the
 partials on the store's own partition id and writes every tier of a
 partition from that one exchange. The store's append merges the
-unfinalized :func:`cascade_partition` rows into the stored files.
+unfinalized :func:`cascade_partition` rows into the stored files. The tier
+kernels are Arrow end to end: cascade, :func:`finalize_tier_batch` and the
+sort take and return ``pyarrow.Table``s, which the store writes as they
+are.
 """
 
 from __future__ import annotations
@@ -184,31 +187,33 @@ def cascade_partition(partials, series_keys: list[str],
     return {t: out[t] for t in tiers}
 
 
-def finalize_tier_batch(batch: pd.DataFrame, tier: str) -> pd.DataFrame:
-    """Derive mean/std from the carried algebraic stats; attach tier label and
-    a timestamp-typed bucket column."""
-    n = batch["pages"].to_numpy(dtype=np.float64)
-    s = batch["sum_val"].to_numpy(dtype=np.float64)
-    ss = batch["sum_sq"].to_numpy(dtype=np.float64)
+def finalize_tier_batch(tbl, tier: str):
+    """Derive mean/std from the carried algebraic stats of a
+    ``pyarrow.Table``; attach the tier label and a ``timestamp[ns]`` bucket
+    column. An undefined stat (the std of a one-page bucket) is null."""
+    import pyarrow as pa
+
+    n, s, ss = (tbl[c].to_numpy().astype(np.float64)
+                for c in ("pages", "sum_val", "sum_sq"))
     with np.errstate(divide="ignore", invalid="ignore"):
         mean = s / n
         var = np.where(n > 1, (ss - s * s / n) / (n - 1), np.nan)
-    batch["mean_val"] = mean
-    batch["std_val"] = np.sqrt(np.maximum(var, 0.0))
-    batch["tier"] = tier
-    batch["bucket_ts"] = pd.to_datetime(batch["bucket_us"], unit="us")
-    return batch
+    return (tbl.append_column("mean_val", pa.array(mean, from_pandas=True))
+            .append_column("std_val", pa.array(np.sqrt(np.maximum(var, 0.0)),
+                                               from_pandas=True))
+            .append_column("tier", pa.repeat(pa.scalar(tier), len(tbl)))
+            .append_column("bucket_ts", tbl["bucket_us"]
+                           .cast(pa.timestamp("us")).cast(pa.timestamp("ns"))))
 
 
 def tier_frames(partials, series_keys: list[str],
-                tiers: tuple = K.TIERS) -> dict[str, pd.DataFrame]:
+                tiers: tuple = K.TIERS) -> dict:
     """The tier kernel on one partition holding every 1h partial of its
     series (a ``pyarrow.Table`` of :func:`partial_bucket_aggregate` rows):
     :func:`cascade_partition`, then :func:`finalize_tier_batch`, each tier
-    sorted by (series keys, bucket). Returns ``{tier: DataFrame}``."""
-    by = list(series_keys) + ["bucket_us"]
-    return {t: finalize_tier_batch(tbl.to_pandas(), t)
-            .sort_values(by, kind="mergesort").reset_index(drop=True)
+    sorted by (series keys, bucket). Returns ``{tier: pyarrow.Table}``."""
+    by = [(c, "ascending") for c in list(series_keys) + ["bucket_us"]]
+    return {t: finalize_tier_batch(tbl, t).sort_by(by)
             for t, tbl in cascade_partition(partials, series_keys,
                                             tiers).items()}
 
@@ -234,9 +239,8 @@ def rollup_tiers(ds, series_keys: list[str], ts_col: str, value_col: str | None 
         partial_bucket_aggregate(keys, ts_col, value_col, size_col, "1h"),
         batch_format="pyarrow")
 
-    def kernel(part: pa.Table) -> pd.DataFrame:
-        return pd.concat(tier_frames(part, keys, tiers).values(),
-                         ignore_index=True)
+    def kernel(part: pa.Table) -> pa.Table:
+        return pa.concat_tables(tier_frames(part, keys, tiers).values())
 
     every = keyed_map_partitions(partials, keys, kernel, num_partitions,
                                  batch_format="pyarrow").materialize()

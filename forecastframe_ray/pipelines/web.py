@@ -13,7 +13,11 @@ the store's own partition id (``checkpoint.write_partitioned`` /
 ``merge_partitioned``), and a per-partition kernel that cascades,
 finalizes, encodes and writes every tier of that partition. The build's
 kernel is :func:`rollup.tier_frames`, the one behind
-:func:`rollup.rollup_tiers` too."""
+:func:`rollup.rollup_tiers` too; the append's is
+:func:`rollup.cascade_partition`, merged into the stored files by
+``merge_partitioned``. Both kernels work on ``pyarrow.Table``s, encode
+chunks with :func:`gorilla.encode_series` and hand their tables to the
+store, which writes them as they are."""
 
 from __future__ import annotations
 
@@ -72,38 +76,19 @@ def build_tiers(prepared, series_keys=("host",),
     )
 
 
-def _encode_chunks(tier_df: pd.DataFrame, series_keys=("host",),
-                  tier: str = "1h", value_col: str = "pages") -> pd.DataFrame:
-    """One partition's chunk rows: each series of ``tier_df`` (a tier
-    partition holding whole series) Gorilla-encoded, ordered by key."""
-    keys = list(series_keys)
-    packed = gorilla.pack_series(tier_df[keys + ["bucket_us", value_col]],
-                                 keys, "bucket_us", value_col)
-    return gorilla.GorillaEncoder(tier=tier)(packed) \
-        .sort_values(keys, kind="mergesort").reset_index(drop=True)
-
-
-def _cascade_frames(partials: pd.DataFrame, keys: list[str]) -> dict:
-    """One store partition's 1h partials → algebraic 1h/1d/7d frames."""
-    tiers = rollup.cascade_partition(
-        pa.Table.from_pandas(partials, preserve_index=False), keys)
-    return {t: tbl.to_pandas() for t, tbl in tiers.items()}
-
-
 def _store_partition(series_keys=("host",), value_col: str = "pages",
                     compress: bool = True):
     """The build kernel (a ``write_partitioned`` hook): one partition's 1h
-    partials → its 1h/1d/7d frames from :func:`rollup.tier_frames`, and
+    partials → its 1h/1d/7d tables from :func:`rollup.tier_frames`, and
     with ``compress`` the Gorilla chunks of its 1h series."""
     keys = list(series_keys)
 
-    def kernel(partials: pd.DataFrame) -> dict[str, pd.DataFrame]:
-        frames = rollup.tier_frames(
-            pa.Table.from_pandas(partials, preserve_index=False), keys)
+    def kernel(partials: pa.Table) -> dict[str, pa.Table]:
+        tables = rollup.tier_frames(partials, keys)
         if compress:
-            frames["chunks_1h"] = _encode_chunks(frames["1h"], keys, "1h",
-                                                value_col)
-        return frames
+            tables["chunks_1h"] = gorilla.encode_series(
+                tables["1h"], keys, "bucket_us", value_col, "1h")
+        return tables
 
     return kernel
 
@@ -131,8 +116,8 @@ def refresh_chunks(out_dir: str, parts: set, series_keys=("host",),
     return checkpoint.write_partitioned(
         ray.data.read_parquet(files), out_dir, chunk_tier, list(series_keys),
         num_partitions=num_partitions, overwrite_parts=set(parts),
-        part_fn=lambda df: {chunk_tier: _encode_chunks(
-            df, series_keys, tier, value_col)})
+        part_fn=lambda tbl: {chunk_tier: gorilla.encode_series(
+            tbl, list(series_keys), "bucket_us", value_col, tier)})
 
 
 def append_tiers(pages_ds, out_dir: str, delta_id: str,
@@ -159,15 +144,16 @@ def append_tiers(pages_ds, out_dir: str, delta_id: str,
     derive = None
     if refresh_compressed:
         def derive(merged):
-            return {"chunks_1h": _encode_chunks(merged["1h"], keys, "1h",
-                                               value_col)}
+            return {"chunks_1h": gorilla.encode_series(
+                merged["1h"], keys, "bucket_us", value_col, "1h")}
     return checkpoint.merge_partitioned(
         _tier_partials(pages_ds, keys), out_dir, "1h",
         keys, keys + ["bucket_us"], rollup.TIER_PLAN, delta_id=delta_id,
         num_partitions=num_partitions, sort_cols=keys + ["bucket_us"],
         finalize_fn=rollup.finalize_tier_batch,
         fail_after=fail_after,
-        part_fn=lambda df: _cascade_frames(df, keys), derive_fn=derive)
+        part_fn=lambda tbl: rollup.cascade_partition(tbl, keys),
+        derive_fn=derive)
 
 
 def run(pages_ds, out_dir: str, series_keys=("host",),

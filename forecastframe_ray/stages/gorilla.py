@@ -23,9 +23,11 @@ NaN/±0/inf/denormals):
   (meaningful length - 1) + meaningful bits
 
 Chunks are one row per (series, tier): ``(…keys, tier, t0, n_points,
-ts_payload:binary, val_payload:binary, checksum:int64)``. Encode runs
-inside the pack exchange's per-partition kernel and decode is a plain
-``map_batches``; each reuses one scratch bit writer per kernel instance.
+ts_payload:binary, val_payload:binary, checksum:int64)``. One encoder,
+:func:`encode_series`, splits key-sorted Arrow columns into per-series
+runs and encodes them with one reused bit writer; it is the kernel of
+:func:`encode_series_dataset` and of the tier store's chunk tier. Decode is
+a plain ``map_batches``.
 """
 
 from __future__ import annotations
@@ -337,56 +339,51 @@ def chunk_checksum(ts_payload: bytes, val_payload: bytes) -> int:
 # Ray stages
 # ---------------------------------------------------------------------------
 
-def pack_series(part_df: pd.DataFrame, series_keys: list[str], ts_col: str,
-                value_col: str) -> pd.DataFrame:
-    """Partition-level kernel: one output row per series with its sorted
-    timestamp / value arrays (object columns → Arrow lists)."""
-    part_df = part_df.sort_values(series_keys + [ts_col], kind="mergesort")
-    rows = []
-    for key, g in part_df.groupby(series_keys, sort=False, dropna=False,
-                                  observed=True):
-        if not isinstance(key, tuple):
-            key = (key,)
-        ts_series = g[ts_col]
-        if np.issubdtype(ts_series.dtype, np.datetime64):
-            ts = ts_series.astype("datetime64[us]").astype("int64").to_numpy()
-        else:
-            ts = ts_series.astype("int64").to_numpy()
-        vals = g[value_col].to_numpy(dtype=np.float64, na_value=np.nan)
-        rows.append(key + (ts, vals))
-    return pd.DataFrame(rows, columns=series_keys + ["ts_list", "val_list"])
+def encode_series(tbl, series_keys: list[str], ts_col: str, value_col: str,
+                  tier: str):
+    """The chunk encoder: series points (a ``pyarrow.Table``) → one chunk
+    row per series, ordered by key. The points are sorted by (keys, ts) and
+    the key-sorted columns split into runs of equal keys — a null key forms
+    its own series — and each run is Gorilla-encoded with one reused bit
+    writer. ``ts_col`` holds integer microseconds or timestamps."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
 
-
-class GorillaEncoder:
-    """Series rows → compressed chunk rows. The bit writer is allocated
-    once per instance (``__init__``), reused per series."""
-
-    def __init__(self, tier: str = ""):
-        self.w = BitWriter()
-        self.tier = tier
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        ts_payloads, val_payloads, t0s, ns, csums = [], [], [], [], []
-        for ts, vals in zip(batch["ts_list"], batch["val_list"]):
-            ts = np.asarray(ts, dtype=np.int64)
-            vals = np.asarray(vals, dtype=np.float64)
-            self.w.reset()
-            tp = encode_timestamps(ts, self.w)
-            self.w.reset()
-            vp = encode_values(vals, self.w)
-            ts_payloads.append(tp)
-            val_payloads.append(vp)
-            t0s.append(int(ts[0]) if len(ts) else 0)
-            ns.append(len(ts))
-            csums.append(chunk_checksum(tp, vp))
-        out = batch.drop(columns=["ts_list", "val_list"]).reset_index(drop=True)
-        out["tier"] = self.tier
-        out["t0"] = pd.to_datetime(np.array(t0s, dtype=np.int64), unit="us")
-        out["n_points"] = np.array(ns, dtype=np.int32)
-        out["ts_payload"] = ts_payloads
-        out["val_payload"] = val_payloads
-        out["checksum"] = np.array(csums, dtype=np.int64)
-        return out
+    keys = list(series_keys)
+    tbl = tbl.sort_by([(c, "ascending") for c in keys + [ts_col]]) \
+        .combine_chunks()
+    n = len(tbl)
+    ts = tbl[ts_col].to_numpy()
+    ts = (ts.astype("datetime64[us]").view(np.int64)
+          if np.issubdtype(ts.dtype, np.datetime64) else ts.astype(np.int64))
+    vals = tbl[value_col].to_numpy().astype(np.float64)
+    new_run = np.zeros(n, dtype=bool)
+    new_run[:1] = True
+    for k in keys:
+        codes = pc.dictionary_encode(tbl[k], null_encoding="encode") \
+            .combine_chunks().indices.to_numpy()
+        new_run[1:] |= codes[1:] != codes[:-1]
+    starts = np.flatnonzero(new_run)
+    ends = np.append(starts[1:], n)
+    w = BitWriter()
+    ts_payloads, val_payloads, csums = [], [], []
+    for s, e in zip(starts, ends):
+        w.reset()
+        tp = encode_timestamps(ts[s:e], w)
+        w.reset()
+        vp = encode_values(vals[s:e], w)
+        ts_payloads.append(tp)
+        val_payloads.append(vp)
+        csums.append(chunk_checksum(tp, vp))
+    cols = {k: tbl[k].take(starts) for k in keys}
+    cols["tier"] = pa.repeat(pa.scalar(tier), len(starts))
+    cols["t0"] = pa.array(ts[starts], pa.timestamp("us")) \
+        .cast(pa.timestamp("ns"))
+    cols["n_points"] = pa.array((ends - starts).astype(np.int32))
+    cols["ts_payload"] = pa.array(ts_payloads, pa.binary())
+    cols["val_payload"] = pa.array(val_payloads, pa.binary())
+    cols["checksum"] = pa.array(csums, pa.int64())
+    return pa.table(cols)
 
 
 class GorillaDecoder:
@@ -424,14 +421,15 @@ class GorillaDecoder:
 def encode_series_dataset(ds, series_keys: list[str], ts_col: str, value_col: str,
                           tier: str, num_partitions: int = 32):
     """series-point Dataset → chunk Dataset: ONE exchange on the series key
-    hash whose per-partition kernel packs AND encodes — encode work per
-    point is tiny relative to the shuffle, so a separate encoder operator
-    (and its actor pool spin-up, ~1-2 s) would only add a serial floor."""
-    enc = GorillaEncoder(tier=tier)
+    hash whose per-partition kernel is :func:`encode_series` — encode work
+    per point is tiny relative to the shuffle, so a separate encoder
+    operator (and its actor pool spin-up, ~1-2 s) would only add a serial
+    floor."""
     return keyed_map_partitions(
         ds, series_keys,
-        lambda df: enc(pack_series(df, series_keys, ts_col, value_col)),
-        num_partitions)
+        lambda part: encode_series(part, series_keys, ts_col, value_col,
+                                   tier),
+        num_partitions, batch_format="pyarrow")
 
 
 def decode_chunk_dataset(chunks, series_keys: list[str], ts_col: str = "bucket_ts",

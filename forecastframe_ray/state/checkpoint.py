@@ -23,6 +23,15 @@ partition's manifest rows list the primary ``tier`` last, and only that row
 decides whether the partition is finished, so a partition counts as done
 only once every file it wrote is recorded.
 
+The hooks and the merge work on ``pyarrow.Table``s: ``part_fn`` gets the
+partition as a Table, ``merge_partitioned`` merges a stored file and its
+delta with ``concat_tables`` + ``Table.group_by(...).aggregate`` and
+:func:`expire_tier` filters with ``pyarrow.compute``. :func:`_write_file`
+writes a Table as it is and a DataFrame through ``Table.from_pandas`` (the
+stores that write DataFrames keep the ``b"pandas"`` footer blob), and
+:func:`_partition_checksum` gives a Table the checksum of its
+``to_pandas()`` frame, hashed one column at a time.
+
 Single-node note: files land on the local filesystem; on a real cluster the
 same layout goes to shared storage (s3/nfs) — the atomic-rename is then a
 temp-key + final-key copy. The manifest is driver-written (tiny).
@@ -38,7 +47,9 @@ import zlib
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
+from pandas.core.util.hashing import combine_hash_arrays, hash_array
 
 from forecastframe_ray import keys as K
 from forecastframe_ray.stages.agg import PART_COL, exchange
@@ -76,22 +87,50 @@ def _cell_bytes(x) -> bytes:
     return a.dtype.str.encode() + b":" + a.tobytes()
 
 
-def _partition_checksum(df: pd.DataFrame) -> int:
+def _column_hash(col: pa.ChunkedArray) -> np.ndarray:
+    """The uint64 row hashes ``pd.util.hash_pandas_object`` gives this
+    column of ``to_pandas()``, from the Arrow values: a timestamp hashes its
+    int64 values, strings, binaries and numbers their numpy values (nulls
+    as ``to_pandas`` fills them), and any other type its pandas column."""
+    t = col.type
+    if pa.types.is_timestamp(t):
+        return hash_array(col.to_numpy().view(np.int64))
+    if (pa.types.is_string(t) or pa.types.is_large_string(t)
+            or pa.types.is_binary(t) or pa.types.is_large_binary(t)
+            or pa.types.is_integer(t) or pa.types.is_floating(t)):
+        return hash_array(col.to_numpy())
+    return pd.util.hash_pandas_object(col.to_pandas(), index=False) \
+        .to_numpy(dtype=np.uint64)
+
+
+def _partition_checksum(frame: pd.DataFrame | pa.Table) -> int:
+    """CRC32 of the row hashes of every plain column, then of each list
+    cell. A ``pyarrow.Table`` is hashed one column at a time to the value
+    its ``to_pandas()`` frame gets, with no frame built."""
     # list/array columns (e.g. an ANN index's embedding vectors) are
     # unhashable for hash_pandas_object — any cell holding one makes the
     # column an array column, folded in cell by cell
     plain, arrays = [], []
-    for c in df.columns:
-        v = df[c]
-        if v.dtype == object and any(isinstance(x, (np.ndarray, list))
-                                     for x in v):
-            arrays.append(v)
-        else:
-            plain.append(c)
+    if isinstance(frame, pa.Table):
+        for col in frame.columns:
+            if pa.types.is_nested(col.type):
+                arrays.append(col.to_pandas())
+            else:
+                plain.append(col)
+        h = (combine_hash_arrays(map(_column_hash, plain), len(plain))
+             if plain else None)
+    else:
+        for c in frame.columns:
+            v = frame[c]
+            if v.dtype == object and any(isinstance(x, (np.ndarray, list))
+                                         for x in v):
+                arrays.append(v)
+            else:
+                plain.append(c)
+        h = (pd.util.hash_pandas_object(frame[plain], index=False)
+             .to_numpy(dtype=np.uint64) if plain else None)
     crc = 0
-    if plain:
-        h = pd.util.hash_pandas_object(df[plain], index=False) \
-            .to_numpy(dtype=np.uint64)
+    if h is not None:
         crc = zlib.crc32(h.tobytes(), crc)
     for v in arrays:
         for x in v:
@@ -99,10 +138,10 @@ def _partition_checksum(df: pd.DataFrame) -> int:
     return int(crc)
 
 
-def _manifest_row(tier: str, part: int, df: pd.DataFrame, t0: float,
+def _manifest_row(tier: str, part: int, frame, t0: float,
                   fingerprint: str, gen: int, **extra) -> dict:
-    return {"tier": tier, "part": part, "rows": len(df), "points": len(df),
-            "checksum": _partition_checksum(df),
+    return {"tier": tier, "part": part, "rows": len(frame),
+            "points": len(frame), "checksum": _partition_checksum(frame),
             "wall_s": round(time.perf_counter() - t0, 4),
             "fingerprint": fingerprint, "gen": gen, **extra}
 
@@ -111,12 +150,16 @@ def _part_path(out_dir: str, tier: str, part: int) -> str:
     return os.path.join(out_dir, f"tier={tier}", f"part={part}.parquet")
 
 
-def _write_file(df: pd.DataFrame, path: str, metadata: dict | None = None):
-    """Atomic part-file write. Dictionary-encode everything (key strings
-    are low-cardinality per partition — reference transform.py:30-33
-    parity) + zstd: ~2× file shrink vs snappy at negligible write cost.
-    ``metadata`` entries are added to the parquet footer."""
-    tbl = pa.Table.from_pandas(df, preserve_index=False)
+def _write_file(frame: pd.DataFrame | pa.Table, path: str,
+                metadata: dict | None = None):
+    """Atomic part-file write. A ``pyarrow.Table`` is written as it is, a
+    DataFrame through ``Table.from_pandas`` (whose footer carries the
+    ``b"pandas"`` blob). Dictionary-encode everything (key strings are
+    low-cardinality per partition — reference transform.py:30-33 parity) +
+    zstd: ~2× file shrink vs snappy at negligible write cost. ``metadata``
+    entries are added to the parquet footer."""
+    tbl = (frame if isinstance(frame, pa.Table)
+           else pa.Table.from_pandas(frame, preserve_index=False))
     if metadata:
         tbl = tbl.replace_schema_metadata(
             {**(tbl.schema.metadata or {}), **metadata})
@@ -177,9 +220,9 @@ def write_partitioned(ds, out_dir: str, tier: str, partition_keys: list[str],
     ``fail_after`` is a test hook: raise after N partitions to simulate a
     mid-job crash.
 
-    ``part_fn(part_df) -> {tier: frame}`` is the per-partition hook: it
-    turns one partition's rows into the frames of every tier it derives
-    (``tier`` among them), each written to its own
+    ``part_fn(part) -> {tier: table}`` is the per-partition hook: it turns
+    one partition's rows (a ``pyarrow.Table``) into the tables of every
+    tier it derives (``tier`` among them), each written to its own
     ``tier=<t>/part=<p>.parquet`` as returned — the hook owns their order.
     Without it the partition is written to ``tier`` sorted by
     ``sort_cols`` (deterministic file contents across runs/parallelism).
@@ -223,7 +266,7 @@ def write_partitioned(ds, out_dir: str, tier: str, partition_keys: list[str],
     def kernel(part: int, df: pd.DataFrame) -> list[dict]:
         t0 = time.perf_counter()
         if part_fn is not None:
-            frames = part_fn(df)
+            frames = part_fn(pa.Table.from_pandas(df, preserve_index=False))
         elif sort_cols:
             frames = {tier: df.sort_values(sort_cols, kind="mergesort")
                       .reset_index(drop=True)}
@@ -241,13 +284,13 @@ def write_partitioned(ds, out_dir: str, tier: str, partition_keys: list[str],
                      kernel, fail_after, part_offset, direct_part_col)
 
 
-def _read_stored(path: str) -> tuple[pd.DataFrame | None, list[str]]:
+def _read_stored(path: str) -> tuple[pa.Table | None, list[str]]:
     """A stored part file and the ``delta_ids`` its footer says it holds."""
     if not os.path.exists(path):
         return None, []
     old = pq.read_table(path)
     meta = (old.schema.metadata or {}).get(b"delta_ids")
-    return old.to_pandas(), (json.loads(meta) if meta else [])
+    return old, (json.loads(meta) if meta else [])
 
 
 def merge_partitioned(delta_ds, out_dir: str, tier: str,
@@ -265,14 +308,18 @@ def merge_partitioned(delta_ds, out_dir: str, tier: str,
     consulted; the algebra is the same (count, sum, min, max, Σx²) carry
     the cascade in :mod:`forecastframe_ray.pipelines.rollup` already uses).
 
-    - ``merge_plan``: ``{col: (col, op)}`` over the algebraic columns; any
-      derived columns (mean/std/labels) in the delta or the stored files
-      are dropped before merging and rebuilt by ``finalize_fn(df, tier)``.
-    - ``part_fn(part_df) -> {tier: delta frame}``: per-partition hook that
+    - ``merge_plan``: ``{col: (col, op)}`` over the algebraic columns, with
+      Arrow hash-aggregate ops ("sum", "min", "max", ...); any derived
+      columns (mean/std/labels) in the delta or the stored files are
+      dropped before merging and rebuilt by ``finalize_fn(table, tier)``.
+      The merge is Arrow end to end: the stored file and the delta are
+      concatenated and grouped with ``Table.group_by(...).aggregate``.
+    - ``part_fn(part) -> {tier: delta table}``: per-partition hook that
       derives several tiers' deltas (``tier`` among them) from one
-      partition's rows; each is merged into its own stored file.
-      ``derive_fn(merged) -> {tier: frame}`` rebuilds further tiers whole
-      from the merged frames (e.g. Gorilla chunks of the merged 1h tier).
+      partition's rows (a ``pyarrow.Table``); each is merged into its own
+      stored file. ``derive_fn(merged) -> {tier: table}`` rebuilds further
+      tiers whole from the merged tables (e.g. Gorilla chunks of the
+      merged 1h tier).
     - **Idempotent per** ``delta_id``: each rewritten partition's manifest
       rows record ``delta_id`` and a bumped ``gen``; re-applying the same
       delta (crash-retry of an append job) skips partitions whose latest
@@ -293,30 +340,32 @@ def merge_partitioned(delta_ds, out_dir: str, tier: str,
             if t == tier and row.get("delta_id") == delta_id}
     gens = {k: int(row.get("gen", 0)) for k, row in prior.items()}
     merge_cols = list(group_keys) + list(merge_plan)
-    named = {c: (src, op) for c, (src, op) in merge_plan.items()}
+    aggs = [(src, op) for src, op in merge_plan.values()]
+    order = [(c, "ascending") for c in sort_cols or ()]
 
-    def merge(t: str, part: int, delta: pd.DataFrame) -> pd.DataFrame:
+    def merge(t: str, part: int, delta: pa.Table) -> pa.Table:
         path = _part_path(out_dir, t, part)
         old, applied = _read_stored(path)
         if delta_id in applied:
             return old  # metadata backstop: the file already holds it
-        frames = [delta[merge_cols]]
+        tables = [delta.select(merge_cols)]
         if old is not None:
-            frames.append(old[merge_cols])
-        df = pd.concat(frames, ignore_index=True) \
-            .groupby(list(group_keys), as_index=False, sort=False,
-                     observed=True).agg(**named)
+            tables.append(old.select(merge_cols))
+        tbl = pa.concat_tables(tables) \
+            .group_by(list(group_keys), use_threads=False).aggregate(aggs) \
+            .rename_columns(merge_cols)
         if finalize_fn is not None:
-            df = finalize_fn(df, t)
-        if sort_cols:
-            df = df.sort_values(sort_cols, kind="mergesort").reset_index(drop=True)
-        _write_file(df, path,
+            tbl = finalize_fn(tbl, t)
+        if order:
+            tbl = tbl.sort_by(order)
+        _write_file(tbl, path,
                     {b"delta_ids": json.dumps(applied + [delta_id]).encode()})
-        return df
+        return tbl
 
     def kernel(part: int, df: pd.DataFrame) -> list[dict]:
         t0 = time.perf_counter()
-        deltas = part_fn(df) if part_fn is not None else {tier: df}
+        tbl = pa.Table.from_pandas(df, preserve_index=False)
+        deltas = part_fn(tbl) if part_fn is not None else {tier: tbl}
         frames = {t: merge(t, part, d) for t, d in deltas.items()}
         if derive_fn is not None:
             for t, f in derive_fn(frames).items():
@@ -367,14 +416,14 @@ def expire_tier(out_dir: str, tier: str, cutoff_us: int,
                 for g in range(pf.metadata.num_row_groups)]
         if mins and min(mins) >= cutoff_us:
             continue  # nothing to expire — metadata-only skip
-        df = pf.read().to_pandas()
-        kept = df[df[bucket_col] >= cutoff_us].reset_index(drop=True)
-        if len(kept) == len(df):
+        tbl = pf.read()
+        kept = tbl.filter(pc.greater_equal(tbl[bucket_col], cutoff_us))
+        if len(kept) == len(tbl):
             continue
         if len(kept) == 0:
             os.remove(path)
-        else:  # keep the footer (pandas schema, delta_ids) as it was
-            _write_file(kept, path, pf.schema_arrow.metadata)
+        else:  # the table keeps its footer metadata (delta_ids) as read
+            _write_file(kept, path)
         rows.append(_manifest_row(tier, part, kept, t0,
                                   f"{tier}/{part}/expire",
                                   gens.get(part, 0) + 1,

@@ -12,8 +12,8 @@ a frame ``DataFrame.equals`` to its oracle's — values, dtypes and order.
 The last tests pin plan invariance of the whole feature chain the tier
 benchmark runs (gap-fill → lags → rolling stats → EWMA): the same output
 for any partition count, block count and block order; and that the global
-gap-fill, ``compress`` and ``make_future_frame`` each execute their
-upstream plan once."""
+gap-fill, ``compress``, ``make_future_frame`` and ``missing_percentages``
+each execute their upstream plan once."""
 
 import os
 import time
@@ -380,4 +380,17 @@ def test_future_frame_runs_the_pending_plan_once(ray_session, tmp_path):
     frame = _spied_frame(df, tmp_path).lag_features("pages", 1)
     out = frame.make_future_frame(3, apply_plan=False).to_pandas()
     assert len(out) == len(df) + 3 * df["host"].nunique()
+    assert len(list(tmp_path.iterdir())) == 1
+
+
+def test_missing_percentages_runs_the_pending_plan_once(ray_session,
+                                                        tmp_path):
+    """``missing_percentages`` sums per-block null counts in the calling
+    process; a Ray column-less ``sum`` would fetch the schema first, a
+    second run of the plan."""
+    df = _daily_tier()
+    df.loc[df.index[::3], "pages"] = np.nan
+    pcts = _spied_frame(df, tmp_path).missing_percentages()
+    assert pcts["pages"] == pytest.approx(df["pages"].isna().mean())
+    assert pcts["host"] == 0.0
     assert len(list(tmp_path.iterdir())) == 1
