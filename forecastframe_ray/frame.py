@@ -10,8 +10,8 @@ Key architectural differences from the reference (SURVEY.md §1.2):
   ``function_list`` record/replay, main.py:49-51) **and** composes onto the
   lazy plan — consecutive group-local ops with the same group keys are FUSED
   into one keyed window stage (one shuffle, many operators);
-- scaler fits are global ``Dataset.aggregate`` passes whose constants are
-  broadcast into stateless apply stages (two-phase, SURVEY.md M3/M4);
+- scaler fits are one ``agg.reduce`` of per-block partials whose constants
+  are broadcast into stateless apply stages (two-phase, SURVEY.md M3/M4);
 - rollup-level features (``groupers=``) aggregate to the rollup grain, run
   the window stage on that (much smaller) table, and broadcast-join the new
   columns back to base grain (SURVEY.md A1+J1).
@@ -26,29 +26,16 @@ import pandas as pd
 import pyarrow as pa
 
 import ray.data
-from ray.data.aggregate import Max, Min
 
 from forecastframe_ray.functions import encoding, scalar, scalers
 from forecastframe_ray.pipelines.rollup import aggregate_features
-from forecastframe_ray.stages.agg import _typed_empty
-from forecastframe_ray.stages.join import broadcast_left_join
+from forecastframe_ray.stages.agg import (_typed_empty, column_ranges,
+                                          distinct_values, reduce)
+from forecastframe_ray.stages.join import actor_map, broadcast_left_join
 from forecastframe_ray.stages.keyed import keyed_window_stage
 from forecastframe_ray.stages import window_ops as W
 
 _GLOBAL_KEY = "__all"
-
-
-def _ts_range(ds, col: str) -> tuple[pd.Timestamp, pd.Timestamp]:
-    """Global [min, max] of ``col`` without a shuffle: each block reports
-    its own min/max and the driver reduces them. Empty input → NaT, NaT."""
-    def block_range(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"lo": [b[col].min()], "hi": [b[col].max()]})
-
-    parts = ds.select_columns([col]).map_batches(
-        block_range, batch_format="pandas", batch_size=None).to_pandas()
-    if parts.empty:
-        return pd.NaT, pd.NaT
-    return pd.Timestamp(parts["lo"].min()), pd.Timestamp(parts["hi"].max())
 
 
 def _as_list(x):
@@ -230,7 +217,8 @@ class RayForecastFrame:
         if mode == "global":
             # materialized: the range pass and the keyed stage both read it
             self._ds = self._flush().materialize()
-            start, end = _ts_range(self._ds, self.datetime_column)
+            start, end = map(pd.Timestamp, column_ranges(
+                self._ds, [self.datetime_column])[self.datetime_column])
         self._queue(self._keys, {"op": "gap_fill", "freq": freq, "start": start, "end": end})
         return self
 
@@ -565,12 +553,7 @@ class RayForecastFrame:
             return self
         plan = {}
         if int_cols:
-            aggs = []
-            for c in int_cols:
-                aggs += [Min(c, alias_name=f"lo_{c}"), Max(c, alias_name=f"hi_{c}")]
-            row = self._ds.aggregate(*aggs)
-            plan = scalar.downcast_plan(
-                {c: (row[f"lo_{c}"], row[f"hi_{c}"]) for c in int_cols})
+            plan = scalar.downcast_plan(column_ranges(self._ds, int_cols))
 
         def cast(b: pd.DataFrame) -> pd.DataFrame:
             for c, dt in plan.items():
@@ -674,19 +657,11 @@ class RayForecastFrame:
                                 order=3, trend=True)
             order, trend = state["order"], state["trend"]
             model_ref = _ray.put(state["model"])
-
-            class FourierScorer:
-                def __init__(self):
-                    self.model = _ray.get(model_ref)
-
-                def __call__(self, b: pd.DataFrame) -> pd.DataFrame:
-                    # scoring math lives in ONE place (search.py)
-                    return fourier_score_frame(b, self.model, keys, dtc,
-                                               out_col, order, trend)
-
-            self._ds = self._ds.map_batches(FourierScorer,
-                                            batch_format="pandas",
-                                            concurrency=(1, 8))
+            # scoring math lives in ONE place (search.py)
+            self._ds = actor_map(
+                self._ds, lambda: _ray.get(model_ref),
+                lambda b, m: fourier_score_frame(b, m, keys, dtc, out_col,
+                                                 order, trend))
             return self
 
         fitted = hash_aggregate(
@@ -695,26 +670,18 @@ class RayForecastFrame:
             num_partitions=self.num_partitions)
         # fitted state is (groups × 7) rows — small by construction
         model_ref = _ray.put(fitted.to_pandas())
-
-        class Scorer:
-            def __init__(self):
-                self.model = _ray.get(model_ref)
-
-            def __call__(self, b: pd.DataFrame) -> pd.DataFrame:
-                scored = add_dow(b).merge(self.model, how="left",
-                                          on=keys + ["__dow"])
-                return scored.drop(columns=["__dow"])
-
-        self._ds = self._ds.map_batches(Scorer, batch_format="pandas",
-                                        concurrency=(1, 8))
+        self._ds = actor_map(
+            self._ds, lambda: _ray.get(model_ref),
+            lambda b, m: add_dow(b).merge(m, how="left", on=keys + ["__dow"])
+            .drop(columns=["__dow"]))
         return self
 
     def format_dates(self) -> list[str]:
         """Pretty date strings at the inferred granularity (utilities.py:
         403-438; ``%-d``-style Linux formats, granularity = closest bucket
         to the median date delta). Driver-side over the distinct dates."""
-        dates = pd.DatetimeIndex(
-            sorted(self.dataset.unique(self.datetime_column)))
+        dtc = self.datetime_column
+        dates = pd.DatetimeIndex(distinct_values(self.dataset, [dtc])[dtc])
         fmt_by_sec = {
             1: "%b. %-d %Y %-H:%-M:%-S", 60: "%b. %-d %Y %-H:%-M",
             3600: "%b. %-d %Y %-H", 86400: "%b. %-d %Y",
@@ -748,19 +715,12 @@ class RayForecastFrame:
 
     def missing_percentages(self) -> pd.Series:
         """A7 ``print_missing_percentages`` (utilities.py:511-515): null
-        share per column: each block reports its null counts and the calling
-        process sums them (as :func:`_ts_range` does), so the plan runs once
-        and the table is never collected."""
-        self._flush()
-
-        def partials(b: pd.DataFrame) -> pd.DataFrame:
-            out = b.isnull().sum(axis=0).to_frame().T
-            out["__rows"] = len(b)
-            return out
-
-        totals = self._ds.map_batches(partials, batch_format="pandas",
-                                      batch_size=None).to_pandas().sum()
-        n = totals.pop("__rows")
+        share per column: one ``agg.reduce`` sums the blocks' null counts,
+        so the plan runs once and the table is never collected. Empty input
+        → an empty Series."""
+        totals = reduce(self._flush(), lambda b: b.isnull().sum().to_frame().T
+                        .assign(__rows=len(b)), lambda p: p.sum())
+        n = totals.pop("__rows") if len(totals) else 0
         return totals / n
 
     def merge_actuals(self, prediction_df) -> "ray.data.Dataset":
@@ -809,7 +769,7 @@ class RayForecastFrame:
         dtc, tgt = self.datetime_column, self.target
         # materialized: the max, the series count and the union read it
         base = self._flush().materialize()
-        last = pd.Timestamp(base.aggregate(Max(dtc, alias_name="hi"))["hi"])
+        last = pd.Timestamp(column_ranges(base, [dtc])[dtc][1])
         dates = pd.date_range(start=last, periods=periods + 1, freq=freq)
         dates = dates[dates > last][:periods]
 

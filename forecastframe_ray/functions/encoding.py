@@ -3,15 +3,17 @@
 The reference encodes via pandas ``category`` codes — code = position of the
 value in the lexicographically-sorted category list (transform.py:367-396,
 pinned by tests/test_transform.py:122-144). Distributed equivalent: one
-distinct scan per column (``ds.unique`` — a shuffle over the already-tiny
-distinct sets), sort on the driver, broadcast the value→code dict into a
-single ``map_batches``.
+``agg.reduce`` collects every column's per-block distinct values (one pass
+for all columns), the driver sorts them and broadcasts the value→code dict
+into a single ``map_batches``.
 """
 
 from __future__ import annotations
 
 import pandas as pd
 import pyarrow as pa
+
+from forecastframe_ray.stages.agg import distinct_values
 
 
 def string_columns(ds) -> list[str]:
@@ -27,12 +29,10 @@ def string_columns(ds) -> list[str]:
 
 
 def fit_categories(ds, columns: list[str]) -> dict[str, dict[int, str]]:
-    """code→value dict per column (reference ``categorical_keys``, main.py:47)."""
-    keys = {}
-    for col in columns:
-        cats = sorted(v for v in ds.unique(col) if v is not None)
-        keys[col] = dict(enumerate(cats))
-    return keys
+    """code→value dict per column (reference ``categorical_keys``, main.py:47);
+    nulls get no code."""
+    return {c: dict(enumerate(v))
+            for c, v in distinct_values(ds, list(columns)).items()}
 
 
 def encode_batch_fn(categorical_keys: dict[str, dict[int, str]]):

@@ -2,8 +2,9 @@
 ``/root/reference/forecastframe/interpret.py:47-115``).
 
 The mean metrics (MAPE/MAPA/MSE/RMSE) are null-masked partial+final
-aggregates — per-batch (sum, count) partials then one tiny reduce, so the
-full prediction table is never materialized.
+aggregates — per-block (sum, count) partials then one ``agg.reduce``, so the
+full prediction table is never materialized. Empty input gives ``n = 0``
+and NaN metrics.
 """
 
 from __future__ import annotations
@@ -11,7 +12,24 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from ray.data.aggregate import Count, Sum
+from forecastframe_ray.stages.agg import hash_aggregate, reduce
+
+
+def _sums(ds, partials, group_cols, cols: list[str]):
+    """NaN-skipping ``sum<col>`` of ``cols`` and row count ``n`` over the rows
+    ``partials`` emits: a Dataset per group, or one global-row DataFrame."""
+    aggs = {**{f"sum{c}": (c, "sum") for c in cols}, "n": (cols[0], "size")}
+    if group_cols:
+        return hash_aggregate(ds.map_batches(partials, batch_format="pandas"),
+                              list(group_cols), aggs)
+
+    def block(b: pd.DataFrame) -> pd.DataFrame:
+        p = partials(b)
+        return pd.DataFrame({**{f"sum{c}": [p[c].sum()] for c in cols},
+                             "n": [len(p)]})
+
+    return reduce(ds, block, lambda p: p.reindex(columns=list(aggs)).sum()
+                  .to_frame().T.astype({"n": "int64"}))
 
 
 def error_summary(ds, actual_col: str, pred_col: str, group_cols: list[str] | None = None):
@@ -32,30 +50,14 @@ def error_summary(ds, actual_col: str, pred_col: str, group_cols: list[str] | No
             batch["__se"] = (a - p) ** 2
         return batch
 
-    partial = ds.map_batches(partials, batch_format="pandas")
-    aggs = [
-        Sum("__ape", alias_name="sum_ape"),
-        Sum("__se", alias_name="sum_se"),
-        Count(alias_name="n"),
-    ]
-    if group_cols:
-        from forecastframe_ray.stages.agg import hash_aggregate
-
-        out = hash_aggregate(partial, list(group_cols), {
-            "sum_ape": ("__ape", "sum"), "sum_se": ("__se", "sum"),
-            "n": ("__ape", "size"),
-        })
-    else:
-        row = partial.aggregate(*aggs)
-        out = pd.DataFrame([row])
-
     def finalize(df: pd.DataFrame) -> pd.DataFrame:
-        df["MAPE"] = df["sum_ape"] / df["n"]
+        df["MAPE"] = df["sum__ape"] / df["n"]
         df["MAPA"] = 1.0 - df["MAPE"]
-        df["MSE"] = df["sum_se"] / df["n"]
+        df["MSE"] = df["sum__se"] / df["n"]
         df["RMSE"] = np.sqrt(df["MSE"])
-        return df.drop(columns=["sum_ape", "sum_se"])
+        return df.drop(columns=["sum__ape", "sum__se"])
 
+    out = _sums(ds, partials, group_cols, ["__ape", "__se"])
     if isinstance(out, pd.DataFrame):
         return finalize(out)
     return out.map_batches(finalize, batch_format="pandas")
@@ -91,30 +93,15 @@ def scaled_error_summary(ds, actual_col: str, pred_col: str,
         out["__err"] = p - a
         return out
 
-    partial = ds.map_batches(partials, batch_format="pandas")
+    out = _sums(ds, partials, group_cols, ["__sm", "__ae", "__aa", "__err"])
     if group_cols:
-        from forecastframe_ray.stages.agg import hash_aggregate
-
-        out = hash_aggregate(partial, list(group_cols), {
-            "sum_sm": ("__sm", "sum"), "sum_ae": ("__ae", "sum"),
-            "sum_aa": ("__aa", "sum"), "sum_err": ("__err", "sum"),
-            "n": ("__sm", "size"),
-        }).to_pandas()
-    else:
-        row = partial.aggregate(
-            Sum("__sm", alias_name="sum_sm"),
-            Sum("__ae", alias_name="sum_ae"),
-            Sum("__aa", alias_name="sum_aa"),
-            Sum("__err", alias_name="sum_err"),
-            Count(alias_name="n"))
-        out = pd.DataFrame([row])
-
-    out["SMAPE"] = out["sum_sm"] / out["n"]
+        out = out.to_pandas()
     with np.errstate(divide="ignore", invalid="ignore"):
-        out["WAPE"] = np.where(out["sum_aa"] == 0.0, np.nan,
-                               out["sum_ae"] / out["sum_aa"])
-    out["ME"] = out["sum_err"] / out["n"]
-    return out.drop(columns=["sum_sm", "sum_ae", "sum_aa", "sum_err"])
+        out["SMAPE"] = out["sum__sm"] / out["n"]
+        out["WAPE"] = np.where(out["sum__aa"] == 0.0, np.nan,
+                               out["sum__ae"] / out["sum__aa"])
+        out["ME"] = out["sum__err"] / out["n"]
+    return out.drop(columns=["sum__sm", "sum__ae", "sum__aa", "sum__err"])
 
 
 def quantile_loss(ds, actual_col: str, pred_col: str,
@@ -139,12 +126,15 @@ def quantile_loss(ds, actual_col: str, pred_col: str,
                          "n": len(a)})
         return pd.DataFrame(rows)
 
-    parts = ds.map_batches(partials, batch_format="pandas").to_pandas()
-    out = parts.groupby("quantile", as_index=False).sum()
-    out["loss"] = out["sum_loss"] / out["n"]
-    out["n"] = out["n"].astype("int64")
-    return out.drop(columns=["sum_loss"]).sort_values("quantile") \
-        .reset_index(drop=True)
+    def combine(parts: pd.DataFrame) -> pd.DataFrame:
+        out = pd.concat([pd.DataFrame({"quantile": qs, "sum_loss": 0.0,
+                                       "n": 0}), parts], ignore_index=True)
+        out = out.groupby("quantile", as_index=False).sum()
+        out["loss"] = out["sum_loss"] / out["n"]
+        out["n"] = out["n"].astype("int64")
+        return out.drop(columns=["sum_loss"])
+
+    return reduce(ds, partials, combine)
 
 
 def asymmetric_loss(ds, actual_col: str, pred_col: str,
@@ -166,8 +156,8 @@ def asymmetric_loss(ds, actual_col: str, pred_col: str,
         return pd.DataFrame({"__loss": [float(loss.sum())],
                              "__n": [int(mask.sum())]})
 
-    row = ds.map_batches(partials, batch_format="pandas").aggregate(
-        Sum("__loss", alias_name="sum_loss"), Sum("__n", alias_name="n"))
-    n = int(row["n"])
+    row = reduce(ds, partials,
+                 lambda p: p.reindex(columns=["__loss", "__n"]).sum())
+    n = int(row["__n"])
     return pd.DataFrame({"n": pd.array([n], dtype="int64"),
-                         "loss": [float(row["sum_loss"]) / n if n else np.nan]})
+                         "loss": [float(row["__loss"]) / n if n else np.nan]})

@@ -6,9 +6,10 @@
 - ``add_confidence_intervals`` — the reference's lightweight normal-theory
   intervals (``_add_simple_confidence_intervals``, model.py:38-56):
   ``pred ± norm.ppf(alpha) * sem(pred)``. The standard error of the mean
-  (``pandas.Series.sem()`` = std(ddof=1)/√n) is computed as a distributed
-  (Σx, Σx², n) partial reduce — the prediction table never materializes —
-  then the two bound columns are a broadcast-scalar vectorized pass.
+  (``pandas.Series.sem()`` = std(ddof=1)/√n) is computed as one
+  ``agg.reduce`` of (Σx, Σx², n) partials — the prediction table never
+  materializes — then the two bound columns are a broadcast-scalar
+  vectorized pass.
 
 ``norm_ppf`` is Acklam's rational approximation of the inverse normal CDF
 (public algorithm) refined with one Halley step via ``math.erfc``, giving
@@ -23,7 +24,7 @@ import math
 import numpy as np
 import pandas as pd
 
-from ray.data.aggregate import Count, Sum
+from forecastframe_ray.stages.agg import reduce
 
 # Acklam inverse-normal-CDF coefficients (peter.acklam's public algorithm)
 _A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
@@ -93,13 +94,12 @@ def prediction_sem(ds, pred_col: str) -> float:
                              "__xx": [float((x * x).sum())],
                              "__n": [len(x)]})
 
-    row = ds.map_batches(partials, batch_format="pandas").aggregate(
-        Sum("__x", alias_name="sx"), Sum("__xx", alias_name="sxx"),
-        Sum("__n", alias_name="n"))
-    n = int(row["n"])
+    row = reduce(ds, partials,
+                 lambda p: p.reindex(columns=["__x", "__xx", "__n"]).sum())
+    n = int(row["__n"])
     if n < 2:
         return float("nan")
-    sx, sxx = float(row["sx"]), float(row["sxx"])
+    sx, sxx = float(row["__x"]), float(row["__xx"])
     var = max(sxx - sx * sx / n, 0.0) / (n - 1)
     return math.sqrt(var / n)
 

@@ -1,13 +1,15 @@
-"""Two-phase scalers (SURVEY.md §2.2 M2–M5): a global ``Dataset.aggregate``
-fit pass computes the constants, then a stateless ``map_batches`` applies the
-(inverse) formula with the constants captured in the closure.
+"""Two-phase scalers (SURVEY.md §2.2 M2–M5): one ``agg.reduce`` fit pass
+(per-block partials combined on the driver) computes the constants, then a
+stateless ``map_batches`` applies the (inverse) formula with the constants
+captured in the closure.
 
 Semantics match the reference (``/root/reference/forecastframe/transform.py``):
 
 - log1p with a negatives assertion (transform.py:81-97)
 - standardize with **pandas ddof=1** std (transform.py:127-140; the reference
   is tested against sklearn's ddof=0 scaler but the nansum-style tolerance
-  hides the difference — we match the reference's actual math)
+  hides the difference — we match the reference's actual math), merged
+  with Chan's update; an empty or all-null feature gives ``None``
 - normalize (x-min)/(max-min) (transform.py:175-186)
 - inverses expm1 / x*std+mean / x*(max-min)+min (transform.py:238-243,264-281)
 
@@ -21,29 +23,35 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from ray.data.aggregate import Max, Mean, Min, Std
+from forecastframe_ray.stages.agg import column_ranges, merge_moments, reduce
 
 
 def fit_standardize(ds, features: list[str]) -> dict:
-    aggs = [Mean(f, alias_name=f"mean_{f}") for f in features]
-    aggs += [Std(f, ddof=1, alias_name=f"std_{f}") for f in features]
-    row = ds.aggregate(*aggs)
-    return {
-        "features": list(features),
-        "mean": {f: row[f"mean_{f}"] for f in features},
-        "stdev": {f: row[f"std_{f}"] for f in features},
-    }
+    def partial(b: pd.DataFrame) -> pd.DataFrame:
+        x = b[features].astype("float64")
+        m = x.mean()
+        return pd.DataFrame({"f": features, "n": x.count(), "mean": m,
+                             "m2": ((x - m) ** 2).sum()})
+
+    def combine(parts: pd.DataFrame) -> dict:
+        out = {"features": list(features), "mean": {}, "stdev": {}}
+        parts = parts.reindex(columns=["f", "n", "mean", "m2"])
+        for f in features:
+            g = parts[parts["f"] == f]
+            n, m, m2 = merge_moments(g["n"], g["mean"], g["m2"])
+            out["mean"][f] = float(m) if n else None
+            out["stdev"][f] = float(np.sqrt(m2 / (n - 1))) if n > 1 \
+                else np.nan if n else None
+        return out
+
+    return reduce(ds, partial, combine)
 
 
 def fit_normalize(ds, features: list[str]) -> dict:
-    aggs = [Min(f, alias_name=f"min_{f}") for f in features]
-    aggs += [Max(f, alias_name=f"max_{f}") for f in features]
-    row = ds.aggregate(*aggs)
-    return {
-        "features": list(features),
-        "mins": {f: row[f"min_{f}"] for f in features},
-        "maxes": {f: row[f"max_{f}"] for f in features},
-    }
+    ranges = column_ranges(ds, list(features))
+    return {"features": list(features),
+            "mins": {f: lo for f, (lo, _) in ranges.items()},
+            "maxes": {f: hi for f, (_, hi) in ranges.items()}}
 
 
 # ---------------------------------------------------------------------------

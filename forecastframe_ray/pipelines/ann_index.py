@@ -47,6 +47,7 @@ from forecastframe_ray.pipelines.similarity import (
     _stack,
     train_centroids,
 )
+from forecastframe_ray.stages.agg import column_ranges
 from forecastframe_ray.state import checkpoint
 
 META_FILE = "index_meta.json"
@@ -123,8 +124,8 @@ def append_ann(emb_ds, index_dir: str, shard_id: str | None = None,
     check work as in :func:`llm_incremental.append_shard`."""
     meta = _load_meta(index_dir)
     if shard_id is None:
-        id_col = meta["id_col"]
-        shard_id = f"shard-{emb_ds.min(id_col)}-{emb_ds.max(id_col)}"
+        lo, hi = column_ranges(emb_ds, [meta["id_col"]])[meta["id_col"]]
+        shard_id = f"shard-{lo}-{hi}"
     t0 = time.perf_counter()
     _assign_and_write(emb_ds, index_dir, meta["centroids"],
                       meta["vec_col"], meta["id_col"],

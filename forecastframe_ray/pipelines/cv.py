@@ -58,6 +58,7 @@ def fold_frames(fr, n_splits: int, gap: int = 0, restore_actuals: bool = True):
     leakage-safe (test targets masked during replay). The test slice is the
     rows with ``fold["test_start"] <= ts <= fold["test_end"]``."""
     from forecastframe_ray.functions import scalers as S
+    from forecastframe_ray.stages.agg import distinct_values
 
     dtc, tgt = fr.datetime_column, fr.target
     base = fr.dataset
@@ -67,7 +68,7 @@ def fold_frames(fr, n_splits: int, gap: int = 0, restore_actuals: bool = True):
     if fr.transforms:
         base = S.apply_transform_dict(base, fr.transforms, inverse=True)
     base = base.materialize()
-    dates = [pd.Timestamp(d) for d in base.unique(dtc)]
+    dates = distinct_values(base, [dtc])[dtc]
 
     from forecastframe_ray.frame import RayForecastFrame
 

@@ -146,15 +146,8 @@ def _keep_id_semi_join(ds, keep, id_col: str, broadcast_limit: int):
         return ds.map_batches(lambda b: _filter(b, _load_keep()),
                               batch_format="pandas")
 
-    class KeepFilter:
-        def __init__(self):
-            self.keep = _load_keep()
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            return _filter(batch, self.keep)
-
-    return ds.map_batches(KeepFilter, batch_format="pandas",
-                          concurrency=(1, 8))
+    from forecastframe_ray.stages.join import actor_map
+    return actor_map(ds, _load_keep, _filter)
 
 
 def duplicate_counts(ds, text_col: str = "text"):
@@ -924,7 +917,7 @@ def clusters_from_pairs_distributed(pairs, id_a: str = "id_a",
     import ray
     import ray.data
 
-    from forecastframe_ray.stages.agg import hash_aggregate
+    from forecastframe_ray.stages.agg import hash_aggregate, reduce
 
     edges = pairs.map_batches(
         lambda b: pd.DataFrame({
@@ -1000,7 +993,8 @@ def clusters_from_pairs_distributed(pairs, id_a: str = "id_a",
 
         labels = merged.map_batches(take_min,
                                     batch_format="pandas").materialize()
-        n_changed = labels.sum("__changed")
+        n_changed = reduce(labels, lambda b: b[["__changed"]].sum().to_frame(),
+                           lambda p: p.to_numpy().sum())
         labels = labels.drop_columns(["__changed"]).materialize()
         if not n_changed:
             converged = True

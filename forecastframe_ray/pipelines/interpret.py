@@ -14,16 +14,17 @@ feature moves the error" question ``plot_shap_importance`` answers.
 
 Scale shape of each piece:
 
-- *moments* (count/mean/std/min/max): per-batch Welford partials merged
-  with Chan's parallel update on the driver — one streaming pass, no
-  shuffle, numerically stable (never the catastrophic Σx²−(Σx)²/n form).
+- *moments* (count/mean/std/min/max): per-block partials merged with
+  Chan's parallel update (``agg.merge_moments``) on the driver — one
+  ``agg.reduce``, no shuffle, numerically stable (never the catastrophic
+  Σx²−(Σx)²/n form).
 - *quantiles*: exact order statistics via ONE range-partition sort of the
   narrow ``(group, value)`` melt + ``split_at_indices`` point-lookups of
   the ≤ |groups|·|qs|·2 needed rows. Sorting an 8-byte column is the
   exact-quantile lower bound at any scale; only O(groups·qs) rows ever
   reach the driver.
-- *OLS fit*: normal-equation cross-product sums via per-batch partials +
-  one tiny aggregate; the k×k solve happens on the driver (k = 2 features
+- *OLS fit*: normal-equation cross-product sums via per-block partials +
+  one ``agg.reduce``; the k×k solve happens on the driver (k = 2 features
   + intercept) with an explicit Cramer expansion so a SQL oracle can
   reproduce it term-for-term.
 - *permutation*: a deterministic cyclic rotation within each series
@@ -37,7 +38,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 
-from forecastframe_ray.stages.agg import without_schema_metadata
+from forecastframe_ray.stages.agg import (merge_moments, reduce,
+                                          without_schema_metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -49,9 +51,10 @@ def grouped_moments(ds, group_cols: list[str], value_col: str,
     """``n, mean, std(ddof=1), min, max`` (+ optional ``wavg`` =
     Σw·x/Σw) per group, one streaming pass.
 
-    Groups must be driver-small (metric labels, folds) — each *batch*
+    Groups must be driver-small (metric labels, folds) — each *block*
     contributes one partial row per group it contains, and the partials
     are merged on the driver with Chan et al.'s parallel-variance update.
+    Empty input gives an empty frame.
     Rows with null ``value_col`` are masked out (reference
     ``_calc_weighted_average``, utilities.py:478-481 mask semantics).
     """
@@ -77,28 +80,16 @@ def grouped_moments(ds, group_cols: list[str], value_col: str,
                 wv = w[mask][idx]
                 row.update(swx=float((v * wv).sum()), sw=float(wv.sum()))
             rows.append(row)
-        return pd.DataFrame(rows) if rows else pd.DataFrame(
-            {c: pd.Series([], dtype=t) for c, t in
-             {**{k: "object" for k in gc}, "n": "int64", "mean": "float64",
-              "m2": "float64", "mn": "float64", "mx": "float64",
-              **({"swx": "float64", "sw": "float64"}
-                 if weight_col is not None else {})}.items()})
+        return pd.DataFrame(rows)
 
-    parts = ds.map_batches(partials, batch_format="pandas").to_pandas()
+    parts = reduce(ds, partials, lambda p: p)
     out = []
-    for key, g in parts.groupby(gc, sort=True, dropna=False, observed=True):
+    for key, g in (parts.groupby(gc, sort=True, dropna=False, observed=True)
+                   if len(parts) else ()):
         key = key if isinstance(key, tuple) else (key,)
-        n, mean, m2 = 0, 0.0, 0.0
-        for nb, mb, m2b in zip(g["n"], g["mean"], g["m2"]):
-            if nb == 0:
-                continue
-            delta = mb - mean
-            tot = n + nb
-            m2 += m2b + delta * delta * n * nb / tot
-            mean += delta * nb / tot
-            n = tot
+        n, mean, m2 = merge_moments(g["n"], g["mean"], g["m2"])
         row = dict(zip(gc, key))
-        row.update(n=int(n), mean=mean,
+        row.update(n=n, mean=mean,
                    std=float(np.sqrt(m2 / (n - 1))) if n > 1 else np.nan,
                    min=float(g["mn"].min()), max=float(g["mx"].max()))
         if weight_col is not None:
@@ -308,7 +299,7 @@ def _ols2_sums(ds, x1: str, x2: str, y: str) -> tuple[float, ...]:
     """The nine cross-product sums of the 2-feature normal equations:
     per-batch partials + one tiny aggregate — rows never leave the
     cluster. Caller must pre-filter rows so x1/x2/y are non-null."""
-    from ray.data.aggregate import Sum
+    names = ["one", "s1", "s2", "s11", "s22", "s12", "sy", "s1y", "s2y"]
 
     def partials(b: pd.DataFrame) -> pd.DataFrame:
         v1 = b[x1].to_numpy(dtype=np.float64)
@@ -318,11 +309,9 @@ def _ols2_sums(ds, x1: str, x2: str, y: str) -> tuple[float, ...]:
             "one": np.ones(len(b)), "s1": v1, "s2": v2,
             "s11": v1 * v1, "s22": v2 * v2, "s12": v1 * v2,
             "sy": vy, "s1y": v1 * vy, "s2y": v2 * vy,
-        })
+        }).sum().to_frame().T
 
-    names = ["one", "s1", "s2", "s11", "s22", "s12", "sy", "s1y", "s2y"]
-    row = ds.map_batches(partials, batch_format="pandas").aggregate(
-        *[Sum(c, alias_name=c) for c in names])
+    row = reduce(ds, partials, lambda p: p.reindex(columns=names).sum())
     return tuple(float(row[c]) for c in names)
 
 
@@ -382,18 +371,16 @@ def linear_shap(ds, x1: str, x2: str, y: str):
 
 def _rmse_linear(ds, x1: str, x2: str, y: str,
                  betas: tuple[float, float, float]) -> float:
-    from ray.data.aggregate import Sum
     b0, b1, b2 = betas
 
     def partials(b: pd.DataFrame) -> pd.DataFrame:
         r = (b[y].to_numpy(dtype=np.float64)
              - (b0 + b1 * b[x1].to_numpy(dtype=np.float64)
                 + b2 * b[x2].to_numpy(dtype=np.float64)))
-        return pd.DataFrame({"se": r * r, "one": np.ones(len(b))})
+        return pd.DataFrame({"se": [float((r * r).sum())], "n": [len(b)]})
 
-    row = ds.map_batches(partials, batch_format="pandas").aggregate(
-        Sum("se", alias_name="se"), Sum("one", alias_name="n"))
-    return float(np.sqrt(row["se"] / row["n"]))
+    row = reduce(ds, partials, lambda p: p.reindex(columns=["se", "n"]).sum())
+    return float(np.sqrt(row["se"] / row["n"])) if row["n"] else np.nan
 
 
 def permutation_importance(ds, keys: list[str], ts_col: str,
@@ -446,7 +433,8 @@ def single_feature_r2(ds, features: list[str], target: str) -> pd.DataFrame:
     finite — pairwise deletion, matching SQL ``corr``'s null handling);
     partials merge on the driver with Chan et al.'s parallel update
     extended to the cross co-moment, so only O(blocks × features) rows
-    ever leave the cluster and there is no Σx²−(Σx)²/n cancellation."""
+    ever leave the cluster and there is no Σx²−(Σx)²/n cancellation. A
+    feature with no valid row gets ``n = 0`` and NaN R²."""
     feats = list(features)
 
     def partials(b: pd.DataFrame) -> pd.DataFrame:
@@ -463,29 +451,17 @@ def single_feature_r2(ds, features: list[str], target: str) -> pd.DataFrame:
                              m2x=float(((xv - mx) ** 2).sum()),
                              m2y=float(((yv - my) ** 2).sum()),
                              cxy=float(((xv - mx) * (yv - my)).sum())))
-        return pd.DataFrame(rows) if rows else pd.DataFrame(
-            {"feature": pd.Series([], dtype="object"),
-             **{c: pd.Series([], dtype="float64")
-                for c in ("n", "mx", "my", "m2x", "m2y", "cxy")}})
+        return pd.DataFrame(rows)
 
-    parts = ds.map_batches(partials, batch_format="pandas").to_pandas()
+    parts = reduce(ds, partials, lambda p: p.reindex(
+        columns=["feature", "n", "mx", "my", "m2x", "m2y", "cxy"]))
     out = []
     for f in feats:
         g = parts[parts["feature"] == f]
-        n, mx, my, m2x, m2y, cxy = 0, 0.0, 0.0, 0.0, 0.0, 0.0
-        for r in g.itertuples(index=False):
-            nb = int(r.n)
-            if nb == 0:
-                continue
-            tot = n + nb
-            dx, dy = r.mx - mx, r.my - my
-            m2x += r.m2x + dx * dx * n * nb / tot
-            m2y += r.m2y + dy * dy * n * nb / tot
-            cxy += r.cxy + dx * dy * n * nb / tot
-            mx += dx * nb / tot
-            my += dy * nb / tot
-            n = tot
-        r2 = (cxy * cxy / (m2x * m2y)) if m2x > 0 and m2y > 0 else np.nan
+        n, _, c = merge_moments(g["n"], g[["mx", "my"]].to_numpy(), g[
+            ["m2x", "cxy", "cxy", "m2y"]].to_numpy().reshape(-1, 2, 2))
+        r2 = c[0, 1] * c[0, 1] / (c[0, 0] * c[1, 1]) \
+            if n and c[0, 0] > 0 and c[1, 1] > 0 else np.nan
         out.append({"feature": f, "n": n, "r2": r2})
     return pd.DataFrame(out)
 

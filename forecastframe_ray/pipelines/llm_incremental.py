@@ -94,6 +94,7 @@ import pandas as pd
 
 from forecastframe_ray.pipelines import dedup as D
 from forecastframe_ray.pipelines import textstats as T
+from forecastframe_ray.stages.agg import column_ranges
 from forecastframe_ray.state import checkpoint
 
 META_FILE = "index_meta.json"
@@ -295,7 +296,7 @@ def build_index(docs_ds, index_dir: str, *, id_col: str = "doc_id",
     _write_tables(index_dir, corpus, digests, bands, None, id_col,
                   num_partitions, shard_index=0, shard_id=shard_id)
 
-    max_id = docs_ds.max(id_col)
+    max_id = column_ranges(docs_ds, [id_col])[id_col][1]
     max_id = -1 if max_id is None else int(max_id)
     _write_meta(index_dir, {**p, "id_col": id_col,
                             "max_seen_id": max_id,
@@ -402,7 +403,7 @@ def append_shard(shard_ds, index_dir: str, shard_id: str | None = None,
     t0 = time.perf_counter()
     stage_wall: dict[str, float] = {}
 
-    shard_min, shard_max = shard_ds.min(id_col), shard_ds.max(id_col)
+    shard_min, shard_max = column_ranges(shard_ds, [id_col])[id_col]
     if shard_min is not None and shard_min <= meta["max_seen_id"]:
         raise ValueError(
             f"append-monotonic ids required: shard min {shard_min} <= "

@@ -1409,40 +1409,31 @@ def q_embedding_neardup_exact(sf_dir: str) -> pd.DataFrame:
     matrix shipped worker-side via block refs — no driver collection."""
     import ray
 
+    from forecastframe_ray.pipelines.similarity import _normalize, _stack
+    from forecastframe_ray.stages.agg import ensure_columns
+    from forecastframe_ray.stages.join import actor_map
+
     emb = _read(sf_dir, "embeddings", ["vec_id", "embedding"]).materialize()
     refs = emb.to_arrow_refs()
     threshold = 0.3
 
-    class PairFinder:
-        def __init__(self):
-            import pyarrow as pa
-            t = pa.concat_tables(
-                [t for t in ray.get(list(refs)) if t.num_rows])
-            self.ids = t["vec_id"].to_numpy(zero_copy_only=False)
-            M = np.stack(t["embedding"].to_numpy(zero_copy_only=False)) \
-                .astype(np.float64)
-            norms = np.linalg.norm(M, axis=1)
-            norms[norms == 0] = 1.0
-            self.M = M / norms[:, None]
-            order = np.argsort(self.ids)
-            self.ids, self.M = self.ids[order], self.M[order]
+    def load():
+        import pyarrow as pa
+        t = pa.concat_tables([t for t in ray.get(list(refs)) if t.num_rows])
+        ids = t["vec_id"].to_numpy()
+        order = np.argsort(ids)
+        return ids[order], _normalize(_stack(t["embedding"]))[order]
 
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            ids = batch["vec_id"].to_numpy()
-            B = np.stack(batch["embedding"].to_numpy()).astype(np.float64)
-            norms = np.linalg.norm(B, axis=1)
-            norms[norms == 0] = 1.0
-            B = B / norms[:, None]
-            C = B @ self.M.T
-            # emit each unordered pair once: from the batch row with lower id
-            mask = (C >= threshold) & (ids[:, None] < self.ids[None, :])
-            ia, ib = np.where(mask)
-            return pd.DataFrame({"id_a": ids[ia], "id_b": self.ids[ib],
-                                 "cos_sim": C[ia, ib]})
+    def find_pairs(batch: pd.DataFrame, state) -> pd.DataFrame:
+        all_ids, M = state
+        ids = batch["vec_id"].to_numpy()
+        C = _normalize(_stack(batch["embedding"])) @ M.T
+        # emit each unordered pair once: from the batch row with lower id
+        ia, ib = np.where((C >= threshold) & (ids[:, None] < all_ids[None, :]))
+        return pd.DataFrame({"id_a": ids[ia], "id_b": all_ids[ib],
+                             "cos_sim": C[ia, ib]})
 
-    pairs = emb.map_batches(PairFinder, batch_format="pandas",
-                            concurrency=(1, 8)).to_pandas()
-    from forecastframe_ray.stages.agg import ensure_columns
+    pairs = actor_map(emb, load, find_pairs).to_pandas()
     pairs = ensure_columns(pairs, {"id_a": "int64", "id_b": "int64",
                                    "cos_sim": "float64"})
     return _round(pairs[["id_a", "id_b", "cos_sim"]], ["cos_sim"], 6)

@@ -20,6 +20,10 @@ they arrive pre-reduced by any upstream per-batch combiner and are
 aggregated by one C call — the pathological case (per-key reducer tasks)
 cannot occur because reducers are the P coarse partitions, not keys.
 P ≈ 2–4× cores; each partition must fit a worker heap.
+
+:func:`reduce` is the one global reduce beside the one shuffle: every
+whole-Dataset min/max, sum, moment or distinct set is a per-block partial
+(one plain task per block) combined on the driver.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import ray
 
 from forecastframe_ray import keys as K
 
@@ -83,6 +88,70 @@ def exchange(ds, tag, fn, batch_format: str = "pandas"):
     return ((first.union(*rest) if rest else first)
             .groupby(PART_COL)
             .map_groups(run, batch_format=batch_format))
+
+
+@ray.remote
+def _block_partial(partial, block):
+    from ray.data.block import BlockAccessor
+    return partial(BlockAccessor.for_block(block).to_pandas())
+
+
+def reduce(ds, partial, combine):
+    """The engine's one global reduce: ``combine(pd.concat(parts))`` where
+    ``parts`` holds ``partial(block)`` of every non-empty block of ``ds``
+    (as pandas), each run as one plain ``ray.remote`` task. ``combine`` runs
+    on the driver and must not depend on block order; with no non-empty
+    block it gets an empty, column-less frame. A materialized ``ds`` starts
+    no Ray Data execution; a lazy plan runs exactly once."""
+    fn = ray.put(partial)
+    parts = ray.get([_block_partial.remote(fn, ref)
+                     for bundle in ds.iter_internal_ref_bundles()
+                     for ref, meta in bundle.blocks if meta.num_rows != 0])
+    return combine(pd.concat(parts, ignore_index=True) if parts
+                   else pd.DataFrame())
+
+
+def column_ranges(ds, cols: list[str]) -> dict[str, tuple]:
+    """``{col: (min, max)}`` over the whole Dataset through :func:`reduce`,
+    nulls skipped; an empty or all-null column gives ``(None, None)``."""
+    def scalar(x):
+        return None if pd.isna(x) else x.item() \
+            if isinstance(x, np.generic) else x
+
+    def combine(parts: pd.DataFrame) -> dict[str, tuple]:
+        parts = parts.reindex(columns=cols)  # rows: min, max per block
+        lo, hi = parts.iloc[0::2].min(), parts.iloc[1::2].max()
+        return {c: (scalar(lo[c]), scalar(hi[c])) for c in cols}
+
+    return reduce(ds, lambda b: b[cols].agg(["min", "max"]), combine)
+
+
+def distinct_values(ds, cols: list[str]) -> dict[str, list]:
+    """``{col: sorted distinct non-null values}`` of every column of
+    ``cols`` in one :func:`reduce`."""
+    def combine(parts: pd.DataFrame) -> dict[str, list]:
+        parts = parts.reindex(columns=["__col", "__v"])
+        return {c: sorted(parts.loc[parts["__col"] == c, "__v"].unique()
+                          .tolist()) for c in cols}
+
+    return reduce(ds, lambda b: b[cols].melt(var_name="__col", value_name="__v")
+                  .dropna().drop_duplicates(), combine)
+
+
+def merge_moments(ns, means, m2s):
+    """Chan et al.'s parallel update: fold per-block ``(n, mean, M2)``
+    partials (M2 = Σ(x − mean)², ``M2 / (n − 1)`` the ddof=1 variance) into
+    one, without the Σx² − (Σx)²/n cancellation. A vector mean merges with
+    its co-moment matrix M2 = Σ(x − mean)(x − mean)ᵀ the same way."""
+    n, mean, m2 = 0, 0.0, 0.0
+    for nb, mb, m2b in zip(ns, means, m2s):
+        if nb == 0:
+            continue
+        delta, tot = mb - mean, n + nb
+        m2 = m2 + (m2b + np.multiply.outer(delta, delta) * n * nb / tot)
+        mean = mean + delta * nb / tot
+        n = tot
+    return int(n), mean, m2
 
 
 def without_schema_metadata(ds):

@@ -32,24 +32,32 @@ def _df_bytes(obj) -> int:
         return _ACTOR_BYTES + 1  # unknown → be safe, use the actor pool
 
 
+def actor_map(ds, load, fn):
+    """``fn(batch, load())`` over every pandas batch of ``ds``, ``load``
+    run once per actor of a pool. Ray 2.49 gives every pool actor
+    constructor arguments in the object store and logs an error-level line
+    for a pool that may restart, so a dead actor fails the stage instead."""
+    class Loaded:
+        def __init__(self):
+            self.state = load()
+
+        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
+            return fn(batch, self.state)
+
+    return ds.map_batches(Loaded, batch_format="pandas", concurrency=(1, 8),
+                          max_restarts=0)
+
+
 def _broadcast_map(ds, obj, nbytes: int, fn):
     """``fn(batch, obj)`` over every pandas batch of ``ds``, with ``obj``
     shipped to the object store once: plain tasks when ``nbytes`` is at most
-    :data:`_ACTOR_BYTES`, otherwise an actor pool that deserializes it once
-    per actor."""
+    :data:`_ACTOR_BYTES`, otherwise an :func:`actor_map` that deserializes
+    it once per actor."""
     ref = ray.put(obj)
     if nbytes <= _ACTOR_BYTES:
         return ds.map_batches(lambda b: fn(b, ray.get(ref)),
                               batch_format="pandas")
-
-    class Broadcast:
-        def __init__(self):
-            self.obj = ray.get(ref)
-
-        def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-            return fn(batch, self.obj)
-
-    return ds.map_batches(Broadcast, batch_format="pandas", concurrency=(1, 8))
+    return actor_map(ds, lambda: ray.get(ref), fn)
 
 
 def broadcast_left_join(ds, small_df: pd.DataFrame, on: list[str]):

@@ -16,6 +16,24 @@ def ray_session():
     ray.shutdown()
 
 
+@pytest.fixture
+def executions(monkeypatch):
+    """A list that gains one entry per Ray Data execution (a streaming
+    executor run) started in this process while the test runs."""
+    from ray.data._internal.execution.streaming_executor import \
+        StreamingExecutor
+
+    calls = []
+    real = StreamingExecutor.execute
+
+    def execute(self, *args, **kwargs):
+        calls.append(self)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", execute)
+    return calls
+
+
 def tiny_sales_df() -> pd.DataFrame:
     """The reference's golden fixture, verbatim (FIXTURES.md F1;
     /root/reference/forecastframe/testing.py:9-45). 12 rows, 3 series,

@@ -1,7 +1,8 @@
 """``agg.exchange``, the one shuffle primitive: the kernel contract, typed
 empty blocks, metadata-carrying parquet input, block-order determinism, a
-quiet log (also from the hash join), and guards that no module hand-writes
-its own exchange or calls Ray's native join."""
+quiet log (also from the hash join and the actor-pool maps), and guards
+that no module hand-writes its own exchange, calls Ray's native join or
+reduces a whole Dataset outside ``agg.reduce``."""
 
 import ast
 import os
@@ -330,3 +331,109 @@ def test_no_native_join_outside_exchange():
                         getattr(node, a, None) for a in ("id", "attr", "name")}:
                     found.append((rel, node.lineno, "consolidate_for_join"))
     assert not found, found
+
+
+#: Dataset methods that reduce a whole Dataset in a Ray Data execution
+_NATIVE_REDUCTIONS = {"aggregate", "unique", "min", "max", "sum"}
+
+
+def _is_numpy_or_arrow(receiver) -> bool:
+    """``np.``/``pa.``/``pc.`` calls, and pyarrow's ``Table.group_by(...)``
+    (Ray Data spells its grouping ``groupby``)."""
+    if isinstance(receiver, ast.Call) and isinstance(receiver.func,
+                                                     ast.Attribute):
+        if receiver.func.attr == "group_by":
+            return True
+        receiver = receiver.func
+    while isinstance(receiver, ast.Attribute):
+        receiver = receiver.value
+    return isinstance(receiver, ast.Name) \
+        and receiver.id in {"np", "numpy", "pa", "pc", "pyarrow"}
+
+
+def test_no_native_reduction_outside_reduce():
+    """Every whole-Dataset reduction goes through ``agg.reduce``: no module
+    imports ``ray.data.aggregate``, and outside ``stages/agg.py`` no
+    ``.aggregate(`` / ``.unique(`` / ``.min(`` / ``.max(`` / ``.sum(``
+    call passes a positional argument (a column name or an aggregate) to a
+    receiver that is not numpy or Arrow. pandas reductions take their
+    options by keyword and pass this guard."""
+    pkg = os.path.join(ROOT, "forecastframe_ray")
+    agg = os.path.join("forecastframe_ray", "stages", "agg.py")
+    found = []
+    for root, _, files in os.walk(pkg):
+        for f in files:
+            if not f.endswith(".py"):
+                continue
+            path = os.path.join(root, f)
+            rel = os.path.relpath(path, ROOT)
+            with open(path) as fh:
+                tree = ast.parse(fh.read())
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom) and (
+                        node.module == "ray.data.aggregate"
+                        or node.module == "ray.data" and "aggregate" in
+                        {a.name for a in node.names}) \
+                        or isinstance(node, ast.Import) and any(
+                            a.name.startswith("ray.data.aggregate")
+                            for a in node.names):
+                    found.append((rel, node.lineno, "import"))
+                if rel != agg and isinstance(node, ast.Call) \
+                        and isinstance(node.func, ast.Attribute) \
+                        and node.func.attr in _NATIVE_REDUCTIONS \
+                        and node.args \
+                        and not _is_numpy_or_arrow(node.func.value):
+                    found.append((rel, node.lineno, node.func.attr))
+    assert not found, found
+
+
+# every actor-pool map of the engine: a catalog entry's pool, a broadcast
+# over the actor threshold and a frame's ensemble scorer
+_ACTOR_NOISE_SCRIPT = textwrap.dedent("""
+    import sys
+    import time
+
+    import numpy as np
+    import pandas as pd
+    import ray
+    from ray.data import DataContext
+
+    ray.init(address="local", num_cpus=1, include_dashboard=False,
+             logging_level="ERROR")
+    DataContext.get_current().enable_progress_bars = False
+    from forecastframe_ray.frame import RayForecastFrame
+    from forecastframe_ray.pipelines.queries.spine import (
+        q_embedding_neardup_exact)
+    from forecastframe_ray.stages.join import _broadcast_map
+
+    root = sys.argv[1]
+    rng = np.random.default_rng(0)
+    pd.DataFrame({"vec_id": np.arange(12, dtype=np.int64),
+                  "embedding": list(rng.normal(size=(12, 4))
+                                    .astype(np.float32))}).to_parquet(
+        f"{root}/embeddings.parquet")
+    assert len(q_embedding_neardup_exact(root)) > 0
+
+    ds = ray.data.from_pandas(pd.DataFrame({"v": range(6)}))
+    out = _broadcast_map(ds, 10, 1 << 40, lambda b, k: b.assign(w=b["v"] + k))
+    assert out.to_pandas()["w"].tolist() == list(range(10, 16))
+
+    ev = pd.DataFrame({"ts": pd.date_range("2024-01-01", periods=14),
+                       "s": ["a"] * 14, "y": np.arange(14.0)})
+    fr = RayForecastFrame(ev, "ts", "y", ["s"], num_partitions=2)
+    fr.calc_ensemble_predictions(model="seasonal_mean")
+    assert len(fr.to_pandas()) == 14
+    time.sleep(3)  # worker log lines reach the driver asynchronously
+    ray.shutdown()
+""")
+
+
+def test_actor_pool_maps_log_no_restart_error(tmp_path):
+    env = dict(os.environ, PYTHONPATH=ROOT)
+    proc = subprocess.run([sys.executable, "-c", _ACTOR_NOISE_SCRIPT,
+                           str(tmp_path)], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    noisy = [ln for ln in proc.stderr.splitlines()
+             if "constructor arguments in the object store" in ln]
+    assert not noisy, noisy

@@ -13,7 +13,8 @@ The last tests pin plan invariance of the whole feature chain the tier
 benchmark runs (gap-fill → lags → rolling stats → EWMA): the same output
 for any partition count, block count and block order; and that the global
 gap-fill, ``compress``, ``make_future_frame`` and ``missing_percentages``
-each execute their upstream plan once."""
+each execute their upstream plan once, and that the gap-fill's range pass
+over a materialized frame starts no Ray Data execution."""
 
 import os
 import time
@@ -359,6 +360,22 @@ def test_global_gap_fill_runs_the_pending_plan_once(ray_session, tmp_path):
     out = _spied_frame(df, tmp_path).fill_time_gaps("D").to_pandas()
     assert len(out) > len(df)
     assert len(list(tmp_path.iterdir())) == 1
+
+
+def test_global_gap_fill_range_starts_no_execution(ray_session, executions):
+    """Over a materialized frame, the global gap-fill's range pass is one
+    ``agg.reduce`` of plain per-block tasks: no Ray Data execution starts
+    until the keyed stage runs."""
+    from forecastframe_ray.frame import RayForecastFrame
+
+    df = _daily_tier()
+    frame = RayForecastFrame(ray.data.from_pandas(np.array_split(df, 4)),
+                             "bucket_ts", "pages", ["host"], num_partitions=4)
+    frame._ds = frame.dataset.materialize()
+    executions.clear()
+    frame.fill_time_gaps("D")
+    assert executions == []
+    assert len(frame.to_pandas()) > len(df)
 
 
 def test_compress_runs_the_pending_plan_once(ray_session, tmp_path):
