@@ -11,8 +11,9 @@ Scale design (100 TB framing):
   numpy over rolling-hash shingle arrays — no Python-per-byte work);
 - the shuffle key is always a *small fixed-width* column (16-byte digest,
   uint64 band bucket), never the document text;
-- candidate verification happens inside ``groupby(bucket).map_groups`` so
-  only same-bucket docs ever meet; bucket sizes are bounded by band width;
+- candidate verification happens inside one ``agg.exchange`` on the
+  bucket's verify partition, so only same-bucket docs ever meet; bucket
+  sizes are bounded by band width;
 - cluster assignment (union-find) runs on the driver over the candidate-PAIR
   list only — pairs ≪ corpus (the standard LSH contract). For corpora where
   even pairs are huge, :func:`clusters_from_pairs_distributed` runs the same
@@ -113,14 +114,17 @@ def _keep_id_semi_join(ds, keep, id_col: str, broadcast_limit: int):
     distributed hash join above — shared by both exact-dedup keep rules."""
     import ray
 
-    if keep.count() > broadcast_limit:
+    n_keep = keep.count()
+    if n_keep > broadcast_limit:
         from forecastframe_ray.stages.join import hash_join
 
         keep_ids = keep.map_batches(
             lambda b: b.rename(columns={"__keep_id": id_col}),
             batch_format="pandas")
+        # ~100k survivors a partition: the corpus blocks the join leaves
+        # grow with it (one per CPU slot at least once P reaches the slots)
         return hash_join(ds, keep_ids, on=[id_col], how="inner",
-                         num_partitions=16)
+                         num_partitions=max(16, -(-n_keep // 100_000)))
 
     refs = keep.to_arrow_refs()  # block refs only — no driver collection
 
@@ -313,10 +317,16 @@ def scaled_verify_partitions(n_rows: int, rows_per_part: int = 100_000,
     kernels hold a partition's member/text arrays in heap — a fixed fan-out
     grows per-task memory linearly with the corpus (measured: 17M candidate
     rows over 32 partitions OOM-killed workers at ~3 GB/task × 32). Scales
-    with CPUs (~4 tasks/core) because at a fixed fan-out bucket-size skew
-    makes the stage straggler-bound (max task 3.3× mean) once cores exceed
-    partitions. Floor of ~``floor_rows`` rows/partition so tiny candidate
-    sets don't pay scheduling overhead for empty shards."""
+    with CPUs (~4 partitions per CPU slot): it was chosen when each
+    partition ran as its own task, because at a fixed fan-out bucket-size
+    skew made the stage straggler-bound (max task 3.3× mean) once cores
+    exceeded partitions. ``agg.exchange`` runs one task per contiguous
+    range of at most 4 partitions (``agg.PARTS_PER_RANGE``): at ~4
+    partitions per slot that is one task per slot, and past it the task
+    count grows with the rows, so a task holds at most ~400k candidate
+    rows. Floor of ~``floor_rows``
+    rows/partition so tiny candidate sets don't pay per-partition overhead
+    for empty shards."""
     try:
         import ray as _ray
         ncpu = int(_ray.cluster_resources().get("CPU", 8))
@@ -760,12 +770,11 @@ def minhash_lsh_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
         # fixed fan-out would grow per-task memory linearly with the corpus
         # (measured: 17M candidate rows over 32 partitions ran ~3 GB/task
         # × 32 concurrent and OOM-killed workers). It ALSO scales with the
-        # cluster's CPU count: profiled at a fixed 32 fan-out the stage is
-        # straggler-bound (max task 3.3× mean from bucket-size skew — the
-        # tail task caps the stage wall once cores exceed partitions);
-        # ~4 tasks/core lets the scheduler pack around the skew. Floor of
+        # cluster's CPU count (~4 partitions per slot; see
+        # scaled_verify_partitions: the exchange runs one task per range
+        # of at most 4 partitions). Floor of
         # ~1k candidate rows/partition so tiny candidate sets don't pay
-        # scheduling overhead for empty shards. Per-doc text duplication
+        # per-partition overhead for empty shards. Per-doc text duplication
         # grows only marginally with fan-out (a doc ships to its distinct
         # colliding partitions, bounded by its band count).
         verify_partitions = scaled_verify_partitions(n_rows)
@@ -851,7 +860,7 @@ def minhash_lsh_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
         return exchange(
             [meta_p, textrows],
             lambda b: b.rename(columns={VPART: PART_COL}, copy=False),
-            run_verify)
+            run_verify, verify_partitions)
 
     waves = min(num_bands, max(1, int(np.ceil(n_cand / wave_cand_limit))))
     if waves <= 1:
@@ -897,7 +906,7 @@ def clusters_from_pairs_distributed(pairs, id_a: str = "id_a",
 
     Returns a Dataset of ``(doc_id, rep_id)`` for every node that appears in
     a pair, rep = min id of its component (same contract as
-    :func:`clusters_from_pairs`).
+    :func:`clusters_from_pairs`); no pair gives no row.
 
     Two per-round plans, chosen by node count:
 
@@ -934,7 +943,12 @@ def clusters_from_pairs_distributed(pairs, id_a: str = "id_a",
             "label": np.minimum(b["src"], b["label"])}),
         batch_format="pandas").materialize()
 
-    if labels.count() <= broadcast_limit:
+    n_nodes = labels.count()
+    if n_nodes == 0:  # no pair: no node to label
+        return ray.data.from_pandas(pd.DataFrame({
+            "doc_id": pd.Series([], dtype="int64"),
+            "rep_id": pd.Series([], dtype="int64")}))
+    if n_nodes <= broadcast_limit:
         lab_df = labels.to_pandas()
         converged = False
         for _ in range(max_iters):

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import ray
 
 from forecastframe_ray.stages.agg import (merge_moments, reduce,
                                           without_schema_metadata)
@@ -103,6 +104,15 @@ def grouped_moments(ds, group_cols: list[str], value_col: str,
 # quantile_cont semantics)
 # ---------------------------------------------------------------------------
 
+@ray.remote
+def _values_at(block, col: str, rows: np.ndarray) -> np.ndarray:
+    """``col`` at the block-local ``rows`` of one block, as float64."""
+    from ray.data.block import BlockAccessor
+    taken = BlockAccessor.for_block(block).take(rows.tolist())
+    return BlockAccessor.for_block(taken).to_pandas()[col] \
+        .to_numpy(dtype=np.float64)
+
+
 def grouped_quantiles(ds, group_cols: list[str], value_col: str,
                       qs: tuple[float, ...] = (0.25, 0.5, 0.75),
                       counts: pd.DataFrame | None = None) -> pd.DataFrame:
@@ -110,11 +120,13 @@ def grouped_quantiles(ds, group_cols: list[str], value_col: str,
 
     One range-partition sort by ``group_cols + [value_col]`` (nulls must be
     pre-masked by the caller), then the 2·|qs| order statistics per group
-    are plucked by global row index via ``split_at_indices`` — constant
-    driver traffic regardless of data size. ``counts`` (per-group non-null
-    row counts, columns ``group_cols + ['n']``) is computed here if not
-    supplied. Group keys must sort identically under Arrow and pandas
-    (ints / ASCII strings — all engine callers).
+    are plucked by global row index in one pass over the sorted blocks:
+    block row counts (metadata) place each index, and one plain task per
+    block that holds any reads them — constant driver traffic regardless
+    of data size, and no Ray Data execution past the sort. ``counts``
+    (per-group non-null row counts, columns ``group_cols + ['n']``) is
+    computed here if not supplied. Group keys must sort identically under
+    Arrow and pandas (ints / ASCII strings — all engine callers).
     """
     gc = list(group_cols)
     if counts is None:
@@ -132,12 +144,17 @@ def grouped_quantiles(ds, group_cols: list[str], value_col: str,
             plan.append((gi, q, int(off) + lo, int(off) + hi, p - lo))
 
     srt = without_schema_metadata(ds).sort(gc + [value_col]).materialize()
-    bounds = sorted(needed)
-    splits = srt.split_at_indices(bounds)
-    val_at = {}
-    for k, idx in enumerate(bounds):
-        row = splits[k + 1].take(1)
-        val_at[idx] = float(row[0][value_col])
+    bounds = np.array(sorted(needed), dtype=np.int64)
+    picks, start = [], 0
+    for bundle in srt.iter_internal_ref_bundles():
+        for ref, meta in bundle.blocks:
+            lo, hi = np.searchsorted(bounds, [start, start + meta.num_rows])
+            if hi > lo:
+                picks.append(_values_at.remote(ref, value_col,
+                                               bounds[lo:hi] - start))
+            start += meta.num_rows
+    vals = np.concatenate(ray.get(picks)) if picks else np.empty(0)
+    val_at = dict(zip(bounds.tolist(), vals.tolist()))
 
     out = counts[gc].copy()
     for q in qs:

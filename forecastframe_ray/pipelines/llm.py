@@ -69,16 +69,13 @@ def dedup_pipeline(docs_ds, id_col: str = "doc_id", text_col: str = "text",
     t0 = time.perf_counter()
 
     # 3. exact dedup (digest → min-id per digest, keep-set worker-side).
+    # No repartition after it: the broadcast filter keeps the input's
+    # blocks, and the scale path's hash join (above 5M survivors) has one
+    # partition per ~100k rows, so it leaves at least one block per CPU
+    # slot up to 50 slots. A repartition to ``num_partitions`` cost a
+    # corpus copy, a shuffle and twice the tasks in each later stage.
     kept = D.exact_dedup(cleaned, text_col=text_col, id_col=id_col) \
         .materialize()  # reused: minhash signatures + candidate text fetch
-    if kept.num_blocks() < num_partitions:
-        # only the dedup SCALE path (a hash join whose partition count is
-        # capped by CPU slots) lands in ~16 fat blocks; split those so
-        # downstream stages (minhash signatures, candidate text scans in
-        # each verify wave) aren't pinned at 16-way parallelism. The common
-        # broadcast-filter path inherits the input's block count and skips
-        # this extra corpus copy (round-4 serial-floor shave).
-        kept = kept.repartition(num_partitions).materialize()
     n_exact = kept.count()
     stage_wall["exact_dedup_s"] = round(time.perf_counter() - t0, 3)
     t0 = time.perf_counter()

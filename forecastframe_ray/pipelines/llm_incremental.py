@@ -94,7 +94,7 @@ import pandas as pd
 
 from forecastframe_ray.pipelines import dedup as D
 from forecastframe_ray.pipelines import textstats as T
-from forecastframe_ray.stages.agg import column_ranges
+from forecastframe_ray.stages.agg import column_ranges, reduce
 from forecastframe_ray.state import checkpoint
 
 META_FILE = "index_meta.json"
@@ -403,7 +403,19 @@ def append_shard(shard_ds, index_dir: str, shard_id: str | None = None,
     t0 = time.perf_counter()
     stage_wall: dict[str, float] = {}
 
-    shard_min, shard_max = column_ranges(shard_ds, [id_col])[id_col]
+    # the id range and the row count in one pass over the shard's plan
+    # (its second and last run is the clean stage's)
+    def id_range(b: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"lo": [b[id_col].min()], "hi": [b[id_col].max()],
+                             "n": [len(b)]})
+
+    def combine(parts: pd.DataFrame) -> tuple:
+        if parts.empty:
+            return None, None, 0
+        return (int(parts["lo"].min()), int(parts["hi"].max()),
+                int(parts["n"].sum()))
+
+    shard_min, shard_max, shard_docs = reduce(shard_ds, id_range, combine)
     if shard_min is not None and shard_min <= meta["max_seen_id"]:
         raise ValueError(
             f"append-monotonic ids required: shard min {shard_min} <= "
@@ -579,7 +591,7 @@ def append_shard(shard_ds, index_dir: str, shard_id: str | None = None,
     meta["shards"] = meta["shards"] + [shard_id]
     _write_meta(index_dir, meta)
     stage_wall["write_s"] = round(time.perf_counter() - t3, 3)
-    return {"shard_docs": int(shard_ds.count()),
+    return {"shard_docs": shard_docs,
             "exact_survivors": int(n_exact),
             "old_docs_probed": int(n_subset - n_exact),
             "new_pairs": int(n_pairs),

@@ -9,17 +9,22 @@ always shuffles through :func:`exchange`:
 1. a stateless ``map_batches`` tags each row with a partition id
    ``__part`` (:data:`PART_COL`) — for keyed stages ``hash(keys) % P``, a
    stable deterministic hash (:func:`forecastframe_ray.keys.partition_ids`);
-2. ONE shuffle on the P coarse partitions
-   (``groupby("__part").map_groups``);
-3. inside each partition, one vectorized kernel over the whole partition
+2. ONE shuffle: a sort on ``__part`` into k contiguous id ranges, at
+   boundaries taken from the known id range ``[0, P)`` — no sampling
+   pass, one reduce block per range. k is one range per CPU slot, raised
+   to ⌈P/4⌉ (:data:`PARTS_PER_RANGE`) when P outgrows the slots;
+3. one ``map_batches(batch_size=None)`` task per range runs, for each
+   partition id in it, one vectorized kernel over the whole partition
    (for aggregation: a single pandas/Arrow groupby over the real keys —
    C-speed, no per-group Python).
 
 Skew note (SURVEY.md §4): a hot key's rows all land in one partition, but
 they arrive pre-reduced by any upstream per-batch combiner and are
 aggregated by one C call — the pathological case (per-key reducer tasks)
-cannot occur because reducers are the P coarse partitions, not keys.
-P ≈ 2–4× cores; each partition must fit a worker heap.
+cannot occur because reducers are the k id ranges, not keys. P sets the
+kernel's grain and k the task count: a reduce block holds ⌈P/k⌉ ≤ 4
+partitions, so four partitions together must fit a worker heap — scale P
+with the data and k follows it.
 
 :func:`reduce` is the one global reduce beside the one shuffle: every
 whole-Dataset min/max, sum, moment or distinct set is a per-block partial
@@ -27,6 +32,8 @@ whole-Dataset min/max, sum, moment or distinct set is a per-block partial
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 import pandas as pd
@@ -37,6 +44,12 @@ from forecastframe_ray import keys as K
 
 #: the partition-id column every exchange tags its rows with
 PART_COL = "__part"
+
+#: most partition ids one reduce block (one task) holds. A P sized for
+#: parallelism (≈ 2–4× the CPU slots) gets one id range per slot; a P
+#: scaled past that with the data gets ⌈P/4⌉ ranges, so a task's heap stays
+#: bounded by four partitions however large the input grows
+PARTS_PER_RANGE = 4
 
 
 def _typed_empty(batch: pd.DataFrame) -> pa.Table:
@@ -51,25 +64,52 @@ def _typed_empty(batch: pd.DataFrame) -> pa.Table:
          for f in tbl.schema]))
 
 
-def exchange(ds, tag, fn, batch_format: str = "pandas"):
-    """The engine's one shuffle: ``map_batches(tag)`` then
-    ``groupby(PART_COL).map_groups`` — every wide step goes through here.
+def _cpu_slots() -> int:
+    """The cluster's CPU slots (the machine's CPUs before ``ray.init``)."""
+    return int(ray.cluster_resources().get("CPU", 1)) \
+        if ray.is_initialized() else os.cpu_count() or 1
 
-    ``tag(batch)`` returns the batch with :data:`PART_COL` appended (an
-    integer partition id); it may drop rows (e.g. a resume filter). It gets
-    a shallow copy of a pandas batch, so adding the column never touches an
-    upstream view. ``fn(part_id, frame)`` runs once per partition with
-    every row tagged ``part_id``; ``frame`` never contains ``PART_COL``.
+
+def range_count(num_partitions: int) -> int:
+    """k, the number of contiguous partition-id ranges (reduce blocks) an
+    exchange over ``num_partitions`` ids sorts into: one per CPU slot, or
+    ⌈P / :data:`PARTS_PER_RANGE`⌉ if that is more, never more than the
+    ids — so no range holds more than ``PARTS_PER_RANGE`` partitions."""
+    per_parts = -(-num_partitions // PARTS_PER_RANGE)
+    return max(1, min(num_partitions, max(_cpu_slots(), per_parts)))
+
+
+def exchange(ds, tag, fn, num_partitions: int, batch_format: str = "pandas"):
+    """The engine's one shuffle: ``map_batches(tag)``, a sort on
+    :data:`PART_COL` into k = :func:`range_count` contiguous id ranges at
+    explicit boundaries, then one ``map_batches(batch_size=None)`` task per
+    range — every wide step goes through here.
+
+    ``tag(batch)`` returns the batch with :data:`PART_COL` appended, an
+    integer partition id in ``[0, num_partitions)``; it may drop rows (e.g.
+    a resume filter). It gets a shallow copy of a pandas batch, so adding
+    the column never touches an upstream view. ``fn(part_id, frame)`` runs
+    once per partition id present, with every row tagged ``part_id``, in id
+    order within a range; ``frame`` never contains ``PART_COL``.
     ``batch_format`` ("pandas" or "pyarrow") is the format both ``tag`` and
     ``fn`` see. ``ds`` may be a list of Datasets: each is tagged, then they
     are unioned — so ``tag`` fuses into each input's last map.
+
+    The ids are known to lie in ``[0, num_partitions)``, so the sort takes
+    its boundaries from them and skips Ray's sampling pass. A reduce block
+    holds ⌈P/k⌉ ≤ :data:`PARTS_PER_RANGE` partitions, so that many
+    partitions together must fit a worker heap. With k = 1 the one
+    boundary is P itself (Ray samples when given none): every row lands in
+    the first block, the second is empty.
 
     Zero-row pandas batches leave ``tag`` as typed Arrow blocks (see
     :func:`_typed_empty`); Arrow batches leave it without schema metadata —
     parquet writers attach a ``b"pandas"`` blob, and a ``pa.Schema`` with
     metadata is unhashable (pyarrow 16), which breaks Ray's schema dedup in
-    the sort exchange ("Failed to hash the schemas" from every reduce task).
+    the sort ("Failed to hash the schemas" from every reduce task).
     """
+    from ray.data.block import BlockAccessor
+
     arrow = batch_format == "pyarrow"
 
     def tagged(batch):
@@ -78,16 +118,25 @@ def exchange(ds, tag, fn, batch_format: str = "pandas"):
         batch = tag(batch.copy(deep=False))
         return _typed_empty(batch) if len(batch) == 0 else batch
 
-    def run(part):
-        if arrow:
-            return fn(part[PART_COL][0].as_py(), part.drop_columns([PART_COL]))
-        return fn(int(part[PART_COL].iloc[0]), part.drop(columns=[PART_COL]))
+    def run(block):
+        # the block is sorted on PART_COL: each id's rows are one slice
+        acc = BlockAccessor.for_block(block)
+        ids = acc.to_numpy(PART_COL)
+        cuts = np.flatnonzero(ids[1:] != ids[:-1]) + 1
+        for lo, hi in zip([0, *cuts], [*cuts, len(ids)]):
+            part = BlockAccessor.for_block(acc.slice(lo, hi, copy=False)) \
+                .to_batch_format(batch_format)
+            yield fn(int(ids[lo]), part.drop_columns([PART_COL]) if arrow
+                     else part.drop(columns=[PART_COL]))
 
+    k = range_count(num_partitions)
+    bounds = [i * num_partitions // k for i in range(1, k)] \
+        or [num_partitions]
     first, *rest = [d.map_batches(tagged, batch_format=batch_format)
                     for d in (ds if isinstance(ds, (list, tuple)) else [ds])]
     return ((first.union(*rest) if rest else first)
-            .groupby(PART_COL)
-            .map_groups(run, batch_format=batch_format))
+            .sort(PART_COL, boundaries=bounds)
+            .map_batches(run, batch_size=None, batch_format=None))
 
 
 @ray.remote
@@ -175,8 +224,11 @@ def keyed_map_partitions(ds, keys: list[str], fn, num_partitions: int = 64,
     so it can stay vectorized across groups (pandas ``groupby().transform``
     etc.) instead of paying a Python loop per key — use this when per-key
     frames are tiny and keys are many (e.g. per-user reductions over
-    millions of users). Per-task heap scales with partition size: scale
-    ``num_partitions`` with the data, not the CPU count.
+    millions of users). ``fn`` runs on one partition at a time, but a
+    task holds its whole id range, at most :data:`PARTS_PER_RANGE`
+    partitions: the kernel's heap scales with the partition and the task's
+    with four of them, so scale ``num_partitions`` with the data, not the
+    CPU count.
 
     ``batch_format="pyarrow"`` keeps batches ``pyarrow.Table`` through the
     exchange (partition ids from :func:`keys.partition_ids_arrow`; ``fn``
@@ -193,7 +245,8 @@ def keyed_map_partitions(ds, keys: list[str], fn, num_partitions: int = 64,
             batch[PART_COL] = K.partition_ids(batch, keys, num_partitions)
             return batch
 
-    return exchange(ds, tag, lambda _, part: fn(part), batch_format)
+    return exchange(ds, tag, lambda _, part: fn(part), num_partitions,
+                    batch_format)
 
 
 def ensure_columns(df: pd.DataFrame, dtypes: dict[str, str]) -> pd.DataFrame:

@@ -16,8 +16,8 @@ holds more than m/P bits:
    dedupes per batch, expands to the k probe bit-indices, and tags each
    index with its owning slice ``idx // slice_bits`` — only (slice, idx)
    int rows move;
-2. ``groupby(slice).map_groups`` builds each slice's bitmap independently
-   (``np.bitwise_or.at`` scatter);
+2. one ``agg.exchange`` on the slice id builds each slice's bitmap
+   independently (``np.bitwise_or.at`` scatter);
 3. the driver concatenates P slice blobs into the final bitmap — driver
    traffic is exactly m/8 bytes, once, regardless of row count.
 
@@ -97,7 +97,7 @@ def build_bloom(ds, key_cols: list[str], num_bits: int, num_hashes: int,
         _set_bits(bits, local)
         return pd.DataFrame({"__slice": [s], "__bits": [bits.tobytes()]})
 
-    parts = exchange(ds, to_indices, build_slice).to_pandas()
+    parts = exchange(ds, to_indices, build_slice, num_partitions).to_pandas()
     bits = np.zeros(words_total, dtype=np.uint64)
     for s, blob in zip(parts["__slice"], parts["__bits"]):
         w = np.frombuffer(blob, dtype=np.uint64)

@@ -183,19 +183,25 @@ def _exchange(ds, out_dir: str, partition_keys: list[str],
     and append the rows to the manifest. ``fail_after`` (test hook)
     records only the first N partitions' rows, then raises — the files of
     the others are already replaced, as after a crash between a file
-    rename and its manifest append."""
+    rename and its manifest append. Rows are tagged with their id in
+    ``[0, num_partitions)``; ``part_offset`` is added back for ``skip``
+    and for the kernel."""
+    local_skip = [p - part_offset for p in skip]
 
     def tag(batch: pd.DataFrame) -> pd.DataFrame:
-        batch[PART_COL] = part_offset + (
+        batch[PART_COL] = (
             batch[direct_part_col].to_numpy().astype(np.int64)
             if direct_part_col else
             K.partition_ids(batch, partition_keys, num_partitions))
-        if skip:
-            batch = batch[~batch[PART_COL].isin(list(skip))]
+        if local_skip:
+            batch = batch[~batch[PART_COL].isin(local_skip)]
         return batch
 
-    rows = exchange(ds, tag, lambda part, df: pd.DataFrame(kernel(part, df))
-                    ).to_pandas().to_dict("records")
+    def run(part: int, df: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame(kernel(part_offset + part, df))
+
+    rows = exchange(ds, tag, run, num_partitions).to_pandas() \
+        .to_dict("records")
     if fail_after is not None:
         kept = set(list(dict.fromkeys(r["part"] for r in rows))[:fail_after])
         rows = [r for r in rows if r["part"] in kept]

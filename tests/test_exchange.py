@@ -1,8 +1,11 @@
 """``agg.exchange``, the one shuffle primitive: the kernel contract, typed
-empty blocks, metadata-carrying parquet input, block-order determinism, a
-quiet log (also from the hash join and the actor-pool maps), and guards
-that no module hand-writes its own exchange, calls Ray's native join or
-reduces a whole Dataset outside ``agg.reduce``."""
+empty blocks, metadata-carrying parquet input, block-order determinism,
+results that do not depend on the number of id ranges, how many ranges an
+exchange makes, the plan's shape on one CPU (no boundary sampling, one
+reduce block per range), a quiet log
+(also from the hash join and the actor-pool maps), and guards that no
+module calls ``Dataset.map_groups`` or Ray's native join, or reduces a
+whole Dataset outside ``agg.reduce``."""
 
 import ast
 import os
@@ -13,12 +16,14 @@ import textwrap
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
 import ray.data
 
 from forecastframe_ray import keys as K
+from forecastframe_ray.stages import agg
 from forecastframe_ray.stages.agg import (PART_COL, _typed_empty, exchange,
                                           keyed_map_partitions)
 from forecastframe_ray.stages.topk import grouped_topk
@@ -97,7 +102,7 @@ def test_kernel_never_sees_part_col(ray_session, batch_format):
         })
 
     ds = _dataset(frames, batch_format)
-    got = exchange(ds, tag, fn, batch_format).to_pandas()
+    got = exchange(ds, tag, fn, NP, batch_format).to_pandas()
     assert not got["saw_part_col"].any()
     assert got["ids_match"].all()
     assert got["rows"].sum() == len(df)
@@ -156,7 +161,7 @@ def test_tag_dropping_every_row_is_empty(ray_session, batch_format):
         return b.iloc[0:0]
 
     got = exchange(_dataset(frames, batch_format), drop_all,
-                   lambda _, part: part, batch_format).to_pandas()
+                   lambda _, part: part, 1, batch_format).to_pandas()
     assert len(got) == 0
 
 
@@ -184,6 +189,155 @@ def test_grouped_topk_independent_of_block_order(ray_session):
     assert len(one) == 3 * df["k"].nunique()
 
 
+def _id_kernel():
+    """Per-partition (part_id, key, sum, count) rows, so the result pins
+    which partition each key landed in and that every id runs once."""
+    def per_part(part_id, part) -> pd.DataFrame:
+        df = part.to_pandas() if isinstance(part, pa.Table) else part
+        out = df.groupby("k", as_index=False).agg(s=("v", "sum"),
+                                                  n=("v", "size"))
+        out.insert(0, "part_id", part_id)
+        return out
+    return per_part
+
+
+def _id_tag(batch_format: str, drop_odd: bool = False):
+    def tag(b):
+        if batch_format == "pyarrow":
+            b = b.append_column(PART_COL, pa.array(
+                K.partition_ids_arrow(b, ["k"], NP), type=pa.int32()))
+            return b.filter(pc.equal(
+                pc.bit_wise_and(b["v"], 1), 0)) if drop_odd else b
+        b[PART_COL] = K.partition_ids(b, ["k"], NP)
+        return b[b["v"] % 2 == 0] if drop_odd else b
+    return tag
+
+
+@pytest.mark.parametrize("batch_format", FORMATS)
+def test_result_independent_of_range_count(ray_session, monkeypatch,
+                                           batch_format):
+    """k = 1, 2 and P id ranges over 1, 16 and 16 reversed blocks give the
+    same rows, and each partition id runs once, in id order."""
+    df = _df()
+    blocks = {"one": [df], "16": np.array_split(df, 16),
+              "16 reversed": list(reversed(np.array_split(df, 16)))}
+    results = {}
+    for k in (1, 2, NP):
+        monkeypatch.setattr(agg, "range_count", lambda n, k=k: min(n, k))
+        for name, frames in blocks.items():
+            got = exchange(_dataset(frames, batch_format),
+                           _id_tag(batch_format), _id_kernel(), NP,
+                           batch_format).to_pandas()
+            ids = got["part_id"].drop_duplicates().tolist()
+            assert ids == sorted(ids), (k, name, ids)
+            assert not got.duplicated(["part_id", "k"]).any(), (k, name)
+            results[k, name] = got.sort_values(["part_id", "k"]) \
+                .reset_index(drop=True)
+    first = next(iter(results.values()))
+    for key, got in results.items():
+        pd.testing.assert_frame_equal(got, first, obj=str(key))
+    pd.testing.assert_frame_equal(
+        first.drop(columns="part_id").sort_values("k")
+        .reset_index(drop=True), _want(df), check_dtype=False)
+
+
+@pytest.mark.parametrize("batch_format", FORMATS)
+@pytest.mark.parametrize("k", [1, 2, NP])
+def test_empty_inputs_and_dropping_tag(ray_session, monkeypatch,
+                                       batch_format, k):
+    """No block, only zero-row blocks, and a tag that drops rows."""
+    monkeypatch.setattr(agg, "range_count", lambda n: min(n, k))
+    df = _df()
+    tag, fn = _id_tag(batch_format), _id_kernel()
+    no_blocks = ray.data.from_pandas(df).filter(lambda r: False) \
+        .materialize()
+    assert exchange(no_blocks, tag, fn, NP, batch_format).count() == 0
+    all_empty = _dataset([df.iloc[0:0], df.iloc[0:0]], batch_format)
+    assert exchange(all_empty, tag, fn, NP, batch_format).count() == 0
+    got = _rows(exchange(_dataset(np.array_split(df, 4), batch_format),
+                         _id_tag(batch_format, drop_odd=True), fn, NP,
+                         batch_format))
+    pd.testing.assert_frame_equal(
+        got.drop(columns="part_id").sort_values("k").reset_index(drop=True),
+        _want(df[df["v"] % 2 == 0]), check_dtype=False)
+
+
+_PLAN_SCRIPT = textwrap.dedent("""
+    import re
+
+    import numpy as np
+    import pandas as pd
+    import ray
+    from ray.data import DataContext
+    from ray.data._internal.planner.exchange.sort_task_spec import (
+        SortTaskSpec)
+
+    ray.init(address="local", num_cpus=1, include_dashboard=False,
+             logging_level="ERROR")
+    DataContext.get_current().enable_progress_bars = False
+    from forecastframe_ray.stages.agg import keyed_map_partitions
+
+    sampled = []
+    real = SortTaskSpec.sample_boundaries
+
+    def sample_boundaries(*args, **kwargs):
+        sampled.append(1)
+        return real(*args, **kwargs)
+
+    SortTaskSpec.sample_boundaries = staticmethod(sample_boundaries)
+    rng = np.random.default_rng(0)
+    df = pd.DataFrame({"k": rng.integers(0, 500, 4000), "v": 1})
+    for p in (4, 32):
+        out = keyed_map_partitions(
+            ray.data.from_pandas(np.array_split(df, 16)), ["k"],
+            lambda part: part.groupby("k", as_index=False)["v"].sum(),
+            p).materialize()
+        assert out.to_pandas()["v"].sum() == 4000
+        stats = out.stats()
+        reduce_blocks = int(re.search(
+            r"SortReduce: \\d+ tasks executed, (\\d+) blocks produced",
+            stats).group(1))
+        run_tasks = int(re.search(
+            r"MapBatches\\(run\\): (\\d+) tasks executed", stats).group(1))
+        print("P", p, "sampled", len(sampled), "reduce_blocks",
+              reduce_blocks, "run_tasks", run_tasks)
+    ray.shutdown()
+""")
+
+
+def test_plan_on_one_cpu_skips_sampling():
+    """On one CPU slot, 16 input blocks sort without Ray's
+    boundary-sampling pass. 4 partitions make one id range: at most 2
+    reduce blocks (the range and an empty top range) and 2 kernel tasks.
+    32 partitions outgrow the slot and make 8 ranges of 4 partitions."""
+    env = dict(os.environ, PYTHONPATH=ROOT)
+    proc = subprocess.run([sys.executable, "-c", _PLAN_SCRIPT], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    got = {}
+    for ln in proc.stdout.splitlines():
+        if ln.startswith("P "):
+            f = ln.split()
+            got[int(f[1])] = dict(zip(f[2::2], map(int, f[3::2])))
+    assert got[4]["sampled"] == got[32]["sampled"] == 0, got
+    assert got[4]["reduce_blocks"] <= 2 and got[4]["run_tasks"] <= 2, got
+    assert got[32]["reduce_blocks"] == got[32]["run_tasks"] == 8, got
+
+
+@pytest.mark.parametrize("slots, p, k", [
+    (1, 1, 1), (1, 4, 1), (1, 5, 2), (1, 32, 8), (1, 64, 16),
+    (4, 2, 2), (4, 16, 4), (4, 17, 5), (32, 16, 16), (32, 170, 43)])
+def test_range_count_follows_slots_and_partitions(monkeypatch, slots, p, k):
+    """One id range per CPU slot, never more than the ids, and never more
+    than PARTS_PER_RANGE partitions in one range: a partition count scaled
+    with the data bounds what one task holds."""
+    monkeypatch.setattr(agg, "_cpu_slots", lambda: slots)
+    assert agg.range_count(p) == k
+    bounds = [i * p // k for i in range(1, k)]
+    widths = np.diff([0, *bounds, p])
+    assert widths.max() <= agg.PARTS_PER_RANGE
+
+
 _NOISE_SCRIPT = textwrap.dedent("""
     import time
 
@@ -204,7 +358,7 @@ _NOISE_SCRIPT = textwrap.dedent("""
 
     df = pd.DataFrame({"k": list("abcdefgh"), "v": range(8)})
     out = exchange(ray.data.from_pandas(df).repartition(4), resume_filter,
-                   lambda _, p: p.groupby("k", as_index=False)["v"].sum())
+                   lambda _, p: p.groupby("k", as_index=False)["v"].sum(), 2)
     assert sorted(out.to_pandas()["k"]) == ["a", "b", "c"]
 
     # an inner dim join whose second block matches no dim row, and a
@@ -291,7 +445,9 @@ def _map_groups_calls(path: str) -> list[tuple[int, str | None]]:
     return found
 
 
-def test_map_groups_only_inside_exchange():
+def test_no_map_groups_in_engine():
+    """``agg.exchange`` sorts on explicit id ranges; no engine module calls
+    ``Dataset.groupby().map_groups`` (a sampled sort per call)."""
     pkg = os.path.join(ROOT, "forecastframe_ray")
     sites = []
     for root, _, files in os.walk(pkg):
@@ -301,9 +457,7 @@ def test_map_groups_only_inside_exchange():
                 rel = os.path.relpath(path, ROOT)
                 sites += [(rel, line, fn)
                           for line, fn in _map_groups_calls(path)]
-    agg = os.path.join("forecastframe_ray", "stages", "agg.py")
-    assert len(sites) == 1 and sites[0][0] == agg \
-        and sites[0][2] == "exchange", sites
+    assert not sites, sites
 
 
 def test_no_native_join_outside_exchange():

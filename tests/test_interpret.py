@@ -94,6 +94,20 @@ def test_errors_describe_matches_reference_semantics():
                                                      rel=1e-9), (m, ours)
 
 
+def test_errors_describe_starts_two_executions(executions):
+    """The melt's materialize and the quantile sort: the order statistics
+    are read from the sorted blocks without another Ray Data execution."""
+    rng = _rng(5)
+    df = pd.DataFrame({"actual": rng.normal(50, 20, size=400),
+                       "pred": rng.normal(50, 20, size=400)})
+    ds = _many_block_ds(df, blocks=4).materialize()
+    executions.clear()
+    out = interp.errors_describe(ds, "actual", "pred").set_index("metric")
+    assert len(executions) <= 2
+    assert out.loc["AE", "q50"] == pytest.approx(
+        (df["actual"] - df["pred"]).abs().median(), rel=1e-12)
+
+
 def test_score_ape_thresholds_match_reference():
     # reference _get_threshold_dict / _score_absolute_percent_error
     assert interp.score_ape(0.05) == "best"

@@ -90,8 +90,9 @@ def test_fit_categories_runs_its_plan_once(ray_session, tmp_path):
 
 def test_append_shard_id_range_runs_once(ray_session, tmp_path,
                                          monkeypatch):
-    """``append_shard`` reads its shard's min and max id in one pass of
-    the shard's plan, before the clean stage runs it again."""
+    """``append_shard`` reads its shard's min and max id and its row count
+    in one pass of the shard's plan, before the clean stage runs it again,
+    and never runs it a third time."""
     from forecastframe_ray.pipelines import llm_incremental as LI
 
     words = [f"word{i:04d}" for i in range(600)]
@@ -113,8 +114,9 @@ def test_append_shard_id_range_runs_once(ray_session, tmp_path,
         return real_clean(*args, **kwargs)
 
     monkeypatch.setattr(LI, "_clean", clean)
-    LI.append_shard(_spied(sh2, calls), index_dir)
+    m = LI.append_shard(_spied(sh2, calls), index_dir)
     assert runs_before_clean == [1]
+    assert len(list(calls.iterdir())) == 2 and m["shard_docs"] == 3
     assert LI._load_meta(index_dir)["shards"][-1] == "shard-10-12"
 
 

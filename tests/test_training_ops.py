@@ -228,6 +228,18 @@ def test_clusters_distributed_join_path_matches_union_find():
     assert got_map[3] == 0 and got_map[11] == 10
 
 
+@pytest.mark.parametrize("broadcast_limit", [5_000_000, -1])
+def test_clusters_distributed_of_no_pairs_is_empty(broadcast_limit):
+    """No pair labels no node, on the driver path and on the join path."""
+    pairs = ray.data.from_pandas(pd.DataFrame({
+        "id_a": np.array([1, 2], dtype=np.int64),
+        "id_b": np.array([3, 4], dtype=np.int64),
+        "jaccard": [0.9, 0.8]})).filter(lambda r: False)
+    got = dedup.clusters_from_pairs_distributed(
+        pairs, broadcast_limit=broadcast_limit, num_partitions=4)
+    assert len(got.to_pandas()) == 0
+
+
 def test_batch_shingle_windows_matches_per_doc():
     texts = ["hello world", "", "ab", "the quick brown fox jumps", "ab",
              "exactly5!", "x" * 4]
