@@ -59,61 +59,53 @@ def hash_key_columns(df: pd.DataFrame, keys: list[str]) -> np.ndarray:
     return pd.util.hash_pandas_object(df[list(keys)], index=False).to_numpy(dtype=np.uint64)
 
 
-def partition_ids(df: pd.DataFrame, keys: list[str], num_partitions: int) -> np.ndarray:
-    return (hash_key_columns(df, keys) % np.uint64(num_partitions)).astype(np.int32)
+#: the pre-mix hash of a null (or NaN) key, in every column type
+_NULL = np.uint64(0x6E756C6C6B657921)
 
 
-def partition_ids_arrow(batch: pa.Table, keys: list[str], num_partitions: int) -> np.ndarray:
-    """Deterministic partition ids over an Arrow batch WITHOUT converting the
-    whole batch to pandas: string columns are dictionary-encoded and only the
-    (small) dictionary is hashed; int/timestamp columns hash zero-copy."""
+def partition_ids(batch: pa.Table | pd.DataFrame, keys: list[str],
+                  num_partitions: int) -> np.ndarray:
+    """``hash(keys) % num_partitions`` per row over Arrow key columns (a
+    DataFrame converts only those): the one partition hash of every
+    exchange and of the stores' layout. An id depends on the key values
+    alone, not on the batch or the encoding: a ``category`` hashes as its
+    values, ``-0.0`` as ``0.0``, and null or NaN alike in every type."""
     h = np.zeros(len(batch), dtype=np.uint64)
     for k in keys:
         col = batch[k]
-        if isinstance(col, pa.ChunkedArray):
+        if isinstance(col, pd.Series):
+            col = pa.array(col, from_pandas=True)
+        elif isinstance(col, pa.ChunkedArray):
             col = col.combine_chunks()
-        t = col.type
-        if pa.types.is_string(t) or pa.types.is_large_string(t) or pa.types.is_binary(t):
-            de = col.dictionary_encode()
-            dict_hashes = pd.util.hash_pandas_object(
-                de.dictionary.to_pandas(), index=False
-            ).to_numpy(dtype=np.uint64)
-            # null values get a dedicated sentinel slot so NaN indices never
-            # take the undefined NaN→int cast (matches hash_pandas_object's
-            # explicit NaN handling in the pandas path)
-            n_dict = len(dict_hashes)
-            dict_hashes = np.append(dict_hashes, np.uint64(0x6E756C6C6B657921))
-            idx = de.indices.fill_null(n_dict).to_numpy(zero_copy_only=False)
-            h ^= _mix_u64(dict_hashes[idx.astype(np.int64)])
-        elif pa.types.is_floating(t):
-            # hash the IEEE bit pattern — an int64 cast would raise
-            # ArrowInvalid on non-integral keys (e.g. a float 1.5 group key).
-            # ``+ 0.0`` folds -0.0 into +0.0 so keys equal under pandas
-            # groupby land in the same partition; nulls become NaN (one bit
-            # pattern) via to_numpy's fill.
-            vals = col.cast(pa.float64()).to_numpy(zero_copy_only=False) + 0.0
-            h ^= _mix_u64(vals.view(np.uint64))
-        elif pa.types.is_integer(t) or pa.types.is_temporal(t) \
-                or pa.types.is_boolean(t):
-            # unsigned 64-bit stays uint64 (an int64 cast would overflow
-            # values above 2^63, e.g. uint64 line hashes)
-            wide = pa.uint64() if pa.types.is_unsigned_integer(t) else pa.int64()
-            ints = col.cast(wide)
-            if ints.null_count:
-                # deterministic sentinel for null keys (pandas path hashes
-                # NaN to a fixed value too); avoids undefined NaN→uint64 cast
-                sentinel = 0x123456789ABCDEF if wide == pa.uint64() \
-                    else -0x123456789ABCDEF
-                ints = ints.fill_null(sentinel)
-            vals = ints.to_numpy(zero_copy_only=False).astype(np.uint64)
-            h ^= _mix_u64(vals)
-        else:
-            # any other dtype (decimal, nested, ...): hash via the pandas
-            # path for this column only — keeps "any key dtype" semantics
-            vals = pd.util.hash_pandas_object(
-                col.to_pandas(), index=False).to_numpy(dtype=np.uint64)
-            h ^= _mix_u64(vals)
+        h ^= _mix_u64(_key_hash(col))
     return (h % np.uint64(num_partitions)).astype(np.int32)
+
+
+def _key_hash(col: pa.Array, encode: bool = True) -> np.ndarray:
+    t = col.type
+    if encode and (pa.types.is_string(t) or pa.types.is_large_string(t)
+                   or pa.types.is_binary(t) or pa.types.is_large_binary(t)):
+        return _key_hash(col.dictionary_encode())
+    if pa.types.is_dictionary(t):
+        # each distinct value hashed once; a null index takes the last slot
+        h = np.append(_key_hash(col.dictionary, encode=False), _NULL)
+        return h[col.indices.fill_null(len(h) - 1)
+                 .to_numpy(zero_copy_only=False).astype(np.int64)]
+    if pa.types.is_floating(t):
+        # the IEEE bits (an int cast rejects 1.5); + 0.0 folds -0.0 into 0.0
+        vals = col.cast(pa.float64()).to_numpy(zero_copy_only=False) + 0.0
+        h = vals.view(np.uint64)
+    elif pa.types.is_integer(t) or pa.types.is_temporal(t) \
+            or pa.types.is_boolean(t):
+        # unsigned 64-bit stays uint64: an int64 cast would overflow
+        wide = pa.uint64() if pa.types.is_unsigned_integer(t) else pa.int64()
+        h = col.cast(wide).fill_null(0).to_numpy(zero_copy_only=False) \
+            .astype(np.uint64)
+    else:  # strings, and any other type (decimal, nested, ...)
+        h = pd.util.hash_pandas_object(col.to_pandas(), index=False) \
+            .to_numpy(dtype=np.uint64)
+    h[col.is_null(nan_is_null=True).to_numpy(zero_copy_only=False)] = _NULL
+    return h
 
 
 def _mix_u64(x: np.ndarray) -> np.ndarray:

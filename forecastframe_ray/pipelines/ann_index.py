@@ -41,6 +41,7 @@ import time
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
 from forecastframe_ray.pipelines.similarity import (
     _normalize,
@@ -79,13 +80,11 @@ def _assign_and_write(emb_ds, index_dir: str, C: np.ndarray, vec_col: str,
     ref = ray.put(C)
     k = len(C)
 
-    def assign(b: pd.DataFrame) -> pd.DataFrame:
-        Cm = ray.get(ref)
-        M = _normalize(_stack(b[vec_col]))
-        cent = (M @ Cm.T).argmax(axis=1).astype(np.int32)
-        out = b[[id_col, vec_col]].copy()
-        out["centroid"] = cent
-        return out
+    def assign(b: pd.DataFrame) -> pa.Table:
+        # an Arrow block: a pandas one would make the vectors Ray tensors
+        cent = (_normalize(_stack(b[vec_col])) @ ray.get(ref).T).argmax(axis=1)
+        return pa.table({id_col: b[id_col], vec_col: b[vec_col],
+                         "centroid": cent.astype(np.int32)})
 
     checkpoint.write_partitioned(
         emb_ds.map_batches(assign, batch_format="pandas"), index_dir,

@@ -7,8 +7,8 @@ catastrophic at high group cardinality (measured: ~80 s for a 100 k-row /
 always shuffles through :func:`exchange`:
 
 1. a stateless ``map_batches`` tags each row with a partition id
-   ``__part`` (:data:`PART_COL`) — for keyed stages ``hash(keys) % P``, a
-   stable deterministic hash (:func:`forecastframe_ray.keys.partition_ids`);
+   ``__part`` (:data:`PART_COL`) — for keyed stages ``hash(keys) % P``
+   over Arrow key columns (:func:`forecastframe_ray.keys.partition_ids`);
 2. ONE shuffle: a sort on ``__part`` into k contiguous id ranges, at
    boundaries taken from the known id range ``[0, P)`` — no sampling
    pass, one reduce block per range. k is one range per CPU slot, raised
@@ -231,19 +231,16 @@ def keyed_map_partitions(ds, keys: list[str], fn, num_partitions: int = 64,
     CPU count.
 
     ``batch_format="pyarrow"`` keeps batches ``pyarrow.Table`` through the
-    exchange (partition ids from :func:`keys.partition_ids_arrow`; ``fn``
-    may return an Arrow table or a DataFrame)."""
+    exchange (``fn`` may return an Arrow table or a DataFrame). Either way
+    rows take their partition id from :func:`keys.partition_ids`."""
     keys = list(keys)
 
-    if batch_format == "pyarrow":
-        def tag(batch: pa.Table) -> pa.Table:
-            return batch.append_column(PART_COL, pa.array(
-                K.partition_ids_arrow(batch, keys, num_partitions),
-                type=pa.int32()))
-    else:
-        def tag(batch: pd.DataFrame) -> pd.DataFrame:
-            batch[PART_COL] = K.partition_ids(batch, keys, num_partitions)
-            return batch
+    def tag(batch):
+        ids = K.partition_ids(batch, keys, num_partitions)
+        if isinstance(batch, pa.Table):
+            return batch.append_column(PART_COL, pa.array(ids))
+        batch[PART_COL] = ids
+        return batch
 
     return exchange(ds, tag, lambda _, part: fn(part), num_partitions,
                     batch_format)

@@ -3,12 +3,12 @@ resume and crash-retry (SURVEY.md §4 "Checkpoint / resume"; replaces the
 reference's whole-object pickle in its ``forecastframe/io.py:9-40``).
 
 Layout: ``out/tier=<name>/part=<p>.parquet``, one file per partition
-``p = hash(partition_keys) % num_partitions`` (:func:`keys.partition_ids`),
-each written atomically (temp file + rename). ``out/manifest.jsonl`` holds
-one JSON row per written file — ``(tier, part, rows, points, checksum,
-wall_s, fingerprint, gen)``, plus ``delta_id`` for merges,
-``expired_before`` for retention sweeps and ``shard_id`` for shard-offset
-appends; the latest row per (tier, part)
+``p = hash(partition_keys) % num_partitions`` (:func:`keys.partition_ids`,
+the hash of every exchange), each written atomically (temp file + rename).
+``out/manifest.jsonl`` holds one JSON row per written file — ``(tier, part,
+rows, points, checksum, wall_s, fingerprint, gen, layout)``, plus
+``delta_id`` for merges, ``expired_before`` for retention sweeps and
+``shard_id`` for shard-offset appends; the latest row per (tier, part)
 wins and ``gen`` chains the rewrites.
 
 :func:`write_partitioned` and :func:`merge_partitioned` share one skeleton
@@ -23,14 +23,15 @@ partition's manifest rows list the primary ``tier`` last, and only that row
 decides whether the partition is finished, so a partition counts as done
 only once every file it wrote is recorded.
 
-The hooks and the merge work on ``pyarrow.Table``s: ``part_fn`` gets the
-partition as a Table, ``merge_partitioned`` merges a stored file and its
-delta with ``concat_tables`` + ``Table.group_by(...).aggregate`` and
-:func:`expire_tier` filters with ``pyarrow.compute``. :func:`_write_file`
-writes a Table as it is and a DataFrame through ``Table.from_pandas`` (the
-stores that write DataFrames keep the ``b"pandas"`` footer blob), and
-:func:`_partition_checksum` gives a Table the checksum of its
-``to_pandas()`` frame, hashed one column at a time.
+The exchange runs in Arrow: ``part_fn`` gets the partition as a
+``pyarrow.Table``, ``merge_partitioned`` merges a stored file and its
+delta with ``concat_tables`` + ``Table.group_by(...).aggregate``,
+:func:`expire_tier` filters with ``pyarrow.compute`` and
+:func:`_write_file` writes each Table as it is (no ``b"pandas"`` footer
+blob). :func:`_partition_checksum` gives a Table the checksum of its
+``to_pandas()`` frame, hashed one column at a time. The hashed writes and
+the merge refuse a store whose rows lack ``layout`` = :data:`LAYOUT`: an
+append onto another hash's files would split a key across two files.
 
 Single-node note: files land on the local filesystem; on a real cluster the
 same layout goes to shared storage (s3/nfs) — the atomic-rename is then a
@@ -55,6 +56,8 @@ from forecastframe_ray import keys as K
 from forecastframe_ray.stages.agg import PART_COL, exchange
 
 MANIFEST = "manifest.jsonl"
+
+LAYOUT = "partition_ids/arrow"  #: the ``layout`` of every manifest row
 
 
 def load_done(out_dir: str) -> dict[tuple[str, int], dict]:
@@ -143,23 +146,27 @@ def _manifest_row(tier: str, part: int, frame, t0: float,
     return {"tier": tier, "part": part, "rows": len(frame),
             "points": len(frame), "checksum": _partition_checksum(frame),
             "wall_s": round(time.perf_counter() - t0, 4),
-            "fingerprint": fingerprint, "gen": gen, **extra}
+            "fingerprint": fingerprint, "gen": gen, "layout": LAYOUT,
+            **extra}
+
+
+def _check_layout(rows, what: str):
+    """Refuse manifest rows whose files another hash laid out."""
+    if any(r.get("layout") != LAYOUT for r in rows):
+        raise ValueError(f"{what}: stored files are not of layout "
+                         f"{LAYOUT!r}; rebuild the store, do not append")
 
 
 def _part_path(out_dir: str, tier: str, part: int) -> str:
     return os.path.join(out_dir, f"tier={tier}", f"part={part}.parquet")
 
 
-def _write_file(frame: pd.DataFrame | pa.Table, path: str,
-                metadata: dict | None = None):
-    """Atomic part-file write. A ``pyarrow.Table`` is written as it is, a
-    DataFrame through ``Table.from_pandas`` (whose footer carries the
-    ``b"pandas"`` blob). Dictionary-encode everything (key strings are
-    low-cardinality per partition — reference transform.py:30-33 parity) +
-    zstd: ~2× file shrink vs snappy at negligible write cost. ``metadata``
-    entries are added to the parquet footer."""
-    tbl = (frame if isinstance(frame, pa.Table)
-           else pa.Table.from_pandas(frame, preserve_index=False))
+def _write_file(tbl: pa.Table, path: str, metadata: dict | None = None):
+    """Atomic part-file write of a ``pyarrow.Table`` as it is.
+    Dictionary-encode everything (key strings are low-cardinality per
+    partition — reference transform.py:30-33 parity) + zstd: ~2× file
+    shrink vs snappy at negligible write cost. ``metadata`` entries are
+    added to the parquet footer."""
     if metadata:
         tbl = tbl.replace_schema_metadata(
             {**(tbl.schema.metadata or {}), **metadata})
@@ -177,30 +184,28 @@ def _exchange(ds, out_dir: str, partition_keys: list[str],
               num_partitions: int, skip: set, kernel,
               fail_after: int | None, part_offset: int = 0,
               direct_part_col: str | None = None) -> list[dict]:
-    """The store's one exchange: tag rows with their partition id, drop
-    partitions in ``skip``, shuffle on the id, run
-    ``kernel(part, part_df) -> [manifest row, ...]`` once per partition,
+    """The store's one exchange, in Arrow: tag rows with their partition
+    id, drop partitions in ``skip``, shuffle on the id, run
+    ``kernel(part, table) -> [manifest row, ...]`` once per partition,
     and append the rows to the manifest. ``fail_after`` (test hook)
     records only the first N partitions' rows, then raises — the files of
     the others are already replaced, as after a crash between a file
     rename and its manifest append. Rows are tagged with their id in
     ``[0, num_partitions)``; ``part_offset`` is added back for ``skip``
     and for the kernel."""
-    local_skip = [p - part_offset for p in skip]
+    local_skip = pa.array([p - part_offset for p in skip], pa.int64())
 
-    def tag(batch: pd.DataFrame) -> pd.DataFrame:
-        batch[PART_COL] = (
-            batch[direct_part_col].to_numpy().astype(np.int64)
-            if direct_part_col else
+    def tag(batch: pa.Table) -> pa.Table:
+        ids = batch[direct_part_col] if direct_part_col else pa.array(
             K.partition_ids(batch, partition_keys, num_partitions))
-        if local_skip:
-            batch = batch[~batch[PART_COL].isin(local_skip)]
-        return batch
+        batch = batch.append_column(PART_COL, ids)
+        return batch.filter(pc.invert(pc.is_in(ids, local_skip))) \
+            if len(local_skip) else batch
 
-    def run(part: int, df: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame(kernel(part_offset + part, df))
+    def run(part: int, tbl: pa.Table) -> pd.DataFrame:
+        return pd.DataFrame(kernel(part_offset + part, tbl))
 
-    rows = exchange(ds, tag, run, num_partitions).to_pandas() \
+    rows = exchange(ds, tag, run, num_partitions, "pyarrow").to_pandas() \
         .to_dict("records")
     if fail_after is not None:
         kept = set(list(dict.fromkeys(r["part"] for r in rows))[:fail_after])
@@ -222,7 +227,8 @@ def write_partitioned(ds, out_dir: str, tier: str, partition_keys: list[str],
 
     Skips partitions already in the manifest (resume = a filter, not replay),
     EXCEPT those in ``overwrite_parts`` — the refresh path for derived
-    tiers; their manifest rows chain ``gen``.
+    tiers; their manifest rows chain ``gen``. A hashed write raises
+    ``ValueError`` if a partition it would skip is not of :data:`LAYOUT`.
     ``fail_after`` is a test hook: raise after N partitions to simulate a
     mid-job crash.
 
@@ -260,6 +266,10 @@ def write_partitioned(ds, out_dir: str, tier: str, partition_keys: list[str],
     done = {p for (t, p) in prior if t == tier} - set(overwrite_parts or ())
     gens = {k: int(row.get("gen", 0)) for k, row in prior.items()}
     extra = {} if shard_id is None else {"shard_id": shard_id}
+    if direct_part_col is None:
+        _check_layout([prior[(tier, p)] for p in done
+                       if 0 <= p - part_offset < num_partitions],
+                      f"write_partitioned({tier!r})")
     if shard_id is not None:
         for p in sorted(done):
             owner = prior[(tier, p)].get("shard_id")
@@ -269,15 +279,11 @@ def write_partitioned(ds, out_dir: str, tier: str, partition_keys: list[str],
                     f"{owner!r}, not {shard_id!r}: an earlier append at "
                     "this offset was abandoned")
 
-    def kernel(part: int, df: pd.DataFrame) -> list[dict]:
+    def kernel(part: int, tbl: pa.Table) -> list[dict]:
         t0 = time.perf_counter()
-        if part_fn is not None:
-            frames = part_fn(pa.Table.from_pandas(df, preserve_index=False))
-        elif sort_cols:
-            frames = {tier: df.sort_values(sort_cols, kind="mergesort")
-                      .reset_index(drop=True)}
-        else:
-            frames = {tier: df}
+        if sort_cols and part_fn is None:  # sort_by is stable
+            tbl = tbl.sort_by([(c, "ascending") for c in sort_cols])
+        frames = part_fn(tbl) if part_fn is not None else {tier: tbl}
         rows = []
         for t in _primary_last(frames, tier):
             _write_file(frames[t], _part_path(out_dir, t, part))
@@ -334,6 +340,8 @@ def merge_partitioned(delta_ds, out_dir: str, tier: str,
       between its rename and the manifest append) is kept as is.
     - Untouched partitions keep their files and manifest rows; lineage
       stays partition-granular (`gen` chains the rewrites).
+    - A store whose ``tier`` rows are not all of :data:`LAYOUT` raises
+      ``ValueError`` before any file is touched.
     - ``fail_after``: test hook, as in :func:`write_partitioned`.
 
     At 100 TB framing the delta is one ingest batch: its tier table is
@@ -342,6 +350,8 @@ def merge_partitioned(delta_ds, out_dir: str, tier: str,
     """
     os.makedirs(os.path.join(out_dir, f"tier={tier}"), exist_ok=True)
     prior = load_done(out_dir)
+    _check_layout([row for (t, _), row in prior.items() if t == tier],
+                  f"merge_partitioned({tier!r})")
     skip = {p for (t, p), row in prior.items()
             if t == tier and row.get("delta_id") == delta_id}
     gens = {k: int(row.get("gen", 0)) for k, row in prior.items()}
@@ -368,9 +378,8 @@ def merge_partitioned(delta_ds, out_dir: str, tier: str,
                     {b"delta_ids": json.dumps(applied + [delta_id]).encode()})
         return tbl
 
-    def kernel(part: int, df: pd.DataFrame) -> list[dict]:
+    def kernel(part: int, tbl: pa.Table) -> list[dict]:
         t0 = time.perf_counter()
-        tbl = pa.Table.from_pandas(df, preserve_index=False)
         deltas = part_fn(tbl) if part_fn is not None else {tier: tbl}
         frames = {t: merge(t, part, d) for t, d in deltas.items()}
         if derive_fn is not None:
@@ -405,8 +414,8 @@ def expire_tier(out_dir: str, tier: str, cutoff_us: int,
     this loop is trivially dispatchable, but it is metadata-scale work
     either way."""
     tier_dir = os.path.join(out_dir, f"tier={tier}")
-    gens = {p: int(row.get("gen", 0))
-            for (t, p), row in load_done(out_dir).items() if t == tier}
+    prior = {p: row for (t, p), row in load_done(out_dir).items()
+             if t == tier}
     rows: list[dict] = []
     if not os.path.isdir(tier_dir):
         return rows
@@ -430,10 +439,12 @@ def expire_tier(out_dir: str, tier: str, cutoff_us: int,
             os.remove(path)
         else:  # the table keeps its footer metadata (delta_ids) as read
             _write_file(kept, path)
+        last = prior.get(part, {"layout": LAYOUT})
         rows.append(_manifest_row(tier, part, kept, t0,
                                   f"{tier}/{part}/expire",
-                                  gens.get(part, 0) + 1,
-                                  expired_before=int(cutoff_us)))
+                                  int(last.get("gen", 0)) + 1,
+                                  expired_before=int(cutoff_us),
+                                  layout=last.get("layout")))  # rows stay
     append_manifest(out_dir, rows)
     return rows
 

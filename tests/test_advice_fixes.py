@@ -27,26 +27,62 @@ def test_hash_aggregate_float_keys():
     pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
 
-def test_partition_ids_arrow_float_and_negzero():
-    # -0.0 and 0.0 are equal under pandas groupby → must co-partition;
-    # nulls must not crash; bit-pattern hashing must be deterministic
-    t = pa.table({"k": pa.array([0.0, -0.0, 1.5, None, 2.5])})
-    ids = K.partition_ids_arrow(t, ["k"], 8)
-    assert ids[0] == ids[1]
-    ids2 = K.partition_ids_arrow(t, ["k"], 8)
-    assert (ids == ids2).all()
-
-
-def test_partition_ids_arrow_unsupported_dtype_falls_back():
-    # decimal keys take the pandas per-column hash fallback instead of an
-    # Arrow cast error
+def _decimals(vals):
     import decimal
-    t = pa.table({"k": pa.array([decimal.Decimal("1.5"),
-                                 decimal.Decimal("1.5"),
-                                 decimal.Decimal("2.5")],
-                                type=pa.decimal128(5, 2))})
-    ids = K.partition_ids_arrow(t, ["k"], 8)
-    assert ids[0] == ids[1]
+    return pa.array([decimal.Decimal(v) for v in vals],
+                    type=pa.decimal128(5, 2))
+
+
+def _mixed_keys() -> pd.DataFrame:
+    return pd.DataFrame({"s": ["a", None, "b", "a", None],
+                         "i": [1, 2, 2, 1, 2],
+                         "f": [0.5, np.nan, -0.0, 0.5, np.nan]})
+
+
+#: name → (batch, a twin that must get the same ids row by row or None,
+#: groups of rows that must share an id). Every column is a key.
+_HASH_CASES = {
+    # -0.0 and 0.0 are equal under pandas groupby → must co-partition
+    "float_negzero": (pa.table({"k": pa.array([0.0, -0.0, 1.5, None, 2.5])}),
+                      None, [[0, 1]]),
+    # null and NaN are one group under pandas groupby
+    "float_null": (pa.table({"k": pa.array([None, 1.5, float("nan"), None])}),
+                   None, [[0, 2, 3]]),
+    "string_null": (pa.table({"k": pa.array(["a", None, "b", None, "a"])}),
+                    None, [[1, 3], [0, 4]]),
+    "int_null": (pa.table({"k": pa.array([7, None, 3, None], pa.int64())}),
+                 None, [[1, 3]]),
+    # decimal keys take the pandas per-column hash instead of an Arrow
+    # cast error
+    "decimal": (pa.table({"k": _decimals(["1.5", "1.5", "2.5"])}), None,
+                [[0, 1]]),
+    # a category (an Arrow dictionary) hashes as its values, whatever its
+    # unobserved categories
+    "category": (pd.DataFrame({"k": pd.Categorical(
+        ["a", None, "b", "a"], categories=["z", "b", "a"])}),
+        pd.DataFrame({"k": ["a", None, "b", "a"]}), [[0, 3]]),
+    "dataframe": (_mixed_keys(), pa.Table.from_pandas(_mixed_keys()),
+                  [[0, 3], [1, 4]]),
+}
+
+
+@pytest.mark.parametrize("case", list(_HASH_CASES))
+def test_partition_ids_depend_only_on_key_values(case):
+    """Equal keys share an id, a twin encoding gets the same ids, and a
+    row's id does not depend on the rest of its batch."""
+    batch, twin, groups = _HASH_CASES[case]
+    keys = list(batch.columns) if isinstance(batch, pd.DataFrame) \
+        else batch.column_names
+    ids = K.partition_ids(batch, keys, 8)
+    assert ids.dtype == np.int32 and ((0 <= ids) & (ids < 8)).all()
+    for rows in groups:
+        assert len(set(ids[rows])) == 1, (rows, ids)
+    if twin is not None:
+        assert (K.partition_ids(twin, keys, 8) == ids).all()
+    for i in range(len(batch)):
+        one = batch.iloc[i:i + 1] if isinstance(batch, pd.DataFrame) \
+            else batch.slice(i, 1)
+        assert K.partition_ids(one, keys, 8)[0] == ids[i], i
 
 
 def test_join_dim_table_datetime_saves_and_replays(tmp_path):

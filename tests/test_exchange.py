@@ -80,15 +80,9 @@ def test_kernel_never_sees_part_col(ray_session, batch_format):
     frames = np.array_split(df, 4)
 
     def ids(b):
-        if isinstance(b, pa.Table):
-            return K.partition_ids_arrow(b, ["k"], NP)
         return K.partition_ids(b, ["k"], NP)
 
-    def tag(b):
-        if isinstance(b, pa.Table):
-            return b.append_column(PART_COL, pa.array(ids(b)))
-        b[PART_COL] = ids(b)
-        return b
+    tag = _id_tag(batch_format)
 
     def fn(part_id, part):
         cols = list(part.column_names if isinstance(part, pa.Table)
@@ -202,13 +196,15 @@ def _id_kernel():
 
 
 def _id_tag(batch_format: str, drop_odd: bool = False):
+    """Tag rows with ``K.partition_ids`` of ``k``, the same hash for both
+    batch formats; ``drop_odd`` drops the rows with an odd ``v``."""
     def tag(b):
+        ids = K.partition_ids(b, ["k"], NP)
         if batch_format == "pyarrow":
-            b = b.append_column(PART_COL, pa.array(
-                K.partition_ids_arrow(b, ["k"], NP), type=pa.int32()))
+            b = b.append_column(PART_COL, pa.array(ids))
             return b.filter(pc.equal(
                 pc.bit_wise_and(b["v"], 1), 0)) if drop_odd else b
-        b[PART_COL] = K.partition_ids(b, ["k"], NP)
+        b[PART_COL] = ids
         return b[b["v"] % 2 == 0] if drop_odd else b
     return tag
 

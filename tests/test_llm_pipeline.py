@@ -9,6 +9,7 @@ import ray.data
 
 from forecastframe_ray import synth
 from forecastframe_ray.pipelines import llm
+from forecastframe_ray.stages import agg
 from forecastframe_ray.state import checkpoint
 
 N_DOCS = 1200
@@ -135,3 +136,35 @@ def test_scale_path_keeps_the_same_survivors(tmp_path):
                              .to_pandas()["doc_id"]))
     assert m["near_dup_pairs"] > 0
     assert survivors[0] == survivors[1]
+
+
+def test_funnel_is_plan_invariant(tmp_path, monkeypatch):
+    """The funnel counts and the written docs tier (sorted by ``doc_id``)
+    do not depend on the plan: 8 or 32 partitions, the input as 1 block,
+    16 blocks or 16 blocks reversed, and every exchange sorted into k = 1,
+    2 or P id ranges."""
+    tbl = synth.docs_table(N_DOCS, seed=42)
+    step = N_DOCS // 16
+    many = [tbl.slice(i * step, step) for i in range(16)]
+    inputs = {"one": [tbl], "16": many, "16 reversed": many[::-1]}
+    want = None
+    for k in (1, 2, "P"):
+        monkeypatch.setattr(agg, "range_count",
+                            lambda n, k=k: n if k == "P" else min(n, k))
+        for num_partitions in (8, 32):
+            for name, blocks in inputs.items():
+                plan = (k, num_partitions, name)
+                out = str(tmp_path / "-".join(map(str, plan)))
+                m = llm.run(ray.data.from_arrow(blocks), out_dir=out,
+                            max_repeats=MAX_REPEATS,
+                            num_partitions=num_partitions)
+                counts = {c: v for c, v in m.items()
+                          if c not in ("stage_wall_s", "wall_s",
+                                       "docs_per_sec")}
+                docs = checkpoint.read_tier(out, "docs").to_pandas() \
+                    .sort_values("doc_id").reset_index(drop=True)
+                if want is None:
+                    want = counts, docs
+                    assert counts["near_dup_pairs"] > 0
+                assert counts == want[0], plan
+                pd.testing.assert_frame_equal(docs, want[1], obj=str(plan))

@@ -4,11 +4,13 @@ per-series ``groupby`` encode, and a store built by ``web.run``,
 appended to with chunk refresh and swept by ``expire_tier`` keeps every
 manifest checksum equal to its file's, writes no pandas footer blob, keeps
 ``delta_ids`` through an expiry rewrite, stores an undefined std as null,
-and lays rows out by ``K.partition_ids``."""
+lays rows out by ``K.partition_ids``, the hash every exchange uses, and
+refuses an append onto a store whose manifest rows name no layout."""
 
 import glob
 import json
 import os
+import shutil
 
 import numpy as np
 import pandas as pd
@@ -166,17 +168,41 @@ def test_one_page_bucket_std_is_null(store):
 
 def test_part_files_hold_rows_by_store_hash(store):
     """``part=p`` holds exactly the rows with ``K.partition_ids == p``: the
-    store's exchange tags rows with the pandas-format hash, not
-    ``K.partition_ids_arrow``."""
+    store's exchange tags rows with the one partition hash, the one every
+    exchange uses, and each manifest row names that layout."""
     out, _, _ = store
     done = checkpoint.load_done(out)
+    assert {r["layout"] for r in done.values()} == {checkpoint.LAYOUT}
     for tier in ("1h", "1d", "7d", "chunks_1h"):
         rows = 0
         for f in _files(out, tier):
-            hosts = pq.read_table(f, columns=["host"]).to_pandas()
+            hosts = pq.read_table(f, columns=["host"])
             ids = K.partition_ids(hosts, ["host"], NP)
             assert (ids == _part(f)).all(), f
             rows += len(hosts)
         assert rows == sum(r["rows"] for (t, _), r in done.items()
                            if t == tier)
         assert rows > 0
+
+
+def test_append_refuses_a_store_without_layout(store, tmp_path):
+    """A store whose manifest rows name no layout was laid out by another
+    hash: an append would put a host's new rows in a second file, so
+    ``append_tiers`` raises and writes nothing."""
+    out = str(tmp_path / "old_layout")
+    shutil.copytree(store[0], out)
+    path = os.path.join(out, checkpoint.MANIFEST)
+    with open(path) as f:
+        rows = [json.loads(line) for line in f if line.strip()]
+    with open(path, "w") as f:
+        for row in rows:
+            row.pop("layout", None)
+            f.write(json.dumps(row, sort_keys=True) + "\n")
+    before = {f: os.path.getmtime(f) for f in _files(out)}
+    pages = synth.pages_table(200, seed=9, num_domains=30)
+    with pytest.raises(ValueError, match="layout"):
+        web.append_tiers(ray.data.from_arrow(pages), out, "d-2",
+                         num_partitions=NP)
+    assert {f: os.path.getmtime(f) for f in _files(out)} == before
+    with open(path) as f:
+        assert len([line for line in f if line.strip()]) == len(rows)
