@@ -14,11 +14,9 @@ Scale design (100 TB framing):
 - candidate verification happens inside one ``agg.exchange`` on the
   bucket's verify partition, so only same-bucket docs ever meet; bucket
   sizes are bounded by band width;
-- cluster assignment (union-find) runs on the driver over the candidate-PAIR
-  list only — pairs ≪ corpus (the standard LSH contract). For corpora where
-  even pairs are huge, :func:`clusters_from_pairs_distributed` runs the same
-  assignment as iterative hash-min connected components over Dataset
-  aggregates (O(diameter) rounds, int rows only).
+- cluster assignment (union-find) runs on the driver over the verified
+  PAIR list only — pairs ≪ corpus (the standard LSH contract; ~0.2 pairs
+  per doc on the synthetic corpus, 4M pairs at 20M docs).
 """
 
 from __future__ import annotations
@@ -638,8 +636,7 @@ def ngram_containment(text_a: str, text_b: str, width: int = 5) -> float:
 def minhash_lsh_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
                       num_perm: int = 64, num_bands: int = 16,
                       shingle_width: int = 5, threshold: float = 0.7,
-                      seed: int = 7, driver_meta_limit: int = 5_000_000,
-                      bucket_cap: int = 100_000,
+                      seed: int = 7, bucket_cap: int = 100_000,
                       wave_cand_limit: int = 4_000_000,
                       approx_docs: int | None = None):
     """Candidate generation + exact verification:
@@ -652,9 +649,10 @@ def minhash_lsh_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
     Returns a Dataset of ``(id_a, id_b, jaccard)`` with id_a < id_b.
 
     The corpus text never reaches the driver and never broadcasts whole:
-    bucket sizes prune candidate rows to colliding docs only, their texts are
-    fetched by a join on id (colliding docs ≪ corpus), and verification runs
-    inside the bucket groups.
+    bucket sizes prune candidate rows to colliding docs only, each wave's
+    int-only candidate rows are collected on the driver, their texts are
+    attached by a broadcast id filter (colliding docs ≪ corpus), and
+    verification runs inside the bucket groups.
 
     Above ``wave_cand_limit`` candidate rows, verification runs in **band
     waves**: bands are split into ``ceil(n_cand / wave_cand_limit)`` groups
@@ -669,7 +667,6 @@ def minhash_lsh_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
     """
     from forecastframe_ray.stages.agg import (PART_COL, exchange, hash_aggregate,
                                               keyed_map_partitions)
-    from forecastframe_ray.stages.join import hash_join
 
     sigs = ds.map_batches(
         lambda b: minhash_batch(b[[id_col, text_col]], text_col, num_perm,
@@ -708,12 +705,12 @@ def minhash_lsh_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
     cand_meta = keyed_map_partitions(sigs, ["band", "bucket"], keep_colliding,
                                      prune_parts).materialize()
 
-    # Below ``driver_meta_limit`` rows this INT-ONLY metadata is collected
-    # and broadcast (document text never reaches the driver — that was the
+    # Each verify wave collects this INT-ONLY metadata on the driver and
+    # broadcasts it (document text never reaches the driver — that was the
     # r1 scale-killer; an int triple per collision is the documented
     # broadcast-small-side pattern), and candidate texts are attached by a
     # broadcast id-filter + bucket fan-out map: zero hash-shuffle joins.
-    # Past the limit, the fully distributed join path runs instead.
+    # Band waves bound the collection at ~``wave_cand_limit`` rows.
     import ray
     import ray.data
 
@@ -791,27 +788,17 @@ def minhash_lsh_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
         # aggregate, so partition placement is semantics-free. Peak
         # per-partition heap is comparable (an anchor's docs are the union
         # of its buckets' members — mostly the same docs). The anchor map
-        # is int-only and bounded by the wave's candidate rows; if it ever
-        # outgrew the driver limit we fall back to hash(band, bucket).
-        cand_df = meta_ds.to_pandas() if n_rows <= driver_meta_limit else None
-        if cand_df is not None:
-            bucket_map = cand_df.groupby(["band", "bucket"], sort=False,
-                                         as_index=False)[id_col].min() \
-                .rename(columns={id_col: "__anchor"})
-        else:
-            bm = hash_aggregate(meta_ds, ["band", "bucket"],
-                                {"__anchor": (id_col, "min")}).materialize()
-            bucket_map = bm.to_pandas() if bm.count() <= driver_meta_limit \
-                else None
-        if bucket_map is not None:
-            bucket_map[VPART] = K.partition_ids(
-                bucket_map, ["__anchor"], verify_partitions)
-            bucket_map = bucket_map[["band", "bucket", VPART]]
-            bucket_map["band"] = bucket_map["band"].astype(np.int32)
-            bucket_map["bucket"] = bucket_map["bucket"].astype(np.uint64)
-            bmap_ref = ray.put(bucket_map)
-        else:
-            bmap_ref = None
+        # is int-only and bounded by the wave's candidate rows.
+        cand_df = meta_ds.to_pandas()
+        bucket_map = cand_df.groupby(["band", "bucket"], sort=False,
+                                     as_index=False)[id_col].min() \
+            .rename(columns={id_col: "__anchor"})
+        bucket_map[VPART] = K.partition_ids(
+            bucket_map, ["__anchor"], verify_partitions)
+        bucket_map = bucket_map[["band", "bucket", VPART]]
+        bucket_map["band"] = bucket_map["band"].astype(np.int32)
+        bucket_map["bucket"] = bucket_map["bucket"].astype(np.uint64)
+        bmap_ref = ray.put(bucket_map)
 
         def assign_verify(batch: pd.DataFrame) -> pd.DataFrame:
             batch = batch.copy()
@@ -822,39 +809,22 @@ def minhash_lsh_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
             # break union
             batch[text_col] = pd.Series([""] * len(batch), dtype="string",
                                         index=batch.index)
-            if bmap_ref is not None:
-                batch = batch.merge(ray.get(bmap_ref), how="left",
-                                    on=["band", "bucket"])
-                batch[VPART] = batch[VPART].astype(np.int32)
-            else:
-                batch[VPART] = K.partition_ids(batch, ["band", "bucket"],
-                                               verify_partitions)
+            batch = batch.merge(ray.get(bmap_ref), how="left",
+                                on=["band", "bucket"])
+            batch[VPART] = batch[VPART].astype(np.int32)
             return batch[_cols]
 
         meta_p = meta_ds.map_batches(assign_verify, batch_format="pandas")
 
-        if cand_df is not None:
-            # broadcast path: the distinct (doc id → verify partition) map
-            # is int-only and ships via the object store once; texts stream
-            # past it
-            dp = cand_df.merge(bucket_map, on=["band", "bucket"])
-            dp = dp[[id_col, VPART]].drop_duplicates()
-            dp_ref = ray.put(dp)
-            textrows = ds.select_columns([id_col, text_col]).map_batches(
-                lambda b: _as_textrows(b.merge(ray.get(dp_ref), how="inner",
-                                               on=id_col)),
-                batch_format="pandas")
-        else:
-            # scale path: distinct (doc id, verify partition) pairs by
-            # aggregate, then texts attach by a hash join on doc id whose
-            # fan-out (~500k rows/task) scales with the candidate rows
-            jp = max(8, int(np.ceil(n_rows / 500_000)))
-            dp_ds = hash_aggregate(meta_p, [id_col, VPART],
-                                   {"__m": (id_col, "size")}) \
-                .select_columns([id_col, VPART]).materialize()
-            textrows = hash_join(ds.select_columns([id_col, text_col]),
-                                 dp_ds, on=[id_col], num_partitions=jp) \
-                .map_batches(_as_textrows, batch_format="pandas")
+        # the distinct (doc id → verify partition) map is int-only and
+        # ships via the object store once; texts stream past it
+        dp = cand_df.merge(bucket_map, on=["band", "bucket"])
+        dp = dp[[id_col, VPART]].drop_duplicates()
+        dp_ref = ray.put(dp)
+        textrows = ds.select_columns([id_col, text_col]).map_batches(
+            lambda b: _as_textrows(b.merge(ray.get(dp_ref), how="inner",
+                                           on=id_col)),
+            batch_format="pandas")
 
         # the verify partition id is the VPART column itself
         return exchange(
@@ -893,139 +863,17 @@ def minhash_lsh_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
                           {"jaccard": ("jaccard", "max")}, num_partitions=16)
 
 
-def clusters_from_pairs_distributed(pairs, id_a: str = "id_a",
-                                    id_b: str = "id_b",
-                                    max_iters: int = 50,
-                                    broadcast_limit: int = 5_000_000,
-                                    num_partitions: int = 16):
-    """Distributed connected components over a candidate-PAIR Dataset:
-    iterative hash-min label propagation (each round every node adopts the
-    minimum label among itself and its neighbors; converges in O(graph
-    diameter) rounds). The scale path for corpora whose pair list outgrows
-    the driver — only (node, label) int rows ever move.
-
-    Returns a Dataset of ``(doc_id, rep_id)`` for every node that appears in
-    a pair, rep = min id of its component (same contract as
-    :func:`clusters_from_pairs`); no pair gives no row.
-
-    Two per-round plans, chosen by node count:
-
-    - ≤ ``broadcast_limit`` nodes: the int-only label map broadcasts via
-      ``ray.put`` and propagation is a per-batch ``reindex`` (no shuffle);
-    - above it, labels STAY a Dataset and each round is a distributed
-      ``hash_join(edges, labels, on="src")`` + min-aggregate + label join —
-      nothing reaches the driver but the per-round changed count.
-
-    ``num_partitions`` is the fan-out of every join and aggregate in the
-    rounds; label/edge rows are int-only (~16 B/row).
-
-    Raises ``RuntimeError`` if labels still changed after ``max_iters``
-    rounds (a component's diameter exceeded the budget) — never returns
-    stale labels silently.
-    """
-    import ray
-    import ray.data
-
-    from forecastframe_ray.stages.agg import hash_aggregate, reduce
-
-    edges = pairs.map_batches(
-        lambda b: pd.DataFrame({
-            "src": np.concatenate([b[id_a].to_numpy(), b[id_b].to_numpy()]),
-            "dst": np.concatenate([b[id_b].to_numpy(), b[id_a].to_numpy()]),
-        }), batch_format="pandas").materialize()  # symmetric edge list
-
-    # labels ← min(node, neighbors) to start
-    labels = hash_aggregate(edges, ["src"], {"label": ("dst", "min")},
-                            num_partitions=num_partitions)
-    labels = labels.map_batches(
-        lambda b: pd.DataFrame({
-            "node": b["src"],
-            "label": np.minimum(b["src"], b["label"])}),
-        batch_format="pandas").materialize()
-
-    n_nodes = labels.count()
-    if n_nodes == 0:  # no pair: no node to label
-        return ray.data.from_pandas(pd.DataFrame({
-            "doc_id": pd.Series([], dtype="int64"),
-            "rep_id": pd.Series([], dtype="int64")}))
-    if n_nodes <= broadcast_limit:
-        lab_df = labels.to_pandas()
-        converged = False
-        for _ in range(max_iters):
-            lab_ref = ray.put(lab_df.set_index("node")["label"])
-
-            def propagate(b: pd.DataFrame) -> pd.DataFrame:
-                lab = ray.get(lab_ref)
-                return pd.DataFrame({
-                    "node": b["dst"].to_numpy(),
-                    "cand": lab.reindex(b["src"]).to_numpy(),
-                })
-
-            new_df = hash_aggregate(
-                edges.map_batches(propagate, batch_format="pandas"),
-                ["node"], {"cand": ("cand", "min")},
-                num_partitions=num_partitions).to_pandas()
-            merged = lab_df.merge(new_df, on="node", how="left")
-            new_labels = np.minimum(
-                lab_df["label"].to_numpy(),
-                merged["cand"].fillna(merged["label"]).to_numpy())
-            changed = bool((new_labels != lab_df["label"].to_numpy()).any())
-            lab_df = pd.DataFrame({"node": lab_df["node"], "label": new_labels})
-            if not changed:
-                converged = True
-                break
-        if not converged:
-            raise RuntimeError(
-                f"label propagation did not converge in {max_iters} rounds "
-                "(component diameter too large); raise max_iters")
-        return ray.data.from_pandas(
-            pd.DataFrame({"doc_id": lab_df["node"], "rep_id": lab_df["label"]}))
-
-    # ---- fully distributed path: labels never leave the cluster ----
-    from forecastframe_ray.stages.join import hash_join
-
-    converged = False
-    for _ in range(max_iters):
-        # neighbor candidates: edges ⨝ labels on src → (node=dst, cand=label)
-        src_labels = labels.map_batches(
-            lambda b: b.rename(columns={"node": "src", "label": "__cand"}),
-            batch_format="pandas")
-        prop = hash_join(edges, src_labels, on=["src"], how="inner",
-                         num_partitions=num_partitions).map_batches(
-            lambda b: pd.DataFrame({"node": b["dst"], "cand": b["__cand"]}),
-            batch_format="pandas")
-        new_min = hash_aggregate(prop, ["node"], {"cand": ("cand", "min")},
-                                 num_partitions=num_partitions)
-        merged = hash_join(labels, new_min, on=["node"], how="left",
-                           num_partitions=num_partitions)
-
-        def take_min(b: pd.DataFrame) -> pd.DataFrame:
-            old = b["label"].to_numpy()
-            new = np.minimum(old, b["cand"].fillna(b["label"]).to_numpy())
-            return pd.DataFrame({"node": b["node"], "label": new,
-                                 "__changed": (new != old).astype(np.int64)})
-
-        labels = merged.map_batches(take_min,
-                                    batch_format="pandas").materialize()
-        n_changed = reduce(labels, lambda b: b[["__changed"]].sum().to_frame(),
-                           lambda p: p.to_numpy().sum())
-        labels = labels.drop_columns(["__changed"]).materialize()
-        if not n_changed:
-            converged = True
-            break
-    if not converged:
-        raise RuntimeError(
-            f"label propagation did not converge in {max_iters} rounds "
-            "(component diameter too large); raise max_iters")
-    return labels.map_batches(
-        lambda b: b.rename(columns={"node": "doc_id", "label": "rep_id"}),
-        batch_format="pandas")
-
-
 def clusters_from_pairs(pairs_df: pd.DataFrame, id_a: str = "id_a",
                         id_b: str = "id_b") -> dict:
     """Driver-side union-find over the verified pair list → {doc_id: rep_id}
-    with rep = min id of the connected component."""
+    with rep = min id of the connected component; no pair gives ``{}``.
+
+    The only connected-components path. The pair list is collision-scale:
+    ~0.2 verified pairs per doc on the synthetic corpus (404k pairs at 2M
+    docs, 4.03M at 20M). On one CPU, 400k random pairs take 0.5-0.6 s and
+    4M pairs 8.5-9.9 s at 1.0-1.4 GB process peak RSS (two probes), so the
+    20M-doc funnel's components cost seconds against a minhash stage of
+    minutes."""
     parent: dict = {}
 
     def find(x):

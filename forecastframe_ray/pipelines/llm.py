@@ -20,9 +20,9 @@ boilerplate passes re-read it — input should be parquet-backed, not a
 materialized Dataset); the only materializations are the cleaned and
 exact-deduped corpora (each ≪ input, reused by two downstream consumers);
 every shuffle key is fixed-width (uint64 line hash, 16-byte digest, uint64
-band bucket); the near-dup pair list and non-representative id set ship
-driver-side only under ``driver_pair_limit`` — above it the distributed
-connected-components + hash-join path runs instead.
+band bucket); the near-dup pair list (collision-scale, ~0.2 pairs per
+doc) is collected for driver-side connected components, and the
+non-representative id set ships worker-side to an anti semi-join.
 """
 
 from __future__ import annotations
@@ -39,8 +39,7 @@ from forecastframe_ray.pipelines import textstats as T
 def dedup_pipeline(docs_ds, id_col: str = "doc_id", text_col: str = "text",
                    minhash_threshold: float = 0.7, max_repeats: int = 3,
                    min_words_per_line: int = 5, require_terminal: bool = True,
-                   num_partitions: int = 32,
-                   driver_pair_limit: int = 20_000_000):
+                   num_partitions: int = 32):
     """The composed funnel. Returns ``(final_dataset, funnel_metrics)``
     where ``final_dataset`` is the surviving ``(id, text)`` corpus (lazy
     past the internal materialization points) and the metrics dict carries
@@ -90,7 +89,7 @@ def dedup_pipeline(docs_ds, id_col: str = "doc_id", text_col: str = "text",
     if n_pairs == 0:
         final = kept
         n_clusters = 0
-    elif n_pairs <= driver_pair_limit:
+    else:
         rep = D.clusters_from_pairs(pairs.to_pandas())
         non_rep = pd.DataFrame({id_col: np.array(
             [k for k, v in rep.items() if k != v], dtype=np.int64)})
@@ -98,22 +97,6 @@ def dedup_pipeline(docs_ds, id_col: str = "doc_id", text_col: str = "text",
         from forecastframe_ray.stages.join import broadcast_semi_join
         final = broadcast_semi_join(kept, non_rep, on=[id_col], anti=True) \
             if len(non_rep) else kept
-    else:  # scale path: labels never reach the driver
-        from forecastframe_ray.stages.join import hash_join
-        labels = D.clusters_from_pairs_distributed(pairs, broadcast_limit=0,
-                                                   num_partitions=num_partitions)
-        non_rep = labels.map_batches(
-            lambda b: b.loc[b["doc_id"] != b["rep_id"], ["doc_id"]]
-            .rename(columns={"doc_id": id_col}),
-            batch_format="pandas")
-        n_clusters = None  # not counted on the scale path (extra pass)
-        joined = hash_join(
-            kept, non_rep.map_batches(
-                lambda b: b.assign(__drop=True), batch_format="pandas"),
-            on=[id_col], how="left", num_partitions=num_partitions)
-        final = joined.map_batches(
-            lambda b: b[b["__drop"].isna()].drop(columns=["__drop"]),
-            batch_format="pandas")
 
     stage_wall["cluster_s"] = round(time.perf_counter() - t0, 3)
     return final, {
@@ -129,7 +112,6 @@ def run(docs_ds, out_dir: str | None = None, id_col: str = "doc_id",
         text_col: str = "text", minhash_threshold: float = 0.7,
         max_repeats: int = 3, min_words_per_line: int = 5,
         require_terminal: bool = True, num_partitions: int = 32,
-        driver_pair_limit: int = 20_000_000,
         pack_context: int | None = None) -> dict:
     """End-to-end run with checkpointed output. Returns the funnel metrics
     (docs at each stage, wall seconds, docs/sec on the input count).
@@ -148,8 +130,7 @@ def run(docs_ds, out_dir: str | None = None, id_col: str = "doc_id",
         docs_ds, id_col=id_col, text_col=text_col,
         minhash_threshold=minhash_threshold, max_repeats=max_repeats,
         min_words_per_line=min_words_per_line,
-        require_terminal=require_terminal, num_partitions=num_partitions,
-        driver_pair_limit=driver_pair_limit)
+        require_terminal=require_terminal, num_partitions=num_partitions)
 
     # 6. checkpointed partitioned output (resume skips finished partitions;
     # the representative filter over ``kept`` executes here, so this

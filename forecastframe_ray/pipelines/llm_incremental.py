@@ -68,11 +68,13 @@ reps — coincide with the full rebuild's.
 Scale shape of :func:`append_shard` (100 TB framing): every stage is
 O(shard + collisions). The digest anti-probe and the bucket probe are
 key-only (16-byte digest / 12-byte band rows) broadcast filters below
-``broadcast_limit`` and distributed hash joins above; old document TEXT
+``BROADCAST_LIMIT`` and distributed hash joins above; old document TEXT
 moves only for docs that actually collide with the shard; pair
 verification reuses the hardened :func:`dedup.minhash_lsh_pairs` machinery
 (bucket caps, KMV prefilter, candidate- and CPU-scaled verify fan-out,
-band waves) on the shard ∪ colliding-old subset.
+band waves) on the shard ∪ colliding-old subset; connected components run
+on the driver over the shard's verified pairs plus the stored member→rep
+edges of the old docs they touch (:func:`dedup.clusters_from_pairs`).
 
 The corpus-frequency boilerplate pass (``textstats.remove_boilerplate``)
 is deliberately OUTSIDE the incremental contract: a corpus-global line
@@ -172,8 +174,8 @@ def _band_rows(kept, id_col: str, p: dict):
 def _apply_rep(kept, rep_map: dict, id_col: str):
     """Attach ``rep_id`` (default self) from a driver-side mapping. The
     mapping's size is the number of docs appearing in verified pairs —
-    collisions, not corpus; above ``BROADCAST_LIMIT`` callers switch to the
-    Dataset-label join path (see build_index's scale branch)."""
+    collisions, not corpus; it ships to the workers once through the
+    object store."""
     import ray
 
     ref = ray.put(rep_map)
@@ -189,53 +191,18 @@ def _apply_rep(kept, rep_map: dict, id_col: str):
     return kept.map_batches(attach, batch_format="pandas")
 
 
-def _apply_rep_distributed(kept, labels, id_col: str, num_partitions: int):
-    """Scale path: labels stay a Dataset; attach rep via left hash join
-    (missing → self)."""
-    from forecastframe_ray.stages.join import hash_join
-
-    lab = labels.map_batches(
-        lambda b: b.rename(columns={"doc_id": id_col}),
-        batch_format="pandas")
-    joined = hash_join(kept, lab, on=[id_col], how="left",
-                       num_partitions=num_partitions)
-    return joined.map_batches(
-        lambda b: b.assign(rep_id=b["rep_id"].fillna(b[id_col])
-                           .astype(np.int64)),
-        batch_format="pandas")
-
-
-def _rep_mapping(pairs, extra_edges: pd.DataFrame | None = None,
-                 driver_pair_limit: int = 20_000_000,
-                 num_partitions: int = 16):
-    """Connected components → ``{doc_id: rep_id}`` (driver union-find below
-    ``driver_pair_limit`` pairs, distributed hash-min propagation above —
-    the scale path returns a Dataset and the caller uses
-    :func:`_apply_rep_distributed`). ``extra_edges`` carries the stored
-    member→rep edges that keep transitive chains intact on appends."""
-    n_pairs = pairs.count()
-    extra = extra_edges if extra_edges is not None and len(extra_edges) \
-        else None
-    if n_pairs == 0 and extra is None:
-        return {}, None
-    if n_pairs + (len(extra) if extra is not None else 0) <= driver_pair_limit:
-        df = pairs.to_pandas()[["id_a", "id_b"]] if n_pairs else \
-            pd.DataFrame({"id_a": [], "id_b": []})
-        if extra is not None:
-            df = pd.concat([df, extra.rename(
-                columns={extra.columns[0]: "id_a",
-                         extra.columns[1]: "id_b"})], ignore_index=True)
-        return D.clusters_from_pairs(df), None
-    import ray.data
-    all_pairs = pairs
-    if extra is not None:
-        all_pairs = all_pairs.union(ray.data.from_pandas(
-            extra.rename(columns={extra.columns[0]: "id_a",
-                                  extra.columns[1]: "id_b"})))
-    labels = D.clusters_from_pairs_distributed(
-        all_pairs, broadcast_limit=BROADCAST_LIMIT,
-        num_partitions=num_partitions)
-    return None, labels
+def _rep_mapping(pairs, extra_edges: pd.DataFrame | None = None) -> dict:
+    """Connected components → ``{doc_id: rep_id}`` by the driver union-find
+    over the verified ``pairs`` (see :func:`dedup.clusters_from_pairs` for
+    its measured cost). ``extra_edges`` carries the stored member→rep edges
+    that keep transitive chains intact on appends."""
+    df = pairs.to_pandas()[["id_a", "id_b"]] if pairs.count() else \
+        pd.DataFrame({"id_a": [], "id_b": []})
+    if extra_edges is not None and len(extra_edges):
+        df = pd.concat([df, extra_edges.rename(
+            columns={extra_edges.columns[0]: "id_a",
+                     extra_edges.columns[1]: "id_b"})], ignore_index=True)
+    return D.clusters_from_pairs(df)
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +216,6 @@ def build_index(docs_ds, index_dir: str, *, id_col: str = "doc_id",
                 num_perm: int = 64, num_bands: int = 16,
                 shingle_width: int = 5, seed: int = 7,
                 num_partitions: int = 16,
-                driver_pair_limit: int = 20_000_000,
                 shard_id: str = "shard-000") -> dict:
     """One-shot funnel over the first shard, persisting the probe index.
 
@@ -286,10 +252,7 @@ def build_index(docs_ds, index_dir: str, *, id_col: str = "doc_id",
                                 shingle_width=shingle_width,
                                 threshold=minhash_threshold, seed=seed,
                                 approx_docs=n_exact).materialize()
-    rep_map, labels = _rep_mapping(pairs, driver_pair_limit=driver_pair_limit,
-                                   num_partitions=num_partitions)
-    corpus = _apply_rep(kept, rep_map, id_col) if labels is None else \
-        _apply_rep_distributed(kept, labels, id_col, num_partitions)
+    corpus = _apply_rep(kept, _rep_mapping(pairs), id_col)
 
     bands = _band_rows(kept, id_col, p)
 
@@ -381,7 +344,6 @@ def _load_remap(index_dir: str) -> dict:
 
 
 def append_shard(shard_ds, index_dir: str, shard_id: str | None = None,
-                 driver_pair_limit: int = 20_000_000,
                  fail_after: int | None = None) -> dict:
     """Probe-only maintenance: index the new shard against the stored
     corpus. Cost is O(shard + collisions); the existing corpus is touched
@@ -495,84 +457,40 @@ def append_shard(shard_ds, index_dir: str, shard_id: str | None = None,
     extra_edges = None
     live_old: set = set()
     if n_pairs and old_ids is not None:
-        pdf = new_pairs.to_pandas() if n_pairs <= driver_pair_limit else None
-        if pdf is not None:
-            involved = np.unique(np.concatenate(
-                [pdf["id_a"].to_numpy(), pdf["id_b"].to_numpy()]))
-            involved = involved[involved <= max_seen]
-            if len(involved):
-                import ray.data
-                inv = ray.data.from_pandas(
-                    pd.DataFrame({"__keep_id": involved.astype(np.int64)}))
-                rows = D._keep_id_semi_join(
-                    _read(index_dir, "corpus")
-                    .select_columns([id_col, "rep_id"]),
-                    inv, id_col, BROADCAST_LIMIT).to_pandas()
-                rows["rep_id"] = rows["rep_id"].map(
-                    lambda r: remap.get(r, r)).astype(np.int64)
-                same = rows["rep_id"] == rows[id_col]
-                # involved old docs that ARE their own (resolved) rep —
-                # only these need redirect rows if their cluster merges
-                live_old.update(rows.loc[same, id_col])
-                rows = rows[~same]
-                if len(rows):
-                    extra_edges = rows[[id_col, "rep_id"]]
-        else:  # pair list beyond the driver: ship member→rep edges as a
-            # Dataset via the corpus join inside the distributed components
+        pdf = new_pairs.to_pandas()
+        involved = np.unique(np.concatenate(
+            [pdf["id_a"].to_numpy(), pdf["id_b"].to_numpy()]))
+        involved = involved[involved <= max_seen]
+        if len(involved):
             import ray.data
-            corpus_edges = _read(index_dir, "corpus") \
-                .select_columns([id_col, "rep_id"])
-            inv_ids = new_pairs.map_batches(
-                lambda b: pd.DataFrame({"__keep_id": np.unique(
-                    np.concatenate([b["id_a"].to_numpy(),
-                                    b["id_b"].to_numpy()]))}),
-                batch_format="pandas")
-            inv_ids = hash_aggregate(inv_ids, ["__keep_id"],
-                                     {"m": ("__keep_id", "size")}) \
-                .select_columns(["__keep_id"]).materialize()
-            rows_ds = D._keep_id_semi_join(corpus_edges, inv_ids, id_col,
-                                           BROADCAST_LIMIT)
-            rmap = remap
+            inv = ray.data.from_pandas(
+                pd.DataFrame({"__keep_id": involved.astype(np.int64)}))
+            rows = D._keep_id_semi_join(
+                _read(index_dir, "corpus").select_columns([id_col, "rep_id"]),
+                inv, id_col, BROADCAST_LIMIT).to_pandas()
+            rows["rep_id"] = rows["rep_id"].map(
+                lambda r: remap.get(r, r)).astype(np.int64)
+            same = rows["rep_id"] == rows[id_col]
+            # involved old docs that ARE their own (resolved) rep — only
+            # these need redirect rows if their cluster merges
+            live_old.update(rows.loc[same, id_col])
+            rows = rows[~same]
+            if len(rows):
+                extra_edges = rows[[id_col, "rep_id"]]
 
-            def fix(b: pd.DataFrame) -> pd.DataFrame:
-                b = b.copy()
-                b["rep_id"] = b["rep_id"].map(
-                    lambda r: rmap.get(r, r)).astype(np.int64)
-                return b[b["rep_id"] != b[id_col]].rename(
-                    columns={id_col: "id_a", "rep_id": "id_b"})
-
-            extra_edges_ds = rows_ds.map_batches(fix, batch_format="pandas")
-            new_pairs = new_pairs.select_columns(["id_a", "id_b"]).union(
-                extra_edges_ds).materialize()
-            extra_edges = None
-
-    rep_map, labels = _rep_mapping(new_pairs, extra_edges,
-                                   driver_pair_limit=driver_pair_limit,
-                                   num_partitions=num_partitions)
+    rep_map = _rep_mapping(new_pairs, extra_edges)
 
     # 5. representative bookkeeping: new docs get their component rep; an
     #    OLD rep that lost the min to a merge gets a redirect row
     remap_rows = []
-    if rep_map is not None:
-        new_rep_map = {}
-        for doc, rep in rep_map.items():
-            if doc > max_seen:
-                new_rep_map[doc] = rep
-            elif rep != doc and doc in live_old:
-                # doc was a live rep until this merge → redirect row
-                remap_rows.append((doc, rep))
-        corpus_delta = _apply_rep(kept, new_rep_map, id_col)
-    else:
-        corpus_delta = _apply_rep_distributed(kept, labels, id_col,
-                                              num_partitions)
-        lab = labels.to_pandas()
-        old_lab = lab[lab["doc_id"] <= max_seen]
-        # scale path: liveness isn't collected driver-side; rows keyed by
-        # non-rep member ids are inert (no rep_id ever equals them) and
-        # bounded by pair participants, so over-appending is size-only
-        for doc, rep in zip(old_lab["doc_id"], old_lab["rep_id"]):
-            if rep != doc and remap.get(doc, doc) == doc:
-                remap_rows.append((int(doc), int(rep)))
+    new_rep_map = {}
+    for doc, rep in rep_map.items():
+        if doc > max_seen:
+            new_rep_map[doc] = rep
+        elif rep != doc and doc in live_old:
+            # doc was a live rep until this merge → redirect row
+            remap_rows.append((doc, rep))
+    corpus_delta = _apply_rep(kept, new_rep_map, id_col)
     remap_df = pd.DataFrame(remap_rows, columns=["old_rep", "new_rep"]) \
         if remap_rows else None
     stage_wall["components_s"] = round(time.perf_counter() - t2, 3)

@@ -480,11 +480,13 @@ def shard_parts(out_dir: str, tier: str, shards) -> list[int]:
 
 def read_parts(out_dir: str, tier: str, parts):
     """The files of ``tier``'s ``parts`` as one Dataset, None when
-    ``parts`` is empty (schema handling as in :func:`read_tier`)."""
+    ``parts`` is empty (schema handling as in :func:`read_tier`). The
+    rows carry the files' own columns only: ``partitioning=None`` keeps
+    Ray from adding a ``tier`` column from the ``tier=<t>/`` directory."""
     import ray.data
 
     paths = [_part_path(out_dir, tier, p) for p in parts]
     if not paths:
         return None
     schema = pq.read_schema(paths[0]).remove_metadata()
-    return ray.data.read_parquet(paths, schema=schema)
+    return ray.data.read_parquet(paths, schema=schema, partitioning=None)

@@ -5,10 +5,13 @@ one-shot funnel over the concatenated shards — including the cross-shard
 cluster-merge (representative remap) path — plus append-monotonic guard
 and crash-retry idempotence (mirroring tests/test_incremental_tiers.py)."""
 
+import glob
+import os
 import shutil
 
 import numpy as np
 import pandas as pd
+import pyarrow.parquet as pq
 import pytest
 import ray.data
 
@@ -197,6 +200,14 @@ def test_compact_then_append(tmp_path, shards):
     assert m["resolved_remaps"] >= 1
     assert not LI._load_remap(dst)  # redirects folded into rep_id
     pd.testing.assert_frame_equal(_corpus(src), _corpus(dst))
+    # every compacted file keeps its source files' columns (a hive read of
+    # ``tier=<t>/`` would add a ``tier`` column to what compaction writes)
+    for tier in ("corpus", "digests", "bands"):
+        want = {tuple(pq.read_schema(f).names)
+                for f in glob.glob(os.path.join(src, f"tier={tier}", "*"))}
+        got = {tuple(pq.read_schema(f).names)
+               for f in glob.glob(os.path.join(dst, f"tier={tier}", "*"))}
+        assert len(want) == 1 and got == want, (tier, got, want)
 
     LI.append_shard(ray.data.from_pandas(sh3), dst)
     LI.build_index(ray.data.from_pandas(
@@ -225,22 +236,21 @@ def test_max_seen_id_zero_is_not_missing(tmp_path):
     assert LI._load_meta(later)["max_seen_id"] == 0
 
 
-@pytest.mark.parametrize("force", ["driver_pair_limit", "broadcast_limit"])
+@pytest.mark.parametrize("force", ["broadcast_limit"])
 def test_scale_paths_equal_default(tmp_path, shards, monkeypatch, force):
     """``build_index`` + ``append_shard`` give the default ``final_corpus``
-    when the hash-join paths are forced: distributed components and rep
-    join (``driver_pair_limit=0``), or every probe and semi-join as a hash
-    join (``BROADCAST_LIMIT=0``)."""
+    when every probe and semi-join is forced to a hash join
+    (``BROADCAST_LIMIT=0``)."""
     import inspect
 
     from forecastframe_ray.stages import join
 
     sh1, sh2 = shards
 
-    def run(name: str, **kw) -> pd.DataFrame:
+    def run(name: str) -> pd.DataFrame:
         d = str(tmp_path / name)
-        LI.build_index(ray.data.from_pandas(sh1), d, **KW, **kw)
-        LI.append_shard(ray.data.from_pandas(sh2), d, **kw)
+        LI.build_index(ray.data.from_pandas(sh1), d, **KW)
+        LI.append_shard(ray.data.from_pandas(sh2), d)
         return _corpus(d)
 
     default = run("default")
@@ -252,11 +262,7 @@ def test_scale_paths_equal_default(tmp_path, shards, monkeypatch, force):
         return hash_join(*args, **kwargs)
 
     monkeypatch.setattr(join, "hash_join", spy)
-    if force == "broadcast_limit":
-        monkeypatch.setattr(LI, "BROADCAST_LIMIT", 0)
-        forced = run("forced")
-        assert {"_anti_probe_digests", "_probe_bands"} <= set(callers)
-    else:
-        forced = run("forced", driver_pair_limit=0)
-        assert "_apply_rep_distributed" in callers
+    monkeypatch.setattr(LI, "BROADCAST_LIMIT", 0)
+    forced = run("forced")
+    assert {"_anti_probe_digests", "_probe_bands"} <= set(callers)
     pd.testing.assert_frame_equal(default, forced)

@@ -57,11 +57,43 @@ def test_simhash_near_dups():
     assert pairs.set_index(["id_a", "id_b"]).loc[(0, 1), "hamming"] == 0
 
 
-def test_clusters_from_pairs_union_find():
-    pairs = pd.DataFrame({"id_a": [0, 2, 5], "id_b": [1, 0, 6]})
-    rep = dedup.clusters_from_pairs(pairs)
-    assert rep[0] == rep[1] == rep[2] == 0
-    assert rep[5] == rep[6] == 5
+def _reps(components):
+    return {x: min(c) for c in components for x in c}
+
+
+@pytest.mark.parametrize("id_a,id_b,expect", [
+    ([0, 2, 5], [1, 0, 6], _reps([{0, 1, 2}, {5, 6}])),
+    ([0, 2, 5, 8, 10], [1, 0, 6, 9, 11],
+     _reps([{0, 1, 2}, {5, 6}, {8, 9}, {10, 11}])),
+    ([0, 2, 5, 8, 10, 3], [1, 0, 6, 9, 11, 1],
+     _reps([{0, 1, 2, 3}, {5, 6}, {8, 9}, {10, 11}])),
+    # a 9-node chain fed from its far end: every rep must reach 0
+    (list(range(7, -1, -1)), list(range(8, 0, -1)), _reps([set(range(9))])),
+    ([], [], {}),
+], ids=["two_components", "four_components", "bridged_component",
+        "reversed_chain", "no_pairs"])
+def test_clusters_from_pairs_union_find(id_a, id_b, expect):
+    pairs = pd.DataFrame({"id_a": np.array(id_a, dtype=np.int64),
+                          "id_b": np.array(id_b, dtype=np.int64)})
+    assert dedup.clusters_from_pairs(pairs) == expect
+
+
+@pytest.mark.parametrize("broadcast_limit", [5_000_000, -1])
+def test_clusters_distributed_of_no_pairs_is_empty(broadcast_limit):
+    """An empty pair Dataset labels no node: every exact-dedup survivor
+    (keep-set broadcast and hash-join paths) stays its own rep."""
+    from forecastframe_ray.pipelines import llm_incremental as LI
+
+    kept = dedup.exact_dedup(_docs_ds(), broadcast_limit=broadcast_limit)
+    pairs = ray.data.from_pandas(pd.DataFrame({
+        "id_a": np.array([1, 2], dtype=np.int64),
+        "id_b": np.array([3, 4], dtype=np.int64),
+        "jaccard": [0.9, 0.8]})).filter(lambda r: False)
+    rep = LI._rep_mapping(pairs)
+    assert rep == {}
+    got = LI._apply_rep(kept, rep, "doc_id").to_pandas()
+    assert sorted(got["doc_id"]) == [0, 2, 3, 4, 5, 6]
+    assert (got["rep_id"] == got["doc_id"]).all()
 
 
 def _emb_ds(n=64, dim=16, seed=9):
@@ -173,14 +205,6 @@ def test_exact_dedup_distributed_join_path():
     assert sorted(out["doc_id"]) == [0, 2, 3, 4, 5, 6]
 
 
-def test_minhash_distributed_join_path():
-    # driver_meta_limit=0 forces the fully distributed candidate-text joins
-    pairs = dedup.minhash_lsh_pairs(_docs_ds(), threshold=0.5,
-                                    driver_meta_limit=0).to_pandas()
-    got = set(map(tuple, pairs[["id_a", "id_b"]].to_numpy()))
-    assert (0, 1) in got and (0, 2) in got
-
-
 def test_minhash_band_wave_path_matches_single_wave():
     # wave_cand_limit=1 forces one verify wave per band group (the bounded-
     # peak-spill path for huge candidate sets); results must be identical
@@ -191,53 +215,6 @@ def test_minhash_band_wave_path_matches_single_wave():
                                     wave_cand_limit=1).to_pandas() \
         .sort_values(["id_a", "id_b"]).reset_index(drop=True)
     pd.testing.assert_frame_equal(single, waved, check_like=True)
-    # and combined with the distributed attach path
-    waved_dist = dedup.minhash_lsh_pairs(
-        _docs_ds(), threshold=0.5, wave_cand_limit=1,
-        driver_meta_limit=0).to_pandas() \
-        .sort_values(["id_a", "id_b"]).reset_index(drop=True)
-    pd.testing.assert_frame_equal(single, waved_dist, check_like=True)
-
-
-def test_clusters_distributed_matches_union_find():
-    pairs_df = pd.DataFrame({
-        "id_a": [0, 2, 5, 8, 10],
-        "id_b": [1, 0, 6, 9, 11],
-    })  # components: {0,1,2}, {5,6}, {8,9}, {10,11}
-    expect = dedup.clusters_from_pairs(pairs_df)
-    got = dedup.clusters_from_pairs_distributed(
-        ray.data.from_pandas(pairs_df)).to_pandas()
-    got_map = dict(zip(got["doc_id"], got["rep_id"]))
-    assert got_map == expect
-    assert got_map[2] == 0 and got_map[11] == 10
-
-
-def test_clusters_distributed_join_path_matches_union_find():
-    # broadcast_limit=0 forces the labels-stay-a-Dataset path: per-round
-    # hash_join(edges, labels, on=src) + min aggregate, no driver collect
-    pairs_df = pd.DataFrame({
-        "id_a": [0, 2, 5, 8, 10, 3],
-        "id_b": [1, 0, 6, 9, 11, 1],
-    })  # components: {0,1,2,3}, {5,6}, {8,9}, {10,11}
-    expect = dedup.clusters_from_pairs(pairs_df)
-    got = dedup.clusters_from_pairs_distributed(
-        ray.data.from_pandas(pairs_df), broadcast_limit=0,
-        num_partitions=4).to_pandas()
-    got_map = dict(zip(got["doc_id"], got["rep_id"]))
-    assert got_map == expect
-    assert got_map[3] == 0 and got_map[11] == 10
-
-
-@pytest.mark.parametrize("broadcast_limit", [5_000_000, -1])
-def test_clusters_distributed_of_no_pairs_is_empty(broadcast_limit):
-    """No pair labels no node, on the driver path and on the join path."""
-    pairs = ray.data.from_pandas(pd.DataFrame({
-        "id_a": np.array([1, 2], dtype=np.int64),
-        "id_b": np.array([3, 4], dtype=np.int64),
-        "jaccard": [0.9, 0.8]})).filter(lambda r: False)
-    got = dedup.clusters_from_pairs_distributed(
-        pairs, broadcast_limit=broadcast_limit, num_partitions=4)
-    assert len(got.to_pandas()) == 0
 
 
 def test_batch_shingle_windows_matches_per_doc():
@@ -334,14 +311,3 @@ def test_verify_partition_matches_per_bucket_reference():
                     if ref_parts else pd.DataFrame())
     got = dedup_max(dedup.verify_lsh_partition(cand, threshold=0.4))
     assert got == ref and len(got) > 0
-
-
-def test_clusters_distributed_nonconvergence_raises():
-    # a 9-node chain needs several hash-min rounds; max_iters=1 must raise
-    # rather than silently return stale labels (ADVICE r2)
-    chain = pd.DataFrame({"id_a": np.arange(8, dtype=np.int64),
-                          "id_b": np.arange(1, 9, dtype=np.int64)})
-    for kw in ({}, {"broadcast_limit": 0, "num_partitions": 4}):
-        with pytest.raises(RuntimeError, match="did not converge"):
-            dedup.clusters_from_pairs_distributed(
-                ray.data.from_pandas(chain), max_iters=1, **kw)
