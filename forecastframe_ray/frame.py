@@ -9,7 +9,9 @@ Key architectural differences from the reference (SURVEY.md §1.2):
 - every feature-engineering call *records* an op descriptor (the reference's
   ``function_list`` record/replay, main.py:49-51) **and** composes onto the
   lazy plan — consecutive group-local ops with the same group keys are FUSED
-  into one keyed window stage (one shuffle, many operators);
+  into one keyed window stage (one shuffle, many operators; no shuffle when
+  the frame is materialized over blocks that already hold whole series, as
+  after a global ``fill_time_gaps`` over a tier store read);
 - scaler fits are one ``agg.reduce`` of per-block partials whose constants
   are broadcast into stateless apply stages (two-phase, SURVEY.md M3/M4);
 - rollup-level features (``groupers=``) aggregate to the rollup grain, run

@@ -27,6 +27,7 @@ import numpy as np
 import pandas as pd
 
 from forecastframe_ray.pipelines.textstats import rolling_hashes
+from forecastframe_ray.stages.agg import _typed_empty
 
 # ---------------------------------------------------------------------------
 # exact dedup
@@ -135,12 +136,14 @@ def _keep_id_semi_join(ds, keep, id_col: str, broadcast_limit: int):
         return np.sort(np.concatenate(ids)) if ids \
             else np.array([], dtype=np.int64)
 
-    def _filter(batch: pd.DataFrame, keep_arr: np.ndarray) -> pd.DataFrame:
-        if not len(keep_arr):
-            return batch.iloc[0:0]
-        idx = np.searchsorted(keep_arr, batch[id_col].to_numpy())
-        idx = np.clip(idx, 0, len(keep_arr) - 1)
-        return batch[keep_arr[idx] == batch[id_col].to_numpy()]
+    def _filter(batch: pd.DataFrame, keep_arr: np.ndarray):
+        if len(keep_arr):
+            idx = np.searchsorted(keep_arr, batch[id_col].to_numpy())
+            idx = np.clip(idx, 0, len(keep_arr) - 1)
+            batch = batch[keep_arr[idx] == batch[id_col].to_numpy()]
+        else:
+            batch = batch.iloc[0:0]
+        return batch if len(batch) else _typed_empty(batch)
 
     if keep.count() <= 1_000_000:
         # small keep-set: plain tasks (re-sorting ~1M ids per call is

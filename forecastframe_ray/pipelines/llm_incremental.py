@@ -96,7 +96,7 @@ import pandas as pd
 
 from forecastframe_ray.pipelines import dedup as D
 from forecastframe_ray.pipelines import textstats as T
-from forecastframe_ray.stages.agg import column_ranges, reduce
+from forecastframe_ray.stages.agg import _typed_empty, column_ranges, reduce
 from forecastframe_ray.state import checkpoint
 
 META_FILE = "index_meta.json"
@@ -145,13 +145,17 @@ _PARAM_KEYS = ("minhash_threshold", "min_words_per_line", "require_terminal",
 
 def _clean(docs_ds, id_col: str, text_col: str, p: dict):
     """C4 line cleaning → ``(id, text_clean)`` (deterministic per doc —
-    the prefix-stable part of the funnel)."""
+    the prefix-stable part of the funnel). A batch cleaned to no rows
+    leaves as a typed Arrow block (:func:`agg._typed_empty`)."""
+    def clean(b: pd.DataFrame):
+        out = T.c4_clean_batch(b, text_col=text_col,
+                               min_words_per_line=p["min_words_per_line"],
+                               require_terminal=p["require_terminal"]
+                               )[[id_col, "text_clean"]]
+        return out if len(out) else _typed_empty(out)
+
     return docs_ds.select_columns([id_col, text_col]).map_batches(
-        lambda b: T.c4_clean_batch(b, text_col=text_col,
-                                   min_words_per_line=p["min_words_per_line"],
-                                   require_terminal=p["require_terminal"])
-        [[id_col, "text_clean"]],
-        batch_format="pandas")
+        clean, batch_format="pandas")
 
 
 def _digests(cleaned, id_col: str):
@@ -543,7 +547,8 @@ def _anti_probe_digests(new_digests, index_dir: str, num_partitions: int):
                 return b
             h = np.asarray(b["digest"], dtype="S32")
             idx = np.clip(np.searchsorted(ks, h), 0, len(ks) - 1)
-            return b[ks[idx] != h]
+            b = b[ks[idx] != h]
+            return b if len(b) else _typed_empty(b)
 
         return new_digests.map_batches(drop_hits, batch_format="pandas")
     from forecastframe_ray.stages.join import hash_join

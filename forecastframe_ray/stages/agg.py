@@ -28,7 +28,10 @@ with the data and k follows it.
 
 :func:`reduce` is the one global reduce beside the one shuffle: every
 whole-Dataset min/max, sum, moment or distinct set is a per-block partial
-(one plain task per block) combined on the driver.
+(one plain task per block) combined on the driver. Beside it,
+:func:`copartitioned_blocks` tells, the same way, whether a materialized
+input already holds every key inside one block, so a keyed stage may skip
+the shuffle.
 """
 
 from __future__ import annotations
@@ -158,6 +161,36 @@ def reduce(ds, partial, combine):
                      for ref, meta in bundle.blocks if meta.num_rows != 0])
     return combine(pd.concat(parts, ignore_index=True) if parts
                    else pd.DataFrame())
+
+
+@ray.remote
+def _block_part_ids(keys, num_partitions, block):
+    return np.unique(K.partition_ids(block, keys, num_partitions))
+
+
+def copartitioned_blocks(ds, keys: list[str], num_partitions: int):
+    """The refs of ``ds``'s non-empty blocks when no partition id of
+    ``keys`` (:func:`keys.partition_ids` over ``num_partitions``) is in two
+    of them — every key's rows are then inside one block — else None.
+
+    Only a ``MaterializedDataset`` with at least min(P, CPU slots) non-empty
+    blocks qualifies, so kernels run once per block never fill fewer CPU
+    slots than an :func:`exchange`'s id ranges would. The id sets come from one plain
+    task per block, as in :func:`reduce`: no Ray Data execution starts.
+    The check reads the blocks as they are, so it holds however a read
+    packed or split the files behind them."""
+    from ray.data.dataset import MaterializedDataset
+
+    if not isinstance(ds, MaterializedDataset):
+        return None
+    refs = [ref for bundle in ds.iter_internal_ref_bundles()
+            for ref, meta in bundle.blocks if meta.num_rows != 0]
+    if len(refs) < min(num_partitions, _cpu_slots()):
+        return None
+    ids = ray.get([_block_part_ids.remote(list(keys), num_partitions, ref)
+                   for ref in refs])
+    seen = np.concatenate(ids)
+    return refs if len(np.unique(seen)) == len(seen) else None
 
 
 def column_ranges(ds, cols: list[str]) -> dict[str, tuple]:

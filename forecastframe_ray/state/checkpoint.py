@@ -450,6 +450,13 @@ def expire_tier(out_dir: str, tier: str, cutoff_us: int,
 
 
 def read_tier(out_dir: str, tier: str):
+    """Every file of ``tier`` under ``out_dir`` as one lazy Dataset, with
+    the hive ``tier`` string column the ``tier=<t>`` directory adds.
+
+    Ray may pack several ``part=p`` files into one block or split one
+    across blocks; nothing relies on how it blocks them. A stage that
+    could skip its exchange checks the blocks it is given
+    (:func:`forecastframe_ray.stages.agg.copartitioned_blocks`)."""
     import ray.data
 
     # merge_partitioned stamps ``delta_ids`` into the parquet footer (the

@@ -3,7 +3,8 @@ empty blocks, metadata-carrying parquet input, block-order determinism,
 results that do not depend on the number of id ranges, how many ranges an
 exchange makes, the plan's shape on one CPU (no boundary sampling, one
 reduce block per range), a quiet log
-(also from the hash join and the actor-pool maps), and guards that no
+(also from the hash join, the actor-pool maps and the incremental corpus
+index's row-dropping maps), and guards that no
 module calls ``Dataset.map_groups`` or Ray's native join, or reduces a
 whole Dataset outside ``agg.reduce``."""
 
@@ -408,9 +409,45 @@ _JOIN_NOISE_SCRIPT = textwrap.dedent("""
 """)
 
 
+# an incremental corpus index build and append whose maps drop whole
+# batches: a block that cleans to no docs, one whose every digest is
+# already indexed, and keep-id filters that keep nothing of a block
+_INCREMENTAL_NOISE_SCRIPT = textwrap.dedent("""
+    import sys
+    import time
+
+    import pandas as pd
+    import ray
+    from ray.data import DataContext
+
+    ray.init(address="local", num_cpus=1, include_dashboard=False,
+             logging_level="ERROR")
+    DataContext.get_current().enable_progress_bars = False
+    from forecastframe_ray.pipelines import llm_incremental as LI
+
+    words = ["uniq%04dword" % i for i in range(480)]
+    docs = [" ".join(words[40 * k: 40 * k + 40]) for k in range(12)]
+    sh1 = pd.DataFrame({"doc_id": range(1, 9), "text": docs[:8]})
+    short = pd.DataFrame({"doc_id": [9, 10], "text": ["too short", "x y"]})
+    dups = pd.DataFrame({"doc_id": [20, 21], "text": docs[:2]})
+    fresh = pd.DataFrame({"doc_id": [24, 25], "text": docs[8:10]})
+    kw = dict(minhash_threshold=0.8, min_words_per_line=3,
+              require_terminal=False, num_partitions=4)
+    index = sys.argv[1] + "/index"
+    LI.build_index(ray.data.from_pandas([sh1[:4], sh1[4:], short]), index,
+                   **kw)
+    LI.append_shard(ray.data.from_pandas(
+        [dups, short.assign(doc_id=[22, 23]), fresh]), index)
+    assert len(LI.final_corpus(index).to_pandas()) == 10
+    time.sleep(3)  # worker log lines reach the driver asynchronously
+    ray.shutdown()
+""")
+
+
 def test_exchange_over_empty_blocks_logs_no_size_error(tmp_path):
     env = dict(os.environ, PYTHONPATH=ROOT)
-    for script in (_NOISE_SCRIPT, _JOIN_NOISE_SCRIPT):
+    for script in (_NOISE_SCRIPT, _JOIN_NOISE_SCRIPT,
+                   _INCREMENTAL_NOISE_SCRIPT):
         proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)],
                               env=env, capture_output=True, text=True,
                               timeout=300)

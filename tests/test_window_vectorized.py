@@ -11,7 +11,9 @@ a frame ``DataFrame.equals`` to its oracle's — values, dtypes and order.
 
 The last tests pin plan invariance of the whole feature chain the tier
 benchmark runs (gap-fill → lags → rolling stats → EWMA): the same output
-for any partition count, block count and block order; and that the global
+for any partition count, block count and block order; that the window
+stage skips its exchange over co-partitioned blocks (a stored tier read
+back), and only there, with the exchange path's rows; and that the global
 gap-fill, ``compress``, ``make_future_frame`` and ``missing_percentages``
 each execute their upstream plan once, and that the gap-fill's range pass
 over a materialized frame starts no Ray Data execution."""
@@ -21,6 +23,7 @@ import time
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 import pytest
 import ray.data
 from hypothesis import given, settings
@@ -313,10 +316,16 @@ def _daily_tier(n_hosts=24, n_days=21, seed=5) -> pd.DataFrame:
 
 
 def _feature_chain(blocks: list[pd.DataFrame], num_partitions: int):
+    return _chain_over(ray.data.from_pandas(blocks), num_partitions)
+
+
+def _chain_over(ds, num_partitions: int) -> pd.DataFrame:
+    """The tier benchmark's feature chain over ``ds``."""
     from forecastframe_ray.frame import RayForecastFrame
 
-    frame = RayForecastFrame(ray.data.from_pandas(blocks), "bucket_ts",
-                             "pages", ["host"], num_partitions=num_partitions)
+    frame = RayForecastFrame(ds.select_columns(["host", "bucket_ts", "pages"]),
+                             "bucket_ts", "pages", ["host"],
+                             num_partitions=num_partitions)
     return (frame.fill_time_gaps("D")
             .lag_features(["pages"], [1, 7])
             .calc_statistical_features(
@@ -335,6 +344,134 @@ def test_feature_chain_is_plan_invariant(ray_session):
         for blocks in ([df], many, many[::-1]):
             got = _feature_chain(blocks, num_partitions)
             pd.testing.assert_frame_equal(got, want, check_exact=True)
+
+
+# ---------------------------------------------------------------------------
+# the window stage over co-partitioned input: no exchange
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def exchanges(monkeypatch):
+    """A list that gains each ``agg.exchange`` call's partition count."""
+    from forecastframe_ray.stages import agg
+
+    calls = []
+    real = agg.exchange
+
+    def exchange(ds, tag, fn, num_partitions, *args, **kwargs):
+        calls.append(num_partitions)
+        return real(ds, tag, fn, num_partitions, *args, **kwargs)
+
+    monkeypatch.setattr(agg, "exchange", exchange)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def tier_store(tmp_path_factory) -> str:
+    """A web store built over 8 partitions from synthetic pages."""
+    from forecastframe_ray import synth
+    from forecastframe_ray.pipelines import web
+
+    out = str(tmp_path_factory.mktemp("store"))
+    pages = synth.pages_table(2000, seed=9, num_domains=40)
+    web.run(ray.data.from_arrow(pages), out, num_partitions=8)
+    return out
+
+
+def test_stored_tier_features_skip_the_exchange(tier_store, exchanges):
+    """The store places each ``part=p`` file's rows with the hash every
+    exchange uses, so its 1d tier read back holds every series inside one
+    block: the feature chain runs with no exchange and equals the exchange
+    path over the same rows fed as 16 shuffled blocks."""
+    from forecastframe_ray.state import checkpoint
+
+    got = _chain_over(checkpoint.read_tier(tier_store, "1d"), 8)
+    assert exchanges == []
+    rows = checkpoint.read_tier(tier_store, "1d").to_pandas()
+    shuffled = rows.sample(frac=1.0, random_state=3).reset_index(drop=True)
+    want = _chain_over(ray.data.from_pandas(np.array_split(shuffled, 16)), 8)
+    assert exchanges == [8]
+    assert len(want) > len(rows)  # the gap-fill added rows
+    pd.testing.assert_frame_equal(got, want, check_exact=True)
+
+
+#: the tier chain's ops as one fused stage, with a per-series gap-fill
+_STAGE_OPS = [
+    {"op": "gap_fill", "freq": "D"},
+    {"op": "lag", "features": ["pages"], "lags": [1, 7]},
+    {"op": "rolling_stats", "features": ["pages"], "window": 7,
+     "aggregations": ["max", "min", "std", "mean", "median"], "lag": 1,
+     "min_periods": 1},
+    {"op": "ewma", "features": ["pages"], "window": 7, "lag": 1,
+     "min_periods": 5},
+]
+
+
+def _stage_frame(ds) -> pd.DataFrame:
+    df = ds.to_pandas()
+    return df if df.empty else \
+        df.sort_values(["host", "bucket_ts"]).reset_index(drop=True)
+
+
+def _by_partition(df: pd.DataFrame, num_partitions: int) -> list:
+    """``df`` split into one block per partition id of ``host``."""
+    from forecastframe_ray import keys as K
+
+    ids = K.partition_ids(df, ["host"], num_partitions)
+    return [df[ids == p] for p in np.unique(ids)]
+
+
+def _stage_input(case: str, df: pd.DataFrame):
+    """The stage's input for ``case``, as Arrow blocks (a store read's
+    form); every case but ``lazy`` is materialized."""
+    from forecastframe_ray.stages.agg import _typed_empty
+
+    def blocks(frames):
+        return ray.data.from_arrow(
+            [_typed_empty(f) if f.empty
+             else pa.Table.from_pandas(f, preserve_index=False)
+             for f in frames]).materialize()
+
+    parts = _by_partition(df, 8)
+    if case == "copartitioned":  # an empty block is left out, not run
+        return blocks(parts + [df.iloc[:0]])
+    if case == "lazy":
+        return blocks(parts).map_batches(lambda b: b, batch_format="pandas")
+    if case == "overlapping":
+        return blocks(np.array_split(df, 16))
+    if case == "too_few_blocks":  # 2 < min(P, CPU slots) = 4
+        half = len(parts) // 2
+        return blocks([pd.concat(parts[:half]), pd.concat(parts[half:])])
+    assert case == "all_empty"
+    return blocks([df.iloc[:0]] * 4)
+
+
+@pytest.mark.parametrize("case, skips", [
+    ("copartitioned", True), ("lazy", False), ("overlapping", False),
+    ("too_few_blocks", False), ("all_empty", False)])
+def test_window_stage_skips_the_exchange_only_over_copartitioned_blocks(
+        ray_session, exchanges, executions, case, skips):
+    """The stage runs one kernel call per block, with no exchange, only
+    over a materialized Dataset of at least min(P, CPU slots) non-empty
+    blocks whose partition-id sets do not overlap; otherwise it runs the
+    exchange. Either way its rows equal the exchange path's."""
+    from forecastframe_ray.stages.agg import keyed_map_partitions
+    from forecastframe_ray.stages.keyed import (WindowKernel,
+                                                keyed_window_stage)
+
+    df = _daily_tier()
+    ds = _stage_input(case, df)
+    want = _stage_frame(keyed_map_partitions(
+        ds, ["host"], WindowKernel(["host"], "bucket_ts", _STAGE_OPS), 8))
+    exchanges.clear()
+    executions.clear()
+    out = keyed_window_stage(ds, ["host"], "bucket_ts", _STAGE_OPS, 8)
+    assert exchanges == ([] if skips else [8])
+    assert executions == []  # planning starts no Ray Data execution
+    got = _stage_frame(out)
+    pd.testing.assert_frame_equal(got, want, check_exact=True)
+    if case != "all_empty":
+        assert len(got) > len(df)  # the gap-fill added rows
 
 
 def _spied_frame(df: pd.DataFrame, calls):
