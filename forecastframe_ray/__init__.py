@@ -29,7 +29,7 @@ class _EmptySchemaBundleFilter(_logging.Filter):
     """Silence Ray Data's spurious schema-mismatch warning for EMPTY bundles.
 
     The exchange's sort emits column-less empty blocks for id ranges that
-    received no rows (on one CPU slot, the empty top range); those blocks
+    received no rows; those blocks
     bypass every UDF (``map_batches`` fns are never invoked on them) so the
     engine cannot type them, and the executor logs a schema-change warning per
     empty bundle. Only the names=[] / empty-schema variant is filtered —

@@ -95,6 +95,9 @@ class RayForecastFrame:
         dtc = self.datetime_column
 
         def cast(b: pd.DataFrame) -> pd.DataFrame:
+            # a shallow copy: the batch may be a slice of a pandas block
+            # (a projection), and assigning into it warns per batch
+            b = b.copy(deep=False)
             b[dtc] = pd.to_datetime(b[dtc])
             if self.hierarchy is None:
                 b[_GLOBAL_KEY] = np.int8(0)

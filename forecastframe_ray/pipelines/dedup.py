@@ -58,14 +58,18 @@ def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
        the driver); above it, a distributed hash join on ``id`` — the scale
        path when even the id set outgrows one worker's heap.
     """
-    from forecastframe_ray.stages.agg import hash_aggregate
+    from forecastframe_ray.stages.agg import (hash_aggregate, known_rows,
+                                              partition_count)
 
     narrow = ds.select_columns([id_col, text_col]).map_batches(
         lambda b: _digest_batch(b, text_col)[[id_col, "__digest"]],
         batch_format="pandas",
     )
+    rows = known_rows(ds)
     keep = hash_aggregate(narrow, ["__digest"],
-                          {"__keep_id": (id_col, "min")})
+                          {"__keep_id": (id_col, "min")},
+                          num_partitions=64 if rows is None
+                          else partition_count(rows))
     keep = keep.select_columns(["__keep_id"]).materialize()
     return _keep_id_semi_join(ds, keep, id_col, broadcast_limit)
 
@@ -308,34 +312,6 @@ CLIQUE_CAP = 1000     # exact-dup class: full clique up to this many members
 CLASS_CAP = 32        # distinct-text classes compared all-pairs up to this
 FANOUT_CAP = 1_000_000  # cross-class id fan-out cap (pairs per class pair)
 
-
-def scaled_verify_partitions(n_rows: int, rows_per_part: int = 100_000,
-                             floor_rows: int = 1_000) -> int:
-    """Verify-stage fan-out, scaled by BOTH candidate rows and cluster CPUs
-    (shared by the MinHash, SimHash and embedding verify paths).
-
-    Scales with rows (~``rows_per_part`` per partition) because the verify
-    kernels hold a partition's member/text arrays in heap — a fixed fan-out
-    grows per-task memory linearly with the corpus (measured: 17M candidate
-    rows over 32 partitions OOM-killed workers at ~3 GB/task × 32). Scales
-    with CPUs (~4 partitions per CPU slot): it was chosen when each
-    partition ran as its own task, because at a fixed fan-out bucket-size
-    skew made the stage straggler-bound (max task 3.3× mean) once cores
-    exceeded partitions. ``agg.exchange`` runs one task per contiguous
-    range of at most 4 partitions (``agg.PARTS_PER_RANGE``): at ~4
-    partitions per slot that is one task per slot, and past it the task
-    count grows with the rows, so a task holds at most ~400k candidate
-    rows. Floor of ~``floor_rows``
-    rows/partition so tiny candidate sets don't pay per-partition overhead
-    for empty shards."""
-    try:
-        import ray as _ray
-        ncpu = int(_ray.cluster_resources().get("CPU", 8))
-    except Exception:
-        ncpu = 8
-    return max(32,
-               min(4 * ncpu, int(np.ceil(n_rows / floor_rows))),
-               int(np.ceil(n_rows / rows_per_part)))
 
 #: sketch-estimate pre-filter (standard LSH practice — boilerplate-heavy
 #: corpora make candidate class pairs vastly outnumber true near-dups):
@@ -640,8 +616,7 @@ def minhash_lsh_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
                       num_perm: int = 64, num_bands: int = 16,
                       shingle_width: int = 5, threshold: float = 0.7,
                       seed: int = 7, bucket_cap: int = 100_000,
-                      wave_cand_limit: int = 4_000_000,
-                      approx_docs: int | None = None):
+                      wave_cand_limit: int = 4_000_000):
     """Candidate generation + exact verification:
 
     1. signature stage (stateless map_batches, text stays put);
@@ -669,7 +644,8 @@ def minhash_lsh_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
     across bands by the final aggregate, so results are identical.
     """
     from forecastframe_ray.stages.agg import (PART_COL, exchange, hash_aggregate,
-                                              keyed_map_partitions)
+                                              keyed_map_partitions, known_rows,
+                                              partition_count)
 
     sigs = ds.map_batches(
         lambda b: minhash_batch(b[[id_col, text_col]], text_col, num_perm,
@@ -685,13 +661,11 @@ def minhash_lsh_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
 
     # candidate-prune fan-out scales like the verify fan-out: with the
     # signature-row count (docs × bands; int-only ~24 B rows, ~2M rows ≈
-    # 50 MB per task) when the caller passes ``approx_docs`` (llm.run knows
-    # its post-dedup count for free), else with cluster CPUs — a fixed 32
-    # held ~240 MB/task at 20M docs and grows unbounded with the corpus
-    sig_rows = (approx_docs or 0) * num_bands
-    prune_parts = scaled_verify_partitions(sig_rows,
-                                           rows_per_part=2_000_000,
-                                           floor_rows=50_000)
+    # 50 MB a partition) when ``ds`` is materialized (its row count is
+    # metadata), else 32 — a fixed 32 held ~240 MB a task at 20M docs
+    docs = known_rows(ds)
+    prune_parts = 32 if docs is None else partition_count(
+        docs * num_bands, rows_per_part=2_000_000, floor_rows=50_000)
 
     def keep_colliding(part: pd.DataFrame) -> pd.DataFrame:
         # singleton buckets can never pair; buckets beyond ``bucket_cap``
@@ -768,16 +742,11 @@ def minhash_lsh_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
         # candidate-row count (~100k rows per partition): the kernel holds
         # the partition's texts + per-class window arrays in heap, so a
         # fixed fan-out would grow per-task memory linearly with the corpus
-        # (measured: 17M candidate rows over 32 partitions ran ~3 GB/task
-        # × 32 concurrent and OOM-killed workers). It ALSO scales with the
-        # cluster's CPU count (~4 partitions per slot; see
-        # scaled_verify_partitions: the exchange runs one task per range
-        # of at most 4 partitions). Floor of
-        # ~1k candidate rows/partition so tiny candidate sets don't pay
-        # per-partition overhead for empty shards. Per-doc text duplication
-        # grows only marginally with fan-out (a doc ships to its distinct
-        # colliding partitions, bounded by its band count).
-        verify_partitions = scaled_verify_partitions(n_rows)
+        # (agg.partition_count: ~1k rows a partition up to 4 per CPU slot,
+        # ~100k past that). Per-doc text duplication grows only marginally
+        # with fan-out (a doc ships to its distinct colliding partitions,
+        # bounded by its band count).
+        verify_partitions = partition_count(n_rows)
 
         # Bucket-LOCALITY assignment (round-5 weak-scaling lever): each
         # (band, bucket) goes to the partition of its MIN member id (the
@@ -863,7 +832,8 @@ def minhash_lsh_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
             pairs = pairs.union(pw)
     # same pair can surface from several bands/waves → dedup on (id_a, id_b)
     return hash_aggregate(pairs, ["id_a", "id_b"],
-                          {"jaccard": ("jaccard", "max")}, num_partitions=16)
+                          {"jaccard": ("jaccard", "max")},
+                          num_partitions=partition_count(n_cand))
 
 
 def clusters_from_pairs(pairs_df: pd.DataFrame, id_a: str = "id_a",
@@ -1041,7 +1011,7 @@ def simhash_near_dup_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
     verify kernel is :func:`verify_simhash_bucket` (class collapse +
     chunked Hamming + star caps — bounded per-task memory even for a
     mega-bucket of near-identical docs), and the verify fan-out scales with
-    candidate rows AND cluster CPUs (:func:`scaled_verify_partitions`).
+    candidate rows AND cluster CPUs (:func:`agg.partition_count`).
     The shuffled rows are int-only (id, simhash, band, bucket) — document
     text never enters the verify exchange. Unlike MinHash there is no
     ``bucket_cap`` drop: a 16-bit band mega-bucket of near-identical docs
@@ -1068,16 +1038,18 @@ def simhash_near_dup_pairs(ds, text_col: str = "text", id_col: str = "doc_id",
 
     from functools import partial
 
-    from forecastframe_ray.stages.agg import bucketed_map_groups, hash_aggregate
+    from forecastframe_ray.stages.agg import (bucketed_map_groups,
+                                              hash_aggregate, partition_count)
 
     # band rows = 4 × docs; fan-out scales with that row count and the CPUs
     n_band_rows = 4 * hashed.count()  # materialized → metadata-only
+    parts = partition_count(n_band_rows)
     pairs = bucketed_map_groups(
         bands, ["band", "bucket"],
         partial(verify_simhash_bucket, id_col=id_col, max_hamming=max_hamming),
-        num_partitions=scaled_verify_partitions(n_band_rows), min_size=2)
+        num_partitions=parts, min_size=2)
     return hash_aggregate(pairs, ["id_a", "id_b"],
-                          {"hamming": ("hamming", "min")}, num_partitions=16)
+                          {"hamming": ("hamming", "min")}, num_partitions=parts)
 
 
 # ---------------------------------------------------------------------------
@@ -1205,7 +1177,7 @@ def embedding_near_dup_pairs(ds, vec_col: str = "embedding", id_col: str = "vec_
     :func:`verify_embedding_bucket` (exact-dup collapse + chunked matmul +
     star caps — bounded per-task memory for pathological buckets) and the
     fan-out scales with row count and cluster CPUs
-    (:func:`scaled_verify_partitions`)."""
+    (:func:`agg.partition_count`)."""
     import ray
 
     if dim is None:
@@ -1228,11 +1200,11 @@ def embedding_near_dup_pairs(ds, vec_col: str = "embedding", id_col: str = "vec_
 
     from functools import partial
 
-    from forecastframe_ray.stages.agg import bucketed_map_groups
+    from forecastframe_ray.stages.agg import bucketed_map_groups, partition_count
 
     n_rows = bucketed.count()  # materialized → metadata-only
     return bucketed_map_groups(
         bucketed, ["bucket"],
         partial(verify_embedding_bucket, vec_col=vec_col, id_col=id_col,
                 threshold=threshold),
-        num_partitions=scaled_verify_partitions(n_rows), min_size=2)
+        num_partitions=partition_count(n_rows), min_size=2)

@@ -67,7 +67,9 @@ def dedup_pipeline(docs_ds, id_col: str = "doc_id", text_col: str = "text",
     stage_wall["clean_s"] = round(time.perf_counter() - t0, 3)
     t0 = time.perf_counter()
 
-    # 3. exact dedup (digest → min-id per digest, keep-set worker-side).
+    # 3. exact dedup (digest → min-id per digest, keep-set worker-side);
+    # its aggregate's P follows ``cleaned``'s metadata row count
+    # (agg.partition_count), so a small corpus runs one id range, not 16.
     # No repartition after it: the broadcast filter keeps the input's
     # blocks, and the scale path's hash join (above 5M survivors) has one
     # partition per ~100k rows, so it leaves at least one block per CPU
@@ -79,10 +81,12 @@ def dedup_pipeline(docs_ds, id_col: str = "doc_id", text_col: str = "text",
     stage_wall["exact_dedup_s"] = round(time.perf_counter() - t0, 3)
     t0 = time.perf_counter()
 
-    # 4. near-dup pairs + 5. clusters → drop non-representatives
+    # 4. near-dup pairs + 5. clusters → drop non-representatives. Each of
+    # the MinHash exchanges is sized from rows already known: the prune
+    # from ``kept``'s metadata count × bands, the verify and the pair
+    # dedup from the candidate rows it counts
     pairs = D.minhash_lsh_pairs(kept, text_col=text_col, id_col=id_col,
-                                threshold=minhash_threshold,
-                                approx_docs=n_exact).materialize()
+                                threshold=minhash_threshold).materialize()
     n_pairs = pairs.count()
     stage_wall["minhash_pairs_s"] = round(time.perf_counter() - t0, 3)
     t0 = time.perf_counter()

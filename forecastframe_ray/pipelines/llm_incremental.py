@@ -254,8 +254,8 @@ def build_index(docs_ds, index_dir: str, *, id_col: str = "doc_id",
     pairs = D.minhash_lsh_pairs(kept, text_col="text_clean", id_col=id_col,
                                 num_perm=num_perm, num_bands=num_bands,
                                 shingle_width=shingle_width,
-                                threshold=minhash_threshold, seed=seed,
-                                approx_docs=n_exact).materialize()
+                                threshold=minhash_threshold,
+                                seed=seed).materialize()
     corpus = _apply_rep(kept, _rep_mapping(pairs), id_col)
 
     bands = _band_rows(kept, id_col, p)
@@ -445,7 +445,7 @@ def append_shard(shard_ds, index_dir: str, shard_id: str | None = None,
                                 num_bands=p["num_bands"],
                                 shingle_width=p["shingle_width"],
                                 threshold=p["minhash_threshold"],
-                                seed=p["seed"], approx_docs=n_subset)
+                                seed=p["seed"])
     max_seen = meta["max_seen_id"]
     new_pairs = pairs.map_batches(
         lambda b: b[np.maximum(b["id_a"].to_numpy(),

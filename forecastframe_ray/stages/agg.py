@@ -12,7 +12,8 @@ always shuffles through :func:`exchange`:
 2. ONE shuffle: a sort on ``__part`` into k contiguous id ranges, at
    boundaries taken from the known id range ``[0, P)`` — no sampling
    pass, one reduce block per range. k is one range per CPU slot, raised
-   to ⌈P/4⌉ (:data:`PARTS_PER_RANGE`) when P outgrows the slots;
+   to ⌈P/4⌉ (:data:`PARTS_PER_RANGE`) when P outgrows the slots. With
+   k = 1 there is no sort: the tagged blocks are concatenated into one;
 3. one ``map_batches(batch_size=None)`` task per range runs, for each
    partition id in it, one vectorized kernel over the whole partition
    (for aggregation: a single pandas/Arrow groupby over the real keys —
@@ -24,7 +25,11 @@ aggregated by one C call — the pathological case (per-key reducer tasks)
 cannot occur because reducers are the k id ranges, not keys. P sets the
 kernel's grain and k the task count: a reduce block holds ⌈P/k⌉ ≤ 4
 partitions, so four partitions together must fit a worker heap — scale P
-with the data and k follows it.
+with the data and k follows it. :func:`partition_count` is that rule: the
+dedup stages size P from the rows they hold (:func:`known_rows` of a
+materialized input, or a count they already have), so a small input runs
+few tasks and a large one bounds each task's heap; a store layout keeps
+its own P.
 
 :func:`reduce` is the one global reduce beside the one shuffle: every
 whole-Dataset min/max, sum, moment or distinct set is a per-block partial
@@ -82,11 +87,35 @@ def range_count(num_partitions: int) -> int:
     return max(1, min(num_partitions, max(_cpu_slots(), per_parts)))
 
 
+def partition_count(rows: int, rows_per_part: int = 100_000,
+                    floor_rows: int = 1_000) -> int:
+    """P for an exchange over ``rows`` rows: ~``rows_per_part`` rows a
+    partition, so a kernel's heap stays bounded as the input grows
+    (measured: 17M MinHash candidate rows over 32 partitions ran ~3 GB a
+    task and OOM-killed workers); below that, one partition per
+    ``floor_rows`` rows up to :data:`PARTS_PER_RANGE` per CPU slot, so a
+    mid-sized input fills every slot with one id range (:func:`range_count`)
+    and a tiny one runs as one task instead of paying per-task cost for
+    near-empty partitions."""
+    return max(1, min(PARTS_PER_RANGE * _cpu_slots(), -(-rows // floor_rows)),
+               -(-rows // rows_per_part))
+
+
+def known_rows(ds) -> int | None:
+    """The row count of a ``MaterializedDataset``, read from its blocks'
+    metadata, else None: sizing a stage never starts an execution."""
+    from ray.data.dataset import MaterializedDataset
+
+    return ds.count() if isinstance(ds, MaterializedDataset) else None
+
+
 def exchange(ds, tag, fn, num_partitions: int, batch_format: str = "pandas"):
     """The engine's one shuffle: ``map_batches(tag)``, a sort on
     :data:`PART_COL` into k = :func:`range_count` contiguous id ranges at
     explicit boundaries, then one ``map_batches(batch_size=None)`` task per
-    range — every wide step goes through here.
+    range — every wide step goes through here. With k = 1 the tagged
+    blocks are concatenated into one block (``repartition(1)``, no sort),
+    which the one task orders on :data:`PART_COL` itself.
 
     ``tag(batch)`` returns the batch with :data:`PART_COL` appended, an
     integer partition id in ``[0, num_partitions)``; it may drop rows (e.g.
@@ -101,9 +130,7 @@ def exchange(ds, tag, fn, num_partitions: int, batch_format: str = "pandas"):
     The ids are known to lie in ``[0, num_partitions)``, so the sort takes
     its boundaries from them and skips Ray's sampling pass. A reduce block
     holds ⌈P/k⌉ ≤ :data:`PARTS_PER_RANGE` partitions, so that many
-    partitions together must fit a worker heap. With k = 1 the one
-    boundary is P itself (Ray samples when given none): every row lands in
-    the first block, the second is empty.
+    partitions together must fit a worker heap.
 
     Zero-row pandas batches leave ``tag`` as typed Arrow blocks (see
     :func:`_typed_empty`); Arrow batches leave it without schema metadata —
@@ -121,10 +148,16 @@ def exchange(ds, tag, fn, num_partitions: int, batch_format: str = "pandas"):
         batch = tag(batch.copy(deep=False))
         return _typed_empty(batch) if len(batch) == 0 else batch
 
+    k = range_count(num_partitions)
+
     def run(block):
-        # the block is sorted on PART_COL: each id's rows are one slice
+        # the block is sorted on PART_COL (a stable sort here for the one
+        # range): each id's rows are one slice, in input order
         acc = BlockAccessor.for_block(block)
         ids = acc.to_numpy(PART_COL)
+        if k == 1:
+            order = np.argsort(ids, kind="stable")
+            acc, ids = BlockAccessor.for_block(acc.take(order)), ids[order]
         cuts = np.flatnonzero(ids[1:] != ids[:-1]) + 1
         for lo, hi in zip([0, *cuts], [*cuts, len(ids)]):
             part = BlockAccessor.for_block(acc.slice(lo, hi, copy=False)) \
@@ -132,14 +165,13 @@ def exchange(ds, tag, fn, num_partitions: int, batch_format: str = "pandas"):
             yield fn(int(ids[lo]), part.drop_columns([PART_COL]) if arrow
                      else part.drop(columns=[PART_COL]))
 
-    k = range_count(num_partitions)
-    bounds = [i * num_partitions // k for i in range(1, k)] \
-        or [num_partitions]
     first, *rest = [d.map_batches(tagged, batch_format=batch_format)
                     for d in (ds if isinstance(ds, (list, tuple)) else [ds])]
-    return ((first.union(*rest) if rest else first)
-            .sort(PART_COL, boundaries=bounds)
-            .map_batches(run, batch_size=None, batch_format=None))
+    inputs = first.union(*rest) if rest else first
+    ranged = inputs.repartition(1, shuffle=False) if k == 1 \
+        else inputs.sort(PART_COL, boundaries=[i * num_partitions // k
+                                               for i in range(1, k)])
+    return ranged.map_batches(run, batch_size=None, batch_format=None)
 
 
 @ray.remote

@@ -153,6 +153,18 @@ def test_funnel_clusters_through_the_named_stages(tmp_path, monkeypatch):
     assert len(pairs) == m["near_dup_pairs"] > 0
 
 
+def test_funnel_sizing_starts_no_execution(executions):
+    """The dedup stages size their exchanges from metadata row counts
+    (``agg.known_rows``) and from counts they already hold, so the funnel
+    starts the six executions it did with fixed partition counts: the
+    boilerplate line set, the cleaned corpus, the exact keep set, the kept
+    corpus, the MinHash candidate rows and the pairs."""
+    _, ds = _docs()
+    executions.clear()
+    llm.dedup_pipeline(ds, max_repeats=MAX_REPEATS)
+    assert len(executions) == 6
+
+
 def test_funnel_is_plan_invariant(tmp_path, monkeypatch):
     """The funnel counts and the written docs tier (sorted by ``doc_id``)
     do not depend on the plan: 8 or 32 partitions, the input as 1 block,

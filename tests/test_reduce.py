@@ -1,8 +1,8 @@
 """``agg.reduce``, the one global reduce: its execution contract (no Ray
 Data execution over materialized input, one run of a lazy plan, a single
-CPU shared with the streaming executor), the results of every site that
-reduces through it for any block layout, and each site's result on empty
-input."""
+CPU shared with the streaming executor), ``agg.known_rows`` (metadata
+only), the results of every site that reduces through it for any block
+layout, and each site's result on empty input."""
 
 import os
 import subprocess
@@ -21,7 +21,7 @@ from forecastframe_ray.frame import RayForecastFrame
 from forecastframe_ray.functions import encoding, metrics, postprocess
 from forecastframe_ray.functions import scalers
 from forecastframe_ray.pipelines import interpret
-from forecastframe_ray.stages.agg import column_ranges, reduce
+from forecastframe_ray.stages.agg import column_ranges, known_rows, reduce
 from tests.conftest import THRESHOLD
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -57,6 +57,19 @@ def test_reduce_over_materialized_input_starts_no_execution(ray_session,
     ds = ray.data.from_pandas(np.array_split(df, 8)).materialize()
     executions.clear()
     assert reduce(ds, _range_partial(), _combine_range) == (0, 99, 100)
+    assert executions == []
+
+
+def test_known_rows_reads_only_materialized_metadata(ray_session,
+                                                    executions):
+    """A lazy Dataset's row count is unknown without running it; a
+    materialized one's is its blocks' metadata."""
+    lazy = ray.data.range(50, override_num_blocks=4).map_batches(
+        lambda b: b, batch_format="pandas")
+    assert known_rows(lazy) is None
+    ds = lazy.materialize()
+    executions.clear()
+    assert known_rows(ds) == 50
     assert executions == []
 
 

@@ -12,6 +12,7 @@ import pytest
 import ray.data
 
 from forecastframe_ray.pipelines import dedup
+from forecastframe_ray.stages import agg
 
 
 def _brute_simhash_pairs(g: pd.DataFrame, max_hamming: int = 3) -> set:
@@ -186,11 +187,15 @@ def test_embedding_pipeline_end_to_end():
     assert (0, 10) in got_pairs and (3, 11) in got_pairs
 
 
-def test_scaled_verify_partitions_formula():
-    # floor 32, rows-scaled, cpu-capped for small inputs (4 test CPUs → 16
-    # is below the 32 floor, so the floor wins), row term dominates at scale
-    assert dedup.scaled_verify_partitions(10) == 32
-    assert dedup.scaled_verify_partitions(50_000_000) == 500
+@pytest.mark.parametrize("rows, slots, p", [
+    (0, 1, 1), (10, 1, 1), (1_389, 1, 2), (17_800, 1, 4), (17_800, 8, 18),
+    (1_000_000, 8, 32), (50_000_000, 32, 500), (50_000_000, 1, 500)])
+def test_partition_count_follows_rows_and_slots(monkeypatch, rows, slots, p):
+    # one partition per ~1k rows, capped at 4 per CPU slot (one id range a
+    # slot); past ~100k rows a partition the row term wins, so a verify
+    # kernel's heap stays bounded at scale
+    monkeypatch.setattr(agg, "_cpu_slots", lambda: slots)
+    assert agg.partition_count(rows) == p
 
 
 # ---------------------------------------------------------------------------
