@@ -63,13 +63,12 @@ def hash_key_columns(df: pd.DataFrame, keys: list[str]) -> np.ndarray:
 _NULL = np.uint64(0x6E756C6C6B657921)
 
 
-def partition_ids(batch: pa.Table | pd.DataFrame, keys: list[str],
-                  num_partitions: int) -> np.ndarray:
-    """``hash(keys) % num_partitions`` per row over Arrow key columns (a
-    DataFrame converts only those): the one partition hash of every
-    exchange and of the stores' layout. An id depends on the key values
-    alone, not on the batch or the encoding: a ``category`` hashes as its
-    values, ``-0.0`` as ``0.0``, and null or NaN alike in every type."""
+def row_hash(batch: pa.Table | pd.DataFrame, keys: list[str]) -> np.ndarray:
+    """uint64 hash of each row's key tuple over Arrow key columns (a
+    DataFrame converts only those). It depends on the key values alone: a
+    ``category`` hashes as its values, ``-0.0`` as ``0.0``, an integer as
+    its value at any width, and null or NaN alike in every type. Column
+    hashes are XOR-combined, so a tuple's hash ignores column order."""
     h = np.zeros(len(batch), dtype=np.uint64)
     for k in keys:
         col = batch[k]
@@ -78,7 +77,14 @@ def partition_ids(batch: pa.Table | pd.DataFrame, keys: list[str],
         elif isinstance(col, pa.ChunkedArray):
             col = col.combine_chunks()
         h ^= _mix_u64(_key_hash(col))
-    return (h % np.uint64(num_partitions)).astype(np.int32)
+    return h
+
+
+def partition_ids(batch: pa.Table | pd.DataFrame, keys: list[str],
+                  num_partitions: int) -> np.ndarray:
+    """``row_hash % num_partitions``: the one partition hash of every
+    exchange and of the stores' layout."""
+    return (row_hash(batch, keys) % np.uint64(num_partitions)).astype(np.int32)
 
 
 def _key_hash(col: pa.Array, encode: bool = True) -> np.ndarray:

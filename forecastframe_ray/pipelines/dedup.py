@@ -11,6 +11,9 @@ Scale design (100 TB framing):
   numpy over rolling-hash shingle arrays — no Python-per-byte work);
 - the shuffle key is always a *small fixed-width* column (16-byte digest,
   uint64 band bucket), never the document text;
+- the exact-dedup survivors are a semi-join on the keep ids
+  (:func:`join.broadcast_semi_join`), so neither the corpus nor the keep
+  set reaches the driver;
 - candidate verification happens inside one ``agg.exchange`` on the
   bucket's verify partition, so only same-bucket docs ever meet; bucket
   sizes are bounded by band width;
@@ -27,7 +30,6 @@ import numpy as np
 import pandas as pd
 
 from forecastframe_ray.pipelines.textstats import rolling_hashes
-from forecastframe_ray.stages.agg import _typed_empty
 
 # ---------------------------------------------------------------------------
 # exact dedup
@@ -44,39 +46,33 @@ def _digest_batch(batch: pd.DataFrame, text_col: str, out_col: str = "__digest")
     return batch
 
 
-def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id",
-                broadcast_limit: int = 5_000_000):
+def exact_dedup(ds, text_col: str = "text", id_col: str = "doc_id"):
     """Exact duplicate removal: keep the row with the smallest ``id_col`` per
     distinct text. The corpus itself never materializes and the driver never
     holds the keep-set:
 
     1. digest on a NARROW ``(id, text)`` projection → min(id) per digest via
        coarse-hash aggregate — only ``(digest, id)`` rows shuffle;
-    2. semi-join the corpus on the surviving ids. Below
-       ``broadcast_limit`` survivors the keep-id blocks are shipped
-       worker-side via their object refs (an int64 set, never collected on
-       the driver); above it, a distributed hash join on ``id`` — the scale
-       path when even the id set outgrows one worker's heap.
+    2. semi-join the corpus on the surviving ids
+       (:func:`join.broadcast_semi_join` over the keep-set Dataset).
     """
     from forecastframe_ray.stages.agg import (hash_aggregate, known_rows,
                                               partition_count)
+    from forecastframe_ray.stages.join import broadcast_semi_join
 
     narrow = ds.select_columns([id_col, text_col]).map_batches(
         lambda b: _digest_batch(b, text_col)[[id_col, "__digest"]],
         batch_format="pandas",
     )
     rows = known_rows(ds)
-    keep = hash_aggregate(narrow, ["__digest"],
-                          {"__keep_id": (id_col, "min")},
+    keep = hash_aggregate(narrow, ["__digest"], {id_col: (id_col, "min")},
                           num_partitions=64 if rows is None
                           else partition_count(rows))
-    keep = keep.select_columns(["__keep_id"]).materialize()
-    return _keep_id_semi_join(ds, keep, id_col, broadcast_limit)
+    return broadcast_semi_join(ds, keep.select_columns([id_col]), [id_col])
 
 
 def exact_dedup_keep_best(ds, priority: list[tuple[str, bool]],
-                          text_col: str = "text", id_col: str = "doc_id",
-                          broadcast_limit: int = 5_000_000):
+                          text_col: str = "text", id_col: str = "doc_id"):
     """Exact dedup with a keep POLICY: per distinct text keep the row that
     sorts first under ``priority`` — a list of ``(column, ascending)``
     pairs (e.g. ``[("source", True)]`` keeps the copy from the
@@ -85,9 +81,9 @@ def exact_dedup_keep_best(ds, priority: list[tuple[str, bool]],
     scale shape to :func:`exact_dedup`: a narrow (id, priority-cols,
     digest) projection shuffles, the winner per digest is found by a
     per-batch combiner + one key-co-located reduce, and the corpus is
-    semi-joined on the surviving ids (broadcast refs below
-    ``broadcast_limit``, distributed hash join above)."""
+    semi-joined on the surviving ids."""
     from forecastframe_ray.stages.agg import keyed_map_partitions
+    from forecastframe_ray.stages.join import broadcast_semi_join
 
     cols = [c for c, _ in priority]
     by = cols + [id_col]
@@ -105,58 +101,8 @@ def exact_dedup_keep_best(ds, priority: list[tuple[str, bool]],
         batch_format="pandas",
     )
     winners = keyed_map_partitions(narrow, ["__digest"], best)
-    keep = winners.map_batches(
-        lambda b: pd.DataFrame({"__keep_id": b[id_col]}),
-        batch_format="pandas").materialize()
-    return _keep_id_semi_join(ds, keep, id_col, broadcast_limit)
-
-
-def _keep_id_semi_join(ds, keep, id_col: str, broadcast_limit: int):
-    """Filter ``ds`` to the ids in ``keep`` (one ``__keep_id`` column):
-    worker-side block-ref broadcast below ``broadcast_limit`` survivors,
-    distributed hash join above — shared by both exact-dedup keep rules."""
-    import ray
-
-    n_keep = keep.count()
-    if n_keep > broadcast_limit:
-        from forecastframe_ray.stages.join import hash_join
-
-        keep_ids = keep.map_batches(
-            lambda b: b.rename(columns={"__keep_id": id_col}),
-            batch_format="pandas")
-        # ~100k survivors a partition: the corpus blocks the join leaves
-        # grow with it (one per CPU slot at least once P reaches the slots)
-        return hash_join(ds, keep_ids, on=[id_col], how="inner",
-                         num_partitions=max(16, -(-n_keep // 100_000)))
-
-    refs = keep.to_arrow_refs()  # block refs only — no driver collection
-
-    def _load_keep() -> np.ndarray:
-        # drop Ray's column-less empty blocks (empty shuffle partitions);
-        # ``to_arrow_refs`` passes blocks through unconverted when the first
-        # one is Arrow, so pandas blocks can follow
-        ids = [t["__keep_id"].to_numpy() for t in ray.get(list(refs))
-               if len(t)]
-        return np.sort(np.concatenate(ids)) if ids \
-            else np.array([], dtype=np.int64)
-
-    def _filter(batch: pd.DataFrame, keep_arr: np.ndarray):
-        if len(keep_arr):
-            idx = np.searchsorted(keep_arr, batch[id_col].to_numpy())
-            idx = np.clip(idx, 0, len(keep_arr) - 1)
-            batch = batch[keep_arr[idx] == batch[id_col].to_numpy()]
-        else:
-            batch = batch.iloc[0:0]
-        return batch if len(batch) else _typed_empty(batch)
-
-    if keep.count() <= 1_000_000:
-        # small keep-set: plain tasks (re-sorting ~1M ids per call is
-        # cheaper than an actor pool's 1-2 s spin-up)
-        return ds.map_batches(lambda b: _filter(b, _load_keep()),
-                              batch_format="pandas")
-
-    from forecastframe_ray.stages.join import actor_map
-    return actor_map(ds, _load_keep, _filter)
+    return broadcast_semi_join(ds, winners.select_columns([id_col]),
+                               [id_col])
 
 
 def duplicate_counts(ds, text_col: str = "text"):

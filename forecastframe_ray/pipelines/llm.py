@@ -70,11 +70,10 @@ def dedup_pipeline(docs_ds, id_col: str = "doc_id", text_col: str = "text",
     # 3. exact dedup (digest → min-id per digest, keep-set worker-side);
     # its aggregate's P follows ``cleaned``'s metadata row count
     # (agg.partition_count), so a small corpus runs one id range, not 16.
-    # No repartition after it: the broadcast filter keeps the input's
-    # blocks, and the scale path's hash join (above 5M survivors) has one
-    # partition per ~100k rows, so it leaves at least one block per CPU
-    # slot up to 50 slots. A repartition to ``num_partitions`` cost a
-    # corpus copy, a shuffle and twice the tasks in each later stage.
+    # No repartition after it: the semi-join on the keep ids filters each
+    # block of ``cleaned`` in place, so the survivors keep its blocks. A
+    # repartition to ``num_partitions`` cost a corpus copy, a shuffle and
+    # twice the tasks in each later stage.
     kept = D.exact_dedup(cleaned, text_col=text_col, id_col=id_col) \
         .materialize()  # reused: minhash signatures + candidate text fetch
     n_exact = kept.count()

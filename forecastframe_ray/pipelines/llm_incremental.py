@@ -66,10 +66,11 @@ appearing in a verified pair, so union-find components — and their min-id
 reps — coincide with the full rebuild's.
 
 Scale shape of :func:`append_shard` (100 TB framing): every stage is
-O(shard + collisions). The digest anti-probe and the bucket probe are
-key-only (16-byte digest / 12-byte band rows) broadcast filters below
-``BROADCAST_LIMIT`` and distributed hash joins above; old document TEXT
-moves only for docs that actually collide with the shard; pair
+O(shard + collisions). Every key-set filter is
+:func:`join.broadcast_semi_join`, with a shard-scale key set: the digest
+anti-probe first finds the stored digests the shard hits, the bucket probe
+filters the stored band index on the shard's (band, bucket) rows, and old
+document TEXT moves only for docs that actually collide with the shard; pair
 verification reuses the hardened :func:`dedup.minhash_lsh_pairs` machinery
 (bucket caps, KMV prefilter, candidate- and CPU-scaled verify fan-out,
 band waves) on the shard ∪ colliding-old subset; connected components run
@@ -96,15 +97,11 @@ import pandas as pd
 
 from forecastframe_ray.pipelines import dedup as D
 from forecastframe_ray.pipelines import textstats as T
-from forecastframe_ray.stages.agg import _typed_empty, column_ranges, reduce
+from forecastframe_ray.stages.agg import _typed_empty, hash_aggregate, reduce
+from forecastframe_ray.stages.join import broadcast_semi_join
 from forecastframe_ray.state import checkpoint
 
 META_FILE = "index_meta.json"
-
-#: key-set sizes (rows) below which index probes broadcast via the object
-#: store instead of running a distributed hash join — same threshold family
-#: as dedup.exact_dedup
-BROADCAST_LIMIT = 5_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +161,26 @@ def _digests(cleaned, id_col: str):
         lambda b: D._digest_batch(b, "text_clean", "digest")
         [[id_col, "digest"]],
         batch_format="pandas")
+
+
+def _id_range(ds, id_col: str) -> tuple:
+    """``(min id, max id, rows)`` of ``ds`` in one :func:`agg.reduce` pass
+    over its plan; ``(None, None, 0)`` when it is empty."""
+    def id_range(b: pd.DataFrame) -> pd.DataFrame:
+        return pd.DataFrame({"lo": [b[id_col].min()], "hi": [b[id_col].max()],
+                             "n": [len(b)]})
+
+    def combine(p: pd.DataFrame) -> tuple:
+        return (None, None, 0) if p.empty else (
+            int(p["lo"].min()), int(p["hi"].max()), int(p["n"].sum()))
+
+    return reduce(ds, id_range, combine)
+
+
+def _keep_ids(digests, id_col: str):
+    """A digests table's ``keep_id`` column, named ``id_col``."""
+    return digests.map_batches(lambda b: pd.DataFrame({id_col: b["keep_id"]}),
+                               batch_format="pandas")
 
 
 def _band_rows(kept, id_col: str, p: dict):
@@ -235,20 +252,19 @@ def build_index(docs_ds, index_dir: str, *, id_col: str = "doc_id",
          "seed": seed}
     t0 = time.perf_counter()
 
+    # the id range and the row count in one pass over the docs' plan (its
+    # second and last run is the clean stage's)
+    _, max_id, docs_in = _id_range(docs_ds, id_col)
     cleaned = _clean(docs_ds, id_col, text_col, p).materialize()
 
     # exact dedup, keeping the digest index this time (dedup.exact_dedup
-    # discards it): min id per digest → digests table; survivors by
-    # broadcast/join id filter
-    from forecastframe_ray.stages.agg import hash_aggregate
+    # discards it): min id per digest → digests table; survivors by a
+    # semi-join on its keep ids
     dig = _digests(cleaned, id_col)
     digests = hash_aggregate(dig, ["digest"], {"keep_id": (id_col, "min")}) \
         .materialize()
-    keep = digests.map_batches(
-        lambda b: pd.DataFrame({"__keep_id": b["keep_id"]}),
-        batch_format="pandas").materialize()
-    kept = D._keep_id_semi_join(cleaned, keep, id_col, BROADCAST_LIMIT) \
-        .materialize()
+    kept = broadcast_semi_join(cleaned, _keep_ids(digests, id_col),
+                               [id_col]).materialize()
     n_exact = kept.count()
 
     pairs = D.minhash_lsh_pairs(kept, text_col="text_clean", id_col=id_col,
@@ -263,13 +279,11 @@ def build_index(docs_ds, index_dir: str, *, id_col: str = "doc_id",
     _write_tables(index_dir, corpus, digests, bands, None, id_col,
                   num_partitions, shard_index=0, shard_id=shard_id)
 
-    max_id = column_ranges(docs_ds, [id_col])[id_col][1]
-    max_id = -1 if max_id is None else int(max_id)
     _write_meta(index_dir, {**p, "id_col": id_col,
-                            "max_seen_id": max_id,
+                            "max_seen_id": -1 if max_id is None else max_id,
                             "num_partitions": num_partitions,
                             "shards": [shard_id]})
-    return {"docs_in": int(docs_ds.count()), "exact_survivors": int(n_exact),
+    return {"docs_in": docs_in, "exact_survivors": int(n_exact),
             "near_dup_pairs": int(pairs.count()),
             "wall_s": round(time.perf_counter() - t0, 3)}
 
@@ -371,17 +385,7 @@ def append_shard(shard_ds, index_dir: str, shard_id: str | None = None,
 
     # the id range and the row count in one pass over the shard's plan
     # (its second and last run is the clean stage's)
-    def id_range(b: pd.DataFrame) -> pd.DataFrame:
-        return pd.DataFrame({"lo": [b[id_col].min()], "hi": [b[id_col].max()],
-                             "n": [len(b)]})
-
-    def combine(parts: pd.DataFrame) -> tuple:
-        if parts.empty:
-            return None, None, 0
-        return (int(parts["lo"].min()), int(parts["hi"].max()),
-                int(parts["n"].sum()))
-
-    shard_min, shard_max, shard_docs = reduce(shard_ds, id_range, combine)
+    shard_min, shard_max, shard_docs = _id_range(shard_ds, id_col)
     if shard_min is not None and shard_min <= meta["max_seen_id"]:
         raise ValueError(
             f"append-monotonic ids required: shard min {shard_min} <= "
@@ -394,17 +398,12 @@ def append_shard(shard_ds, index_dir: str, shard_id: str | None = None,
     # 2. exact dedup: new-vs-new (min id per digest) then anti-probe the
     #    digest index (old digest always wins under monotonic ids). Key-only
     #    exchange: 32-char digest + int id.
-    from forecastframe_ray.stages.agg import hash_aggregate
     dig = _digests(cleaned, id_col)
     new_digests = hash_aggregate(dig, ["digest"],
                                  {"keep_id": (id_col, "min")}).materialize()
-    fresh_digests = _anti_probe_digests(new_digests, index_dir,
-                                        num_partitions).materialize()
-    keep = fresh_digests.map_batches(
-        lambda b: pd.DataFrame({"__keep_id": b["keep_id"]}),
-        batch_format="pandas").materialize()
-    kept = D._keep_id_semi_join(cleaned, keep, id_col, BROADCAST_LIMIT) \
-        .materialize()
+    fresh_digests = _anti_probe_digests(new_digests, index_dir).materialize()
+    kept = broadcast_semi_join(cleaned, _keep_ids(fresh_digests, id_col),
+                               [id_col]).materialize()
     n_exact = kept.count()
     stage_wall["exact_s"] = round(time.perf_counter() - t0, 3)
     t1 = time.perf_counter()
@@ -416,19 +415,10 @@ def append_shard(shard_ds, index_dir: str, shard_id: str | None = None,
     #    for every pair involving a new doc (see module docstring).
     new_bands = _band_rows(kept, id_col, p).materialize()
     old_hits = _probe_bands(new_bands, index_dir, id_col)
-    old_ids = old_hits.select_columns([id_col]) if old_hits is not None \
-        else None
-    if old_ids is not None:
-        # globally-distinct keep ids (a doc colliding in several buckets
-        # must not duplicate its corpus row through the semi-join's
-        # hash-join path)
-        keep_old = hash_aggregate(old_ids, [id_col],
-                                  {"__m": (id_col, "size")}).map_batches(
-            lambda b: pd.DataFrame({"__keep_id": b[id_col]}),
-            batch_format="pandas").materialize()
-        old_docs = D._keep_id_semi_join(
+    if old_hits is not None:
+        old_docs = broadcast_semi_join(
             _read(index_dir, "corpus").select_columns([id_col, "text_clean"]),
-            keep_old, id_col, BROADCAST_LIMIT)
+            old_hits.select_columns([id_col]), [id_col])
         # consolidate blocks: the union inherits shard blocks + one block
         # set PER delta file of the corpus tier — measured ~500 near-empty
         # blocks whose fixed per-block cost made the verify sort exchange
@@ -460,18 +450,16 @@ def append_shard(shard_ds, index_dir: str, shard_id: str | None = None,
     remap = _load_remap(index_dir)
     extra_edges = None
     live_old: set = set()
-    if n_pairs and old_ids is not None:
+    if n_pairs and old_hits is not None:
         pdf = new_pairs.to_pandas()
         involved = np.unique(np.concatenate(
             [pdf["id_a"].to_numpy(), pdf["id_b"].to_numpy()]))
         involved = involved[involved <= max_seen]
         if len(involved):
-            import ray.data
-            inv = ray.data.from_pandas(
-                pd.DataFrame({"__keep_id": involved.astype(np.int64)}))
-            rows = D._keep_id_semi_join(
+            rows = broadcast_semi_join(
                 _read(index_dir, "corpus").select_columns([id_col, "rep_id"]),
-                inv, id_col, BROADCAST_LIMIT).to_pandas()
+                pd.DataFrame({id_col: involved.astype(np.int64)}),
+                [id_col]).to_pandas()
             rows["rep_id"] = rows["rep_id"].map(
                 lambda r: remap.get(r, r)).astype(np.int64)
             same = rows["rep_id"] == rows[id_col]
@@ -522,87 +510,31 @@ def append_shard(shard_ds, index_dir: str, shard_id: str | None = None,
             "wall_s": round(time.perf_counter() - t0, 3)}
 
 
-def _anti_probe_digests(new_digests, index_dir: str, num_partitions: int):
+def _anti_probe_digests(new_digests, index_dir: str):
     """Drop new digests already present in the index (their stored keep_id
-    is smaller under monotonic ids). Broadcast key-set below
-    ``BROADCAST_LIMIT`` stored digests, distributed left-anti hash join
-    above. Only committed shards are read, so a retry never anti-filters
-    the shard against its own residue from a crashed append."""
+    is smaller under monotonic ids). Two semi-joins, so only shard-scale
+    key sets are broadcast: the stored digests the shard hits, then the
+    shard's digests anti-joined on those hits. Only committed shards are
+    read, so a retry never anti-filters the shard against its own residue
+    from a crashed append."""
     stored = _read(index_dir, "digests")
     if stored is None:
         return new_digests
-    stored = stored.select_columns(["digest"])
-    if stored.count() <= BROADCAST_LIMIT:
-        # EXACT anti-membership on the 32-hex digests as fixed-width S32
-        # byte arrays + searchsorted (vectorized C) — unlike the bands
-        # probe this filter may not use lossy hashes: a collision would
-        # silently DROP a non-duplicate document
-        import ray
-        arr = np.sort(np.asarray(stored.to_pandas()["digest"], dtype="S32"))
-        ref = ray.put(arr)
-
-        def drop_hits(b: pd.DataFrame) -> pd.DataFrame:
-            ks = ray.get(ref)
-            if not len(ks):
-                return b
-            h = np.asarray(b["digest"], dtype="S32")
-            idx = np.clip(np.searchsorted(ks, h), 0, len(ks) - 1)
-            b = b[ks[idx] != h]
-            return b if len(b) else _typed_empty(b)
-
-        return new_digests.map_batches(drop_hits, batch_format="pandas")
-    from forecastframe_ray.stages.join import hash_join
-    marked = stored.map_batches(lambda b: b.assign(__hit=True),
-                                batch_format="pandas")
-    joined = hash_join(new_digests, marked, on=["digest"], how="left",
-                       num_partitions=num_partitions)
-    return joined.map_batches(
-        lambda b: b[b["__hit"].isna()].drop(columns=["__hit"]),
-        batch_format="pandas")
+    hits = broadcast_semi_join(stored.select_columns(["digest"]),
+                               new_digests, ["digest"])
+    return broadcast_semi_join(new_digests, hits, ["digest"], anti=True)
 
 
 def _probe_bands(new_bands, index_dir: str, id_col: str):
     """Old docs sharing an LSH bucket with the shard: semi-join the stored
-    band index on the shard's distinct (band, bucket) keys. Returns a
-    Dataset of ``(band, bucket, doc_id)`` or None when the index is empty.
-    Key-only both ways (12-byte rows); broadcast below ``BROADCAST_LIMIT``
-    distinct shard buckets, hash join above. Only committed shards are
-    read (see :func:`_anti_probe_digests`)."""
-    import ray
-
-    from forecastframe_ray import keys as K
-
+    band index on the shard's (band, bucket) rows. Returns a Dataset of
+    ``(band, bucket, doc_id)`` or None when the index is empty. Only
+    committed shards are read (see :func:`_anti_probe_digests`)."""
     stored = _read(index_dir, "bands")
     if stored is None:
         return None
-    stored = stored.select_columns(["band", "bucket", id_col])
-    touched = new_bands.select_columns(["band", "bucket"])
-    if touched.count() <= BROADCAST_LIMIT:
-        # broadcast the shard's distinct bucket keys as ONE sorted uint64
-        # hash array and probe with vectorized searchsorted — a
-        # MultiIndex.isin over (band, bucket) tuples hashed per-row Python
-        # objects and dominated the append wall (measured 70 s of a 90 s
-        # append at a 5.8M-row stored index). Hash collisions can only
-        # ADD old docs to the probed subset (their pairs are old-old and
-        # filtered), never drop a true member — equivalence unaffected.
-        keys = np.unique(K.hash_key_columns(touched.to_pandas(),
-                                            ["band", "bucket"]))
-        ref = ray.put(keys)
-
-        def hit(b: pd.DataFrame) -> pd.DataFrame:
-            ks = ray.get(ref)
-            h = K.hash_key_columns(b, ["band", "bucket"])
-            idx = np.clip(np.searchsorted(ks, h), 0, len(ks) - 1)
-            return b[ks[idx] == h]
-
-        return stored.map_batches(hit, batch_format="pandas")
-    from forecastframe_ray.stages.agg import hash_aggregate
-    from forecastframe_ray.stages.join import hash_join
-    keys = hash_aggregate(touched, ["band", "bucket"],
-                          {"m": ("band", "size")}) \
-        .select_columns(["band", "bucket"]).materialize()
-    return hash_join(stored, keys, on=["band", "bucket"], how="inner",
-                     num_partitions=16)
+    return broadcast_semi_join(stored.select_columns(["band", "bucket", id_col]),
+                               new_bands, ["band", "bucket"])
 
 
 # ---------------------------------------------------------------------------

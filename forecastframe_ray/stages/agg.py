@@ -180,6 +180,13 @@ def _block_partial(partial, block):
     return partial(BlockAccessor.for_block(block).to_pandas())
 
 
+def block_refs(ds) -> list:
+    """The object refs of ``ds``'s non-empty blocks: a materialized ``ds``
+    starts no Ray Data execution, a lazy plan runs exactly once."""
+    return [ref for bundle in ds.iter_internal_ref_bundles()
+            for ref, meta in bundle.blocks if meta.num_rows != 0]
+
+
 def reduce(ds, partial, combine):
     """The engine's one global reduce: ``combine(pd.concat(parts))`` where
     ``parts`` holds ``partial(block)`` of every non-empty block of ``ds``
@@ -188,9 +195,7 @@ def reduce(ds, partial, combine):
     block it gets an empty, column-less frame. A materialized ``ds`` starts
     no Ray Data execution; a lazy plan runs exactly once."""
     fn = ray.put(partial)
-    parts = ray.get([_block_partial.remote(fn, ref)
-                     for bundle in ds.iter_internal_ref_bundles()
-                     for ref, meta in bundle.blocks if meta.num_rows != 0])
+    parts = ray.get([_block_partial.remote(fn, ref) for ref in block_refs(ds)])
     return combine(pd.concat(parts, ignore_index=True) if parts
                    else pd.DataFrame())
 
@@ -215,8 +220,7 @@ def copartitioned_blocks(ds, keys: list[str], num_partitions: int):
 
     if not isinstance(ds, MaterializedDataset):
         return None
-    refs = [ref for bundle in ds.iter_internal_ref_bundles()
-            for ref, meta in bundle.blocks if meta.num_rows != 0]
+    refs = block_refs(ds)
     if len(refs) < min(num_partitions, _cpu_slots()):
         return None
     ids = ray.get([_block_part_ids.remote(list(keys), num_partitions, ref)

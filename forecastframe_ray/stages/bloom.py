@@ -1,13 +1,13 @@
-"""Bloom-filter membership prefilter for semi-joins whose small side is too
-big to broadcast as an exact key set.
+"""Bloom-filter membership prefilter in front of the exact semi-join
+(:func:`forecastframe_ray.stages.join.broadcast_semi_join`).
 
-At 100 TB a "dim" side can still hold 10⁹ distinct keys — an exact broadcast
-set is ~10s of GB per worker, but a 1%-FPR Bloom bitmap is ~1.2 GB and a
-0.1%-FPR one ~1.8 GB (m = -n·ln p / ln²2 bits, k = (m/n)·ln 2 probes,
-standard Bloom 1970 sizing). The filter never drops a true match (no false
-negatives), so composing it with an exact semi-join on the survivors keeps
-results exact while the expensive join only sees matching keys + ~p·|left|
-false positives.
+At 100 TB a "dim" side can still hold 10⁹ distinct keys — an exact key
+index is ~10s of GB, but a 1%-FPR Bloom bitmap is ~1.2 GB and a 0.1%-FPR
+one ~1.8 GB (m = -n·ln p / ln²2 bits, k = (m/n)·ln 2 probes, standard
+Bloom 1970 sizing). The filter never drops a true match (no false
+negatives), so composing it with the exact semi-join on the survivors
+keeps results exact while the exact probe only sees matching keys +
+~p·|left| false positives.
 
 Distributed build — the bit SPACE is sliced, not the data, so no task ever
 holds more than m/P bits:
@@ -123,37 +123,24 @@ def bloom_filter_members(ds, key_cols: list[str], bits_ref, num_bits: int,
     return ds.map_batches(keep, batch_format="pandas")
 
 
-#: above this many distinct right keys the exact verify switches from the
-#: broadcast key-set to a distributed hash join (same policy as dedup's
-#: keep-set fallback)
-_BROADCAST_KEY_LIMIT = 5_000_000
-
-
 def bloom_semi_join(left, right, on: list[str], fpp: float = 0.01,
                     num_partitions: int = 32):
     """EXACT semi-join with a Bloom prefilter: the bitmap eliminates
-    ~(1-fpp) of non-matching left rows, then the exact verify (broadcast
-    key-set below ``_BROADCAST_KEY_LIMIT`` distinct keys, distributed hash
-    join against the distinct-key table above it) removes the ~fpp false
-    positives. Semantics identical to a plain semi-join — the bloom pass
-    only changes how much data the exact join must see."""
+    ~(1-fpp) of non-matching left rows, then the exact verify
+    (:func:`join.broadcast_semi_join` on the distinct-key Dataset) removes
+    the ~fpp false positives. Semantics are a plain semi-join's (a null key
+    never matches); the bloom pass only shrinks what the verify sees."""
     import ray
 
     from forecastframe_ray.stages.agg import hash_count
-    from forecastframe_ray.stages.join import (broadcast_semi_join,
-                                               hash_join)
+    from forecastframe_ray.stages.join import broadcast_semi_join
 
     gk = list(on)
     distinct = hash_count(right.select_columns(gk), gk, out_col="__n",
                           num_partitions=num_partitions) \
         .drop_columns(["__n"]).materialize()
-    n = distinct.count()
-    num_bits, num_hashes = bloom_params(n, fpp)
+    num_bits, num_hashes = bloom_params(distinct.count(), fpp)
     bits = build_bloom(distinct, gk, num_bits, num_hashes, num_partitions)
     ref = ray.put(bits)
     maybe = bloom_filter_members(left, gk, ref, num_bits, num_hashes)
-    if n <= _BROADCAST_KEY_LIMIT:
-        return broadcast_semi_join(maybe, distinct.to_pandas(), gk)
-    # scale path: inner join against the (distinct) key table = semi join
-    return hash_join(maybe, distinct, gk, how="inner",
-                     num_partitions=num_partitions)
+    return broadcast_semi_join(maybe, distinct, gk)

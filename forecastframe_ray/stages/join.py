@@ -8,13 +8,25 @@ so we broadcast it once via ``ray.put`` and hash-join inside ``map_batches``
 :func:`asof_join` and :func:`range_join` run one keyed co-group: both sides
 hash-partitioned on the keys through ``agg.exchange``, one vectorized pandas
 kernel per partition.
+
+Every "keep the rows whose key is in this set" filter in the engine is
+:func:`broadcast_semi_join`, whatever the key set's size. Only the left
+joins, which ship whole frames, switch to an actor pool above
+:data:`_ACTOR_BYTES`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 import ray
+
+from forecastframe_ray import keys as K
+from forecastframe_ray.stages.agg import (_typed_empty, block_refs,
+                                          keyed_map_partitions,
+                                          without_schema_metadata)
 
 
 #: broadcast objects under this size run as PLAIN TASKS (per-call
@@ -25,11 +37,8 @@ import ray
 _ACTOR_BYTES = 32 << 20
 
 
-def _df_bytes(obj) -> int:
-    try:
-        return int(obj.memory_usage(deep=True).sum())
-    except AttributeError:
-        return _ACTOR_BYTES + 1  # unknown → be safe, use the actor pool
+def _df_bytes(df: pd.DataFrame) -> int:
+    return int(df.memory_usage(deep=True).sum())
 
 
 def actor_map(ds, load, fn):
@@ -75,19 +84,101 @@ def broadcast_left_join(ds, small_df: pd.DataFrame, on: list[str]):
     return _broadcast_map(ds, small_df, _df_bytes(small_df), join_fn)
 
 
-def broadcast_semi_join(ds, keys_df: pd.DataFrame, on: list[str], anti: bool = False):
-    """Keep (or drop, ``anti=True``) rows whose key tuple appears in
-    ``keys_df`` — broadcast key-set filter, no shuffle."""
+def _key_table(frame, on: list[str]) -> pa.Table:
+    """``frame``'s key columns as an Arrow table (a DataFrame converts only
+    those), dictionaries decoded: the form the semi-join hashes and compares."""
+    cols = []
+    for k in on:
+        col = frame[k]
+        col = pa.array(col, from_pandas=True) if isinstance(col, pd.Series) \
+            else col.combine_chunks()
+        cols.append(col.dictionary_decode()
+                    if pa.types.is_dictionary(col.type) else col)
+    return pa.table(cols, names=on)
+
+
+def _same(a: pa.Table, b: pa.Table) -> np.ndarray:
+    """Rowwise exact equality of two key tables; a null or NaN equals
+    nothing. A signed and an unsigned integer compare by value."""
+    eq = np.ones(len(a), dtype=bool)
+    for x, y in zip(a.columns, b.columns):
+        if pa.types.is_integer(x.type) and pa.types.is_integer(y.type) \
+                and pa.types.is_signed_integer(x.type) \
+                != pa.types.is_signed_integer(y.type):
+            # a uint64 above 2^63 wraps negative: it equals no signed value
+            x, y = x.cast(pa.int64(), safe=False), y.cast(pa.int64(), safe=False)
+            eq &= np.asarray(pc.and_(pc.equal(x, y), pc.greater_equal(x, 0))
+                             .fill_null(False))
+        else:
+            eq &= np.asarray(pc.equal(x, y).fill_null(False))
+    return eq
+
+
+def _key_index(tbl: pa.Table) -> tuple[np.ndarray, pa.Table]:
+    """The semi-join's key index over a key table: its distinct key tuples
+    without a null, sorted by :func:`keys.row_hash` (ties by the keys), and
+    those hashes."""
+    on = tbl.column_names
+    for k in on:
+        tbl = tbl.filter(pc.invert(tbl[k].is_null(nan_is_null=True)))
+    h = K.row_hash(tbl, on)
+    order = pc.sort_indices(tbl.append_column("__h", pa.array(h)),
+                            [("__h", "ascending")]
+                            + [(k, "ascending") for k in on])
+    tbl, h = tbl.take(order), h[order.to_numpy()]
+    keep = np.ones(len(h), dtype=bool)
+    keep[1:] = (h[1:] != h[:-1]) \
+        | ~_same(tbl.slice(1), tbl.slice(0, max(len(h) - 1, 0)))
+    return h[keep], tbl.filter(keep).combine_chunks()
+
+
+@ray.remote
+def _dataset_key_index(on: list[str], *blocks):
+    tables = [_key_table(b, on) for b in blocks]
+    return _key_index(pa.concat_tables(tables, promote_options="permissive")
+                      if tables else pa.table({}))
+
+
+def _probe(batch: pd.DataFrame, index, on: list[str], anti: bool):
+    """``batch``'s rows whose key tuple is in ``index`` (or, ``anti``, is
+    not): ``searchsorted`` on the row hash, then exact equality against
+    each candidate of the run of equal hashes. The probe walks the index
+    in hash order (sorted needles), which keeps it in cache."""
+    hashes, rows = index
+    keys = _key_table(batch, on)
+    h = K.row_hash(keys, on)
+    order = np.argsort(h)
+    lo = np.searchsorted(hashes, h[order], side="left")
+    run = np.searchsorted(hashes, h[order], side="right") - lo
+    hit = np.zeros(len(batch), dtype=bool)
+    for j in range(run.max(initial=0)):
+        cand = run > j
+        at = order[cand]
+        hit[at[_same(keys.take(at), rows.take(lo[cand] + j))]] = True
+    out = batch[~hit if anti else hit]
+    return out if len(out) else _typed_empty(out)
+
+
+def broadcast_semi_join(ds, keys, on: list[str], anti: bool = False):
+    """Keep (or drop, ``anti=True``) the rows of ``ds`` whose key tuple is
+    in ``keys`` (a DataFrame or a Dataset holding the ``on`` columns): the
+    engine's one membership filter, with no shuffle of ``ds``.
+
+    The key index (:func:`_key_index`) is built once and shipped by
+    reference: on the driver for a DataFrame, else in one plain task over
+    the Dataset's block refs, so the driver never holds the keys and
+    materialized keys start no Ray Data execution. Plain tasks filter each
+    pandas batch of ``ds`` (:func:`_probe`). Keys match by value across
+    integer widths and signedness, ``-0.0`` equals ``0.0``, a ``category``
+    matches its values, an integer never equals a float, and a null in any
+    key column never matches (:func:`hash_join`'s rule)."""
     on = list(on)
-    key_index = pd.MultiIndex.from_frame(keys_df[on].drop_duplicates())
-
-    def filter_fn(batch: pd.DataFrame, keys: pd.MultiIndex) -> pd.DataFrame:
-        mask = pd.MultiIndex.from_frame(batch[on]).isin(keys)
-        return batch[~mask] if anti else batch[mask]
-
-    # MultiIndex.memory_usage returns an int, which _df_bytes cannot .sum()
-    return _broadcast_map(ds, key_index, key_index.memory_usage(deep=True),
-                          filter_fn)
+    if isinstance(keys, pd.DataFrame):
+        ref = ray.put(_key_index(_key_table(keys, on)))
+    else:
+        ref = _dataset_key_index.remote(on, *block_refs(keys))
+    return ds.map_batches(lambda b: _probe(b, ray.get(ref), on, anti),
+                          batch_format="pandas")
 
 
 def _merge_frames(lf: pd.DataFrame, rf: pd.DataFrame, on: list[str],
@@ -186,11 +277,9 @@ def _arrow_schema(ds):
     parquet-backed datasets report a pa.Schema; from_pandas datasets report
     a PandasBlockSchema (numpy dtypes), mapped here (object -> string —
     pass Arrow blocks for binary columns)."""
-    import pyarrow as pa
     from ray.data.block import BlockAccessor
 
-    first = next((ref for bundle in ds.iter_internal_ref_bundles()
-                  for ref, meta in bundle.blocks if meta.num_rows), None)
+    first = next(iter(block_refs(ds)), None)
     if first is not None:
         schema = BlockAccessor.for_block(ray.get(first)).to_arrow().schema
         if not any(pa.types.is_null(t) for t in schema.types):
@@ -217,8 +306,6 @@ def _materialized(ds):
     the schemas"); on a materialized side ``materialize()`` runs nothing."""
     from ray.data.dataset import MaterializedDataset
 
-    from forecastframe_ray.stages.agg import without_schema_metadata
-
     if not isinstance(ds, MaterializedDataset):
         ds = without_schema_metadata(ds)
     return ds.materialize()
@@ -235,7 +322,6 @@ def _cogroup_out_schema(left_schema, right_fields: list, on: list[str],
     match fully would otherwise emit int64 and break the block union).
     Key columns and the sides an inner join keeps whole never hold nulls,
     so they keep integer types."""
-    import pyarrow as pa
 
     def widen(f, flag):
         if flag and f.name not in on and (pa.types.is_integer(f.type)
@@ -254,8 +340,6 @@ def _cogroup_plan(left, right, on: list[str], suffix: str | None,
     right-column renames (collisions get ``suffix``; with ``suffix=None``
     they raise ``ValueError``), the unified tagged schema, and the output
     schema (``promote``: see :func:`_cogroup_out_schema`)."""
-    import pyarrow as pa
-
     left, right = _materialized(left), _materialized(right)
     lschema, rschema = _arrow_schema(left), _arrow_schema(right)
     lnames = set(lschema.names)
@@ -289,12 +373,6 @@ def _keyed_cogroup(plan: dict, on: list[str], frame_kernel,
     single pathologically hot key bounds per-task memory at that key's row
     count, the same contract as every keyed window stage (scale the
     partition COUNT with data)."""
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    from forecastframe_ray.stages.agg import keyed_map_partitions
-
     union_fields, out_schema = plan["union_fields"], plan["out_schema"]
     lcols, rcols = plan["lcols"], plan["rcols"]
 

@@ -1,6 +1,5 @@
 """Bloom-filter stage: sizing math, no-false-negatives invariant, measured
-FPR near target, and exactness of the composed bloom semi-join on both the
-broadcast and the forced distributed verify path."""
+FPR near target, and exactness of the composed bloom semi-join."""
 
 import numpy as np
 import pandas as pd
@@ -61,10 +60,7 @@ def test_distributed_build_matches_local(ray_session):
     assert (got == want).all()
 
 
-@pytest.mark.parametrize("force_distributed", [False, True])
-def test_bloom_semi_join_exact(ray_session, monkeypatch, force_distributed):
-    if force_distributed:
-        monkeypatch.setattr(B, "_BROADCAST_KEY_LIMIT", 0)
+def test_bloom_semi_join_exact(ray_session):
     left, right = _sides()
     out = (B.bloom_semi_join(ray.data.from_pandas(left).repartition(4),
                              ray.data.from_pandas(right), on=["key"],

@@ -32,8 +32,8 @@ def test_exact_dedup_keep_best_prefers_priority_over_min_id(ray_session):
 
 
 def test_exact_dedup_keep_best_forced_join_path(ray_session):
-    # broadcast_limit=0 forces the distributed hash-join semi-join path;
-    # result must equal the broadcast path
+    # the keep rule over 4 blocks and 5x duplication equals pandas'
+    # row_number policy
     from forecastframe_ray.pipelines.dedup import exact_dedup_keep_best
     rng = np.random.default_rng(5)
     texts = [f"doc {i % 40}" for i in range(200)]   # 5x duplication
@@ -43,12 +43,8 @@ def test_exact_dedup_keep_best_forced_join_path(ray_session):
         "source": rng.choice(["a", "b", "c"], 200),
     })
     ds = ray.data.from_pandas(df).repartition(4)
-    a = exact_dedup_keep_best(ds, [("source", True)]) \
-        .to_pandas().sort_values("doc_id").reset_index(drop=True)
-    b = exact_dedup_keep_best(ds, [("source", True)], broadcast_limit=0) \
-        .to_pandas().sort_values("doc_id").reset_index(drop=True)
-    pd.testing.assert_frame_equal(a, b)
+    a = exact_dedup_keep_best(ds, [("source", True)]).to_pandas()
     # reference: pandas row_number policy
     want = df.sort_values(["source", "doc_id"]) \
         .drop_duplicates("text", keep="first")
-    assert set(a["doc_id"]) == set(want["doc_id"])
+    assert sorted(a["doc_id"]) == sorted(want["doc_id"])

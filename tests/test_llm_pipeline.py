@@ -125,8 +125,10 @@ def test_run_with_pack_stage(ray_session, tmp_path):
 
 def test_funnel_clusters_through_the_named_stages(tmp_path, monkeypatch):
     """The funnel's near-dup step goes through ``dedup.clusters_from_pairs``
-    (given the collected pair DataFrame) and ``join.broadcast_semi_join``,
-    once each: the names perfbench's ``llm_funnel`` check wraps."""
+    (given the collected pair DataFrame) and an anti ``join
+    .broadcast_semi_join``, once each: the names perfbench's ``llm_funnel``
+    check wraps. (Exact dedup's semi-join on its keep ids is the one other
+    call.)"""
     from forecastframe_ray.pipelines import dedup
     from forecastframe_ray.stages import join
 
@@ -136,7 +138,7 @@ def test_funnel_clusters_through_the_named_stages(tmp_path, monkeypatch):
         fn = getattr(mod, name)
 
         def wrapper(*args, **kwargs):
-            calls[name].append(args)
+            calls[name].append((args, kwargs))
             return fn(*args, **kwargs)
 
         monkeypatch.setattr(mod, name, wrapper)
@@ -146,8 +148,9 @@ def test_funnel_clusters_through_the_named_stages(tmp_path, monkeypatch):
     _, ds = _docs()
     m = llm.run(ds, out_dir=str(tmp_path / "llm"), max_repeats=MAX_REPEATS)
     assert len(calls["clusters_from_pairs"]) == 1
-    assert len(calls["broadcast_semi_join"]) == 1
-    pairs = calls["clusters_from_pairs"][0][0]
+    assert [kw.get("anti", False) for _, kw in calls["broadcast_semi_join"]] \
+        == [False, True]
+    pairs = calls["clusters_from_pairs"][0][0][0]
     assert isinstance(pairs, pd.DataFrame)
     assert {"id_a", "id_b"} <= set(pairs.columns)
     assert len(pairs) == m["near_dup_pairs"] > 0

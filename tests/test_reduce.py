@@ -133,6 +133,26 @@ def test_append_shard_id_range_runs_once(ray_session, tmp_path,
     assert LI._load_meta(index_dir)["shards"][-1] == "shard-10-12"
 
 
+def test_build_index_id_range_runs_once(ray_session, tmp_path):
+    """``build_index`` reads its docs' max id and row count in the one
+    ``agg.reduce`` pass ``append_shard`` uses, so the docs' plan runs
+    twice (that pass and the clean stage), not a third time for a
+    ``count()``."""
+    from forecastframe_ray.pipelines import llm_incremental as LI
+
+    words = [f"word{i:04d}" for i in range(300)]
+    docs = pd.DataFrame({"doc_id": [4, 7, 9], "text": [
+        " ".join(words[k * 30:(k + 1) * 30]) + "." for k in range(3)]})
+    index_dir = str(tmp_path / "index")
+    calls = tmp_path / "calls"
+    calls.mkdir()
+    m = LI.build_index(_spied(docs, calls), index_dir,
+                       min_words_per_line=3, require_terminal=False)
+    assert len(list(calls.iterdir())) == 2
+    assert m["docs_in"] == 3 and m["exact_survivors"] == 3
+    assert LI._load_meta(index_dir)["max_seen_id"] == 9
+
+
 # ---------------------------------------------------------------------------
 # block-layout invariance of the sites that reduce through agg.reduce
 # ---------------------------------------------------------------------------

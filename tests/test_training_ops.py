@@ -78,13 +78,12 @@ def test_clusters_from_pairs_union_find(id_a, id_b, expect):
     assert dedup.clusters_from_pairs(pairs) == expect
 
 
-@pytest.mark.parametrize("broadcast_limit", [5_000_000, -1])
-def test_clusters_distributed_of_no_pairs_is_empty(broadcast_limit):
+def test_clusters_distributed_of_no_pairs_is_empty():
     """An empty pair Dataset labels no node: every exact-dedup survivor
-    (keep-set broadcast and hash-join paths) stays its own rep."""
+    stays its own rep."""
     from forecastframe_ray.pipelines import llm_incremental as LI
 
-    kept = dedup.exact_dedup(_docs_ds(), broadcast_limit=broadcast_limit)
+    kept = dedup.exact_dedup(_docs_ds())
     pairs = ray.data.from_pandas(pd.DataFrame({
         "id_a": np.array([1, 2], dtype=np.int64),
         "id_b": np.array([3, 4], dtype=np.int64),
@@ -196,13 +195,6 @@ def test_remove_boilerplate_lines():
     assert (out.loc[:5, "n_boilerplate_removed"] == 1).all()
     assert out.loc[6, "n_boilerplate_removed"] == 0
     assert out.loc[0, "text"] == "Unique content number 0 here."
-
-
-def test_exact_dedup_distributed_join_path():
-    # broadcast_limit=0 forces the scale path (keep-set as a Dataset joined
-    # on id) — must produce the same survivors as the broadcast path
-    out = dedup.exact_dedup(_docs_ds(), broadcast_limit=0).to_pandas()
-    assert sorted(out["doc_id"]) == [0, 2, 3, 4, 5, 6]
 
 
 def test_minhash_band_wave_path_matches_single_wave():
