@@ -12,8 +12,9 @@ keeps results exact while the exact probe only sees matching keys +
 Distributed build — the bit SPACE is sliced, not the data, so no task ever
 holds more than m/P bits:
 
-1. ``map_batches`` hashes the key columns to uint64 (narrow projection),
-   dedupes per batch, expands to the k probe bit-indices, and tags each
+1. ``map_batches`` hashes the key columns to uint64 with
+   :func:`forecastframe_ray.keys.row_hash` (narrow projection), dedupes
+   per batch, expands to the k probe bit-indices, and tags each
    index with its owning slice ``idx // slice_bits`` — only (slice, idx)
    int rows move;
 2. one ``agg.exchange`` on the slice id builds each slice's bitmap
@@ -82,7 +83,7 @@ def build_bloom(ds, key_cols: list[str], num_bits: int, num_hashes: int,
 
     def to_indices(batch: pd.DataFrame) -> pd.DataFrame:
         # the partition id is the bitmap slice the index falls in
-        h = np.unique(K.hash_key_columns(batch, gk))
+        h = np.unique(K.row_hash(batch, gk))
         idx = np.unique(_probe_indices(h, num_bits, num_hashes).ravel())
         return pd.DataFrame({
             "__idx": idx,
@@ -115,7 +116,7 @@ def bloom_filter_members(ds, key_cols: list[str], bits_ref, num_bits: int,
 
     def keep(batch: pd.DataFrame) -> pd.DataFrame:
         bits = ray.get(bits_ref)
-        h = K.hash_key_columns(batch, gk)
+        h = K.row_hash(batch, gk)
         idx = _probe_indices(h, num_bits, num_hashes)
         hit = _test_bits(bits, idx.ravel()).reshape(idx.shape).all(axis=1)
         return batch[hit]

@@ -33,6 +33,13 @@ blob). :func:`_partition_checksum` gives a Table the checksum of its
 the merge refuse a store whose rows lack ``layout`` = :data:`LAYOUT`: an
 append onto another hash's files would split a key across two files.
 
+Every store file (tiers, the LLM docs store, the corpus and ANN indexes)
+is written by :func:`_write_file` under one rule derived from the
+schema (:func:`_write_options`): zstd; dictionary pages for string
+columns only; min/max statistics for integer and timestamp columns only,
+the columns a reader prunes on; the Arrow schema and footer metadata
+(``delta_ids``) kept. Per-value metadata no reader uses is not written.
+
 Single-node note: files land on the local filesystem; on a real cluster the
 same layout goes to shared storage (s3/nfs) — the atomic-rename is then a
 temp-key + final-key copy. The manifest is driver-written (tiny).
@@ -161,18 +168,39 @@ def _part_path(out_dir: str, tier: str, part: int) -> str:
     return os.path.join(out_dir, f"tier={tier}", f"part={part}.parquet")
 
 
+def _is_string_like(t: pa.DataType) -> bool:
+    """A string column, or a dictionary one (a pandas ``category``)."""
+    return (pa.types.is_string(t) or pa.types.is_large_string(t)
+            or pa.types.is_dictionary(t))
+
+
+def _write_options(schema: pa.Schema) -> dict:
+    """The store's one Parquet layout rule, from the table's schema:
+    dictionary pages for string-like columns only (keys and labels repeat
+    within a partition; floats, ids and blobs are nearly all distinct),
+    and min/max statistics for integer and timestamp columns only — the
+    columns a reader prunes on (:func:`expire_tier` reads the
+    ``bucket_us`` minimum). Strings, floats, blobs and lists carry no
+    statistics: their min/max would be whole values, copied into every
+    page header and the footer and read by nothing."""
+    return {"use_dictionary": [f.name for f in schema
+                               if _is_string_like(f.type)],
+            "write_statistics": [f.name for f in schema
+                                 if pa.types.is_integer(f.type)
+                                 or pa.types.is_timestamp(f.type)],
+            "compression": "zstd"}
+
+
 def _write_file(tbl: pa.Table, path: str, metadata: dict | None = None):
-    """Atomic part-file write of a ``pyarrow.Table`` as it is.
-    Dictionary-encode everything (key strings are low-cardinality per
-    partition — reference transform.py:30-33 parity) + zstd: ~2× file
-    shrink vs snappy at negligible write cost. ``metadata`` entries are
-    added to the parquet footer."""
+    """Atomic part-file write of a ``pyarrow.Table`` as it is, laid out by
+    :func:`_write_options` and zstd-compressed; the footer keeps the Arrow
+    schema. ``metadata`` entries are added to the parquet footer."""
     if metadata:
         tbl = tbl.replace_schema_metadata(
             {**(tbl.schema.metadata or {}), **metadata})
     os.makedirs(os.path.dirname(path), exist_ok=True)
     tmp = path + f".tmp.{os.getpid()}"
-    pq.write_table(tbl, tmp, use_dictionary=True, compression="zstd")
+    pq.write_table(tbl, tmp, **_write_options(tbl.schema))
     os.replace(tmp, path)  # atomic on one filesystem
 
 
@@ -395,18 +423,33 @@ def merge_partitioned(delta_ds, out_dir: str, tier: str,
                      kernel, fail_after)
 
 
+def _stored_min(pf: pq.ParquetFile, col: str):
+    """The footer minimum of ``col`` over every row group, or None when a
+    row group carries no min statistic (or the file has none)."""
+    idx = pf.schema_arrow.get_field_index(col)
+    mins = []
+    for g in range(pf.metadata.num_row_groups):
+        stats = pf.metadata.row_group(g).column(idx).statistics
+        if stats is None or not stats.has_min_max:
+            return None
+        mins.append(stats.min)
+    return min(mins) if mins else None
+
+
 def expire_tier(out_dir: str, tier: str, cutoff_us: int,
                 bucket_col: str = "bucket_us") -> list[dict]:
     """Retention expiry — the other half of continuous-aggregate
     maintenance: drop buckets strictly older than ``cutoff_us`` from a
     checkpointed tier (e.g. keep 1h for 30 days, 1d for a year; the 7d
     tier retains the coarse history). Partition-granular and idempotent:
-    each partition file's footer min/max statistics on ``bucket_col``
+    each partition file's footer min statistics on ``bucket_col``
     decide whether it is touched at all — a partition whose oldest bucket
     is already >= cutoff is skipped without reading data, so repeated
-    expiry sweeps cost metadata only. Rewrites are atomic, drop to file
-    deletion when everything expires, and append gen-chained manifest rows
-    (``expired_before`` records the cutoff).
+    expiry sweeps cost metadata only. A file with no min statistic on
+    ``bucket_col`` (written by another writer) is read and filtered.
+    Rewrites are atomic, drop to file deletion when everything expires,
+    and append gen-chained manifest rows (``expired_before`` records the
+    cutoff).
 
     Driver-side loop over partition FILES (not rows): the per-tier
     partition count is bounded (the layout's ``num_partitions``), and each
@@ -426,10 +469,8 @@ def expire_tier(out_dir: str, tier: str, cutoff_us: int,
         path = os.path.join(tier_dir, fname)
         t0 = time.perf_counter()
         pf = pq.ParquetFile(path)
-        idx = pf.schema_arrow.get_field_index(bucket_col)
-        mins = [pf.metadata.row_group(g).column(idx).statistics.min
-                for g in range(pf.metadata.num_row_groups)]
-        if mins and min(mins) >= cutoff_us:
+        oldest = _stored_min(pf, bucket_col)
+        if oldest is not None and oldest >= cutoff_us:
             continue  # nothing to expire — metadata-only skip
         tbl = pf.read()
         kept = tbl.filter(pc.greater_equal(tbl[bucket_col], cutoff_us))

@@ -1,5 +1,6 @@
 """Bloom-filter stage: sizing math, no-false-negatives invariant, measured
-FPR near target, and exactness of the composed bloom semi-join."""
+FPR near target, and exactness of the composed bloom semi-join (``-0.0``
+against a ``0.0`` key included)."""
 
 import numpy as np
 import pandas as pd
@@ -54,7 +55,7 @@ def test_distributed_build_matches_local(ray_session):
     m, k = B.bloom_params(len(right), 0.01)
     got = B.build_bloom(ray.data.from_pandas(right).repartition(3),
                         ["key"], m, k, num_partitions=4)
-    h = np.unique(B.K.hash_key_columns(right, ["key"]))
+    h = np.unique(B.K.row_hash(right, ["key"]))
     want = np.zeros(m // 64, dtype=np.uint64)
     B._set_bits(want, B._probe_indices(h, m, k).ravel())
     assert (got == want).all()
@@ -69,6 +70,23 @@ def test_bloom_semi_join_exact(ray_session):
     want = (left[left["key"].isin(set(right["key"]))]
             .sort_values("x").reset_index(drop=True))
     assert got_equal(out, want)
+
+
+def test_bloom_semi_join_keeps_negative_zero(ray_session):
+    """The filter hashes keys as the exact semi-join compares them: a
+    ``-0.0`` row whose key set holds ``0.0`` survives the prefilter, so the
+    Bloom semi-join keeps the rows ``broadcast_semi_join`` keeps."""
+    from forecastframe_ray.stages.join import broadcast_semi_join
+
+    left = pd.DataFrame({"k": [1.0, np.nan, 3.0, 4.0, -0.0],
+                         "x": np.arange(5)})
+    right = pd.DataFrame({"k": [1.0, np.nan, 4.0, 0.0, 4.0]})
+    ds, keys = ray.data.from_pandas(left), ray.data.from_pandas(right)
+    exact = sorted(broadcast_semi_join(ds, right, ["k"]).to_pandas()["x"])
+    got = sorted(B.bloom_semi_join(ds, keys, on=["k"], num_partitions=2)
+                 .to_pandas()["x"])
+    assert exact == [0, 3, 4]
+    assert got == exact
 
 
 def got_equal(got: pd.DataFrame, want: pd.DataFrame) -> bool:
